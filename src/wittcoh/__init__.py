@@ -33,7 +33,6 @@ from .ordinary import (
 from .restricted import (
     Cochain2Res,
     Cochain3Res,
-    EnumerationLimitError,
     NotACocycleError,
     delta1_res,
     delta2_res,

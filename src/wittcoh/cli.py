@@ -22,7 +22,7 @@ from multiprocessing import Pool
 from .extensions import build_extension, verify_restricted_axioms
 from .gfp import PrimeField, is_prime
 from .ordinary import virasoro_cocycle, wedge_pairs
-from .restricted import DEFAULT_ENUM_LIMIT, omega_coordinate, virasoro_cochain
+from .restricted import omega_coordinate, virasoro_cochain
 from .verify import _run_prime_args
 
 _ENV_PREFIX = "WITTCOH_"
@@ -72,7 +72,7 @@ def cmd_verify(args) -> int:
     primes = _parse_primes(args.prime, args.primes)
     if isinstance(primes, str):
         return _fail(primes)
-    jobs = [(p, args.seed, args.max_enum_prime) for p in primes]
+    jobs = [(p, args.seed) for p in primes]
     if args.jobs > 1 and len(primes) > 1:
         with Pool(min(args.jobs, len(primes))) as pool:
             reports = pool.map(_run_prime_args, jobs)
@@ -162,7 +162,7 @@ def cmd_extension(args) -> int:
             return _fail(f"basis index {i} out of range [-1, {p - 2}]")
         cocycle = omega_coordinate(field, i)
     ext = build_extension(cocycle)
-    report = verify_restricted_axioms(ext, trials=5, seed=args.seed, enum_limit=args.max_enum_prime)
+    report = verify_restricted_axioms(ext, trials=5, seed=args.seed)
 
     triples = []
     for u in range(p + 1):
@@ -217,24 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # String defaults go through `type` like command-line values, and only
+    # when the flag is absent, so a malformed environment value is a usage
+    # error (exit 2) and a command-line value still overrides it.
     def add_common(sp):
-        sp.add_argument("--seed", type=int, default=int(_env_default("seed", 0)))
-        sp.add_argument(
-            "--max-enum-prime",
-            type=int,
-            default=int(_env_default("max_enum_prime", DEFAULT_ENUM_LIMIT)),
-            help="largest prime for which exponential correction-sum enumerations run",
-        )
+        sp.add_argument("--prime", type=int, default=_env_default("prime"))
+        sp.add_argument("--seed", type=int, default=_env_default("seed", "0"))
 
     v = sub.add_parser("verify", help="run the verification suite and emit JSON reports")
-    v.add_argument("--prime", type=int, default=_int_env("prime"))
     v.add_argument("--primes", default=_env_default("primes"), help="inclusive range A..B")
-    v.add_argument("--jobs", type=int, default=int(_env_default("jobs", 1)))
+    v.add_argument("--jobs", type=int, default=_env_default("jobs", "1"))
     add_common(v)
     v.set_defaults(fn=cmd_verify)
 
     c = sub.add_parser("cocycles", help="emit explicit degree-2 cocycles as JSON")
-    c.add_argument("--prime", type=int, default=_int_env("prime"))
     c.add_argument(
         "--which",
         nargs="+",
@@ -245,18 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_cocycles)
 
     e = sub.add_parser("extension", help="emit one central extension presentation")
-    e.add_argument("--prime", type=int, default=_int_env("prime"))
     e.add_argument("--which", default="virasoro", help="basis index i or 'virasoro'")
     e.add_argument("--format", choices=("json", "csv"), default="json")
     e.add_argument("--output", default=None, help="write to a file instead of stdout")
     add_common(e)
     e.set_defaults(fn=cmd_extension)
     return parser
-
-
-def _int_env(name: str) -> int | None:
-    raw = _env_default(name)
-    return int(raw) if raw is not None else None
 
 
 def main(argv=None) -> int:

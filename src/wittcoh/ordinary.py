@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import PrimeField
-from .witt import WittElement, basis_element, bracket, normalize_index
+from .witt import WittElement, bracket, normalize_index
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +387,3 @@ def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: Wi
         - wedge_eval(phi, bracket(g, k), h)
         + wedge_eval(phi, bracket(h, k), g)
     ) % p
-
-
-def basis_witt(field: PrimeField, i: int) -> WittElement:
-    return basis_element(field, i)

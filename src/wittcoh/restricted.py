@@ -24,10 +24,11 @@ d2(phi, omega) = (d2_cl(phi), ind2(phi, omega)) with
 
     ind2(phi, omega)(g, h) = phi(g ^ h^{[p]}) - phi([g, h, ..., h] ^ h).
 
-The correction sums are exponential in p (2^{p-2} sequences); general
-omega/beta evaluation is therefore gated to small p (default 13).  All
-dimension computations are pure linear algebra on the coordinate spaces
-and run for every supported prime.
+A correction sum has 2^{p-2} sequences, but each is weighted only by its
+count of g factors, so the chains grouped by that count are the
+lambda-coefficients of [[g, h], lambda*g + h, ..., lambda*g + h] with
+p - 3 applications: witt.lambda_rows evaluates the whole sum with
+O(p) matrix products.
 """
 
 from __future__ import annotations
@@ -56,19 +57,12 @@ from .witt import (
     WittElement,
     _inverse_vector,
     basis_element,
-    bracket,
+    lambda_rows,
     normalize_index,
     pth_power_basis,
     right_bracket_matrix,
     zero,
 )
-
-DEFAULT_ENUM_LIMIT = 13
-
-
-class EnumerationLimitError(RuntimeError):
-    """A correction-sum enumeration was requested above the configured prime limit."""
-
 
 class NotACocycleError(ValueError):
     """An operation requiring a restricted 2-cocycle got a non-cocycle."""
@@ -159,35 +153,26 @@ def virasoro_cochain(field: PrimeField) -> Cochain2Res:
     return Cochain2Res(virasoro_cocycle(field), (0,) * field.p)
 
 
-def _check_enum(p: int, enum_limit: int) -> None:
-    if p > enum_limit:
-        raise EnumerationLimitError(
-            f"correction-sum enumeration has 2^{p - 2} terms; p={p} exceeds the "
-            f"limit {enum_limit} (raise enum_limit to force it)"
-        )
+def _correction_sum(form: np.ndarray, g: WittElement, h: WittElement) -> int:
+    """Sum over (g_1, ..., g_p), g_1 = g, g_2 = h, g_i in {g, h}, of
+    (1/#(g)) form([g_1, ..., g_{p-1}], g_p), with x @ form @ y the bilinear form.
 
-
-def _chain_leaves(g: WittElement, h: WittElement) -> tuple[np.ndarray, np.ndarray]:
-    """All chain values [g_1, ..., g_{p-1}] with g_1 = g, g_2 = h, g_i in {g, h}.
-
-    Returns (rows of chain coefficient vectors, count of g's used per row).
-    Prefix sharing: each doubling step appends one factor, so the whole
-    2^{p-3}-leaf tree costs a pair of matrix products per level.
+    Row k-1 of the lambda rows sums the chains holding k factors g, so a
+    final g makes the count k+1 and a final h leaves it at k.
     """
     p = g.p
-    bg = right_bracket_matrix(g)
-    bh = right_bracket_matrix(h)
-    x = np.array([bracket(g, h).coeffs], dtype=np.int64)
-    counts = np.array([1], dtype=np.int64)
-    for _ in range(p - 3):
-        x = np.vstack(((x @ bg) % p, (x @ bh) % p))
-        counts = np.concatenate((counts + 1, counts))
-    return x, counts
+    gv = np.array(g.coeffs, dtype=np.int64)
+    hv = np.array(h.coeffs, dtype=np.int64)
+    bh = right_bracket_matrix(hv, p)
+    rows = lambda_rows((gv @ bh) % p, right_bracket_matrix(gv, p), bh, p - 3, p)
+    k = np.arange(1, p - 1)
+    inv = _inverse_vector(p)
+    with_g = (rows @ form @ gv) % p
+    with_h = (rows @ form @ hv) % p
+    return int((inv[k + 1] * with_g + inv[k] * with_h).sum() % p)
 
 
-def star_correction(
-    phi: Cochain2Ord, g: WittElement, h: WittElement, enum_limit: int = DEFAULT_ENUM_LIMIT
-) -> int:
+def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     """The sequence sum tying omega(g + h) to omega(g) + omega(h) for this phi.
 
     Sum over all (g_1, ..., g_p) with g_1 = g, g_2 = h and the rest free in
@@ -196,27 +181,12 @@ def star_correction(
     """
     if g.field.p != h.field.p or g.field.p != phi.field.p:
         raise ValueError("mismatched fields")
-    p = g.p
     if phi.is_zero() or g.is_zero() or h.is_zero():
         return 0
-    _check_enum(p, enum_limit)
-    chains, counts = _chain_leaves(g, h)
-    m = phi.to_matrix()
-    inv = _inverse_vector(p)
-    gv = np.array(g.coeffs, dtype=np.int64)
-    hv = np.array(h.coeffs, dtype=np.int64)
-    with_g = (chains @ m @ gv) % p  # last factor g_p = g: one more g
-    with_h = (chains @ m @ hv) % p  # last factor g_p = h
-    total = (inv[counts + 1] * with_g + inv[counts] * with_h).sum()
-    return int(total % p)
+    return _correction_sum(phi.to_matrix(), g, h)
 
 
-def eval_omega(
-    c: Cochain2Res,
-    g: WittElement,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
-    fold_order=None,
-) -> int:
+def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
     """omega(g), folding g's basis terms through the compatibility condition.
 
     The fold accumulates v <- v + a*e_i using
@@ -237,7 +207,7 @@ def eval_omega(
         term = basis_element(field, i, a)
         total += pow(a, p, p) * c.omega_value(i)
         if not acc.is_zero():
-            total += star_correction(c.phi, acc, term, enum_limit=enum_limit)
+            total += star_correction(c.phi, acc, term)
         acc = acc + term
     return total % p
 
@@ -283,11 +253,7 @@ def is_cocycle(c: Cochain2Res) -> bool:
 
 
 def starstar_correction(
-    alpha: Cochain3Ord,
-    g: WittElement,
-    h1: WittElement,
-    h2: WittElement,
-    enum_limit: int = DEFAULT_ENUM_LIMIT,
+    alpha: Cochain3Ord, g: WittElement, h1: WittElement, h2: WittElement
 ) -> int:
     """The sequence sum tying beta(g, h1 + h2) to beta(g, h1) + beta(g, h2).
 
@@ -297,21 +263,12 @@ def starstar_correction(
     p = alpha.field.p
     if alpha.is_zero() or g.is_zero() or h1.is_zero() or h2.is_zero():
         return 0
-    _check_enum(p, enum_limit)
-    chains, counts = _chain_leaves(h1, h2)
-    dense = alpha.to_dense()
     gv = np.array(g.coeffs, dtype=np.int64)
-    t = np.einsum("m,mij->ij", gv, dense) % p  # t[i, j] = alpha(g ^ e_{i-1} ^ e_{j-1})
-    inv = _inverse_vector(p)
-    v1 = (chains @ t @ np.array(h1.coeffs, dtype=np.int64)) % p
-    v2 = (chains @ t @ np.array(h2.coeffs, dtype=np.int64)) % p
-    total = (inv[counts + 1] * v1 + inv[counts] * v2).sum()
-    return int(total % p)
+    t = np.einsum("m,mij->ij", gv, alpha.to_dense()) % p  # t[i, j] = alpha(g ^ e_{i-1} ^ e_{j-1})
+    return _correction_sum(t, h1, h2)
 
 
-def eval_beta(
-    c: Cochain3Res, g: WittElement, h: WittElement, enum_limit: int = DEFAULT_ENUM_LIMIT
-) -> int:
+def eval_beta(c: Cochain3Res, g: WittElement, h: WittElement) -> int:
     """beta(g, h): linear in g, folded over h's basis terms with the correction sum."""
     field = c.field
     p = field.p
@@ -326,7 +283,7 @@ def eval_beta(
         term = basis_element(field, j, a)
         total += pow(a, p, p) * beta_on_basis(j)
         if not acc.is_zero():
-            total -= starstar_correction(c.alpha, g, acc, term, enum_limit=enum_limit)
+            total -= starstar_correction(c.alpha, g, acc, term)
         acc = acc + term
     return total % p
 

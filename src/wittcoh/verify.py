@@ -7,11 +7,11 @@ dimensions with explicit representatives, vanishing of the induced
 degree-3 block, and the full axiom verification of all p + 1 central
 extensions, plus negative controls.
 
-Checks whose cost is exponential in p (everything driven by the
-correction-sum enumeration) are skipped above max_enum_prime and reported
-as skipped rather than passed silently.  Randomized checks draw from a
-generator seeded per prime, so reports are byte-identical across runs and
-across worker counts.
+Every check runs at every supported prime, except the few whose statement
+needs p > 3 and the brute-force starstar oracle, which enumerates 2^(p-2)
+sequences and stops at p = 11; those are reported as skipped rather than
+passed silently.  Randomized checks draw from a generator seeded per
+prime, so reports are byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -221,9 +221,7 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     return checks
 
 
-def _restricted_checks(
-    field: PrimeField, rng: random.Random, enum_ok: bool
-) -> list[CheckResult]:
+def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
     p = field.p
     checks = []
     d1r = res.delta1_res_matrix(field)
@@ -275,86 +273,76 @@ def _restricted_checks(
 
     checks.append(_check("restricted.h2_dimension", h2_dimension))
 
-    if enum_ok:
+    def star_consistency():
+        for _ in range(10):
+            psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
+            g = witt.random_element(field, rng, True)
+            h = witt.random_element(field, rng, True)
+            lhs = (
+                psi.value(witt.pth_power(g + h))
+                - psi.value(witt.pth_power(g))
+                - psi.value(witt.pth_power(h))
+            ) % p
+            assert lhs == res.star_correction(ordi.delta1_cl(psi), g, h), "summand sum mismatch"
+        return "10 samples"
 
-        def star_consistency():
-            for _ in range(10):
-                psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
-                g = witt.random_element(field, rng, True)
-                h = witt.random_element(field, rng, True)
-                lhs = (
-                    psi.value(witt.pth_power(g + h))
-                    - psi.value(witt.pth_power(g))
-                    - psi.value(witt.pth_power(h))
-                ) % p
-                assert lhs == res.star_correction(ordi.delta1_cl(psi), g, h), "summand sum mismatch"
-            return "10 samples"
+    checks.append(_check("restricted.star_consistency", star_consistency))
 
-        checks.append(_check("restricted.star_consistency", star_consistency))
+    def omega_fold_invariance():
+        # Fold-order independence is the executable form of omega being
+        # well defined off the basis.  It holds exactly over cocycles
+        # (the only cochains whose omega the library ever folds), and the
+        # suite also confirms it genuinely fails off the kernel.
+        ker = field.kernel_basis(res.delta2_res_matrix(field))
+        for _ in range(10):
+            vec = sum(rng.randrange(p) * v for v in ker) % p
+            c = res.c2_from_vector(field, vec)
+            g = witt.random_element(field, rng, True)
+            base = res.eval_omega(c, g)
+            for _ in range(5):
+                order = g.support()
+                rng.shuffle(order)
+                assert res.eval_omega(c, g, fold_order=order) == base, "fold order changes omega"
+        return "10 cocycles x 5 orders"
 
-        def omega_fold_invariance():
-            # Fold-order independence is the executable form of omega being
-            # well defined off the basis.  It holds exactly over cocycles
-            # (the only cochains whose omega the library ever folds), and the
-            # suite also confirms it genuinely fails off the kernel.
-            ker = field.kernel_basis(res.delta2_res_matrix(field))
-            for _ in range(10):
-                vec = sum(rng.randrange(p) * v for v in ker) % p
-                c = res.c2_from_vector(field, vec)
-                g = witt.random_element(field, rng, True)
-                base = res.eval_omega(c, g)
-                for _ in range(5):
-                    order = g.support()
-                    rng.shuffle(order)
-                    assert res.eval_omega(c, g, fold_order=order) == base, "fold order changes omega"
-            return "10 cocycles x 5 orders"
+    checks.append(_check("restricted.omega_fold_invariance", omega_fold_invariance))
 
-        checks.append(_check("restricted.omega_fold_invariance", omega_fold_invariance))
+    def starstar_enumeration():
+        import itertools
 
-        def starstar_enumeration():
-            import itertools
+        def naive(alpha, g, h1, h2):
+            total = 0
+            for choice in itertools.product([1, 2], repeat=p - 2):
+                ls = [1, 2, *choice]
+                hs = [h1 if l == 1 else h2 for l in ls]
+                chain = witt.bracket_chain(hs[0], hs[1 : p - 1])
+                last = hs[p - 1]
+                cnt = sum(1 for l in ls if l == 1)
+                val = 0
+                for m in g.support():
+                    for i in chain.support():
+                        for j in last.support():
+                            val += g.coeff(m) * chain.coeff(i) * last.coeff(j) * alpha.value(m, i, j)
+                total += field.inv(cnt) * val
+            return total % p
 
-            def naive(alpha, g, h1, h2):
-                total = 0
-                for choice in itertools.product([1, 2], repeat=p - 2):
-                    ls = [1, 2, *choice]
-                    hs = [h1 if l == 1 else h2 for l in ls]
-                    chain = witt.bracket_chain(hs[0], hs[1 : p - 1])
-                    last = hs[p - 1]
-                    cnt = sum(1 for l in ls if l == 1)
-                    val = 0
-                    for m in g.support():
-                        for i in chain.support():
-                            for j in last.support():
-                                val += g.coeff(m) * chain.coeff(i) * last.coeff(j) * alpha.value(m, i, j)
-                    total += field.inv(cnt) * val
-                return total % p
+        for _ in range(4):
+            phi = ordi.c2_from_dict(field, {pr: rng.randrange(p) for pr in ordi.wedge_pairs(p)})
+            alpha = ordi.delta2_cl(phi)
+            g, h1, h2 = (witt.random_element(field, rng, True) for _ in range(3))
+            assert res.starstar_correction(alpha, g, h1, h2) == naive(alpha, g, h1, h2), "mismatch"
+        return "4 samples"
 
-            for _ in range(4):
-                phi = ordi.c2_from_dict(field, {pr: rng.randrange(p) for pr in ordi.wedge_pairs(p)})
-                alpha = ordi.delta2_cl(phi)
-                g, h1, h2 = (witt.random_element(field, rng, True) for _ in range(3))
-                assert res.starstar_correction(alpha, g, h1, h2) == naive(alpha, g, h1, h2), "mismatch"
-            return "4 samples"
-
-        if p <= 11:
-            checks.append(_check("restricted.starstar_enumeration", starstar_enumeration))
-        else:
-            checks.append(_skip("restricted.starstar_enumeration", "naive oracle too slow above p=11"))
+    if p <= 11:
+        checks.append(_check("restricted.starstar_enumeration", starstar_enumeration))
     else:
-        why = "enumeration gated above max-enum-prime"
-        checks.append(_skip("restricted.star_consistency", why))
-        checks.append(_skip("restricted.omega_fold_invariance", why))
-        checks.append(_skip("restricted.starstar_enumeration", why))
+        checks.append(_skip("restricted.starstar_enumeration", "naive oracle too slow above p=11"))
     return checks
 
 
-def _extension_checks(
-    field: PrimeField, rng: random.Random, enum_limit: int
-) -> list[CheckResult]:
+def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
     p = field.p
     checks = []
-    enum_ok = p <= enum_limit
     h2 = res.restricted_h2(field)
     reps = list(h2.representatives)
 
@@ -371,13 +359,7 @@ def _extension_checks(
     checks.append(_check("extensions.roundtrip", roundtrip))
 
     def splitting_shift():
-        if not enum_ok:
-            # Splittings only shift omega through the basis values; still fine
-            # to check on the omega-coordinate cocycles whose phi is zero.
-            candidates = [c for c in reps if c.phi.is_zero()]
-        else:
-            candidates = reps
-        for c in candidates[:4]:
+        for c in reps[:4]:
             e = ext.build_extension(c)
             psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
             sigma = [
@@ -389,7 +371,7 @@ def _extension_checks(
             assert shifted == expected, "shifted extraction != c - d1(psi)"
             same, _ = ext.cohomologous(shifted, c)
             assert same, "shifted extraction not cohomologous to the source"
-        return f"{len(candidates[:4])} splittings"
+        return f"{len(reps[:4])} splittings"
 
     checks.append(_check("extensions.splitting_independence", splitting_shift))
 
@@ -397,9 +379,7 @@ def _extension_checks(
         extensions = [ext.build_extension(c) for c in reps]
         trials = 5 if p <= 13 else 3
         for e in extensions:
-            report = ext.verify_restricted_axioms(
-                e, trials=trials, seed=rng.randrange(2**31), enum_limit=enum_limit
-            )
+            report = ext.verify_restricted_axioms(e, trials=trials, seed=rng.randrange(2**31))
             assert report.all_pass, f"axioms fail: {[c.name for c in report.failed()]}"
         return f"{len(extensions)} extensions"
 
@@ -407,7 +387,7 @@ def _extension_checks(
 
     def negative_control():
         e = ext.build_extension(reps[-1]).with_bracket_entry_zeroed(-1, 0)
-        report = ext.verify_restricted_axioms(e, trials=2, enum_limit=enum_limit)
+        report = ext.verify_restricted_axioms(e, trials=2)
         assert not report.all_pass, "corrupted table passed verification"
         assert any(c.name == "jacobi" and not c.passed for c in report.checks), "Jacobi missed it"
         return ""
@@ -475,19 +455,18 @@ def dims_summary(field: PrimeField) -> dict:
     }
 
 
-def run_prime(p: int, seed: int = 0, max_enum_prime: int = res.DEFAULT_ENUM_LIMIT) -> dict:
+def run_prime(p: int, seed: int = 0) -> dict:
     """The full verification report for one prime as a JSON-ready dict."""
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     field = PrimeField(p)
     rng = random.Random(f"{seed}:{p}")
-    enum_ok = p <= max_enum_prime
     oracle_trials = 100 if p <= 13 else 5
     checks: list[CheckResult] = []
     checks.extend(_witt_checks(field, rng, oracle_trials))
     checks.extend(_ordinary_checks(field))
-    checks.extend(_restricted_checks(field, rng, enum_ok))
-    checks.extend(_extension_checks(field, rng, max_enum_prime))
+    checks.extend(_restricted_checks(field, rng))
+    checks.extend(_extension_checks(field, rng))
 
     dims = dims_summary(field)
 
@@ -507,12 +486,11 @@ def run_prime(p: int, seed: int = 0, max_enum_prime: int = res.DEFAULT_ENUM_LIMI
     return {
         "prime": p,
         "seed": seed,
-        "max_enum_prime": max_enum_prime,
         "dims": dims,
         "checks": [c.as_dict() for c in checks],
         "all_pass": all(c.passed for c in checks),
     }
 
 
-def _run_prime_args(args: tuple[int, int, int]) -> dict:
+def _run_prime_args(args: tuple[int, int]) -> dict:
     return run_prime(*args)

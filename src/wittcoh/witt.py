@@ -184,10 +184,9 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 LambdaVector = list
 
 
-def right_bracket_matrix(y: WittElement) -> np.ndarray:
-    """Matrix B with (x @ B) = [x, y] on coefficient row vectors."""
-    yv = np.array(y.coeffs, dtype=np.int64)
-    return np.einsum("t,stm->sm", yv, _bracket_tensor(y.p)) % y.p
+def right_bracket_matrix(v: np.ndarray, p: int) -> np.ndarray:
+    """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W."""
+    return np.einsum("t,stm->sm", v, _bracket_tensor(p)) % p
 
 
 @lru_cache(maxsize=None)
@@ -199,30 +198,37 @@ def _inverse_vector(p: int) -> np.ndarray:
     return inv
 
 
-def _lambda_rows(gv: np.ndarray, hv: np.ndarray, p: int) -> np.ndarray:
-    """Coefficient rows (by lambda-degree) of [g, lambda*g + h, ...], p-1 applications.
+def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p: int) -> np.ndarray:
+    """Coefficient rows (by lambda-degree) of [start, lambda*g + h, ...], `steps` applications.
 
+    bg and bh are the right-bracket matrices of g and h in any Lie algebra
+    given on coefficient vectors (W itself, or a central extension).
     Bracketing a lambda-polynomial with lambda*g + h sends degree k to
     degree k (the h part) and k+1 (the g part), so one application is two
-    matrix products on the stacked rows.
+    matrix products on the stacked rows; row k sums the 2^steps chains
+    [start, x_1, ..., x_steps], x_i in {g, h}, that use g exactly k times.
     """
-    tensor = _bracket_tensor(p)
-    bg = np.einsum("t,stm->sm", gv, tensor) % p
-    bh = np.einsum("t,stm->sm", hv, tensor) % p
-    rows = gv.reshape(1, p)
-    for _ in range(p - 1):
-        grown = np.vstack([rows @ bh, np.zeros((1, p), dtype=np.int64)])
+    rows = start.reshape(1, -1)
+    for _ in range(steps):
+        grown = np.vstack([rows @ bh, np.zeros((1, rows.shape[1]), dtype=np.int64)])
         grown[1:] += rows @ bg
         rows = grown % p
     return rows
 
 
+def summands_total(gv: np.ndarray, bg: np.ndarray, bh: np.ndarray, p: int) -> np.ndarray:
+    """sum_{i=1}^{p-1} s_i(g, h) as a coefficient vector, s_i from lambda^{i-1} / i."""
+    rows = lambda_rows(gv, bg, bh, p - 1, p)
+    return (_inverse_vector(p)[1:, None] * rows[: p - 1]).sum(axis=0) % p
+
+
 def lambda_chain(g: WittElement, h: WittElement) -> LambdaVector:
     """The lambda-polynomial [g, lambda*g + h, ..., lambda*g + h], p-1 applications."""
     _check_same_field(g, h)
+    p = g.p
     gv = np.array(g.coeffs, dtype=np.int64)
     hv = np.array(h.coeffs, dtype=np.int64)
-    rows = _lambda_rows(gv, hv, g.p)
+    rows = lambda_rows(gv, right_bracket_matrix(gv, p), right_bracket_matrix(hv, p), p - 1, p)
     return [WittElement(g.field, tuple(int(v) for v in row)) for row in rows]
 
 
@@ -247,7 +253,6 @@ def pth_power(g: WittElement, term_order=None) -> WittElement:
     order = support if term_order is None else list(term_order)
     if sorted(order) != support:
         raise ValueError("term_order must be a permutation of the support")
-    inv = _inverse_vector(p)
     acc = np.zeros(p, dtype=np.int64)
     acc_power = np.zeros(p, dtype=np.int64)
     started = False
@@ -261,8 +266,7 @@ def pth_power(g: WittElement, term_order=None) -> WittElement:
         if not started:
             acc, acc_power, started = term, term_power, True
             continue
-        rows = _lambda_rows(acc, term, p)
-        correction = (inv[1:p, None] * rows[: p - 1]).sum(axis=0)
+        correction = summands_total(acc, right_bracket_matrix(acc, p), right_bracket_matrix(term, p), p)
         acc_power = (acc_power + term_power + correction) % p
         acc = (acc + term) % p
     return WittElement(field, tuple(int(v) for v in acc_power))

@@ -48,6 +48,22 @@ def test_verify_rejects_composite(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "var, argv",
+    [
+        ("WITTCOH_SEED", ["verify", "--prime", "5"]),
+        ("WITTCOH_JOBS", ["verify", "--prime", "5"]),
+        ("WITTCOH_PRIME", ["verify"]),
+        ("WITTCOH_PRIME", ["extension"]),
+    ],
+)
+def test_malformed_integer_env_value(capsys, monkeypatch, var, argv):
+    monkeypatch.setenv(var, "abc")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "'abc'" in err
+
+
 def test_verify_deterministic_across_jobs(capsys):
     code1, out1 = run(capsys, "verify", "--primes", "5..7", "--jobs", "1")
     code2, out2 = run(capsys, "verify", "--primes", "5..7", "--jobs", "2")

@@ -170,6 +170,16 @@ def test_all_extensions_pass_restricted_axioms(p):
     assert report.all_pass, report.failed()
 
 
+def test_virasoro_axioms_run_unskipped_at_p17():
+    # Random p-th powers of a source with phi != 0 fold omega through the
+    # correction sums, which the scalar and sum axioms must run, not skip.
+    report = verify_restricted_axioms(virasoro_extension(PrimeField(17)))
+    assert report.all_pass, report.failed()
+    details = {c.name: c.detail for c in report.checks}
+    assert "skipped" not in details["scalar_power"]
+    assert "skipped" not in details["sum_expansion"]
+
+
 def test_corrupted_bracket_fails_jacobi():
     # Zeroing [e_1, e_2] breaks the Jacobi identity and the scan finds it.
     ext = omega_extension(F5, 0).with_bracket_entry_zeroed(1, 2)
