@@ -25,21 +25,23 @@ from .ordinary import (
     Cochain3Ord,
     delta1_cl,
     delta2_cl,
-    graded_component_kernel_dim,
-    ordinary_cohomology_dims,
     virasoro_cocycle,
     wedge_normalize,
 )
 from .restricted import (
     Cochain2Res,
     Cochain3Res,
+    CochainComplex,
     NotACocycleError,
+    cochain_complex,
     delta1_res,
     delta2_res,
     eval_beta,
     eval_omega,
+    graded_component_kernel_dim,
     ind2,
     omega_coordinate,
+    ordinary_cohomology_dims,
     project_class_to_ordinary,
     restricted_h2,
     star_correction,

@@ -5,9 +5,12 @@ Subcommands
     cocycles   emit explicit degree-2 cocycles in coordinates
     extension  emit the bracket/p-map presentation of one central extension
 
-Exit status: 0 all checks passed, 1 some check failed, 2 invalid input.
+Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
+(including an --output path that cannot be written).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
-(e.g. WITTCOH_SEED); command-line values win.  Output is deterministic:
+(e.g. WITTCOH_SEED); command-line values win, also over the environment
+value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes
+against WITTCOH_PRIME).  Output is deterministic:
 byte-identical across runs and across --jobs values for a fixed seed.
 """
 
@@ -69,12 +72,21 @@ def _pair_key(pair: tuple[int, int]) -> str:
 
 
 def cmd_verify(args) -> int:
-    primes = _parse_primes(args.prime, args.primes)
+    single, chain = args.prime, args.primes
+    # A flag given on the command line overrides the environment value of the other.
+    if args.given == {"prime"}:
+        chain = None
+    elif args.given == {"primes"}:
+        single = None
+    primes = _parse_primes(single, chain)
     if isinstance(primes, str):
         return _fail(primes)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     jobs = [(p, args.seed) for p in primes]
-    if args.jobs > 1 and len(primes) > 1:
-        with Pool(min(args.jobs, len(primes))) as pool:
+    workers = min(args.jobs, len(primes), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             reports = pool.map(_run_prime_args, jobs)
     else:
         reports = [_run_prime_args(j) for j in jobs]
@@ -202,11 +214,22 @@ def cmd_extension(args) -> int:
         }
         text = json.dumps(out) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            return _fail(f"cannot write {args.output}: {e.strerror}")
     else:
         sys.stdout.write(text)
     return 0
+
+
+class _Given(argparse.Action):
+    """Stores the value and records the flag in `given`: it came from the command line."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,11 +244,12 @@ def build_parser() -> argparse.ArgumentParser:
     # when the flag is absent, so a malformed environment value is a usage
     # error (exit 2) and a command-line value still overrides it.
     def add_common(sp):
-        sp.add_argument("--prime", type=int, default=_env_default("prime"))
+        sp.add_argument("--prime", type=int, default=_env_default("prime"), action=_Given)
         sp.add_argument("--seed", type=int, default=_env_default("seed", "0"))
+        sp.set_defaults(given=frozenset())
 
     v = sub.add_parser("verify", help="run the verification suite and emit JSON reports")
-    v.add_argument("--primes", default=_env_default("primes"), help="inclusive range A..B")
+    v.add_argument("--primes", default=_env_default("primes"), action=_Given, help="inclusive range A..B")
     v.add_argument("--jobs", type=int, default=_env_default("jobs", "1"))
     add_common(v)
     v.set_defaults(fn=cmd_verify)

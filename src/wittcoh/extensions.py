@@ -38,7 +38,7 @@ from .restricted import (
     Cochain2Res,
     NotACocycleError,
     c2_to_vector,
-    delta1_res_matrix,
+    cochain_complex,
     eval_omega,
     is_cocycle,
     project_class_to_ordinary,
@@ -349,12 +349,10 @@ def cohomologous(a: Cochain2Res, b: Cochain2Res) -> tuple[bool, Cochain1 | None]
     if not is_cocycle(a) or not is_cocycle(b):
         raise NotACocycleError("cohomology comparison is defined on cocycles only")
     field = a.field
-    d1 = delta1_res_matrix(field)
-    cols = [d1[:, t] for t in range(field.p)]
-    coeffs = field.solve_membership(cols, c2_to_vector(a) - c2_to_vector(b))
-    if coeffs is None:
+    psi, rest = cochain_complex(field).split_coboundary(c2_to_vector(a) - c2_to_vector(b))
+    if rest.any():
         return False, None
-    return True, Cochain1(field, tuple(coeffs))
+    return True, Cochain1(field, tuple(int(x) for x in psi))
 
 
 class Classification(enum.Enum):
@@ -369,10 +367,7 @@ def classify_extension(c: Cochain2Res) -> Classification:
     algebra but not as a restricted one) or not (no Levi complement either way)."""
     if not is_cocycle(c):
         raise NotACocycleError("classification is defined on cocycles only")
-    field = c.field
-    d1 = delta1_res_matrix(field)
-    cols = [d1[:, t] for t in range(field.p)]
-    if field.solve_membership(cols, c2_to_vector(c)) is not None:
+    if not cochain_complex(c.field).split_coboundary(c2_to_vector(c))[1].any():
         return Classification.SPLIT
     if project_class_to_ordinary(c).is_zero:
         return Classification.ORDINARY_LEVI_ONLY

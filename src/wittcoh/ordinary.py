@@ -3,9 +3,11 @@
 Degrees 0..3 only.  Cochains are stored on canonical wedge bases: e^{i,j}
 for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
 ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
-by the index sum mod p and both coboundaries preserve the grading, which
-lets every cohomology dimension be computed per graded block as well as on
-the full coordinate spaces.
+by the index sum mod p and both coboundaries preserve the grading.  This
+module assembles the dense coboundary matrices and their grade blocks;
+ranks, kernels and the cohomology dimensions are read off them once per
+prime, block by block, by restricted.cochain_complex, and the whole dense
+matrices serve as the oracle for those blockwise ranks.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -299,35 +301,33 @@ def delta2_matrix(field: PrimeField) -> np.ndarray:
     return m % p
 
 
+@lru_cache(maxsize=None)
+def _pair_grades(p: int) -> np.ndarray:
+    """Read-only grade of every canonical pair, in wedge_pairs order."""
+    grades = np.array([pair_grade(p, pair) for pair in wedge_pairs(p)])
+    grades.flags.writeable = False
+    return grades
+
+
+@lru_cache(maxsize=None)
+def _triple_grades(p: int) -> np.ndarray:
+    """Read-only grade of every canonical triple, in wedge_triples order."""
+    grades = np.array([triple_grade(p, trip) for trip in wedge_triples(p)])
+    grades.flags.writeable = False
+    return grades
+
+
 def graded_pair_positions(p: int, k: int) -> list[int]:
-    return [n for n, pair in enumerate(wedge_pairs(p)) if pair_grade(p, pair) == k]
+    return np.flatnonzero(_pair_grades(p) == k).tolist()
 
 
 def graded_triple_positions(p: int, k: int) -> list[int]:
-    return [n for n, trip in enumerate(wedge_triples(p)) if triple_grade(p, trip) == k]
+    return np.flatnonzero(_triple_grades(p) == k).tolist()
 
 
-def delta1_block(field: PrimeField, k: int) -> np.ndarray:
-    """d1 restricted to grade k: one column (the image of e^k), grade-k pair rows."""
-    rows = graded_pair_positions(field.p, k)
-    return delta1_matrix(field)[np.ix_(rows, [k + 1])]
-
-
-def delta2_block(field: PrimeField, k: int) -> np.ndarray:
-    rows = graded_triple_positions(field.p, k)
-    cols = graded_pair_positions(field.p, k)
-    return delta2_matrix(field)[np.ix_(rows, cols)]
-
-
-def graded_component_kernel_dim(field: PrimeField, k: int, degree: int) -> int:
-    """dim ker of the grade-k block of d1 (degree=1) or d2 (degree=2)."""
-    if degree == 1:
-        block = delta1_block(field, k)
-    elif degree == 2:
-        block = delta2_block(field, k)
-    else:
-        raise ValueError(f"degree must be 1 or 2, got {degree}")
-    return block.shape[1] - field.rank(block)
+def delta2_block(d2: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The grade-k block of the assembled ordinary d2: grade-k triple rows, grade-k pair columns."""
+    return d2[np.ix_(graded_triple_positions(p, k), graded_pair_positions(p, k))]
 
 
 def virasoro_cocycle(field: PrimeField) -> Cochain2Ord:
@@ -345,38 +345,6 @@ def virasoro_cocycle(field: PrimeField) -> Cochain2Ord:
         pair = (n, normalize_index(p - n, p))
         terms[pair] = (n * (n * n - 4) * inv3) % p
     return c2_from_dict(field, terms)
-
-
-@dataclass(frozen=True)
-class OrdinaryCohomology:
-    """Dimensions of H^0, H^1, H^2 with a generating 2-cocycle (None at p=3)."""
-
-    h0: int
-    h1: int
-    h2: int
-    representative: Cochain2Ord | None
-
-
-def ordinary_cohomology_dims(field: PrimeField) -> OrdinaryCohomology:
-    """H^0, H^1, H^2 dimensions from coboundary ranks (d0 = 0 on trivial coefficients)."""
-    p = field.p
-    d1 = delta1_matrix(field)
-    d2 = delta2_matrix(field)
-    rank0 = field.rank(np.zeros((p, 1), dtype=np.int64))
-    rank1 = field.rank(d1)
-    h0 = 1 - rank0
-    h1 = (p - rank1) - rank0
-    ker2 = d2.shape[1] - field.rank(d2)
-    h2 = ker2 - rank1
-    rep = None
-    if p > 3:
-        rep = virasoro_cocycle(field)
-        if not delta2_cl(rep).is_zero():
-            raise ArithmeticError("generator candidate is not a cocycle")
-        cols = [d1[:, t] for t in range(p)]
-        if field.solve_membership(cols, rep.to_vector()) is not None:
-            raise ArithmeticError("generator candidate is a coboundary")
-    return OrdinaryCohomology(h0, h1, h2, rep)
 
 
 def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: WittElement) -> int:

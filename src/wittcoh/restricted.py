@@ -29,11 +29,19 @@ count of g factors, so the chains grouped by that count are the
 lambda-coefficients of [[g, h], lambda*g + h, ..., lambda*g + h] with
 p - 3 applications: witt.lambda_rows evaluates the whole sum with
 O(p) matrix products.
+
+cochain_complex(field) is the one owner of the complex's linear algebra:
+it assembles the dense ordinary and restricted d1, d2 once per prime and
+computes their ranks, ker d2_res and the graded kernel dimensions grade
+block by grade block.  Every cohomology dimension, coboundary test and
+kernel sample reads it; the whole dense matrices are the oracle for the
+blockwise ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -42,9 +50,12 @@ from .ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
+    _pair_grades,
+    _triple_grades,
     c2_zero,
     delta1_cl,
     delta1_matrix,
+    delta2_block,
     delta2_cl,
     delta2_matrix,
     pair_position,
@@ -366,6 +377,146 @@ def delta2_res_matrix(field: PrimeField) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
+# ---------------------------------------------------------------------------
+# The cochain complex of one prime, grade by grade
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+def _grade_blocks(m: np.ndarray, row_grades: np.ndarray, col_grades: np.ndarray):
+    """block(k): the rows and columns of m of grade k, in their order in m.
+
+    Raises unless every nonzero entry of m lies inside one of these blocks.
+    """
+    rows, cols = np.nonzero(m)
+    if (row_grades[rows] != col_grades[cols]).any():
+        raise ArithmeticError("a coboundary matrix does not preserve the grading")
+    return lambda k: m[np.ix_(row_grades == k, col_grades == k)]
+
+
+def _graded_kernel(field: PrimeField, col_grades: np.ndarray, block) -> tuple[list[np.ndarray], dict[int, int]]:
+    """Kernel basis of a grade-preserving matrix, and its dimension per grade.
+
+    Columns of other grades meet other rows, so a column is a pivot of the
+    whole matrix exactly when it is one of its block.  The block kernels,
+    embedded and sorted by their free column (the last nonzero entry), are
+    therefore field.kernel_basis of the whole matrix, vector for vector.
+    """
+    basis: list[np.ndarray] = []
+    dims: dict[int, int] = {}
+    for k in range(-1, field.p - 1):
+        cols = np.flatnonzero(col_grades == k)
+        block_kernel = field.kernel_basis(block(k))
+        dims[k] = len(block_kernel)
+        for u in block_kernel:
+            v = np.zeros(len(col_grades), dtype=np.int64)
+            v[cols] = u
+            basis.append(_read_only(v))
+    basis.sort(key=lambda v: np.flatnonzero(v)[-1])
+    return basis, dims
+
+
+def _column_pivots(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First nonzero row of every column and the inverse of its entry (0 for a zero column)."""
+    rows = np.argmax(m != 0, axis=0)
+    entries = m[rows, np.arange(m.shape[1])]
+    return rows, np.array([field.inv(int(e)) if e else 0 for e in entries], dtype=np.int64)
+
+
+class CochainComplex:
+    """The coboundary matrices of one prime and everything read off their ranks.
+
+    d1, d2 (ordinary) and d1_res, d2_res (restricted) are dense read-only
+    arrays, each assembled once; the ordinary ones are the top-left corners
+    of the restricted ones.  Every coboundary preserves the grade: the index
+    sum of a pair or triple, i for e^i and for omega_i, and a for the beta
+    row (a, b).  Ranks and ker d2_res are therefore computed block by block;
+    the whole dense matrices are only the oracle for them
+    (verify's ordinary.block_full_agreement).
+    """
+
+    def __init__(self, field: PrimeField) -> None:
+        p = field.p
+        n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+        self.field = field
+        self.d1_res = _read_only(delta1_res_matrix(field))
+        self.d2_res = _read_only(delta2_res_matrix(field))
+        self.d1 = self.d1_res[:n2]
+        self.d2 = self.d2_res[:n3, :n2]
+        index = np.arange(-1, p - 1)  # grades of e^i, of omega_i and of the beta rows (i, *)
+        pairs, triples = _pair_grades(p), _triple_grades(p)
+        res_pairs = np.concatenate([pairs, index])
+        res_triples = np.concatenate([triples, np.repeat(index, p)])
+        ker1, dims1 = _graded_kernel(field, index, _grade_blocks(self.d1, pairs, index))
+        ker1_res, _ = _graded_kernel(field, index, _grade_blocks(self.d1_res, res_pairs, index))
+        ker2_res, _ = _graded_kernel(field, res_pairs, _grade_blocks(self.d2_res, res_triples, res_pairs))
+        # d2 is a corner of d2_res, whose grade check covers it.
+        ker2, dims2 = _graded_kernel(field, pairs, partial(delta2_block, self.d2, p))
+        self.rank_d1 = p - len(ker1)
+        self.rank_d1_res = p - len(ker1_res)
+        self.rank_d2 = n2 - len(ker2)
+        self.rank_d2_res = n2 + p - len(ker2_res)
+        self.ker_d2_res = tuple(ker2_res)
+        self.graded_kernel_dims = {1: dims1, 2: dims2}
+        # (H^0, H^1, H^2); d0 vanishes on trivial coefficients.
+        self.h_ordinary = (1, len(ker1), len(ker2) - self.rank_d1)
+        self.h_restricted = (1, len(ker1_res), len(ker2_res) - self.rank_d1_res)
+        self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
+
+    def split_coboundary(self, v, restricted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, rest) with v = d1 psi + rest; v is a coboundary exactly when rest = 0.
+
+        Columns of d1 have distinct grades and so meet disjoint rows: psi
+        takes each coordinate from the first nonzero row of its column, and
+        rest, linear in v and zero on those rows, vanishes exactly on im d1.
+        """
+        d1 = self.d1_res if restricted else self.d1
+        rows, inverses = self._pivots[restricted]
+        p = self.field.p
+        v = np.asarray(v, dtype=np.int64) % p
+        psi = (v[rows] * inverses) % p
+        return psi, (v - d1 @ psi) % p
+
+
+@lru_cache(maxsize=1)
+def cochain_complex(field: PrimeField) -> CochainComplex:
+    """The complex of field's prime, built once; only the latest prime is kept."""
+    return CochainComplex(field)
+
+
+@dataclass(frozen=True)
+class OrdinaryCohomology:
+    """Dimensions of H^0, H^1, H^2 with a generating 2-cocycle (None at p=3)."""
+
+    h0: int
+    h1: int
+    h2: int
+    representative: Cochain2Ord | None
+
+
+def ordinary_cohomology_dims(field: PrimeField) -> OrdinaryCohomology:
+    """Ordinary H^0, H^1, H^2 dimensions and the cubic generator of H^2."""
+    cx = cochain_complex(field)
+    rep = None
+    if field.p > 3:
+        rep = virasoro_cocycle(field)
+        if not delta2_cl(rep).is_zero():
+            raise ArithmeticError("generator candidate is not a cocycle")
+        if not cx.split_coboundary(rep.to_vector(), restricted=False)[1].any():
+            raise ArithmeticError("generator candidate is a coboundary")
+    return OrdinaryCohomology(*cx.h_ordinary, rep)
+
+
+def graded_component_kernel_dim(field: PrimeField, k: int, degree: int) -> int:
+    """dim ker of the grade-k block of the ordinary d1 (degree=1) or d2 (degree=2)."""
+    if degree not in (1, 2):
+        raise ValueError(f"degree must be 1 or 2, got {degree}")
+    return cochain_complex(field).graded_kernel_dims[degree][k]
+
+
 @dataclass(frozen=True)
 class RestrictedH2:
     """ker/im dimensions of the degree-2 computation with class representatives."""
@@ -386,24 +537,20 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
     basis of H^2 with no coboundary shift needed.
     """
     p = field.p
-    d2 = delta2_res_matrix(field)
-    d1 = delta1_res_matrix(field)
-    ker = field.kernel_basis(d2)
-    im_dim = field.rank(d1)
-    h2_dim = len(ker) - im_dim
+    cx = cochain_complex(field)
+    ker_dim = len(cx.ker_d2_res)
     reps: list[Cochain2Res] = []
     if p > 3:
         reps.append(virasoro_cochain(field))
     reps.extend(omega_coordinate(field, i) for i in range(-1, p - 1))
     rep_vectors = [c2_to_vector(r) for r in reps]
     for v in rep_vectors:
-        if ((d2 @ v) % p).any():
+        if ((cx.d2_res @ v) % p).any():
             raise ArithmeticError("representative candidate is not a cocycle")
-    im_cols = [d1[:, t] for t in range(p)]
-    stacked = np.vstack(im_cols + rep_vectors)
-    if field.rank(stacked) != im_dim + len(reps) or im_dim + len(reps) != len(ker):
+    rests = np.vstack([cx.split_coboundary(v)[1] for v in rep_vectors])
+    if field.rank(rests) != len(reps) or cx.rank_d1_res + len(reps) != ker_dim:
         raise ArithmeticError("representatives do not complete im d1 to ker d2")
-    return RestrictedH2(len(ker), im_dim, h2_dim, tuple(reps))
+    return RestrictedH2(ker_dim, cx.rank_d1_res, cx.h_restricted[2], tuple(reps))
 
 
 @dataclass(frozen=True)
@@ -424,15 +571,17 @@ def project_class_to_ordinary(c: Cochain2Res) -> OrdinaryClass:
     if not is_cocycle(c):
         raise NotACocycleError("projection is defined on cocycles only")
     field = c.field
-    d1 = delta1_matrix(field)
-    cols = [d1[:, t] for t in range(field.p)]
-    target = c.phi.to_vector()
-    if field.solve_membership(cols, target) is not None:
+    cx = cochain_complex(field)
+    _, rest = cx.split_coboundary(c.phi.to_vector(), restricted=False)
+    if not rest.any():
         return OrdinaryClass(True, 0)
     if field.p == 3:
         raise ArithmeticError("every cocycle phi is a coboundary at p = 3")
-    gen = virasoro_cocycle(field).to_vector()
-    coeffs = field.solve_membership(cols + [gen], target)
-    if coeffs is None:
+    # rest is linear and vanishes exactly on coboundaries, so
+    # phi - a * generator is a coboundary exactly when rest = a * rest(generator).
+    _, gen_rest = cx.split_coboundary(virasoro_cocycle(field).to_vector(), restricted=False)
+    s = np.flatnonzero(gen_rest)[0]  # the generator is not a coboundary
+    coeff = int(rest[s]) * field.inv(int(gen_rest[s])) % field.p
+    if ((rest - coeff * gen_rest) % field.p).any():
         raise ArithmeticError("cocycle phi is outside coboundaries + generator span")
-    return OrdinaryClass(False, coeffs[-1])
+    return OrdinaryClass(False, coeff)

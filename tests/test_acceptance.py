@@ -26,10 +26,9 @@ from wittcoh.ordinary import (
     delta1_matrix,
     delta2_block,
     delta2_cl,
+    delta2_matrix,
     dual_basis,
-    graded_component_kernel_dim,
     graded_pair_positions,
-    ordinary_cohomology_dims,
     virasoro_cocycle,
     wedge_pairs,
     wedge_triples,
@@ -39,6 +38,8 @@ from wittcoh.restricted import (
     c3_dim,
     delta2_res_matrix,
     eval_omega,
+    graded_component_kernel_dim,
+    ordinary_cohomology_dims,
     restricted_h2,
     virasoro_cochain,
 )
@@ -52,7 +53,7 @@ from wittcoh.witt import (
 )
 
 SMALL = [5, 7, 11, 13]
-FULL = [5, 7, 11, 13, 17, 19, 23, 29, 31]
+FULL = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
 @contextmanager
@@ -66,8 +67,8 @@ def criterion(num, description):
 
 
 def test_criterion_01_dimension_theorem():
-    with criterion(1, "dim H2 = p+1, ker d2 = 2p+1, im d1 = p for p in {5,7,11,13}"):
-        for p in SMALL:
+    with criterion(1, "dim H2 = p+1, ker d2 = 2p+1, im d1 = p for p in 5..37"):
+        for p in FULL:
             h2 = restricted_h2(PrimeField(p))
             assert h2.h2_dim == p + 1
             assert h2.ker_dim == 2 * p + 1
@@ -80,7 +81,7 @@ def test_criterion_02_p3_case():
 
 
 def test_criterion_03_ordinary_cohomology_full_range():
-    with criterion(3, "H0=1, H1=0, H2=1 and graded kernel pattern for p in 5..31"):
+    with criterion(3, "H0=1, H1=0, H2=1 and graded kernel pattern for p in 5..37"):
         for p in FULL:
             field = PrimeField(p)
             hc = ordinary_cohomology_dims(field)
@@ -99,7 +100,7 @@ def test_criterion_04_cochain_dimensions():
 
 
 def test_criterion_05_explicit_cocycle_identities():
-    with criterion(5, "generator cocycle, -2n coboundary identity, grade-0 recursion, p in 5..31"):
+    with criterion(5, "generator cocycle, -2n coboundary identity, grade-0 recursion, p in 5..37"):
         for p in FULL:
             field = PrimeField(p)
             gen = virasoro_cocycle(field)
@@ -112,7 +113,7 @@ def test_criterion_05_explicit_cocycle_identities():
                 {(n, normalize_index(p - n, p)): -2 * n for n in range(1, (p - 1) // 2 + 1)},
             )
             assert scaled == delta1_cl(dual_basis(field, 0))
-            block = delta2_block(field, 0)
+            block = delta2_block(delta2_matrix(field), p, 0)
             pairs0 = [wedge_pairs(p)[n] for n in graded_pair_positions(p, 0)]
             index = {pair: n for n, pair in enumerate(pairs0)}
             for v in field.kernel_basis(block):
@@ -125,7 +126,7 @@ def test_criterion_05_explicit_cocycle_identities():
 
 
 def test_criterion_06_induced_block_vanishes():
-    with criterion(6, "beta block of the degree-2 coboundary matrix is zero, p in 5..31"):
+    with criterion(6, "beta block of the degree-2 coboundary matrix is zero, p in 5..37"):
         for p in FULL:
             field = PrimeField(p)
             m = delta2_res_matrix(field)

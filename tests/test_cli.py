@@ -167,3 +167,63 @@ def test_extension_deterministic(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "var, value, argv, prime",
+    [
+        ("WITTCOH_PRIMES", "5..7", ["verify", "--prime", "3"], 3),
+        ("WITTCOH_PRIME", "5", ["verify", "--primes", "3..3"], 3),
+    ],
+)
+def test_command_line_prime_overrides_other_env_flag(capsys, monkeypatch, var, value, argv, prime):
+    monkeypatch.setenv(var, value)
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [json.loads(line)["prime"] for line in out.splitlines()] == [prime]
+
+
+def test_prime_and_primes_on_command_line_conflict(capsys, monkeypatch):
+    monkeypatch.setenv("WITTCOH_PRIME", "5")
+    assert main(["verify", "--prime", "3", "--primes", "3..3"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_extension_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "ext.json"
+    assert main(["extension", "--prime", "5", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    assert main(["verify", "--prime", "3", "--jobs", jobs]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_verify_pool_capped_by_primes_and_cpus(capsys, monkeypatch):
+    from wittcoh import cli
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [{"prime": p, "all_pass": True} for p, _ in jobs]
+
+    monkeypatch.setattr(cli, "Pool", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    code, out = run(capsys, "verify", "--primes", "3..13", "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
+    assert [json.loads(line)["prime"] for line in out.splitlines()] == [3, 5, 7, 11, 13]

@@ -12,16 +12,13 @@ from wittcoh.ordinary import (
     c2_from_dict,
     c2_zero,
     delta1_cl,
-    delta1_block,
     delta1_matrix,
     delta2_block,
     delta2_cl,
     delta2_matrix,
     dual_basis,
-    graded_component_kernel_dim,
     graded_pair_positions,
     graded_triple_positions,
-    ordinary_cohomology_dims,
     pair_grade,
     triple_grade,
     triple_normalize,
@@ -30,6 +27,13 @@ from wittcoh.ordinary import (
     wedge_normalize,
     wedge_pairs,
     wedge_triples,
+)
+from wittcoh.restricted import (
+    cochain_complex,
+    delta1_res_matrix,
+    delta2_res_matrix,
+    graded_component_kernel_dim,
+    ordinary_cohomology_dims,
 )
 from wittcoh.witt import basis_element, normalize_index, random_element
 
@@ -169,15 +173,18 @@ def test_graded_kernel_pattern(p):
     assert total == p + 1
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_block_and_full_ranks_agree(p):
+    # The blockwise complex against the dense route on the whole matrices.
     field = PrimeField(p)
-    assert field.rank(delta2_matrix(field)) == sum(
-        field.rank(delta2_block(field, k)) for k in range(-1, p - 1)
-    )
-    assert field.rank(delta1_matrix(field)) == sum(
-        field.rank(delta1_block(field, k)) for k in range(-1, p - 1)
-    )
+    cx = cochain_complex(field)
+    assert cx.rank_d1 == field.rank(delta1_matrix(field))
+    assert cx.rank_d2 == field.rank(delta2_matrix(field))
+    assert cx.rank_d1_res == field.rank(delta1_res_matrix(field))
+    assert cx.rank_d2_res == field.rank(delta2_res_matrix(field))
+    dense = field.kernel_basis(delta2_res_matrix(field))
+    assert len(cx.ker_d2_res) == len(dense)
+    assert all(np.array_equal(u, v) for u, v in zip(cx.ker_d2_res, dense))
 
 
 def test_virasoro_cocycle_small_primes():
@@ -210,7 +217,7 @@ def test_scaled_pair_sum_equals_coboundary(p):
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_grade_zero_kernel_recursion(p):
     field = PrimeField(p)
-    block = delta2_block(field, 0)
+    block = delta2_block(delta2_matrix(field), p, 0)
     pairs0 = [wedge_pairs(p)[n] for n in graded_pair_positions(p, 0)]
     index = {pair: n for n, pair in enumerate(pairs0)}
     for v in field.kernel_basis(block):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tests.oracles import omega_by_enumeration, star_sum_naive, starstar_sum_naive
+from wittcoh import gfp, restricted, verify
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
@@ -343,6 +344,29 @@ def test_restricted_h2_dimensions(p, expected):
     h2 = restricted_h2(PrimeField(p))
     assert (h2.ker_dim, h2.im_dim, h2.h2_dim) == expected
     assert len(h2.representatives) == h2.h2_dim
+
+
+def test_run_prime_assembles_and_reduces_the_dense_d2_once(monkeypatch):
+    # Everything in run_prime reads one memoised complex; the one whole-matrix
+    # row reduction of the restricted d2 is the block_full_agreement oracle.
+    restricted.cochain_complex.cache_clear()
+    shapes = []
+    assembled = []
+    rref, assemble = gfp.PrimeField.rref, restricted.delta2_res_matrix
+
+    def counting_rref(self, m):
+        shapes.append(np.shape(m))
+        return rref(self, m)
+
+    def counting_assemble(field):
+        assembled.append(field.p)
+        return assemble(field)
+
+    monkeypatch.setattr(gfp.PrimeField, "rref", counting_rref)
+    monkeypatch.setattr(restricted, "delta2_res_matrix", counting_assemble)
+    assert verify.run_prime(7)["all_pass"]
+    assert assembled == [7]
+    assert shapes.count((84, 28)) == 1
 
 
 @pytest.mark.parametrize("p", [5, 7])
