@@ -41,6 +41,7 @@ from .restricted import (
     graded_component_kernel_dim,
     ind2,
     omega_coordinate,
+    omega_functional,
     ordinary_cohomology_dims,
     project_class_to_ordinary,
     restricted_h2,

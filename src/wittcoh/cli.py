@@ -6,7 +6,8 @@ Subcommands
     extension  emit the bracket/p-map presentation of one central extension
 
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
-(including an --output path that cannot be written).
+(including an --output path that cannot be written, and a verify prime
+whose dense d2 matrix would exceed the memory limit, p > 67).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
 (e.g. WITTCOH_SEED); command-line values win, also over the environment
 value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes
@@ -25,7 +26,7 @@ from multiprocessing import Pool
 from .extensions import build_extension, verify_restricted_axioms
 from .gfp import PrimeField, is_prime
 from .ordinary import virasoro_cocycle, wedge_pairs
-from .restricted import omega_coordinate, virasoro_cochain
+from .restricted import check_dense_d2_size, omega_coordinate, virasoro_cochain
 from .verify import _run_prime_args
 
 _ENV_PREFIX = "WITTCOH_"
@@ -83,6 +84,11 @@ def cmd_verify(args) -> int:
         return _fail(primes)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
+    for p in primes:
+        try:
+            check_dense_d2_size(p)
+        except ValueError as e:
+            return _fail(str(e))
     jobs = [(p, args.seed) for p in primes]
     workers = min(args.jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:

@@ -28,14 +28,22 @@ A correction sum has 2^{p-2} sequences, but each is weighted only by its
 count of g factors, so the chains grouped by that count are the
 lambda-coefficients of [[g, h], lambda*g + h, ..., lambda*g + h] with
 p - 3 applications: witt.lambda_rows evaluates the whole sum with
-O(p) matrix products.
+O(p) matrix products.  The sum is linear in phi, so one weight matrix
+serves every phi.
+
+omega(g) is linear in the coordinates (phi, omega's basis values), so
+omega_functional(g) folds g's basis terms once into the vector w with
+omega(g) = c2_to_vector(c) @ w for every cochain c; the fold's steps
+(prefix sum, next term) all go through one stacked lambda_rows call, and
+eval_omega is that dot product.
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense ordinary and restricted d1, d2 once per prime and
 computes their ranks, ker d2_res and the graded kernel dimensions grade
 block by grade block.  Every cohomology dimension, coboundary test and
 kernel sample reads it; the whole dense matrices are the oracle for the
-blockwise ranks.
+blockwise ranks.  A prime whose dense d2_res would exceed DENSE_D2_BYTES
+(1 GiB, so p > 67) is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .witt import (
     WittElement,
     _inverse_vector,
     basis_element,
+    fold_terms,
     lambda_rows,
     normalize_index,
     pth_power_basis,
@@ -164,23 +173,28 @@ def virasoro_cochain(field: PrimeField) -> Cochain2Res:
     return Cochain2Res(virasoro_cocycle(field), (0,) * field.p)
 
 
-def _correction_sum(form: np.ndarray, g: WittElement, h: WittElement) -> int:
-    """Sum over (g_1, ..., g_p), g_1 = g, g_2 = h, g_i in {g, h}, of
-    (1/#(g)) form([g_1, ..., g_{p-1}], g_p), with x @ form @ y the bilinear form.
+def _correction_weights(gv: np.ndarray, hv: np.ndarray, p: int) -> np.ndarray:
+    """Q with sum_{s,t} form[s, t] Q[s, t] the correction sum of every bilinear form.
 
-    Row k-1 of the lambda rows sums the chains holding k factors g, so a
-    final g makes the count k+1 and a final h leaves it at k.
+    The sum runs over (g_1, ..., g_p), g_1 = g, g_2 = h, g_i in {g, h}, of
+    (1/#(g)) form([g_1, ..., g_{p-1}], g_p).  Row k-1 of the lambda rows
+    sums the chains holding k factors g, so a final g makes the count k+1
+    and a final h leaves it at k.  g and h may be stacked (..., p).
     """
-    p = g.p
-    gv = np.array(g.coeffs, dtype=np.int64)
-    hv = np.array(h.coeffs, dtype=np.int64)
     bh = right_bracket_matrix(hv, p)
-    rows = lambda_rows((gv @ bh) % p, right_bracket_matrix(gv, p), bh, p - 3, p)
+    start = np.einsum("...s,...sm->...m", gv, bh) % p
+    rows = lambda_rows(start, right_bracket_matrix(gv, p), bh, p - 3, p)
     k = np.arange(1, p - 1)
     inv = _inverse_vector(p)
-    with_g = (rows @ form @ gv) % p
-    with_h = (rows @ form @ hv) % p
-    return int((inv[k + 1] * with_g + inv[k] * with_h).sum() % p)
+    last = inv[k + 1, None] * gv[..., None, :] + inv[k, None] * hv[..., None, :]
+    return (rows.swapaxes(-1, -2) @ last) % p
+
+
+def _correction_sum(form: np.ndarray, g: WittElement, h: WittElement) -> int:
+    """The correction sum of the bilinear form x @ form @ y over (g, h)."""
+    p = g.p
+    weights = _correction_weights(np.array(g.coeffs, dtype=np.int64), np.array(h.coeffs, dtype=np.int64), p)
+    return int((form * weights).sum() % p)
 
 
 def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
@@ -197,30 +211,33 @@ def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     return _correction_sum(phi.to_matrix(), g, h)
 
 
-def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
-    """omega(g), folding g's basis terms through the compatibility condition.
+def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
+    """The vector w with eval_omega(c, g) = c2_to_vector(c) @ w mod p for every c.
 
-    The fold accumulates v <- v + a*e_i using
-        omega(v + a*e_i) = omega(v) + a^p omega(e_i) + star_correction(phi, v, a*e_i).
-    fold_order may permute the support; the value is fold-order invariant
-    (exercised by tests), ascending order is the default.
+    omega(g) is linear in (phi, omega's basis values), so the fold of g's
+    basis terms through the compatibility condition,
+        omega(v + a*e_i) = omega(v) + a^p omega(e_i) + star_correction(phi, v, a*e_i),
+    is done once for all cochains: the omega coordinates collect the a^p,
+    and the phi coordinates the correction weights of every step, all
+    steps (prefix sum, next term) taken in one stacked call.  fold_order
+    may permute the support; over cocycles the value is fold-order
+    invariant (exercised by tests), ascending order is the default.
     """
-    field = c.field
-    p = field.p
-    support = g.support()
-    order = support if fold_order is None else list(fold_order)
-    if sorted(order) != support:
-        raise ValueError("fold_order must be a permutation of the support")
-    total = 0
-    acc = zero(field)
-    for i in order:
-        a = g.coeff(i)
-        term = basis_element(field, i, a)
-        total += pow(a, p, p) * c.omega_value(i)
-        if not acc.is_zero():
-            total += star_correction(c.phi, acc, term)
-        acc = acc + term
-    return total % p
+    p = g.p
+    terms = fold_terms(g, fold_order)
+    w = np.zeros(c2_dim(p), dtype=np.int64)
+    w[-p:] = terms.sum(axis=0)  # a^p = a in GF(p)
+    if len(terms) > 1:
+        prefixes = np.cumsum(terms[:-1], axis=0) % p
+        q = _correction_weights(prefixes, terms[1:], p).sum(axis=0)
+        # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
+        w[:-p] = (q - q.T)[np.triu_indices(p, 1)]
+    return w % p
+
+
+def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
+    """omega(g): c's coordinates against g's omega_functional."""
+    return int(c2_to_vector(c) @ omega_functional(g, fold_order) % c.field.p)
 
 
 def delta1_res(psi: Cochain1) -> Cochain2Res:
@@ -481,9 +498,27 @@ class CochainComplex:
         return psi, (v - d1 @ psi) % p
 
 
+# Largest dense d2_res a prime may allocate; 1 GiB admits p <= 67.
+DENSE_D2_BYTES = 1 << 30
+
+
+def check_dense_d2_size(p: int) -> None:
+    """Raise ValueError when the dense int64 d2_res of p would exceed DENSE_D2_BYTES."""
+    size = 8 * c3_dim(p) * c2_dim(p)
+    if size > DENSE_D2_BYTES:
+        raise ValueError(
+            f"p = {p} needs a {size / 2**30:.1f} GiB dense d2 matrix, "
+            f"over the {DENSE_D2_BYTES / 2**30:.0f} GiB limit"
+        )
+
+
 @lru_cache(maxsize=1)
 def cochain_complex(field: PrimeField) -> CochainComplex:
-    """The complex of field's prime, built once; only the latest prime is kept."""
+    """The complex of field's prime, built once; only the latest prime is kept.
+
+    Refuses, before allocating anything, a prime whose dense d2 is too large.
+    """
+    check_dense_d2_size(field.p)
     return CochainComplex(field)
 
 

@@ -7,11 +7,13 @@ dimensions with explicit representatives, vanishing of the induced
 degree-3 block, and the full axiom verification of all p + 1 central
 extensions, plus negative controls.
 
-Every check runs at every supported prime, except the few whose statement
-needs p > 3 and the brute-force starstar oracle, which enumerates 2^(p-2)
-sequences and stops at p = 11; those are reported as skipped rather than
-passed silently.  Randomized checks draw from a generator seeded per
-prime, so reports are byte-identical across runs and across worker counts.
+Every check runs at every supported prime (odd, at most 67: above that
+the dense d2 matrices would exceed 1 GiB, and run_prime refuses the prime
+before any work), except the few whose statement needs p > 3 and the
+brute-force starstar oracle, which enumerates 2^(p-2) sequences and stops
+at p = 11; those are reported as skipped rather than passed silently.
+Randomized checks draw from a generator seeded per prime, so reports are
+byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
@@ -448,6 +450,7 @@ def run_prime(p: int, seed: int = 0) -> dict:
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     field = PrimeField(p)
+    res.cochain_complex(field)  # refuses, before any work, a prime whose dense d2 would not fit
     rng = random.Random(f"{seed}:{p}")
     oracle_trials = 100 if p <= 13 else 5
     checks: list[CheckResult] = []

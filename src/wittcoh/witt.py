@@ -179,14 +179,23 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
     return basis_element(field, 0) if i == 0 else zero(field)
 
 
+# float64 holds every integer below this exactly.
+_EXACT_FLOAT = 2**53
+
 # A LambdaVector is a polynomial in lambda with W coefficients, stored as a
 # list indexed by lambda-degree (at most p entries).
 LambdaVector = list
 
 
+@lru_cache(maxsize=None)
+def _right_bracket_rows(p: int) -> np.ndarray:
+    """R with row t the flattened right-bracket matrix of e_{t-1}, in float64 (see lambda_rows)."""
+    return np.ascontiguousarray(_bracket_tensor(p).transpose(1, 0, 2)).reshape(p, p * p).astype(np.float64)
+
+
 def right_bracket_matrix(v: np.ndarray, p: int) -> np.ndarray:
-    """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W."""
-    return np.einsum("t,stm->sm", v, _bracket_tensor(p)) % p
+    """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W; v may be stacked (..., p)."""
+    return (v @ _right_bracket_rows(p)).astype(np.int64).reshape(v.shape[:-1] + (p, p)) % p
 
 
 @lru_cache(maxsize=None)
@@ -207,19 +216,39 @@ def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p
     degree k (the h part) and k+1 (the g part), so one application is two
     matrix products on the stacked rows; row k sums the 2^steps chains
     [start, x_1, ..., x_steps], x_i in {g, h}, that use g exactly k times.
+
+    Leading axes broadcast: start (..., n) with bg, bh (..., n, n) gives
+    rows (..., steps + 1, n), so many recurrences run as one.  The products
+    run in float64, which takes the BLAS path and is exact on integers
+    below 2^53; one step multiplies the largest entry by at most
+    2 n (p - 1), so the rows are reduced mod p only before they could
+    leave that range.
     """
-    rows = start.reshape(1, -1)
-    for _ in range(steps):
-        grown = np.vstack([rows @ bh, np.zeros((1, rows.shape[1]), dtype=np.int64)])
-        grown[1:] += rows @ bg
-        rows = grown % p
-    return rows
+    lead = np.broadcast_shapes(start.shape[:-1], bg.shape[:-2], bh.shape[:-2])
+    n = start.shape[-1]
+    growth = 2 * n * (p - 1)
+    if (p - 1) * growth >= _EXACT_FLOAT:
+        raise ValueError(f"p = {p} is too large for exact float64 products")
+    bg, bh = (bg % p).astype(np.float64), (bh % p).astype(np.float64)
+    rows = np.zeros(lead + (steps + 1, n))
+    rows[..., 0, :] = start % p
+    top = p - 1  # bound on every entry of the rows so far
+    for k in range(1, steps + 1):
+        if top * growth >= _EXACT_FLOAT:
+            rows[..., :k, :] = rows[..., :k, :].astype(np.int64) % p
+            top = p - 1
+        done = rows[..., :k, :]
+        from_g = done @ bg
+        rows[..., :k, :] = done @ bh
+        rows[..., 1 : k + 1, :] += from_g
+        top *= growth
+    return rows.astype(np.int64) % p
 
 
 def summands_total(gv: np.ndarray, bg: np.ndarray, bh: np.ndarray, p: int) -> np.ndarray:
-    """sum_{i=1}^{p-1} s_i(g, h) as a coefficient vector, s_i from lambda^{i-1} / i."""
+    """sum_{i=1}^{p-1} s_i(g, h) as a coefficient vector, s_i from lambda^{i-1} / i; stacks like lambda_rows."""
     rows = lambda_rows(gv, bg, bh, p - 1, p)
-    return (_inverse_vector(p)[1:, None] * rows[: p - 1]).sum(axis=0) % p
+    return (_inverse_vector(p)[1:, None] * rows[..., : p - 1, :]).sum(axis=-2) % p
 
 
 def lambda_chain(g: WittElement, h: WittElement) -> LambdaVector:
@@ -239,37 +268,40 @@ def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
     return [field.inv(i) * terms[i - 1] for i in range(1, field.p)]
 
 
+def fold_terms(g: WittElement, order=None) -> np.ndarray:
+    """The basis terms a*e_i of g as coefficient rows, in fold order.
+
+    order may be any permutation of g.support(); ascending is the default.
+    Fold step k joins the prefix sum of rows 0..k-1 with row k.
+    """
+    support = g.support()
+    order = support if order is None else list(order)
+    if sorted(order) != support:
+        raise ValueError("the fold order must be a permutation of the support")
+    terms = np.zeros((len(order), g.p), dtype=np.int64)
+    for k, i in enumerate(order):
+        terms[k, i + 1] = g.coeff(i)
+    return terms
+
+
 def pth_power(g: WittElement, term_order=None) -> WittElement:
     """p-th power by folding the summand expansion over g's basis terms.
 
-    Each fold step applies the sum axiom to (accumulated, next term), the
-    summand total taken straight off the lambda-degree rows.  term_order
-    may be any permutation of g.support(); the result does not depend on
-    it (checked by tests), ascending order is the default.
+    Each fold step applies the sum axiom to (prefix sum, next term).  Both
+    are known up front, so every step's summand total comes out of one
+    stacked lambda_rows call.  term_order may be any permutation of
+    g.support(); the result does not depend on it (checked by tests),
+    ascending order is the default.
     """
-    field = g.field
-    p = field.p
-    support = g.support()
-    order = support if term_order is None else list(term_order)
-    if sorted(order) != support:
-        raise ValueError("term_order must be a permutation of the support")
-    acc = np.zeros(p, dtype=np.int64)
-    acc_power = np.zeros(p, dtype=np.int64)
-    started = False
-    for i in order:
-        a = g.coeff(i)
-        term = np.zeros(p, dtype=np.int64)
-        term[i + 1] = a
-        term_power = np.zeros(p, dtype=np.int64)
-        if i == 0:
-            term_power[1] = pow(a, p, p)
-        if not started:
-            acc, acc_power, started = term, term_power, True
-            continue
-        correction = summands_total(acc, right_bracket_matrix(acc, p), right_bracket_matrix(term, p), p)
-        acc_power = (acc_power + term_power + correction) % p
-        acc = (acc + term) % p
-    return WittElement(field, tuple(int(v) for v in acc_power))
+    p = g.p
+    terms = fold_terms(g, term_order)
+    power = np.zeros(p, dtype=np.int64)
+    power[1] = pow(g.coeff(0), p, p)  # (a e_0)^{[p]} = a^p e_0, other basis powers vanish
+    if len(terms) > 1:
+        prefixes = np.cumsum(terms[:-1], axis=0) % p
+        steps = summands_total(prefixes, right_bracket_matrix(prefixes, p), right_bracket_matrix(terms[1:], p), p)
+        power = (power + steps.sum(axis=0)) % p
+    return WittElement(g.field, tuple(int(v) for v in power))
 
 
 @dataclass(frozen=True)
@@ -295,15 +327,11 @@ class CyclicPoly:
         return CyclicPoly(self.field, tuple(res))
 
     def __mul__(self, other: "CyclicPoly") -> "CyclicPoly":
-        # Cyclic convolution with x^p = 1; O(p^2) is plenty at these sizes.
+        """Cyclic convolution: the full product with x^p folded back onto 1."""
         p = self.field.p
-        res = [0] * p
-        for s, a in enumerate(self.coeffs):
-            if a:
-                for t, b in enumerate(other.coeffs):
-                    if b:
-                        res[(s + t) % p] = (res[(s + t) % p] + a * b) % p
-        return CyclicPoly(self.field, tuple(res))
+        full = np.convolve(self.coeffs, other.coeffs)
+        full[: p - 1] += full[p:]
+        return CyclicPoly(self.field, tuple(int(v) for v in full[:p]))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -227,3 +227,22 @@ def test_verify_pool_capped_by_primes_and_cpus(capsys, monkeypatch):
     assert code == 0
     assert sizes == [2]
     assert [json.loads(line)["prime"] for line in out.splitlines()] == [3, 5, 7, 11, 13]
+
+
+def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
+    # The dense d2 at p = 101 would take about 6.8 GiB; the refusal comes
+    # before anything is assembled or verified.
+    from wittcoh import cli, restricted, verify
+
+    def never(*args):
+        raise AssertionError("started the work")
+
+    monkeypatch.setattr(restricted, "CochainComplex", never)
+    monkeypatch.setattr(restricted, "delta2_res_matrix", never)
+    monkeypatch.setattr(cli, "_run_prime_args", never)
+    assert main(["verify", "--prime", "101"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p = 101 needs a 6.8 GiB dense d2 matrix")
+    assert main(["verify", "--primes", "61..101"]) == 2
+    with pytest.raises(ValueError, match="p = 101"):
+        verify.run_prime(101)

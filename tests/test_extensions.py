@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wittcoh.extensions import (
+    CentralExtension,
     Classification,
     ExtElement,
     NotASplittingError,
@@ -206,6 +207,45 @@ def test_corrupted_pmap_detected():
     bad = CentralExtension(ext.source, ext.bracket_table.copy(), pmap)
     report = verify_restricted_axioms(bad, trials=2)
     assert any(c.name == "adjoint_power" and not c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("make", [lambda field: omega_extension(field, 1), virasoro_extension])
+def test_corrupted_central_pmap_fails_only_sum_expansion(p, make):
+    # A wrong omega(e_2) in the table's p-map row leaves brackets, the
+    # adjoint axiom (c is central) and the scalar axiom (read off the
+    # source) intact; the basis sweep must report its first pair, row-major.
+    ext = make(PrimeField(p))
+    pmap = ext.pmap_basis.copy()
+    pmap[3, p] += 1
+    report = verify_restricted_axioms(CentralExtension(ext.source, ext.bracket_table.copy(), pmap), trials=5)
+    assert [c.name for c in report.failed()] == ["sum_expansion"]
+    assert report.failed()[0].detail == "fails for x=e-1, y=e2"
+
+
+def test_fold_on_basis_sums_is_shared_by_all_extensions(monkeypatch):
+    # The W-level p-th powers of the basis sums b_u + b_v come from one fold
+    # per unordered pair, shared by all p + 1 extensions of the prime.
+    from wittcoh import extensions, witt
+
+    p = 7
+    field = PrimeField(p)
+    calls = []
+    fold = witt.pth_power
+
+    def counted(g, term_order=None):
+        calls.append(g)
+        return fold(g, term_order)
+
+    monkeypatch.setattr(witt, "pth_power", counted)
+    monkeypatch.setattr(extensions, "pth_power", counted)
+    extensions._basis_sum_powers.cache_clear()
+    reps = restricted_h2(field).representatives
+    assert len(reps) == p + 1
+    for c in reps:
+        assert verify_restricted_axioms(build_extension(c), trials=5, seed=1).all_pass
+    assert 0 < len(calls) <= (p + 1) * (p + 2) // 2
+    extensions._basis_sum_powers.cache_clear()
 
 
 def test_cohomologous_examples():

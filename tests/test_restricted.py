@@ -28,6 +28,7 @@ from wittcoh.restricted import (
     c2_from_vector,
     c2_to_vector,
     c3_dim,
+    cochain_complex,
     delta1_res,
     delta1_res_matrix,
     delta2_res,
@@ -37,6 +38,7 @@ from wittcoh.restricted import (
     ind2,
     is_cocycle,
     omega_coordinate,
+    omega_functional,
     project_class_to_ordinary,
     restricted_h2,
     star_correction,
@@ -416,3 +418,54 @@ def test_eval_omega_zero_phi():
     field = PrimeField(17)
     g = basis_element(field, 0) + basis_element(field, 1)
     assert eval_omega(omega_coordinate(field, 0), g) == 1
+
+
+def omega_left_fold_naive(c, g, order):
+    """omega(g) by the library's left-accumulating fold, each step's star sum enumerated."""
+    field = c.field
+    p = field.p
+    total, acc = 0, zero(field)
+    for i in order:
+        a = g.coeff(i)
+        term = basis_element(field, i, a)
+        total += pow(a, p, p) * c.omega_value(i)
+        if not acc.is_zero():
+            total += star_sum_naive(c.phi, acc, term)
+        acc = acc + term
+    return total % p
+
+
+@pytest.mark.parametrize("p, samples", [(5, 5), (7, 4), (11, 2)])
+def test_omega_functional_matches_enumeration_off_the_kernel(p, samples):
+    # omega(g) is linear in c, so one vector serves every cochain, cocycle
+    # or not; with a random non-cocycle c each fold step must still match.
+    field = PrimeField(p)
+    rng = random.Random(7)
+    for _ in range(samples):
+        c = c2_from_vector(field, [rng.randrange(p) for _ in range(c2_dim(p))])
+        assert not is_cocycle(c)
+        g = random_element(field, rng, True)
+        order = g.support()
+        rng.shuffle(order)
+        expected = omega_left_fold_naive(c, g, order)
+        assert int(c2_to_vector(c) @ omega_functional(g, fold_order=order) % p) == expected
+        assert eval_omega(c, g, fold_order=order) == expected
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_omega_functional_fold_order_invariant_on_cocycles(p):
+    # Two fold orders give functionals whose difference vanishes on every
+    # kernel vector of d2 but not identically: off the kernel the order
+    # shows (test_omega_extension_requires_cocycle_phi).
+    field = PrimeField(p)
+    rng = random.Random(8)
+    ker = np.array(cochain_complex(field).ker_d2_res)
+    differs = False
+    for _ in range(10):
+        g = random_element(field, rng, True)
+        order = g.support()
+        rng.shuffle(order)
+        diff = (omega_functional(g) - omega_functional(g, fold_order=order)) % p
+        assert not (ker @ diff % p).any()
+        differs = differs or diff.any()
+    assert differs

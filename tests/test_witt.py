@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from wittcoh.gfp import PrimeField
@@ -15,11 +16,14 @@ from wittcoh.witt import (
     from_dict,
     gamma,
     jacobson_s,
+    lambda_rows,
     normalize_index,
     pth_power,
     pth_power_basis,
     pth_power_via_derivation,
     random_element,
+    right_bracket_matrix,
+    summands_total,
     zero,
 )
 
@@ -220,3 +224,46 @@ def test_element_validation():
     with pytest.raises(ValueError):
         basis_element(F5, 4)
     assert from_dict(F5, {3: 6}).coeff(3) == 1
+
+
+def lambda_rows_by_loops(start, bg, bh, steps, p):
+    """The lambda-degree recurrence in plain int64, one degree at a time."""
+    rows = [start % p]
+    for _ in range(steps):
+        grown = [(r @ bh) % p for r in rows] + [np.zeros_like(start)]
+        for k, r in enumerate(rows):
+            grown[k + 1] = (grown[k + 1] + r @ bg) % p
+        rows = grown
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_stacked_kernel_equals_single_calls(p):
+    field = PrimeField(p)
+    rng = random.Random(6)
+    gs = np.array([random_element(field, rng).coeffs for _ in range(6)])
+    hs = np.array([random_element(field, rng).coeffs for _ in range(6)])
+    bg, bh = right_bracket_matrix(gs, p), right_bracket_matrix(hs, p)
+    rows = lambda_rows(gs, bg, bh, p - 1, p)
+    totals = summands_total(gs, bg, bh, p)
+    assert rows.shape == (6, p, p) and totals.shape == (6, p)
+    for k in range(6):
+        g, h = WittElement(field, tuple(gs[k])), WittElement(field, tuple(hs[k]))
+        assert (bg[k] == right_bracket_matrix(gs[k], p)).all()
+        assert tuple(gs[k] @ bh[k] % p) == bracket(g, h).coeffs
+        assert (rows[k] == lambda_rows(gs[k], bg[k], bh[k], p - 1, p)).all()
+        assert (totals[k] == summands_total(gs[k], bg[k], bh[k], p)).all()
+        assert tuple(totals[k]) == sum(jacobson_s(g, h), zero(field)).coeffs
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_stacked_kernel_matches_int_loops_on_arbitrary_matrices(p):
+    # Matrices of size p + 1 as in a central extension; the float64 rows
+    # must equal the plain recurrence also where they are reduced mid-way.
+    rng = np.random.default_rng(p)
+    n = p + 1
+    start = rng.integers(0, p, (4, n))
+    bg, bh = rng.integers(0, p, (4, n, n)), rng.integers(0, p, (4, n, n))
+    rows = lambda_rows(start, bg, bh, 2 * p, p)
+    for k in range(4):
+        assert (rows[k] == lambda_rows_by_loops(start[k], bg[k], bh[k], 2 * p, p)).all()
