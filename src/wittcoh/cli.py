@@ -6,8 +6,9 @@ Subcommands
     extension  emit the bracket/p-map presentation of one central extension
 
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
-(including an --output path that cannot be written, and a verify prime
-whose dense d2 matrix would exceed the memory limit, p > 67).
+(including an --output path that cannot be written, and a verify or
+extension prime whose dense d2 matrix would exceed the memory limit,
+p > 67: one size rule for both, checked before any work).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
 (e.g. WITTCOH_SEED); command-line values win, also over the environment
 value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes
@@ -64,6 +65,16 @@ def _parse_primes(single, chain) -> list[int] | str:
     return "one of --prime or --primes is required"
 
 
+def _refusal(primes: list[int]) -> str | None:
+    """Why the first prime too large for its dense d2 matrix is refused, or None."""
+    for p in primes:
+        try:
+            check_dense_d2_size(p)
+        except ValueError as e:
+            return str(e)
+    return None
+
+
 def _index_key(i: int) -> str:
     return str(i)
 
@@ -84,11 +95,9 @@ def cmd_verify(args) -> int:
         return _fail(primes)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
-    for p in primes:
-        try:
-            check_dense_d2_size(p)
-        except ValueError as e:
-            return _fail(str(e))
+    refusal = _refusal(primes)
+    if refusal:
+        return _fail(refusal)
     jobs = [(p, args.seed) for p in primes]
     workers = min(args.jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
@@ -165,6 +174,9 @@ def cmd_extension(args) -> int:
         return _fail("--prime is required")
     if p < 3 or not is_prime(p):
         return _fail(f"{p} is not prime (need an odd prime >= 3)")
+    refusal = _refusal([p])
+    if refusal:
+        return _fail(refusal)
     field = PrimeField(p)
     which = args.which
     if which == "virasoro":

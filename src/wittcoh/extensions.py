@@ -22,7 +22,12 @@ caught by the Jacobi scan.  The p-th power of a general element g + a*c
 needs g^{[p]}, taken by the derivation route, and omega(g) off the basis,
 which is the source cocycle's coordinates against restricted.omega_functional;
 that the result satisfies the p-th power sum axiom inside E is then a
-theorem the verifier confirms rather than an assumption.
+theorem the verifier confirms rather than an assumption.  The p-map is a
+row kernel on stacked coefficient rows (CentralExtension.pth_power_rows,
+built on witt's derivation rows and restricted's omega rows), and the
+verifier takes all powers of one axiom's random trials in one call;
+CentralExtension.pth_power takes one element through the one-row entry
+points of the same kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import PrimeField
-from .ordinary import Cochain1, Cochain2Ord, wedge_pairs
+from .ordinary import Cochain1, Cochain2Ord
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
@@ -45,15 +50,19 @@ from .restricted import (
     eval_omega,
     is_cocycle,
     omega_functional,
+    omega_functional_rows,
     project_class_to_ordinary,
     omega_coordinate,
     virasoro_cochain,
 )
 from .witt import (
+    _SWEEP_BYTES,
     WittElement,
     basis_element,
+    first_failure,
     pth_power,
     pth_power_via_derivation,
+    pth_power_via_derivation_rows,
     summands_total,
     zero,
 )
@@ -151,6 +160,13 @@ class CentralExtension:
         g = x.witt
         return ExtElement(pth_power_via_derivation(g), eval_omega(self.source, g))
 
+    def pth_power_rows(self, xs: np.ndarray) -> np.ndarray:
+        """p-th powers of stacked coefficient rows (..., p + 1) of E, as rows (see pth_power)."""
+        p = self.p
+        ws = xs[..., :p]
+        central = omega_functional_rows(ws, p) @ c2_to_vector(self.source) % p
+        return np.concatenate([pth_power_via_derivation_rows(ws, p), central[..., None]], axis=-1)
+
     def with_bracket_entry_zeroed(self, i: int, j: int) -> "CentralExtension":
         """Copy with [e_i, e_j] (and its antisymmetric mirror) forced to zero.
 
@@ -205,24 +221,20 @@ def extract_cocycle(ext: CentralExtension, sigma: list[ExtElement]) -> Cochain2R
         if s.witt != basis_element(field, i - 1):
             raise NotASplittingError(f"sigma does not project to the identity at e_{i - 1}")
 
-    def sigma_of(w: WittElement) -> ExtElement:
-        acc = ExtElement(zero(field), 0)
-        for i in w.support():
-            acc = acc + w.coeff(i) * sigma[i + 1]
-        return acc
-
-    phi_vals = []
-    for i, j in wedge_pairs(p):
-        defect = ext.bracket(sigma[i + 1], sigma[j + 1]) - sigma_of(
-            (j - i) * basis_element(field, (i + j + 1) % p - 1)
-        )
-        if not defect.witt.is_zero():
-            raise NotASplittingError("bracket defect left W, the table is not an extension of W")
-        phi_vals.append(defect.central)
+    # Every bracket defect [sigma(e_i), sigma(e_j)] - (j - i) sigma(e_{i+j}) at once,
+    # by table positions u = i + 1 < v = j + 1 (the order of wedge_pairs).
+    images = np.array([s.coeffs() for s in sigma])
+    left = np.tensordot(images, ext.bracket_table, axes=1)  # left[u, v] = [sigma(e_{u-1}), b_v]
+    brackets = np.einsum("vx,uxw->uvw", images, left) % p
+    u, v = np.triu_indices(p, 1)
+    defects = (brackets[u, v] - (v - u)[:, None] * images[(u + v - 1) % p]) % p
+    if defects[:, :p].any():
+        raise NotASplittingError("bracket defect left W, the table is not an extension of W")
+    phi_vals = defects[:, p].tolist()
     omega_vals = []
     for i in range(-1, p - 1):
         power = ext.pth_power(sigma[i + 1])
-        target = sigma_of(basis_element(field, 0)) if i == 0 else ExtElement(zero(field), 0)
+        target = sigma[1] if i == 0 else ExtElement(zero(field), 0)  # sigma(e_i^{[p]})
         diff = power - target
         if not diff.witt.is_zero():
             raise NotASplittingError("p-map defect left W")
@@ -307,6 +319,13 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
     every extension, the fold p-th power and omega functional of each basis
     sum b_u + b_v, paired with this extension's source cocycle.  The first
     failing pair is reported in row-major order.
+
+    The random trials of each axiom take all their p-th powers in one
+    pth_power_rows call and are tested together.  The draws are the same
+    as those of a loop testing each trial as it is drawn, and so is the
+    reported failure, the first failing trial: after a failure the
+    generator is wound back to where such a loop stops drawing, so later
+    axioms draw the same elements too (witt.first_failure).
     """
     p = ext.p
     rng = random.Random(seed)
@@ -330,23 +349,29 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
             if not nonzero or not x.is_zero():
                 return x
 
-    # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.
-    ok, detail = True, ""
-    for _ in range(trials):
-        lam = rng.randrange(p)
-        x = random_ext()
-        if ext.pth_power(lam * x) != pow(lam, p, p) * ext.pth_power(x):
-            ok, detail = False, f"fails for lambda={lam}, x={x!r}"
-            break
-    checks.append(AxiomCheck("scalar_power", ok, detail))
+    def stacked(elements) -> np.ndarray:
+        return np.array([x.coeffs() for x in elements])
 
-    # Right-bracket matrices: (v @ right_of(x)) is [v, x] on coefficient vectors.
+    # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.
+    def scalar_failing(samples):
+        lams = np.array([lam for lam, _ in samples])
+        lam_p = np.array([pow(lam, p, p) for lam, _ in samples])
+        xs = stacked(x for _, x in samples)
+        scaled, powers = ext.pth_power_rows(np.stack([lams[:, None] * xs, xs]))
+        return ((scaled - lam_p[:, None] * powers) % p).any(axis=1)
+
+    samples, k = first_failure(rng, lambda: (rng.randrange(p), random_ext()), trials, scalar_failing)
+    detail = "" if k is None else "fails for lambda={}, x={!r}".format(*samples[k])
+    checks.append(AxiomCheck("scalar_power", k is None, detail))
+
+    # Right-bracket matrices: (v @ right_of(x)) is [v, x] on coefficient vectors; x may be stacked.
     def right_of(xv: np.ndarray) -> np.ndarray:
-        return np.einsum("svm,v->sm", table, xv) % p
+        return np.einsum("svm,...v->...sm", table, xv) % p
 
     # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.
     # For basis x the chain over every y at once is a matrix power of the
-    # right-bracket matrix, so the exhaustive scan is a handful of matmuls.
+    # right-bracket matrix, so the exhaustive scan is a handful of matmuls;
+    # the random pairs run stacked.
     ok, detail = True, ""
     for u in range(p + 1):
         bu = table[:, u, :]
@@ -359,15 +384,19 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
             ok, detail = False, f"fails on basis positions ({v}, {u})"
             break
     if ok:
-        for _ in range(trials):
-            x, y = random_ext(True), random_ext(True)
-            bx = right_of(x.coeffs())
-            chain = y.coeffs()
+
+        def adjoint_failing(pairs):
+            xs, ys = stacked(x for x, _ in pairs), stacked(y for _, y in pairs)
+            bx = right_of(xs)
+            chain = ys[:, None]
             for _ in range(p):
                 chain = (chain @ bx) % p
-            if (chain != (y.coeffs() @ right_of(ext.pth_power(x).coeffs())) % p).any():
-                ok, detail = False, f"fails for x={x!r}, y={y!r}"
-                break
+            direct = ys[:, None] @ right_of(ext.pth_power_rows(xs)) % p
+            return (chain != direct)[:, 0].any(axis=1)
+
+        pairs, k = first_failure(rng, lambda: (random_ext(True), random_ext(True)), trials, adjoint_failing)
+        if k is not None:
+            ok, detail = False, "fails for x={!r}, y={!r}".format(*pairs[k])
     checks.append(AxiomCheck("adjoint_power", ok, detail))
 
     # Sum axiom: (x+y)^{[p]} = x^{[p]} + y^{[p]} + sum_i s_i(x, y), the s_i
@@ -390,13 +419,13 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
     if not ok:
         x, y = (ext.basis(int(w)) for w in bad[0])
         detail = f"fails for x={x!r}, y={y!r}"
-    else:
-        for x, y in randoms:
-            xv, yv = x.coeffs(), y.coeffs()
-            rhs = ext.pth_power(x) + ext.pth_power(y) + ext.from_coeffs(summands_total(xv, right_of(xv), right_of(yv), p))
-            if ext.pth_power(x + y) != rhs:
-                ok, detail = False, f"fails for x={x!r}, y={y!r}"
-                break
+    elif randoms:
+        xs, ys = stacked(x for x, _ in randoms), stacked(y for _, y in randoms)
+        x_pow, y_pow, sum_pow = ext.pth_power_rows(np.stack([xs, ys, xs + ys]))
+        rhs = x_pow + y_pow + summands_total(xs, right_of(xs), right_of(ys), p)
+        bad = np.flatnonzero(((sum_pow - rhs) % p).any(axis=1))
+        if bad.size:
+            ok, detail = False, "fails for x={!r}, y={!r}".format(*randoms[bad[0]])
     checks.append(AxiomCheck("sum_expansion", ok, detail))
 
     return AxiomReport(tuple(checks))

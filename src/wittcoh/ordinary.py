@@ -160,10 +160,8 @@ class Cochain2Ord:
         """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j)."""
         p = self.field.p
         m = np.zeros((p, p), dtype=np.int64)
-        for (i, j), v in zip(wedge_pairs(p), self.values):
-            m[i + 1, j + 1] = v
-            m[j + 1, i + 1] = (-v) % p
-        return m
+        m[np.triu_indices(p, 1)] = self.values  # wedge_pairs is the upper triangle, row by row
+        return (m - m.T) % p
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -263,19 +261,32 @@ def delta1_cl(psi: Cochain1) -> Cochain2Ord:
     return Cochain2Ord(field, tuple(vals))
 
 
+@lru_cache(maxsize=None)
+def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three terms of (d2 phi)(e_r ^ e_s ^ e_t) for every canonical triple, as (3, C(p,3)) arrays.
+
+    Term n is coefficient[n] * phi(e_a ^ e_b) with a, b at matrix positions
+    (first[n], second[n]): (s - r, [r+s], t), (-(t - r), [r+t], s) and
+    (t - s, [s+t], r), the index sums normalized.
+    """
+    r, s, t = np.array(wedge_triples(p)).reshape(-1, 3).T
+    coefficient = np.stack([s - r, r - t, t - s])
+    first = (np.stack([r + s, r + t, s + t]) + 1) % p  # position of normalize_index(a + b)
+    second = np.stack([t, s, r]) + 1
+    for a in (coefficient, first, second):
+        a.flags.writeable = False
+    return coefficient, first, second
+
+
+def _delta2_values(m: np.ndarray, p: int) -> np.ndarray:
+    """Coordinates of d2 phi, aligned with wedge_triples(p), from the dense matrix m of phi."""
+    coefficient, first, second = _triple_terms(p)
+    return (coefficient * m[first, second]).sum(axis=0) % p
+
+
 def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
     """(d2 phi)(e_r ^ e_s ^ e_t) by the alternating three-term expansion."""
-    field = phi.field
-    p = field.p
-    vals = []
-    for r, s, t in wedge_triples(p):
-        v = (
-            (s - r) * phi.value(normalize_index(r + s, p), t)
-            - (t - r) * phi.value(normalize_index(r + t, p), s)
-            + (t - s) * phi.value(normalize_index(s + t, p), r)
-        ) % p
-        vals.append(v)
-    return Cochain3Ord(field, tuple(vals))
+    return Cochain3Ord(phi.field, tuple(_delta2_values(phi.to_matrix(), phi.field.p).tolist()))
 
 
 def delta1_matrix(field: PrimeField) -> np.ndarray:

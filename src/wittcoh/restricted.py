@@ -32,10 +32,19 @@ O(p) matrix products.  The sum is linear in phi, so one weight matrix
 serves every phi.
 
 omega(g) is linear in the coordinates (phi, omega's basis values), so
-omega_functional(g) folds g's basis terms once into the vector w with
-omega(g) = c2_to_vector(c) @ w for every cochain c; the fold's steps
-(prefix sum, next term) all go through one stacked lambda_rows call, and
-eval_omega is that dot product.
+folding g's basis terms once gives the vector w with
+omega(g) = c2_to_vector(c) @ w for every cochain c.  That fold is a row
+kernel like witt's fold p-th power: omega_functional_rows takes stacked
+coefficient rows (..., p), pads them with zero terms (witt.fold_rows) and
+sends every step (prefix sum, next term) of every row through one stacked
+_correction_weights call; omega_functional is its one-row call, and
+eval_omega the dot product with the cochain.
+
+The coboundaries d2_cl, ind2 and is_cocycle are evaluated from the dense
+matrix of phi with cached index arrays: the three terms of every triple
+for d2_cl, and the table of basis chains [e_a, e_b, ..., e_b] for ind2.
+That is the formula route; the assembled delta2_res_matrix is a second,
+independent route, and the tests compare the two column by column.
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense ordinary and restricted d1, d2 once per prime and
@@ -58,6 +67,7 @@ from .ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
+    _delta2_values,
     _pair_grades,
     _triple_grades,
     c2_zero,
@@ -76,6 +86,8 @@ from .witt import (
     WittElement,
     _inverse_vector,
     basis_element,
+    fold_rows,
+    fold_steps,
     fold_terms,
     lambda_rows,
     normalize_index,
@@ -211,6 +223,23 @@ def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     return _correction_sum(phi.to_matrix(), g, h)
 
 
+def _fold_functional(terms: np.ndarray, p: int) -> np.ndarray:
+    """omega functionals of the sums of stacked fold terms (..., k, p)."""
+    w = np.zeros(terms.shape[:-2] + (c2_dim(p),), dtype=np.int64)
+    w[..., -p:] = terms.sum(axis=-2)  # a^p = a in GF(p)
+    if terms.shape[-2] > 1:
+        prefixes, nexts = fold_steps(terms, p)
+        q = _correction_weights(prefixes, nexts, p).sum(axis=-3)
+        # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
+        w[..., :-p] = (q - q.swapaxes(-1, -2))[(...,) + np.triu_indices(p, 1)]
+    return w % p
+
+
+def omega_functional_rows(gs: np.ndarray, p: int) -> np.ndarray:
+    """omega functionals (see omega_functional) of stacked coefficient rows (..., p), as rows."""
+    return fold_rows(_fold_functional, gs, p)
+
+
 def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
     """The vector w with eval_omega(c, g) = c2_to_vector(c) @ w mod p for every c.
 
@@ -218,21 +247,12 @@ def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
     basis terms through the compatibility condition,
         omega(v + a*e_i) = omega(v) + a^p omega(e_i) + star_correction(phi, v, a*e_i),
     is done once for all cochains: the omega coordinates collect the a^p,
-    and the phi coordinates the correction weights of every step, all
-    steps (prefix sum, next term) taken in one stacked call.  fold_order
-    may permute the support; over cocycles the value is fold-order
-    invariant (exercised by tests), ascending order is the default.
+    and the phi coordinates the correction weights of every step; this is
+    the one-row call of the fold kernel.  fold_order may permute the
+    support; over cocycles the value is fold-order invariant (exercised by
+    tests), ascending order is the default.
     """
-    p = g.p
-    terms = fold_terms(g, fold_order)
-    w = np.zeros(c2_dim(p), dtype=np.int64)
-    w[-p:] = terms.sum(axis=0)  # a^p = a in GF(p)
-    if len(terms) > 1:
-        prefixes = np.cumsum(terms[:-1], axis=0) % p
-        q = _correction_weights(prefixes, terms[1:], p).sum(axis=0)
-        # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
-        w[:-p] = (q - q.T)[np.triu_indices(p, 1)]
-    return w % p
+    return _fold_functional(fold_terms(g, fold_order), g.p)
 
 
 def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
@@ -247,37 +267,38 @@ def delta1_res(psi: Cochain1) -> Cochain2Res:
     return Cochain2Res(delta1_cl(psi), omega)
 
 
+def _ind2_table(m: np.ndarray, p: int) -> np.ndarray:
+    """ind2 of the 2-form with dense matrix m (see ind2)."""
+    coeff, pos = _basis_chain_table(p)
+    table = -coeff * m[pos, np.arange(p)]  # phi([e_a, e_b, ..., e_b] ^ e_b)
+    table[:, 1] += m[:, 1]  # b = 0: phi(e_a ^ e_0^{[p]}) = phi(e_a ^ e_0)
+    return table % p
+
+
 def ind2(c: Cochain2Res) -> np.ndarray:
     """The p x p table phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b).
 
     The chain holds p-1 factors of e_b and stays a multiple of a single
     basis vector, so it reduces to the scalar recurrence in _basis_chain
-    (checked against the generic bracket chain in the tests).  On W the
-    table vanishes identically, which is what collapses the restricted
-    kernel computation onto the ordinary one; it is recomputed honestly
-    every time rather than assumed.
+    (checked against the generic bracket chain in the tests), read from a
+    cached table.  On W the table vanishes identically, which is what
+    collapses the restricted kernel computation onto the ordinary one; it
+    is recomputed honestly every time rather than assumed.
     """
-    field = c.field
-    p = field.p
-    phi = c.phi
-    table = np.zeros((p, p), dtype=np.int64)
-    for a in range(-1, p - 1):
-        for b in range(-1, p - 1):
-            first = phi.value(a, 0) if b == 0 else 0
-            coeff, m = _basis_chain(p, a, b)
-            second = coeff * phi.value(m, b)
-            table[a + 1, b + 1] = (first - second) % p
-    return table
+    return _ind2_table(c.phi.to_matrix(), c.field.p)
 
 
 def delta2_res(c: Cochain2Res) -> Cochain3Res:
     """d2(phi, omega) = (d2_cl(phi), ind2(phi, omega))."""
     table = ind2(c)
-    return Cochain3Res(delta2_cl(c.phi), tuple(tuple(int(v) for v in row) for row in table))
+    return Cochain3Res(delta2_cl(c.phi), tuple(tuple(row) for row in table.tolist()))
 
 
 def is_cocycle(c: Cochain2Res) -> bool:
-    return delta2_res(c).is_zero()
+    """Whether d2(phi, omega) vanishes: d2_cl and ind2 from one dense matrix of phi."""
+    p = c.field.p
+    m = c.phi.to_matrix()
+    return not _delta2_values(m, p).any() and not _ind2_table(m, p).any()
 
 
 def starstar_correction(
@@ -361,6 +382,18 @@ def _basis_chain(p: int, a: int, b: int) -> tuple[int, int]:
         if coeff == 0:
             break
     return coeff, m
+
+
+@lru_cache(maxsize=None)
+def _basis_chain_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """_basis_chain of every (a, b) as read-only p x p arrays at (a + 1, b + 1): coefficient, position m + 1."""
+    coeff = np.zeros((p, p), dtype=np.int64)
+    pos = np.zeros((p, p), dtype=np.int64)
+    for a in range(-1, p - 1):
+        for b in range(-1, p - 1):
+            coeff[a + 1, b + 1], m = _basis_chain(p, a, b)
+            pos[a + 1, b + 1] = m + 1
+    return _read_only(coeff), _read_only(pos)
 
 
 def delta2_res_matrix(field: PrimeField) -> np.ndarray:

@@ -80,8 +80,9 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
     def oracle_equivalence():
         elements = [witt.basis_element(field, i) for i in range(-1, p - 1)]
         elements += [witt.random_element(field, rng) for _ in range(oracle_trials)]
-        for g in elements:
-            assert witt.pth_power(g) == witt.pth_power_via_derivation(g), f"mismatch at {g!r}"
+        gs = np.array([g.coeffs for g in elements])
+        bad = np.flatnonzero((witt.pth_power_rows(gs, p) != witt.pth_power_via_derivation_rows(gs, p)).any(axis=1))
+        assert not bad.size, f"mismatch at {elements[bad[0]]!r}"
         return f"{len(elements)} elements"
 
     checks.append(_check("witt.pth_power_oracle", oracle_equivalence))
@@ -93,19 +94,37 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
             (witt.random_element(field, rng, True), witt.random_element(field, rng, True))
             for _ in range(20)
         ]
-        for g, h in pairs:
-            chain = witt.bracket_chain(h, [g] * p)
-            assert chain == witt.bracket(h, witt.pth_power(g)), f"fails at {g!r}, {h!r}"
+        gs = np.array([g.coeffs for g, _ in pairs])
+        hs = np.array([h.coeffs for _, h in pairs])[:, None]
+        chain, bg = hs, witt.right_bracket_matrix(gs, p)
+        for _ in range(p):
+            chain = chain @ bg % p  # [h, g, ..., g]
+        direct = hs @ witt.right_bracket_matrix(witt.pth_power_rows(gs, p), p) % p
+        bad = np.flatnonzero((chain != direct).any(axis=(1, 2)))
+        assert not bad.size, "fails at {!r}, {!r}".format(*pairs[bad[0]])
         return f"{len(pairs)} pairs"
 
     checks.append(_check("witt.adjoint_power_on_w", restricted_axiom_on_w))
 
     def homogeneity_and_proportionality():
-        for _ in range(25):
-            g = witt.random_element(field, rng, True)
-            lam = rng.randrange(p)
+        def failing(samples):
+            gs = np.array([g.coeffs for g, _ in samples])
+            lams = np.array([lam for _, lam in samples])[:, None]
+            lam_p = np.array([pow(lam, p, p) for _, lam in samples])[:, None]
+            scaled, powers = witt.pth_power_rows(np.stack([lams * gs, gs]), p)
+            rows, lead = np.arange(len(gs)), np.argmax(gs != 0, axis=1)  # witt.gamma's coefficient
+            ratio = powers[rows, lead] * np.array([field.inv(int(a)) for a in gs[rows, lead]]) % p
+            return ((scaled - lam_p * powers) % p).any(axis=1) | ((powers - ratio[:, None] * gs) % p).any(axis=1)
+
+        def draw():
+            return witt.random_element(field, rng, True), rng.randrange(p)
+
+        samples, k = witt.first_failure(rng, draw, 25, failing)
+        if k is not None:  # the per-element route names the failure
+            g, lam = samples[k]
             assert witt.pth_power(lam * g) == pow(lam, p, p) * witt.pth_power(g), "homogeneity"
             witt.gamma(g)  # raises if the power is not proportional to g
+            raise AssertionError(f"stacked and per-element p-th powers disagree at {g!r}")
         return "25 elements"
 
     checks.append(_check("witt.pth_power_homogeneity_gamma", homogeneity_and_proportionality))
@@ -275,16 +294,18 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     checks.append(_check("restricted.h2_dimension", h2_dimension))
 
     def star_consistency():
-        for _ in range(10):
+        def failing(samples):
+            psis = np.array([psi.coeffs for psi, _, _ in samples])
+            powers = witt.pth_power_rows(np.array([[(g + h).coeffs, g.coeffs, h.coeffs] for _, g, h in samples]), p)
+            lhs = np.einsum("km,km->k", psis, powers[:, 0] - powers[:, 1] - powers[:, 2]) % p
+            return lhs != [res.star_correction(ordi.delta1_cl(psi), g, h) for psi, g, h in samples]
+
+        def draw():
             psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
-            g = witt.random_element(field, rng, True)
-            h = witt.random_element(field, rng, True)
-            lhs = (
-                psi.value(witt.pth_power(g + h))
-                - psi.value(witt.pth_power(g))
-                - psi.value(witt.pth_power(h))
-            ) % p
-            assert lhs == res.star_correction(ordi.delta1_cl(psi), g, h), "summand sum mismatch"
+            return psi, witt.random_element(field, rng, True), witt.random_element(field, rng, True)
+
+        _, k = witt.first_failure(rng, draw, 10, failing)
+        assert k is None, "summand sum mismatch"
         return "10 samples"
 
     checks.append(_check("restricted.star_consistency", star_consistency))

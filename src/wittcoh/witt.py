@@ -15,11 +15,21 @@ bracket [g, lambda*g + h, ..., lambda*g + h] with p - 1 bracket
 applications (brackets taken from the right, so [x, a] is one
 application of a to x).
 
-Two independent p-th power algorithms are provided: the fold over basis
-terms driven by that expansion, and (p-1)-fold composition of the
-underlying derivation with itself, using that the p-th power of D = f*d/dx
-is the derivation sending x to D^{p-1}(f).  Agreement of the two routes is
-a strong consistency check and is exercised heavily by the test suite.
+Two independent p-th power algorithms are provided, each a row kernel on
+stacked coefficient arrays (..., p) with a one-row entry point:
+
+* the fold over basis terms driven by that expansion (pth_power_rows,
+  pth_power).  Each step joins the prefix sum with the next term; rows are
+  padded with zero terms, which add no summand, so every step of every row
+  goes through one stacked summands_total call;
+* (p-1)-fold composition of the underlying derivation with itself, using
+  that the p-th power of D = f*d/dx is the derivation sending x to
+  D^{p-1}(f) (pth_power_via_derivation_rows, pth_power_via_derivation):
+  p - 1 stacked products with each row's matrix of q -> f * dq/dx.
+
+Agreement of the two routes is a strong consistency check, made by
+verify's witt.pth_power_oracle and exercised heavily by the test suite,
+whose oracle for the derivation kernel is the CyclicPoly composition.
 """
 
 from __future__ import annotations
@@ -127,6 +137,25 @@ def random_element(field: PrimeField, rng, nonzero: bool = False) -> WittElement
             return g
 
 
+def first_failure(rng, draw, count: int, failing) -> tuple[list, int | None]:
+    """Draw count samples with draw(), test them all at once; (samples, first failing index or None).
+
+    failing(samples) gives one flag per sample.  A loop testing each sample
+    as it is drawn stops drawing after the first failure, so rng is wound
+    back to where that loop leaves it and every later draw is unchanged.
+    """
+    state = rng.getstate()
+    samples = [draw() for _ in range(count)]
+    bad = np.flatnonzero(failing(samples)) if samples else []
+    if not len(bad):
+        return samples, None
+    k = int(bad[0])
+    rng.setstate(state)
+    for _ in range(k + 1):
+        draw()
+    return samples, k
+
+
 def _check_same_field(x: WittElement, y: WittElement) -> None:
     if x.field.p != y.field.p:
         raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
@@ -181,6 +210,10 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 
 # float64 holds every integer below this exactly.
 _EXACT_FLOAT = 2**53
+
+# Memory bound on the stacked bracket matrices or lambda rows of one block of
+# a row kernel (fold_rows) or of the extension sum-axiom sweep.
+_SWEEP_BYTES = 64 << 20
 
 # A LambdaVector is a polynomial in lambda with W coefficients, stored as a
 # list indexed by lambda-degree (at most p entries).
@@ -284,24 +317,63 @@ def fold_terms(g: WittElement, order=None) -> np.ndarray:
     return terms
 
 
+def fold_steps(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix sum, next term) of every fold step of stacked terms (..., k, p)."""
+    return np.cumsum(terms[..., :-1, :], axis=-2) % p, terms[..., 1:, :]
+
+
+def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
+    """kernel(terms, p) on the fold terms of stacked rows gs (..., p), in ascending basis order.
+
+    Each row's basis terms are padded at the end with zero terms to the
+    longest row; a zero term adds no summand and leaves the prefix sum as
+    it is, so each row folds exactly as over its own support.  Single-term
+    rows take no fold step and are stacked apart, so they are not padded;
+    zero rows take the value of an empty fold.  Stacks are split into
+    blocks whose bracket matrices stay within _SWEEP_BYTES.
+    """
+    flat = gs.reshape(-1, p) % p
+    sizes = np.count_nonzero(flat, axis=1)
+    slots = np.cumsum(flat != 0, axis=1) - 1  # slot of each nonzero entry among its row's terms
+    out = kernel(np.zeros((len(flat), 0, p), dtype=np.int64), p)
+    for rows in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
+        width = sizes[rows].max(initial=1)
+        block = max(1, _SWEEP_BYTES // (8 * width * p * p))
+        for lo in range(0, len(rows), block):
+            part = rows[lo : lo + block]
+            r, c = np.nonzero(flat[part])
+            terms = np.zeros((len(part), width, p), dtype=np.int64)
+            terms[r, slots[part][r, c], c] = flat[part][r, c]
+            out[part] = kernel(terms, p)
+    return out.reshape(gs.shape[:-1] + out.shape[-1:])
+
+
+def _fold_power(terms: np.ndarray, p: int) -> np.ndarray:
+    """p-th powers of the sums of stacked fold terms (..., k, p): basis powers plus every step's summands."""
+    power = np.zeros(terms.shape[:-2] + (p,), dtype=np.int64)
+    power[..., 1] = terms[..., 1].sum(axis=-1)  # (a e_0)^{[p]} = a^p e_0 = a e_0, other basis powers vanish
+    if terms.shape[-2] > 1:
+        prefixes, nexts = fold_steps(terms, p)
+        steps = summands_total(prefixes, right_bracket_matrix(prefixes, p), right_bracket_matrix(nexts, p), p)
+        power += steps.sum(axis=-2)
+    return power % p
+
+
+def pth_power_rows(gs: np.ndarray, p: int) -> np.ndarray:
+    """Fold p-th powers of stacked coefficient rows (..., p), as rows."""
+    return fold_rows(_fold_power, gs, p)
+
+
 def pth_power(g: WittElement, term_order=None) -> WittElement:
     """p-th power by folding the summand expansion over g's basis terms.
 
-    Each fold step applies the sum axiom to (prefix sum, next term).  Both
-    are known up front, so every step's summand total comes out of one
-    stacked lambda_rows call.  term_order may be any permutation of
-    g.support(); the result does not depend on it (checked by tests),
+    Each fold step applies the sum axiom to (prefix sum, next term); this is
+    the one-row call of the fold kernel.  term_order may be any permutation
+    of g.support(); the result does not depend on it (checked by tests),
     ascending order is the default.
     """
-    p = g.p
-    terms = fold_terms(g, term_order)
-    power = np.zeros(p, dtype=np.int64)
-    power[1] = pow(g.coeff(0), p, p)  # (a e_0)^{[p]} = a^p e_0, other basis powers vanish
-    if len(terms) > 1:
-        prefixes = np.cumsum(terms[:-1], axis=0) % p
-        steps = summands_total(prefixes, right_bracket_matrix(prefixes, p), right_bracket_matrix(terms[1:], p), p)
-        power = (power + steps.sum(axis=0)) % p
-    return WittElement(g.field, tuple(int(v) for v in power))
+    power = _fold_power(fold_terms(g, term_order), g.p)
+    return WittElement(g.field, tuple(power.tolist()))
 
 
 @dataclass(frozen=True)
@@ -355,13 +427,33 @@ def from_cyclic_poly(f: CyclicPoly) -> WittElement:
     return WittElement(f.field, tuple(coeffs))
 
 
+@lru_cache(maxsize=None)
+def _shift_index(p: int) -> np.ndarray:
+    """S[j, m] = (m - j + 1) mod p."""
+    return (np.arange(p)[None, :] - np.arange(p)[:, None] + 1) % p
+
+
+def pth_power_via_derivation_rows(gs: np.ndarray, p: int) -> np.ndarray:
+    """Derivation-route p-th powers of stacked coefficient rows (..., p), as rows.
+
+    A row g is the coefficient vector of f with g = f * d/dx (e_i maps to
+    x^{i+1}, the same position), and D: q -> f * dq/dx is q @ M with
+    M[j, m] = j * f[(m - j + 1) mod p]: d/dx sends x^j to j x^{j-1} and the
+    product with f is a cyclic convolution.  g^{[p]} sends x to D^{p-1}(f),
+    so it is f @ M^{p-1}, taken as p - 1 stacked vector-matrix products.
+    """
+    gs = gs % p
+    step = np.arange(p)[:, None] * gs[..., _shift_index(p)] % p
+    q = gs
+    for _ in range(p - 1):
+        q = (q[..., None, :] @ step)[..., 0, :] % p
+    return q
+
+
 def pth_power_via_derivation(g: WittElement) -> WittElement:
-    """Independent p-th power: apply D: q -> f * dq/dx to f a total of p-1 times."""
-    f = to_cyclic_poly(g)
-    q = f
-    for _ in range(g.p - 1):
-        q = f * q.derivative()
-    return from_cyclic_poly(q)
+    """Independent p-th power: apply D: q -> f * dq/dx to f a total of p-1 times (one-row call)."""
+    power = pth_power_via_derivation_rows(np.array(g.coeffs, dtype=np.int64), g.p)
+    return WittElement(g.field, tuple(power.tolist()))
 
 
 def gamma(g: WittElement) -> int:

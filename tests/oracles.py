@@ -1,17 +1,53 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
 Everything here enumerates sequences with itertools and evaluates cochains
-by explicit double/triple loops, deliberately avoiding the library's
-prefix-sharing numpy enumeration, so agreement is meaningful.
+by explicit double/triple loops, or composes CyclicPoly objects one
+product at a time, deliberately avoiding the library's stacked numpy
+kernels, so agreement is meaningful.  sample_rows gives the kernels'
+test inputs.
 """
 
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
+from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import Cochain2Ord, Cochain3Ord
 from wittcoh.restricted import Cochain2Res
-from wittcoh.witt import WittElement, basis_element, bracket_chain
+from wittcoh.witt import (
+    WittElement,
+    basis_element,
+    bracket_chain,
+    from_cyclic_poly,
+    random_element,
+    to_cyclic_poly,
+)
+
+
+def pth_power_by_composition(g: WittElement) -> WittElement:
+    """g^{[p]} for g = f * d/dx: apply D: q -> f * dq/dx to f p - 1 times, as CyclicPoly products."""
+    f = to_cyclic_poly(g)
+    q = f
+    for _ in range(g.p - 1):
+        q = f * q.derivative()
+    return from_cyclic_poly(q)
+
+
+def sample_rows(field: PrimeField, rng) -> np.ndarray:
+    """Stacked coefficient rows of W: random, sparse (two terms), single-term and zero, 12 in all."""
+    p = field.p
+    rows = [random_element(field, rng).coeffs for _ in range(4)]
+    for size in (2, 2, 1, 1, 1):
+        row = [0] * p
+        for t in rng.sample(range(p), size):
+            row[t] = rng.randrange(1, p)
+        rows.append(row)
+    rows += [[0] * p] * 3
+    order = list(range(len(rows)))
+    rng.shuffle(order)  # zero and sparse rows between full ones
+    return np.array([rows[i] for i in order], dtype=np.int64)
 
 
 def star_sum_naive(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:

@@ -246,3 +246,20 @@ def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
     assert main(["verify", "--primes", "61..101"]) == 2
     with pytest.raises(ValueError, match="p = 101"):
         verify.run_prime(101)
+
+
+def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
+    # The extension command follows verify's size rule: p = 101 is refused
+    # before its (p + 1)^4 Jacobi tensor or anything else is built.
+    from wittcoh import cli, extensions
+
+    def never(*args, **kwargs):
+        raise AssertionError("started the work")
+
+    monkeypatch.setattr(cli, "build_extension", never)
+    monkeypatch.setattr(extensions, "build_extension", never)
+    monkeypatch.setattr(extensions, "_jacobi_scan", never)
+    assert main(["extension", "--prime", "101"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: p = 101 needs a 6.8 GiB dense d2 matrix")
+    assert main(["extension", "--prime", "101", "--which", "0", "--format", "csv"]) == 2

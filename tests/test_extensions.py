@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+
+from tests.oracles import sample_rows
 
 from wittcoh.extensions import (
     CentralExtension,
@@ -302,3 +305,158 @@ def test_general_pth_power_uses_source_omega():
 
     assert power == ExtElement(w_pth(g), eval_omega(ext.source, g))
     assert power.central == 4  # the frozen enumeration value
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_pmap_rows_equal_single_element_powers(p):
+    field = PrimeField(p)
+    rng = random.Random(p + 3)
+    ext = virasoro_extension(field) if p > 3 else omega_extension(field, 0)
+    ws = sample_rows(field, rng)
+    xs = np.concatenate([ws, [[rng.randrange(p)] for _ in ws]], axis=1)
+    powers = ext.pth_power_rows(xs)
+    assert powers.shape == xs.shape
+    for x, power in zip(xs, powers):
+        assert (power == ext.pth_power(ext.from_coeffs(x)).coeffs()).all()
+    assert (ext.pth_power_rows(xs.reshape(2, -1, p + 1)).reshape(xs.shape) == powers).all()
+
+
+def corrupt_pmap_rows(monkeypatch, rows_by_call):
+    """On call i of CentralExtension.pth_power_rows, add e_0 to the first stacked power at row rows_by_call[i].
+
+    verify_restricted_axioms makes call 0 for the scalar axiom (its first
+    stack is (lambda*x)^{[p]}), call 1 for the adjoint axiom's random
+    pairs and call 2 for the sum axiom's (its first stack is x^{[p]}).
+    """
+    original = CentralExtension.pth_power_rows
+    calls = []
+
+    def corrupted(self, xs):
+        out = original(self, xs).copy()
+        if len(calls) in rows_by_call:
+            out.reshape(-1, xs.shape[-2], xs.shape[-1])[0, rows_by_call[len(calls)], 1] += 1
+        calls.append(xs)
+        return out
+
+    monkeypatch.setattr(CentralExtension, "pth_power_rows", corrupted)
+
+
+def axiom_draws(ext, seed, scalar_trials, adjoint_trials, sum_trials):
+    """The random draws of verify_restricted_axioms as per-element loops make them, stopping after a failure."""
+    p = ext.p
+    rng = random.Random(seed)
+
+    def random_ext(nonzero=False):
+        while True:
+            x = ext.from_coeffs([rng.randrange(p) for _ in range(p + 1)])
+            if not nonzero or not x.is_zero():
+                return x
+
+    scalar = [(rng.randrange(p), random_ext()) for _ in range(scalar_trials)]
+    adjoint = [(random_ext(True), random_ext(True)) for _ in range(adjoint_trials)]
+    return scalar, adjoint, [(random_ext(True), random_ext(True)) for _ in range(sum_trials)]
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_scalar_axiom_names_its_first_failing_draw(monkeypatch, k):
+    # The sum axiom's pairs come after the scalar axiom's draws, which a
+    # per-element loop stops at its first failure.
+    ext = virasoro_extension(F7)
+    corrupt_pmap_rows(monkeypatch, {0: k, 2: 1})
+    report = verify_restricted_axioms(ext, trials=5, seed=11)
+    scalar, _, sums = axiom_draws(ext, 11, k + 1, 5, 5)
+    details = {c.name: c.detail for c in report.failed()}
+    assert details == {
+        "scalar_power": "fails for lambda={}, x={!r}".format(*scalar[k]),
+        "sum_expansion": "fails for x={!r}, y={!r}".format(*sums[1]),
+    }
+
+
+@pytest.mark.parametrize("k", [0, 3, 4])
+def test_adjoint_axiom_names_its_first_failing_draw(monkeypatch, k):
+    ext = omega_extension(F7, 2)
+    corrupt_pmap_rows(monkeypatch, {1: k, 2: 0})
+    report = verify_restricted_axioms(ext, trials=5, seed=12)
+    _, adjoint, sums = axiom_draws(ext, 12, 5, k + 1, 5)
+    details = {c.name: c.detail for c in report.failed()}
+    assert details == {
+        "adjoint_power": "fails for x={!r}, y={!r}".format(*adjoint[k]),
+        "sum_expansion": "fails for x={!r}, y={!r}".format(*sums[0]),
+    }
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_sum_axiom_names_its_first_failing_draw(monkeypatch, k):
+    ext = virasoro_extension(F5)
+    corrupt_pmap_rows(monkeypatch, {2: k})
+    report = verify_restricted_axioms(ext, trials=5, seed=13)
+    *_, sums = axiom_draws(ext, 13, 5, 5, 5)
+    assert [(c.name, c.detail) for c in report.failed()] == [
+        ("sum_expansion", "fails for x={!r}, y={!r}".format(*sums[k]))
+    ]
+
+
+def _corrupted_pmap(ext, u, w, delta):
+    pmap = ext.pmap_basis.copy()
+    pmap[u, w] = (pmap[u, w] + delta) % ext.p
+    return CentralExtension(ext.source, ext.bracket_table.copy(), pmap)
+
+
+# (name, passed, detail) of every check, as the per-element axiom loops reported them.
+CONTROLS = {
+    "bracket": (
+        lambda: omega_extension(F5, 0).with_bracket_entry_zeroed(1, 2),
+        [
+            ("antisymmetry", True, ""),
+            ("jacobi", False, "Jacobi fails on basis triple positions (0, 2, 3)"),
+            ("central_element", True, ""),
+            ("scalar_power", True, ""),
+            ("adjoint_power", False, "fails for x=2*e-1 + e0 + 4*e2 + 2*e3 + 4*c, y=4*e-1 + e0 + 2*e1 + 2*c"),
+            ("sum_expansion", False, "fails for x=e-1, y=e2"),
+        ],
+    ),
+    "bracket-p7": (
+        lambda: virasoro_extension(F7).with_bracket_entry_zeroed(-1, 0),
+        [
+            ("antisymmetry", True, ""),
+            ("jacobi", False, "Jacobi fails on basis triple positions (0, 1, 2)"),
+            ("central_element", True, ""),
+            ("scalar_power", True, ""),
+            (
+                "adjoint_power",
+                False,
+                "fails for x=2*e-1 + e0 + 6*e1 + 4*e3 + 6*e4 + 2*e5 + 4*c, y=5*e-1 + 6*e0 + 4*e1 + e2 + 2*e3 + 5*e5",
+            ),
+            ("sum_expansion", False, "fails for x=e-1, y=e0"),
+        ],
+    ),
+    "pmap": (
+        lambda: _corrupted_pmap(omega_extension(F5, 1), 1, 1, -1),
+        [
+            ("antisymmetry", True, ""),
+            ("jacobi", True, ""),
+            ("central_element", True, ""),
+            ("scalar_power", True, ""),
+            ("adjoint_power", False, "fails on basis positions (0, 1)"),
+            ("sum_expansion", False, "fails for x=e-1, y=e0"),
+        ],
+    ),
+    "non-cocycle": (
+        lambda: build_extension(Cochain2Res(c2_from_dict(F5, {(0, 1): 1}), (0,) * 5), check=False),
+        [
+            ("antisymmetry", True, ""),
+            ("jacobi", False, "Jacobi fails on basis triple positions (0, 1, 3)"),
+            ("central_element", True, ""),
+            ("scalar_power", True, ""),
+            ("adjoint_power", True, ""),
+            ("sum_expansion", False, "fails for x=2*e-1 + 4*e1 + 3*c, y=4*e0 + 3*e1 + 2*e2 + e3 + 2*c"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_negative_control_reports_are_pinned(name):
+    make, expected = CONTROLS[name]
+    report = verify_restricted_axioms(make(), trials=2)
+    assert [(c.name, c.passed, c.detail) for c in report.checks] == expected

@@ -1,0 +1,25 @@
+"""Golden digests of run_prime reports: performance work must leave every report unchanged.
+
+tests/data/report_digests.json holds the SHA-256 of json.dumps(run_prime(p, seed))
+for p in {3, 5, 7, 13} and seeds {0, 1}.  A change that alters any report,
+down to a check's detail text or a random draw, fails here; a deliberate
+report change regenerates the file in the same commit.  p = 11 is left out
+because its naive starstar oracle alone takes seconds.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from wittcoh.verify import run_prime
+
+DIGESTS = json.loads((Path(__file__).resolve().parent / "data" / "report_digests.json").read_text())
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS, key=lambda k: tuple(map(int, k.split(":")))))
+def test_report_digest(key):
+    p, seed = map(int, key.split(":"))
+    report = json.dumps(run_prime(p, seed))
+    assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[key]

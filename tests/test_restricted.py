@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from tests.oracles import omega_by_enumeration, star_sum_naive, starstar_sum_naive
+from tests.oracles import omega_by_enumeration, sample_rows, star_sum_naive, starstar_sum_naive
 from wittcoh import gfp, restricted, verify
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
@@ -39,13 +39,14 @@ from wittcoh.restricted import (
     is_cocycle,
     omega_coordinate,
     omega_functional,
+    omega_functional_rows,
     project_class_to_ordinary,
     restricted_h2,
     star_correction,
     starstar_correction,
     virasoro_cochain,
 )
-from wittcoh.witt import basis_element, from_dict, pth_power, random_element, zero
+from wittcoh.witt import WittElement, basis_element, from_dict, pth_power, random_element, zero
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -318,16 +319,29 @@ def test_beta_block_identically_zero(p):
     assert not m[len(wedge_triples(p)) :, :].any()
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_matrix_columns_match_coboundary(p):
     field = PrimeField(p)
     m = delta2_res_matrix(field)
     for k in range(c2_dim(p)):
         vec = np.zeros(c2_dim(p), dtype=np.int64)
         vec[k] = 1
-        d = delta2_res(c2_from_vector(field, vec))
+        c = c2_from_vector(field, vec)
+        d = delta2_res(c)
         col = np.concatenate([d.alpha.to_vector(), np.array(d.beta_basis).ravel()])
         assert (col == m[:, k]).all()
+        assert is_cocycle(c) == (not col.any())
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_omega_rows_equal_omega_functional(p):
+    field = PrimeField(p)
+    rows = sample_rows(field, random.Random(p + 2))
+    ws = omega_functional_rows(rows, p)
+    assert ws.shape == (len(rows), c2_dim(p))
+    for g, w in zip(rows, ws):
+        assert (w == omega_functional(WittElement(field, tuple(g)))).all()
+    assert (omega_functional_rows(rows.reshape(2, -1, p), p).reshape(len(rows), -1) == ws).all()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])

@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from tests.oracles import pth_power_by_composition, sample_rows
+from wittcoh import witt
 from wittcoh.gfp import PrimeField
 from wittcoh.witt import (
     CyclicPoly,
@@ -20,7 +22,9 @@ from wittcoh.witt import (
     normalize_index,
     pth_power,
     pth_power_basis,
+    pth_power_rows,
     pth_power_via_derivation,
+    pth_power_via_derivation_rows,
     random_element,
     right_bracket_matrix,
     summands_total,
@@ -267,3 +271,45 @@ def test_stacked_kernel_matches_int_loops_on_arbitrary_matrices(p):
     rows = lambda_rows(start, bg, bh, 2 * p, p)
     for k in range(4):
         assert (rows[k] == lambda_rows_by_loops(start[k], bg[k], bh[k], 2 * p, p)).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_fold_rows_equal_single_element_powers(p, monkeypatch):
+    field = PrimeField(p)
+    rows = sample_rows(field, random.Random(p))
+    powers = pth_power_rows(rows, p)
+    assert powers.shape == rows.shape
+    for g, power in zip(rows, powers):
+        assert tuple(power) == pth_power(WittElement(field, tuple(g))).coeffs
+    # Leading axes stack like a flat batch, and one row per block changes nothing.
+    assert (pth_power_rows(rows.reshape(3, -1, p), p).reshape(-1, p) == powers).all()
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 1)
+    assert (pth_power_rows(rows, p) == powers).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_derivation_rows_equal_cyclic_poly_composition(p):
+    field = PrimeField(p)
+    rows = sample_rows(field, random.Random(p + 1))
+    powers = pth_power_via_derivation_rows(rows, p)
+    assert powers.shape == rows.shape
+    for g, power in zip(rows, powers):
+        expected = pth_power_by_composition(WittElement(field, tuple(g)))
+        assert tuple(power) == expected.coeffs
+        assert pth_power_via_derivation(WittElement(field, tuple(g))) == expected
+    assert (pth_power_via_derivation_rows(rows.reshape(2, -1, p), p).reshape(-1, p) == powers).all()
+
+
+def test_first_failure_leaves_rng_where_a_loop_stops():
+    def loop(rng, count, bad):
+        for k in range(count):
+            if rng.randrange(100) in bad:
+                return k
+        return None
+
+    for bad in ({-1}, set(range(50, 100)), set(range(100))):
+        rng, reference = random.Random(4), random.Random(4)
+        samples, k = witt.first_failure(rng, lambda: rng.randrange(100), 10, lambda s: [v in bad for v in s])
+        assert k == loop(reference, 10, bad)
+        assert len(samples) == 10 and rng.random() == reference.random()
+    assert witt.first_failure(random.Random(0), None, 0, None) == ([], None)
