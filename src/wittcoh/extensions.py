@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import witt
 from .gfp import PrimeField
 from .ordinary import Cochain1, Cochain2Ord
 from .restricted import (
@@ -56,7 +57,6 @@ from .restricted import (
     virasoro_cochain,
 )
 from .witt import (
-    _SWEEP_BYTES,
     WittElement,
     basis_element,
     first_failure,
@@ -263,19 +263,8 @@ class AxiomReport:
 
 def _jacobi_scan(ext: CentralExtension) -> str:
     """Empty string when every basis triple satisfies Jacobi, else the first witness."""
-    p = ext.p
-    t = ext.bracket_table
-    first = np.einsum("uvs,swm->uvwm", t, t) % p
-    total = (first + first.transpose(1, 2, 0, 3) + first.transpose(2, 0, 1, 3)) % p
-    bad = np.argwhere(total.any(axis=3))
-    if bad.size == 0:
-        return ""
-    u, v, w = (int(x) for x in bad[0])
-    return f"Jacobi fails on basis triple positions ({u}, {v}, {w})"
-
-
-# Memory bound on the lambda rows of one stacked sum-axiom call.
-_SWEEP_BYTES = 64 << 20
+    bad = witt.jacobi_scan(ext.bracket_table, ext.p)
+    return "" if bad is None else "Jacobi fails on basis triple positions ({}, {}, {})".format(*bad)
 
 
 @lru_cache(maxsize=1)
@@ -406,7 +395,7 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
     n = p + 1
     randoms = [(random_ext(True), random_ext(True)) for _ in range(trials)]
     right = table.transpose(1, 0, 2)  # right[u] = right_of(b_u)
-    block = max(1, _SWEEP_BYTES // (8 * n * n * p))
+    block = max(1, witt._SWEEP_BYTES // (8 * n * n * p))
     summands = np.concatenate([
         summands_total(np.eye(n, dtype=np.int64)[lo : lo + block, None], right[lo : lo + block, None], right, p)
         for lo in range(0, n, block)

@@ -152,6 +152,3 @@ class PrimeField:
                 current = candidate
                 rank += 1
         return reps
-
-    def matmul(self, a, b) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64) @ np.asarray(b, dtype=np.int64)) % self.p

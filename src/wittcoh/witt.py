@@ -211,8 +211,10 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 # float64 holds every integer below this exactly.
 _EXACT_FLOAT = 2**53
 
-# Memory bound on the stacked bracket matrices or lambda rows of one block of
-# a row kernel (fold_rows) or of the extension sum-axiom sweep.
+# Memory bound on one block of every blocked scan: the stacked bracket
+# matrices or lambda rows of a row kernel (fold_rows) or of the extension
+# sum-axiom sweep, the Jacobi sums of jacobi_scan, and the chain rows of
+# verify's exhaustive ** oracle.
 _SWEEP_BYTES = 64 << 20
 
 # A LambdaVector is a polynomial in lambda with W coefficients, stored as a
@@ -229,6 +231,35 @@ def _right_bracket_rows(p: int) -> np.ndarray:
 def right_bracket_matrix(v: np.ndarray, p: int) -> np.ndarray:
     """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W; v may be stacked (..., p)."""
     return (v @ _right_bracket_rows(p)).astype(np.int64).reshape(v.shape[:-1] + (p, p)) % p
+
+
+def jacobi_scan(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
+    """The first basis triple (u, v, w), in row-major order, whose Jacobi sum is nonzero mod p; None if none is.
+
+    t[u, v, m] is the coefficient of b_m in [b_u, b_v] for any algebra given
+    by structure constants (W's _bracket_tensor, or an extension's table),
+    and the Jacobi sum is [[b_u, b_v], b_w] + [[b_v, b_w], b_u] + [[b_w, b_u], b_v].
+    For a block of u the three terms are products of the tensor with a slice
+    of itself, in float64, which is exact: every entry of the sum stays below
+    3 n (p - 1)^2 < 2^53.  Blocks of u keep the four (block, n, n, n) arrays
+    alive at once within _SWEEP_BYTES, so the whole n^4 tensor is never held.
+    """
+    n = t.shape[0]
+    tf = (t % p).astype(np.float64)
+    by_first = tf.reshape(n * n, n)  # [(x, y), s]
+    by_last = tf.reshape(n, n * n)  # [s, (y, m)]
+    block = max(1, _SWEEP_BYTES // (32 * n**3))
+    for lo in range(0, n, block):
+        part = tf[:, lo : lo + block]  # t[:, u, :] for u in the block
+        k = part.shape[1]
+        total = (tf[lo : lo + block].reshape(k * n, n) @ by_last).reshape(k, n, n, n)  # [[b_u, b_v], b_w]
+        total += (by_first @ part.reshape(n, k * n)).reshape(n, n, k, n).transpose(2, 0, 1, 3)  # [[b_v, b_w], b_u]
+        total += (part.reshape(n * k, n) @ by_last).reshape(n, k, n, n).transpose(1, 2, 0, 3)  # [[b_w, b_u], b_v]
+        bad = np.argwhere((total.astype(np.int64) % p).any(axis=3))
+        if bad.size:
+            u, v, w = (int(i) for i in bad[0])
+            return lo + u, v, w
+    return None
 
 
 @lru_cache(maxsize=None)

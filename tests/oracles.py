@@ -89,6 +89,35 @@ def starstar_sum_naive(
     return total % p
 
 
+def jacobi_failure_by_loops(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
+    """First basis triple (u, v, w), row-major, whose Jacobi sum from structure constants t is nonzero mod p."""
+    n = len(t)
+    for u, v, w in itertools.product(range(n), repeat=3):
+        if ((t[u, v] @ t[:, w] + t[v, w] @ t[:, u] + t[w, u] @ t[:, v]) % p).any():
+            return u, v, w
+    return None
+
+
+def first_axiom_failure(t: np.ndarray, field: PrimeField) -> str | None:
+    """What a loop over W's basis triples reports first for structure constants t, or None.
+
+    Antisymmetry of (x, y) is tested before Jacobi on each (x, y, z), and
+    every bracket is contracted from t for one pair of elements.
+    """
+    p = field.p
+
+    def br(x, y):
+        return WittElement(field, tuple(int(v) for v in np.einsum("s,t,stm->m", x.coeffs, y.coeffs, t) % p))
+
+    basis = [basis_element(field, i) for i in range(-1, p - 1)]
+    for x, y, z in itertools.product(basis, repeat=3):
+        if not (br(x, y) + br(y, x)).is_zero():
+            return "antisymmetry fails"
+        if not (br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)).is_zero():
+            return f"Jacobi fails on {x!r}, {y!r}, {z!r}"
+    return None
+
+
 def omega_by_enumeration(c: Cochain2Res, g: WittElement) -> int:
     """omega(g) by head-vs-rest recursion with the naive star sum.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tests.oracles import sample_rows
-
+from wittcoh import extensions, witt
 from wittcoh.extensions import (
     CentralExtension,
     Classification,
@@ -34,7 +34,7 @@ from wittcoh.restricted import (
     restricted_h2,
     virasoro_cochain,
 )
-from wittcoh.witt import basis_element, from_dict, normalize_index, zero
+from wittcoh.witt import basis_element, from_dict, normalize_index, summands_total, zero
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -182,6 +182,23 @@ def test_virasoro_axioms_run_unskipped_at_p17():
     details = {c.name: c.detail for c in report.checks}
     assert "skipped" not in details["scalar_power"]
     assert "skipped" not in details["sum_expansion"]
+
+
+def test_sweep_blocks_leave_the_axiom_report_unchanged(monkeypatch):
+    # One bound, witt._SWEEP_BYTES, governs the sum sweep: patched to 1 it
+    # splits the sweep into one block per u, and the report is the same.
+    ext = virasoro_extension(F7)
+    expected = verify_restricted_axioms(ext, trials=3, seed=1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return summands_total(*args)
+
+    monkeypatch.setattr(extensions, "summands_total", counted)
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 1)
+    assert verify_restricted_axioms(ext, trials=3, seed=1) == expected
+    assert len(calls) == F7.p + 2  # p + 1 blocks of the sweep and the random trials
 
 
 def test_corrupted_bracket_fails_jacobi():

@@ -1,15 +1,17 @@
 """Restricted cochains: correction sums, coboundaries, and H^0..H^2."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tests.oracles import omega_by_enumeration, sample_rows, star_sum_naive, starstar_sum_naive
-from wittcoh import gfp, restricted, verify
+from wittcoh import gfp, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
+    Cochain3Ord,
     c2_from_dict,
     c2_zero,
     c3_zero,
@@ -275,6 +277,83 @@ def test_starstar_matches_naive_enumeration(p):
         alpha = delta2_cl(random_phi(field, rng))
         g, h1, h2 = (random_element(field, rng, True) for _ in range(3))
         assert starstar_correction(alpha, g, h1, h2) == starstar_sum_naive(alpha, g, h1, h2)
+
+
+def random_starstar_samples(field, rng, count):
+    """(alpha, g, h1, h2): alpha an arbitrary 3-form, not only a coboundary, and g, h1, h2 nonzero."""
+    n = len(wedge_triples(field.p))
+    samples = []
+    for _ in range(count):
+        alpha = Cochain3Ord(field, tuple(rng.randrange(field.p) for _ in range(n)))
+        samples.append((alpha, *(random_element(field, rng, True) for _ in range(3))))
+    return samples
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_to_dense_matches_value(p):
+    field = PrimeField(p)
+    alpha = random_starstar_samples(field, random.Random(p), 1)[0][0]
+    dense = alpha.to_dense()
+    for r in range(-1, p - 1):
+        for s in range(-1, p - 1):
+            for t in range(-1, p - 1):
+                assert dense[r + 1, s + 1, t + 1] == alpha.value(r, s, t), (r, s, t)
+
+
+@pytest.mark.parametrize("p,count", [(5, 6), (7, 4), (11, 2)])
+def test_starstar_exhaustive_equals_naive_enumeration(p, count):
+    for sample in random_starstar_samples(PrimeField(p), random.Random(p), count):
+        assert verify._starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
+
+
+@pytest.mark.parametrize("p", [13, 17, 19])
+def test_starstar_exhaustive_equals_correction(p):
+    for sample in random_starstar_samples(PrimeField(p), random.Random(p), 4):
+        assert verify._starstar_exhaustive(*sample) == starstar_correction(*sample)
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_starstar_exhaustive_is_independent_of_blocks(p, monkeypatch):
+    samples = random_starstar_samples(PrimeField(p), random.Random(p + 1), 3)
+    values = [verify._starstar_exhaustive(*sample) for sample in samples]
+    for size in (32 * p * 4, 1):  # four rows per block, then one
+        monkeypatch.setattr(witt, "_SWEEP_BYTES", size)
+        assert [verify._starstar_exhaustive(*sample) for sample in samples] == values
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_starstar_exhaustive_stays_within_its_block_bound(p, monkeypatch):
+    sample = random_starstar_samples(PrimeField(p), random.Random(p), 1)[0]
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 32 * p * 256)  # 256 of the 2^(p-3) rows per block
+    tracemalloc.start()
+    try:
+        verify._starstar_exhaustive(*sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= witt._SWEEP_BYTES + 16 * p**3  # and alpha's dense p^3 tensor
+
+
+def test_starstar_exhaustive_is_a_route_of_its_own(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the exhaustive oracle uses the correction weights")
+
+    for module, name in [
+        (witt, "lambda_rows"),
+        (restricted, "_correction_weights"),
+        (restricted, "_correction_sum"),
+        (restricted, "starstar_correction"),
+    ]:
+        monkeypatch.setattr(module, name, unused)
+    sample = random_starstar_samples(F7, random.Random(0), 1)[0]
+    assert verify._starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_run_prime_skips_no_check(p):
+    report = verify.run_prime(p)
+    assert report["all_pass"]
+    assert [c["name"] for c in report["checks"] if c["skipped"]] == []
 
 
 def test_starstar_not_identically_zero_on_coboundaries():

@@ -1,12 +1,14 @@
 """Witt algebra bracket, summand expansion and the two p-th power routes."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tests.oracles import pth_power_by_composition, sample_rows
-from wittcoh import witt
+from tests.oracles import first_axiom_failure, jacobi_failure_by_loops, pth_power_by_composition, sample_rows
+from wittcoh import verify, witt
+from wittcoh.extensions import omega_extension, virasoro_extension
 from wittcoh.gfp import PrimeField
 from wittcoh.witt import (
     CyclicPoly,
@@ -152,6 +154,83 @@ def test_antisymmetry_jacobi_random(p):
         assert (bracket(x, y) + bracket(y, x)).is_zero()
         j = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
         assert j.is_zero()
+
+
+def corrupted_tensor(p, kind):
+    """A copy of W's structure constants, broken in one of five ways or (kind "none") whole."""
+    t = witt._bracket_tensor(p).copy()
+    if kind == "pair":  # [e_1, e_2] = 0 both ways: antisymmetric, Jacobi fails
+        t[2, 3] = t[3, 2] = 0
+    elif kind == "one-sided":  # [e_2, e_0] changed alone
+        t[3, 1, 0] = (t[3, 1, 0] + 1) % p
+    elif kind == "diagonal":  # [e_{-1}, e_{-1}] != 0, before any Jacobi failure
+        t[0, 0, 2] = 1
+    elif kind == "late":  # [e_{p-2}, e_{p-2}] != 0, after Jacobi failures it causes
+        t[p - 1, p - 1, 2] = 1
+    elif kind == "scaled":  # 2 [x, y] is a Lie bracket too, but not W's
+        t = 2 * t % p
+    return t
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_jacobi_scan_equals_loops(p, monkeypatch):
+    field = PrimeField(p)
+    tables = [corrupted_tensor(p, kind) for kind in ("none", "pair", "one-sided", "late", "scaled", "diagonal")]
+    tables.append(omega_extension(field, 0).bracket_table)
+    tables.append(virasoro_extension(field).with_bracket_entry_zeroed(-1, 0).bracket_table)
+    rng = np.random.default_rng(p)
+    for _ in range(3):  # random single-entry corruptions
+        t = witt._bracket_tensor(p).copy()
+        t[tuple(rng.integers(0, p, 3))] += 1
+        tables.append(t)
+    expected = [jacobi_failure_by_loops(t, p) for t in tables]
+    assert expected[0] is None and expected[6] is None and expected[1] is not None
+    assert [witt.jacobi_scan(t, p) for t in tables] == expected
+    for size in (32 * (p + 1) ** 3 * 2, 1):  # two or three u per block, then one
+        monkeypatch.setattr(witt, "_SWEEP_BYTES", size)
+        assert [witt.jacobi_scan(t, p) for t in tables] == expected
+
+
+def test_jacobi_scan_stays_within_its_block_bound(monkeypatch):
+    p = 17
+    t = witt._bracket_tensor(p)
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 32 * p**3)  # one u per block
+    tracemalloc.start()
+    try:
+        assert witt.jacobi_scan(t, p) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= witt._SWEEP_BYTES + 16 * p**3  # and two copies of the p^3 tensor, far below 32 p^4
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("kind", ["pair", "one-sided", "late", "scaled", "diagonal"])
+def test_antisymmetry_jacobi_names_the_first_failure_of_a_loop(p, kind, monkeypatch):
+    field = PrimeField(p)
+    t = corrupted_tensor(p, kind)
+    expected = first_axiom_failure(t, field)
+    if kind == "scaled":  # a Lie bracket, caught only by comparing witt.bracket with the table
+        assert expected is None
+        expected = "bracket disagrees with the table on e-1, e0"
+    monkeypatch.setattr(witt, "_bracket_tensor", lambda q: t)
+    with pytest.raises(AssertionError) as failure:
+        verify._antisymmetry_jacobi(field, random.Random(0))
+    assert str(failure.value) == expected
+    if kind == "late":  # antisymmetry fails too, on a later pair
+        assert expected.startswith("Jacobi") and ((t + t.transpose(1, 0, 2)) % p).any()
+    if kind == "diagonal":
+        assert expected == "antisymmetry fails"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_antisymmetry_jacobi_draws_100_triples(p):
+    field = PrimeField(p)
+    rng, reference = random.Random(p), random.Random(p)
+    assert verify._antisymmetry_jacobi(field, rng) == f"{p**3 + 100} triples"
+    for _ in range(300):
+        random_element(field, reference)
+    assert rng.random() == reference.random()
 
 
 @pytest.mark.parametrize("p", [5, 7])
