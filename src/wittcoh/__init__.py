@@ -50,7 +50,6 @@ from .restricted import (
     virasoro_cochain,
 )
 from .witt import (
-    CyclicPoly,
     ProportionalityError,
     WittElement,
     basis_element,

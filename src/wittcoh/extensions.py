@@ -15,8 +15,11 @@ and changing the splitting shifts the cocycle by a coboundary, so only the
 cohomology class matters.
 
 The extension stores explicit structure-constant and p-map tables over the
-basis e_{-1}, ..., e_{p-2}, c; all bracket arithmetic inside E goes
-through the tables (never back through the source cocycle), so the axiom
+basis e_{-1}, ..., e_{p-2}, c.  The bracket table is W's structure tensor
+(witt._bracket_tensor) with one central column, phi's dense matrix
+(phi.to_matrix()); the p-map table holds e_0^{[p]} = e_0 and the
+values omega(e_i) in the central column.  All bracket arithmetic inside E
+goes through the tables (never back through the source cocycle), so the axiom
 verifier genuinely exercises the built object, and a corrupted table is
 caught by the Jacobi scan.  The p-th power of a general element g + a*c
 needs g^{[p]}, taken by the derivation route, and omega(g) off the basis,
@@ -50,7 +53,6 @@ from .restricted import (
     cochain_complex,
     eval_omega,
     is_cocycle,
-    omega_functional,
     omega_functional_rows,
     project_class_to_ordinary,
     omega_coordinate,
@@ -60,7 +62,8 @@ from .witt import (
     WittElement,
     basis_element,
     first_failure,
-    pth_power,
+    pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
+    pth_power_rows,
     pth_power_via_derivation,
     pth_power_via_derivation_rows,
     summands_total,
@@ -183,21 +186,14 @@ def build_extension(c: Cochain2Res, check: bool = True) -> CentralExtension:
     """Populate the bracket and p-map tables of W + K*c from the cocycle c."""
     if check and not is_cocycle(c):
         raise NotACocycleError("extension construction requires a restricted 2-cocycle")
-    field = c.field
-    p = field.p
+    p = c.field.p
     n = p + 1
     table = np.zeros((n, n, n), dtype=np.int64)
-    for u in range(p):
-        for v in range(p):
-            i, j = u - 1, v - 1
-            m = (i + j + 1) % p
-            table[u, v, m] = (j - i) % p
-            table[u, v, p] = c.phi.value(i, j)
+    table[:p, :p, :p] = witt._bracket_tensor(p)  # W's structure constants
+    table[:p, :p, p] = c.phi.to_matrix()  # the central column phi(e_i, e_j)
     pmap = np.zeros((n, n), dtype=np.int64)
-    for u in range(p):
-        if u == 1:  # e_0^{[p]} = e_0
-            pmap[u, 1] = 1
-        pmap[u, p] = c.omega_value(u - 1)
+    pmap[1, 1] = 1  # e_0^{[p]} = e_0
+    pmap[:p, p] = c.omega_basis
     return CentralExtension(c, table, pmap)
 
 
@@ -274,21 +270,19 @@ def _basis_sum_powers(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
     Indexed [u, v] by table position (position p, the central c, adds
     nothing to the W part).  They depend on W alone, so the p + 1
     extensions of a prime share them; only the latest prime is kept.
-    The powers take the fold, the oracle of the derivation route that
-    CentralExtension.pth_power uses.
+    The sums of the pairs u <= v are stacked into one fold call and one
+    omega functional call, then mirrored; the powers take the fold, the
+    oracle of the derivation route that CentralExtension.pth_power uses.
     """
     p = field.p
     n = p + 1
+    u, v = np.triu_indices(n)
+    eye = np.eye(n, dtype=np.int64)
+    sums = (eye[u] + eye[v])[:, :p]
     powers = np.zeros((n, n, p), dtype=np.int64)
     functionals = np.zeros((n, n, c2_dim(p)), dtype=np.int64)
-    for u in range(n):
-        for v in range(u, n):
-            coeffs = [0] * n
-            coeffs[u] += 1
-            coeffs[v] += 1
-            g = WittElement(field, tuple(coeffs[:p]))
-            powers[u, v] = powers[v, u] = pth_power(g).coeffs
-            functionals[u, v] = functionals[v, u] = omega_functional(g)
+    powers[u, v] = powers[v, u] = pth_power_rows(sums, p)
+    functionals[u, v] = functionals[v, u] = omega_functional_rows(sums, p)
     powers.setflags(write=False)
     functionals.setflags(write=False)
     return powers, functionals
@@ -357,21 +351,19 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
     def right_of(xv: np.ndarray) -> np.ndarray:
         return np.einsum("svm,...v->...sm", table, xv) % p
 
+    right = table.transpose(1, 0, 2)  # right[u] = right_of(b_u)
+
     # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.
-    # For basis x the chain over every y at once is a matrix power of the
-    # right-bracket matrix, so the exhaustive scan is a handful of matmuls;
-    # the random pairs run stacked.
-    ok, detail = True, ""
-    for u in range(p + 1):
-        bu = table[:, u, :]
-        chain_all = np.eye(p + 1, dtype=np.int64)
-        for _ in range(p):
-            chain_all = (chain_all @ bu) % p
-        direct = right_of(ext.pmap_basis[u])
-        if (chain_all != direct).any():
-            v = int(np.argwhere((chain_all != direct).any(axis=1))[0][0])
-            ok, detail = False, f"fails on basis positions ({v}, {u})"
-            break
+    # For basis x = b_u the chain over every y at once is the p-th power of
+    # the right-bracket matrix, so the exhaustive scan raises all of them to
+    # the p-th power in one stacked product per factor; the random pairs run
+    # stacked too.  The first mismatch is taken row-major in (u, v).
+    chains = right
+    for _ in range(p - 1):
+        chains = chains @ right % p
+    bad = np.argwhere((chains != right_of(ext.pmap_basis)).any(axis=-1))
+    ok = not bad.size
+    detail = "" if ok else "fails on basis positions ({1}, {0})".format(*bad[0])
     if ok:
 
         def adjoint_failing(pairs):
@@ -394,7 +386,6 @@ def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int 
     # p is large, to bound the memory of the lambda rows.
     n = p + 1
     randoms = [(random_ext(True), random_ext(True)) for _ in range(trials)]
-    right = table.transpose(1, 0, 2)  # right[u] = right_of(b_u)
     block = max(1, witt._SWEEP_BYTES // (8 * n * n * p))
     summands = np.concatenate([
         summands_total(np.eye(n, dtype=np.int64)[lo : lo + block, None], right[lo : lo + block, None], right, p)

@@ -41,9 +41,6 @@ class PrimeField:
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse via Fermat; raises on zero input."""
         a %= self.p

@@ -118,10 +118,6 @@ class Cochain1:
         return Cochain1(self.field, tuple(scalar * a for a in self.coeffs))
 
 
-def c1_zero(field: PrimeField) -> Cochain1:
-    return Cochain1(field, (0,) * field.p)
-
-
 def dual_basis(field: PrimeField, k: int, coefficient: int = 1) -> Cochain1:
     """coefficient * e^k."""
     if not -1 <= k <= field.p - 2:
@@ -193,10 +189,6 @@ def c2_from_dict(field: PrimeField, terms: dict[tuple[int, int], int]) -> Cochai
         a, b, sign = w
         vals[pos[(a, b)]] = (vals[pos[(a, b)]] + sign * c) % field.p
     return Cochain2Ord(field, tuple(vals))
-
-
-def c2_from_vector(field: PrimeField, vec) -> Cochain2Ord:
-    return Cochain2Ord(field, tuple(int(v) for v in vec))
 
 
 def wedge_eval(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:

@@ -28,8 +28,13 @@ stacked coefficient arrays (..., p) with a one-row entry point:
   p - 1 stacked products with each row's matrix of q -> f * dq/dx.
 
 Agreement of the two routes is a strong consistency check, made by
-verify's witt.pth_power_oracle and exercised heavily by the test suite,
-whose oracle for the derivation kernel is the CyclicPoly composition.
+verify's witt.pth_power_oracle and exercised heavily by the test suite.
+The derivation kernel's own oracle, composition of cyclic polynomials one
+product at a time, lives in tests/oracles.py.
+
+bracket is the formula route, a loop over two supports; the stacked
+kernels take their brackets from the structure tensor (_bracket_tensor),
+and verify's witt.antisymmetry_jacobi compares the two.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import PrimeField
-
-# Above this many coefficient products a bracket switches to the cached
-# structure-tensor contraction; below it, sparse loops win.
-_DENSE_BRACKET_THRESHOLD = 64
 
 
 class ProportionalityError(ArithmeticError):
@@ -172,16 +173,15 @@ def _bracket_tensor(p: int) -> np.ndarray:
 
 
 def bracket(x: WittElement, y: WittElement) -> WittElement:
-    """Lie bracket, the bilinear extension of [e_i, e_j] = (j - i) e_{i+j}."""
+    """Lie bracket, the bilinear extension of [e_i, e_j] = (j - i) e_{i+j}.
+
+    A loop over the two supports by the formula, independent of
+    _bracket_tensor, with which verify and the tests compare it.
+    """
     _check_same_field(x, y)
     p = x.p
     sx = [(s, a) for s, a in enumerate(x.coeffs) if a]
     sy = [(t, b) for t, b in enumerate(y.coeffs) if b]
-    if len(sx) * len(sy) >= _DENSE_BRACKET_THRESHOLD:
-        xv = np.array(x.coeffs, dtype=np.int64)
-        yv = np.array(y.coeffs, dtype=np.int64)
-        res = np.einsum("s,t,stm->m", xv, yv, _bracket_tensor(p)) % p
-        return WittElement(x.field, tuple(int(v) for v in res))
     res = [0] * p
     for s, a in sx:
         for t, b in sy:
@@ -216,10 +216,6 @@ _EXACT_FLOAT = 2**53
 # sum-axiom sweep, the Jacobi sums of jacobi_scan, and the chain rows of
 # verify's exhaustive ** oracle.
 _SWEEP_BYTES = 64 << 20
-
-# A LambdaVector is a polynomial in lambda with W coefficients, stored as a
-# list indexed by lambda-degree (at most p entries).
-LambdaVector = list
 
 
 @lru_cache(maxsize=None)
@@ -315,21 +311,19 @@ def summands_total(gv: np.ndarray, bg: np.ndarray, bh: np.ndarray, p: int) -> np
     return (_inverse_vector(p)[1:, None] * rows[..., : p - 1, :]).sum(axis=-2) % p
 
 
-def lambda_chain(g: WittElement, h: WittElement) -> LambdaVector:
-    """The lambda-polynomial [g, lambda*g + h, ..., lambda*g + h], p-1 applications."""
+def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
+    """The summands s_1, ..., s_{p-1}.
+
+    i * s_i is the lambda^{i-1} coefficient of the lambda-polynomial
+    [g, lambda*g + h, ..., lambda*g + h] with p-1 applications, one call of
+    the lambda_rows kernel.
+    """
     _check_same_field(g, h)
-    p = g.p
+    field, p = g.field, g.p
     gv = np.array(g.coeffs, dtype=np.int64)
     hv = np.array(h.coeffs, dtype=np.int64)
     rows = lambda_rows(gv, right_bracket_matrix(gv, p), right_bracket_matrix(hv, p), p - 1, p)
-    return [WittElement(g.field, tuple(int(v) for v in row)) for row in rows]
-
-
-def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
-    """The summands s_1, ..., s_{p-1}; i * s_i is a lambda-coefficient of lambda_chain."""
-    field = g.field
-    terms = lambda_chain(g, h)
-    return [field.inv(i) * terms[i - 1] for i in range(1, field.p)]
+    return [field.inv(i) * WittElement(field, tuple(rows[i - 1].tolist())) for i in range(1, p)]
 
 
 def fold_terms(g: WittElement, order=None) -> np.ndarray:
@@ -405,57 +399,6 @@ def pth_power(g: WittElement, term_order=None) -> WittElement:
     """
     power = _fold_power(fold_terms(g, term_order), g.p)
     return WittElement(g.field, tuple(power.tolist()))
-
-
-@dataclass(frozen=True)
-class CyclicPoly:
-    """Element of A = GF(p)[x]/(x^p - 1); coeffs[k] multiplies x^k."""
-
-    field: PrimeField
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        if len(self.coeffs) != p:
-            raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
-
-    def derivative(self) -> "CyclicPoly":
-        """d/dx, well defined on A since d/dx(x^p - 1) = 0 in characteristic p."""
-        p = self.field.p
-        res = [0] * p
-        for k, c in enumerate(self.coeffs):
-            if k and c:
-                res[k - 1] = (k * c) % p
-        return CyclicPoly(self.field, tuple(res))
-
-    def __mul__(self, other: "CyclicPoly") -> "CyclicPoly":
-        """Cyclic convolution: the full product with x^p folded back onto 1."""
-        p = self.field.p
-        full = np.convolve(self.coeffs, other.coeffs)
-        full[: p - 1] += full[p:]
-        return CyclicPoly(self.field, tuple(int(v) for v in full[:p]))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
-def to_cyclic_poly(g: WittElement) -> CyclicPoly:
-    """The coefficient polynomial f with g = f * d/dx (e_i maps to x^{i+1})."""
-    p = g.field.p
-    coeffs = [0] * p
-    for i in g.support():
-        coeffs[(i + 1) % p] = g.coeff(i)
-    return CyclicPoly(g.field, tuple(coeffs))
-
-
-def from_cyclic_poly(f: CyclicPoly) -> WittElement:
-    """Inverse of to_cyclic_poly: x^k maps to e_{k-1}."""
-    p = f.field.p
-    coeffs = [0] * p
-    for k, c in enumerate(f.coeffs):
-        coeffs[k] = c  # x^k -> e_{k-1}, which sits at position (k - 1) + 1 = k
-    return WittElement(f.field, tuple(coeffs))
 
 
 @lru_cache(maxsize=None)

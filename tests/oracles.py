@@ -10,6 +10,7 @@ test inputs.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +21,59 @@ from wittcoh.witt import (
     WittElement,
     basis_element,
     bracket_chain,
-    from_cyclic_poly,
     random_element,
-    to_cyclic_poly,
 )
+
+
+@dataclass(frozen=True)
+class CyclicPoly:
+    """Element of A = GF(p)[x]/(x^p - 1); coeffs[k] multiplies x^k."""
+
+    field: PrimeField
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        p = self.field.p
+        if len(self.coeffs) != p:
+            raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
+        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
+
+    def derivative(self) -> "CyclicPoly":
+        """d/dx, well defined on A since d/dx(x^p - 1) = 0 in characteristic p."""
+        p = self.field.p
+        res = [0] * p
+        for k, c in enumerate(self.coeffs):
+            if k and c:
+                res[k - 1] = (k * c) % p
+        return CyclicPoly(self.field, tuple(res))
+
+    def __mul__(self, other: "CyclicPoly") -> "CyclicPoly":
+        """Cyclic convolution: the full product with x^p folded back onto 1."""
+        p = self.field.p
+        full = np.convolve(self.coeffs, other.coeffs)
+        full[: p - 1] += full[p:]
+        return CyclicPoly(self.field, tuple(int(v) for v in full[:p]))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def to_cyclic_poly(g: WittElement) -> CyclicPoly:
+    """The coefficient polynomial f with g = f * d/dx (e_i maps to x^{i+1})."""
+    p = g.field.p
+    coeffs = [0] * p
+    for i in g.support():
+        coeffs[(i + 1) % p] = g.coeff(i)
+    return CyclicPoly(g.field, tuple(coeffs))
+
+
+def from_cyclic_poly(f: CyclicPoly) -> WittElement:
+    """Inverse of to_cyclic_poly: x^k maps to e_{k-1}."""
+    p = f.field.p
+    coeffs = [0] * p
+    for k, c in enumerate(f.coeffs):
+        coeffs[k] = c  # x^k -> e_{k-1}, which sits at position (k - 1) + 1 = k
+    return WittElement(f.field, tuple(coeffs))
 
 
 def pth_power_by_composition(g: WittElement) -> WittElement:

@@ -34,7 +34,7 @@ from wittcoh.restricted import (
     restricted_h2,
     virasoro_cochain,
 )
-from wittcoh.witt import basis_element, from_dict, normalize_index, summands_total, zero
+from wittcoh.witt import WittElement, basis_element, from_dict, normalize_index, summands_total, zero
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -244,27 +244,45 @@ def test_corrupted_central_pmap_fails_only_sum_expansion(p, make):
 
 
 def test_fold_on_basis_sums_is_shared_by_all_extensions(monkeypatch):
-    # The W-level p-th powers of the basis sums b_u + b_v come from one fold
-    # per unordered pair, shared by all p + 1 extensions of the prime.
-    from wittcoh import extensions, witt
+    # The W-level p-th powers and omega functionals of the basis sums
+    # b_u + b_v come from one pth_power_rows call and one
+    # omega_functional_rows call on the stacked pairs u <= v, shared by all
+    # p + 1 extensions of the prime, and equal the per-element fold.
+    from wittcoh.restricted import omega_functional
+    from wittcoh.witt import pth_power
 
     p = 7
+    n = p + 1
     field = PrimeField(p)
-    calls = []
-    fold = witt.pth_power
+    sums = np.array([[(w == u) + (w == v) for w in range(p)] for u in range(n) for v in range(u, n)])
+    inputs = {"pth_power_rows": [], "omega_functional_rows": []}
 
-    def counted(g, term_order=None):
-        calls.append(g)
-        return fold(g, term_order)
+    def counted(name):
+        kernel = getattr(extensions, name)
 
-    monkeypatch.setattr(witt, "pth_power", counted)
-    monkeypatch.setattr(extensions, "pth_power", counted)
+        def wrapper(gs, q):
+            inputs[name].append(np.array(gs))
+            return kernel(gs, q)
+
+        return wrapper
+
+    for name in inputs:
+        monkeypatch.setattr(extensions, name, counted(name))
     extensions._basis_sum_powers.cache_clear()
     reps = restricted_h2(field).representatives
     assert len(reps) == p + 1
     for c in reps:
         assert verify_restricted_axioms(build_extension(c), trials=5, seed=1).all_pass
-    assert 0 < len(calls) <= (p + 1) * (p + 2) // 2
+    for name, calls in inputs.items():
+        assert [a.shape == sums.shape and (a == sums).all() for a in calls].count(True) == 1, name
+    assert len(inputs["pth_power_rows"]) == 1  # CentralExtension's p-map takes the derivation route
+
+    powers, functionals = extensions._basis_sum_powers(field)
+    for u in range(n):
+        for v in range(n):
+            g = WittElement(field, tuple((w == u) + (w == v) for w in range(p)))
+            assert tuple(powers[u, v]) == pth_power(g).coeffs
+            assert (functionals[u, v] == omega_functional(g)).all()
     extensions._basis_sum_powers.cache_clear()
 
 
@@ -470,6 +488,39 @@ CONTROLS = {
         ],
     ),
 }
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_adjoint_basis_scan_names_the_pair_a_loop_meets_first(p):
+    # The stacked matrix power must report the basis pair that a loop over
+    # u, testing [b_v, b_u^{[p]}] = [b_v, b_u, ..., b_u] for every v, meets first.
+    def loop_detail(ext):
+        t = ext.bracket_table
+        for u in range(p + 1):
+            chain = np.eye(p + 1, dtype=np.int64)
+            for _ in range(p):
+                chain = chain @ t[:, u, :] % p
+            direct = np.einsum("svm,v->sm", t, ext.pmap_basis[u]) % p
+            rows = np.flatnonzero((chain != direct).any(axis=1))
+            if rows.size:
+                return f"fails on basis positions ({rows[0]}, {u})"
+        return ""
+
+    rng = random.Random(p)
+    ext = virasoro_extension(PrimeField(p))
+    seen = 0
+    for _ in range(10):
+        bad = ext
+        for _ in range(rng.randrange(1, 3)):
+            bad = _corrupted_pmap(bad, rng.randrange(p), rng.randrange(p), rng.randrange(1, p))
+        expected = loop_detail(bad)
+        adjoint = next(c for c in verify_restricted_axioms(bad, trials=2).checks if c.name == "adjoint_power")
+        if expected:
+            assert (adjoint.passed, adjoint.detail) == (False, expected)
+            seen += 1
+        else:
+            assert not adjoint.detail.startswith("fails on basis")
+    assert seen >= 5
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLS))

@@ -148,6 +148,56 @@ def test_grading_preserved(p):
         assert not d1[np.ix_(bad_pairs, [k + 1])].any()
 
 
+def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
+    # verify's grading check reads the cached grade arrays; on matrices with
+    # planted leaks it must name what a per-grade loop meets first: the
+    # lowest leaking grade k, and within k a d2 leak before a d1 leak.
+    from types import SimpleNamespace
+
+    from wittcoh import verify
+
+    p = 7
+    field = PrimeField(p)
+    pairs, triples = wedge_pairs(p), wedge_triples(p)
+
+    def loop_detail(d1, d2):
+        for k in range(-1, p - 1):
+            rows = [r for r in range(len(triples)) if triple_grade(p, triples[r]) != k]
+            if d2[np.ix_(rows, graded_pair_positions(p, k))].any():
+                return f"d2 leaks out of grade {k}"
+            rows = [r for r in range(len(pairs)) if pair_grade(p, pairs[r]) != k]
+            if d1[rows, k + 1].any():
+                return f"d1 leaks out of grade {k}"
+        return ""
+
+    def check_detail(d1, d2):
+        monkeypatch.setattr(verify.res, "cochain_complex", lambda f: SimpleNamespace(d1=d1, d2=d2))
+        result = next(c for c in verify._ordinary_checks(field) if c.name == "ordinary.grading_preserved")
+        assert result.passed == (not result.detail)
+        return result.detail
+
+    rng = random.Random(3)
+    details = set()
+    for _ in range(30):
+        d1, d2 = delta1_matrix(field), delta2_matrix(field)
+        for _ in range(rng.randrange(3)):
+            r, c = rng.randrange(len(triples)), rng.randrange(len(pairs))
+            d2[r, c] = 0 if triple_grade(p, triples[r]) == pair_grade(p, pairs[c]) else 1
+        for _ in range(rng.randrange(3)):
+            r, c = rng.randrange(len(pairs)), rng.randrange(p)
+            d1[r, c] = 0 if pair_grade(p, pairs[r]) == c - 1 else 1
+        expected = loop_detail(d1, d2)
+        assert check_detail(d1, d2) == expected
+        details.add(expected.split(" ")[0])
+    assert details == {"", "d1", "d2"}
+
+    # Both leak out of grade 2: d2 is named.
+    d1, d2 = delta1_matrix(field), delta2_matrix(field)
+    d2[graded_triple_positions(p, 0)[0], graded_pair_positions(p, 2)[0]] = 1
+    d1[graded_pair_positions(p, 0)[0], 3] = 1
+    assert check_detail(d1, d2) == loop_detail(d1, d2) == "d2 leaks out of grade 2"
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_graded_dimensions(p):
     for k in range(-1, p - 1):

@@ -6,12 +6,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.oracles import first_axiom_failure, jacobi_failure_by_loops, pth_power_by_composition, sample_rows
+from tests.oracles import (
+    CyclicPoly,
+    first_axiom_failure,
+    jacobi_failure_by_loops,
+    pth_power_by_composition,
+    sample_rows,
+)
 from wittcoh import verify, witt
 from wittcoh.extensions import omega_extension, virasoro_extension
 from wittcoh.gfp import PrimeField
 from wittcoh.witt import (
-    CyclicPoly,
     ProportionalityError,
     WittElement,
     basis_element,
@@ -59,6 +64,24 @@ def test_bracket_basis_rule():
 def test_bracket_rejects_mismatched_fields():
     with pytest.raises(ValueError):
         bracket(e(0), basis_element(F7, 0))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_bracket_reads_no_structure_tensor(p, monkeypatch):
+    # bracket is the formula route, so comparing it with the tensor is a
+    # check of two independent routes also on dense elements.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    t = witt._bracket_tensor(p)
+
+    def no_tensor(q):
+        raise AssertionError("bracket read the structure tensor")
+
+    monkeypatch.setattr(witt, "_bracket_tensor", no_tensor)
+    for _ in range(5):
+        x, y = (WittElement(field, tuple(rng.randrange(1, p) for _ in range(p))) for _ in range(2))
+        expected = np.einsum("s,t,stm->m", x.coeffs, y.coeffs, t) % p
+        assert bracket(x, y).coeffs == tuple(expected.tolist())
 
 
 def test_bracket_chain_examples():
