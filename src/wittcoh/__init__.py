@@ -18,7 +18,7 @@ from .extensions import (
     verify_restricted_axioms,
     virasoro_extension,
 )
-from .gfp import InconsistentSubspaceError, PrimeField, is_prime
+from .gfp import PrimeField, is_prime
 from .ordinary import (
     Cochain1,
     Cochain2Ord,

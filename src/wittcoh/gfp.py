@@ -13,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class InconsistentSubspaceError(ValueError):
-    """A claimed subspace relation (containment or independence) fails."""
-
-
 def is_prime(n: int) -> bool:
     """Primality by trial division."""
     if n < 2:
@@ -54,12 +50,6 @@ class PrimeField:
         if m.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
         return m % self.p
-
-    def vector(self, entries) -> np.ndarray:
-        v = np.array(entries, dtype=np.int64)
-        if v.ndim != 1:
-            raise ValueError(f"expected a 1-D vector, got ndim={v.ndim}")
-        return v % self.p
 
     def rref(self, m) -> tuple[np.ndarray, list[int]]:
         """Reduced row echelon form and the (strictly increasing) pivot columns."""
@@ -101,51 +91,3 @@ class PrimeField:
                 v[c] = (-int(r[row, f])) % self.p
             basis.append(v)
         return basis
-
-    def solve_membership(self, basis, v) -> list[int] | None:
-        """Coefficients expressing v in span(basis), or None if v is outside.
-
-        basis is a sequence of equal-length vectors; the returned combination
-        reproduces v exactly (free coefficients are set to zero).
-        """
-        v = self.vector(v)
-        if not len(basis):
-            return [] if not v.any() else None
-        a = np.column_stack([self.vector(b) for b in basis])
-        if a.shape[0] != v.shape[0]:
-            raise ValueError("vector length does not match basis")
-        aug = np.column_stack([a, v])
-        r, pivots = self.rref(aug)
-        n = a.shape[1]
-        if n in pivots:
-            return None
-        coeffs = [0] * n
-        for row, c in enumerate(pivots):
-            coeffs[c] = int(r[row, n])
-        return coeffs
-
-    def quotient_representatives(self, ker, im) -> list[np.ndarray]:
-        """Extend a basis of span(im) inside span(ker); the added vectors are returned.
-
-        Requires im to be contained in span(ker) and both families to be
-        independent; violations raise InconsistentSubspaceError.
-        """
-        ker = [self.vector(v) for v in ker]
-        im = [self.vector(v) for v in im]
-        for u in im:
-            if self.solve_membership(ker, u) is None:
-                raise InconsistentSubspaceError("im is not contained in span(ker)")
-        if ker and self.rank(np.vstack(ker)) != len(ker):
-            raise InconsistentSubspaceError("kernel family is not independent")
-        if im and self.rank(np.vstack(im)) != len(im):
-            raise InconsistentSubspaceError("image family is not independent")
-        reps: list[np.ndarray] = []
-        current = list(im)
-        rank = len(im)
-        for v in ker:
-            candidate = current + [v]
-            if self.rank(np.vstack(candidate)) > rank:
-                reps.append(v)
-                current = candidate
-                rank += 1
-        return reps

@@ -47,10 +47,12 @@ That is the formula route; the assembled delta2_res_matrix is a second,
 independent route, and the tests compare the two column by column.
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
-it assembles the dense ordinary and restricted d1, d2 once per prime and
-computes their ranks, ker d2_res and the graded kernel dimensions grade
-block by grade block.  Every cohomology dimension, coboundary test and
-kernel sample reads it; the whole dense matrices are the oracle for the
+it assembles the dense ordinary and restricted d1, d2 once per prime.
+Each column of d1 has its own grade, so distinct columns meet disjoint
+rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
+columns; the ranks of d2, d2_res and ker d2_res are computed grade block
+by grade block.  Every cohomology dimension, coboundary test and kernel
+sample reads it; the whole dense matrices are the oracle for the
 blockwise ranks.  A prime whose dense d2_res would exceed DENSE_D2_BYTES
 (1 GiB, so p > 67) is refused before anything is allocated.
 """
@@ -436,15 +438,11 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _grade_blocks(m: np.ndarray, row_grades: np.ndarray, col_grades: np.ndarray):
-    """block(k): the rows and columns of m of grade k, in their order in m.
-
-    Raises unless every nonzero entry of m lies inside one of these blocks.
-    """
+def _check_grading(m: np.ndarray, row_grades: np.ndarray, col_grades: np.ndarray) -> None:
+    """Raise unless every nonzero entry of m has equal row and column grade."""
     rows, cols = np.nonzero(m)
     if (row_grades[rows] != col_grades[cols]).any():
         raise ArithmeticError("a coboundary matrix does not preserve the grading")
-    return lambda k: m[np.ix_(row_grades == k, col_grades == k)]
 
 
 def _graded_kernel(field: PrimeField, col_grades: np.ndarray, block) -> tuple[list[np.ndarray], dict[int, int]]:
@@ -483,8 +481,12 @@ class CochainComplex:
     arrays, each assembled once; the ordinary ones are the top-left corners
     of the restricted ones.  Every coboundary preserves the grade: the index
     sum of a pair or triple, i for e^i and for omega_i, and a for the beta
-    row (a, b).  Ranks and ker d2_res are therefore computed block by block;
-    the whole dense matrices are only the oracle for them
+    row (a, b).  The column e^k of d1_res (and of d1) is its only column of
+    grade k, so distinct columns meet disjoint rows: the nonzero columns are
+    independent and a zero column spans the kernel of its grade.  Degree 1
+    is therefore read off the zero columns with no row reduction.  The ranks
+    of d2, d2_res and ker d2_res are computed block by block; the whole
+    dense matrices are only the oracle for them
     (verify's ordinary.block_full_agreement).
     """
 
@@ -500,21 +502,22 @@ class CochainComplex:
         pairs, triples = _pair_grades(p), _triple_grades(p)
         res_pairs = np.concatenate([pairs, index])
         res_triples = np.concatenate([triples, np.repeat(index, p)])
-        ker1, dims1 = _graded_kernel(field, index, _grade_blocks(self.d1, pairs, index))
-        ker1_res, _ = _graded_kernel(field, index, _grade_blocks(self.d1_res, res_pairs, index))
-        ker2_res, _ = _graded_kernel(field, res_pairs, _grade_blocks(self.d2_res, res_triples, res_pairs))
-        # d2 is a corner of d2_res, whose grade check covers it.
+        # The ordinary matrices are corners of the restricted ones, whose checks cover them.
+        _check_grading(self.d1_res, res_pairs, index)
+        _check_grading(self.d2_res, res_triples, res_pairs)
+        self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
+        zero1, zero1_res = (self._pivots[r][1] == 0 for r in (False, True))  # zero columns, by grade
+        ker2_res, _ = _graded_kernel(field, res_pairs, lambda k: self.d2_res[np.ix_(res_triples == k, res_pairs == k)])
         ker2, dims2 = _graded_kernel(field, pairs, partial(delta2_block, self.d2, p))
-        self.rank_d1 = p - len(ker1)
-        self.rank_d1_res = p - len(ker1_res)
+        self.rank_d1 = p - int(zero1.sum())
+        self.rank_d1_res = p - int(zero1_res.sum())
         self.rank_d2 = n2 - len(ker2)
         self.rank_d2_res = n2 + p - len(ker2_res)
         self.ker_d2_res = tuple(ker2_res)
-        self.graded_kernel_dims = {1: dims1, 2: dims2}
+        self.graded_kernel_dims = {1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)}, 2: dims2}
         # (H^0, H^1, H^2); d0 vanishes on trivial coefficients.
-        self.h_ordinary = (1, len(ker1), len(ker2) - self.rank_d1)
-        self.h_restricted = (1, len(ker1_res), len(ker2_res) - self.rank_d1_res)
-        self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
+        self.h_ordinary = (1, p - self.rank_d1, len(ker2) - self.rank_d1)
+        self.h_restricted = (1, p - self.rank_d1_res, len(ker2_res) - self.rank_d1_res)
 
     def split_coboundary(self, v, restricted: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """(psi, rest) with v = d1 psi + rest; v is a coboundary exactly when rest = 0.

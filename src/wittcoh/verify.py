@@ -11,8 +11,8 @@ Every check runs at every supported prime (odd, at most 67: above that
 the dense d2 matrices would exceed 1 GiB, and run_prime refuses the prime
 before any work), except the few whose statement needs p > 3 and the
 exhaustive starstar oracle, which enumerates all 2^(p-2) label sequences
-and runs up to p = 19; those are reported as skipped rather than passed
-silently, so every prime from 5 to 19 is fully verified.
+and runs up to p = 23; those are reported as skipped rather than passed
+silently, so every prime from 5 to 23 is fully verified.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts.
 """
@@ -270,8 +270,9 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
 
 # The largest prime at which the exhaustive ** oracle runs.  Its 2^(p-3)
 # chains grow 16-fold from p = 19 to p = 23, where the check's 4 samples
-# take about 0.7 s against 0.05 s at p = 19 (2-core x86-64).
-STARSTAR_MAX_PRIME = 19
+# take about 0.8 s against 0.05 s at p = 19 (best of 3, 2-core x86-64),
+# and 64-fold more to p = 29, where they would take about a minute.
+STARSTAR_MAX_PRIME = 23
 
 
 def _starstar_exhaustive(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wittcoh.gfp import InconsistentSubspaceError, PrimeField, is_prime
+from wittcoh.gfp import PrimeField, is_prime
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -66,45 +66,6 @@ def test_kernel_examples():
 
     assert f.kernel_basis(np.eye(3, dtype=np.int64)) == []
     assert len(f.kernel_basis(np.zeros((2, 2), dtype=np.int64))) == 2
-
-
-def test_solve_membership_examples():
-    f = PrimeField(5)
-    assert f.solve_membership([np.array([1, 0])], np.array([3, 0])) == [3]
-    assert f.solve_membership([np.array([1, 0])], np.array([0, 1])) is None
-    assert f.solve_membership([], np.array([0, 0])) == []
-    assert f.solve_membership([], np.array([1, 0])) is None
-
-
-def test_solve_membership_reproduces_vector():
-    f = PrimeField(7)
-    rng = np.random.default_rng(0)
-    basis = [f.vector(rng.integers(0, 7, size=5)) for _ in range(3)]
-    combo = (2 * basis[0] + 5 * basis[1] + basis[2]) % 7
-    coeffs = f.solve_membership(basis, combo)
-    assert coeffs is not None
-    rebuilt = sum(c * b for c, b in zip(coeffs, basis)) % 7
-    assert (rebuilt == combo).all()
-
-
-def test_quotient_representatives_examples():
-    f = PrimeField(5)
-    e1, e2 = np.array([1, 0]), np.array([0, 1])
-    reps = f.quotient_representatives([e1, e2], [e1])
-    assert len(reps) == 1
-    assert f.solve_membership([e1], reps[0]) is None
-
-    assert f.quotient_representatives([e1], [e1]) == []
-    assert [list(v) for v in f.quotient_representatives([e1, e2], [])] == [[1, 0], [0, 1]]
-
-
-def test_quotient_representatives_errors():
-    f = PrimeField(5)
-    e1, e2 = np.array([1, 0]), np.array([0, 1])
-    with pytest.raises(InconsistentSubspaceError):
-        f.quotient_representatives([e1], [e2])
-    with pytest.raises(InconsistentSubspaceError):
-        f.quotient_representatives([e1, e2], [e1, np.array([2, 0])])
 
 
 @st.composite

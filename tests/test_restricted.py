@@ -19,6 +19,8 @@ from wittcoh.ordinary import (
     delta2_cl,
     delta2_matrix,
     dual_basis,
+    graded_pair_positions,
+    graded_triple_positions,
     wedge_pairs,
     wedge_triples,
 )
@@ -464,6 +466,80 @@ def test_run_prime_assembles_and_reduces_the_dense_d2_once(monkeypatch):
     assert shapes.count((84, 28)) == 1
 
 
+@pytest.fixture
+def fresh_complex():
+    # A test that patches the matrices or counts their reductions builds its own complex
+    # and leaves none in the cache.
+    restricted.cochain_complex.cache_clear()
+    yield
+    restricted.cochain_complex.cache_clear()
+
+
+@pytest.mark.parametrize("p,k,corner_only", [(5, 2, False), (7, -1, False), (7, 0, False), (7, 0, True)])
+def test_degree_one_is_read_off_the_zero_columns(monkeypatch, fresh_complex, p, k, corner_only):
+    # W's d1 has no zero column, so zero the column of e^k: in d1_res, or only
+    # in its ordinary corner d1 (e^0 keeps its omega row then).
+    field = PrimeField(p)
+    n2 = len(wedge_pairs(p))
+    assemble = restricted.delta1_res_matrix
+
+    def zeroed(field):
+        m = assemble(field)
+        m[: n2 if corner_only else None, k + 1] = 0
+        return m
+
+    monkeypatch.setattr(restricted, "delta1_res_matrix", zeroed)
+    cx = cochain_complex(field)
+    d1_res = zeroed(field)
+    d1 = d1_res[:n2]
+    assert cx.rank_d1 == field.rank(d1) == p - 1
+    assert cx.rank_d1_res == field.rank(d1_res)
+    assert (cx.h_ordinary[1], cx.h_restricted[1]) == (p - field.rank(d1), p - field.rank(d1_res))
+    assert cx.graded_kernel_dims[1] == {
+        g: len(field.kernel_basis(d1[graded_pair_positions(p, g)][:, [g + 1]])) for g in range(-1, p - 1)
+    }
+
+
+@pytest.mark.parametrize("matrix", ["delta1_res_matrix", "delta2_res_matrix"])
+@pytest.mark.parametrize("part", ["ordinary", "restricted"])
+def test_complex_refuses_a_grading_leak(monkeypatch, matrix, part):
+    # Column 0 (e^-1 in d1_res, the pair (-1, 0) in d2_res) has grade -1; the
+    # planted entry sits in a row of grade 0.
+    p = 7
+    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    degree_one = matrix == "delta1_res_matrix"
+    if part == "ordinary":
+        row = (graded_pair_positions if degree_one else graded_triple_positions)(p, 0)[0]
+    else:
+        row = n2 + 1 if degree_one else n3 + p  # the row of omega_0; the beta row (0, -1)
+    assemble = getattr(restricted, matrix)
+
+    def leaky(field):
+        m = assemble(field)
+        m[row, 0] = 1
+        return m
+
+    monkeypatch.setattr(restricted, matrix, leaky)
+    with pytest.raises(ArithmeticError, match="grading"):
+        restricted.CochainComplex(PrimeField(p))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_complex_row_reduces_only_the_degree_two_blocks(monkeypatch, fresh_complex, p):
+    # One rref per grade block of d2 and of d2_res; none on d1's one-column blocks.
+    shapes = []
+    rref = gfp.PrimeField.rref
+
+    def counting_rref(self, m):
+        shapes.append(np.shape(m))
+        return rref(self, m)
+
+    monkeypatch.setattr(gfp.PrimeField, "rref", counting_rref)
+    cochain_complex(PrimeField(p))
+    assert len(shapes) == 2 * p
+    assert all(cols > 1 for _, cols in shapes)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_representatives_are_independent_mod_coboundaries(p):
     field = PrimeField(p)
@@ -475,17 +551,13 @@ def test_representatives_are_independent_mod_coboundaries(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_generic_quotient_extraction_matches_named_representatives(p):
-    # Extending a basis of im(d1) inside ker(d2) must produce exactly
-    # h2_dim vectors spanning the same space as im(d1) + the named basis.
+    # im(d1) and the named representatives span ker(d2): by rank, they have
+    # dim ker(d2) together and add nothing to a dense kernel basis.
     field = PrimeField(p)
     ker = field.kernel_basis(delta2_res_matrix(field))
-    d1 = delta1_res_matrix(field)
-    im = [d1[:, t] for t in range(p)]
-    reps = field.quotient_representatives(ker, im)
     h2 = restricted_h2(field)
-    assert len(reps) == h2.h2_dim
-    named = [c2_to_vector(c) for c in h2.representatives]
-    assert field.rank(np.vstack(im + reps)) == field.rank(np.vstack(im + named + reps))
+    spanning = np.vstack([delta1_res_matrix(field).T] + [c2_to_vector(c) for c in h2.representatives])
+    assert field.rank(spanning) == len(ker) == field.rank(np.vstack([spanning] + ker))
 
 
 def test_project_class_to_ordinary():
