@@ -26,9 +26,13 @@ needs g^{[p]}, taken by the derivation route, and omega(g) off the basis,
 which is the source cocycle's coordinates against restricted.omega_functional;
 that the result satisfies the p-th power sum axiom inside E is then a
 theorem the verifier confirms rather than an assumption.  The p-map is a
-row kernel on stacked coefficient rows (CentralExtension.pth_power_rows,
-built on witt's derivation rows and restricted's omega rows), and the
-verifier takes all powers of one axiom's random trials in one call;
+row kernel on stacked coefficient rows, built on witt's derivation rows
+and restricted's omega rows: pmap_rows pairs each row with its own source
+cocycle, so rows of many extensions share one call, and
+CentralExtension.pth_power_rows is its call for one extension.  The
+verifier checks the extensions of a prime together, taking the powers of
+one axiom's random trials of every extension in one call, and
+extract_cocycle takes all p p-map defects in one call;
 CentralExtension.pth_power takes one element through the one-row entry
 points of the same kernels.
 """
@@ -44,7 +48,7 @@ import numpy as np
 
 from . import witt
 from .gfp import PrimeField
-from .ordinary import Cochain1, Cochain2Ord
+from .ordinary import Cochain1, Cochain2Ord, upper_triangle
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
@@ -61,13 +65,12 @@ from .restricted import (
 from .witt import (
     WittElement,
     basis_element,
-    first_failure,
+    first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
     pth_power_rows,
     pth_power_via_derivation,
     pth_power_via_derivation_rows,
     summands_total,
-    zero,
 )
 
 
@@ -165,10 +168,7 @@ class CentralExtension:
 
     def pth_power_rows(self, xs: np.ndarray) -> np.ndarray:
         """p-th powers of stacked coefficient rows (..., p + 1) of E, as rows (see pth_power)."""
-        p = self.p
-        ws = xs[..., :p]
-        central = omega_functional_rows(ws, p) @ c2_to_vector(self.source) % p
-        return np.concatenate([pth_power_via_derivation_rows(ws, p), central[..., None]], axis=-1)
+        return pmap_rows(xs, c2_to_vector(self.source), self.p)
 
     def with_bracket_entry_zeroed(self, i: int, j: int) -> "CentralExtension":
         """Copy with [e_i, e_j] (and its antisymmetric mirror) forced to zero.
@@ -180,6 +180,20 @@ class CentralExtension:
         table[i + 1, j + 1, :] = 0
         table[j + 1, i + 1, :] = 0
         return CentralExtension(self.source, table, self.pmap_basis.copy())
+
+
+def pmap_rows(xs: np.ndarray, cocycles: np.ndarray, p: int) -> np.ndarray:
+    """p-th powers of stacked coefficient rows (..., p + 1) of extensions, as rows.
+
+    Row g + a*c goes to g^{[p]} + omega(g) c (CentralExtension.pth_power):
+    the W parts take the derivation route in one call, and omega(g) is the
+    row's own source cocycle, cocycles (..., c2_dim(p)) broadcast against
+    the rows' leading axes, against g's omega functional, all taken in one
+    omega_functional_rows call.  Rows of many extensions thus share one call.
+    """
+    ws = xs[..., :p]
+    central = (omega_functional_rows(ws, p) * cocycles).sum(axis=-1) % p
+    return np.concatenate([pth_power_via_derivation_rows(ws, p), central[..., None]], axis=-1)
 
 
 def build_extension(c: Cochain2Res, check: bool = True) -> CentralExtension:
@@ -222,20 +236,17 @@ def extract_cocycle(ext: CentralExtension, sigma: list[ExtElement]) -> Cochain2R
     images = np.array([s.coeffs() for s in sigma])
     left = np.tensordot(images, ext.bracket_table, axes=1)  # left[u, v] = [sigma(e_{u-1}), b_v]
     brackets = np.einsum("vx,uxw->uvw", images, left) % p
-    u, v = np.triu_indices(p, 1)
+    u, v = upper_triangle(p)
     defects = (brackets[u, v] - (v - u)[:, None] * images[(u + v - 1) % p]) % p
     if defects[:, :p].any():
         raise NotASplittingError("bracket defect left W, the table is not an extension of W")
-    phi_vals = defects[:, p].tolist()
-    omega_vals = []
-    for i in range(-1, p - 1):
-        power = ext.pth_power(sigma[i + 1])
-        target = sigma[1] if i == 0 else ExtElement(zero(field), 0)  # sigma(e_i^{[p]})
-        diff = power - target
-        if not diff.witt.is_zero():
-            raise NotASplittingError("p-map defect left W")
-        omega_vals.append(diff.central)
-    return Cochain2Res(Cochain2Ord(field, tuple(phi_vals)), tuple(omega_vals))
+    # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}) in one call; e_0^{[p]} = e_0, the rest vanish.
+    targets = np.zeros_like(images)
+    targets[1] = images[1]
+    powers = (ext.pth_power_rows(images) - targets) % p
+    if powers[:, :p].any():
+        raise NotASplittingError("p-map defect left W")
+    return Cochain2Res(Cochain2Ord(field, tuple(defects[:, p].tolist())), tuple(powers[:, p].tolist()))
 
 
 @dataclass(frozen=True)
@@ -291,123 +302,155 @@ def _basis_sum_powers(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
 def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int = 0) -> AxiomReport:
     """Check antisymmetry, Jacobi, centrality of c and the three p-map axioms.
 
+    The one-extension call of verify_restricted_axioms_stacked, which
+    describes the checks.
+    """
+    return verify_restricted_axioms_stacked([ext], trials, [seed])[0]
+
+
+def verify_restricted_axioms_stacked(
+    exts: list[CentralExtension], trials: int, seeds: list[int]
+) -> list[AxiomReport]:
+    """The axiom report of each extension of one prime, extension k drawing from random.Random(seeds[k]).
+
     Antisymmetry, Jacobi, centrality and the adjoint axiom run exhaustively
     over the table basis, the adjoint axiom also on `trials` seeded random
     pairs; the scalar axiom runs on `trials` random elements and the sum
     axiom on every basis pair plus `trials` random pairs.
 
     The sum axiom sweeps all (p+1)^2 basis pairs at once: the summands come
-    from this extension's own table in one stacked call, the basis powers
+    from each extension's own table in one stacked call, the basis powers
     from its p-map rows, and the left side from a per-prime sweep shared by
     every extension, the fold p-th power and omega functional of each basis
-    sum b_u + b_v, paired with this extension's source cocycle.  The first
+    sum b_u + b_v, paired with the extension's source cocycle.  The first
     failing pair is reported in row-major order.
 
-    The random trials of each axiom take all their p-th powers in one
-    pth_power_rows call and are tested together.  The draws are the same
-    as those of a loop testing each trial as it is drawn, and so is the
-    reported failure, the first failing trial: after a failure the
-    generator is wound back to where such a loop stops drawing, so later
-    axioms draw the same elements too (witt.first_failure).
+    The extensions are checked axiom by axiom, all together: the random
+    trials of one axiom, of every extension, take their p-th powers in one
+    pmap_rows call, each row with its own source cocycle, and are tested
+    together.  Each extension's draws are the same as those of a loop
+    testing its trials one by one, and so is the reported failure, its
+    first failing trial: after a failure its generator is wound back to
+    where such a loop stops drawing, so later axioms draw the same elements
+    too (witt.first_failures).
     """
-    p = ext.p
-    rng = random.Random(seed)
-    checks: list[AxiomCheck] = []
-    table = ext.bracket_table
+    p = exts[0].p
+    n = p + 1
+    if any(e.p != p for e in exts) or len(seeds) != len(exts):
+        raise ValueError("need one seed per extension, all over the same prime")
+    rngs = [random.Random(seed) for seed in seeds]
+    tables = np.stack([e.bracket_table for e in exts])
+    pmaps = np.stack([e.pmap_basis for e in exts])
+    cocycles = np.stack([c2_to_vector(e.source) for e in exts])
+    checks: list[list[AxiomCheck]] = [[] for _ in exts]
+
+    def add(name: str, passed, details) -> None:
+        for found, ok, detail in zip(checks, passed, details):
+            found.append(AxiomCheck(name, bool(ok), detail))
 
     # Entries are reduced and p is odd, so 2 [b_u, b_u] = 0 forces [b_u, b_u] = 0.
-    anti = ((table + table.transpose(1, 0, 2)) % p).any()
-    checks.append(AxiomCheck("antisymmetry", not anti))
+    anti = ((tables + tables.transpose(0, 2, 1, 3)) % p).any(axis=(1, 2, 3))
+    add("antisymmetry", ~anti, [""] * len(exts))
+    witnesses = [_jacobi_scan(e) for e in exts]
+    add("jacobi", [w == "" for w in witnesses], witnesses)
+    central = tables[:, :, p].any(axis=(1, 2)) | tables[:, p].any(axis=(1, 2)) | pmaps[:, p].any(axis=1)
+    add("central_element", ~central, [""] * len(exts))
 
-    witness = _jacobi_scan(ext)
-    checks.append(AxiomCheck("jacobi", witness == "", witness))
-
-    central_ok = not table[:, p, :].any() and not table[p, :, :].any() and not ext.pmap_basis[p].any()
-    checks.append(AxiomCheck("central_element", central_ok))
-
-    def random_ext(nonzero: bool = False) -> ExtElement:
+    def random_row(rng: random.Random, nonzero: bool = False) -> list[int]:
         while True:
-            x = ext.from_coeffs([rng.randrange(p) for _ in range(p + 1)])
-            if not nonzero or not x.is_zero():
+            x = [rng.randrange(p) for _ in range(n)]
+            if not nonzero or any(x):
                 return x
 
-    def stacked(elements) -> np.ndarray:
-        return np.array([x.coeffs() for x in elements])
+    def random_pair(rng: random.Random) -> tuple[list[int], list[int]]:
+        return random_row(rng, True), random_row(rng, True)
+
+    def failure(k: int, x, y) -> str:  # extension k's failing pair, as the loops reported it
+        return f"fails for x={exts[k].from_coeffs(x)!r}, y={exts[k].from_coeffs(y)!r}"
+
+    # right[k, u] is the right-bracket matrix of b_u in extension k: (v @ right[k, u]) is [v, b_u].
+    right = tables.transpose(0, 2, 1, 3)
+    right_rows = right.reshape(len(exts), n, n * n)
+
+    def right_of(xs: np.ndarray, part) -> np.ndarray:
+        """Right-bracket matrices of rows xs (k, m, n), xs[k] in extension part[k]."""
+        return (xs @ right_rows[part]).reshape(xs.shape + (n,)) % p
 
     # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.
     def scalar_failing(samples):
-        lams = np.array([lam for lam, _ in samples])
-        lam_p = np.array([pow(lam, p, p) for lam, _ in samples])
-        xs = stacked(x for _, x in samples)
-        scaled, powers = ext.pth_power_rows(np.stack([lams[:, None] * xs, xs]))
-        return ((scaled - lam_p[:, None] * powers) % p).any(axis=1)
+        lams = np.array([[lam for lam, _ in drawn] for drawn in samples])
+        lam_p = np.array([[pow(lam, p, p) for lam, _ in drawn] for drawn in samples])
+        xs = np.array([[x for _, x in drawn] for drawn in samples])
+        scaled, powers = pmap_rows(np.stack([lams[..., None] * xs, xs]), cocycles[:, None], p)
+        return ((scaled - lam_p[..., None] * powers) % p).any(axis=-1)
 
-    samples, k = first_failure(rng, lambda: (rng.randrange(p), random_ext()), trials, scalar_failing)
-    detail = "" if k is None else "fails for lambda={}, x={!r}".format(*samples[k])
-    checks.append(AxiomCheck("scalar_power", k is None, detail))
-
-    # Right-bracket matrices: (v @ right_of(x)) is [v, x] on coefficient vectors; x may be stacked.
-    def right_of(xv: np.ndarray) -> np.ndarray:
-        return np.einsum("svm,...v->...sm", table, xv) % p
-
-    right = table.transpose(1, 0, 2)  # right[u] = right_of(b_u)
+    samples, firsts = first_failures(rngs, lambda rng: (rng.randrange(p), random_row(rng)), trials, scalar_failing)
+    details = [""] * len(exts)
+    for k, j in enumerate(firsts):
+        if j is not None:
+            lam, x = samples[k][j]
+            details[k] = f"fails for lambda={lam}, x={exts[k].from_coeffs(x)!r}"
+    add("scalar_power", [not d for d in details], details)
 
     # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.
     # For basis x = b_u the chain over every y at once is the p-th power of
     # the right-bracket matrix, so the exhaustive scan raises all of them to
-    # the p-th power in one stacked product per factor; the random pairs run
-    # stacked too.  The first mismatch is taken row-major in (u, v).
+    # the p-th power in one stacked product per factor; the random pairs of
+    # the extensions that pass it run stacked too.  The first mismatch is
+    # taken row-major in (u, v).
     chains = right
     for _ in range(p - 1):
         chains = chains @ right % p
-    bad = np.argwhere((chains != right_of(ext.pmap_basis)).any(axis=-1))
-    ok = not bad.size
-    detail = "" if ok else "fails on basis positions ({1}, {0})".format(*bad[0])
-    if ok:
+    bad = (chains != right_of(pmaps, slice(None))).any(axis=-1)
+    details = ["" if not b.any() else "fails on basis positions ({1}, {0})".format(*np.argwhere(b)[0]) for b in bad]
+    scanned = [k for k, detail in enumerate(details) if not detail]
 
-        def adjoint_failing(pairs):
-            xs, ys = stacked(x for x, _ in pairs), stacked(y for _, y in pairs)
-            bx = right_of(xs)
-            chain = ys[:, None]
-            for _ in range(p):
-                chain = (chain @ bx) % p
-            direct = ys[:, None] @ right_of(ext.pth_power_rows(xs)) % p
-            return (chain != direct)[:, 0].any(axis=1)
+    def adjoint_failing(samples):
+        xs, ys = (np.array([[pair[side] for pair in drawn] for drawn in samples]) for side in (0, 1))
+        bx = right_of(xs, scanned)
+        chain = ys[..., None, :]
+        for _ in range(p):
+            chain = chain @ bx % p
+        direct = ys[..., None, :] @ right_of(pmap_rows(xs, cocycles[scanned, None], p), scanned) % p
+        return (chain != direct)[..., 0, :].any(axis=-1)
 
-        pairs, k = first_failure(rng, lambda: (random_ext(True), random_ext(True)), trials, adjoint_failing)
-        if k is not None:
-            ok, detail = False, "fails for x={!r}, y={!r}".format(*pairs[k])
-    checks.append(AxiomCheck("adjoint_power", ok, detail))
+    pairs, firsts = first_failures([rngs[k] for k in scanned], random_pair, trials, adjoint_failing)
+    for k, drawn, j in zip(scanned, pairs, firsts):
+        if j is not None:
+            details[k] = failure(k, *drawn[j])
+    add("adjoint_power", [not d for d in details], details)
 
     # Sum axiom: (x+y)^{[p]} = x^{[p]} + y^{[p]} + sum_i s_i(x, y), the s_i
     # extracted from the lambda-expansion of the iterated bracket inside E.
-    # The basis pairs (u, v) are stacked in blocks of u, one block unless
-    # p is large, to bound the memory of the lambda rows.
-    n = p + 1
-    randoms = [(random_ext(True), random_ext(True)) for _ in range(trials)]
+    # The basis pairs (u, v) of each extension are stacked in blocks of u,
+    # one block unless p is large, to bound the memory of the lambda rows.
+    randoms = [[random_pair(rng) for _ in range(trials)] for rng in rngs]
     block = max(1, witt._SWEEP_BYTES // (8 * n * n * p))
-    summands = np.concatenate([
-        summands_total(np.eye(n, dtype=np.int64)[lo : lo + block, None], right[lo : lo + block, None], right, p)
-        for lo in range(0, n, block)
+    eye = np.eye(n, dtype=np.int64)
+    summands = np.stack([
+        np.concatenate([
+            summands_total(eye[lo : lo + block, None], right[k, lo : lo + block, None], right[k], p)
+            for lo in range(0, n, block)
+        ])
+        for k in range(len(exts))
     ])
-    powers, functionals = _basis_sum_powers(ext.field)
-    lhs = np.concatenate([powers, (functionals @ c2_to_vector(ext.source))[..., None]], axis=-1)
-    rhs = ext.pmap_basis[:, None] + ext.pmap_basis[None] + summands
-    bad = np.argwhere(((lhs - rhs) % p).any(axis=-1))  # row-major
-    ok, detail = not bad.size, ""
-    if not ok:
-        x, y = (ext.basis(int(w)) for w in bad[0])
-        detail = f"fails for x={x!r}, y={y!r}"
-    elif randoms:
-        xs, ys = stacked(x for x, _ in randoms), stacked(y for _, y in randoms)
-        x_pow, y_pow, sum_pow = ext.pth_power_rows(np.stack([xs, ys, xs + ys]))
-        rhs = x_pow + y_pow + summands_total(xs, right_of(xs), right_of(ys), p)
-        bad = np.flatnonzero(((sum_pow - rhs) % p).any(axis=1))
-        if bad.size:
-            ok, detail = False, "fails for x={!r}, y={!r}".format(*randoms[bad[0]])
-    checks.append(AxiomCheck("sum_expansion", ok, detail))
+    powers, functionals = _basis_sum_powers(exts[0].field)
+    omegas = np.einsum("uvc,kc->kuv", functionals, cocycles)  # omega(b_u + b_v) of each extension's source
+    lhs = np.concatenate([np.broadcast_to(powers, summands.shape[:-1] + (p,)), omegas[..., None]], axis=-1)
+    rhs = pmaps[:, :, None] + pmaps[:, None] + summands
+    bad = ((lhs - rhs) % p).any(axis=-1)
+    details = ["" if not b.any() else failure(k, *eye[np.argwhere(b)[0]]) for k, b in enumerate(bad)]
+    swept = [k for k, detail in enumerate(details) if not detail]
+    if swept and trials:
+        xs, ys = (np.array([[pair[side] for pair in randoms[k]] for k in swept]) for side in (0, 1))
+        x_pow, y_pow, sum_pow = pmap_rows(np.stack([xs, ys, xs + ys]), cocycles[swept, None], p)
+        rhs = x_pow + y_pow + summands_total(xs, right_of(xs, swept), right_of(ys, swept), p)
+        for k, b in zip(swept, ((sum_pow - rhs) % p).any(axis=-1)):
+            if b.any():
+                details[k] = failure(k, *randoms[k][np.argmax(b)])
+    add("sum_expansion", [not d for d in details], details)
 
-    return AxiomReport(tuple(checks))
+    return [AxiomReport(tuple(found)) for found in checks]
 
 
 def cohomologous(a: Cochain2Res, b: Cochain2Res) -> tuple[bool, Cochain1 | None]:

@@ -39,6 +39,14 @@ def pair_position(p: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
+def upper_triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(p, 1) as read-only arrays: the (u, v) = (i + 1, j + 1) of wedge_pairs(p), in order."""
+    u, v = np.triu_indices(p, 1)
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
+@lru_cache(maxsize=None)
 def wedge_triples(p: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(
         (r, s, t)
@@ -156,7 +164,7 @@ class Cochain2Ord:
         """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j)."""
         p = self.field.p
         m = np.zeros((p, p), dtype=np.int64)
-        m[np.triu_indices(p, 1)] = self.values  # wedge_pairs is the upper triangle, row by row
+        m[upper_triangle(p)] = self.values  # wedge_pairs is the upper triangle, row by row
         return (m - m.T) % p
 
     def is_zero(self) -> bool:

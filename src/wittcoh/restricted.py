@@ -79,6 +79,7 @@ from .ordinary import (
     delta2_cl,
     delta2_matrix,
     pair_position,
+    upper_triangle,
     virasoro_cocycle,
     wedge_normalize,
     wedge_pairs,
@@ -233,7 +234,7 @@ def _fold_functional(terms: np.ndarray, p: int) -> np.ndarray:
         prefixes, nexts = fold_steps(terms, p)
         q = _correction_weights(prefixes, nexts, p).sum(axis=-3)
         # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
-        w[..., :-p] = (q - q.swapaxes(-1, -2))[(...,) + np.triu_indices(p, 1)]
+        w[..., :-p] = (q - q.swapaxes(-1, -2))[(...,) + upper_triangle(p)]
     return w % p
 
 

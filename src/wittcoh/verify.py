@@ -105,8 +105,11 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
         elements = [witt.basis_element(field, i) for i in range(-1, p - 1)]
         elements += [witt.random_element(field, rng) for _ in range(oracle_trials)]
         gs = np.array([g.coeffs for g in elements])
-        bad = np.flatnonzero((witt.pth_power_rows(gs, p) != witt.pth_power_via_derivation_rows(gs, p)).any(axis=1))
+        derived = witt.pth_power_via_derivation_rows(gs, p)
+        bad = np.flatnonzero((witt.pth_power_rows(gs, p) != derived).any(axis=1))
         assert not bad.size, f"mismatch at {elements[bad[0]]!r}"
+        for g, power in zip(elements[:p], derived):  # the one-row entry point on the basis
+            assert witt.pth_power_via_derivation(g).coeffs == tuple(power), f"one-row mismatch at {g!r}"
         return f"{len(elements)} elements"
 
     checks.append(_check("witt.pth_power_oracle", oracle_equivalence))
@@ -333,6 +336,43 @@ def _starstar_exhaustive(
     return total % p
 
 
+def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.ndarray, ...]) -> str:
+    """omega(g) of 10 random combinations c of ker, each folded in 5 shuffled orders, equals eval_omega(c, g).
+
+    Fold-order independence is the executable form of omega being well
+    defined off the basis.  It holds exactly over cocycles (the only
+    cochains whose omega the library ever folds), and the suite also
+    confirms it genuinely fails off the kernel.  eval_omega in ascending
+    order, once per (c, g), is the reference; the 50 shuffled folds are one
+    stacked _fold_functional call, each fold's terms padded at the end with
+    zero terms, which add nothing (see witt.fold_rows).  The draws and the
+    failure are those of a loop testing each order as it is drawn.
+    """
+    p = field.p
+
+    def draws():
+        while True:  # a (cocycle, element) pair, then its 5 shuffled orders
+            c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+            g = witt.random_element(field, rng, True)
+            for _ in range(5):
+                order = g.support()
+                rng.shuffle(order)
+                yield c, g, order
+
+    def failing(samples):
+        base = np.repeat([res.eval_omega(c, g) for c, g, _ in samples[::5]], 5)
+        terms = np.zeros((len(samples), max(len(order) for *_, order in samples), p), dtype=np.int64)
+        for row, (_, g, order) in zip(terms, samples):
+            row[: len(order)] = witt.fold_terms(g, order)
+        cocycles = np.array([res.c2_to_vector(c) for c, _, _ in samples])
+        return (res._fold_functional(terms, p) * cocycles).sum(axis=1) % p != base
+
+    # 50 draws end on a pair boundary, so winding back redraws whole pairs from there.
+    _, k = witt.first_failure(rng, draws().__next__, 50, failing)
+    assert k is None, "fold order changes omega"
+    return "10 cocycles x 5 orders"
+
+
 def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
     p = field.p
     checks = []
@@ -402,23 +442,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
 
     checks.append(_check("restricted.star_consistency", star_consistency))
 
-    def omega_fold_invariance():
-        # Fold-order independence is the executable form of omega being
-        # well defined off the basis.  It holds exactly over cocycles
-        # (the only cochains whose omega the library ever folds), and the
-        # suite also confirms it genuinely fails off the kernel.
-        for _ in range(10):
-            vec = sum(rng.randrange(p) * v for v in cx.ker_d2_res) % p
-            c = res.c2_from_vector(field, vec)
-            g = witt.random_element(field, rng, True)
-            base = res.eval_omega(c, g)
-            for _ in range(5):
-                order = g.support()
-                rng.shuffle(order)
-                assert res.eval_omega(c, g, fold_order=order) == base, "fold order changes omega"
-        return "10 cocycles x 5 orders"
-
-    checks.append(_check("restricted.omega_fold_invariance", omega_fold_invariance))
+    checks.append(_check("restricted.omega_fold_invariance", lambda: _omega_fold_invariance(field, rng, cx.ker_d2_res)))
 
     def starstar_enumeration():
         for _ in range(4):
@@ -473,9 +497,15 @@ def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult
     def axioms_all():
         extensions = [ext.build_extension(c) for c in reps]
         trials = 5 if p <= 13 else 3
-        for e in extensions:
-            report = ext.verify_restricted_axioms(e, trials=trials, seed=rng.randrange(2**31))
-            assert report.all_pass, f"axioms fail: {[c.name for c in report.failed()]}"
+        reports = []
+
+        def failing(seeds):
+            reports[:] = ext.verify_restricted_axioms_stacked(extensions, trials, seeds)
+            return [not report.all_pass for report in reports]
+
+        # One seed per extension, drawn as a loop checking each in turn draws them.
+        _, k = witt.first_failure(rng, lambda: rng.randrange(2**31), len(extensions), failing)
+        assert k is None, f"axioms fail: {[c.name for c in reports[k].failed()]}"
         return f"{len(extensions)} extensions"
 
     checks.append(_check("extensions.axioms", axioms_all))

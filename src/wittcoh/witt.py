@@ -145,16 +145,30 @@ def first_failure(rng, draw, count: int, failing) -> tuple[list, int | None]:
     as it is drawn stops drawing after the first failure, so rng is wound
     back to where that loop leaves it and every later draw is unchanged.
     """
-    state = rng.getstate()
-    samples = [draw() for _ in range(count)]
-    bad = np.flatnonzero(failing(samples)) if samples else []
-    if not len(bad):
-        return samples, None
-    k = int(bad[0])
-    rng.setstate(state)
-    for _ in range(k + 1):
-        draw()
-    return samples, k
+    samples, (k,) = first_failures([rng], lambda _: draw(), count, lambda drawn: [failing(drawn[0])])
+    return samples[0], k
+
+
+def first_failures(rngs, draw, count: int, failing) -> tuple[list[list], list[int | None]]:
+    """first_failure for several generators whose samples are tested together.
+
+    draw(rng) draws one sample from rng, and failing takes the count
+    samples of every generator, one list each, and gives one row of flags
+    per generator.  Each generator is wound back as first_failure winds
+    back its one, so its draws are those of its own loop.
+    """
+    states = [rng.getstate() for rng in rngs]
+    samples = [[draw(rng) for _ in range(count)] for rng in rngs]
+    flags = failing(samples) if count and rngs else [[]] * len(rngs)
+    firsts: list[int | None] = []
+    for rng, state, row in zip(rngs, states, flags):
+        bad = np.flatnonzero(row)
+        firsts.append(int(bad[0]) if bad.size else None)
+        if bad.size:
+            rng.setstate(state)
+            for _ in range(firsts[-1] + 1):
+                draw(rng)
+    return samples, firsts
 
 
 def _check_same_field(x: WittElement, y: WittElement) -> None:
@@ -211,10 +225,10 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 # float64 holds every integer below this exactly.
 _EXACT_FLOAT = 2**53
 
-# Memory bound on one block of every blocked scan: the stacked bracket
-# matrices or lambda rows of a row kernel (fold_rows) or of the extension
-# sum-axiom sweep, the Jacobi sums of jacobi_scan, and the chain rows of
-# verify's exhaustive ** oracle.
+# Memory bound on one block of every blocked scan: all the arrays of a row
+# kernel's block (fold_rows), the lambda rows of the extension sum-axiom
+# sweep, the Jacobi sums of jacobi_scan, and the chain rows of verify's
+# exhaustive ** oracle.
 _SWEEP_BYTES = 64 << 20
 
 
@@ -282,16 +296,20 @@ def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p
     run in float64, which takes the BLAS path and is exact on integers
     below 2^53; one step multiplies the largest entry by at most
     2 n (p - 1), so the rows are reduced mod p only before they could
-    leave that range.
+    leave that range.  That bound needs every entry of start, bg and bh in
+    [0, p), as every caller passes them; an entry outside raises
+    ValueError instead of being reduced here again.
     """
     lead = np.broadcast_shapes(start.shape[:-1], bg.shape[:-2], bh.shape[:-2])
     n = start.shape[-1]
     growth = 2 * n * (p - 1)
     if (p - 1) * growth >= _EXACT_FLOAT:
         raise ValueError(f"p = {p} is too large for exact float64 products")
-    bg, bh = (bg % p).astype(np.float64), (bh % p).astype(np.float64)
+    if any(a.size and (a.min() < 0 or a.max() >= p) for a in (start, bg, bh)):
+        raise ValueError(f"lambda_rows needs entries reduced into [0, {p})")
+    bg, bh = bg.astype(np.float64), bh.astype(np.float64)
     rows = np.zeros(lead + (steps + 1, n))
-    rows[..., 0, :] = start % p
+    rows[..., 0, :] = start
     top = p - 1  # bound on every entry of the rows so far
     for k in range(1, steps + 1):
         if top * growth >= _EXACT_FLOAT:
@@ -355,7 +373,11 @@ def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
     it is, so each row folds exactly as over its own support.  Single-term
     rows take no fold step and are stacked apart, so they are not padded;
     zero rows take the value of an empty fold.  Stacks are split into
-    blocks whose bracket matrices stay within _SWEEP_BYTES.
+    blocks that stay within _SWEEP_BYTES: a kernel holds up to eight
+    arrays the size of a block's stacked bracket matrices at once (the
+    int64 and float64 matrices of both step factors, the lambda rows and
+    the step products), measured (tracemalloc, p = 13 and 23) at 6.5 to
+    7.7 of them.
     """
     flat = gs.reshape(-1, p) % p
     sizes = np.count_nonzero(flat, axis=1)
@@ -363,7 +385,7 @@ def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
     out = kernel(np.zeros((len(flat), 0, p), dtype=np.int64), p)
     for rows in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
         width = sizes[rows].max(initial=1)
-        block = max(1, _SWEEP_BYTES // (8 * width * p * p))
+        block = max(1, _SWEEP_BYTES // (8 * 8 * width * p * p))
         for lo in range(0, len(rows), block):
             part = rows[lo : lo + block]
             r, c = np.nonzero(flat[part])

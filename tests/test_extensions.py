@@ -357,23 +357,23 @@ def test_pmap_rows_equal_single_element_powers(p):
 
 
 def corrupt_pmap_rows(monkeypatch, rows_by_call):
-    """On call i of CentralExtension.pth_power_rows, add e_0 to the first stacked power at row rows_by_call[i].
+    """On call i of extensions.pmap_rows, add e_0 to the first stacked power at row rows_by_call[i].
 
     verify_restricted_axioms makes call 0 for the scalar axiom (its first
     stack is (lambda*x)^{[p]}), call 1 for the adjoint axiom's random
     pairs and call 2 for the sum axiom's (its first stack is x^{[p]}).
     """
-    original = CentralExtension.pth_power_rows
+    original = extensions.pmap_rows
     calls = []
 
-    def corrupted(self, xs):
-        out = original(self, xs).copy()
+    def corrupted(xs, cocycles, p):
+        out = original(xs, cocycles, p).copy()
         if len(calls) in rows_by_call:
             out.reshape(-1, xs.shape[-2], xs.shape[-1])[0, rows_by_call[len(calls)], 1] += 1
         calls.append(xs)
         return out
 
-    monkeypatch.setattr(CentralExtension, "pth_power_rows", corrupted)
+    monkeypatch.setattr(extensions, "pmap_rows", corrupted)
 
 
 def axiom_draws(ext, seed, scalar_trials, adjoint_trials, sum_trials):
@@ -528,3 +528,105 @@ def test_negative_control_reports_are_pinned(name):
     make, expected = CONTROLS[name]
     report = verify_restricted_axioms(make(), trials=2)
     assert [(c.name, c.passed, c.detail) for c in report.checks] == expected
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_stacked_reports_equal_one_extension_at_a_time(p):
+    # All p + 1 extensions checked together, with the corrupted controls of
+    # the prime in the middle, report what each reports checked alone; the
+    # controls, at seed 0 and 2 trials, keep their pinned reports.
+    field = PrimeField(p)
+    exts = [build_extension(c) for c in restricted_h2(field).representatives]
+    controls = [(make(), expected) for make, expected in CONTROLS.values() if make().p == p]
+    if p == 11:  # no pinned control at this prime
+        controls = [(virasoro_extension(field).with_bracket_entry_zeroed(-1, 0), None)]
+    middle = len(exts) // 2
+    exts[middle:middle] = [control for control, _ in controls]
+    rng = random.Random(p)
+    seeds = [rng.randrange(2**31) for _ in exts]
+    seeds[middle : middle + len(controls)] = [0] * len(controls)
+    for trials in (2, 5):
+        stacked = extensions.verify_restricted_axioms_stacked(exts, trials, seeds)
+        assert stacked == [verify_restricted_axioms(x, trials, s) for x, s in zip(exts, seeds)]
+        assert [r.all_pass for r in stacked].count(False) == len(controls)
+    stacked = extensions.verify_restricted_axioms_stacked(exts, 2, seeds)
+    for report, (_, expected) in zip(stacked[middle:], controls):
+        assert not report.all_pass
+        if expected is not None:
+            assert [(c.name, c.passed, c.detail) for c in report.checks] == expected
+
+
+def test_stacked_trials_name_each_extensions_first_failing_draw(monkeypatch):
+    # Row k of the scalar axiom's first stack belongs to the first
+    # extension; the second, checked in the same call, keeps passing.
+    first, second = virasoro_extension(F7), omega_extension(F7, 2)
+    corrupt_pmap_rows(monkeypatch, {0: 3})
+    reports = extensions.verify_restricted_axioms_stacked([first, second], 5, [11, 12])
+    scalar, _, _ = axiom_draws(first, 11, 4, 5, 5)
+    assert [(c.name, c.detail) for c in reports[0].failed()] == [
+        ("scalar_power", "fails for lambda={}, x={!r}".format(*scalar[3]))
+    ]
+    assert reports[1].all_pass
+
+
+def test_stacked_axioms_refuse_mixed_primes():
+    with pytest.raises(ValueError):
+        extensions.verify_restricted_axioms_stacked([virasoro_extension(F5), virasoro_extension(F7)], 2, [0, 0])
+    with pytest.raises(ValueError):
+        extensions.verify_restricted_axioms_stacked([virasoro_extension(F5)], 2, [0, 1])
+
+
+def test_extract_names_a_pmap_defect_left_in_w(monkeypatch):
+    # The p defects come from one stacked p-map call; a W part left in any
+    # of them is refused.
+    ext = virasoro_extension(F5)
+    original = extensions.pmap_rows
+    calls = []
+
+    def shifted(xs, cocycles, p):
+        calls.append(xs.shape)
+        out = original(xs, cocycles, p).copy()
+        out[3, 0] += 1
+        return out
+
+    monkeypatch.setattr(extensions, "pmap_rows", shifted)
+    with pytest.raises(NotASplittingError, match="p-map defect left W"):
+        extract_cocycle(ext, canonical_splitting(ext))
+    assert calls == [(5, 6)]
+
+
+def test_axioms_check_names_the_first_failing_extension(monkeypatch):
+    # verify's extensions.axioms draws one seed per extension from the
+    # prime's generator, as a loop over the extensions would, reports the
+    # first failing extension, and leaves the generator where that loop stops.
+    from wittcoh import verify
+
+    states = []  # the generator's state before each seed it draws
+
+    class Recorded(random.Random):
+        def randrange(self, *args):
+            if args == (2**31,):
+                states.append(self.getstate())
+            return super().randrange(*args)
+
+    field = PrimeField(5)
+    reps = restricted_h2(field).representatives
+    broken = {reps[2]: (1, 2), reps[4]: (-1, 0)}
+
+    def corrupted(c, check=True):
+        e = build_extension(c, check)
+        return e.with_bracket_entry_zeroed(*broken[c]) if c in broken else e
+
+    monkeypatch.setattr(verify.ext, "build_extension", corrupted)
+    rng = Recorded(3)
+    check = next(c for c in verify._extension_checks(field, rng) if c.name == "extensions.axioms")
+    assert len(states) == len(reps) + 3  # all seeds, then the first three again to wind back
+    replay = random.Random()
+    replay.setstate(states[0])
+    for c in reps:
+        report = verify_restricted_axioms(corrupted(c), 5, replay.randrange(2**31))
+        if not report.all_pass:
+            break
+    assert c is reps[2]
+    assert (check.passed, check.detail) == (False, f"axioms fail: {[x.name for x in report.failed()]}")
+    assert rng.getstate() == states[3]

@@ -191,6 +191,53 @@ def test_omega_extension_requires_cocycle_phi():
     assert len(values) > 1
 
 
+def omega_fold_loop(field, rng, ker):
+    """verify's omega_fold_invariance as a loop testing each shuffled order as it is drawn."""
+    p = field.p
+    for _ in range(10):
+        c = c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+        g = random_element(field, rng, True)
+        base = eval_omega(c, g)
+        for _ in range(5):
+            order = g.support()
+            rng.shuffle(order)
+            if eval_omega(c, g, fold_order=order) != base:
+                return "fold order changes omega"
+    return "10 cocycles x 5 orders"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_fold_order_check_reports_the_non_cocycle(seed):
+    # The 50 shuffled folds are one stacked call.  Over multiples of the
+    # pinned non-cocycle above they must see a mismatch, stopping the
+    # draws where the loop stops them; over the kernel, none.
+    bad = Cochain2Res(c2_from_dict(F5, {(0, 1): 1}), (0,) * 5)
+    for ker, passes in [((c2_to_vector(bad),), False), (cochain_complex(F5).ker_d2_res, True)]:
+        rng, reference = random.Random(seed), random.Random(seed)
+        expected = omega_fold_loop(F5, reference, ker)
+        if passes:
+            assert verify._omega_fold_invariance(F5, rng, ker) == expected
+        else:
+            with pytest.raises(AssertionError) as failure:
+                verify._omega_fold_invariance(F5, rng, ker)
+            assert str(failure.value) == expected
+        assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_omega_fold_check_keeps_ten_one_row_references(p, monkeypatch):
+    calls = []
+
+    def counted(c, g, fold_order=None):
+        calls.append(fold_order)
+        return eval_omega(c, g, fold_order)
+
+    monkeypatch.setattr(restricted, "eval_omega", counted)
+    field = PrimeField(p)
+    assert verify._omega_fold_invariance(field, random.Random(p), cochain_complex(field).ker_d2_res)
+    assert calls == [None] * 10
+
+
 def test_delta1_res_examples():
     c = delta1_res(dual_basis(F5, 0))
     assert c.phi == delta1_cl(dual_basis(F5, 0))

@@ -415,3 +415,50 @@ def test_first_failure_leaves_rng_where_a_loop_stops():
         assert k == loop(reference, 10, bad)
         assert len(samples) == 10 and rng.random() == reference.random()
     assert witt.first_failure(random.Random(0), None, 0, None) == ([], None)
+
+
+def test_lambda_rows_refuses_unreduced_entries():
+    # The float64 bound assumes entries in [0, p); an unreduced matrix
+    # fails fast instead of being reduced again inside the kernel.
+    p = 7
+    gv = np.array(e(1, F7).coeffs)
+    bg, bh = right_bracket_matrix(gv, p), right_bracket_matrix(np.array(e(2, F7).coeffs), p)
+    lambda_rows(gv, bg, bh, p - 1, p)
+    for bad in (bg + p, bg - p):
+        with pytest.raises(ValueError, match="reduced"):
+            lambda_rows(gv, bad, bh, p - 1, p)
+    with pytest.raises(ValueError, match="reduced"):
+        summands_total(gv + p, bg, bh, p)
+
+
+def test_first_failures_winds_each_generator_back_as_its_own_loop():
+    def loop(rng, count, bad):
+        for k in range(count):
+            if rng.randrange(100) in bad:
+                return k
+        return None
+
+    bads = [{-1}, set(range(50, 100)), set(range(100))]
+    rngs, references = [random.Random(s) for s in (4, 5, 6)], [random.Random(s) for s in (4, 5, 6)]
+    samples, firsts = witt.first_failures(
+        rngs, lambda rng: rng.randrange(100), 10, lambda drawn: [[v in b for v in s] for s, b in zip(drawn, bads)]
+    )
+    assert firsts == [loop(r, 10, b) for r, b in zip(references, bads)]
+    assert [len(s) for s in samples] == [10] * 3
+    assert [r.random() for r in rngs] == [r.random() for r in references]
+    assert witt.first_failures([], None, 5, None) == ([], [])
+
+
+def test_oracle_check_compares_the_one_row_derivation_route(monkeypatch):
+    # witt.pth_power_oracle also holds the one-row derivation entry point
+    # to the stacked rows on the basis.
+    field = F7
+    original = witt.pth_power_via_derivation
+
+    def off_at_e1(g):
+        power = original(g)
+        return power + e(0, field) if g == e(1, field) else power
+
+    monkeypatch.setattr(witt, "pth_power_via_derivation", off_at_e1)
+    check = next(c for c in verify._witt_checks(field, random.Random(0), 5) if c.name == "witt.pth_power_oracle")
+    assert (check.passed, check.detail) == (False, "one-row mismatch at e1")
