@@ -58,7 +58,11 @@ def _parse_primes(single, chain) -> list[int] | str:
             lo, hi = int(parts[0]), int(parts[1])
         except ValueError:
             return f"range must look like A..B with integers, got {chain!r}"
-        primes = [p for p in range(max(lo, 3), hi + 1) if is_prime(p)]
+        primes = []
+        for p in filter(is_prime, range(max(lo, 3), hi + 1)):
+            primes.append(p)
+            if _refusal([p]):  # the size rule refuses every larger prime too
+                break
         if not primes:
             return f"no primes >= 3 in {chain}"
         return primes

@@ -3,11 +3,16 @@
 Degrees 0..3 only.  Cochains are stored on canonical wedge bases: e^{i,j}
 for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
 ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
-by the index sum mod p and both coboundaries preserve the grading.  This
-module assembles the dense coboundary matrices and their grade blocks;
-ranks, kernels and the cohomology dimensions are read off them once per
-prime, block by block, by restricted.cochain_complex, and the whole dense
-matrices serve as the oracle for those blockwise ranks.
+by the index sum mod p and both coboundaries preserve the grading.
+
+Each coboundary into 2-form coordinates is written once, as a table of
+terms coefficient * phi(e_a ^ e_b) (_triple_terms for d2): _terms_values
+evaluates a table on phi's dense matrix, and _terms_matrix scatters it
+into the dense coboundary matrix.  d1's matrix is scattered straight from
+the pairs, each of which meets one column.  Ranks, kernels and the
+cohomology dimensions are read off the matrices once per prime, block by
+block, by restricted.cochain_complex, and the whole dense matrices serve
+as the oracle for those blockwise ranks.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -278,38 +283,51 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coefficient, first, second
 
 
-def _delta2_values(m: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of d2 phi, aligned with wedge_triples(p), from the dense matrix m of phi."""
-    coefficient, first, second = _triple_terms(p)
+def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.ndarray:
+    """Value of every term column on the 2-form with dense matrix m: sum of coefficient * m[first, second]."""
+    coefficient, first, second = terms
     return (coefficient * m[first, second]).sum(axis=0) % p
+
+
+def _terms_matrix(terms: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+    """Matrix of phi -> _terms_values(terms, phi.to_matrix(), p) on phi's wedge_pairs coordinates.
+
+    Position (x, y) of phi's matrix holds the coordinate of the pair
+    (min, max) of upper_triangle times +1 above the diagonal, -1 below it
+    and 0 on it, so each term adds coefficient times that sign to that
+    column of its row.
+    """
+    coefficient, first, second = terms
+    u, v = upper_triangle(p)
+    column = np.zeros((p, p), dtype=np.int64)
+    column[u, v] = column[v, u] = np.arange(len(u))
+    m = np.zeros((coefficient.shape[1], len(u)), dtype=np.int64)
+    rows = np.broadcast_to(np.arange(coefficient.shape[1]), coefficient.shape)
+    np.add.at(m, (rows, column[first, second]), coefficient * np.sign(second - first))
+    return m % p
 
 
 def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
     """(d2 phi)(e_r ^ e_s ^ e_t) by the alternating three-term expansion."""
-    return Cochain3Ord(phi.field, tuple(_delta2_values(phi.to_matrix(), phi.field.p).tolist()))
+    p = phi.field.p
+    return Cochain3Ord(phi.field, tuple(_terms_values(_triple_terms(p), phi.to_matrix(), p).tolist()))
 
 
 def delta1_matrix(field: PrimeField) -> np.ndarray:
-    """Matrix of d1 on coordinates: C(p,2) rows, p columns (column k+1 is d1(e^k))."""
+    """Matrix of d1 on coordinates: C(p,2) rows, p columns (column k+1 is d1(e^k)).
+
+    Row (i, j) meets only the column of e^{i+j}, with entry j - i.
+    """
     p = field.p
-    m = np.zeros((len(wedge_pairs(p)), p), dtype=np.int64)
-    for col in range(p):
-        m[:, col] = delta1_cl(dual_basis(field, col - 1)).to_vector()
+    u, v = upper_triangle(p)  # (i + 1, j + 1)
+    m = np.zeros((len(u), p), dtype=np.int64)
+    m[np.arange(len(u)), (u + v - 1) % p] = v - u
     return m
 
 
 def delta2_matrix(field: PrimeField) -> np.ndarray:
-    """Matrix of d2 on coordinates: C(p,3) rows, C(p,2) columns."""
-    p = field.p
-    pos = pair_position(p)
-    m = np.zeros((len(wedge_triples(p)), len(wedge_pairs(p))), dtype=np.int64)
-    for row, (r, s, t) in enumerate(wedge_triples(p)):
-        for coef, a, b in ((s - r, r + s, t), (-(t - r), r + t, s), (t - s, s + t, r)):
-            w = wedge_normalize(normalize_index(a, p), b)
-            if w is not None:
-                i, j, sign = w
-                m[row, pos[(i, j)]] += coef * sign
-    return m % p
+    """Matrix of d2 on coordinates: C(p,3) rows, C(p,2) columns, scattered from _triple_terms."""
+    return _terms_matrix(_triple_terms(field.p), field.p)
 
 
 @lru_cache(maxsize=None)

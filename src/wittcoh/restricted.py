@@ -40,11 +40,13 @@ sends every step (prefix sum, next term) of every row through one stacked
 _correction_weights call; omega_functional is its one-row call, and
 eval_omega the dot product with the cochain.
 
-The coboundaries d2_cl, ind2 and is_cocycle are evaluated from the dense
-matrix of phi with cached index arrays: the three terms of every triple
-for d2_cl, and the table of basis chains [e_a, e_b, ..., e_b] for ind2.
-That is the formula route; the assembled delta2_res_matrix is a second,
-independent route, and the tests compare the two column by column.
+d2_cl and ind2 are each one cached term table: the three terms of every
+triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
+[e_a, e_b, ..., e_b] and the p-th power e_b^{[p]} of every beta row
+(_ind2_terms).  d2_cl, ind2 and is_cocycle evaluate the tables on the
+dense matrix of phi, and delta2_res_matrix scatters the same tables into
+its alpha and beta rows.  The tests compare both with loop builders and
+the generic bracket chain (tests/oracles.py).
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense ordinary and restricted d1, d2 once per prime.
@@ -69,19 +71,19 @@ from .ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
-    _delta2_values,
     _pair_grades,
+    _terms_matrix,
+    _terms_values,
     _triple_grades,
+    _triple_terms,
     c2_zero,
     delta1_cl,
     delta1_matrix,
     delta2_block,
     delta2_cl,
     delta2_matrix,
-    pair_position,
     upper_triangle,
     virasoro_cocycle,
-    wedge_normalize,
     wedge_pairs,
     wedge_triples,
 )
@@ -93,7 +95,6 @@ from .witt import (
     fold_steps,
     fold_terms,
     lambda_rows,
-    normalize_index,
     pth_power_basis,
     right_bracket_matrix,
     zero,
@@ -270,21 +271,34 @@ def delta1_res(psi: Cochain1) -> Cochain2Res:
     return Cochain2Res(delta1_cl(psi), omega)
 
 
+@lru_cache(maxsize=None)
+def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two terms of ind2 on every beta row (a, b) as (2, p^2) arrays like _triple_terms.
+
+    Row (a, b) is term column (a + 1) * p + b + 1.  [e_a, e_b, ..., e_b]
+    with p-1 factors of e_b stays a multiple c * e_m of one basis vector
+    (the recurrence below), so the first term is -c * phi(e_m ^ e_b); the
+    second is phi(e_a ^ e_b^{[p]}), which is phi(e_a ^ e_0) when b = 0 and
+    0 otherwise.
+    """
+    a, b = np.divmod(np.arange(p * p), p)  # positions a + 1, b + 1
+    c, m = np.ones_like(a), a
+    for _ in range(p - 1):
+        c, m = c * (b - m) % p, (m + b - 1) % p  # [c e_m, e_b] = c (b - m) e_{m+b}
+    terms = np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)])
+    return tuple(_read_only(t) for t in terms)
+
+
 def _ind2_table(m: np.ndarray, p: int) -> np.ndarray:
     """ind2 of the 2-form with dense matrix m (see ind2)."""
-    coeff, pos = _basis_chain_table(p)
-    table = -coeff * m[pos, np.arange(p)]  # phi([e_a, e_b, ..., e_b] ^ e_b)
-    table[:, 1] += m[:, 1]  # b = 0: phi(e_a ^ e_0^{[p]}) = phi(e_a ^ e_0)
-    return table % p
+    return _terms_values(_ind2_terms(p), m, p).reshape(p, p)
 
 
 def ind2(c: Cochain2Res) -> np.ndarray:
-    """The p x p table phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b).
+    """The p x p table phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b), read off _ind2_terms.
 
-    The chain holds p-1 factors of e_b and stays a multiple of a single
-    basis vector, so it reduces to the scalar recurrence in _basis_chain
-    (checked against the generic bracket chain in the tests), read from a
-    cached table.  On W the table vanishes identically, which is what
+    The chain's recurrence is checked against the generic bracket chain in
+    the tests.  On W the table vanishes identically, which is what
     collapses the restricted kernel computation onto the ordinary one; it
     is recomputed honestly every time rather than assumed.
     """
@@ -301,7 +315,7 @@ def is_cocycle(c: Cochain2Res) -> bool:
     """Whether d2(phi, omega) vanishes: d2_cl and ind2 from one dense matrix of phi."""
     p = c.field.p
     m = c.phi.to_matrix()
-    return not _delta2_values(m, p).any() and not _ind2_table(m, p).any()
+    return not _terms_values(_triple_terms(p), m, p).any() and not _ind2_table(m, p).any()
 
 
 def starstar_correction(
@@ -375,59 +389,19 @@ def delta1_res_matrix(field: PrimeField) -> np.ndarray:
     return np.vstack([delta1_matrix(field), bottom])
 
 
-def _basis_chain(p: int, a: int, b: int) -> tuple[int, int]:
-    """(coefficient, index) of [e_a, e_b, ..., e_b] with p-1 factors of e_b."""
-    coeff = 1
-    m = a
-    for _ in range(p - 1):
-        coeff = coeff * (b - m) % p
-        m = normalize_index(m + b, p)
-        if coeff == 0:
-            break
-    return coeff, m
-
-
-@lru_cache(maxsize=None)
-def _basis_chain_table(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """_basis_chain of every (a, b) as read-only p x p arrays at (a + 1, b + 1): coefficient, position m + 1."""
-    coeff = np.zeros((p, p), dtype=np.int64)
-    pos = np.zeros((p, p), dtype=np.int64)
-    for a in range(-1, p - 1):
-        for b in range(-1, p - 1):
-            coeff[a + 1, b + 1], m = _basis_chain(p, a, b)
-            pos[a + 1, b + 1] = m + 1
-    return _read_only(coeff), _read_only(pos)
-
-
 def delta2_res_matrix(field: PrimeField) -> np.ndarray:
     """Matrix of d2 on coordinates: C(p,3) + p^2 rows, C(p,2) + p columns.
 
     The alpha rows are the ordinary d2 matrix on the phi columns; the beta
-    rows hold ind2 of each phi coordinate vector (omega columns contribute
-    nothing to either block).
+    rows, scattered from _ind2_terms, hold ind2 of each phi coordinate
+    vector (omega columns contribute nothing to either block).
     """
     p = field.p
-    pos = pair_position(p)
     n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
-    beta = np.zeros((p * p, n2), dtype=np.int64)
-    for a in range(-1, p - 1):
-        for b in range(-1, p - 1):
-            row = (a + 1) * p + (b + 1)
-            if b == 0:
-                w = wedge_normalize(a, 0)
-                if w is not None:
-                    i, j, sign = w
-                    beta[row, pos[(i, j)]] += sign
-            coeff, m = _basis_chain(p, a, b)
-            if coeff:
-                w = wedge_normalize(m, b)
-                if w is not None:
-                    i, j, sign = w
-                    beta[row, pos[(i, j)]] -= coeff * sign
-    beta %= p
-    top = np.hstack([delta2_matrix(field), np.zeros((n3, p), dtype=np.int64)])
-    bottom = np.hstack([beta, np.zeros((p * p, p), dtype=np.int64)])
-    return np.vstack([top, bottom])
+    m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64)
+    m[:n3, :n2] = delta2_matrix(field)
+    m[n3:, :n2] = _terms_matrix(_ind2_terms(p), p)
+    return m
 
 
 # ---------------------------------------------------------------------------

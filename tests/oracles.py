@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests freeze expected values from.
 
 Everything here enumerates sequences with itertools and evaluates cochains
-by explicit double/triple loops, or composes CyclicPoly objects one
-product at a time, deliberately avoiding the library's stacked numpy
-kernels, so agreement is meaningful.  sample_rows gives the kernels'
+by explicit double/triple loops, composes CyclicPoly objects one
+product at a time, or assembles the coboundary matrices one wedge at a
+time, deliberately avoiding the library's stacked numpy kernels and term
+tables, so agreement is meaningful.  sample_rows gives the kernels'
 test inputs.
 """
 
@@ -15,12 +16,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from wittcoh.gfp import PrimeField
-from wittcoh.ordinary import Cochain2Ord, Cochain3Ord
-from wittcoh.restricted import Cochain2Res
+from wittcoh.ordinary import (
+    Cochain2Ord,
+    Cochain3Ord,
+    delta1_cl,
+    dual_basis,
+    pair_position,
+    wedge_normalize,
+    wedge_pairs,
+    wedge_triples,
+)
+from wittcoh.restricted import Cochain2Res, c2_dim, c3_dim
 from wittcoh.witt import (
     WittElement,
     basis_element,
     bracket_chain,
+    normalize_index,
+    pth_power_basis,
     random_element,
 )
 
@@ -100,20 +112,27 @@ def sample_rows(field: PrimeField, rng) -> np.ndarray:
     return np.array([rows[i] for i in order], dtype=np.int64)
 
 
+def _terms(x: WittElement) -> list[tuple[int, int]]:
+    """(i, coefficient of e_i) for every i in x's support."""
+    return [(i, x.coeff(i)) for i in x.support()]
+
+
 def star_sum_naive(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     """Literal sequence sum over the 2^{p-2} choices, no sharing."""
     p = phi.field.p
     field = phi.field
+    values = [[phi.value(i, j) for j in range(-1, p - 1)] for i in range(-1, p - 1)]
     total = 0
     for choice in itertools.product([g, h], repeat=p - 2):
         seq = [g, h, *choice]
         chain = bracket_chain(seq[0], seq[1 : p - 1])
         last = seq[p - 1]
         count = sum(1 for s in seq if s is g)
+        last_terms = _terms(last)
         val = 0
-        for i in chain.support():
-            for j in last.support():
-                val += chain.coeff(i) * last.coeff(j) * phi.value(i, j)
+        for i, a in _terms(chain):
+            for j, b in last_terms:
+                val += a * b * values[i + 1][j + 1]
         total += field.inv(count) * val
     return total % p
 
@@ -123,6 +142,9 @@ def starstar_sum_naive(
 ) -> int:
     p = alpha.field.p
     field = alpha.field
+    index = range(-1, p - 1)
+    values = [[[alpha.value(m, i, j) for j in index] for i in index] for m in index]
+    g_terms = _terms(g)
     total = 0
     for choice in itertools.product([1, 2], repeat=p - 2):
         labels = [1, 2, *choice]
@@ -130,11 +152,12 @@ def starstar_sum_naive(
         chain = bracket_chain(hs[0], hs[1 : p - 1])
         last = hs[p - 1]
         count = sum(1 for l in labels if l == 1)
+        chain_terms, last_terms = _terms(chain), _terms(last)
         val = 0
-        for m in g.support():
-            for i in chain.support():
-                for j in last.support():
-                    val += g.coeff(m) * chain.coeff(i) * last.coeff(j) * alpha.value(m, i, j)
+        for m, a in g_terms:
+            for i, b in chain_terms:
+                for j, c in last_terms:
+                    val += a * b * c * values[m + 1][i + 1][j + 1]
         total += field.inv(count) * val
     return total % p
 
@@ -189,3 +212,51 @@ def omega_by_enumeration(c: Cochain2Res, g: WittElement) -> int:
     return (
         head_value + omega_by_enumeration(c, rest) + star_sum_naive(c.phi, head, rest)
     ) % p
+
+
+def _add_wedge(m: np.ndarray, row: int, coefficient: int, i: int, j: int, p: int) -> None:
+    """m[row] gains coefficient * phi(e_i ^ e_j) on phi's wedge_pairs coordinates."""
+    w = wedge_normalize(i, j)
+    if w is not None:
+        a, b, sign = w
+        m[row, pair_position(p)[(a, b)]] += coefficient * sign
+
+
+def delta1_matrix_by_loops(field: PrimeField) -> np.ndarray:
+    """d1's matrix column by column: column k + 1 is the coordinate vector of delta1_cl(e^k)."""
+    p = field.p
+    m = np.zeros((len(wedge_pairs(p)), p), dtype=np.int64)
+    for col in range(p):
+        m[:, col] = delta1_cl(dual_basis(field, col - 1)).to_vector()
+    return m
+
+
+def delta2_matrix_by_loops(field: PrimeField) -> np.ndarray:
+    """d2's matrix row by row: the three terms phi([e_r, e_s] ^ e_t) - ... of every canonical triple."""
+    p = field.p
+    m = np.zeros((len(wedge_triples(p)), len(wedge_pairs(p))), dtype=np.int64)
+    for row, (r, s, t) in enumerate(wedge_triples(p)):
+        for coef, a, b in ((s - r, r + s, t), (-(t - r), r + t, s), (t - s, s + t, r)):
+            _add_wedge(m, row, coef, normalize_index(a, p), b, p)
+    return m % p
+
+
+def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
+    """d2_res's matrix: d2 on the phi columns, and the beta rows from the generic bracket chain.
+
+    Row (a, b) is phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b).
+    """
+    p = field.p
+    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64)
+    m[:n3, :n2] = delta2_matrix_by_loops(field)
+    for a in range(-1, p - 1):
+        for b in range(-1, p - 1):
+            row = n3 + (a + 1) * p + (b + 1)
+            power = pth_power_basis(field, b)
+            for k in power.support():
+                _add_wedge(m, row, power.coeff(k), a, k, p)
+            chain = bracket_chain(basis_element(field, a), [basis_element(field, b)] * (p - 1))
+            for k in chain.support():
+                _add_wedge(m, row, -chain.coeff(k), k, b, p)
+    return m % p

@@ -248,6 +248,30 @@ def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
         verify.run_prime(101)
 
 
+def test_verify_refuses_a_wide_range_at_its_first_refused_prime(capsys, monkeypatch):
+    # Primality is tested only up to p = 71, the first prime the size rule
+    # refuses, not on every integer of the range.
+    from wittcoh import cli
+
+    calls = []
+    is_prime = cli.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        if len(calls) > 1000:
+            raise AssertionError("enumerated the whole range")
+        return is_prime(n)
+
+    monkeypatch.setattr(cli, "is_prime", counting_is_prime)
+    assert main(["verify", "--primes", "3..101"]) == 2
+    expected = capsys.readouterr().err
+    assert expected == "error: p = 71 needs a 1.2 GiB dense d2 matrix, over the 1 GiB limit\n"
+    calls.clear()
+    assert main(["verify", "--primes", "3..10000000000"]) == 2
+    assert capsys.readouterr().err == expected
+    assert max(calls) == 71
+
+
 def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
     # The extension command follows verify's size rule: p = 101 is refused
     # before its (p + 1)^4 Jacobi tensor or anything else is built.

@@ -5,9 +5,13 @@ import random
 import numpy as np
 import pytest
 
+from tests.oracles import delta1_matrix_by_loops, delta2_matrix_by_loops, delta2_res_matrix_by_loops
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
+    Cochain2Ord,
+    _terms_matrix,
+    _terms_values,
     bracket_delta2_value,
     c2_from_dict,
     c2_zero,
@@ -134,6 +138,37 @@ def test_matrices_match_functions(p):
     phi = c2_from_dict(field, {pr: rng.randrange(p) for pr in wedge_pairs(p)})
     d2 = delta2_matrix(field)
     assert (d2 @ phi.to_vector() % p == delta2_cl(phi).to_vector()).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17])
+def test_matrix_builders_match_loop_oracles(p):
+    field = PrimeField(p)
+    for built, oracle in (
+        (delta1_matrix, delta1_matrix_by_loops),
+        (delta2_matrix, delta2_matrix_by_loops),
+        (delta2_res_matrix, delta2_res_matrix_by_loops),
+    ):
+        m, expected = built(field), oracle(field)
+        assert m.dtype == expected.dtype == np.int64
+        assert m.shape == expected.shape and (m == expected).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_terms_matrix_applies_like_terms_values(p):
+    # Random tables: repeated positions within a column, diagonal positions
+    # and coefficients of either sign, which the d2 and ind2 tables of W
+    # only partly reach.
+    rng = np.random.default_rng(p)
+    field = PrimeField(p)
+    for k, n in ((1, 1), (2, 9), (3, 40)):
+        coefficient = rng.integers(-p, p + 1, size=(k, n))
+        first, second = rng.integers(0, p, size=(2, k, n))
+        terms = coefficient, first, second
+        m = _terms_matrix(terms, p)
+        assert m.shape == (n, len(wedge_pairs(p)))
+        for _ in range(3):
+            phi = Cochain2Ord(field, tuple(rng.integers(0, p, size=len(wedge_pairs(p))).tolist()))
+            assert (m @ phi.to_vector() % p == _terms_values(terms, phi.to_matrix(), p)).all()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

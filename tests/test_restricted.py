@@ -461,6 +461,23 @@ def test_matrix_columns_match_coboundary(p):
         assert is_cocycle(c) == (not col.any())
 
 
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_beta_rows_are_wired_to_the_ind2_terms(monkeypatch, fresh_complex, p):
+    # On W the beta rows vanish, so the column test above compares zeros
+    # there.  Without the b = 0 term, ind2 no longer vanishes on W; the
+    # beta rows must follow the patched table.
+    terms = restricted._ind2_terms(p)
+    monkeypatch.setattr(restricted, "_ind2_terms", lambda q: tuple(t[:1] for t in terms))
+    field = PrimeField(p)
+    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    beta = delta2_res_matrix(field)[n3:]
+    assert beta[:, :n2].any() and not beta[:, n2:].any()
+    for k in range(c2_dim(p)):
+        vec = np.zeros(c2_dim(p), dtype=np.int64)
+        vec[k] = 1
+        assert (ind2(c2_from_vector(field, vec)).ravel() == beta[:, k]).all()
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_omega_rows_equal_omega_functional(p):
     field = PrimeField(p)
