@@ -8,7 +8,7 @@ Subcommands
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
 (including an --output path that cannot be written, and a verify or
 extension prime whose dense d2 matrix would exceed the memory limit,
-p > 67: one size rule for both, checked before any work).
+p > 67: one size rule for both, checked before primality and any work).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
 (e.g. WITTCOH_SEED); command-line values win, also over the environment
 value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes
@@ -47,6 +47,9 @@ def _parse_primes(single, chain) -> list[int] | str:
     if single is not None and chain is not None:
         return "use either --prime or --primes, not both"
     if single is not None:
+        refusal = _refusal([single])  # before primality, whose trial division grows with the prime
+        if refusal:
+            return refusal
         if single < 3 or not is_prime(single):
             return f"{single} is not prime (need an odd prime >= 3)"
         return [single]
@@ -176,11 +179,11 @@ def cmd_extension(args) -> int:
     p = args.prime
     if p is None:
         return _fail("--prime is required")
-    if p < 3 or not is_prime(p):
-        return _fail(f"{p} is not prime (need an odd prime >= 3)")
     refusal = _refusal([p])
     if refusal:
         return _fail(refusal)
+    if p < 3 or not is_prime(p):
+        return _fail(f"{p} is not prime (need an odd prime >= 3)")
     field = PrimeField(p)
     which = args.which
     if which == "virasoro":

@@ -62,6 +62,7 @@ blockwise ranks.  A prime whose dense d2_res would exceed DENSE_D2_BYTES
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache, partial
 
 import numpy as np
@@ -518,7 +519,8 @@ def check_dense_d2_size(p: int) -> None:
     size = 8 * c3_dim(p) * c2_dim(p)
     if size > DENSE_D2_BYTES:
         raise ValueError(
-            f"p = {p} needs a {size / 2**30:.1f} GiB dense d2 matrix, "
+            # Decimal, not float: the command line applies this rule before primality, to any integer.
+            f"p = {p} needs a {Decimal(size) / 2**30:.1f} GiB dense d2 matrix, "
             f"over the {DENSE_D2_BYTES / 2**30:.0f} GiB limit"
         )
 

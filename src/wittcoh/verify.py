@@ -9,17 +9,18 @@ extensions, plus negative controls.
 
 Every check runs at every supported prime (odd, at most 67: above that
 the dense d2 matrices would exceed 1 GiB, and run_prime refuses the prime
-before any work), except the few whose statement needs p > 3 and the
-exhaustive starstar oracle, which enumerates all 2^(p-2) label sequences
-and runs up to p = 23; those are reported as skipped rather than passed
-silently, so every prime from 5 to 23 is fully verified.
+before any work), except the few whose statement needs p > 3; those are
+reported as skipped at p = 3 rather than passed silently, so no check is
+skipped from p = 5 to 67.  The ** correction sum is checked against
+the values of its lambda-polynomial at every lambda in GF(p)
+(_starstar_by_evaluation), a route that shares no recurrence with the
+library's correction weights.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
@@ -271,69 +272,40 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     return checks
 
 
-# The largest prime at which the exhaustive ** oracle runs.  Its 2^(p-3)
-# chains grow 16-fold from p = 19 to p = 23, where the check's 4 samples
-# take about 0.8 s against 0.05 s at p = 19 (best of 3, 2-core x86-64),
-# and 64-fold more to p = 29, where they would take about a minute.
-STARSTAR_MAX_PRIME = 23
-
-
-def _starstar_exhaustive(
+def _starstar_by_evaluation(
     alpha: ordi.Cochain3Ord, g: witt.WittElement, h1: witt.WittElement, h2: witt.WittElement
 ) -> int:
-    """The ** correction sum (restricted.starstar_correction) by enumerating every label sequence.
+    """The ** correction sum (restricted.starstar_correction) from the values of its lambda-polynomial.
 
-    Sequences (l_1, ..., l_p) with l_1 = 1, l_2 = 2 and the rest free in
-    {1, 2} are summed one by one, with no lambda grouping, so this is a
-    route independent of the correction weights.  All 2^(p-3) chains
-    [h1, h2, h_{l_3}, ..., h_{l_{p-1}}] are stacked rows, grown by one
-    right-bracket product per label at each free position, and each row's
-    count of 1-labels rides along.  The last factor contracts against
-    t[i, j] = alpha(g ^ e_i ^ e_j), weighted 1/(count + 1) for l_p = 1 and
-    1/count for l_p = 2.  The first free labels are enumerated in an outer
-    loop so that the rows of one block stay within witt._SWEEP_BYTES.  The
-    products run in float64, exact below 2^53: one product multiplies the
-    largest entry by at most p (p - 1), and rows are reduced mod p before
-    they could leave that range.
+    P(lambda) = [h1, h2, lambda*h1 + h2, ..., lambda*h1 + h2], with p - 3
+    applications, has degree at most p - 3, and its lambda^k coefficient R_k
+    sums the chains with k free 1-labels.  All p values of P are stacked
+    rows, one batched product per application with the right-bracket
+    matrices of the p rows lambda*h1 + h2.  Over GF(p), sum_lambda lambda^e
+    is -1 when e > 0 and (p - 1) | e, and 0 otherwise, so
+    R_k = -sum_lambda lambda^(p-1-k) P(lambda): no interpolation solve and
+    no lambda recurrence (witt.lambda_rows).  With the last factor, a chain
+    in R_k has k + 2 1-labels for l_p = 1 and k + 1 for l_p = 2; its weight
+    is the inverse of that count against t[i, j] = alpha(g ^ e_i ^ e_j).
+    Shared with the library: right_bracket_matrix, _inverse_vector and the
+    contraction t.  Every int64 intermediate stays below p^3.
     """
     p = alpha.field.p
     gv, h1v, h2v = (np.array(x.coeffs, dtype=np.int64) for x in (g, h1, h2))
     t = np.einsum("m,mij->ij", gv, alpha.to_dense()) % p
-    ends = (t @ np.stack([h1v, h2v], axis=1) % p).astype(np.float64)  # column l - 1: the contraction with h_l
-    b = witt.right_bracket_matrix(np.stack([h1v, h2v]), p).astype(np.float64)
+    lams = np.arange(p)
+    b = witt.right_bracket_matrix((lams[:, None] * h1v + h2v) % p, p)  # b[lambda]: [., lambda*h1 + h2]
+    values = np.broadcast_to(h1v @ b[0] % p, (p, p))  # row lambda: P(lambda), grown from [h1, h2]
+    for _ in range(p - 3):
+        values = (values[:, None, :] @ b)[:, 0] % p
+    powers = np.ones((p, p), dtype=np.int64)  # powers[e, lambda] = lambda^e
+    for e in range(1, p):
+        powers[e] = powers[e - 1] * lams % p
+    coefficients = -powers[p - 1 : 1 : -1] @ values % p  # row k: R_k, k = 0, ..., p - 3
+    ends = coefficients @ t % p @ np.stack([h1v, h2v], axis=1) % p  # column l - 1: the contraction with h_l
+    k = np.arange(p - 2)
     inv = witt._inverse_vector(p)
-    growth = p * (p - 1)
-    free = p - 3
-    # Positions grown as stacked rows; the rest are enumerated one prefix at a
-    # time.  A block holds four arrays of its rows: rows, grown, and the two
-    # temporaries of a reduction.
-    low = free
-    while low and (32 * p << low) > witt._SWEEP_BYTES:
-        low -= 1
-    rows, grown = np.empty((2, 1 << low, p))
-    ones = np.zeros(1, dtype=np.int64)  # 1-labels among the grown positions, in the order the rows grow
-    for _ in range(low):
-        ones = np.concatenate([ones + 1, ones])
-    total = 0
-    for high in itertools.product((0, 1), repeat=free - low):
-        chain = h1v @ b[1] % p
-        for label in high:
-            chain = chain @ b[label] % p
-        rows[0], top = chain, p - 1  # top bounds every entry of the rows
-        for k in range(low):
-            n = 1 << k
-            if top * growth >= witt._EXACT_FLOAT:
-                rows[:n], top = rows[:n].astype(np.int64) % p, p - 1
-            np.matmul(rows[:n], b[0], out=grown[:n])
-            np.matmul(rows[:n], b[1], out=grown[n : 2 * n])
-            rows, grown = grown, rows
-            top *= growth
-        if top * growth >= witt._EXACT_FLOAT:
-            rows[:] = rows.astype(np.int64) % p
-        vals = (rows @ ends).astype(np.int64) % p
-        counts = 1 + high.count(0) + ones
-        total += int((inv[counts + 1] * vals[:, 0] + inv[counts] * vals[:, 1]).sum())
-    return total % p
+    return int((inv[k + 2] * ends[:, 0] + inv[k + 1] * ends[:, 1]).sum() % p)
 
 
 def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.ndarray, ...]) -> str:
@@ -449,14 +421,10 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
             phi = ordi.c2_from_dict(field, {pr: rng.randrange(p) for pr in ordi.wedge_pairs(p)})
             alpha = ordi.delta2_cl(phi)
             g, h1, h2 = (witt.random_element(field, rng, True) for _ in range(3))
-            assert res.starstar_correction(alpha, g, h1, h2) == _starstar_exhaustive(alpha, g, h1, h2), "mismatch"
+            assert res.starstar_correction(alpha, g, h1, h2) == _starstar_by_evaluation(alpha, g, h1, h2), "mismatch"
         return "4 samples"
 
-    if p <= STARSTAR_MAX_PRIME:
-        checks.append(_check("restricted.starstar_enumeration", starstar_enumeration))
-    else:
-        why = f"exhaustive oracle too slow above p={STARSTAR_MAX_PRIME}"
-        checks.append(_skip("restricted.starstar_enumeration", why))
+    checks.append(_check("restricted.starstar_enumeration", starstar_enumeration))
     return checks
 
 

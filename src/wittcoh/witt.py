@@ -227,8 +227,8 @@ _EXACT_FLOAT = 2**53
 
 # Memory bound on one block of every blocked scan: all the arrays of a row
 # kernel's block (fold_rows), the lambda rows of the extension sum-axiom
-# sweep, the Jacobi sums of jacobi_scan, and the chain rows of verify's
-# exhaustive ** oracle.
+# sweep, the Jacobi sums of jacobi_scan, and the chain rows of the
+# exhaustive ** oracle in tests/oracles.py.
 _SWEEP_BYTES = 64 << 20
 
 

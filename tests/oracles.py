@@ -4,8 +4,11 @@ Everything here enumerates sequences with itertools and evaluates cochains
 by explicit double/triple loops, composes CyclicPoly objects one
 product at a time, or assembles the coboundary matrices one wedge at a
 time, deliberately avoiding the library's stacked numpy kernels and term
-tables, so agreement is meaningful.  sample_rows gives the kernels'
-test inputs.
+tables, so agreement is meaningful.  The one stacked oracle,
+starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
+sum one by one as right-bracket rows, with no lambda grouping; it is the
+reference for verify's evaluation route up to p = 19.  sample_rows gives
+the kernels' test inputs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wittcoh import witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain2Ord,
@@ -159,6 +163,62 @@ def starstar_sum_naive(
                 for j, c in last_terms:
                     val += a * b * c * values[m + 1][i + 1][j + 1]
         total += field.inv(count) * val
+    return total % p
+
+
+def starstar_exhaustive(alpha: Cochain3Ord, g: WittElement, h1: WittElement, h2: WittElement) -> int:
+    """The ** correction sum (restricted.starstar_correction) by enumerating every label sequence.
+
+    Sequences (l_1, ..., l_p) with l_1 = 1, l_2 = 2 and the rest free in
+    {1, 2} are summed one by one, with no lambda grouping, so this is a
+    route independent of the correction weights.  All 2^(p-3) chains
+    [h1, h2, h_{l_3}, ..., h_{l_{p-1}}] are stacked rows, grown by one
+    right-bracket product per label at each free position, and each row's
+    count of 1-labels rides along.  The last factor contracts against
+    t[i, j] = alpha(g ^ e_i ^ e_j), weighted 1/(count + 1) for l_p = 1 and
+    1/count for l_p = 2.  The first free labels are enumerated in an outer
+    loop so that the rows of one block stay within witt._SWEEP_BYTES.  The
+    products run in float64, exact below 2^53: one product multiplies the
+    largest entry by at most p (p - 1), and rows are reduced mod p before
+    they could leave that range.
+    """
+    p = alpha.field.p
+    gv, h1v, h2v = (np.array(x.coeffs, dtype=np.int64) for x in (g, h1, h2))
+    t = np.einsum("m,mij->ij", gv, alpha.to_dense()) % p
+    ends = (t @ np.stack([h1v, h2v], axis=1) % p).astype(np.float64)  # column l - 1: the contraction with h_l
+    b = witt.right_bracket_matrix(np.stack([h1v, h2v]), p).astype(np.float64)
+    inv = witt._inverse_vector(p)
+    growth = p * (p - 1)
+    free = p - 3
+    # Positions grown as stacked rows; the rest are enumerated one prefix at a
+    # time.  A block holds four arrays of its rows: rows, grown, and the two
+    # temporaries of a reduction.
+    low = free
+    while low and (32 * p << low) > witt._SWEEP_BYTES:
+        low -= 1
+    rows, grown = np.empty((2, 1 << low, p))
+    ones = np.zeros(1, dtype=np.int64)  # 1-labels among the grown positions, in the order the rows grow
+    for _ in range(low):
+        ones = np.concatenate([ones + 1, ones])
+    total = 0
+    for high in itertools.product((0, 1), repeat=free - low):
+        chain = h1v @ b[1] % p
+        for label in high:
+            chain = chain @ b[label] % p
+        rows[0], top = chain, p - 1  # top bounds every entry of the rows
+        for k in range(low):
+            n = 1 << k
+            if top * growth >= witt._EXACT_FLOAT:
+                rows[:n], top = rows[:n].astype(np.int64) % p, p - 1
+            np.matmul(rows[:n], b[0], out=grown[:n])
+            np.matmul(rows[:n], b[1], out=grown[n : 2 * n])
+            rows, grown = grown, rows
+            top *= growth
+        if top * growth >= witt._EXACT_FLOAT:
+            rows[:] = rows.astype(np.int64) % p
+        vals = (rows @ ends).astype(np.int64) % p
+        counts = 1 + high.count(0) + ones
+        total += int((inv[counts + 1] * vals[:, 0] + inv[counts] * vals[:, 1]).sum())
     return total % p
 
 

@@ -287,3 +287,20 @@ def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch
     err = capsys.readouterr().err
     assert err.startswith("error: p = 101 needs a 6.8 GiB dense d2 matrix")
     assert main(["extension", "--prime", "101", "--which", "0", "--format", "csv"]) == 2
+
+
+def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkeypatch):
+    # Trial division up to the square root of 10^18 + 3 would take minutes,
+    # and 10^70 + 1 needs a size beyond float range in its message.
+    from wittcoh import cli
+
+    def never(n):
+        raise AssertionError("tested primality")
+
+    monkeypatch.setattr(cli, "is_prime", never)
+    for n in (10**18 + 3, 10**70 + 1):
+        for command in ("verify", "extension"):
+            assert main([command, "--prime", str(n)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: p = {n} needs a ")
+            assert err.endswith(" GiB dense d2 matrix, over the 1 GiB limit\n")

@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.oracles import omega_by_enumeration, sample_rows, star_sum_naive, starstar_sum_naive
+from tests.oracles import (
+    omega_by_enumeration,
+    sample_rows,
+    star_sum_naive,
+    starstar_exhaustive,
+    starstar_sum_naive,
+)
 from wittcoh import gfp, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
@@ -352,22 +358,22 @@ def test_to_dense_matches_value(p):
 @pytest.mark.parametrize("p,count", [(5, 6), (7, 4), (11, 2)])
 def test_starstar_exhaustive_equals_naive_enumeration(p, count):
     for sample in random_starstar_samples(PrimeField(p), random.Random(p), count):
-        assert verify._starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
+        assert starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
 
 
 @pytest.mark.parametrize("p", [13, 17, 19])
 def test_starstar_exhaustive_equals_correction(p):
     for sample in random_starstar_samples(PrimeField(p), random.Random(p), 4):
-        assert verify._starstar_exhaustive(*sample) == starstar_correction(*sample)
+        assert starstar_exhaustive(*sample) == starstar_correction(*sample)
 
 
 @pytest.mark.parametrize("p", [3, 7, 13])
 def test_starstar_exhaustive_is_independent_of_blocks(p, monkeypatch):
     samples = random_starstar_samples(PrimeField(p), random.Random(p + 1), 3)
-    values = [verify._starstar_exhaustive(*sample) for sample in samples]
+    values = [starstar_exhaustive(*sample) for sample in samples]
     for size in (32 * p * 4, 1):  # four rows per block, then one
         monkeypatch.setattr(witt, "_SWEEP_BYTES", size)
-        assert [verify._starstar_exhaustive(*sample) for sample in samples] == values
+        assert [starstar_exhaustive(*sample) for sample in samples] == values
 
 
 @pytest.mark.parametrize("p", [13, 17])
@@ -376,7 +382,7 @@ def test_starstar_exhaustive_stays_within_its_block_bound(p, monkeypatch):
     monkeypatch.setattr(witt, "_SWEEP_BYTES", 32 * p * 256)  # 256 of the 2^(p-3) rows per block
     tracemalloc.start()
     try:
-        verify._starstar_exhaustive(*sample)
+        starstar_exhaustive(*sample)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,8 +390,18 @@ def test_starstar_exhaustive_stays_within_its_block_bound(p, monkeypatch):
 
 
 def test_starstar_exhaustive_is_a_route_of_its_own(monkeypatch):
+    """Neither the exhaustive oracle nor verify's evaluation route touches the correction weights.
+
+    Both share with the library's ** sum only witt.right_bracket_matrix,
+    witt._inverse_vector and the contraction t[i, j] = alpha(g ^ e_i ^ e_j).
+    The evaluation route also rests on the identity that the lambda^k
+    coefficient of [h1, h2, lambda*h1 + h2, ...] collects the chains with k
+    free 1-labels; the exhaustive oracle, which sums every chain on its own,
+    is the check of that identity.
+    """
+
     def unused(*args):
-        raise AssertionError("the exhaustive oracle uses the correction weights")
+        raise AssertionError("the route uses the correction weights")
 
     for module, name in [
         (witt, "lambda_rows"),
@@ -395,7 +411,33 @@ def test_starstar_exhaustive_is_a_route_of_its_own(monkeypatch):
     ]:
         monkeypatch.setattr(module, name, unused)
     sample = random_starstar_samples(F7, random.Random(0), 1)[0]
-    assert verify._starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
+    assert starstar_exhaustive(*sample) == starstar_sum_naive(*sample)
+    assert verify._starstar_by_evaluation(*sample) == starstar_sum_naive(*sample)
+
+
+@pytest.mark.parametrize(
+    "p,reference,count",
+    [
+        (3, starstar_sum_naive, 6),
+        (5, starstar_sum_naive, 6),
+        (7, starstar_sum_naive, 4),
+        (13, starstar_exhaustive, 4),
+        (17, starstar_exhaustive, 4),
+        (19, starstar_exhaustive, 4),
+        (29, starstar_correction, 4),
+        (31, starstar_correction, 4),
+        (67, starstar_correction, 1),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_starstar_by_evaluation_equals_the_other_routes(p, reference, count):
+    for sample in random_starstar_samples(PrimeField(p), random.Random(p), count):
+        assert verify._starstar_by_evaluation(*sample) == reference(*sample)
+
+
+def test_restricted_checks_skip_nothing_at_29():
+    checks = verify._restricted_checks(PrimeField(29), random.Random(0))
+    assert [(c.name, c.detail) for c in checks if c.skipped or not c.passed] == []
 
 
 @pytest.mark.parametrize("p", [13, 17])
