@@ -8,7 +8,9 @@ Subcommands
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
 (including an --output path that cannot be written, and a verify or
 extension prime whose dense d2 matrix would exceed the memory limit,
-p > 67: one size rule for both, checked before primality and any work).
+p > 67: one size rule for both, checked on every integer before its
+primality and before any work, so a --primes range ends at once at its
+first integer above 67).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
 (e.g. WITTCOH_SEED); command-line values win, also over the environment
 value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes
@@ -47,7 +49,7 @@ def _parse_primes(single, chain) -> list[int] | str:
     if single is not None and chain is not None:
         return "use either --prime or --primes, not both"
     if single is not None:
-        refusal = _refusal([single])  # before primality, whose trial division grows with the prime
+        refusal = _refusal(single)  # before primality, whose trial division grows with the prime
         if refusal:
             return refusal
         if single < 3 or not is_prime(single):
@@ -62,23 +64,24 @@ def _parse_primes(single, chain) -> list[int] | str:
         except ValueError:
             return f"range must look like A..B with integers, got {chain!r}"
         primes = []
-        for p in filter(is_prime, range(max(lo, 3), hi + 1)):
-            primes.append(p)
-            if _refusal([p]):  # the size rule refuses every larger prime too
-                break
+        for n in range(max(lo, 3), hi + 1):
+            refusal = _refusal(n)  # before primality; the size rule refuses every larger n too
+            if refusal:
+                return refusal
+            if is_prime(n):
+                primes.append(n)
         if not primes:
             return f"no primes >= 3 in {chain}"
         return primes
     return "one of --prime or --primes is required"
 
 
-def _refusal(primes: list[int]) -> str | None:
-    """Why the first prime too large for its dense d2 matrix is refused, or None."""
-    for p in primes:
-        try:
-            check_dense_d2_size(p)
-        except ValueError as e:
-            return str(e)
+def _refusal(n: int) -> str | None:
+    """Why n is refused as too large for its dense d2 matrix, or None."""
+    try:
+        check_dense_d2_size(n)
+    except ValueError as e:
+        return str(e)
     return None
 
 
@@ -102,9 +105,6 @@ def cmd_verify(args) -> int:
         return _fail(primes)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
-    refusal = _refusal(primes)
-    if refusal:
-        return _fail(refusal)
     jobs = [(p, args.seed) for p in primes]
     workers = min(args.jobs, len(primes), os.cpu_count() or 1)
     if workers > 1:
@@ -179,7 +179,7 @@ def cmd_extension(args) -> int:
     p = args.prime
     if p is None:
         return _fail("--prime is required")
-    refusal = _refusal([p])
+    refusal = _refusal(p)
     if refusal:
         return _fail(refusal)
     if p < 3 or not is_prime(p):

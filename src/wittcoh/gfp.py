@@ -1,14 +1,28 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices are numpy int64 arrays in row-major layout with every entry
-reduced to the canonical range [0, p).  Elimination is Gauss-Jordan with
-the first nonzero entry in column order as pivot, so ranks, echelon forms
-and kernel bases are reproducible across runs.
+reduced to the canonical range [0, p).  rref takes a stack (..., R, C) of
+matrices, a 2-D matrix being a stack of one, and returns the reduced row
+echelon form of each with its pivot columns as a boolean mask (..., C).
+The pivot is the first nonzero entry in column order; reduced forms are
+unique, so ranks, echelon forms and kernel bases are reproducible across
+runs.
+
+A stack of several matrices is reduced in lockstep, one column at a time:
+each step picks every matrix's pivot row for that column and clears the
+column from all of them with one broadcast update, so the p grade blocks
+of a coboundary cost the Python overhead of one block, not p.  A single
+matrix is reduced one pivot at a time, each pivot clearing only the rows
+that are nonzero in its column.  Both update only the columns from the
+pivot's on.  tests/oracles.py keeps the plain per-pivot elimination of
+one matrix as their reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,43 +65,107 @@ class PrimeField:
             raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
         return m % self.p
 
-    def rref(self, m) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form and the (strictly increasing) pivot columns."""
-        a = self.matrix(m)
-        rows, cols = a.shape
-        pivots: list[int] = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.flatnonzero(a[r:, c])
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-            a[r] = (a[r] * self.inv(int(a[r, c]))) % self.p
-            col = a[:, c].copy()
-            col[r] = 0
-            a = (a - np.outer(col, a[r])) % self.p
-            pivots.append(c)
-            r += 1
-        return a, pivots
+    def rref(self, m) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced row echelon forms of a stack (..., R, C) and their pivot columns as a mask (..., C)."""
+        p = self.p
+        a = np.array(m, dtype=np.int64) % p
+        if a.ndim < 2:
+            raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
+        *stack, rows, cols = a.shape
+        a = a.reshape(math.prod(stack), rows, cols)
+        r, pivots = (_rref_one if len(a) == 1 else _rref_lockstep)(a, p)
+        return r.reshape(*stack, rows, cols), pivots.reshape(*stack, cols)
 
     def rank(self, m) -> int:
-        return len(self.rref(m)[1])
+        return int(np.count_nonzero(self.rref(self.matrix(m))[1]))
 
     def kernel_basis(self, m) -> list[np.ndarray]:
         """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-        a = self.matrix(m)
-        _, cols = a.shape
-        r, pivots = self.rref(a)
-        free = [c for c in range(cols) if c not in set(pivots)]
+        r, pivots = self.rref(self.matrix(m))
         basis = []
-        for f in free:
-            v = np.zeros(cols, dtype=np.int64)
+        for f in np.flatnonzero(~pivots):
+            v = np.zeros(len(pivots), dtype=np.int64)
             v[f] = 1
-            for row, c in enumerate(pivots):
-                v[c] = (-int(r[row, f])) % self.p
+            v[pivots] = -r[: np.count_nonzero(pivots), f] % self.p
             basis.append(v)
         return basis
+
+
+@lru_cache(maxsize=None)
+def inverses(p: int) -> np.ndarray:
+    """Read-only table inv[a] = a^{-1} mod p for a in [1, p); inv[0] = 0."""
+    inv = np.zeros(p, dtype=np.int64)
+    for a in range(1, p):
+        inv[a] = pow(a, p - 2, p)
+    inv.flags.writeable = False
+    return inv
+
+
+def _rref_one(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of a stack (1, R, C) holding one matrix, in place, one pivot at a time."""
+    m = a[0]
+    rows, cols = m.shape
+    inv = inverses(p)
+    pivots = np.zeros((1, cols), dtype=bool)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        active = np.flatnonzero(m[:, c])
+        k = active.searchsorted(r)
+        if k == len(active):
+            continue
+        i = active[k]
+        if i != r:
+            m[[r, i]] = m[[i, r]]  # row i is now zero in c, and row r is set below
+        pivot_row = m[r, c:] * inv[m[r, c]] % p
+        rest = m[active, c:]
+        rest -= rest[:, :1] * pivot_row
+        m[active, c:] = rest % p
+        m[r, c:] = pivot_row
+        pivots[0, c] = True
+        r += 1
+    return a, pivots
+
+
+def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """rref of every matrix of a stack (B, R, C), all reduced together one column at a time.
+
+    In column c each matrix takes as pivot row its first row that is not
+    yet a pivot row and is nonzero there; a matrix with none takes an
+    extra zero row R, so its update is zero.  One broadcast update clears
+    c from every row of every matrix, and each pivot row is then set to
+    itself scaled to 1 at c.  Pivot rows stay where they were found and
+    move into column order at the end; the rows left over are zero.
+
+    The matrices are held transposed, (B, C, R + 1), so the update runs
+    along whole columns.  Only column c and the pivot rows are reduced
+    mod p at each step, the rest once at the end: every update then
+    changes an entry by less than p^2.  On a single matrix this
+    bookkeeping costs more than the work, so _rref_one reduces it.
+    """
+    count, rows, cols = a.shape
+    t = np.zeros((count, cols, rows + 1), dtype=np.int64)
+    t[:, :, :rows] = a.transpose(0, 2, 1)
+    inv = inverses(p)
+    free = np.ones((count, rows + 1), dtype=bool)
+    order = np.full((count, rows + 1), cols)  # the pivot column of each row, cols for none
+    each = np.arange(count)
+    for c in range(cols):
+        column = t[:, c] % p
+        candidates = np.logical_and(column, free)
+        if not candidates.any():
+            continue
+        candidates[:, rows] = True
+        row = candidates.argmax(axis=1)
+        pivot_rows = t[each, c:, row] * inv[column[each, row], None] % p
+        t[:, c:] -= pivot_rows[:, :, None] * column[:, None, :]
+        t[each, c:, row] = pivot_rows
+        free[each, row] = False
+        order[each, row] = c
+    t %= p
+    order = order[:, :rows]
+    t = np.take_along_axis(t[:, :, :rows], np.argsort(order, axis=1, kind="stable")[:, None, :], axis=2)
+    pivots = np.zeros((count, cols + 1), dtype=bool)
+    pivots[each[:, None], order] = True
+    return t.transpose(0, 2, 1), pivots[:, :cols]

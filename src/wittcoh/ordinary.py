@@ -9,10 +9,11 @@ Each coboundary into 2-form coordinates is written once, as a table of
 terms coefficient * phi(e_a ^ e_b) (_triple_terms for d2): _terms_values
 evaluates a table on phi's dense matrix, and _terms_matrix scatters it
 into the dense coboundary matrix.  d1's matrix is scattered straight from
-the pairs, each of which meets one column.  Ranks, kernels and the
-cohomology dimensions are read off the matrices once per prime, block by
-block, by restricted.cochain_complex, and the whole dense matrices serve
-as the oracle for those blockwise ranks.
+the pairs, each of which meets one column.  graded_blocks gathers the
+grade blocks of a matrix into one stack (delta2_block those of d2), from
+which restricted.cochain_complex reads ranks, kernels and the cohomology
+dimensions once per prime; the whole dense matrices serve as the oracle
+for those blockwise ranks.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -302,9 +303,10 @@ def _terms_matrix(terms: tuple[np.ndarray, ...], p: int) -> np.ndarray:
     column = np.zeros((p, p), dtype=np.int64)
     column[u, v] = column[v, u] = np.arange(len(u))
     m = np.zeros((coefficient.shape[1], len(u)), dtype=np.int64)
-    rows = np.broadcast_to(np.arange(coefficient.shape[1]), coefficient.shape)
-    np.add.at(m, (rows, column[first, second]), coefficient * np.sign(second - first))
-    return m % p
+    entries = np.broadcast_to(np.arange(coefficient.shape[1]), coefficient.shape), column[first, second]
+    np.add.at(m, entries, coefficient * np.sign(second - first))
+    m[entries] %= p  # every other entry is zero
+    return m
 
 
 def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
@@ -354,9 +356,34 @@ def graded_triple_positions(p: int, k: int) -> list[int]:
     return np.flatnonzero(_triple_grades(p) == k).tolist()
 
 
-def delta2_block(d2: np.ndarray, p: int, k: int) -> np.ndarray:
-    """The grade-k block of the assembled ordinary d2: grade-k triple rows, grade-k pair columns."""
-    return d2[np.ix_(graded_triple_positions(p, k), graded_pair_positions(p, k))]
+def grade_table(grades: np.ndarray, p: int) -> np.ndarray:
+    """Row k + 1 lists the positions of grade k in ascending order, padded with -1 to the longest row.
+
+    grades holds values in [-1, p - 2]; the triples of p = 3 are the only
+    ones whose grades are not equally common.
+    """
+    order = np.argsort(grades, kind="stable")
+    counts = np.bincount(grades + 1, minlength=p)
+    table = np.full((p, counts.max(initial=0)), -1)
+    table[grades[order] + 1, np.arange(len(grades)) - np.repeat(np.cumsum(counts) - counts, counts)] = order
+    return table
+
+
+def graded_blocks(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """m[rows[..., i], cols[..., j]] for index arrays (..., R) and (..., C); a row index -1 gives a zero row."""
+    blocks = m[rows[..., :, None], cols[..., None, :]]
+    blocks[rows < 0] = 0
+    return blocks
+
+
+def delta2_block(d2: np.ndarray, p: int, k: int | np.ndarray) -> np.ndarray:
+    """The grade-k block of the assembled ordinary d2: grade-k triple rows, grade-k pair columns.
+
+    k may be an array of grades, giving their blocks as a stack (..., R, C).
+    A grade with fewer triples than the most (at p = 3) ends in zero rows.
+    """
+    rows, cols = grade_table(_triple_grades(p), p), grade_table(_pair_grades(p), p)
+    return graded_blocks(d2, rows[k + 1], cols[k + 1])
 
 
 def virasoro_cocycle(field: PrimeField) -> Cochain2Ord:

@@ -52,18 +52,22 @@ cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense ordinary and restricted d1, d2 once per prime.
 Each column of d1 has its own grade, so distinct columns meet disjoint
 rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
-columns; the ranks of d2, d2_res and ker d2_res are computed grade block
-by grade block.  Every cohomology dimension, coboundary test and kernel
-sample reads it; the whole dense matrices are the oracle for the
-blockwise ranks.  A prime whose dense d2_res would exceed DENSE_D2_BYTES
-(1 GiB, so p > 67) is refused before anything is allocated.
+columns.  In degree 2 the p grade blocks of d2_res are gathered into one
+stack (p, R, C), zero rows padding the blocks with fewer rows (p = 3),
+and so are those of d2: one lockstep PrimeField.rref per degree gives
+every block's rank, and the kernel basis of d2_res is read off the
+stacked reduced forms.  The gather also checks the grading: the blocks
+must hold every nonzero entry of the matrix.  Every cohomology
+dimension, coboundary test and kernel sample reads the complex; the
+whole dense matrices are the oracle for the blockwise ranks.  A prime
+whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so p > 67) is
+refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,6 +87,8 @@ from .ordinary import (
     delta2_block,
     delta2_cl,
     delta2_matrix,
+    grade_table,
+    graded_blocks,
     upper_triangle,
     virasoro_cocycle,
     wedge_pairs,
@@ -414,33 +420,39 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_grading(m: np.ndarray, row_grades: np.ndarray, col_grades: np.ndarray) -> None:
-    """Raise unless every nonzero entry of m has equal row and column grade."""
-    rows, cols = np.nonzero(m)
-    if (row_grades[rows] != col_grades[cols]).any():
-        raise ArithmeticError("a coboundary matrix does not preserve the grading")
+def _grade_stack(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The grade blocks of m as a stack (see ordinary.graded_blocks), checking that m preserves the grading.
 
-
-def _graded_kernel(field: PrimeField, col_grades: np.ndarray, block) -> tuple[list[np.ndarray], dict[int, int]]:
-    """Kernel basis of a grade-preserving matrix, and its dimension per grade.
-
-    Columns of other grades meet other rows, so a column is a pivot of the
-    whole matrix exactly when it is one of its block.  The block kernels,
-    embedded and sorted by their free column (the last nonzero entry), are
-    therefore field.kernel_basis of the whole matrix, vector for vector.
+    The blocks are disjoint, so they hold every nonzero entry of m exactly
+    when no entry leaks out of its column's grade.
     """
-    basis: list[np.ndarray] = []
-    dims: dict[int, int] = {}
-    for k in range(-1, field.p - 1):
-        cols = np.flatnonzero(col_grades == k)
-        block_kernel = field.kernel_basis(block(k))
-        dims[k] = len(block_kernel)
-        for u in block_kernel:
-            v = np.zeros(len(col_grades), dtype=np.int64)
-            v[cols] = u
-            basis.append(_read_only(v))
-    basis.sort(key=lambda v: np.flatnonzero(v)[-1])
-    return basis, dims
+    blocks = graded_blocks(m, rows, cols)
+    if np.count_nonzero(blocks) != np.count_nonzero(m):
+        raise ArithmeticError("a coboundary matrix does not preserve the grading")
+    return blocks
+
+
+def _graded_kernel(field: PrimeField, blocks: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel basis, as rows, of a grade-preserving matrix with n columns, and the kernel dimension of each block.
+
+    blocks (p, R, C) stacks the grade blocks, block k + 1 on the columns
+    cols[k + 1]; one rref reduces them all.  Columns of other grades meet
+    other rows, so a column is a pivot of the whole matrix exactly when it
+    is one of its block.  The block kernels, embedded and sorted by their
+    free column (the last nonzero entry), are therefore
+    field.kernel_basis of the whole matrix, vector for vector.
+    """
+    r, pivots = field.rref(blocks)
+    # Row c of leading: the reduced row whose pivot is column c, zero for a free column;
+    # column f of eye - leading is then the kernel vector of the free column f.
+    row_of = np.maximum(np.cumsum(pivots, axis=1) - 1, 0)
+    leading = np.take_along_axis(r, row_of[:, :, None], axis=1) * pivots[:, :, None]
+    kernels = (np.eye(blocks.shape[2], dtype=np.int64) - leading) % field.p
+    block, free = np.nonzero(~pivots)
+    basis = np.zeros((len(block), n), dtype=np.int64)
+    basis[np.arange(len(block))[:, None], cols[block]] = kernels[block, :, free]
+    basis = _read_only(basis[np.argsort(cols[block, free])])
+    return basis, np.count_nonzero(~pivots, axis=1)
 
 
 def _column_pivots(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -460,10 +472,11 @@ class CochainComplex:
     row (a, b).  The column e^k of d1_res (and of d1) is its only column of
     grade k, so distinct columns meet disjoint rows: the nonzero columns are
     independent and a zero column spans the kernel of its grade.  Degree 1
-    is therefore read off the zero columns with no row reduction.  The ranks
-    of d2, d2_res and ker d2_res are computed block by block; the whole
-    dense matrices are only the oracle for them
-    (verify's ordinary.block_full_agreement).
+    is therefore read off the zero columns with no row reduction.  In
+    degree 2 the grade blocks of d2_res, and those of d2, are each stacked
+    and row-reduced by one lockstep elimination, which gives the ranks of
+    d2, d2_res and ker d2_res; the whole dense matrices are only the
+    oracle for them (verify's ordinary.block_full_agreement).
     """
 
     def __init__(self, field: PrimeField) -> None:
@@ -474,23 +487,27 @@ class CochainComplex:
         self.d2_res = _read_only(delta2_res_matrix(field))
         self.d1 = self.d1_res[:n2]
         self.d2 = self.d2_res[:n3, :n2]
-        index = np.arange(-1, p - 1)  # grades of e^i, of omega_i and of the beta rows (i, *)
-        pairs, triples = _pair_grades(p), _triple_grades(p)
-        res_pairs = np.concatenate([pairs, index])
-        res_triples = np.concatenate([triples, np.repeat(index, p)])
+        grades = np.arange(-1, p - 1)  # of e^i, of omega_i and of the beta rows (i, *)
+        # Block k + 1 of each stack: the grade-k pairs or triples, then the omega or beta coordinates of grade k.
+        pairs, triples = grade_table(_pair_grades(p), p), grade_table(_triple_grades(p), p)
+        res_pairs = np.hstack([pairs, n2 + grades[:, None] + 1])
+        res_triples = np.hstack([triples, n3 + p * (grades[:, None] + 1) + np.arange(p)])
         # The ordinary matrices are corners of the restricted ones, whose checks cover them.
-        _check_grading(self.d1_res, res_pairs, index)
-        _check_grading(self.d2_res, res_triples, res_pairs)
+        _grade_stack(self.d1_res, res_pairs, grades[:, None] + 1)
+        blocks_res = _grade_stack(self.d2_res, res_triples, res_pairs)
         self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
         zero1, zero1_res = (self._pivots[r][1] == 0 for r in (False, True))  # zero columns, by grade
-        ker2_res, _ = _graded_kernel(field, res_pairs, lambda k: self.d2_res[np.ix_(res_triples == k, res_pairs == k)])
-        ker2, dims2 = _graded_kernel(field, pairs, partial(delta2_block, self.d2, p))
+        ker2_res, _ = _graded_kernel(field, blocks_res, res_pairs, n2 + p)
+        ker2, dims2 = _graded_kernel(field, delta2_block(self.d2, p, grades), pairs, n2)
         self.rank_d1 = p - int(zero1.sum())
         self.rank_d1_res = p - int(zero1_res.sum())
         self.rank_d2 = n2 - len(ker2)
         self.rank_d2_res = n2 + p - len(ker2_res)
         self.ker_d2_res = tuple(ker2_res)
-        self.graded_kernel_dims = {1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)}, 2: dims2}
+        self.graded_kernel_dims = {
+            1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)},
+            2: {k: int(d) for k, d in zip(range(-1, p - 1), dims2)},
+        }
         # (H^0, H^1, H^2); d0 vanishes on trivial coefficients.
         self.h_ordinary = (1, p - self.rank_d1, len(ker2) - self.rank_d1)
         self.h_restricted = (1, p - self.rank_d1_res, len(ker2_res) - self.rank_d1_res)
@@ -514,14 +531,20 @@ class CochainComplex:
 DENSE_D2_BYTES = 1 << 30
 
 
-def check_dense_d2_size(p: int) -> None:
-    """Raise ValueError when the dense int64 d2_res of p would exceed DENSE_D2_BYTES."""
-    size = 8 * c3_dim(p) * c2_dim(p)
+def check_dense_d2_size(n: int) -> None:
+    """Raise ValueError when the dense int64 d2_res of n would exceed DENSE_D2_BYTES.
+
+    The command line applies this rule before primality, to any integer n,
+    so the message does not call n a prime.  The size is rounded up to
+    hundredths of a GiB in integers, exact at any n, so a size over the
+    limit never reads as the limit.
+    """
+    size = 8 * c3_dim(n) * c2_dim(n)
     if size > DENSE_D2_BYTES:
+        hundredths = -(-100 * size // 2**30)
         raise ValueError(
-            # Decimal, not float: the command line applies this rule before primality, to any integer.
-            f"p = {p} needs a {Decimal(size) / 2**30:.1f} GiB dense d2 matrix, "
-            f"over the {DENSE_D2_BYTES / 2**30:.0f} GiB limit"
+            f"{n} is too large: its dense d2 matrix would need {hundredths // 100}.{hundredths % 100:02d} GiB, "
+            f"over the {DENSE_D2_BYTES >> 30} GiB limit"
         )
 
 

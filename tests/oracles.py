@@ -7,8 +7,10 @@ time, deliberately avoiding the library's stacked numpy kernels and term
 tables, so agreement is meaningful.  The one stacked oracle,
 starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
 sum one by one as right-bracket rows, with no lambda grouping; it is the
-reference for verify's evaluation route up to p = 19.  sample_rows gives
-the kernels' test inputs.
+reference for verify's evaluation route up to p = 19.  rref_by_pivots
+row-reduces one matrix a pivot at a time, each pivot updating the whole
+matrix, with none of gfp's stacking or row and column selection.
+sample_rows gives the kernels' test inputs.
 """
 
 from __future__ import annotations
@@ -320,3 +322,47 @@ def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
             for k in chain.support():
                 _add_wedge(m, row, -chain.coeff(k), k, b, p)
     return m % p
+
+
+def rref_by_pivots(field: PrimeField, m) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of one matrix and its pivot columns, one pivot at a time.
+
+    The reference for both of PrimeField.rref's eliminations: each pivot
+    swaps the first row with a nonzero entry in its column into place and
+    clears that column from the whole matrix.
+    """
+    a = field.matrix(m)
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * field.inv(int(a[r, c]))) % field.p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % field.p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def kernel_basis_by_pivots(field: PrimeField, m) -> list[np.ndarray]:
+    """Right kernel basis of one matrix read off rref_by_pivots, one vector per free column."""
+    r, pivots = rref_by_pivots(field, m)
+    cols = r.shape[1]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = np.zeros(cols, dtype=np.int64)
+        v[f] = 1
+        for row, c in enumerate(pivots):
+            v[c] = (-int(r[row, f])) % field.p
+        basis.append(v)
+    return basis
+

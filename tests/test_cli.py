@@ -242,15 +242,15 @@ def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_run_prime_args", never)
     assert main(["verify", "--prime", "101"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: p = 101 needs a 6.8 GiB dense d2 matrix")
+    assert err == "error: 101 is too large: its dense d2 matrix would need 6.79 GiB, over the 1 GiB limit\n"
     assert main(["verify", "--primes", "61..101"]) == 2
-    with pytest.raises(ValueError, match="p = 101"):
+    with pytest.raises(ValueError, match="^101 is too large"):
         verify.run_prime(101)
 
 
 def test_verify_refuses_a_wide_range_at_its_first_refused_prime(capsys, monkeypatch):
-    # Primality is tested only up to p = 71, the first prime the size rule
-    # refuses, not on every integer of the range.
+    # The size rule comes first for every integer of the range, so primality
+    # is tested only up to 68: 69 is the first integer the rule refuses.
     from wittcoh import cli
 
     calls = []
@@ -265,11 +265,11 @@ def test_verify_refuses_a_wide_range_at_its_first_refused_prime(capsys, monkeypa
     monkeypatch.setattr(cli, "is_prime", counting_is_prime)
     assert main(["verify", "--primes", "3..101"]) == 2
     expected = capsys.readouterr().err
-    assert expected == "error: p = 71 needs a 1.2 GiB dense d2 matrix, over the 1 GiB limit\n"
+    assert expected == "error: 69 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
     calls.clear()
     assert main(["verify", "--primes", "3..10000000000"]) == 2
     assert capsys.readouterr().err == expected
-    assert max(calls) == 71
+    assert max(calls) == 68
 
 
 def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
@@ -285,7 +285,7 @@ def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch
     monkeypatch.setattr(extensions, "_jacobi_scan", never)
     assert main(["extension", "--prime", "101"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: p = 101 needs a 6.8 GiB dense d2 matrix")
+    assert err == "error: 101 is too large: its dense d2 matrix would need 6.79 GiB, over the 1 GiB limit\n"
     assert main(["extension", "--prime", "101", "--which", "0", "--format", "csv"]) == 2
 
 
@@ -302,5 +302,41 @@ def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkey
         for command in ("verify", "extension"):
             assert main([command, "--prime", str(n)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith(f"error: p = {n} needs a ")
-            assert err.endswith(" GiB dense d2 matrix, over the 1 GiB limit\n")
+            assert err.startswith(f"error: {n} is too large: its dense d2 matrix would need ")
+            assert err.endswith(" GiB, over the 1 GiB limit\n")
+
+
+def test_size_rule_refuses_a_range_before_testing_primality(capsys, monkeypatch):
+    # Trial division of 10^18 + 3 would not end within minutes; the range ends
+    # at its first integer, which the size rule refuses.  A range above 67
+    # with no prime in it gets the size message too.
+    from wittcoh import cli
+
+    def never(n):
+        raise AssertionError("tested primality")
+
+    monkeypatch.setattr(cli, "is_prime", never)
+    n = 10**18 + 3
+    assert main(["verify", "--primes", f"{n}..{n}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {n} is too large: its dense d2 matrix would need ")
+    assert main(["verify", "--primes", "100..100"]) == 2
+    assert capsys.readouterr().err == "error: 100 is too large: its dense d2 matrix would need 6.47 GiB, over the 1 GiB limit\n"
+
+
+def test_size_message_names_no_composite_prime_and_rounds_up(capsys):
+    # 69 is composite and its dense d2 needs 1.028 GiB: the message neither
+    # calls it p nor rounds the size down to the limit.  68 is under the
+    # limit, so it gets the primality message.
+    from wittcoh.restricted import check_dense_d2_size
+
+    assert main(["verify", "--prime", "69"]) == 2
+    assert capsys.readouterr().err == "error: 69 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
+    assert main(["verify", "--prime", "68"]) == 2
+    assert capsys.readouterr().err == "error: 68 is not prime (need an odd prime >= 3)\n"
+    check_dense_d2_size(67)
+    for n in range(69, 200):
+        with pytest.raises(ValueError) as refused:
+            check_dense_d2_size(n)
+        size = float(str(refused.value).split("would need ")[1].split(" GiB")[0])
+        assert size > 1
+

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tests.oracles import rref_by_pivots
 from wittcoh.gfp import PrimeField, is_prime
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -38,13 +39,13 @@ def test_rref_examples():
     f = PrimeField(5)
     eye = np.eye(3, dtype=np.int64)
     r, pivots = f.rref(eye)
-    assert (r == eye).all() and pivots == [0, 1, 2]
+    assert (r == eye).all() and np.flatnonzero(pivots).tolist() == [0, 1, 2]
 
     r, pivots = f.rref([[1, 2], [2, 4]])
-    assert (r == np.array([[1, 2], [0, 0]])).all() and pivots == [0]
+    assert (r == np.array([[1, 2], [0, 0]])).all() and np.flatnonzero(pivots).tolist() == [0]
 
     r, pivots = f.rref(np.zeros((2, 3), dtype=np.int64))
-    assert not r.any() and pivots == []
+    assert not r.any() and np.flatnonzero(pivots).tolist() == []
 
 
 def test_rank_examples():
@@ -94,8 +95,10 @@ def test_rref_idempotent(fm):
     field, m = fm
     r1, piv1 = field.rref(m)
     r2, piv2 = field.rref(r1)
-    assert (r1 == r2).all() and piv1 == piv2
-    assert piv1 == sorted(piv1)
+    assert (r1 == r2).all() and (piv1 == piv2).all()
+    # The pivot columns, in order, are the unit columns of the nonzero rows.
+    rank = np.count_nonzero(piv1)
+    assert (r1[:rank][:, piv1] == np.eye(rank, dtype=np.int64)).all() and not r1[rank:].any()
 
 
 @given(matrix_and_field())
@@ -111,3 +114,49 @@ def test_rank_invariant_under_row_permutation(fm, rnd):
     perm = list(range(m.shape[0]))
     rnd.shuffle(perm)
     assert field.rank(m[perm]) == field.rank(m)
+
+
+@st.composite
+def stack_and_field(draw):
+    """A stack of blocks X @ Y of random inner rank, some of them zero, some ending in zero rows."""
+    p = draw(st.sampled_from([3, 5, 7, 31]))
+    count = draw(st.integers(min_value=1, max_value=5))
+    rows = draw(st.integers(min_value=1, max_value=7))
+    cols = draw(st.integers(min_value=1, max_value=7))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    blocks = []
+    for _ in range(count):
+        inner = draw(st.integers(min_value=0, max_value=min(rows, cols)))
+        block = rng.integers(0, p, (rows, inner)) @ rng.integers(0, p, (inner, cols)) % p
+        block[rows - draw(st.integers(min_value=0, max_value=rows - 1)) :] = 0  # padding rows
+        blocks.append(block)
+    return PrimeField(p), np.array(blocks)
+
+
+@given(stack_and_field())
+def test_stacked_rref_equals_the_oracle_block_by_block(fm):
+    field, stack = fm
+    r, pivots = field.rref(stack)
+    assert r.shape == stack.shape and pivots.shape == (len(stack), stack.shape[2])
+    for block, reduced, mask in zip(stack, r, pivots):
+        expected, expected_pivots = rref_by_pivots(field, block)
+        assert (reduced == expected).all()
+        assert np.flatnonzero(mask).tolist() == expected_pivots
+
+
+@given(matrix_and_field())
+def test_one_matrix_rref_equals_the_oracle(fm):
+    field, m = fm
+    r, pivots = field.rref(m)
+    expected, expected_pivots = rref_by_pivots(field, m)
+    assert (r == expected).all() and np.flatnonzero(pivots).tolist() == expected_pivots
+
+
+def test_rref_keeps_the_leading_axes():
+    field = PrimeField(7)
+    stack = np.arange(2 * 3 * 4 * 5).reshape(2, 3, 4, 5) % 7
+    r, pivots = field.rref(stack)
+    assert r.shape == stack.shape and pivots.shape == (2, 3, 5)
+    for i in range(2):
+        for j in range(3):
+            assert (r[i, j] == rref_by_pivots(field, stack[i, j])[0]).all()
