@@ -436,23 +436,19 @@ def _graded_kernel(field: PrimeField, blocks: np.ndarray, cols: np.ndarray, n: i
     """Kernel basis, as rows, of a grade-preserving matrix with n columns, and the kernel dimension of each block.
 
     blocks (p, R, C) stacks the grade blocks, block k + 1 on the columns
-    cols[k + 1]; one rref reduces them all.  Columns of other grades meet
-    other rows, so a column is a pivot of the whole matrix exactly when it
-    is one of its block.  The block kernels, embedded and sorted by their
-    free column (the last nonzero entry), are therefore
-    field.kernel_basis of the whole matrix, vector for vector.
+    cols[k + 1]; field.kernels reads every block's kernel off one rref of
+    the stack.  Columns of other grades meet other rows, so a column is a
+    pivot of the whole matrix exactly when it is one of its block.  The
+    block kernels, embedded and sorted by their free column (the last
+    nonzero entry), are therefore field.kernel_basis of the whole matrix,
+    vector for vector.
     """
-    r, pivots = field.rref(blocks)
-    # Row c of leading: the reduced row whose pivot is column c, zero for a free column;
-    # column f of eye - leading is then the kernel vector of the free column f.
-    row_of = np.maximum(np.cumsum(pivots, axis=1) - 1, 0)
-    leading = np.take_along_axis(r, row_of[:, :, None], axis=1) * pivots[:, :, None]
-    kernels = (np.eye(blocks.shape[2], dtype=np.int64) - leading) % field.p
-    block, free = np.nonzero(~pivots)
+    vectors, free = field.kernels(blocks)
+    block, column = np.nonzero(free)
     basis = np.zeros((len(block), n), dtype=np.int64)
-    basis[np.arange(len(block))[:, None], cols[block]] = kernels[block, :, free]
-    basis = _read_only(basis[np.argsort(cols[block, free])])
-    return basis, np.count_nonzero(~pivots, axis=1)
+    basis[np.arange(len(block))[:, None], cols[block]] = vectors[block, column]
+    basis = _read_only(basis[np.argsort(cols[block, column])])
+    return basis, np.count_nonzero(free, axis=1)
 
 
 def _column_pivots(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField, inverses as _inverse_vector  # inv[i] = i^{-1} mod p for i >= 1
+from .gfp import PrimeField
 
 
 class ProportionalityError(ArithmeticError):
@@ -270,6 +270,15 @@ def jacobi_scan(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
             u, v, w = (int(i) for i in bad[0])
             return lo + u, v, w
     return None
+
+
+@lru_cache(maxsize=None)
+def _inverse_vector(p: int) -> np.ndarray:
+    """inv[i] = i^{-1} mod p for i >= 1 (slot 0 unused)."""
+    inv = np.zeros(p, dtype=np.int64)
+    for a in range(1, p):
+        inv[a] = pow(a, p - 2, p)
+    return inv
 
 
 def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p: int) -> np.ndarray:

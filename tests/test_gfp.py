@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tests.oracles import rref_by_pivots
-from wittcoh.gfp import PrimeField, is_prime
+from tests.oracles import kernel_basis_by_pivots, rref_by_pivots
+from wittcoh.gfp import MAX_MODULUS, PrimeField, is_prime
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -160,3 +160,35 @@ def test_rref_keeps_the_leading_axes():
     for i in range(2):
         for j in range(3):
             assert (r[i, j] == rref_by_pivots(field, stack[i, j])[0]).all()
+
+
+@given(stack_and_field())
+def test_stacked_kernels_equal_the_oracle_block_by_block(fm):
+    field, stack = fm
+    vectors, free = field.kernels(stack)
+    assert vectors.shape == (len(stack), stack.shape[2], stack.shape[2]) and free.shape == (len(stack), stack.shape[2])
+    for block, rows, mask in zip(stack, vectors, free):
+        expected = kernel_basis_by_pivots(field, block)
+        assert len(expected) == np.count_nonzero(mask)
+        assert all((v == e).all() for v, e in zip(rows[mask], expected))
+        assert not rows[~mask].any()
+
+
+def test_rref_of_a_large_modulus():
+    field = PrimeField(1_000_000_007)
+    m = np.random.default_rng(0).integers(0, field.p, (6, 8))
+    m[5] = (3 * m[0] + m[2]) % field.p
+    r, pivots = field.rref(m)
+    expected, expected_pivots = rref_by_pivots(field, m)
+    assert (r == expected).all() and np.flatnonzero(pivots).tolist() == expected_pivots == [0, 1, 2, 3, 4]
+    # A stack is reduced in lockstep; its 40 pivots' updates, each below p^2, would overflow int64 unreduced.
+    stack = np.random.default_rng(1).integers(0, field.p, (2, 40, 40))
+    stack[1, 30:] = 0
+    r, pivots = field.rref(stack)
+    for block, reduced, mask in zip(stack, r, pivots):
+        expected, expected_pivots = rref_by_pivots(field, block)
+        assert (reduced == expected).all() and np.flatnonzero(mask).tolist() == expected_pivots
+    big = PrimeField(3_037_000_507)
+    assert big.p > MAX_MODULUS
+    with pytest.raises(OverflowError):
+        big.rank(m)
