@@ -6,9 +6,9 @@ Subcommands
     extension  emit the bracket/p-map presentation of one central extension
 
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
-(including an --output path that cannot be written, and a verify or
-extension prime whose dense d2 matrix would exceed the memory limit,
-p > 67: one size rule for both, checked on every integer before its
+(including an --output path that cannot be written, and a prime of any
+subcommand whose dense d2 matrix would exceed the memory limit, p > 67:
+one size rule for all three, checked on every integer before its
 primality and before any work, so a --primes range ends at once at its
 first integer above 67).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
@@ -49,12 +49,7 @@ def _parse_primes(single, chain) -> list[int] | str:
     if single is not None and chain is not None:
         return "use either --prime or --primes, not both"
     if single is not None:
-        refusal = _refusal(single)  # before primality, whose trial division grows with the prime
-        if refusal:
-            return refusal
-        if single < 3 or not is_prime(single):
-            return f"{single} is not prime (need an odd prime >= 3)"
-        return [single]
+        return _prime_refusal(single) or [single]
     if chain is not None:
         parts = chain.split("..")
         if len(parts) != 2:
@@ -83,6 +78,14 @@ def _refusal(n: int) -> str | None:
     except ValueError as e:
         return str(e)
     return None
+
+
+def _prime_refusal(n: int | None) -> str | None:
+    """Why --prime n is refused, or None: the size rule comes before
+    primality, whose trial division grows with n."""
+    if n is None:
+        return "--prime is required"
+    return _refusal(n) or (None if n >= 3 and is_prime(n) else f"{n} is not prime (need an odd prime >= 3)")
 
 
 def _index_key(i: int) -> str:
@@ -121,10 +124,9 @@ def cmd_verify(args) -> int:
 
 def cmd_cocycles(args) -> int:
     p = args.prime
-    if p is None:
-        return _fail("--prime is required")
-    if p < 3 or not is_prime(p):
-        return _fail(f"{p} is not prime (need an odd prime >= 3)")
+    refusal = _prime_refusal(p)
+    if refusal:
+        return _fail(refusal)
     field = PrimeField(p)
     which = args.which
 
@@ -177,13 +179,9 @@ def _basis_label(p: int, position: int) -> str:
 
 def cmd_extension(args) -> int:
     p = args.prime
-    if p is None:
-        return _fail("--prime is required")
-    refusal = _refusal(p)
+    refusal = _prime_refusal(p)
     if refusal:
         return _fail(refusal)
-    if p < 3 or not is_prime(p):
-        return _fail(f"{p} is not prime (need an odd prime >= 3)")
     field = PrimeField(p)
     which = args.which
     if which == "virasoro":

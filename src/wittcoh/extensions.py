@@ -30,11 +30,13 @@ row kernel on stacked coefficient rows, built on witt's derivation rows
 and restricted's omega rows: pmap_rows pairs each row with its own source
 cocycle, so rows of many extensions share one call, and
 CentralExtension.pth_power_rows is its call for one extension.  The
-verifier checks the extensions of a prime together, taking the powers of
-one axiom's random trials of every extension in one call, and
-extract_cocycle takes all p p-map defects in one call;
-CentralExtension.pth_power takes one element through the one-row entry
-points of the same kernels.
+verifier checks the extensions of a prime together: the work that needs
+only a bracket table runs once per distinct table, the powers of one
+axiom's random trials of every extension take one call, and so do the
+powers of the basis sums its sum sweep compares, so the sweep tests the
+p-map the extension uses.  extract_cocycle takes all p p-map defects in
+one call; CentralExtension.pth_power takes one element through the
+one-row entry points of the same kernels.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .ordinary import Cochain1, Cochain2Ord, upper_triangle
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
-    c2_dim,
     c2_to_vector,
     cochain_complex,
     eval_omega,
@@ -67,7 +67,6 @@ from .witt import (
     basis_element,
     first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
-    pth_power_rows,
     pth_power_via_derivation,
     pth_power_via_derivation_rows,
     summands_total,
@@ -189,11 +188,15 @@ def pmap_rows(xs: np.ndarray, cocycles: np.ndarray, p: int) -> np.ndarray:
     the W parts take the derivation route in one call, and omega(g) is the
     row's own source cocycle, cocycles (..., c2_dim(p)) broadcast against
     the rows' leading axes, against g's omega functional, all taken in one
-    omega_functional_rows call.  Rows of many extensions thus share one call.
+    omega_functional_rows call.  Rows of many extensions thus share one
+    call, and rows that lack the cocycles' leading axes are powered once
+    for all of them: the W parts are broadcast, and the contraction builds
+    no (..., c2_dim(p)) product.
     """
     ws = xs[..., :p]
-    central = (omega_functional_rows(ws, p) * cocycles).sum(axis=-1) % p
-    return np.concatenate([pth_power_via_derivation_rows(ws, p), central[..., None]], axis=-1)
+    central = np.einsum("...c,...c->...", omega_functional_rows(ws, p), cocycles) % p
+    powers = np.broadcast_to(pth_power_via_derivation_rows(ws, p), central.shape + (p,))
+    return np.concatenate([powers, central[..., None]], axis=-1)
 
 
 def build_extension(c: Cochain2Res, check: bool = True) -> CentralExtension:
@@ -268,35 +271,10 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _jacobi_scan(ext: CentralExtension) -> str:
-    """Empty string when every basis triple satisfies Jacobi, else the first witness."""
-    bad = witt.jacobi_scan(ext.bracket_table, ext.p)
+def _jacobi_scan(table: np.ndarray, p: int) -> str:
+    """Empty string when every basis triple of the bracket table satisfies Jacobi, else the first witness."""
+    bad = witt.jacobi_scan(table, p)
     return "" if bad is None else "Jacobi fails on basis triple positions ({}, {}, {})".format(*bad)
-
-
-@lru_cache(maxsize=1)
-def _basis_sum_powers(field: PrimeField) -> tuple[np.ndarray, np.ndarray]:
-    """W-level p-th powers and omega functionals of every basis sum b_u + b_v of E.
-
-    Indexed [u, v] by table position (position p, the central c, adds
-    nothing to the W part).  They depend on W alone, so the p + 1
-    extensions of a prime share them; only the latest prime is kept.
-    The sums of the pairs u <= v are stacked into one fold call and one
-    omega functional call, then mirrored; the powers take the fold, the
-    oracle of the derivation route that CentralExtension.pth_power uses.
-    """
-    p = field.p
-    n = p + 1
-    u, v = np.triu_indices(n)
-    eye = np.eye(n, dtype=np.int64)
-    sums = (eye[u] + eye[v])[:, :p]
-    powers = np.zeros((n, n, p), dtype=np.int64)
-    functionals = np.zeros((n, n, c2_dim(p)), dtype=np.int64)
-    powers[u, v] = powers[v, u] = pth_power_rows(sums, p)
-    functionals[u, v] = functionals[v, u] = omega_functional_rows(sums, p)
-    powers.setflags(write=False)
-    functionals.setflags(write=False)
-    return powers, functionals
 
 
 def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int = 0) -> AxiomReport:
@@ -318,12 +296,22 @@ def verify_restricted_axioms_stacked(
     pairs; the scalar axiom runs on `trials` random elements and the sum
     axiom on every basis pair plus `trials` random pairs.
 
+    What depends on the bracket table alone runs once per distinct table
+    (tables equal byte for byte are one), and its results are indexed back
+    to each extension: antisymmetry, the bracket part of centrality, the
+    Jacobi witness, the adjoint chain power of every basis element and the
+    summands of every basis pair.  The p extensions of the coordinate
+    cocycles (0, omega_i) share one table, W + Kc, so a prime's p + 1
+    extensions make two.  Each extension's p-map rows, draws, verdicts and
+    details stay its own.
+
     The sum axiom sweeps all (p+1)^2 basis pairs at once: the summands come
-    from each extension's own table in one stacked call, the basis powers
-    from its p-map rows, and the left side from a per-prime sweep shared by
-    every extension, the fold p-th power and omega functional of each basis
-    sum b_u + b_v, paired with the extension's source cocycle.  The first
-    failing pair is reported in row-major order.
+    from the table, the basis powers from the extension's p-map rows, and
+    the left side, (b_u + b_v)^{[p]}, from one pmap_rows call on the basis
+    sums u <= v (mirrored) against every extension's source cocycle, so the
+    sweep tests the p-map the extension uses (the fold checks it in turn,
+    verify's witt.pth_power_oracle).  The first failing pair is reported in
+    row-major order.
 
     The extensions are checked axiom by axiom, all together: the random
     trials of one axiom, of every extension, take their p-th powers in one
@@ -339,7 +327,10 @@ def verify_restricted_axioms_stacked(
     if any(e.p != p for e in exts) or len(seeds) != len(exts):
         raise ValueError("need one seed per extension, all over the same prime")
     rngs = [random.Random(seed) for seed in seeds]
-    tables = np.stack([e.bracket_table for e in exts])
+    # tables holds the distinct bracket tables in order of first use; table_of[k] is extension k's.
+    distinct: dict[bytes, int] = {}
+    table_of = np.array([distinct.setdefault(e.bracket_table.tobytes(), len(distinct)) for e in exts])
+    tables = np.stack([exts[k].bracket_table for k in np.unique(table_of, return_index=True)[1]])
     pmaps = np.stack([e.pmap_basis for e in exts])
     cocycles = np.stack([c2_to_vector(e.source) for e in exts])
     checks: list[list[AxiomCheck]] = [[] for _ in exts]
@@ -350,10 +341,11 @@ def verify_restricted_axioms_stacked(
 
     # Entries are reduced and p is odd, so 2 [b_u, b_u] = 0 forces [b_u, b_u] = 0.
     anti = ((tables + tables.transpose(0, 2, 1, 3)) % p).any(axis=(1, 2, 3))
-    add("antisymmetry", ~anti, [""] * len(exts))
-    witnesses = [_jacobi_scan(e) for e in exts]
-    add("jacobi", [w == "" for w in witnesses], witnesses)
-    central = tables[:, :, p].any(axis=(1, 2)) | tables[:, p].any(axis=(1, 2)) | pmaps[:, p].any(axis=1)
+    add("antisymmetry", ~anti[table_of], [""] * len(exts))
+    witnesses = [_jacobi_scan(t, p) for t in tables]
+    jacobi = [witnesses[d] for d in table_of]
+    add("jacobi", [not w for w in jacobi], jacobi)
+    central = (tables[:, :, p].any(axis=(1, 2)) | tables[:, p].any(axis=(1, 2)))[table_of] | pmaps[:, p].any(axis=1)
     add("central_element", ~central, [""] * len(exts))
 
     def random_row(rng: random.Random, nonzero: bool = False) -> list[int]:
@@ -368,12 +360,12 @@ def verify_restricted_axioms_stacked(
     def failure(k: int, x, y) -> str:  # extension k's failing pair, as the loops reported it
         return f"fails for x={exts[k].from_coeffs(x)!r}, y={exts[k].from_coeffs(y)!r}"
 
-    # right[k, u] is the right-bracket matrix of b_u in extension k: (v @ right[k, u]) is [v, b_u].
+    # right[d, u] is the right-bracket matrix of b_u in table d: (v @ right[d, u]) is [v, b_u].
     right = tables.transpose(0, 2, 1, 3)
-    right_rows = right.reshape(len(exts), n, n * n)
+    right_rows = right.reshape(len(tables), n, n * n)
 
     def right_of(xs: np.ndarray, part) -> np.ndarray:
-        """Right-bracket matrices of rows xs (k, m, n), xs[k] in extension part[k]."""
+        """Right-bracket matrices of rows xs (k, m, n), xs[k] in table part[k]."""
         return (xs @ right_rows[part]).reshape(xs.shape + (n,)) % p
 
     # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.
@@ -401,17 +393,17 @@ def verify_restricted_axioms_stacked(
     chains = right
     for _ in range(p - 1):
         chains = chains @ right % p
-    bad = (chains != right_of(pmaps, slice(None))).any(axis=-1)
+    bad = (chains[table_of] != right_of(pmaps, table_of)).any(axis=-1)
     details = ["" if not b.any() else "fails on basis positions ({1}, {0})".format(*np.argwhere(b)[0]) for b in bad]
     scanned = [k for k, detail in enumerate(details) if not detail]
 
     def adjoint_failing(samples):
         xs, ys = (np.array([[pair[side] for pair in drawn] for drawn in samples]) for side in (0, 1))
-        bx = right_of(xs, scanned)
+        bx = right_of(xs, table_of[scanned])
         chain = ys[..., None, :]
         for _ in range(p):
             chain = chain @ bx % p
-        direct = ys[..., None, :] @ right_of(pmap_rows(xs, cocycles[scanned, None], p), scanned) % p
+        direct = ys[..., None, :] @ right_of(pmap_rows(xs, cocycles[scanned, None], p), table_of[scanned]) % p
         return (chain != direct)[..., 0, :].any(axis=-1)
 
     pairs, firsts = first_failures([rngs[k] for k in scanned], random_pair, trials, adjoint_failing)
@@ -422,29 +414,29 @@ def verify_restricted_axioms_stacked(
 
     # Sum axiom: (x+y)^{[p]} = x^{[p]} + y^{[p]} + sum_i s_i(x, y), the s_i
     # extracted from the lambda-expansion of the iterated bracket inside E.
-    # The basis pairs (u, v) of each extension are stacked in blocks of u,
-    # one block unless p is large, to bound the memory of the lambda rows.
+    # The basis pairs (u, v) of each table are stacked in blocks of u, one
+    # block unless p is large, to bound the memory of the lambda rows.
     randoms = [[random_pair(rng) for _ in range(trials)] for rng in rngs]
     block = max(1, witt._SWEEP_BYTES // (8 * n * n * p))
     eye = np.eye(n, dtype=np.int64)
     summands = np.stack([
         np.concatenate([
-            summands_total(eye[lo : lo + block, None], right[k, lo : lo + block, None], right[k], p)
-            for lo in range(0, n, block)
+            summands_total(eye[lo : lo + block, None], r[lo : lo + block, None], r, p) for lo in range(0, n, block)
         ])
-        for k in range(len(exts))
+        for r in right
     ])
-    powers, functionals = _basis_sum_powers(exts[0].field)
-    omegas = np.einsum("uvc,kc->kuv", functionals, cocycles)  # omega(b_u + b_v) of each extension's source
-    lhs = np.concatenate([np.broadcast_to(powers, summands.shape[:-1] + (p,)), omegas[..., None]], axis=-1)
-    rhs = pmaps[:, :, None] + pmaps[:, None] + summands
+    u, v = np.triu_indices(n)
+    lhs = np.zeros((len(exts), n, n, n), dtype=np.int64)
+    lhs[:, u, v] = lhs[:, v, u] = pmap_rows(eye[u] + eye[v], cocycles[:, None], p)
+    rhs = pmaps[:, :, None] + pmaps[:, None] + summands[table_of]
     bad = ((lhs - rhs) % p).any(axis=-1)
     details = ["" if not b.any() else failure(k, *eye[np.argwhere(b)[0]]) for k, b in enumerate(bad)]
     swept = [k for k, detail in enumerate(details) if not detail]
     if swept and trials:
         xs, ys = (np.array([[pair[side] for pair in randoms[k]] for k in swept]) for side in (0, 1))
         x_pow, y_pow, sum_pow = pmap_rows(np.stack([xs, ys, xs + ys]), cocycles[swept, None], p)
-        rhs = x_pow + y_pow + summands_total(xs, right_of(xs, swept), right_of(ys, swept), p)
+        part = table_of[swept]
+        rhs = x_pow + y_pow + summands_total(xs, right_of(xs, part), right_of(ys, part), p)
         for k, b in zip(swept, ((sum_pow - rhs) % p).any(axis=-1)):
             if b.any():
                 details[k] = failure(k, *randoms[k][np.argmax(b)])

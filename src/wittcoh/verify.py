@@ -541,10 +541,10 @@ def dims_summary(field: PrimeField) -> dict:
 
 def run_prime(p: int, seed: int = 0) -> dict:
     """The full verification report for one prime as a JSON-ready dict."""
+    res.check_dense_d2_size(p)  # before primality, whose trial division grows with p, and before any work
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     field = PrimeField(p)
-    res.cochain_complex(field)  # refuses, before any work, a prime whose dense d2 would not fit
     rng = random.Random(f"{seed}:{p}")
     oracle_trials = 100 if p <= 13 else 5
     checks: list[CheckResult] = []

@@ -291,19 +291,23 @@ def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch
 
 def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkeypatch):
     # Trial division up to the square root of 10^18 + 3 would take minutes,
-    # and 10^70 + 1 needs a size beyond float range in its message.
-    from wittcoh import cli
+    # and 10^70 + 1 needs a size beyond float range in its message.  Every
+    # subcommand, and run_prime, applies the one size rule first.
+    from wittcoh import cli, verify
 
     def never(n):
         raise AssertionError("tested primality")
 
     monkeypatch.setattr(cli, "is_prime", never)
+    monkeypatch.setattr(verify, "is_prime", never)
     for n in (10**18 + 3, 10**70 + 1):
-        for command in ("verify", "extension"):
+        for command in ("verify", "extension", "cocycles"):
             assert main([command, "--prime", str(n)]) == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {n} is too large: its dense d2 matrix would need ")
             assert err.endswith(" GiB, over the 1 GiB limit\n")
+        with pytest.raises(ValueError, match=f"^{n} is too large: its dense d2 matrix would need "):
+            verify.run_prime(n)
 
 
 def test_size_rule_refuses_a_range_before_testing_primality(capsys, monkeypatch):

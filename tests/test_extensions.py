@@ -27,6 +27,7 @@ from wittcoh.restricted import (
     Cochain2Res,
     NotACocycleError,
     c2_from_vector,
+    c2_to_vector,
     c2res_zero,
     delta1_res,
     delta2_res_matrix,
@@ -34,7 +35,7 @@ from wittcoh.restricted import (
     restricted_h2,
     virasoro_cochain,
 )
-from wittcoh.witt import WittElement, basis_element, from_dict, normalize_index, summands_total, zero
+from wittcoh.witt import basis_element, from_dict, normalize_index, summands_total, zero
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -243,49 +244,6 @@ def test_corrupted_central_pmap_fails_only_sum_expansion(p, make):
     assert report.failed()[0].detail == "fails for x=e-1, y=e2"
 
 
-def test_fold_on_basis_sums_is_shared_by_all_extensions(monkeypatch):
-    # The W-level p-th powers and omega functionals of the basis sums
-    # b_u + b_v come from one pth_power_rows call and one
-    # omega_functional_rows call on the stacked pairs u <= v, shared by all
-    # p + 1 extensions of the prime, and equal the per-element fold.
-    from wittcoh.restricted import omega_functional
-    from wittcoh.witt import pth_power
-
-    p = 7
-    n = p + 1
-    field = PrimeField(p)
-    sums = np.array([[(w == u) + (w == v) for w in range(p)] for u in range(n) for v in range(u, n)])
-    inputs = {"pth_power_rows": [], "omega_functional_rows": []}
-
-    def counted(name):
-        kernel = getattr(extensions, name)
-
-        def wrapper(gs, q):
-            inputs[name].append(np.array(gs))
-            return kernel(gs, q)
-
-        return wrapper
-
-    for name in inputs:
-        monkeypatch.setattr(extensions, name, counted(name))
-    extensions._basis_sum_powers.cache_clear()
-    reps = restricted_h2(field).representatives
-    assert len(reps) == p + 1
-    for c in reps:
-        assert verify_restricted_axioms(build_extension(c), trials=5, seed=1).all_pass
-    for name, calls in inputs.items():
-        assert [a.shape == sums.shape and (a == sums).all() for a in calls].count(True) == 1, name
-    assert len(inputs["pth_power_rows"]) == 1  # CentralExtension's p-map takes the derivation route
-
-    powers, functionals = extensions._basis_sum_powers(field)
-    for u in range(n):
-        for v in range(n):
-            g = WittElement(field, tuple((w == u) + (w == v) for w in range(p)))
-            assert tuple(powers[u, v]) == pth_power(g).coeffs
-            assert (functionals[u, v] == omega_functional(g)).all()
-    extensions._basis_sum_powers.cache_clear()
-
-
 def test_cohomologous_examples():
     c = delta1_res(dual_basis(F5, 0))
     same, witness = cohomologous(c, c2res_zero(F5))
@@ -356,12 +314,27 @@ def test_pmap_rows_equal_single_element_powers(p):
     assert (ext.pth_power_rows(xs.reshape(2, -1, p + 1)).reshape(xs.shape) == powers).all()
 
 
+def test_pmap_rows_power_shared_rows_against_each_cocycle():
+    # Rows without the cocycles' leading axis are powered for every
+    # extension at once, as each extension's own p-map powers them.
+    rng = random.Random(4)
+    exts = [build_extension(c) for c in restricted_h2(F7).representatives]
+    cocycles = np.stack([c2_to_vector(x.source) for x in exts])
+    xs = np.array([[rng.randrange(7) for _ in range(8)] for _ in range(12)])
+    powers = extensions.pmap_rows(xs, cocycles[:, None], 7)
+    assert powers.shape == (len(exts), len(xs), 8)
+    for x, got in zip(exts, powers):
+        assert (got == x.pth_power_rows(xs)).all()
+
+
 def corrupt_pmap_rows(monkeypatch, rows_by_call):
     """On call i of extensions.pmap_rows, add e_0 to the first stacked power at row rows_by_call[i].
 
     verify_restricted_axioms makes call 0 for the scalar axiom (its first
     stack is (lambda*x)^{[p]}), call 1 for the adjoint axiom's random
-    pairs and call 2 for the sum axiom's (its first stack is x^{[p]}).
+    pairs, call 2 for the sum axiom's basis sums b_u + b_v (u <= v, in
+    np.triu_indices order) and call 3 for its random pairs (its first stack
+    is x^{[p]}).
     """
     original = extensions.pmap_rows
     calls = []
@@ -397,7 +370,7 @@ def test_scalar_axiom_names_its_first_failing_draw(monkeypatch, k):
     # The sum axiom's pairs come after the scalar axiom's draws, which a
     # per-element loop stops at its first failure.
     ext = virasoro_extension(F7)
-    corrupt_pmap_rows(monkeypatch, {0: k, 2: 1})
+    corrupt_pmap_rows(monkeypatch, {0: k, 3: 1})
     report = verify_restricted_axioms(ext, trials=5, seed=11)
     scalar, _, sums = axiom_draws(ext, 11, k + 1, 5, 5)
     details = {c.name: c.detail for c in report.failed()}
@@ -410,7 +383,7 @@ def test_scalar_axiom_names_its_first_failing_draw(monkeypatch, k):
 @pytest.mark.parametrize("k", [0, 3, 4])
 def test_adjoint_axiom_names_its_first_failing_draw(monkeypatch, k):
     ext = omega_extension(F7, 2)
-    corrupt_pmap_rows(monkeypatch, {1: k, 2: 0})
+    corrupt_pmap_rows(monkeypatch, {1: k, 3: 0})
     report = verify_restricted_axioms(ext, trials=5, seed=12)
     _, adjoint, sums = axiom_draws(ext, 12, 5, k + 1, 5)
     details = {c.name: c.detail for c in report.failed()}
@@ -423,11 +396,25 @@ def test_adjoint_axiom_names_its_first_failing_draw(monkeypatch, k):
 @pytest.mark.parametrize("k", [0, 2, 4])
 def test_sum_axiom_names_its_first_failing_draw(monkeypatch, k):
     ext = virasoro_extension(F5)
-    corrupt_pmap_rows(monkeypatch, {2: k})
+    corrupt_pmap_rows(monkeypatch, {3: k})
     report = verify_restricted_axioms(ext, trials=5, seed=13)
     *_, sums = axiom_draws(ext, 13, 5, 5, 5)
     assert [(c.name, c.detail) for c in report.failed()] == [
         ("sum_expansion", "fails for x={!r}, y={!r}".format(*sums[k]))
+    ]
+
+
+@pytest.mark.parametrize("row", [0, 7, 20])
+def test_sum_sweep_powers_the_basis_sums_through_pmap_rows(monkeypatch, row):
+    # Call 2 powers the 21 basis sums b_u + b_v, u <= v, of an extension at
+    # p = 5; a wrong power of one fails the sweep at that pair, the first in
+    # row-major order (its mirror (v, u) comes later).  Row 20 is c + c.
+    ext = omega_extension(F5, 1)
+    corrupt_pmap_rows(monkeypatch, {2: row})
+    report = verify_restricted_axioms(ext, trials=5, seed=3)
+    u, v = (int(i[row]) for i in np.triu_indices(F5.p + 1))
+    assert [(c.name, c.detail) for c in report.failed()] == [
+        ("sum_expansion", f"fails for x={ext.basis(u)!r}, y={ext.basis(v)!r}")
     ]
 
 
@@ -554,6 +541,48 @@ def test_stacked_reports_equal_one_extension_at_a_time(p):
         assert not report.all_pass
         if expected is not None:
             assert [(c.name, c.passed, c.detail) for c in report.checks] == expected
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_table_work_runs_once_per_distinct_table(monkeypatch, p):
+    # The p coordinate cocycles (0, omega_i) share one bracket table, W + Kc,
+    # and the Virasoro class has another: the Jacobi scan and the basis sweep
+    # run on these two only, and the random pairs add one summands_total call.
+    field = PrimeField(p)
+    exts = [build_extension(c) for c in restricted_h2(field).representatives]
+    scanned, summed = [], []
+    jacobi_scan = witt.jacobi_scan
+
+    def scan(t, q):
+        scanned.append(t.copy())
+        return jacobi_scan(t, q)
+
+    def summands(*args):
+        summed.append(args)
+        return summands_total(*args)
+
+    monkeypatch.setattr(witt, "jacobi_scan", scan)
+    monkeypatch.setattr(extensions, "summands_total", summands)
+    reports = extensions.verify_restricted_axioms_stacked(exts, 5, list(range(len(exts))))
+    assert all(r.all_pass for r in reports)
+    assert len(exts) == p + 1
+    assert {t.tobytes() for t in scanned} == {x.bracket_table.tobytes() for x in exts}
+    assert len(scanned) == 2
+    assert len(summed) == 3
+
+
+@pytest.mark.parametrize("name", sorted(CONTROLS))
+def test_two_copies_of_a_corrupted_table_report_as_each_alone(name):
+    # Two extensions with one corrupted table, between the p + 1 good ones,
+    # share its table work but keep their own draws and reports.
+    make, _ = CONTROLS[name]
+    exts = [build_extension(c) for c in restricted_h2(make().field).representatives]
+    middle = len(exts) // 2
+    exts[middle:middle] = [make(), make()]
+    seeds = [0, *range(2, len(exts) + 1)]
+    stacked = extensions.verify_restricted_axioms_stacked(exts, 3, seeds)
+    assert stacked == [verify_restricted_axioms(x, 3, s) for x, s in zip(exts, seeds)]
+    assert [r.all_pass for r in stacked].count(False) == 2
 
 
 def test_stacked_trials_name_each_extensions_first_failing_draw(monkeypatch):
