@@ -28,7 +28,8 @@ that the result satisfies the p-th power sum axiom inside E is then a
 theorem the verifier confirms rather than an assumption.  The p-map is a
 row kernel on stacked coefficient rows, built on witt's derivation rows
 and restricted's omega rows: pmap_rows pairs each row with its own source
-cocycle, so rows of many extensions share one call, and
+cocycle, so rows of many extensions share one call, and it folds
+omega's phi part only for rows whose cocycle has phi != 0;
 CentralExtension.pth_power_rows is its call for one extension.  The
 verifier checks the extensions of a prime together: the work that needs
 only a bracket table runs once per distinct table, the powers of one
@@ -181,20 +182,38 @@ class CentralExtension:
         return CentralExtension(self.source, table, self.pmap_basis.copy())
 
 
+def _met_rows(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Which entries of an array of the given shape meet a True of mask when the two are broadcast together."""
+    full = np.broadcast_to(mask, np.broadcast_shapes(mask.shape, shape))
+    full = full.any(axis=tuple(range(full.ndim - len(shape))))
+    spread = tuple(axis for axis, (n, m) in enumerate(zip(shape, full.shape)) if n != m)
+    return full.any(axis=spread, keepdims=True)
+
+
 def pmap_rows(xs: np.ndarray, cocycles: np.ndarray, p: int) -> np.ndarray:
     """p-th powers of stacked coefficient rows (..., p + 1) of extensions, as rows.
 
     Row g + a*c goes to g^{[p]} + omega(g) c (CentralExtension.pth_power):
     the W parts take the derivation route in one call, and omega(g) is the
     row's own source cocycle, cocycles (..., c2_dim(p)) broadcast against
-    the rows' leading axes, against g's omega functional, all taken in one
-    omega_functional_rows call.  Rows of many extensions thus share one
-    call, and rows that lack the cocycles' leading axes are powered once
-    for all of them: the W parts are broadcast, and the contraction builds
-    no (..., c2_dim(p)) product.
+    the rows' leading axes, against g's omega functional.  The omega
+    coordinates of that functional are g itself (a^p = a in GF(p)), so
+    only its phi part needs the fold, and only rows that meet a cocycle
+    with phi != 0 take it, all in one omega_functional_rows call; the
+    coordinate cocycles (0, omega_i) fold nothing.  Rows of many
+    extensions thus share one call, and rows that lack the cocycles'
+    leading axes are powered once for all of them: the W parts are
+    broadcast, and the contraction builds no (..., c2_dim(p)) product.
     """
     ws = xs[..., :p]
-    central = np.einsum("...c,...c->...", omega_functional_rows(ws, p), cocycles) % p
+    phis, omegas = cocycles[..., :-p], cocycles[..., -p:]
+    central = np.einsum("...c,...c->...", ws, omegas)
+    folded = _met_rows(phis.any(axis=-1), ws.shape[:-1])
+    if folded.any():
+        functionals = np.zeros(ws.shape[:-1] + phis.shape[-1:], dtype=np.int64)
+        functionals[folded] = omega_functional_rows(ws[folded], p)[:, :-p]
+        central = central + np.einsum("...c,...c->...", functionals, phis)
+    central %= p
     powers = np.broadcast_to(pth_power_via_derivation_rows(ws, p), central.shape + (p,))
     return np.concatenate([powers, central[..., None]], axis=-1)
 

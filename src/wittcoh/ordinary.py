@@ -5,15 +5,22 @@ for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
 ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
 by the index sum mod p and both coboundaries preserve the grading.
 
-Each coboundary into 2-form coordinates is written once, as a table of
-terms coefficient * phi(e_a ^ e_b) (_triple_terms for d2): _terms_values
+The index tables are numpy arrays built once per prime: upper_triangle
+gives the (i + 1, j + 1) of every pair and triple_index the (r, s, t) of
+every triple, in the order of the tuple builders wedge_pairs and
+wedge_triples, and the grade arrays are read off them.  Each coboundary
+into 2-form coordinates is written once, as a table of terms
+coefficient * phi(e_a ^ e_b) (_triple_terms for d2): _terms_values
 evaluates a table on phi's dense matrix, and _terms_matrix scatters it
-into the dense coboundary matrix.  d1's matrix is scattered straight from
-the pairs, each of which meets one column.  graded_blocks gathers the
-grade blocks of a matrix into one stack (delta2_block those of d2), from
-which restricted.cochain_complex reads ranks, kernels and the cohomology
-dimensions once per prime; the whole dense matrices serve as the oracle
-for those blockwise ranks.
+into the dense coboundary matrix, writing each entry once and reading
+none.  d1's matrix is scattered straight from the pairs, each of which
+meets one column.  Both matrix builders can scatter into a zero array
+they are given (out), which is how restricted.delta2_res_matrix places
+d2 in its top-left corner without building it apart.  graded_blocks
+gathers the grade blocks of a matrix into one stack (delta2_block those
+of d2), from which restricted.cochain_complex reads ranks, kernels and
+the cohomology dimensions once per prime; the whole dense matrices serve
+as the oracle for those blockwise ranks.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -60,6 +67,19 @@ def wedge_triples(p: int) -> tuple[tuple[int, int, int], ...]:
         for s in range(r + 1, p - 1)
         for t in range(s + 1, p - 1)
     )
+
+
+@lru_cache(maxsize=None)
+def triple_index(p: int) -> np.ndarray:
+    """Read-only (3, C(p,3)) array of the (r, s, t) of wedge_triples(p), in order.
+
+    np.nonzero walks the positions r + 1 < s + 1 < t + 1 in C order, which
+    is the lexicographic order of wedge_triples.
+    """
+    i = np.arange(p)
+    index = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i))) - 1
+    index.flags.writeable = False
+    return index
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +295,7 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (first[n], second[n]): (s - r, [r+s], t), (-(t - r), [r+t], s) and
     (t - s, [s+t], r), the index sums normalized.
     """
-    r, s, t = np.array(wedge_triples(p)).reshape(-1, 3).T
+    r, s, t = triple_index(p)
     coefficient = np.stack([s - r, r - t, t - s])
     first = (np.stack([r + s, r + t, s + t]) + 1) % p  # position of normalize_index(a + b)
     second = np.stack([t, s, r]) + 1
@@ -290,22 +310,26 @@ def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.nd
     return (coefficient * m[first, second]).sum(axis=0) % p
 
 
-def _terms_matrix(terms: tuple[np.ndarray, ...], p: int) -> np.ndarray:
+def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of phi -> _terms_values(terms, phi.to_matrix(), p) on phi's wedge_pairs coordinates.
 
     Position (x, y) of phi's matrix holds the coordinate of the pair
     (min, max) of upper_triangle times +1 above the diagonal, -1 below it
     and 0 on it, so each term adds coefficient times that sign to that
-    column of its row.
+    column of its row.  Terms of one row that meet one column are summed
+    apart from the matrix, and every term then assigns its column's total:
+    the matrix is only written, never read, so each of its pages faults
+    once.  out, when given, must be zero; the matrix is scattered into it
+    and nothing else is written.
     """
     coefficient, first, second = terms
     u, v = upper_triangle(p)
     column = np.zeros((p, p), dtype=np.int64)
     column[u, v] = column[v, u] = np.arange(len(u))
-    m = np.zeros((coefficient.shape[1], len(u)), dtype=np.int64)
-    entries = np.broadcast_to(np.arange(coefficient.shape[1]), coefficient.shape), column[first, second]
-    np.add.at(m, entries, coefficient * np.sign(second - first))
-    m[entries] %= p  # every other entry is zero
+    m = np.zeros((coefficient.shape[1], len(u)), dtype=np.int64) if out is None else out
+    columns, values = column[first, second], coefficient * np.sign(second - first)
+    totals = ((columns[:, None] == columns) * values).sum(axis=1)  # over the row's terms in the same column
+    m[np.arange(coefficient.shape[1]), columns] = totals % p  # every other entry is zero
     return m
 
 
@@ -315,27 +339,33 @@ def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
     return Cochain3Ord(phi.field, tuple(_terms_values(_triple_terms(p), phi.to_matrix(), p).tolist()))
 
 
-def delta1_matrix(field: PrimeField) -> np.ndarray:
+def delta1_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of d1 on coordinates: C(p,2) rows, p columns (column k+1 is d1(e^k)).
 
-    Row (i, j) meets only the column of e^{i+j}, with entry j - i.
+    Row (i, j) meets only the column of e^{i+j}, with entry j - i.  out,
+    when given, must be zero; the matrix is scattered into it.
     """
     p = field.p
     u, v = upper_triangle(p)  # (i + 1, j + 1)
-    m = np.zeros((len(u), p), dtype=np.int64)
+    m = np.zeros((len(u), p), dtype=np.int64) if out is None else out
     m[np.arange(len(u)), (u + v - 1) % p] = v - u
     return m
 
 
-def delta2_matrix(field: PrimeField) -> np.ndarray:
-    """Matrix of d2 on coordinates: C(p,3) rows, C(p,2) columns, scattered from _triple_terms."""
-    return _terms_matrix(_triple_terms(field.p), field.p)
+def delta2_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of d2 on coordinates: C(p,3) rows, C(p,2) columns, scattered from _triple_terms.
+
+    out, when given, must be zero; the matrix is scattered into it (as
+    restricted.delta2_res_matrix does into its corner) and returned.
+    """
+    return _terms_matrix(_triple_terms(field.p), field.p, out)
 
 
 @lru_cache(maxsize=None)
 def _pair_grades(p: int) -> np.ndarray:
-    """Read-only grade of every canonical pair, in wedge_pairs order."""
-    grades = np.array([pair_grade(p, pair) for pair in wedge_pairs(p)])
+    """Read-only grade of every canonical pair, in wedge_pairs order: i + j = (u - 1) + (v - 1)."""
+    u, v = upper_triangle(p)
+    grades = (u + v - 1) % p - 1
     grades.flags.writeable = False
     return grades
 
@@ -343,7 +373,7 @@ def _pair_grades(p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _triple_grades(p: int) -> np.ndarray:
     """Read-only grade of every canonical triple, in wedge_triples order."""
-    grades = np.array([triple_grade(p, trip) for trip in wedge_triples(p)])
+    grades = (triple_index(p).sum(axis=0) + 1) % p - 1
     grades.flags.writeable = False
     return grades
 
@@ -369,6 +399,15 @@ def grade_table(grades: np.ndarray, p: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def grade_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grade_table of the canonical pairs and of the canonical triples."""
+    tables = grade_table(_pair_grades(p), p), grade_table(_triple_grades(p), p)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def graded_blocks(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """m[rows[..., i], cols[..., j]] for index arrays (..., R) and (..., C); a row index -1 gives a zero row."""
     blocks = m[rows[..., :, None], cols[..., None, :]]
@@ -382,7 +421,7 @@ def delta2_block(d2: np.ndarray, p: int, k: int | np.ndarray) -> np.ndarray:
     k may be an array of grades, giving their blocks as a stack (..., R, C).
     A grade with fewer triples than the most (at p = 3) ends in zero rows.
     """
-    rows, cols = grade_table(_triple_grades(p), p), grade_table(_pair_grades(p), p)
+    cols, rows = grade_tables(p)
     return graded_blocks(d2, rows[k + 1], cols[k + 1])
 
 

@@ -45,11 +45,15 @@ triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
 [e_a, e_b, ..., e_b] and the p-th power e_b^{[p]} of every beta row
 (_ind2_terms).  d2_cl, ind2 and is_cocycle evaluate the tables on the
 dense matrix of phi, and delta2_res_matrix scatters the same tables into
-its alpha and beta rows.  The tests compare both with loop builders and
+its alpha and beta rows: it allocates the matrix once and scatters the
+ordinary d2 straight into its top-left corner (ordinary.delta2_matrix
+with out) and ind2 into the beta rows below it, so no second matrix of
+d2's size is ever alive.  The tests compare both with loop builders and
 the generic bracket chain (tests/oracles.py).
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
-it assembles the dense ordinary and restricted d1, d2 once per prime.
+it assembles the dense restricted d1, d2 once per prime, and the
+ordinary ones are their top-left corners.
 Each column of d1 has its own grade, so distinct columns meet disjoint
 rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
 columns.  In degree 2 the p grade blocks of d2_res are gathered into one
@@ -76,10 +80,8 @@ from .ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
-    _pair_grades,
     _terms_matrix,
     _terms_values,
-    _triple_grades,
     _triple_terms,
     c2_zero,
     delta1_cl,
@@ -87,12 +89,11 @@ from .ordinary import (
     delta2_block,
     delta2_cl,
     delta2_matrix,
-    grade_table,
+    grade_tables,
     graded_blocks,
+    triple_index,
     upper_triangle,
     virasoro_cocycle,
-    wedge_pairs,
-    wedge_triples,
 )
 from .witt import (
     WittElement,
@@ -389,11 +390,12 @@ def c2_from_vector(field: PrimeField, vec) -> Cochain2Res:
 
 
 def delta1_res_matrix(field: PrimeField) -> np.ndarray:
-    """Matrix of d1: p columns into C(p,2) + p coordinates."""
+    """Matrix of d1: p columns into C(p,2) + p coordinates, the ordinary d1 scattered into its top rows."""
     p = field.p
-    bottom = np.zeros((p, p), dtype=np.int64)
-    bottom[1, 1] = 1  # omega row of e_0, column of e^0: e^0(e_0^{[p]}) = 1
-    return np.vstack([delta1_matrix(field), bottom])
+    m = np.zeros((c2_dim(p), p), dtype=np.int64)
+    delta1_matrix(field, out=m[:-p])
+    m[-p + 1, 1] = 1  # omega row of e_0, column of e^0: e^0(e_0^{[p]}) = 1
+    return m
 
 
 def delta2_res_matrix(field: PrimeField) -> np.ndarray:
@@ -401,13 +403,15 @@ def delta2_res_matrix(field: PrimeField) -> np.ndarray:
 
     The alpha rows are the ordinary d2 matrix on the phi columns; the beta
     rows, scattered from _ind2_terms, hold ind2 of each phi coordinate
-    vector (omega columns contribute nothing to either block).
+    vector (omega columns contribute nothing to either block).  The matrix
+    is allocated once and both tables are scattered straight into their
+    corners, so no other matrix of its size is ever alive.
     """
     p = field.p
-    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    n3 = triple_index(p).shape[1]
     m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64)
-    m[:n3, :n2] = delta2_matrix(field)
-    m[n3:, :n2] = _terms_matrix(_ind2_terms(p), p)
+    delta2_matrix(field, out=m[:n3, :-p])
+    _terms_matrix(_ind2_terms(p), p, out=m[n3:, :-p])
     return m
 
 
@@ -477,7 +481,7 @@ class CochainComplex:
 
     def __init__(self, field: PrimeField) -> None:
         p = field.p
-        n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+        n2, n3 = len(upper_triangle(p)[0]), triple_index(p).shape[1]
         self.field = field
         self.d1_res = _read_only(delta1_res_matrix(field))
         self.d2_res = _read_only(delta2_res_matrix(field))
@@ -485,7 +489,7 @@ class CochainComplex:
         self.d2 = self.d2_res[:n3, :n2]
         grades = np.arange(-1, p - 1)  # of e^i, of omega_i and of the beta rows (i, *)
         # Block k + 1 of each stack: the grade-k pairs or triples, then the omega or beta coordinates of grade k.
-        pairs, triples = grade_table(_pair_grades(p), p), grade_table(_triple_grades(p), p)
+        pairs, triples = grade_tables(p)
         res_pairs = np.hstack([pairs, n2 + grades[:, None] + 1])
         res_triples = np.hstack([triples, n3 + p * (grades[:, None] + 1) + np.arange(p)])
         # The ordinary matrices are corners of the restricted ones, whose checks cover them.

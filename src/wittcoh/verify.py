@@ -365,7 +365,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     checks.append(_check("restricted.complex_identity", complex_identity))
 
     def beta_block_zero():
-        n3 = len(ordi.wedge_triples(p))
+        n3 = ordi.triple_index(p).shape[1]
         assert not d2r[n3:, :].any(), "induced degree-3 block is nonzero"
         return ""
 
@@ -522,9 +522,9 @@ def dims_summary(field: PrimeField) -> dict:
     h0_res, h1_res, h2_res = cx.h_restricted
     return {
         "C1": p,
-        "C2_cl": len(ordi.wedge_pairs(p)),
+        "C2_cl": len(ordi.upper_triangle(p)[0]),
         "C2_res": res.c2_dim(p),
-        "C3_cl": len(ordi.wedge_triples(p)),
+        "C3_cl": ordi.triple_index(p).shape[1],
         "C3_res": res.c3_dim(p),
         "H0_cl": h0_cl,
         "H1_cl": h1_cl,

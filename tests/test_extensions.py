@@ -29,9 +29,11 @@ from wittcoh.restricted import (
     c2_from_vector,
     c2_to_vector,
     c2res_zero,
+    cochain_complex,
     delta1_res,
     delta2_res_matrix,
     omega_coordinate,
+    omega_functional_rows,
     restricted_h2,
     virasoro_cochain,
 )
@@ -325,6 +327,57 @@ def test_pmap_rows_power_shared_rows_against_each_cocycle():
     assert powers.shape == (len(exts), len(xs), 8)
     for x, got in zip(exts, powers):
         assert (got == x.pth_power_rows(xs)).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_pmap_rows_contract_the_whole_omega_functional(p):
+    # Only rows that meet a cocycle with phi != 0 take the fold; the central
+    # coordinate must still be the whole omega functional against the
+    # cocycle, for stacks that mix phi = 0 and phi != 0, on rows every
+    # cocycle shares and on rows of each cocycle's own, unreduced entries too.
+    field = PrimeField(p)
+    rng = random.Random(p + 5)
+    draw = np.random.default_rng(p)
+    ker = cochain_complex(field).ker_d2_res
+    sources = list(restricted_h2(field).representatives)
+    sources[1:1] = [random_cocycle(field, rng, ker)]
+    sources.append(random_cocycle(field, rng, ker))
+    cocycles = np.stack([c2_to_vector(c) for c in sources])
+    with_phi = [not c.phi.is_zero() for c in sources]
+    assert any(with_phi) and not all(with_phi)
+
+    def rows():
+        xs = np.concatenate([sample_rows(field, rng), draw.integers(0, p, size=(12, 1))], axis=1)
+        return xs + p * draw.integers(-p, p, size=xs.shape)
+
+    shared = rows()
+    got = extensions.pmap_rows(shared, cocycles[:, None], p)
+    want = np.einsum("mc,ec->em", omega_functional_rows(shared[:, :p], p), cocycles) % p
+    assert got.shape == (len(sources), len(shared), p + 1)
+    assert (got[..., p] == want).all()
+    own = np.stack([rows() for _ in sources])
+    for xs in (own, np.stack([own, 2 * own])):
+        got = extensions.pmap_rows(xs, cocycles[:, None], p)
+        want = np.einsum("...emc,ec->...em", omega_functional_rows(xs[..., :p], p), cocycles) % p
+        assert (got[..., p] == want).all()
+
+
+@pytest.mark.parametrize("part", ["row", "column"])
+def test_a_table_differing_only_in_the_central_row_or_column_gets_its_own_verdict(part):
+    # Tables are grouped by every entry: c's own row and column lie outside
+    # the W + phi block table[:p, :p], which the two tables here share.
+    clean = virasoro_extension(F5)
+    table = clean.bracket_table.copy()
+    if part == "row":
+        table[5, 0, 1] = 1  # [c, e_-1] gains e_0
+    else:
+        table[0, 5, 1] = 1  # [e_-1, c] gains e_0
+    dirty = CentralExtension(clean.source, table, clean.pmap_basis.copy())
+    for exts in ([clean, dirty], [dirty, clean]):
+        stacked = extensions.verify_restricted_axioms_stacked(exts, 3, [1, 2])
+        assert stacked == [verify_restricted_axioms(x, 3, s) for x, s in zip(exts, [1, 2])]
+        assert [r.all_pass for r in stacked] == [x is clean for x in exts]
+    assert ("central_element", False) in [(c.name, c.passed) for c in verify_restricted_axioms(dirty, 3, 2).checks]
 
 
 def corrupt_pmap_rows(monkeypatch, rows_by_call):

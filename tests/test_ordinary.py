@@ -16,7 +16,9 @@ from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
     Cochain2Ord,
+    _pair_grades,
     _terms_matrix,
+    _triple_grades,
     _terms_values,
     bracket_delta2_value,
     c2_from_dict,
@@ -31,6 +33,7 @@ from wittcoh.ordinary import (
     graded_triple_positions,
     pair_grade,
     triple_grade,
+    triple_index,
     triple_normalize,
     virasoro_cocycle,
     wedge_eval,
@@ -157,6 +160,34 @@ def test_matrix_builders_match_loop_oracles(p):
         m, expected = built(field), oracle(field)
         assert m.dtype == expected.dtype == np.int64
         assert m.shape == expected.shape and (m == expected).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 23])
+def test_index_tables_match_the_tuple_builders(p):
+    index = triple_index(p)
+    assert index.shape == (3, len(wedge_triples(p)))
+    assert [tuple(t) for t in index.T.tolist()] == list(wedge_triples(p))
+    assert _triple_grades(p).tolist() == [triple_grade(p, t) for t in wedge_triples(p)]
+    assert _pair_grades(p).tolist() == [pair_grade(p, pair) for pair in wedge_pairs(p)]
+    for table in (index, _triple_grades(p), _pair_grades(p)):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_matrix_builders_scatter_into_out_alone(p):
+    # out is a strided corner of a larger array; the border must keep its sentinel.
+    field = PrimeField(p)
+    for built, oracle in ((delta1_matrix, delta1_matrix_by_loops), (delta2_matrix, delta2_matrix_by_loops)):
+        expected = oracle(field)
+        rows, cols = expected.shape
+        host = np.full((rows + 3, cols + 4), -7, dtype=np.int64)
+        out = host[1 : rows + 1, 2 : cols + 2]
+        out[:] = 0
+        assert built(field, out=out) is out
+        assert (out == expected).all()
+        border = np.ones(host.shape, dtype=bool)
+        border[1 : rows + 1, 2 : cols + 2] = False
+        assert (host[border] == -7).all()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -503,6 +503,19 @@ def test_matrix_columns_match_coboundary(p):
         assert is_cocycle(c) == (not col.any())
 
 
+@pytest.mark.parametrize("p", [23, 31])
+def test_delta2_res_matrix_holds_no_second_matrix(p):
+    # d2 and the beta rows are scattered straight into the one allocation;
+    # building d2 apart and copying it in peaks near 1.8 times the matrix.
+    tracemalloc.start()
+    try:
+        m = delta2_res_matrix(PrimeField(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * m.nbytes
+
+
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_beta_rows_are_wired_to_the_ind2_terms(monkeypatch, fresh_complex, p):
     # On W the beta rows vanish, so the column test above compares zeros
