@@ -23,21 +23,20 @@ goes through the tables (never back through the source cocycle), so the axiom
 verifier genuinely exercises the built object, and a corrupted table is
 caught by the Jacobi scan.  The p-th power of a general element g + a*c
 needs g^{[p]}, taken by the derivation route, and omega(g) off the basis,
-which is the source cocycle's coordinates against restricted.omega_functional;
+which is the source cocycle's coordinates against g's omega functional;
 that the result satisfies the p-th power sum axiom inside E is then a
-theorem the verifier confirms rather than an assumption.  The p-map is a
-row kernel on stacked coefficient rows, built on witt's derivation rows
-and restricted's omega rows: pmap_rows pairs each row with its own source
-cocycle, so rows of many extensions share one call, and it folds
-omega's phi part only for rows whose cocycle has phi != 0;
-CentralExtension.pth_power_rows is its call for one extension.  The
-verifier checks the extensions of a prime together: the work that needs
-only a bracket table runs once per distinct table, the powers of one
-axiom's random trials of every extension take one call, and so do the
-powers of the basis sums its sum sweep compares, so the sweep tests the
-p-map the extension uses.  extract_cocycle takes all p p-map defects in
-one call; CentralExtension.pth_power takes one element through the
-one-row entry points of the same kernels.
+theorem the verifier confirms rather than an assumption.  E's one p-map
+is pmap_rows, a row kernel on stacked coefficient rows built on witt's
+derivation rows and restricted's omega rows: it pairs each row with its
+own source cocycle, so rows of many extensions share one call, and it
+folds omega's phi part only for rows whose cocycle has phi != 0.
+CentralExtension.pth_power_rows is its call for one extension, and
+CentralExtension.pth_power its call for one element.  The verifier
+checks the extensions of a prime together: the work that needs only a
+bracket table runs once per distinct table, the powers of one axiom's
+random trials of every extension take one call, and so do the powers of
+the basis sums its sum sweep compares, so the sweep tests the p-map the
+extension uses.  extract_cocycle takes all p p-map defects in one call.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from .restricted import (
     NotACocycleError,
     c2_to_vector,
     cochain_complex,
-    eval_omega,
     is_cocycle,
     omega_functional_rows,
     project_class_to_ordinary,
@@ -68,7 +66,6 @@ from .witt import (
     basis_element,
     first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
-    pth_power_via_derivation,
     pth_power_via_derivation_rows,
     summands_total,
 )
@@ -159,15 +156,11 @@ class CentralExtension:
         return self.from_coeffs(res)
 
     def pth_power(self, x: ExtElement) -> ExtElement:
-        """(g + a*c)^{[p]} = g^{[p]} + omega(g) c; the central part of x drops out.
-
-        g^{[p]} takes the O(p^2) derivation route; the fold is its oracle.
-        """
-        g = x.witt
-        return ExtElement(pth_power_via_derivation(g), eval_omega(self.source, g))
+        """(g + a*c)^{[p]} = g^{[p]} + omega(g) c, the central part of x dropping out: the one-row call of pth_power_rows."""
+        return self.from_coeffs(self.pth_power_rows(x.coeffs()))
 
     def pth_power_rows(self, xs: np.ndarray) -> np.ndarray:
-        """p-th powers of stacked coefficient rows (..., p + 1) of E, as rows (see pth_power)."""
+        """p-th powers of stacked coefficient rows (..., p + 1) of E, as rows: pmap_rows against this source cocycle."""
         return pmap_rows(xs, c2_to_vector(self.source), self.p)
 
     def with_bracket_entry_zeroed(self, i: int, j: int) -> "CentralExtension":
@@ -182,37 +175,29 @@ class CentralExtension:
         return CentralExtension(self.source, table, self.pmap_basis.copy())
 
 
-def _met_rows(mask: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Which entries of an array of the given shape meet a True of mask when the two are broadcast together."""
-    full = np.broadcast_to(mask, np.broadcast_shapes(mask.shape, shape))
-    full = full.any(axis=tuple(range(full.ndim - len(shape))))
-    spread = tuple(axis for axis, (n, m) in enumerate(zip(shape, full.shape)) if n != m)
-    return full.any(axis=spread, keepdims=True)
-
-
 def pmap_rows(xs: np.ndarray, cocycles: np.ndarray, p: int) -> np.ndarray:
-    """p-th powers of stacked coefficient rows (..., p + 1) of extensions, as rows.
+    """p-th powers of stacked coefficient rows (..., p + 1) of extensions, as rows; E's one p-map.
 
-    Row g + a*c goes to g^{[p]} + omega(g) c (CentralExtension.pth_power):
-    the W parts take the derivation route in one call, and omega(g) is the
-    row's own source cocycle, cocycles (..., c2_dim(p)) broadcast against
-    the rows' leading axes, against g's omega functional.  The omega
-    coordinates of that functional are g itself (a^p = a in GF(p)), so
-    only its phi part needs the fold, and only rows that meet a cocycle
-    with phi != 0 take it, all in one omega_functional_rows call; the
-    coordinate cocycles (0, omega_i) fold nothing.  Rows of many
-    extensions thus share one call, and rows that lack the cocycles'
-    leading axes are powered once for all of them: the W parts are
-    broadcast, and the contraction builds no (..., c2_dim(p)) product.
+    Row g + a*c goes to g^{[p]} + omega(g) c: the W parts take the
+    derivation route in one call, and omega(g) is the row's own source
+    cocycle, cocycles (..., c2_dim(p)) broadcast against the rows' leading
+    axes, against g's omega functional.  The omega coordinates of that
+    functional are g itself (a^p = a in GF(p)), so only its phi part needs
+    the fold: the cocycles' phi != 0 mask is broadcast to the rows' shape,
+    and the rows it marks are folded in one omega_functional_rows call.
+    The coordinate cocycles (0, omega_i) fold nothing, so rows shared by
+    every extension of a prime fold once, for its one cocycle with
+    phi != 0.  Rows of many extensions thus share one call: the W parts
+    are broadcast, and the contraction builds no (..., c2_dim(p)) product.
     """
     ws = xs[..., :p]
     phis, omegas = cocycles[..., :-p], cocycles[..., -p:]
-    central = np.einsum("...c,...c->...", ws, omegas)
-    folded = _met_rows(phis.any(axis=-1), ws.shape[:-1])
+    central = np.array(np.einsum("...c,...c->...", ws, omegas))  # an array also for one row
+    folded = np.broadcast_to(phis.any(axis=-1), central.shape)
     if folded.any():
-        functionals = np.zeros(ws.shape[:-1] + phis.shape[-1:], dtype=np.int64)
-        functionals[folded] = omega_functional_rows(ws[folded], p)[:, :-p]
-        central = central + np.einsum("...c,...c->...", functionals, phis)
+        rows = np.broadcast_to(ws, folded.shape + (p,))[folded]
+        phi_rows = np.broadcast_to(phis, folded.shape + phis.shape[-1:])[folded]
+        central[folded] += np.einsum("mc,mc->m", omega_functional_rows(rows, p)[:, :-p], phi_rows)
     central %= p
     powers = np.broadcast_to(pth_power_via_derivation_rows(ws, p), central.shape + (p,))
     return np.concatenate([powers, central[..., None]], axis=-1)

@@ -67,17 +67,15 @@ class PrimeField:
 
     def matrix(self, rows) -> np.ndarray:
         """Reduce a 2-D array-like into a canonical GF(p) matrix."""
-        m = np.array(rows, dtype=np.int64)
-        if m.ndim != 2:
-            raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
-        return m % self.p
+        return _one_matrix(np.array(rows, dtype=np.int64)) % self.p
 
     def rref(self, m) -> tuple[np.ndarray, np.ndarray]:
         """Reduced row echelon forms of a stack (..., R, C) and their pivot columns as a mask (..., C)."""
         p = self.p
         if p > MAX_MODULUS:
             raise OverflowError(f"GF({p}) products overflow int64 (the largest modulus is {MAX_MODULUS})")
-        a = np.array(m, dtype=np.int64) % p
+        a = np.array(m, dtype=np.int64)  # the one working copy, reduced in place
+        a %= p
         if a.ndim < 2:
             raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
         *stack, rows, cols = a.shape
@@ -86,7 +84,7 @@ class PrimeField:
         return r.reshape(*stack, rows, cols), pivots.reshape(*stack, cols)
 
     def rank(self, m) -> int:
-        return int(np.count_nonzero(self.rref(self.matrix(m))[1]))
+        return int(np.count_nonzero(self.rref(_one_matrix(m))[1]))
 
     def kernels(self, m) -> tuple[np.ndarray, np.ndarray]:
         """Right kernels of a stack (..., R, C): vectors (..., C, C) and the free columns as a mask (..., C).
@@ -106,8 +104,15 @@ class PrimeField:
 
     def kernel_basis(self, m) -> list[np.ndarray]:
         """Basis of the right kernel {v : m v = 0}, one vector per free column."""
-        vectors, free = self.kernels(self.matrix(m))
+        vectors, free = self.kernels(_one_matrix(m))
         return list(vectors[free])
+
+
+def _one_matrix(m):
+    """m itself, once it is known to be a 2-D matrix; rref makes the one copy it reduces."""
+    if np.ndim(m) != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={np.ndim(m)}")
+    return m
 
 
 def _rref_one(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

@@ -603,9 +603,10 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
 
     The representatives are the cubic-coefficient cocycle paired with the
     zero basis omega (absent at p = 3) followed by the coordinate cocycles
-    (0, omega_i); they are verified to be cocycles, independent modulo
-    im d1, and to span ker d2 together with im d1, so they represent a
-    basis of H^2 with no coboundary shift needed.
+    (0, omega_i); they are verified to be cocycles (is_cocycle, on the
+    term tables d2_res is scattered from), independent modulo im d1, and
+    to span ker d2 together with im d1, so they represent a basis of H^2
+    with no coboundary shift needed.
     """
     p = field.p
     cx = cochain_complex(field)
@@ -614,11 +615,9 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
     if p > 3:
         reps.append(virasoro_cochain(field))
     reps.extend(omega_coordinate(field, i) for i in range(-1, p - 1))
-    rep_vectors = [c2_to_vector(r) for r in reps]
-    for v in rep_vectors:
-        if ((cx.d2_res @ v) % p).any():
-            raise ArithmeticError("representative candidate is not a cocycle")
-    rests = np.vstack([cx.split_coboundary(v)[1] for v in rep_vectors])
+    if not all(map(is_cocycle, reps)):
+        raise ArithmeticError("representative candidate is not a cocycle")
+    rests = np.vstack([cx.split_coboundary(c2_to_vector(r))[1] for r in reps])
     if field.rank(rests) != len(reps) or cx.rank_d1_res + len(reps) != ker_dim:
         raise ArithmeticError("representatives do not complete im d1 to ker d2")
     return RestrictedH2(ker_dim, cx.rank_d1_res, cx.h_restricted[2], tuple(reps))

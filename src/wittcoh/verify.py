@@ -116,21 +116,24 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
     checks.append(_check("witt.pth_power_oracle", oracle_equivalence))
 
     def restricted_axiom_on_w():
+        # [h, g^{[p]}] = h @ B(g^{[p]}) and [h, g, ..., g] = h @ B(g)^p, B the right-bracket matrix:
+        # on a basis pair (b_u, b_v) both are row v of a matrix of b_u; random pairs take vector chains.
         basis = [witt.basis_element(field, i) for i in range(-1, p - 1)]
-        pairs = [(g, h) for g in basis for h in basis]
-        pairs += [
-            (witt.random_element(field, rng, True), witt.random_element(field, rng, True))
-            for _ in range(20)
-        ]
-        gs = np.array([g.coeffs for g, _ in pairs])
-        hs = np.array([h.coeffs for _, h in pairs])[:, None]
-        chain, bg = hs, witt.right_bracket_matrix(gs, p)
+        randoms = [(witt.random_element(field, rng, True), witt.random_element(field, rng, True)) for _ in range(20)]
+        gs = np.array([g.coeffs for g in basis] + [g.coeffs for g, _ in randoms])
+        bg, direct = (witt.right_bracket_matrix(v, p) for v in (gs, witt.pth_power_rows(gs, p)))
+        chains = bg[:p]
+        for _ in range(p - 1):
+            chains = chains @ bg[:p] % p
+        bad = np.argwhere((chains != direct[:p]).any(axis=2))  # (u, v) in the order of a loop over g, then h
+        assert not bad.size, "fails at {!r}, {!r}".format(*(basis[i] for i in bad[0]))
+        hs = np.array([h.coeffs for _, h in randoms])[:, None]
+        chain = hs
         for _ in range(p):
-            chain = chain @ bg % p  # [h, g, ..., g]
-        direct = hs @ witt.right_bracket_matrix(witt.pth_power_rows(gs, p), p) % p
-        bad = np.flatnonzero((chain != direct).any(axis=(1, 2)))
-        assert not bad.size, "fails at {!r}, {!r}".format(*pairs[bad[0]])
-        return f"{len(pairs)} pairs"
+            chain = chain @ bg[p:] % p
+        bad = np.flatnonzero((chain != hs @ direct[p:] % p).any(axis=(1, 2)))
+        assert not bad.size, "fails at {!r}, {!r}".format(*randoms[bad[0]])
+        return f"{p**2 + len(randoms)} pairs"
 
     checks.append(_check("witt.adjoint_power_on_w", restricted_axiom_on_w))
 
@@ -316,7 +319,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     cochains whose omega the library ever folds), and the suite also
     confirms it genuinely fails off the kernel.  eval_omega in ascending
     order, once per (c, g), is the reference; the 50 shuffled folds are one
-    stacked _fold_functional call, each fold's terms padded at the end with
+    stacked witt.fold_blocks call, each fold's terms padded at the end with
     zero terms, which add nothing (see witt.fold_rows).  The draws and the
     failure are those of a loop testing each order as it is drawn.
     """
@@ -337,7 +340,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
         for row, (_, g, order) in zip(terms, samples):
             row[: len(order)] = witt.fold_terms(g, order)
         cocycles = np.array([res.c2_to_vector(c) for c, _, _ in samples])
-        return (res._fold_functional(terms, p) * cocycles).sum(axis=1) % p != base
+        return (witt.fold_blocks(res._fold_functional, terms, p) * cocycles).sum(axis=1) % p != base
 
     # 50 draws end on a pair boundary, so winding back redraws whole pairs from there.
     _, k = witt.first_failure(rng, draws().__next__, 50, failing)

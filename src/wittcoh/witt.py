@@ -225,8 +225,9 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 # float64 holds every integer below this exactly.
 _EXACT_FLOAT = 2**53
 
-# Memory bound on one block of every blocked scan: all the arrays of a row
-# kernel's block (fold_rows), the lambda rows of the extension sum-axiom
+# Memory bound on one block of every blocked scan: all the arrays of a fold
+# kernel's block (fold_blocks, behind every stacked fold: fold_rows and
+# verify's shuffled omega folds), the lambda rows of the extension sum-axiom
 # sweep, the Jacobi sums of jacobi_scan, and the chain rows of the
 # exhaustive ** oracle in tests/oracles.py.
 _SWEEP_BYTES = 64 << 20
@@ -372,27 +373,31 @@ def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
     longest row; a zero term adds no summand and leaves the prefix sum as
     it is, so each row folds exactly as over its own support.  Single-term
     rows take no fold step and are stacked apart, so they are not padded;
-    zero rows take the value of an empty fold.  Stacks are split into
-    blocks that stay within _SWEEP_BYTES: a kernel holds up to eight
-    arrays the size of a block's stacked bracket matrices at once (the
-    int64 and float64 matrices of both step factors, the lambda rows and
-    the step products), measured (tracemalloc, p = 13 and 23) at 6.5 to
-    7.7 of them.
+    zero rows take the value of an empty fold.  Both stacks go through
+    fold_blocks.
     """
     flat = gs.reshape(-1, p) % p
     sizes = np.count_nonzero(flat, axis=1)
-    slots = np.cumsum(flat != 0, axis=1) - 1  # slot of each nonzero entry among its row's terms
     out = kernel(np.zeros((len(flat), 0, p), dtype=np.int64), p)
     for rows in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
-        width = sizes[rows].max(initial=1)
-        block = max(1, _SWEEP_BYTES // (8 * 8 * width * p * p))
-        for lo in range(0, len(rows), block):
-            part = rows[lo : lo + block]
-            r, c = np.nonzero(flat[part])
-            terms = np.zeros((len(part), width, p), dtype=np.int64)
-            terms[r, slots[part][r, c], c] = flat[part][r, c]
-            out[part] = kernel(terms, p)
+        part = flat[rows]
+        r, c = np.nonzero(part)
+        terms = np.zeros((len(rows), sizes[rows].max(initial=1), p), dtype=np.int64)
+        terms[r, (np.cumsum(part != 0, axis=1) - 1)[r, c], c] = part[r, c]  # each term in its row's next slot
+        out[rows] = fold_blocks(kernel, terms, p)
     return out.reshape(gs.shape[:-1] + out.shape[-1:])
+
+
+def fold_blocks(kernel, terms: np.ndarray, p: int) -> np.ndarray:
+    """kernel(terms, p) on stacked fold terms (N, width, p), in blocks of rows that stay within _SWEEP_BYTES.
+
+    A kernel holds up to eight arrays the size of a block's stacked bracket
+    matrices at once (the int64 and float64 matrices of both step factors,
+    the lambda rows and the step products), measured (tracemalloc, p = 13
+    and 23) at 6.5 to 7.7 of them.  An empty stack is one empty block.
+    """
+    block = max(1, _SWEEP_BYTES // (8 * 8 * terms.shape[1] * p * p))
+    return np.concatenate([kernel(terms[lo : lo + block], p) for lo in range(0, max(len(terms), 1), block)])
 
 
 def _fold_power(terms: np.ndarray, p: int) -> np.ndarray:

@@ -32,12 +32,20 @@ from wittcoh.restricted import (
     cochain_complex,
     delta1_res,
     delta2_res_matrix,
+    eval_omega,
     omega_coordinate,
     omega_functional_rows,
     restricted_h2,
     virasoro_cochain,
 )
-from wittcoh.witt import basis_element, from_dict, normalize_index, summands_total, zero
+from wittcoh.witt import (
+    basis_element,
+    from_dict,
+    normalize_index,
+    pth_power_via_derivation,
+    summands_total,
+    zero,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -312,8 +320,31 @@ def test_pmap_rows_equal_single_element_powers(p):
     powers = ext.pth_power_rows(xs)
     assert powers.shape == xs.shape
     for x, power in zip(xs, powers):
-        assert (power == ext.pth_power(ext.from_coeffs(x)).coeffs()).all()
+        # The reference shares no code with pmap_rows: the one-row derivation
+        # route and the whole omega functional of the source cocycle.
+        g = ext.from_coeffs(x).witt
+        expected = ExtElement(pth_power_via_derivation(g), eval_omega(ext.source, g))
+        assert ext.from_coeffs(power) == expected
+        assert ext.pth_power(ext.from_coeffs(x)) == expected
     assert (ext.pth_power_rows(xs.reshape(2, -1, p + 1)).reshape(xs.shape) == powers).all()
+
+
+def test_sum_sweep_folds_each_basis_sum_once(monkeypatch):
+    # The basis sums b_u + b_v, u <= v, are shared by every extension, and
+    # only the Virasoro cocycle has phi != 0, so the sweep (the only p-map
+    # call when there are no random trials) folds each sum once.
+    p = F7.p
+    exts = [build_extension(c) for c in restricted_h2(F7).representatives]
+    received = []
+
+    def counted(gs, p):
+        received.append(len(gs.reshape(-1, p)))
+        return omega_functional_rows(gs, p)
+
+    monkeypatch.setattr(extensions, "omega_functional_rows", counted)
+    reports = extensions.verify_restricted_axioms_stacked(exts, 0, list(range(len(exts))))
+    assert all(r.all_pass for r in reports)
+    assert received == [(p + 1) * (p + 2) // 2]
 
 
 def test_pmap_rows_power_shared_rows_against_each_cocycle():

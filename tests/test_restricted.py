@@ -244,6 +244,22 @@ def test_omega_fold_check_keeps_ten_one_row_references(p, monkeypatch):
     assert calls == [None] * 10
 
 
+def test_omega_fold_check_stays_within_the_block_bound(monkeypatch):
+    # The 50 shuffled folds go through witt.fold_blocks, one fold per block
+    # here; a single stacked call of all 50 peaks near 40 times this bound.
+    p = 13
+    field = PrimeField(p)
+    ker = cochain_complex(field).ker_d2_res
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 64 * p**3)
+    tracemalloc.start()
+    try:
+        assert verify._omega_fold_invariance(field, random.Random(p), ker) == "10 cocycles x 5 orders"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= witt._SWEEP_BYTES + 8 * 50 * (p * p + 6 * c2_dim(p))  # and the 50 folds' terms and (50, c2_dim) arrays
+
+
 def test_delta1_res_examples():
     c = delta1_res(dual_basis(F5, 0))
     assert c.phi == delta1_cl(dual_basis(F5, 0))
@@ -513,6 +529,22 @@ def test_delta2_res_matrix_holds_no_second_matrix(p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 1.2 * m.nbytes
+
+
+def test_rank_of_a_read_only_matrix_copies_it_once():
+    # rref makes the one working copy; copying in rank as well, and reducing
+    # each copy into another, peaked near three times the matrix.
+    field = PrimeField(23)
+    m = delta2_res_matrix(field)
+    m.setflags(write=False)
+    tracemalloc.start()
+    try:
+        rank = field.rank(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == cochain_complex(field).rank_d2_res
     assert peak <= 1.2 * m.nbytes
 
 

@@ -462,3 +462,29 @@ def test_oracle_check_compares_the_one_row_derivation_route(monkeypatch):
     monkeypatch.setattr(witt, "pth_power_via_derivation", off_at_e1)
     check = next(c for c in verify._witt_checks(field, random.Random(0), 5) if c.name == "witt.pth_power_oracle")
     assert (check.passed, check.detail) == (False, "one-row mismatch at e1")
+
+
+@pytest.mark.parametrize("u", [-1, 0, 3])
+def test_adjoint_scan_names_the_pair_a_loop_over_g_then_h_meets_first(monkeypatch, u):
+    # witt.adjoint_power_on_w reads every basis pair off matrix powers.  With
+    # one basis power flipped, e_u^{[p]} + e_{-1}, it must name the pair a
+    # loop over g, then h, fails on first; [e_{-1}, e_{-1}] = 0, so that
+    # h is never e_{-1}, the first basis element.
+    field = F7
+    p = field.p
+    basis = [e(i, field) for i in range(-1, p - 1)]
+
+    def power(g):
+        return pth_power(g) + e(-1, field) if g == e(u, field) else pth_power(g)
+
+    g, h = next((g, h) for g in basis for h in basis if bracket_chain(h, [g] * p) != bracket(h, power(g)))
+    original = witt.pth_power_rows
+
+    def flipped(gs, p):
+        powers = original(gs, p)
+        powers[(gs % p == np.eye(p, dtype=np.int64)[u + 1]).all(axis=-1), 0] += 1
+        return powers
+
+    monkeypatch.setattr(witt, "pth_power_rows", flipped)
+    check = next(c for c in verify._witt_checks(field, random.Random(0), 5) if c.name == "witt.adjoint_power_on_w")
+    assert (check.passed, check.detail) == (False, f"fails at {g!r}, {h!r}")
