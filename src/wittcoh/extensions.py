@@ -33,10 +33,12 @@ folds omega's phi part only for rows whose cocycle has phi != 0.
 CentralExtension.pth_power_rows is its call for one extension, and
 CentralExtension.pth_power its call for one element.  The verifier
 checks the extensions of a prime together: the work that needs only a
-bracket table runs once per distinct table, the powers of one axiom's
-random trials of every extension take one call, and so do the powers of
-the basis sums its sum sweep compares, so the sweep tests the p-map the
-extension uses.  extract_cocycle takes all p p-map defects in one call.
+bracket table runs once per distinct table, each extension's random
+trials of one axiom are one bulk draw (witt.random_rows or
+witt.random_records), the powers of one axiom's random trials of every
+extension take one call, and so do the powers of the basis sums its sum
+sweep compares, so the sweep tests the p-map the extension uses.
+extract_cocycle takes all p p-map defects in one call.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ from .witt import (
     first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
     pth_power_via_derivation_rows,
+    random_records,
+    random_rows,
     summands_total,
 )
 
@@ -234,13 +238,13 @@ def extract_cocycle(ext: CentralExtension, sigma: list[ExtElement]) -> Cochain2R
     p = ext.p
     if len(sigma) != p:
         raise NotASplittingError(f"need {p} basis images, got {len(sigma)}")
-    for i, s in enumerate(sigma):
-        if s.witt != basis_element(field, i - 1):
-            raise NotASplittingError(f"sigma does not project to the identity at e_{i - 1}")
+    images = np.array([s.coeffs() for s in sigma])
+    moved = np.flatnonzero((images[:, :p] != np.eye(p, dtype=np.int64)).any(axis=1))
+    if moved.size:
+        raise NotASplittingError(f"sigma does not project to the identity at e_{moved[0] - 1}")
 
     # Every bracket defect [sigma(e_i), sigma(e_j)] - (j - i) sigma(e_{i+j}) at once,
     # by table positions u = i + 1 < v = j + 1 (the order of wedge_pairs).
-    images = np.array([s.coeffs() for s in sigma])
     left = np.tensordot(images, ext.bracket_table, axes=1)  # left[u, v] = [sigma(e_{u-1}), b_v]
     brackets = np.einsum("vx,uxw->uvw", images, left) % p
     u, v = upper_triangle(p)
@@ -309,12 +313,14 @@ def verify_restricted_axioms_stacked(
     extensions make two.  Each extension's p-map rows, draws, verdicts and
     details stay its own.
 
-    The sum axiom sweeps all (p+1)^2 basis pairs at once: the summands come
-    from the table, the basis powers from the extension's p-map rows, and
-    the left side, (b_u + b_v)^{[p]}, from one pmap_rows call on the basis
-    sums u <= v (mirrored) against every extension's source cocycle, so the
+    The sum axiom sweeps all (p+1)^2 basis pairs: the summands come from
+    the table, the basis powers from the extension's p-map rows, and the
+    left side, (b_u + b_v)^{[p]}, from one pmap_rows call on the basis sums
+    u <= v (mirrored) against every extension's source cocycle, so the
     sweep tests the p-map the extension uses (the fold checks it in turn,
-    verify's witt.pth_power_oracle).  The first failing pair is reported in
+    verify's witt.pth_power_oracle).  Each extension compares its own
+    pairs, as it does in the adjoint scan, so neither builds an array over
+    every extension's basis pairs.  The first failing pair is reported in
     row-major order.
 
     The extensions are checked axiom by axiom, all together: the random
@@ -352,14 +358,9 @@ def verify_restricted_axioms_stacked(
     central = (tables[:, :, p].any(axis=(1, 2)) | tables[:, p].any(axis=(1, 2)))[table_of] | pmaps[:, p].any(axis=1)
     add("central_element", ~central, [""] * len(exts))
 
-    def random_row(rng: random.Random, nonzero: bool = False) -> list[int]:
-        while True:
-            x = [rng.randrange(p) for _ in range(n)]
-            if not nonzero or any(x):
-                return x
-
-    def random_pair(rng: random.Random) -> tuple[list[int], list[int]]:
-        return random_row(rng, True), random_row(rng, True)
+    def random_pairs(rng: random.Random, m: int) -> np.ndarray:
+        """m pairs (x, y) of nonzero rows, (m, 2, n)."""
+        return random_rows(rng, p, 2 * m, True, n).reshape(m, 2, n)
 
     def failure(k: int, x, y) -> str:  # extension k's failing pair, as the loops reported it
         return f"fails for x={exts[k].from_coeffs(x)!r}, y={exts[k].from_coeffs(y)!r}"
@@ -372,37 +373,40 @@ def verify_restricted_axioms_stacked(
         """Right-bracket matrices of rows xs (k, m, n), xs[k] in table part[k]."""
         return (xs @ right_rows[part]).reshape(xs.shape + (n,)) % p
 
-    # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.
+    # Scalar axiom: (l*x)^{[p]} = l^p x^{[p]}.  A trial draws l, then x.
     def scalar_failing(samples):
-        lams = np.array([[lam for lam, _ in drawn] for drawn in samples])
-        lam_p = np.array([[pow(lam, p, p) for lam, _ in drawn] for drawn in samples])
-        xs = np.array([[x for _, x in drawn] for drawn in samples])
-        scaled, powers = pmap_rows(np.stack([lams[..., None] * xs, xs]), cocycles[:, None], p)
-        return ((scaled - lam_p[..., None] * powers) % p).any(axis=-1)
+        lams, xs = (np.array([drawn[part] for drawn in samples]) for part in (0, 1))
+        scaled, powers = pmap_rows(np.stack([lams * xs, xs]), cocycles[:, None], p)
+        lam_p = np.array([pow(a, p, p) for a in range(p)])[lams]
+        return ((scaled - lam_p * powers) % p).any(axis=-1)
 
-    samples, firsts = first_failures(rngs, lambda rng: (rng.randrange(p), random_row(rng)), trials, scalar_failing)
+    def scalar_draw(rng, m):
+        return random_records(rng, p, m, [(1, False), (n, False)])
+
+    samples, firsts = first_failures(rngs, scalar_draw, trials, scalar_failing)
     details = [""] * len(exts)
     for k, j in enumerate(firsts):
         if j is not None:
-            lam, x = samples[k][j]
-            details[k] = f"fails for lambda={lam}, x={exts[k].from_coeffs(x)!r}"
+            lam, x = (part[j] for part in samples[k])
+            details[k] = f"fails for lambda={lam[0]}, x={exts[k].from_coeffs(x)!r}"
     add("scalar_power", [not d for d in details], details)
 
     # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.
     # For basis x = b_u the chain over every y at once is the p-th power of
     # the right-bracket matrix, so the exhaustive scan raises all of them to
-    # the p-th power in one stacked product per factor; the random pairs of
-    # the extensions that pass it run stacked too.  The first mismatch is
-    # taken row-major in (u, v).
+    # the p-th power in one stacked product per factor, once per table, and
+    # each extension compares them with the right-bracket matrices of its
+    # p-map rows; the random pairs of the extensions that pass it run
+    # stacked.  The first mismatch is taken row-major in (u, v).
     chains = right
     for _ in range(p - 1):
         chains = chains @ right % p
-    bad = (chains[table_of] != right_of(pmaps, table_of)).any(axis=-1)
+    bad = [(chains[d] != (pmap @ right_rows[d]).reshape(n, n, n) % p).any(axis=-1) for pmap, d in zip(pmaps, table_of)]
     details = ["" if not b.any() else "fails on basis positions ({1}, {0})".format(*np.argwhere(b)[0]) for b in bad]
     scanned = [k for k, detail in enumerate(details) if not detail]
 
     def adjoint_failing(samples):
-        xs, ys = (np.array([[pair[side] for pair in drawn] for drawn in samples]) for side in (0, 1))
+        xs, ys = (np.array(samples)[:, :, side] for side in (0, 1))
         bx = right_of(xs, table_of[scanned])
         chain = ys[..., None, :]
         for _ in range(p):
@@ -410,7 +414,7 @@ def verify_restricted_axioms_stacked(
         direct = ys[..., None, :] @ right_of(pmap_rows(xs, cocycles[scanned, None], p), table_of[scanned]) % p
         return (chain != direct)[..., 0, :].any(axis=-1)
 
-    pairs, firsts = first_failures([rngs[k] for k in scanned], random_pair, trials, adjoint_failing)
+    pairs, firsts = first_failures([rngs[k] for k in scanned], random_pairs, trials, adjoint_failing)
     for k, drawn, j in zip(scanned, pairs, firsts):
         if j is not None:
             details[k] = failure(k, *drawn[j])
@@ -418,26 +422,29 @@ def verify_restricted_axioms_stacked(
 
     # Sum axiom: (x+y)^{[p]} = x^{[p]} + y^{[p]} + sum_i s_i(x, y), the s_i
     # extracted from the lambda-expansion of the iterated bracket inside E.
-    # The basis pairs (u, v) of each table are stacked in blocks of u, one
-    # block unless p is large, to bound the memory of the lambda rows.
-    randoms = [[random_pair(rng) for _ in range(trials)] for rng in rngs]
-    block = max(1, witt._SWEEP_BYTES // (8 * n * n * p))
+    # The summands of the basis pairs (u, v) are one stacked call over the
+    # distinct tables per block of u, one block unless p is large: the call
+    # holds about four arrays of its lambda rows (tables, block, n, p, n),
+    # kept within _SWEEP_BYTES.  The left sides, (b_u + b_v)^{[p]} for
+    # u <= v, are one pmap_rows call, and each extension compares its
+    # (n, n, n) sides in turn, so no (extensions, n, n, n) array is built.
+    randoms = [random_pairs(rng, trials) for rng in rngs]
     eye = np.eye(n, dtype=np.int64)
-    summands = np.stack([
-        np.concatenate([
-            summands_total(eye[lo : lo + block, None], r[lo : lo + block, None], r, p) for lo in range(0, n, block)
-        ])
-        for r in right
-    ])
+    block = max(1, witt._SWEEP_BYTES // (4 * 8 * len(tables) * n * p * n))
+    summands = np.concatenate([
+        summands_total(eye[lo : lo + block, None], right[:, lo : lo + block, None], right[:, None], p)
+        for lo in range(0, n, block)
+    ], axis=1)
     u, v = np.triu_indices(n)
-    lhs = np.zeros((len(exts), n, n, n), dtype=np.int64)
-    lhs[:, u, v] = lhs[:, v, u] = pmap_rows(eye[u] + eye[v], cocycles[:, None], p)
-    rhs = pmaps[:, :, None] + pmaps[:, None] + summands[table_of]
-    bad = ((lhs - rhs) % p).any(axis=-1)
+    pair = np.zeros((n, n), dtype=np.int64)
+    pair[u, v] = pair[v, u] = np.arange(len(u))
+    lhs = pmap_rows(eye[u] + eye[v], cocycles[:, None], p)
+    sides = zip(lhs, pmaps, table_of)  # each extension's left sides, basis powers and table
+    bad = [((sums[pair] - summands[d] - pmap[:, None] - pmap) % p).any(axis=-1) for sums, pmap, d in sides]
     details = ["" if not b.any() else failure(k, *eye[np.argwhere(b)[0]]) for k, b in enumerate(bad)]
     swept = [k for k, detail in enumerate(details) if not detail]
     if swept and trials:
-        xs, ys = (np.array([[pair[side] for pair in randoms[k]] for k in swept]) for side in (0, 1))
+        xs, ys = (np.array([randoms[k][:, side] for k in swept]) for side in (0, 1))
         x_pow, y_pow, sum_pow = pmap_rows(np.stack([xs, ys, xs + ys]), cocycles[swept, None], p)
         part = table_of[swept]
         rhs = x_pow + y_pow + summands_total(xs, right_of(xs, part), right_of(ys, part), p)

@@ -37,7 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import PrimeField
-from .witt import WittElement, bracket, normalize_index
+from .witt import WittElement, normalize_index
+from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
 
 
 @lru_cache(maxsize=None)
@@ -107,14 +108,6 @@ def triple_normalize(r: int, s: int, t: int) -> tuple[tuple[int, int, int], int]
     if a > b:
         a, b, sign = b, a, -sign
     return (a, b, c), sign
-
-
-def pair_grade(p: int, pair: tuple[int, int]) -> int:
-    return normalize_index(pair[0] + pair[1], p)
-
-
-def triple_grade(p: int, trip: tuple[int, int, int]) -> int:
-    return normalize_index(trip[0] + trip[1] + trip[2], p)
 
 
 @dataclass(frozen=True)
@@ -273,10 +266,6 @@ class Cochain3Ord:
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-
-def c3_zero(field: PrimeField) -> Cochain3Ord:
-    return Cochain3Ord(field, (0,) * (field.p * (field.p - 1) * (field.p - 2) // 6))
 
 
 def delta1_cl(psi: Cochain1) -> Cochain2Ord:
@@ -440,13 +429,3 @@ def virasoro_cocycle(field: PrimeField) -> Cochain2Ord:
         pair = (n, normalize_index(p - n, p))
         terms[pair] = (n * (n * n - 4) * inv3) % p
     return c2_from_dict(field, terms)
-
-
-def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: WittElement) -> int:
-    """(d2 phi)(g ^ h ^ k) straight from the definition, for cross-checks."""
-    p = phi.field.p
-    return (
-        wedge_eval(phi, bracket(g, h), k)
-        - wedge_eval(phi, bracket(g, k), h)
-        + wedge_eval(phi, bracket(h, k), g)
-    ) % p

@@ -179,10 +179,6 @@ class Cochain3Res:
         return self.alpha.is_zero() and not any(any(row) for row in self.beta_basis)
 
 
-def c2res_zero(field: PrimeField) -> Cochain2Res:
-    return Cochain2Res(c2_zero(field), (0,) * field.p)
-
-
 def omega_coordinate(field: PrimeField, i: int) -> Cochain2Res:
     """The cocycle (0, omega_i): omega_i picks the e_i coordinate to the p-th power."""
     if not -1 <= i <= field.p - 2:
@@ -214,11 +210,14 @@ def _correction_weights(gv: np.ndarray, hv: np.ndarray, p: int) -> np.ndarray:
     return (rows.swapaxes(-1, -2) @ last) % p
 
 
+def correction_sums(forms: np.ndarray, gs: np.ndarray, hs: np.ndarray, p: int) -> np.ndarray:
+    """The correction sums of stacked bilinear forms x @ form @ y (..., p, p) over stacked (g, h) rows (..., p)."""
+    return np.einsum("...st,...st->...", forms, _correction_weights(gs, hs, p)) % p
+
+
 def _correction_sum(form: np.ndarray, g: WittElement, h: WittElement) -> int:
-    """The correction sum of the bilinear form x @ form @ y over (g, h)."""
-    p = g.p
-    weights = _correction_weights(np.array(g.coeffs, dtype=np.int64), np.array(h.coeffs, dtype=np.int64), p)
-    return int((form * weights).sum() % p)
+    """The correction sum of the bilinear form x @ form @ y over (g, h): the one-row call of correction_sums."""
+    return int(correction_sums(form, np.array(g.coeffs, dtype=np.int64), np.array(h.coeffs, dtype=np.int64), g.p))
 
 
 def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
@@ -387,6 +386,24 @@ def c2_from_vector(field: PrimeField, vec) -> Cochain2Res:
         raise ValueError(f"expected a vector of length {n + field.p}")
     phi = Cochain2Ord(field, tuple(int(v) for v in vec[:n]))
     return Cochain2Res(phi, tuple(int(v) for v in vec[n:]))
+
+
+def sparse_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) % p over the nonzero entries of a only.
+
+    Each entry times its row of b is added into its row of the product,
+    one slot at a time: slot k holds the k-th nonzero of every row, so the
+    rows of a slot are distinct.  The coboundary matrices hold at most
+    three nonzeros per row, so this is O(nnz(a) * b's columns); the dense
+    int64 product, which numpy runs without BLAS, is the test oracle.
+    """
+    r, c = np.nonzero(a)  # row-major, so each row's entries are consecutive
+    slot = np.arange(len(r)) - np.searchsorted(r, r)
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for k in range(slot.max(initial=-1) + 1):
+        rows, cols = r[slot == k], c[slot == k]
+        out[rows] += a[rows, cols, None] * b[cols]
+    return out % p
 
 
 def delta1_res_matrix(field: PrimeField) -> np.ndarray:

@@ -16,7 +16,8 @@ the values of its lambda-polynomial at every lambda in GF(p)
 (_starstar_by_evaluation), a route that shares no recurrence with the
 library's correction weights.
 Randomized checks draw from a generator seeded per prime, so reports are
-byte-identical across runs and across worker counts.
+byte-identical across runs and across worker counts; each check draws in
+bulk (witt.randbelow), the values a loop of randrange calls would draw.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def _antisymmetry_jacobi(field: PrimeField, rng: random.Random) -> str:
             same = witt.bracket(x, y).coeffs == tuple(t[u, v])
             assert same, f"bracket disagrees with the table on {x!r}, {y!r}"
 
-    triples = [tuple(witt.random_element(field, rng) for _ in range(3)) for _ in range(100)]
-    xs, ys, zs = np.array([[w.coeffs for w in triple] for triple in triples]).transpose(1, 0, 2)
+    drawn = witt.random_rows(rng, p, 300).reshape(100, 3, p)
+    xs, ys, zs = drawn.transpose(1, 0, 2)
 
     def br(a, b):
         return np.einsum("ks,kt,stm->km", a, b, t) % p
@@ -91,11 +92,12 @@ def _antisymmetry_jacobi(field: PrimeField, rng: random.Random) -> str:
     xy = br(xs, ys)
     anti = ((xy + br(ys, xs)) % p).any(axis=1)
     jacobi = ((br(xy, zs) + br(br(ys, zs), xs) + br(br(zs, xs), ys)) % p).any(axis=1)
-    for k, (x, y, z) in enumerate(triples):
+    for k, triple in enumerate(drawn):
+        x, y, z = witt.elements(field, triple)
         assert not anti[k], "antisymmetry fails"
         assert not jacobi[k], f"Jacobi fails on {x!r}, {y!r}, {z!r}"
         assert witt.bracket(x, y).coeffs == tuple(xy[k]), f"bracket disagrees with the table on {x!r}, {y!r}"
-    return f"{p**3 + len(triples)} triples"
+    return f"{p**3 + len(drawn)} triples"
 
 
 def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> list[CheckResult]:
@@ -103,56 +105,50 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
     checks = [_check("witt.antisymmetry_jacobi", lambda: _antisymmetry_jacobi(field, rng))]
 
     def oracle_equivalence():
-        elements = [witt.basis_element(field, i) for i in range(-1, p - 1)]
-        elements += [witt.random_element(field, rng) for _ in range(oracle_trials)]
-        gs = np.array([g.coeffs for g in elements])
+        gs = np.vstack([np.eye(p, dtype=np.int64), witt.random_rows(rng, p, oracle_trials)])  # the basis, then randoms
         derived = witt.pth_power_via_derivation_rows(gs, p)
         bad = np.flatnonzero((witt.pth_power_rows(gs, p) != derived).any(axis=1))
-        assert not bad.size, f"mismatch at {elements[bad[0]]!r}"
-        for g, power in zip(elements[:p], derived):  # the one-row entry point on the basis
+        assert not bad.size, f"mismatch at {witt.elements(field, gs[bad[0]])[0]!r}"
+        for g, power in zip(witt.elements(field, gs[:p]), derived):  # the one-row entry point on the basis
             assert witt.pth_power_via_derivation(g).coeffs == tuple(power), f"one-row mismatch at {g!r}"
-        return f"{len(elements)} elements"
+        return f"{len(gs)} elements"
 
     checks.append(_check("witt.pth_power_oracle", oracle_equivalence))
 
     def restricted_axiom_on_w():
         # [h, g^{[p]}] = h @ B(g^{[p]}) and [h, g, ..., g] = h @ B(g)^p, B the right-bracket matrix:
         # on a basis pair (b_u, b_v) both are row v of a matrix of b_u; random pairs take vector chains.
-        basis = [witt.basis_element(field, i) for i in range(-1, p - 1)]
-        randoms = [(witt.random_element(field, rng, True), witt.random_element(field, rng, True)) for _ in range(20)]
-        gs = np.array([g.coeffs for g in basis] + [g.coeffs for g, _ in randoms])
+        randoms = witt.random_rows(rng, p, 40, nonzero=True).reshape(20, 2, p)  # pairs (g, h)
+        gs = np.vstack([np.eye(p, dtype=np.int64), randoms[:, 0]])
         bg, direct = (witt.right_bracket_matrix(v, p) for v in (gs, witt.pth_power_rows(gs, p)))
         chains = bg[:p]
         for _ in range(p - 1):
             chains = chains @ bg[:p] % p
         bad = np.argwhere((chains != direct[:p]).any(axis=2))  # (u, v) in the order of a loop over g, then h
-        assert not bad.size, "fails at {!r}, {!r}".format(*(basis[i] for i in bad[0]))
-        hs = np.array([h.coeffs for _, h in randoms])[:, None]
+        assert not bad.size, "fails at {!r}, {!r}".format(*witt.elements(field, gs[bad[0]]))
+        hs = randoms[:, 1, None]
         chain = hs
         for _ in range(p):
             chain = chain @ bg[p:] % p
         bad = np.flatnonzero((chain != hs @ direct[p:] % p).any(axis=(1, 2)))
-        assert not bad.size, "fails at {!r}, {!r}".format(*randoms[bad[0]])
+        assert not bad.size, "fails at {!r}, {!r}".format(*witt.elements(field, randoms[bad[0]]))
         return f"{p**2 + len(randoms)} pairs"
 
     checks.append(_check("witt.adjoint_power_on_w", restricted_axiom_on_w))
 
     def homogeneity_and_proportionality():
         def failing(samples):
-            gs = np.array([g.coeffs for g, _ in samples])
-            lams = np.array([lam for _, lam in samples])[:, None]
-            lam_p = np.array([pow(lam, p, p) for _, lam in samples])[:, None]
+            gs, lams = samples
+            lam_p = np.array([pow(a, p, p) for a in range(p)])[lams]
             scaled, powers = witt.pth_power_rows(np.stack([lams * gs, gs]), p)
             rows, lead = np.arange(len(gs)), np.argmax(gs != 0, axis=1)  # witt.gamma's coefficient
-            ratio = powers[rows, lead] * np.array([field.inv(int(a)) for a in gs[rows, lead]]) % p
+            ratio = powers[rows, lead] * witt._inverse_vector(p)[gs[rows, lead]] % p
             return ((scaled - lam_p * powers) % p).any(axis=1) | ((powers - ratio[:, None] * gs) % p).any(axis=1)
 
-        def draw():
-            return witt.random_element(field, rng, True), rng.randrange(p)
-
-        samples, k = witt.first_failure(rng, draw, 25, failing)
+        parts = [(p, True), (1, False)]  # a sample draws g != 0, then lambda
+        samples, k = witt.first_failure(rng, lambda m: witt.random_records(rng, p, m, parts), 25, failing)
         if k is not None:  # the per-element route names the failure
-            g, lam = samples[k]
+            g, lam = witt.elements(field, samples[0][k])[0], int(samples[1][k, 0])
             assert witt.pth_power(lam * g) == pow(lam, p, p) * witt.pth_power(g), "homogeneity"
             witt.gamma(g)  # raises if the power is not proportional to g
             raise AssertionError(f"stacked and per-element p-th powers disagree at {g!r}")
@@ -161,11 +157,20 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
     checks.append(_check("witt.pth_power_homogeneity_gamma", homogeneity_and_proportionality))
 
     def fold_order_independence():
-        for _ in range(10):
-            g = witt.random_element(field, rng, True)
-            order = g.support()
-            rng.shuffle(order)
-            assert witt.pth_power(g, term_order=order) == witt.pth_power(g), "fold order"
+        def draw(m):  # each sample draws g != 0, then shuffles its support: gs is lazy, so they interleave
+            gs = (witt.random_element(field, rng, True) for _ in range(m))
+            return [(g, witt.shuffled_support(g, rng)) for g in gs]
+
+        def failing(samples):  # shuffled then ascending folds, stacked; the one-row fold on the first sample
+            gs, orders = zip(*samples)
+            terms = witt.padded_fold_terms(gs + gs, orders + (None,) * len(gs), p)
+            shuffled, ascending = witt.fold_blocks(witt._fold_power, terms, p).reshape(2, len(gs), p)
+            flags = (shuffled != ascending).any(axis=1)
+            flags[0] |= witt.pth_power(gs[0], term_order=orders[0]).coeffs != tuple(shuffled[0])
+            return flags
+
+        _, k = witt.first_failure(rng, draw, 10, failing)
+        assert k is None, "fold order"
         return "10 permutations"
 
     checks.append(_check("witt.pth_power_fold_order", fold_order_independence))
@@ -179,7 +184,7 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     d1, d2 = cx.d1, cx.d2
 
     def complex_identity():
-        assert not ((d2 @ d1) % p).any(), "d2 . d1 != 0"
+        assert not res.sparse_product(d2, d1, p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("ordinary.complex_identity", complex_identity))
@@ -320,30 +325,26 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     confirms it genuinely fails off the kernel.  eval_omega in ascending
     order, once per (c, g), is the reference; the 50 shuffled folds are one
     stacked witt.fold_blocks call, each fold's terms padded at the end with
-    zero terms, which add nothing (see witt.fold_rows).  The draws and the
+    zero terms, which add nothing (witt.padded_fold_terms).  The draws and the
     failure are those of a loop testing each order as it is drawn.
     """
     p = field.p
 
     def draws():
         while True:  # a (cocycle, element) pair, then its 5 shuffled orders
-            c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+            c = res.c2_from_vector(field, witt.randbelow(rng, p, len(ker)) @ np.array(ker) % p)
             g = witt.random_element(field, rng, True)
-            for _ in range(5):
-                order = g.support()
-                rng.shuffle(order)
-                yield c, g, order
+            yield from ((c, g, witt.shuffled_support(g, rng)) for _ in range(5))
 
     def failing(samples):
         base = np.repeat([res.eval_omega(c, g) for c, g, _ in samples[::5]], 5)
-        terms = np.zeros((len(samples), max(len(order) for *_, order in samples), p), dtype=np.int64)
-        for row, (_, g, order) in zip(terms, samples):
-            row[: len(order)] = witt.fold_terms(g, order)
+        terms = witt.padded_fold_terms([g for _, g, _ in samples], [order for *_, order in samples], p)
         cocycles = np.array([res.c2_to_vector(c) for c, _, _ in samples])
         return (witt.fold_blocks(res._fold_functional, terms, p) * cocycles).sum(axis=1) % p != base
 
     # 50 draws end on a pair boundary, so winding back redraws whole pairs from there.
-    _, k = witt.first_failure(rng, draws().__next__, 50, failing)
+    stream = draws()
+    _, k = witt.first_failure(rng, lambda m: [next(stream) for _ in range(m)], 50, failing)
     assert k is None, "fold order changes omega"
     return "10 cocycles x 5 orders"
 
@@ -362,7 +363,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     checks.append(_check("restricted.dims_closed_form", dims_closed_form))
 
     def complex_identity():
-        assert not ((d2r @ d1r) % p).any(), "d2 . d1 != 0"
+        assert not res.sparse_product(d2r, d1r, p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("restricted.complex_identity", complex_identity))
@@ -401,17 +402,18 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     checks.append(_check("restricted.h2_dimension", h2_dimension))
 
     def star_consistency():
-        def failing(samples):
-            psis = np.array([psi.coeffs for psi, _, _ in samples])
-            powers = witt.pth_power_rows(np.array([[(g + h).coeffs, g.coeffs, h.coeffs] for _, g, h in samples]), p)
-            lhs = np.einsum("km,km->k", psis, powers[:, 0] - powers[:, 1] - powers[:, 2]) % p
-            return lhs != [res.star_correction(ordi.delta1_cl(psi), g, h) for psi, g, h in samples]
+        def failing(samples):  # a sample draws psi, then g != 0, then h != 0
+            psis, gs, hs = samples
+            powers = witt.pth_power_rows(np.stack([(gs + hs) % p, gs, hs]), p)
+            lhs = np.einsum("km,km->k", psis, powers[0] - powers[1] - powers[2]) % p
+            forms = np.einsum("stm,km->kst", witt._bracket_tensor(p), psis) % p  # d1(psi) = psi o bracket
+            flags = lhs != res.correction_sums(forms, gs, hs, p)
+            psi = ordi.delta1_cl(ordi.Cochain1(field, tuple(psis[0].tolist())))  # the one-row call on the first sample
+            flags[0] |= res.star_correction(psi, *witt.elements(field, [gs[0], hs[0]])) != lhs[0]
+            return flags
 
-        def draw():
-            psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
-            return psi, witt.random_element(field, rng, True), witt.random_element(field, rng, True)
-
-        _, k = witt.first_failure(rng, draw, 10, failing)
+        parts = [(p, False), (p, True), (p, True)]
+        _, k = witt.first_failure(rng, lambda m: witt.random_records(rng, p, m, parts), 10, failing)
         assert k is None, "summand sum mismatch"
         return "10 samples"
 
@@ -421,9 +423,9 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
 
     def starstar_enumeration():
         for _ in range(4):
-            phi = ordi.c2_from_dict(field, {pr: rng.randrange(p) for pr in ordi.wedge_pairs(p)})
+            phi = ordi.Cochain2Ord(field, tuple(witt.randbelow(rng, p, len(ordi.wedge_pairs(p))).tolist()))
             alpha = ordi.delta2_cl(phi)
-            g, h1, h2 = (witt.random_element(field, rng, True) for _ in range(3))
+            g, h1, h2 = witt.elements(field, witt.random_rows(rng, p, 3, True))
             assert res.starstar_correction(alpha, g, h1, h2) == _starstar_by_evaluation(alpha, g, h1, h2), "mismatch"
         return "4 samples"
 
@@ -439,7 +441,7 @@ def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult
 
     def roundtrip():
         for _ in range(10):
-            vec = sum(rng.randrange(p) * v for v in cx.ker_d2_res) % p
+            vec = witt.randbelow(rng, p, len(cx.ker_d2_res)) @ np.array(cx.ker_d2_res) % p
             c = res.c2_from_vector(field, vec)
             e = ext.build_extension(c)
             back = ext.extract_cocycle(e, ext.canonical_splitting(e))
@@ -451,11 +453,8 @@ def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult
     def splitting_shift():
         for c in reps[:4]:
             e = ext.build_extension(c)
-            psi = ordi.Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
-            sigma = [
-                ext.ExtElement(witt.basis_element(field, i), psi.coeff(i))
-                for i in range(-1, p - 1)
-            ]
+            psi = ordi.Cochain1(field, tuple(witt.randbelow(rng, p, p).tolist()))
+            sigma = [ext.ExtElement(witt.basis_element(field, i), psi.coeff(i)) for i in range(-1, p - 1)]
             shifted = ext.extract_cocycle(e, sigma)
             expected = c - res.delta1_res(psi)
             assert shifted == expected, "shifted extraction != c - d1(psi)"
@@ -475,7 +474,7 @@ def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult
             return [not report.all_pass for report in reports]
 
         # One seed per extension, drawn as a loop checking each in turn draws them.
-        _, k = witt.first_failure(rng, lambda: rng.randrange(2**31), len(extensions), failing)
+        _, k = witt.first_failure(rng, lambda m: witt.randbelow(rng, 2**31, m).tolist(), len(extensions), failing)
         assert k is None, f"axioms fail: {[c.name for c in reports[k].failed()]}"
         return f"{len(extensions)} extensions"
 

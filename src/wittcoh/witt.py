@@ -35,10 +35,18 @@ product at a time, lives in tests/oracles.py.
 bracket is the formula route, a loop over two supports; the stacked
 kernels take their brackets from the structure tensor (_bracket_tensor),
 and verify's witt.antisymmetry_jacobi compares the two.
+
+Random samples are drawn in bulk with the values and the generator state
+of one rng.randrange call per value: randbelow reads many draws off one
+getrandbits call, and random_rows and random_records are the stacked
+forms of random_element and of samples drawn part by part.  first_failure
+and first_failures test a batch of samples at once and wind the
+generator back to where a loop testing them one by one would stop.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,44 +129,124 @@ def basis_element(field: PrimeField, i: int, coefficient: int = 1) -> WittElemen
     return WittElement(field, tuple(coeffs))
 
 
-def from_dict(field: PrimeField, terms: dict[int, int]) -> WittElement:
-    """Element from a {basis index: coefficient} mapping."""
-    coeffs = [0] * field.p
-    for i, c in terms.items():
-        if not -1 <= i <= field.p - 2:
-            raise ValueError(f"basis index {i} out of range for p={field.p}")
-        coeffs[i + 1] = (coeffs[i + 1] + c) % field.p
-    return WittElement(field, tuple(coeffs))
+# The methods behind Random.randrange whose draws randbelow reads off getrandbits.
+_DRAW_METHODS = ("randrange", "getrandbits", "_randbelow")
+
+
+def randbelow(rng, n: int, count: int) -> np.ndarray:
+    """The values of count calls of rng.randrange(n), 0 < n < 2^32, as one int64 array; rng ends where they leave it.
+
+    randrange(n) is getrandbits(n.bit_length()), the top bits of one 32-bit
+    word of the generator, redrawn while it is not below n; and
+    getrandbits(32 m) is the next m words, least significant first.  So
+    one call gives the words of many draws: each is shifted, the values not
+    below n are dropped, and exactly the shortfall is drawn again, never
+    more.  The last few values, fewer than 32, are drawn one at a time
+    as randrange draws them, which costs less than another round.  A
+    generator whose class replaces randrange, getrandbits or _randbelow is
+    called once per value instead.
+    """
+    if not 0 < n < 2**32:
+        raise ValueError(f"randbelow needs 0 < n < 2^32, got {n}")
+    if type(rng) is not random.Random and any(
+        getattr(type(rng), name, None) is not getattr(random.Random, name) for name in _DRAW_METHODS
+    ):
+        return np.array([rng.randrange(n) for _ in range(count)], dtype=np.int64).reshape(count)
+    bits, getrandbits = n.bit_length(), rng.getrandbits
+    parts, need = [], count
+    while need >= 32:
+        words = np.frombuffer(getrandbits(32 * need).to_bytes(4 * need, "little"), dtype="<u4") >> (32 - bits)
+        parts.append(words[words < n])
+        need -= len(parts[-1])
+    last = []
+    for _ in range(need):
+        value = getrandbits(bits)
+        while value >= n:
+            value = getrandbits(bits)
+        last.append(value)
+    return np.concatenate(parts + [np.array(last, dtype=np.int64)])
+
+
+def random_rows(rng, p: int, count: int, nonzero: bool = False, width: int | None = None) -> np.ndarray:
+    """count rows (count, width) of draws below p, width p by default, each drawn as random_element draws one.
+
+    With nonzero, a zero row is dropped and redrawn, as random_element
+    redraws it: the shortfall is drawn again until count rows are kept.
+    """
+    width = p if width is None else width
+    rows = randbelow(rng, p, count * width).reshape(count, width)
+    while nonzero and not rows.any(axis=1).all():
+        rows = rows[rows.any(axis=1)]
+        rows = np.concatenate([rows, randbelow(rng, p, (count - len(rows)) * width).reshape(-1, width)])
+    return rows
+
+
+def random_records(rng, p: int, count: int, parts) -> list[np.ndarray]:
+    """count records of parts (width, nonzero) drawn in turn, each as random_rows draws one row; an array per part.
+
+    The whole batch is drawn in one call.  A part that must be nonzero and
+    came out zero (rare: about p^-width) is redrawn at once by a loop over
+    the records, so then the values drawn are read again in that loop's
+    order, and only what it needs beyond them is drawn.
+    """
+    widths = [width for width, _ in parts]
+    values = randbelow(rng, p, count * sum(widths))
+    drawn = np.split(values.reshape(count, sum(widths)), np.cumsum(widths)[:-1], axis=1)
+    if all(rows.any(axis=1).all() for rows, (_, nonzero) in zip(drawn, parts) if nonzero):
+        return drawn
+    records, at = [[] for _ in parts], 0
+    for k in range(count):
+        for part, (width, nonzero) in enumerate(parts):
+            while True:
+                if at + width > len(values):  # the least the loop still draws: this part and all after it
+                    rest = sum(widths[part:]) + (count - k - 1) * sum(widths)
+                    values = np.concatenate([values, randbelow(rng, p, rest - (len(values) - at))])
+                row, at = values[at : at + width], at + width
+                if not nonzero or row.any():
+                    break
+            records[part].append(row)
+    return [np.array(rows).reshape(count, width) for rows, width in zip(records, widths)]
+
+
+def elements(field: PrimeField, rows) -> list[WittElement]:
+    """The elements of stacked coefficient rows (..., p), in row-major order."""
+    return [WittElement(field, tuple(row)) for row in np.reshape(rows, (-1, field.p)).tolist()]
 
 
 def random_element(field: PrimeField, rng, nonzero: bool = False) -> WittElement:
-    while True:
-        g = WittElement(field, tuple(rng.randrange(field.p) for _ in range(field.p)))
-        if not nonzero or not g.is_zero():
-            return g
+    """A random element of W: the one-row call of random_rows."""
+    return elements(field, random_rows(rng, field.p, 1, nonzero))[0]
+
+
+def shuffled_support(g: WittElement, rng) -> list[int]:
+    """g.support() in a random order, one rng.shuffle of it."""
+    order = g.support()
+    rng.shuffle(order)
+    return order
 
 
 def first_failure(rng, draw, count: int, failing) -> tuple[list, int | None]:
-    """Draw count samples with draw(), test them all at once; (samples, first failing index or None).
+    """Draw count samples with draw(count), test them all at once; (samples, first failing index or None).
 
     failing(samples) gives one flag per sample.  A loop testing each sample
-    as it is drawn stops drawing after the first failure, so rng is wound
-    back to where that loop leaves it and every later draw is unchanged.
+    as it is drawn stops drawing after the first failure, at sample j, so
+    rng is wound back and draw(j + 1) redraws what that loop drew: every
+    later draw is unchanged.
     """
-    samples, (k,) = first_failures([rng], lambda _: draw(), count, lambda drawn: [failing(drawn[0])])
+    samples, (k,) = first_failures([rng], lambda _, m: draw(m), count, lambda drawn: [failing(drawn[0])])
     return samples[0], k
 
 
-def first_failures(rngs, draw, count: int, failing) -> tuple[list[list], list[int | None]]:
+def first_failures(rngs, draw, count: int, failing) -> tuple[list, list[int | None]]:
     """first_failure for several generators whose samples are tested together.
 
-    draw(rng) draws one sample from rng, and failing takes the count
-    samples of every generator, one list each, and gives one row of flags
+    draw(rng, m) draws m samples from rng, and failing takes the count
+    samples of every generator, one batch each, and gives one row of flags
     per generator.  Each generator is wound back as first_failure winds
     back its one, so its draws are those of its own loop.
     """
     states = [rng.getstate() for rng in rngs]
-    samples = [[draw(rng) for _ in range(count)] for rng in rngs]
+    samples = [draw(rng, count) for rng in rngs]
     flags = failing(samples) if count and rngs else [[]] * len(rngs)
     firsts: list[int | None] = []
     for rng, state, row in zip(rngs, states, flags):
@@ -166,8 +254,7 @@ def first_failures(rngs, draw, count: int, failing) -> tuple[list[list], list[in
         firsts.append(int(bad[0]) if bad.size else None)
         if bad.size:
             rng.setstate(state)
-            for _ in range(firsts[-1] + 1):
-                draw(rng)
+            draw(rng, firsts[-1] + 1)
     return samples, firsts
 
 
@@ -227,7 +314,7 @@ _EXACT_FLOAT = 2**53
 
 # Memory bound on one block of every blocked scan: all the arrays of a fold
 # kernel's block (fold_blocks, behind every stacked fold: fold_rows and
-# verify's shuffled omega folds), the lambda rows of the extension sum-axiom
+# verify's shuffled folds), the summand call of the extension sum-axiom
 # sweep, the Jacobi sums of jacobi_scan, and the chain rows of the
 # exhaustive ** oracle in tests/oracles.py.
 _SWEEP_BYTES = 64 << 20
@@ -361,6 +448,19 @@ def fold_terms(g: WittElement, order=None) -> np.ndarray:
     return terms
 
 
+def padded_fold_terms(gs, orders, p: int) -> np.ndarray:
+    """fold_terms of each element of gs in its order, stacked (N, longest, p), each padded at the end with zero terms.
+
+    A zero term adds no summand and leaves the prefix sum as it is, so
+    each row folds exactly as over its own terms (see fold_rows).
+    """
+    terms = [fold_terms(g, order) for g, order in zip(gs, orders)]
+    stacked = np.zeros((len(terms), max(map(len, terms), default=0), p), dtype=np.int64)
+    for row, own in zip(stacked, terms):
+        row[: len(own)] = own
+    return stacked
+
+
 def fold_steps(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(prefix sum, next term) of every fold step of stacked terms (..., k, p)."""
     return np.cumsum(terms[..., :-1, :], axis=-2) % p, terms[..., 1:, :]
@@ -373,16 +473,18 @@ def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
     longest row; a zero term adds no summand and leaves the prefix sum as
     it is, so each row folds exactly as over its own support.  Single-term
     rows take no fold step and are stacked apart, so they are not padded;
-    zero rows take the value of an empty fold.  Both stacks go through
-    fold_blocks.
+    zero rows take the value of an empty fold.  Each stack that holds a
+    row goes through fold_blocks.
     """
     flat = gs.reshape(-1, p) % p
     sizes = np.count_nonzero(flat, axis=1)
     out = kernel(np.zeros((len(flat), 0, p), dtype=np.int64), p)
     for rows in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
+        if not rows.size:
+            continue
         part = flat[rows]
         r, c = np.nonzero(part)
-        terms = np.zeros((len(rows), sizes[rows].max(initial=1), p), dtype=np.int64)
+        terms = np.zeros((len(rows), sizes[rows].max(), p), dtype=np.int64)
         terms[r, (np.cumsum(part != 0, axis=1) - 1)[r, c], c] = part[r, c]  # each term in its row's next slot
         out[rows] = fold_blocks(kernel, terms, p)
     return out.reshape(gs.shape[:-1] + out.shape[-1:])

@@ -10,7 +10,9 @@ sum one by one as right-bracket rows, with no lambda grouping; it is the
 reference for verify's evaluation route up to p = 19.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
-sample_rows gives the kernels' test inputs.
+sample_rows gives the kernels' test inputs.  The constructors and
+definition-level helpers at the end (from_dict, the grade of one pair or
+triple, the zero cochains, d2 from brackets) serve only the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from wittcoh.ordinary import (
     delta1_cl,
     dual_basis,
     pair_position,
+    wedge_eval,
     wedge_normalize,
     wedge_pairs,
     wedge_triples,
@@ -36,6 +39,7 @@ from wittcoh.restricted import Cochain2Res, c2_dim, c3_dim
 from wittcoh.witt import (
     WittElement,
     basis_element,
+    bracket,
     bracket_chain,
     normalize_index,
     pth_power_basis,
@@ -366,3 +370,42 @@ def kernel_basis_by_pivots(field: PrimeField, m) -> list[np.ndarray]:
         basis.append(v)
     return basis
 
+
+
+# Small constructors and cross-check helpers the library itself never calls.
+
+
+def from_dict(field: PrimeField, terms: dict[int, int]) -> WittElement:
+    """Element of W from a {basis index: coefficient} mapping."""
+    coeffs = [0] * field.p
+    for i, c in terms.items():
+        if not -1 <= i <= field.p - 2:
+            raise ValueError(f"basis index {i} out of range for p={field.p}")
+        coeffs[i + 1] = (coeffs[i + 1] + c) % field.p
+    return WittElement(field, tuple(coeffs))
+
+
+def pair_grade(p: int, pair: tuple[int, int]) -> int:
+    return normalize_index(pair[0] + pair[1], p)
+
+
+def triple_grade(p: int, trip: tuple[int, int, int]) -> int:
+    return normalize_index(trip[0] + trip[1] + trip[2], p)
+
+
+def c3_zero(field: PrimeField) -> Cochain3Ord:
+    return Cochain3Ord(field, (0,) * (field.p * (field.p - 1) * (field.p - 2) // 6))
+
+
+def c2res_zero(field: PrimeField) -> Cochain2Res:
+    return Cochain2Res(Cochain2Ord(field, (0,) * (field.p * (field.p - 1) // 2)), (0,) * field.p)
+
+
+def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: WittElement) -> int:
+    """(d2 phi)(g ^ h ^ k) straight from the definition, for cross-checks."""
+    p = phi.field.p
+    return (
+        wedge_eval(phi, bracket(g, h), k)
+        - wedge_eval(phi, bracket(g, k), h)
+        + wedge_eval(phi, bracket(h, k), g)
+    ) % p

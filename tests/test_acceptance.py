@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from tests.oracles import omega_by_enumeration
+from tests.oracles import from_dict, omega_by_enumeration
 from wittcoh.extensions import (
     Classification,
     classify_extension,
@@ -46,7 +46,6 @@ from wittcoh.restricted import (
 )
 from wittcoh.witt import (
     basis_element,
-    from_dict,
     normalize_index,
     pth_power,
     pth_power_via_derivation,

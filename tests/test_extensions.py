@@ -1,11 +1,12 @@
 """Central extension construction, extraction, axiom checks, classification."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tests.oracles import sample_rows
+from tests.oracles import c2res_zero, from_dict, sample_rows
 from wittcoh import extensions, witt
 from wittcoh.extensions import (
     CentralExtension,
@@ -28,7 +29,6 @@ from wittcoh.restricted import (
     NotACocycleError,
     c2_from_vector,
     c2_to_vector,
-    c2res_zero,
     cochain_complex,
     delta1_res,
     delta2_res_matrix,
@@ -40,7 +40,6 @@ from wittcoh.restricted import (
 )
 from wittcoh.witt import (
     basis_element,
-    from_dict,
     normalize_index,
     pth_power_via_derivation,
     summands_total,
@@ -210,6 +209,26 @@ def test_sweep_blocks_leave_the_axiom_report_unchanged(monkeypatch):
     monkeypatch.setattr(witt, "_SWEEP_BYTES", 1)
     assert verify_restricted_axioms(ext, trials=3, seed=1) == expected
     assert len(calls) == F7.p + 2  # p + 1 blocks of the sweep and the random trials
+
+
+def test_axiom_scans_build_no_array_over_all_extensions(monkeypatch):
+    # At p = 37 one int64 array of shape (extensions, n, n, n) is 15.9 MiB.
+    # The adjoint scan and the sum sweep once held about 4.3 of them.  With
+    # the block bound patched to one such array, the whole check peaks
+    # within two: the left sides of the sweep are half of one, and each
+    # extension compares its own (n, n, n) sides.
+    p = 37
+    exts = [build_extension(c) for c in restricted_h2(PrimeField(p)).representatives]
+    array = 8 * len(exts) * (p + 1) ** 4
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", array)
+    tracemalloc.start()
+    try:
+        reports = extensions.verify_restricted_axioms_stacked(exts, 0, list(range(len(exts))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.all_pass for r in reports)
+    assert peak <= 2 * array
 
 
 def test_corrupted_bracket_fails_jacobi():
@@ -631,7 +650,8 @@ def test_stacked_reports_equal_one_extension_at_a_time(p):
 def test_table_work_runs_once_per_distinct_table(monkeypatch, p):
     # The p coordinate cocycles (0, omega_i) share one bracket table, W + Kc,
     # and the Virasoro class has another: the Jacobi scan and the basis sweep
-    # run on these two only, and the random pairs add one summands_total call.
+    # run on these two only.  The sweep is one summands_total call, its
+    # tables stacked, and the random pairs add one more.
     field = PrimeField(p)
     exts = [build_extension(c) for c in restricted_h2(field).representatives]
     scanned, summed = [], []
@@ -652,7 +672,9 @@ def test_table_work_runs_once_per_distinct_table(monkeypatch, p):
     assert len(exts) == p + 1
     assert {t.tobytes() for t in scanned} == {x.bracket_table.tobytes() for x in exts}
     assert len(scanned) == 2
-    assert len(summed) == 3
+    assert len(summed) == 2
+    sweep_tables = summed[0][2][:, 0].transpose(0, 2, 1, 3)  # bh: the right-bracket matrices of every basis element
+    assert sorted(t.tobytes() for t in sweep_tables) == sorted({x.bracket_table.tobytes() for x in exts})
 
 
 @pytest.mark.parametrize("name", sorted(CONTROLS))

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from tests.oracles import (
+    bracket_delta2_value,
     delta1_matrix_by_loops,
     delta2_matrix_by_loops,
     delta2_res_matrix_by_loops,
     kernel_basis_by_pivots,
+    pair_grade,
     rref_by_pivots,
+    triple_grade,
 )
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
@@ -20,7 +23,6 @@ from wittcoh.ordinary import (
     _terms_matrix,
     _triple_grades,
     _terms_values,
-    bracket_delta2_value,
     c2_from_dict,
     c2_zero,
     delta1_cl,
@@ -31,8 +33,6 @@ from wittcoh.ordinary import (
     dual_basis,
     graded_pair_positions,
     graded_triple_positions,
-    pair_grade,
-    triple_grade,
     triple_index,
     triple_normalize,
     virasoro_cocycle,
@@ -47,6 +47,7 @@ from wittcoh.restricted import (
     delta2_res_matrix,
     graded_component_kernel_dim,
     ordinary_cohomology_dims,
+    sparse_product,
 )
 from wittcoh.witt import basis_element, normalize_index, random_element
 
@@ -135,6 +136,27 @@ def test_complex_property(p):
     field = PrimeField(p)
     prod = (delta2_matrix(field) @ delta1_matrix(field)) % p
     assert not prod.any()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_sparse_complex_identity_matches_the_dense_product(p):
+    # verify's complex_identity checks multiply over d2's nonzeros only
+    # (restricted.sparse_product); the dense int64 product is the oracle,
+    # and a corrupted entry must be flagged by both routes alike.
+    cx = cochain_complex(PrimeField(p))
+    for d2, d1 in ((cx.d2, cx.d1), (cx.d2_res, cx.d1_res)):
+        assert np.count_nonzero(d2, axis=1).max() <= 3
+        assert np.array_equal(sparse_product(d2, d1, p), (d2 @ d1) % p)
+        corrupted = d2.copy()
+        c = np.flatnonzero(d1.any(axis=1))[0]  # a column of d2 that meets a nonzero row of d1
+        corrupted[0, c] = (corrupted[0, c] + 1) % p  # adds that row of d1 to row 0 of the product
+        product = sparse_product(corrupted, d1, p)
+        assert product.any() and np.array_equal(product, (corrupted @ d1) % p)
+    rng = np.random.default_rng(p)
+    a = rng.integers(-p, p, (40, 30)) * (rng.random((40, 30)) < 0.2)  # any count of nonzeros per row, signed
+    b = rng.integers(0, p, (30, 7))
+    assert np.array_equal(sparse_product(a, b, p), (a @ b) % p)
+    assert not sparse_product(np.zeros((4, 3), dtype=np.int64), b[:3], p).any()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

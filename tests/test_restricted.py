@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from tests.oracles import (
+    c3_zero,
+    from_dict,
     omega_by_enumeration,
     sample_rows,
     star_sum_naive,
@@ -20,7 +22,6 @@ from wittcoh.ordinary import (
     Cochain3Ord,
     c2_from_dict,
     c2_zero,
-    c3_zero,
     delta1_cl,
     delta2_cl,
     delta2_matrix,
@@ -56,7 +57,7 @@ from wittcoh.restricted import (
     starstar_correction,
     virasoro_cochain,
 )
-from wittcoh.witt import WittElement, basis_element, from_dict, pth_power, random_element, zero
+from wittcoh.witt import WittElement, basis_element, pth_power, random_element, zero
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)

@@ -9,6 +9,7 @@ import pytest
 from tests.oracles import (
     CyclicPoly,
     first_axiom_failure,
+    from_dict,
     jacobi_failure_by_loops,
     pth_power_by_composition,
     sample_rows,
@@ -22,7 +23,6 @@ from wittcoh.witt import (
     basis_element,
     bracket,
     bracket_chain,
-    from_dict,
     gamma,
     jacobson_s,
     lambda_rows,
@@ -411,10 +411,17 @@ def test_first_failure_leaves_rng_where_a_loop_stops():
 
     for bad in ({-1}, set(range(50, 100)), set(range(100))):
         rng, reference = random.Random(4), random.Random(4)
-        samples, k = witt.first_failure(rng, lambda: rng.randrange(100), 10, lambda s: [v in bad for v in s])
+        sizes = []
+
+        def draw(m):  # one batch of m samples in one call
+            sizes.append(m)
+            return witt.randbelow(rng, 100, m)
+
+        samples, k = witt.first_failure(rng, draw, 10, lambda s: [v in bad for v in s])
         assert k == loop(reference, 10, bad)
-        assert len(samples) == 10 and rng.random() == reference.random()
-    assert witt.first_failure(random.Random(0), None, 0, None) == ([], None)
+        assert sizes == ([10] if k is None else [10, k + 1])
+        assert len(samples) == 10 and rng.getstate() == reference.getstate()
+    assert witt.first_failure(random.Random(0), lambda m: [], 0, None) == ([], None)
 
 
 def test_lambda_rows_refuses_unreduced_entries():
@@ -440,13 +447,115 @@ def test_first_failures_winds_each_generator_back_as_its_own_loop():
 
     bads = [{-1}, set(range(50, 100)), set(range(100))]
     rngs, references = [random.Random(s) for s in (4, 5, 6)], [random.Random(s) for s in (4, 5, 6)]
-    samples, firsts = witt.first_failures(
-        rngs, lambda rng: rng.randrange(100), 10, lambda drawn: [[v in b for v in s] for s, b in zip(drawn, bads)]
-    )
+    def failing(drawn):
+        return [[v in b for v in s] for s, b in zip(drawn, bads)]
+
+    samples, firsts = witt.first_failures(rngs, lambda rng, m: witt.randbelow(rng, 100, m), 10, failing)
     assert firsts == [loop(r, 10, b) for r, b in zip(references, bads)]
     assert [len(s) for s in samples] == [10] * 3
-    assert [r.random() for r in rngs] == [r.random() for r in references]
+    assert [r.getstate() for r in rngs] == [r.getstate() for r in references]
     assert witt.first_failures([], None, 5, None) == ([], [])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 67, 2**31, 2**32 - 1])
+def test_randbelow_equals_a_randrange_loop(n):
+    # The same values and the same final generator state as count calls of
+    # randrange(n), whatever share of the words is redrawn.
+    for count in (0, 1, 997):
+        rng, reference = random.Random(n + count), random.Random(n + count)
+        values = witt.randbelow(rng, n, count)
+        assert values.dtype == np.int64 and values.shape == (count,)
+        assert values.tolist() == [reference.randrange(n) for _ in range(count)]
+        assert rng.getstate() == reference.getstate()
+    for bad in (0, -3, 2**32):
+        with pytest.raises(ValueError, match="randbelow"):
+            witt.randbelow(random.Random(0), bad, 1)
+
+
+def random_element_loop(field, rng, count):
+    """The rows of count random_element(field, rng, True) calls, drawn one randrange at a time."""
+    rows = []
+    while len(rows) < count:
+        row = [rng.randrange(field.p) for _ in range(field.p)]
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def test_random_rows_redraws_zero_rows_as_random_element():
+    field, count = PrimeField(3), 40
+    seed = 0
+    while not (witt.randbelow(random.Random(seed), 3, 3 * count).reshape(count, 3) == 0).all(axis=1).any():
+        seed += 1  # a seed whose first rows include a zero row
+    rng, reference = random.Random(seed), random.Random(seed)
+    rows = witt.random_rows(rng, 3, count, nonzero=True)
+    assert rows.tolist() == random_element_loop(field, reference, count)
+    assert rng.getstate() == reference.getstate()
+    rng, reference = random.Random(seed), random.Random(seed)
+    assert [witt.random_element(field, rng, True) for _ in range(count)] == [
+        WittElement(field, tuple(row)) for row in random_element_loop(field, reference, count)
+    ]
+    assert rng.getstate() == reference.getstate()
+    assert witt.random_rows(random.Random(seed), 3, count, width=5).shape == (count, 5)
+
+
+@pytest.mark.parametrize("parts", [[(3, True), (1, False)], [(3, False), (3, True), (3, True)], [(1, True), (2, True)]])
+def test_random_records_fall_back_to_the_record_loop(parts):
+    # A part that must be nonzero and came out zero is redrawn before the
+    # next part, as the loop over the records redraws it.
+    count, size = 12, sum(width for width, _ in parts)
+
+    def loop(rng):
+        records = [[] for _ in parts]
+        for _ in range(count):
+            for rows, (width, nonzero) in zip(records, parts):
+                row = [rng.randrange(3) for _ in range(width)]
+                while nonzero and not any(row):
+                    row = [rng.randrange(3) for _ in range(width)]
+                rows.append(row)
+        return records
+
+    fallbacks = 0
+    for seed in range(40):
+        raw = witt.randbelow(random.Random(seed), 3, count * size).reshape(count, size)
+        starts = np.cumsum([0] + [width for width, _ in parts])
+        fallbacks += any(nonzero and not raw[:, a:b].any(axis=1).all() for (_, nonzero), a, b in zip(parts, starts, starts[1:]))
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert [rows.tolist() for rows in witt.random_records(rng, 3, count, parts)] == loop(reference)
+        assert rng.getstate() == reference.getstate()
+    assert fallbacks  # the record loop was taken
+
+
+def test_a_generator_that_overrides_randrange_sees_every_call():
+    class Counted(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.calls = 0
+
+        def randrange(self, *args):
+            self.calls += 1
+            return super().randrange(*args)
+
+    rng, reference = Counted(2), Counted(2)
+    assert witt.randbelow(rng, 7, 50).tolist() == [reference.randrange(7) for _ in range(50)]
+    assert rng.calls == reference.calls == 50
+    assert witt.random_rows(rng, 5, 30, nonzero=True).tolist() == random_element_loop(PrimeField(5), reference, 30)
+    assert rng.calls == reference.calls and rng.getstate() == reference.getstate()
+
+
+def test_run_prime_draws_its_samples_in_bulk(monkeypatch):
+    # Before bulk draws, run_prime(7) made 5,872 randrange calls; falling
+    # back to one call per value anywhere would show here.
+    calls = []
+    original = random.Random.randrange
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(random.Random, "randrange", counted)
+    assert verify.run_prime(7, seed=0)["all_pass"]
+    assert len(calls) < 600
 
 
 def test_oracle_check_compares_the_one_row_derivation_route(monkeypatch):
