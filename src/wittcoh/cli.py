@@ -26,6 +26,8 @@ import os
 import sys
 from multiprocessing import Pool
 
+import numpy as np
+
 from .extensions import build_extension, verify_restricted_axioms
 from .gfp import PrimeField, is_prime
 from .ordinary import virasoro_cocycle, wedge_pairs
@@ -88,14 +90,6 @@ def _prime_refusal(n: int | None) -> str | None:
     return _refusal(n) or (None if n >= 3 and is_prime(n) else f"{n} is not prime (need an odd prime >= 3)")
 
 
-def _index_key(i: int) -> str:
-    return str(i)
-
-
-def _pair_key(pair: tuple[int, int]) -> str:
-    return f"({pair[0]},{pair[1]})"
-
-
 def cmd_verify(args) -> int:
     single, chain = args.prime, args.primes
     # A flag given on the command line overrides the environment value of the other.
@@ -131,16 +125,11 @@ def cmd_cocycles(args) -> int:
     which = args.which
 
     def phi10_payload() -> dict:
-        gen = virasoro_cocycle(field)
-        return {
-            _pair_key(pair): v
-            for pair, v in zip(wedge_pairs(p), gen.values)
-            if v
-        }
+        return {f"({i},{j})": v for (i, j), v in zip(wedge_pairs(p), virasoro_cocycle(field).values) if v}
 
     def omega_payload(i: int) -> dict:
         c = omega_coordinate(field, i)
-        return {_index_key(j): c.omega_value(j) for j in range(-1, p - 1)}
+        return {str(j): c.omega_value(j) for j in range(-1, p - 1)}
 
     if which[0] == "phi10":
         if len(which) != 1:
@@ -157,7 +146,7 @@ def cmd_cocycles(args) -> int:
             return _fail(f"bad basis index {which[1]!r}")
         if not -1 <= i <= p - 2:
             return _fail(f"basis index {i} out of range [-1, {p - 2}]")
-        out = {"prime": p, "which": "omega", "index": _index_key(i), "omega": omega_payload(i)}
+        out = {"prime": p, "which": "omega", "index": str(i), "omega": omega_payload(i)}
     elif which[0] == "all":
         if len(which) != 1:
             return _fail("all takes no index")
@@ -165,16 +154,12 @@ def cmd_cocycles(args) -> int:
             "prime": p,
             "which": "all",
             "phi10": phi10_payload() if p > 3 else None,
-            "omega": {_index_key(i): omega_payload(i) for i in range(-1, p - 1)},
+            "omega": {str(i): omega_payload(i) for i in range(-1, p - 1)},
         }
     else:
         return _fail(f"unknown cocycle selector {which[0]!r} (expected phi10, omega I, or all)")
     print(json.dumps(out))
     return 0
-
-
-def _basis_label(p: int, position: int) -> str:
-    return "c" if position == p else f"e{position - 1}"
 
 
 def cmd_extension(args) -> int:
@@ -199,23 +184,14 @@ def cmd_extension(args) -> int:
     ext = build_extension(cocycle)
     report = verify_restricted_axioms(ext, trials=5, seed=args.seed)
 
-    triples = []
-    for u in range(p + 1):
-        for v in range(p + 1):
-            for w in range(p + 1):
-                coeff = int(ext.bracket_table[u, v, w])
-                if coeff:
-                    triples.append(
-                        [_basis_label(p, u), _basis_label(p, v), _basis_label(p, w), coeff]
-                    )
-    pmap = {}
-    for u in range(p + 1):
-        row = {
-            _basis_label(p, w): int(ext.pmap_basis[u, w])
-            for w in range(p + 1)
-            if ext.pmap_basis[u, w]
-        }
-        pmap[_basis_label(p, u)] = row
+    # np.argwhere and boolean indexing both walk the nonzero entries in row-major order.
+    labels = [f"e{i}" for i in range(-1, p - 1)] + ["c"]
+    table, powers = ext.bracket_table, ext.pmap_basis
+    entries = zip(np.argwhere(table).tolist(), table[table != 0].tolist())
+    triples = [[labels[u], labels[v], labels[w], c] for (u, v, w), c in entries]
+    pmap = {label: {} for label in labels}
+    for (u, w), c in zip(np.argwhere(powers).tolist(), powers[powers != 0].tolist()):
+        pmap[labels[u]][labels[w]] = c
 
     if args.format == "csv":
         lines = ["left,right,component,coefficient"]
@@ -225,7 +201,7 @@ def cmd_extension(args) -> int:
         out = {
             "prime": p,
             "which": which,
-            "basis": [_basis_label(p, u) for u in range(p + 1)],
+            "basis": labels,
             "brackets": triples,
             "pmap": pmap,
             "verification": {

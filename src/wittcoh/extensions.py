@@ -33,7 +33,9 @@ folds omega's phi part only for rows whose cocycle has phi != 0.
 CentralExtension.pth_power_rows is its call for one extension, and
 CentralExtension.pth_power its call for one element.  The verifier
 checks the extensions of a prime together: the work that needs only a
-bracket table runs once per distinct table, each extension's random
+bracket table runs once per distinct table and draws nothing (its one
+lambda recurrence over the basis pairs gives both the sum axiom's
+summands and the adjoint chain powers), each extension's random
 trials of one axiom are one bulk draw (witt.random_rows or
 witt.random_records), the powers of one axiom's random trials of every
 extension take one call, and so do the powers of the basis sums its sum
@@ -285,6 +287,28 @@ def _jacobi_scan(table: np.ndarray, p: int) -> str:
     return "" if bad is None else "Jacobi fails on basis triple positions ({}, {}, {})".format(*bad)
 
 
+def _basis_pair_sweep(tables: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(summands, chains) of stacked tables (d, n, n, n): sum_i s_i(b_u, b_v) at [d, u, v], R(b_u)^p at [d, u].
+
+    One witt.lambda_rows call per block of u, over every table and v: its
+    weighted rows are the summands, and its lambda^0 row, row u of
+    R(b_v)^(p-1) (R the right-bracket matrix), times R(b_v) is row u of
+    R(b_v)^p.  A block holds up to four arrays of its lambda rows (tables,
+    block, n, p, n), within _SWEEP_BYTES, freed before the next block.
+    """
+    n = tables.shape[1]
+    right = tables.transpose(0, 2, 1, 3)  # right[d, u]: (v @ right[d, u]) is [v, b_u]
+    eye = np.eye(n, dtype=np.int64)
+    summands, chains = np.empty(tables.shape, dtype=np.int64), np.empty(tables.shape, dtype=np.int64)
+    block = max(1, witt._SWEEP_BYTES // (4 * 8 * len(tables) * n * p * n))
+    for lo in range(0, n, block):
+        rows = witt.lambda_rows(eye[lo : lo + block, None], right[:, lo : lo + block, None], right[:, None], p - 1, p)
+        summands[:, lo : lo + block] = witt.summands_from_rows(rows, p)
+        chains[:, :, lo : lo + block] = rows[..., 0, :].swapaxes(1, 2) @ right % p
+        del rows
+    return summands, chains
+
+
 def verify_restricted_axioms(ext: CentralExtension, trials: int = 10, seed: int = 0) -> AxiomReport:
     """Check antisymmetry, Jacobi, centrality of c and the three p-map axioms.
 
@@ -305,23 +329,23 @@ def verify_restricted_axioms_stacked(
     axiom on every basis pair plus `trials` random pairs.
 
     What depends on the bracket table alone runs once per distinct table
-    (tables equal byte for byte are one), and its results are indexed back
-    to each extension: antisymmetry, the bracket part of centrality, the
-    Jacobi witness, the adjoint chain power of every basis element and the
-    summands of every basis pair.  The p extensions of the coordinate
-    cocycles (0, omega_i) share one table, W + Kc, so a prime's p + 1
-    extensions make two.  Each extension's p-map rows, draws, verdicts and
-    details stay its own.
+    (tables equal byte for byte are one), draws nothing, and its results
+    are indexed back to each extension: antisymmetry, the bracket part of
+    centrality, the Jacobi witness, and the basis-pair sweep, the summands
+    of every basis pair and the adjoint chain power of every basis element
+    (_basis_pair_sweep).  The p extensions of the coordinate cocycles
+    (0, omega_i) share one table, W + Kc, so a prime's p + 1 extensions
+    make two.  Each extension's p-map rows, draws, verdicts and details
+    stay its own.
 
-    The sum axiom sweeps all (p+1)^2 basis pairs: the summands come from
-    the table, the basis powers from the extension's p-map rows, and the
-    left side, (b_u + b_v)^{[p]}, from one pmap_rows call on the basis sums
-    u <= v (mirrored) against every extension's source cocycle, so the
-    sweep tests the p-map the extension uses (the fold checks it in turn,
-    verify's witt.pth_power_oracle).  Each extension compares its own
-    pairs, as it does in the adjoint scan, so neither builds an array over
-    every extension's basis pairs.  The first failing pair is reported in
-    row-major order.
+    The sum axiom's basis pairs take the sweep's summands, the basis powers
+    of the extension's p-map rows, and left sides (b_u + b_v)^{[p]} from one
+    pmap_rows call on the basis sums u <= v (mirrored) against every
+    extension's source cocycle, so the sweep tests the p-map the extension
+    uses (the fold checks it in turn, verify's witt.pth_power_oracle).  Each
+    extension compares its own pairs, in the adjoint scan too, so neither
+    builds an array over every extension's basis pairs.  The first failing
+    pair is reported in row-major order.
 
     The extensions are checked axiom by axiom, all together: the random
     trials of one axiom, of every extension, take their p-th powers in one
@@ -357,6 +381,7 @@ def verify_restricted_axioms_stacked(
     add("jacobi", [not w for w in jacobi], jacobi)
     central = (tables[:, :, p].any(axis=(1, 2)) | tables[:, p].any(axis=(1, 2)))[table_of] | pmaps[:, p].any(axis=1)
     add("central_element", ~central, [""] * len(exts))
+    summands, chains = _basis_pair_sweep(tables, p)
 
     def random_pairs(rng: random.Random, m: int) -> np.ndarray:
         """m pairs (x, y) of nonzero rows, (m, 2, n)."""
@@ -365,9 +390,8 @@ def verify_restricted_axioms_stacked(
     def failure(k: int, x, y) -> str:  # extension k's failing pair, as the loops reported it
         return f"fails for x={exts[k].from_coeffs(x)!r}, y={exts[k].from_coeffs(y)!r}"
 
-    # right[d, u] is the right-bracket matrix of b_u in table d: (v @ right[d, u]) is [v, b_u].
-    right = tables.transpose(0, 2, 1, 3)
-    right_rows = right.reshape(len(tables), n, n * n)
+    # right_rows[d, u] is the flattened right-bracket matrix of b_u in table d: (v @ it) is [v, b_u].
+    right_rows = tables.transpose(0, 2, 1, 3).reshape(len(tables), n, n * n)
 
     def right_of(xs: np.ndarray, part) -> np.ndarray:
         """Right-bracket matrices of rows xs (k, m, n), xs[k] in table part[k]."""
@@ -391,16 +415,10 @@ def verify_restricted_axioms_stacked(
             details[k] = f"fails for lambda={lam[0]}, x={exts[k].from_coeffs(x)!r}"
     add("scalar_power", [not d for d in details], details)
 
-    # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.
-    # For basis x = b_u the chain over every y at once is the p-th power of
-    # the right-bracket matrix, so the exhaustive scan raises all of them to
-    # the p-th power in one stacked product per factor, once per table, and
-    # each extension compares them with the right-bracket matrices of its
-    # p-map rows; the random pairs of the extensions that pass it run
-    # stacked.  The first mismatch is taken row-major in (u, v).
-    chains = right
-    for _ in range(p - 1):
-        chains = chains @ right % p
+    # Adjoint axiom: [y, x^{[p]}] = [y, x, ..., x] with p factors of x.  For
+    # basis x = b_u the chains over every y are the sweep's R(b_u)^p, which
+    # each extension compares with the right-bracket matrices of its p-map
+    # rows; the random pairs of the extensions that pass run stacked.
     bad = [(chains[d] != (pmap @ right_rows[d]).reshape(n, n, n) % p).any(axis=-1) for pmap, d in zip(pmaps, table_of)]
     details = ["" if not b.any() else "fails on basis positions ({1}, {0})".format(*np.argwhere(b)[0]) for b in bad]
     scanned = [k for k, detail in enumerate(details) if not detail]
@@ -422,19 +440,8 @@ def verify_restricted_axioms_stacked(
 
     # Sum axiom: (x+y)^{[p]} = x^{[p]} + y^{[p]} + sum_i s_i(x, y), the s_i
     # extracted from the lambda-expansion of the iterated bracket inside E.
-    # The summands of the basis pairs (u, v) are one stacked call over the
-    # distinct tables per block of u, one block unless p is large: the call
-    # holds about four arrays of its lambda rows (tables, block, n, p, n),
-    # kept within _SWEEP_BYTES.  The left sides, (b_u + b_v)^{[p]} for
-    # u <= v, are one pmap_rows call, and each extension compares its
-    # (n, n, n) sides in turn, so no (extensions, n, n, n) array is built.
     randoms = [random_pairs(rng, trials) for rng in rngs]
     eye = np.eye(n, dtype=np.int64)
-    block = max(1, witt._SWEEP_BYTES // (4 * 8 * len(tables) * n * p * n))
-    summands = np.concatenate([
-        summands_total(eye[lo : lo + block, None], right[:, lo : lo + block, None], right[:, None], p)
-        for lo in range(0, n, block)
-    ], axis=1)
     u, v = np.triu_indices(n)
     pair = np.zeros((n, n), dtype=np.int64)
     pair[u, v] = pair[v, u] = np.arange(len(u))

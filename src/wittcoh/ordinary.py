@@ -251,17 +251,13 @@ class Cochain3Ord:
         return np.array(self.values, dtype=np.int64)
 
     def to_dense(self) -> np.ndarray:
-        """Dense antisymmetric tensor D with D[r+1, s+1, t+1] = alpha(e_r ^ e_s ^ e_t)."""
+        """Dense antisymmetric tensor D[r+1, s+1, t+1] = alpha(e_r ^ e_s ^ e_t), each value at six signed positions."""
         p = self.field.p
+        a, b, c = triple_index(p) + 1
+        v = self.to_vector()
         d = np.zeros((p, p, p), dtype=np.int64)
-        for (r, s, t), v in zip(wedge_triples(p), self.values):
-            a, b, c = r + 1, s + 1, t + 1
-            d[a, b, c] = v
-            d[b, c, a] = v
-            d[c, a, b] = v
-            d[a, c, b] = (-v) % p
-            d[b, a, c] = (-v) % p
-            d[c, b, a] = (-v) % p
+        d[a, b, c] = d[b, c, a] = d[c, a, b] = v
+        d[a, c, b] = d[b, a, c] = d[c, b, a] = -v % p
         return d
 
     def is_zero(self) -> bool:

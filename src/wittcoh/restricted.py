@@ -42,9 +42,9 @@ eval_omega the dot product with the cochain.
 
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
-[e_a, e_b, ..., e_b] and the p-th power e_b^{[p]} of every beta row
-(_ind2_terms).  d2_cl, ind2 and is_cocycle evaluate the tables on the
-dense matrix of phi, and delta2_res_matrix scatters the same tables into
+[e_a, e_b, ..., e_b] (witt.basis_chains) and the p-th power e_b^{[p]} of
+every beta row (_ind2_terms).  d2_cl, ind2 and is_cocycle evaluate the
+tables on the dense matrix of phi, and delta2_res_matrix scatters them into
 its alpha and beta rows: it allocates the matrix once and scatters the
 ordinary d2 straight into its top-left corner (ordinary.delta2_matrix
 with out) and ind2 into the beta rows below it, so no second matrix of
@@ -98,6 +98,7 @@ from .ordinary import (
 from .witt import (
     WittElement,
     _inverse_vector,
+    basis_chains,
     basis_element,
     fold_rows,
     fold_steps,
@@ -284,14 +285,12 @@ def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row (a, b) is term column (a + 1) * p + b + 1.  [e_a, e_b, ..., e_b]
     with p-1 factors of e_b stays a multiple c * e_m of one basis vector
-    (the recurrence below), so the first term is -c * phi(e_m ^ e_b); the
+    (witt.basis_chains), so the first term is -c * phi(e_m ^ e_b); the
     second is phi(e_a ^ e_b^{[p]}), which is phi(e_a ^ e_0) when b = 0 and
     0 otherwise.
     """
     a, b = np.divmod(np.arange(p * p), p)  # positions a + 1, b + 1
-    c, m = np.ones_like(a), a
-    for _ in range(p - 1):
-        c, m = c * (b - m) % p, (m + b - 1) % p  # [c e_m, e_b] = c (b - m) e_{m+b}
+    c, m = (x.ravel() for x in basis_chains(p, p - 1))
     terms = np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)])
     return tuple(_read_only(t) for t in terms)
 
@@ -304,10 +303,12 @@ def _ind2_table(m: np.ndarray, p: int) -> np.ndarray:
 def ind2(c: Cochain2Res) -> np.ndarray:
     """The p x p table phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b), read off _ind2_terms.
 
-    The chain's recurrence is checked against the generic bracket chain in
-    the tests.  On W the table vanishes identically, which is what
-    collapses the restricted kernel computation onto the ordinary one; it
-    is recomputed honestly every time rather than assumed.
+    The chain's recurrence, witt.basis_chains, is checked against the
+    generic bracket chain in the tests, and against the fold's basis powers
+    by every report (verify's witt.adjoint_power_on_w, with p factors).  On
+    W the table vanishes identically, which is what collapses the restricted
+    kernel computation onto the ordinary one; it is recomputed honestly
+    every time rather than assumed.
     """
     return _ind2_table(c.phi.to_matrix(), c.field.p)
 

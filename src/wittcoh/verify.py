@@ -117,19 +117,18 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
 
     def restricted_axiom_on_w():
         # [h, g^{[p]}] = h @ B(g^{[p]}) and [h, g, ..., g] = h @ B(g)^p, B the right-bracket matrix:
-        # on a basis pair (b_u, b_v) both are row v of a matrix of b_u; random pairs take vector chains.
+        # a basis pair (b_u, b_v) gives row v of a matrix of b_u (witt.basis_chains); random pairs take vector chains.
         randoms = witt.random_rows(rng, p, 40, nonzero=True).reshape(20, 2, p)  # pairs (g, h)
         gs = np.vstack([np.eye(p, dtype=np.int64), randoms[:, 0]])
-        bg, direct = (witt.right_bracket_matrix(v, p) for v in (gs, witt.pth_power_rows(gs, p)))
-        chains = bg[:p]
-        for _ in range(p - 1):
-            chains = chains @ bg[:p] % p
+        bg, direct = (witt.right_bracket_matrix(v, p) for v in (randoms[:, 0], witt.pth_power_rows(gs, p)))
+        c, m = witt.basis_chains(p, p)
+        chains = c.T[..., None] * np.eye(p, dtype=np.int64)[m.T]  # chains[u, v]: row v of B(b_u)^p
         bad = np.argwhere((chains != direct[:p]).any(axis=2))  # (u, v) in the order of a loop over g, then h
         assert not bad.size, "fails at {!r}, {!r}".format(*witt.elements(field, gs[bad[0]]))
         hs = randoms[:, 1, None]
         chain = hs
         for _ in range(p):
-            chain = chain @ bg[p:] % p
+            chain = chain @ bg % p
         bad = np.flatnonzero((chain != hs @ direct[p:] % p).any(axis=(1, 2)))
         assert not bad.size, "fails at {!r}, {!r}".format(*witt.elements(field, randoms[bad[0]]))
         return f"{p**2 + len(randoms)} pairs"

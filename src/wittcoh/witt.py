@@ -30,7 +30,10 @@ stacked coefficient arrays (..., p) with a one-row entry point:
 Agreement of the two routes is a strong consistency check, made by
 verify's witt.pth_power_oracle and exercised heavily by the test suite.
 The derivation kernel's own oracle, composition of cyclic polynomials one
-product at a time, lives in tests/oracles.py.
+product at a time, lives in tests/oracles.py.  Every chain
+[e_a, e_b, ..., e_b] is one scalar recurrence (basis_chains), which
+restricted's ind2 reads with p - 1 factors and verify's
+witt.adjoint_power_on_w with p; dense matrix powers are its test oracle.
 
 bracket is the formula route, a loop over two supports; the stacked
 kernels take their brackets from the structure tensor (_bracket_tensor),
@@ -302,6 +305,18 @@ def bracket_chain(first: WittElement, rest) -> WittElement:
     return acc
 
 
+def basis_chains(p: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every chain [e_a, e_b, ..., e_b] with `steps` factors e_b, as c * e_m: (c, m), (p, p) arrays over [a + 1, b + 1].
+
+    m is a position, like a + 1 and b + 1; [c e_m, e_b] = c (b - m) e_{m+b} keeps one basis vector.
+    """
+    a, b = np.indices((p, p))
+    c, m = np.ones_like(a), a
+    for _ in range(steps):
+        c, m = c * (b - m) % p, (m + b - 1) % p
+    return c, m
+
+
 def pth_power_basis(field: PrimeField, i: int) -> WittElement:
     """e_i^{[p]}: e_0 for i = 0 and zero otherwise."""
     if not -1 <= i <= field.p - 2:
@@ -314,9 +329,9 @@ _EXACT_FLOAT = 2**53
 
 # Memory bound on one block of every blocked scan: all the arrays of a fold
 # kernel's block (fold_blocks, behind every stacked fold: fold_rows and
-# verify's shuffled folds), the summand call of the extension sum-axiom
-# sweep, the Jacobi sums of jacobi_scan, and the chain rows of the
-# exhaustive ** oracle in tests/oracles.py.
+# verify's shuffled folds), the lambda rows of the extension axioms'
+# basis-pair sweep, the Jacobi sums of jacobi_scan, and the chain rows of
+# the exhaustive ** oracle in tests/oracles.py.
 _SWEEP_BYTES = 64 << 20
 
 
@@ -407,14 +422,19 @@ def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p
         from_g = done @ bg
         rows[..., :k, :] = done @ bh
         rows[..., 1 : k + 1, :] += from_g
+        del from_g  # not alive into the next step's products
         top *= growth
     return rows.astype(np.int64) % p
 
 
+def summands_from_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """sum_{i=1}^{p-1} s_i(g, h) from the lambda rows (..., p, n) of [g, lambda*g + h, ...] with p - 1 applications."""
+    return (_inverse_vector(p)[1:, None] * rows[..., : p - 1, :]).sum(axis=-2) % p
+
+
 def summands_total(gv: np.ndarray, bg: np.ndarray, bh: np.ndarray, p: int) -> np.ndarray:
     """sum_{i=1}^{p-1} s_i(g, h) as a coefficient vector, s_i from lambda^{i-1} / i; stacks like lambda_rows."""
-    rows = lambda_rows(gv, bg, bh, p - 1, p)
-    return (_inverse_vector(p)[1:, None] * rows[..., : p - 1, :]).sum(axis=-2) % p
+    return summands_from_rows(lambda_rows(gv, bg, bh, p - 1, p), p)
 
 
 def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:

@@ -7,7 +7,10 @@ time, deliberately avoiding the library's stacked numpy kernels and term
 tables, so agreement is meaningful.  The one stacked oracle,
 starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
 sum one by one as right-bracket rows, with no lambda grouping; it is the
-reference for verify's evaluation route up to p = 19.  rref_by_pivots
+reference for verify's evaluation route up to p = 19.  adjoint_chain_powers
+raises every basis right-bracket matrix to the p-th power by dense
+products, the reference for the chains the axiom checks read off their
+recurrences.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
 sample_rows gives the kernels' test inputs.  The constructors and
@@ -255,6 +258,30 @@ def first_axiom_failure(t: np.ndarray, field: PrimeField) -> str | None:
         if not (br(br(x, y), z) + br(br(y, z), x) + br(br(z, x), y)).is_zero():
             return f"Jacobi fails on {x!r}, {y!r}, {z!r}"
     return None
+
+
+def adjoint_chain_powers(t: np.ndarray, p: int) -> np.ndarray:
+    """chains[u] = R(b_u)^p for structure constants t, R(b_u) = t[:, u] the right-bracket matrix of b_u.
+
+    Row v of chains[u] is [b_v, b_u, ..., b_u] with p factors b_u: every
+    right-bracket matrix raised to the p-th power by p - 1 dense products.
+    """
+    right = t.transpose(1, 0, 2) % p
+    chains = right
+    for _ in range(p - 1):
+        chains = chains @ right % p
+    return chains
+
+
+def to_dense_by_loops(alpha: Cochain3Ord) -> np.ndarray:
+    """Cochain3Ord.to_dense one triple at a time: its value at the six signed permutations of the positions."""
+    p = alpha.field.p
+    d = np.zeros((p, p, p), dtype=np.int64)
+    for (r, s, t), v in zip(wedge_triples(p), alpha.values):
+        a, b, c = r + 1, s + 1, t + 1
+        d[a, b, c] = d[b, c, a] = d[c, a, b] = v
+        d[a, c, b] = d[b, a, c] = d[c, b, a] = (-v) % p
+    return d
 
 
 def omega_by_enumeration(c: Cochain2Res, g: WittElement) -> int:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.oracles import c2res_zero, from_dict, sample_rows
+from tests.oracles import adjoint_chain_powers, c2res_zero, from_dict, sample_rows
 from wittcoh import extensions, witt
 from wittcoh.extensions import (
     CentralExtension,
@@ -195,17 +195,18 @@ def test_virasoro_axioms_run_unskipped_at_p17():
 
 
 def test_sweep_blocks_leave_the_axiom_report_unchanged(monkeypatch):
-    # One bound, witt._SWEEP_BYTES, governs the sum sweep: patched to 1 it
-    # splits the sweep into one block per u, and the report is the same.
+    # One bound, witt._SWEEP_BYTES, governs the basis-pair sweep: patched to
+    # 1 it splits the sweep into one block per u, and the report is the same.
     ext = virasoro_extension(F7)
     expected = verify_restricted_axioms(ext, trials=3, seed=1)
     calls = []
+    lambda_rows = witt.lambda_rows
 
     def counted(*args):
         calls.append(args)
-        return summands_total(*args)
+        return lambda_rows(*args)
 
-    monkeypatch.setattr(extensions, "summands_total", counted)
+    monkeypatch.setattr(witt, "lambda_rows", counted)
     monkeypatch.setattr(witt, "_SWEEP_BYTES", 1)
     assert verify_restricted_axioms(ext, trials=3, seed=1) == expected
     assert len(calls) == F7.p + 2  # p + 1 blocks of the sweep and the random trials
@@ -412,17 +413,22 @@ def test_pmap_rows_contract_the_whole_omega_functional(p):
         assert (got[..., p] == want).all()
 
 
+def _central_corrupted(clean: CentralExtension, part: str) -> CentralExtension:
+    """clean with [c, e_-1] (part "row") or [e_-1, c] (part "column") gaining e_0."""
+    table = clean.bracket_table.copy()
+    if part == "row":
+        table[clean.p, 0, 1] = 1
+    else:
+        table[0, clean.p, 1] = 1
+    return CentralExtension(clean.source, table, clean.pmap_basis.copy())
+
+
 @pytest.mark.parametrize("part", ["row", "column"])
 def test_a_table_differing_only_in_the_central_row_or_column_gets_its_own_verdict(part):
     # Tables are grouped by every entry: c's own row and column lie outside
     # the W + phi block table[:p, :p], which the two tables here share.
     clean = virasoro_extension(F5)
-    table = clean.bracket_table.copy()
-    if part == "row":
-        table[5, 0, 1] = 1  # [c, e_-1] gains e_0
-    else:
-        table[0, 5, 1] = 1  # [e_-1, c] gains e_0
-    dirty = CentralExtension(clean.source, table, clean.pmap_basis.copy())
+    dirty = _central_corrupted(clean, part)
     for exts in ([clean, dirty], [dirty, clean]):
         stacked = extensions.verify_restricted_axioms_stacked(exts, 3, [1, 2])
         assert stacked == [verify_restricted_axioms(x, 3, s) for x, s in zip(exts, [1, 2])]
@@ -613,6 +619,24 @@ def test_adjoint_basis_scan_names_the_pair_a_loop_meets_first(p):
     assert seen >= 5
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_sweep_chains_equal_the_dense_chain_powers(p):
+    # The basis-pair sweep reads the adjoint chain power R(b_u)^p of every
+    # basis element off its lambda recurrence; the dense matrix powers of
+    # tests/oracles.py must agree on every table the verifier meets: W + Kc,
+    # Virasoro, the negative controls and the corrupted central row and column.
+    field = PrimeField(p)
+    clean = virasoro_extension(field) if p > 3 else omega_extension(field, 0)
+    exts = [omega_extension(field, 0), clean, _central_corrupted(clean, "row"), _central_corrupted(clean, "column")]
+    exts += [make() for make, _ in CONTROLS.values() if make().p == p]
+    tables = np.stack([e.bracket_table for e in exts])
+    summands, chains = extensions._basis_pair_sweep(tables, p)
+    for t, got in zip(tables, chains):
+        assert (got == adjoint_chain_powers(t, p)).all()
+    right, eye = tables.transpose(0, 2, 1, 3), np.eye(p + 1, dtype=np.int64)
+    assert (summands == summands_total(eye[:, None], right[:, :, None], right[:, None], p)).all()
+
+
 @pytest.mark.parametrize("name", sorted(CONTROLS))
 def test_negative_control_reports_are_pinned(name):
     make, expected = CONTROLS[name]
@@ -650,12 +674,12 @@ def test_stacked_reports_equal_one_extension_at_a_time(p):
 def test_table_work_runs_once_per_distinct_table(monkeypatch, p):
     # The p coordinate cocycles (0, omega_i) share one bracket table, W + Kc,
     # and the Virasoro class has another: the Jacobi scan and the basis sweep
-    # run on these two only.  The sweep is one summands_total call, its
-    # tables stacked, and the random pairs add one more.
+    # run on these two only.  The sweep is one lambda_rows call, its tables
+    # stacked, and the summands of the random pairs add one more.
     field = PrimeField(p)
     exts = [build_extension(c) for c in restricted_h2(field).representatives]
     scanned, summed = [], []
-    jacobi_scan = witt.jacobi_scan
+    jacobi_scan, lambda_rows = witt.jacobi_scan, witt.lambda_rows
 
     def scan(t, q):
         scanned.append(t.copy())
@@ -663,10 +687,10 @@ def test_table_work_runs_once_per_distinct_table(monkeypatch, p):
 
     def summands(*args):
         summed.append(args)
-        return summands_total(*args)
+        return lambda_rows(*args)
 
     monkeypatch.setattr(witt, "jacobi_scan", scan)
-    monkeypatch.setattr(extensions, "summands_total", summands)
+    monkeypatch.setattr(witt, "lambda_rows", summands)
     reports = extensions.verify_restricted_axioms_stacked(exts, 5, list(range(len(exts))))
     assert all(r.all_pass for r in reports)
     assert len(exts) == p + 1

@@ -14,6 +14,7 @@ from tests.oracles import (
     star_sum_naive,
     starstar_exhaustive,
     starstar_sum_naive,
+    to_dense_by_loops,
 )
 from wittcoh import gfp, restricted, verify, witt
 from wittcoh.gfp import PrimeField
@@ -370,6 +371,15 @@ def test_to_dense_matches_value(p):
         for s in range(-1, p - 1):
             for t in range(-1, p - 1):
                 assert dense[r + 1, s + 1, t + 1] == alpha.value(r, s, t), (r, s, t)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_to_dense_scatter_equals_the_triple_loop(p):
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for _ in range(3):
+        alpha = Cochain3Ord(field, tuple(rng.randrange(p) for _ in wedge_triples(p)))
+        assert (alpha.to_dense() == to_dense_by_loops(alpha)).all()
 
 
 @pytest.mark.parametrize("p,count", [(5, 6), (7, 4), (11, 2)])

@@ -20,6 +20,7 @@ from wittcoh.gfp import PrimeField
 from wittcoh.witt import (
     ProportionalityError,
     WittElement,
+    basis_chains,
     basis_element,
     bracket,
     bracket_chain,
@@ -92,6 +93,20 @@ def test_bracket_chain_examples():
     assert bracket_chain(e(2), [e(2), e(0)]).is_zero()
     with pytest.raises(ValueError):
         bracket_chain(e(0), [])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_basis_chains_equal_the_generic_bracket_chain(p):
+    # The scalar recurrence behind ind2 and the adjoint axiom on W, with
+    # p - 1 factors (ind2) and with p (the adjoint chain power).
+    field = PrimeField(p)
+    basis = [basis_element(field, i) for i in range(-1, p - 1)]
+    for steps in (p - 1, p):
+        c, m = basis_chains(p, steps)
+        for a, x in enumerate(basis):
+            for b, y in enumerate(basis):
+                chain = bracket_chain(x, [y] * steps)
+                assert chain == basis_element(field, int(m[a, b]) - 1, int(c[a, b])), (steps, x, y)
 
 
 def test_pth_power_basis():
