@@ -15,9 +15,10 @@ of a coboundary cost the Python overhead of one block, not p.  A single
 matrix is reduced one pivot at a time, each pivot clearing only the rows
 that are nonzero in its column.  Both update only the columns from the
 pivot's on.  Each is the faster one on its own input: the lockstep
-reduces the 19 grade blocks of d2_res at p = 19 about 5 times as fast
-as the one-pivot loop run block by block, and the one-pivot loop reduces
-the dense d2_res at p = 23 about 8 times as fast as the lockstep would.
+reduces the 19 grade blocks of d2 at p = 19 about 5 times as fast (0.8
+against 4.4 ms) as the one-pivot loop run block by block, and the
+one-pivot loop reduces the dense d2_res at p = 23 about 8 times as fast
+as the lockstep would.
 tests/oracles.py keeps the plain per-pivot elimination of one matrix as
 their reference.  kernels reads the kernel bases of a whole stack off
 its reduced forms; kernel_basis is its list for one matrix.

@@ -18,9 +18,9 @@ meets one column.  Both matrix builders can scatter into a zero array
 they are given (out), which is how restricted.delta2_res_matrix places
 d2 in its top-left corner without building it apart.  graded_blocks
 gathers the grade blocks of a matrix into one stack (delta2_block those
-of d2), from which restricted.cochain_complex reads ranks, kernels and
-the cohomology dimensions once per prime; the whole dense matrices serve
-as the oracle for those blockwise ranks.
+of d2), which restricted.cochain_complex row-reduces once per prime for
+every rank, kernel and cohomology dimension; the whole dense matrices
+serve as the oracle for those blockwise ranks.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])

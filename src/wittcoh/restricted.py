@@ -56,16 +56,16 @@ it assembles the dense restricted d1, d2 once per prime, and the
 ordinary ones are their top-left corners.
 Each column of d1 has its own grade, so distinct columns meet disjoint
 rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
-columns.  In degree 2 the p grade blocks of d2_res are gathered into one
-stack (p, R, C), zero rows padding the blocks with fewer rows (p = 3),
-and so are those of d2: one lockstep PrimeField.rref per degree gives
-every block's rank, and the kernel basis of d2_res is read off the
-stacked reduced forms.  The gather also checks the grading: the blocks
-must hold every nonzero entry of the matrix.  Every cohomology
-dimension, coboundary test and kernel sample reads the complex; the
-whole dense matrices are the oracle for the blockwise ranks.  A prime
-whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so p > 67) is
-refused before anything is allocated.
+columns.  Degree 2 takes one elimination per prime: the p grade blocks
+of d2, zero rows padding those with fewer rows (p = 3), are stacked and
+reduced by one lockstep PrimeField.rref, and the gather checks that
+they hold every nonzero entry of d2.  d2(phi, omega) never reads omega,
+so ker d2_res is read off ker d2 through ind2: the phi it kills, plus
+the p omega coordinates.  Every cohomology dimension, coboundary test
+and kernel sample reads the complex; the whole dense matrices are the
+oracle for the blockwise ranks.  A prime whose dense d2_res would
+exceed DENSE_D2_BYTES (1 GiB, so p > 67) is refused before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -306,9 +306,8 @@ def ind2(c: Cochain2Res) -> np.ndarray:
     The chain's recurrence, witt.basis_chains, is checked against the
     generic bracket chain in the tests, and against the fold's basis powers
     by every report (verify's witt.adjoint_power_on_w, with p factors).  On
-    W the table vanishes identically, which is what collapses the restricted
-    kernel computation onto the ordinary one; it is recomputed honestly
-    every time rather than assumed.
+    W the table vanishes identically; CochainComplex still evaluates it on
+    ker d2 to read the restricted kernel, rather than assume it is zero.
     """
     return _ind2_table(c.phi.to_matrix(), c.field.p)
 
@@ -442,13 +441,12 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _grade_stack(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The grade blocks of m as a stack (see ordinary.graded_blocks), checking that m preserves the grading.
+def _grade_stack(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """blocks, the grade blocks of m as a stack (see ordinary.graded_blocks), once m is checked to preserve the grading.
 
     The blocks are disjoint, so they hold every nonzero entry of m exactly
     when no entry leaks out of its column's grade.
     """
-    blocks = graded_blocks(m, rows, cols)
     if np.count_nonzero(blocks) != np.count_nonzero(m):
         raise ArithmeticError("a coboundary matrix does not preserve the grading")
     return blocks
@@ -476,8 +474,7 @@ def _graded_kernel(field: PrimeField, blocks: np.ndarray, cols: np.ndarray, n: i
 def _column_pivots(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First nonzero row of every column and the inverse of its entry (0 for a zero column)."""
     rows = np.argmax(m != 0, axis=0)
-    entries = m[rows, np.arange(m.shape[1])]
-    return rows, np.array([field.inv(int(e)) if e else 0 for e in entries], dtype=np.int64)
+    return rows, _inverse_vector(field.p)[m[rows, np.arange(m.shape[1])]]
 
 
 class CochainComplex:
@@ -491,10 +488,10 @@ class CochainComplex:
     grade k, so distinct columns meet disjoint rows: the nonzero columns are
     independent and a zero column spans the kernel of its grade.  Degree 1
     is therefore read off the zero columns with no row reduction.  In
-    degree 2 the grade blocks of d2_res, and those of d2, are each stacked
-    and row-reduced by one lockstep elimination, which gives the ranks of
-    d2, d2_res and ker d2_res; the whole dense matrices are only the
-    oracle for them (verify's ordinary.block_full_agreement).
+    degree 2 one lockstep elimination of d2's stacked grade blocks gives
+    ker d2, and ker d2_res is the phi in it that ind2 kills (one small
+    rref) plus the p omega unit vectors; the whole dense matrices are
+    only the oracle for them (verify's ordinary.block_full_agreement).
     """
 
     def __init__(self, field: PrimeField) -> None:
@@ -505,23 +502,22 @@ class CochainComplex:
         self.d2_res = _read_only(delta2_res_matrix(field))
         self.d1 = self.d1_res[:n2]
         self.d2 = self.d2_res[:n3, :n2]
-        grades = np.arange(-1, p - 1)  # of e^i, of omega_i and of the beta rows (i, *)
-        # Block k + 1 of each stack: the grade-k pairs or triples, then the omega or beta coordinates of grade k.
-        pairs, triples = grade_tables(p)
-        res_pairs = np.hstack([pairs, n2 + grades[:, None] + 1])
-        res_triples = np.hstack([triples, n3 + p * (grades[:, None] + 1) + np.arange(p)])
-        # The ordinary matrices are corners of the restricted ones, whose checks cover them.
-        _grade_stack(self.d1_res, res_pairs, grades[:, None] + 1)
-        blocks_res = _grade_stack(self.d2_res, res_triples, res_pairs)
+        grades = np.arange(-1, p - 1)  # of e^i and of omega_i
+        pairs, _ = grade_tables(p)
+        res_pairs = np.hstack([pairs, n2 + grades[:, None] + 1])  # d1_res block k + 1: grade-k pairs, omega_k
+        _grade_stack(self.d1_res, graded_blocks(self.d1_res, res_pairs, grades[:, None] + 1))
         self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
         zero1, zero1_res = (self._pivots[r][1] == 0 for r in (False, True))  # zero columns, by grade
-        ker2_res, _ = _graded_kernel(field, blocks_res, res_pairs, n2 + p)
-        ker2, dims2 = _graded_kernel(field, delta2_block(self.d2, p, grades), pairs, n2)
+        ker2, dims2 = _graded_kernel(field, _grade_stack(self.d2, delta2_block(self.d2, p, grades)), pairs, n2)
+        # ker d2_res: the phi in ker d2 that ind2 kills, then the omega unit vectors (d2 never reads omega).
+        vectors, free = field.kernels(sparse_product(self.d2_res[n3:, :n2], ker2.T, p))
+        ker2_res = np.pad(vectors[free] @ ker2 % p, ((0, p), (0, p)))
+        ker2_res[-p:, -p:] = np.eye(p, dtype=np.int64)
         self.rank_d1 = p - int(zero1.sum())
         self.rank_d1_res = p - int(zero1_res.sum())
         self.rank_d2 = n2 - len(ker2)
         self.rank_d2_res = n2 + p - len(ker2_res)
-        self.ker_d2_res = tuple(ker2_res)
+        self.ker_d2_res = tuple(_read_only(ker2_res))
         self.graded_kernel_dims = {
             1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)},
             2: {k: int(d) for k, d in zip(range(-1, p - 1), dims2)},

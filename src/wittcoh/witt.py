@@ -377,7 +377,7 @@ def jacobi_scan(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
 
 @lru_cache(maxsize=None)
 def _inverse_vector(p: int) -> np.ndarray:
-    """inv[i] = i^{-1} mod p for i >= 1 (slot 0 unused)."""
+    """inv[i] = i^{-1} mod p for i >= 1, and inv[0] = 0."""
     inv = np.zeros(p, dtype=np.int64)
     for a in range(1, p):
         inv[a] = pow(a, p - 2, p)

@@ -232,6 +232,34 @@ def test_axiom_scans_build_no_array_over_all_extensions(monkeypatch):
     assert peak <= 2 * array
 
 
+def test_basis_pair_sweep_stays_within_its_block_bound(monkeypatch):
+    # The bound admits four arrays of a block's lambda rows; patched to three
+    # u per block, the sweep of the two distinct tables of p = 17 runs six
+    # blocks, and holds about three such arrays besides its two outputs.
+    # Sizing the blocks for three arrays passes this bound.
+    p = 17
+    field = PrimeField(p)
+    tables = np.stack([omega_extension(field, 0).bracket_table, virasoro_extension(field).bracket_table])
+    n = p + 1
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 3 * 4 * 8 * len(tables) * n * p * n)
+    calls = []
+    lambda_rows = witt.lambda_rows
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_rows(*args)
+
+    monkeypatch.setattr(witt, "lambda_rows", counted)
+    tracemalloc.start()
+    try:
+        extensions._basis_pair_sweep(tables, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 6
+    assert peak <= witt._SWEEP_BYTES + 2 * tables.nbytes  # and the two (d, n, n, n) outputs
+
+
 def test_corrupted_bracket_fails_jacobi():
     # Zeroing [e_1, e_2] breaks the Jacobi identity and the scan finds it.
     ext = omega_extension(F5, 0).with_bracket_entry_zeroed(1, 2)

@@ -10,6 +10,7 @@ from tests.oracles import (
     c3_zero,
     from_dict,
     omega_by_enumeration,
+    rref_by_pivots,
     sample_rows,
     star_sum_naive,
     starstar_exhaustive,
@@ -662,9 +663,39 @@ def test_degree_one_is_read_off_the_zero_columns(monkeypatch, fresh_complex, p, 
     }
 
 
+def _plant_a_leak(monkeypatch, matrix, row):
+    """Patch the named matrix builder to plant a 1 at (row, 0); returns the patched builder."""
+    assemble = getattr(restricted, matrix)
+
+    def leaky(field):
+        m = assemble(field)
+        m[row, 0] = 1
+        return m
+
+    monkeypatch.setattr(restricted, matrix, leaky)
+    return leaky
+
+
+def _assert_the_leak_is_refused_or_reported(field, matrix, leaky, row):
+    # A leak in d1_res or in d2 is refused by the grading check.  No
+    # computation reads the grading of d2_res's beta rows: ind2 is evaluated
+    # on ker d2, so the restricted rank stays exact, and the report's
+    # beta-block check names the planted entry.
+    n3 = len(wedge_triples(field.p))
+    if matrix == "delta1_res_matrix" or row % c3_dim(field.p) < n3:
+        with pytest.raises(ArithmeticError, match="grading"):
+            restricted.CochainComplex(field)
+        return
+    planted = leaky(field)
+    assert restricted.CochainComplex(field).rank_d2_res == len(rref_by_pivots(field, planted)[1])
+    assert planted[n3:].any()
+    beta = next(c for c in verify._restricted_checks(field, random.Random(0)) if c.name == "restricted.beta_block_zero")
+    assert (beta.passed, beta.detail) == (False, "induced degree-3 block is nonzero")
+
+
 @pytest.mark.parametrize("matrix", ["delta1_res_matrix", "delta2_res_matrix"])
 @pytest.mark.parametrize("part", ["ordinary", "restricted"])
-def test_complex_refuses_a_grading_leak(monkeypatch, matrix, part):
+def test_complex_refuses_a_grading_leak(monkeypatch, fresh_complex, matrix, part):
     # Column 0 (e^-1 in d1_res, the pair (-1, 0) in d2_res) has grade -1; the
     # planted entry sits in a row of grade 0.
     p = 7
@@ -674,39 +705,25 @@ def test_complex_refuses_a_grading_leak(monkeypatch, matrix, part):
         row = (graded_pair_positions if degree_one else graded_triple_positions)(p, 0)[0]
     else:
         row = n2 + 1 if degree_one else n3 + p  # the row of omega_0; the beta row (0, -1)
-    assemble = getattr(restricted, matrix)
-
-    def leaky(field):
-        m = assemble(field)
-        m[row, 0] = 1
-        return m
-
-    monkeypatch.setattr(restricted, matrix, leaky)
-    with pytest.raises(ArithmeticError, match="grading"):
-        restricted.CochainComplex(PrimeField(p))
+    leaky = _plant_a_leak(monkeypatch, matrix, row)
+    _assert_the_leak_is_refused_or_reported(PrimeField(p), matrix, leaky, row)
 
 
 @pytest.mark.parametrize("row", [0, -1])
-def test_complex_refuses_a_grading_leak_at_3(monkeypatch, row):
-    # At p = 3 only grade 0 has a triple, so the other blocks of d2_res end in a
+def test_complex_refuses_a_grading_leak_at_3(monkeypatch, fresh_complex, row):
+    # At p = 3 only grade 0 has a triple, so the other blocks of d2 end in a
     # zero padding row; the padding must not count the leak as inside a block.
     # Row 0 is the triple (-1, 0, 1) of grade 0, row -1 the beta row (1, 1) of
     # grade 1; column 0 is the pair (-1, 0) of grade -1.
-    assemble = restricted.delta2_res_matrix
-
-    def leaky(field):
-        m = assemble(field)
-        m[row, 0] = 1
-        return m
-
-    monkeypatch.setattr(restricted, "delta2_res_matrix", leaky)
-    with pytest.raises(ArithmeticError, match="grading"):
-        restricted.CochainComplex(PrimeField(3))
+    leaky = _plant_a_leak(monkeypatch, "delta2_res_matrix", row)
+    _assert_the_leak_is_refused_or_reported(PrimeField(3), "delta2_res_matrix", leaky, row)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_complex_row_reduces_only_the_degree_two_blocks(monkeypatch, fresh_complex, p):
-    # One rref on the stack of d2_res's p grade blocks and one on d2's; none on d1's one-column blocks.
+    # One rref on the stack of d2's p grade blocks and one 2-D rref of ind2 on
+    # ker d2 (p^2 beta rows, p + 1 kernel vectors); none on d1's one-column
+    # blocks and none on d2_res's blocks.
     shapes = []
     rref = gfp.PrimeField.rref
 
@@ -716,8 +733,24 @@ def test_complex_row_reduces_only_the_degree_two_blocks(monkeypatch, fresh_compl
 
     monkeypatch.setattr(gfp.PrimeField, "rref", counting_rref)
     cochain_complex(PrimeField(p))
-    assert len(shapes) == 2
-    assert all(len(shape) == 3 and shape[0] == p and shape[2] > 1 for shape in shapes)
+    assert shapes == [(p, (p - 1) * (p - 2) // 6, (p - 1) // 2), (p * p, p + 1)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_restricted_kernel_is_exact_when_ind2_does_not_vanish(monkeypatch, fresh_complex, p):
+    # Without the b = 0 term of ind2 (as in the wiring test above), ind2 no
+    # longer vanishes on ker d2; the kernel read through ind2 must still be
+    # that of the whole patched d2_res.
+    terms = restricted._ind2_terms(p)
+    monkeypatch.setattr(restricted, "_ind2_terms", lambda q: tuple(t[:1] for t in terms))
+    field = PrimeField(p)
+    cx = cochain_complex(field)
+    m = delta2_res_matrix(field)
+    ker = np.array(cx.ker_d2_res)
+    assert cx.rank_d2_res > cx.rank_d2  # ind2 meets ker d2
+    assert cx.rank_d2_res == len(rref_by_pivots(field, m)[1])
+    assert len(rref_by_pivots(field, ker)[1]) == len(ker) == c2_dim(p) - cx.rank_d2_res
+    assert not (m @ ker.T % p).any()
 
 
 @pytest.mark.parametrize("p", [5, 7])
