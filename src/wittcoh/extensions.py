@@ -40,7 +40,17 @@ trials of one axiom are one bulk draw (witt.random_rows or
 witt.random_records), the powers of one axiom's random trials of every
 extension take one call, and so do the powers of the basis sums its sum
 sweep compares, so the sweep tests the p-map the extension uses.
-extract_cocycle takes all p p-map defects in one call.
+
+The per-cocycle operations are row kernels too, each with its one-object
+call: extract_cocycles takes the bracket defects of many extensions in one
+contraction and their p-map defects in one pmap_rows call
+(extract_cocycle is one extension), cohomologous_rows tests many pairs
+with one coboundary split (cohomologous is one pair), and classify_rows
+classifies many cocycle rows with one split and one projection to
+ordinary H^2 (classify_extension is one row).  Each refuses what a loop
+over its rows would refuse first, with that loop's message; the error's
+index (witt.RowError) names the row, so a caller testing samples in bulk
+knows where the loop would have stopped.
 """
 
 from __future__ import annotations
@@ -53,20 +63,26 @@ import numpy as np
 
 from . import witt
 from .gfp import PrimeField
-from .ordinary import Cochain1, Cochain2Ord, upper_triangle
+from .ordinary import Cochain1, upper_triangle
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
+    c2_dim,
+    c2_from_vector,
+    c2_rows,
     c2_to_vector,
     cochain_complex,
     is_cocycle,
+    is_cocycle_rows,
     omega_functional_rows,
-    project_class_to_ordinary,
+    ordinary_classes,
     omega_coordinate,
     virasoro_cochain,
 )
 from .witt import (
+    RowError,
     WittElement,
+    _check_same_field,
     basis_element,
     first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
@@ -77,8 +93,8 @@ from .witt import (
 )
 
 
-class NotASplittingError(ValueError):
-    """A claimed splitting map does not project back to the identity on W."""
+class NotASplittingError(RowError):
+    """A claimed splitting map does not project back to the identity on W; index names the extension of a stacked call."""
 
 
 @dataclass(frozen=True)
@@ -230,36 +246,58 @@ def canonical_splitting(ext: CentralExtension) -> list[ExtElement]:
 
 
 def extract_cocycle(ext: CentralExtension, sigma: list[ExtElement]) -> Cochain2Res:
-    """Cocycle of the extension under the splitting sigma (given on the basis).
+    """Cocycle of the extension under the splitting sigma (given on the basis): the one-row call of extract_cocycles."""
+    return c2_from_vector(ext.field, extract_cocycles([ext], [sigma])[0])
 
-    sigma must be a linear section of the projection, i.e. the W part of
-    sigma(e_i) must be e_i; with the canonical splitting this inverts
-    build_extension coordinatewise.
+
+def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]]) -> np.ndarray:
+    """Coordinate rows (len(exts), c2_dim(p)) of each extension's cocycle under its splitting, given on the basis.
+
+    Each sigma must be a linear section of the projection, i.e. the W part
+    of sigma(e_i) must be e_i; with the canonical splitting this inverts
+    build_extension coordinatewise.  The extensions, all over one prime,
+    are taken together: every bracket defect of every extension in one
+    contraction, every p-map defect in one pmap_rows call.  The first
+    extension a loop over them would refuse is refused with that loop's
+    message, and NotASplittingError.index is its position.
     """
-    field = ext.field
-    p = ext.p
-    if len(sigma) != p:
-        raise NotASplittingError(f"need {p} basis images, got {len(sigma)}")
-    images = np.array([s.coeffs() for s in sigma])
-    moved = np.flatnonzero((images[:, :p] != np.eye(p, dtype=np.int64)).any(axis=1))
-    if moved.size:
-        raise NotASplittingError(f"sigma does not project to the identity at e_{moved[0] - 1}")
+    p = exts[0].p
+    primes = {e.p for e in exts} | {s.field.p for sigma in sigmas for s in sigma}
+    if len(sigmas) != len(exts) or primes != {p}:
+        raise ValueError("need one splitting per extension, all over the same prime")
+    sizes = [len(sigma) for sigma in sigmas]
+    short = next((k for k, size in enumerate(sizes) if size != p), len(sigmas))  # a loop stops at the first wrong count
+    images = np.array([[s.coeffs() for s in sigma] for sigma in sigmas[:short]], dtype=np.int64)
+    images = images.reshape(short, p, p + 1)
+    moved = (images[..., :p] != np.eye(p, dtype=np.int64)).any(axis=-1)
 
-    # Every bracket defect [sigma(e_i), sigma(e_j)] - (j - i) sigma(e_{i+j}) at once,
-    # by table positions u = i + 1 < v = j + 1 (the order of wedge_pairs).
-    left = np.tensordot(images, ext.bracket_table, axes=1)  # left[u, v] = [sigma(e_{u-1}), b_v]
-    brackets = np.einsum("vx,uxw->uvw", images, left) % p
+    # Every bracket defect [sigma(e_i), sigma(e_j)] - (j - i) sigma(e_{i+j}) at once, by table positions
+    # u = i + 1 < v = j + 1 (the order of wedge_pairs).  Both products run in float64, which is exact
+    # (as in witt.jacobi_scan): every entry stays below n^2 (p - 1)^3 < 2^53.
+    tables = np.array([e.bracket_table for e in exts[:short]], dtype=np.float64).reshape(short, p + 1, (p + 1) ** 2)
+    left = (images @ tables).reshape(short, p, p + 1, p + 1)  # left[k, u, v] = [sigma(e_{u-1}), b_v]
+    brackets = (images[:, None] @ left).astype(np.int64) % p
     u, v = upper_triangle(p)
-    defects = (brackets[u, v] - (v - u)[:, None] * images[(u + v - 1) % p]) % p
-    if defects[:, :p].any():
-        raise NotASplittingError("bracket defect left W, the table is not an extension of W")
-    # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}) in one call; e_0^{[p]} = e_0, the rest vanish.
+    defects = (brackets[:, u, v] - (v - u)[:, None] * images[:, (u + v - 1) % p]) % p
+    # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}); e_0^{[p]} = e_0, the rest vanish.  Where the
+    # W parts pass, sigma(e_i) = e_i + a_i c, and c drops out of a p-th power: the basis rows' powers serve all.
     targets = np.zeros_like(images)
-    targets[1] = images[1]
-    powers = (ext.pth_power_rows(images) - targets) % p
-    if powers[:, :p].any():
-        raise NotASplittingError("p-map defect left W")
-    return Cochain2Res(Cochain2Ord(field, tuple(defects[:, p].tolist())), tuple(powers[:, p].tolist()))
+    targets[:, 1] = images[:, 1]
+    cocycles = np.array([c2_to_vector(e.source) for e in exts[:short]], dtype=np.int64).reshape(short, 1, c2_dim(p))
+    powers = (pmap_rows(np.eye(p, p + 1, dtype=np.int64)[None], cocycles, p) - targets) % p
+    bad = np.stack([moved.any(axis=-1), defects[..., :p].any(axis=(1, 2)), powers[..., :p].any(axis=(1, 2))], axis=1)
+    refused = np.flatnonzero(bad.any(axis=1))
+    if refused.size:
+        k = int(refused[0])
+        reasons = (
+            f"sigma does not project to the identity at e_{np.argmax(moved[k]) - 1}",
+            "bracket defect left W, the table is not an extension of W",
+            "p-map defect left W",
+        )
+        raise NotASplittingError(reasons[np.argmax(bad[k])], k)
+    if short < len(sigmas):
+        raise NotASplittingError(f"need {p} basis images, got {sizes[short]}", short)
+    return np.concatenate([defects[..., p], powers[..., p]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -467,14 +505,26 @@ def verify_restricted_axioms_stacked(
 
 
 def cohomologous(a: Cochain2Res, b: Cochain2Res) -> tuple[bool, Cochain1 | None]:
-    """Whether a - b is a restricted coboundary; the witness psi has d1(psi) = a - b."""
-    if not is_cocycle(a) or not is_cocycle(b):
-        raise NotACocycleError("cohomology comparison is defined on cocycles only")
-    field = a.field
-    psi, rest = cochain_complex(field).split_coboundary(c2_to_vector(a) - c2_to_vector(b))
-    if rest.any():
-        return False, None
-    return True, Cochain1(field, tuple(int(x) for x in psi))
+    """Whether a - b is a restricted coboundary; the witness psi has d1(psi) = a - b.  One pair of cohomologous_rows."""
+    _check_same_field(a, b)
+    (same,), (psi,) = cohomologous_rows(a.field, [c2_to_vector(a)], [c2_to_vector(b)])
+    return (True, Cochain1(a.field, tuple(psi.tolist()))) if same else (False, None)
+
+
+def cohomologous_rows(field: PrimeField, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each a - b of stacked cocycle rows (k, c2_dim(p)) is a restricted coboundary, and witnesses psi.
+
+    psi has d1(psi) = a - b on the pairs that are cohomologous.  The first
+    pair a loop would refuse, one with a non-cocycle, is refused
+    (NotACocycleError.index).
+    """
+    p = field.p
+    a, b = c2_rows(a, p), c2_rows(b, p)
+    bad = ~(is_cocycle_rows(a, p) & is_cocycle_rows(b, p))
+    if bad.any():
+        raise NotACocycleError("cohomology comparison is defined on cocycles only", int(np.argmax(bad)))
+    psi, rest = cochain_complex(field).split_coboundary(a - b)
+    return ~rest.any(axis=-1), psi
 
 
 class Classification(enum.Enum):
@@ -486,14 +536,32 @@ class Classification(enum.Enum):
 def classify_extension(c: Cochain2Res) -> Classification:
     """Split if the class vanishes; otherwise sorted by whether the phi part is
     an ordinary coboundary (then the extension splits as an ordinary Lie
-    algebra but not as a restricted one) or not (no Levi complement either way)."""
-    if not is_cocycle(c):
-        raise NotACocycleError("classification is defined on cocycles only")
-    if not cochain_complex(c.field).split_coboundary(c2_to_vector(c))[1].any():
-        return Classification.SPLIT
-    if project_class_to_ordinary(c).is_zero:
-        return Classification.ORDINARY_LEVI_ONLY
-    return Classification.NON_LEVI
+    algebra but not as a restricted one) or not (no Levi complement either
+    way).  The one-row call of classify_rows."""
+    return classify_rows(c.field, [c2_to_vector(c)])[0]
+
+
+def classify_rows(field: PrimeField, vs) -> list[Classification]:
+    """classify_extension of each stacked cocycle row (k, c2_dim(p)).
+
+    The rows that do not split are projected to ordinary H^2 together
+    (restricted.ordinary_classes, with its span check); a loop stops at
+    its first non-cocycle, so only the rows before it are classified, and
+    the error raised is the one that loop meets first.
+    """
+    p = field.p
+    vs = c2_rows(vs, p)
+    bad = ~is_cocycle_rows(vs, p)
+    n = int(np.argmax(bad)) if bad.any() else len(vs)
+    split = ~cochain_complex(field).split_coboundary(vs[:n])[1].any(axis=-1)
+    levi = np.zeros(n, dtype=bool)
+    levi[~split] = ordinary_classes(field, vs[:n, :-p][~split])[0]
+    if n < len(vs):
+        raise NotACocycleError("classification is defined on cocycles only", n)
+    return [
+        Classification.SPLIT if s else Classification.ORDINARY_LEVI_ONLY if l else Classification.NON_LEVI
+        for s, l in zip(split, levi)
+    ]
 
 
 def omega_extension(field: PrimeField, i: int) -> CentralExtension:

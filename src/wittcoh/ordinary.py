@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gfp import PrimeField
-from .witt import WittElement, normalize_index
+from .witt import WittElement, _check_same_field, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
 
 
@@ -127,15 +127,18 @@ class Cochain1:
         return self.coeffs[k + 1]
 
     def value(self, g: WittElement) -> int:
+        _check_same_field(self, g)
         return sum(a * b for a, b in zip(self.coeffs, g.coeffs)) % self.field.p
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __add__(self, other: "Cochain1") -> "Cochain1":
+        _check_same_field(self, other)
         return Cochain1(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Cochain1") -> "Cochain1":
+        _check_same_field(self, other)
         return Cochain1(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "Cochain1":
@@ -180,23 +183,30 @@ class Cochain2Ord:
         return np.array(self.values, dtype=np.int64)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j)."""
-        p = self.field.p
-        m = np.zeros((p, p), dtype=np.int64)
-        m[upper_triangle(p)] = self.values  # wedge_pairs is the upper triangle, row by row
-        return (m - m.T) % p
+        """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j): the one-row call of phi_matrices."""
+        return phi_matrices(self.to_vector(), self.field.p)
 
     def is_zero(self) -> bool:
         return not any(self.values)
 
     def __add__(self, other: "Cochain2Ord") -> "Cochain2Ord":
+        _check_same_field(self, other)
         return Cochain2Ord(self.field, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "Cochain2Ord") -> "Cochain2Ord":
+        _check_same_field(self, other)
         return Cochain2Ord(self.field, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __rmul__(self, scalar: int) -> "Cochain2Ord":
         return Cochain2Ord(self.field, tuple(scalar * a for a in self.values))
+
+
+def phi_matrices(phis: np.ndarray, p: int) -> np.ndarray:
+    """Dense antisymmetric matrices (..., p, p) of stacked 2-form coordinate rows (..., C(p,2))."""
+    m = np.zeros(phis.shape[:-1] + (p, p), dtype=np.int64)
+    u, v = upper_triangle(p)
+    m[..., u, v] = phis  # wedge_pairs is the upper triangle, row by row
+    return (m - m.swapaxes(-1, -2)) % p
 
 
 def c2_zero(field: PrimeField) -> Cochain2Ord:
@@ -290,9 +300,9 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.ndarray:
-    """Value of every term column on the 2-form with dense matrix m: sum of coefficient * m[first, second]."""
+    """Every term column on 2-forms with stacked dense matrices m (..., p, p): sum of coefficient * m[first, second]."""
     coefficient, first, second = terms
-    return (coefficient * m[first, second]).sum(axis=0) % p
+    return (coefficient * m[..., first, second]).sum(axis=-2) % p
 
 
 def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -43,29 +43,32 @@ eval_omega the dot product with the cochain.
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
 [e_a, e_b, ..., e_b] (witt.basis_chains) and the p-th power e_b^{[p]} of
-every beta row (_ind2_terms).  d2_cl, ind2 and is_cocycle evaluate the
-tables on the dense matrix of phi, and delta2_res_matrix scatters them into
-its alpha and beta rows: it allocates the matrix once and scatters the
-ordinary d2 straight into its top-left corner (ordinary.delta2_matrix
-with out) and ind2 into the beta rows below it, so no second matrix of
-d2's size is ever alive.  The tests compare both with loop builders and
-the generic bracket chain (tests/oracles.py).
+every beta row (_ind2_terms).  d2_cl, ind2 and is_cocycle_rows evaluate
+the tables on dense matrices of phi, is_cocycle_rows on those of stacked
+coordinate rows (is_cocycle is its one-row call), and delta2_res_matrix
+scatters them into its alpha and beta rows: it allocates the matrix once
+and scatters the ordinary d2 straight into its top-left corner
+(ordinary.delta2_matrix with out) and ind2 into the beta rows below it,
+so no second matrix of d2's size is ever alive.  The tests compare both
+with loop builders and the generic bracket chain (tests/oracles.py).
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense restricted d1, d2 once per prime, and the
 ordinary ones are their top-left corners.
 Each column of d1 has its own grade, so distinct columns meet disjoint
 rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
-columns.  Degree 2 takes one elimination per prime: the p grade blocks
-of d2, zero rows padding those with fewer rows (p = 3), are stacked and
-reduced by one lockstep PrimeField.rref, and the gather checks that
-they hold every nonzero entry of d2.  d2(phi, omega) never reads omega,
-so ker d2_res is read off ker d2 through ind2: the phi it kills, plus
-the p omega coordinates.  Every cohomology dimension, coboundary test
-and kernel sample reads the complex; the whole dense matrices are the
-oracle for the blockwise ranks.  A prime whose dense d2_res would
-exceed DENSE_D2_BYTES (1 GiB, so p > 67) is refused before anything is
-allocated.
+columns; by the same disjointness split_coboundary splits stacked rows
+with no elimination.  Degree 2 takes one elimination per prime: the p
+grade blocks of d2, zero rows padding those with fewer rows (p = 3), are
+stacked and reduced by one lockstep PrimeField.rref, and the gather
+checks that they hold every nonzero entry of d2.  d2(phi, omega) never
+reads omega, so ker d2_res is read off ker d2 through ind2: the phi it
+kills, plus the p omega coordinates.  Every cohomology dimension,
+coboundary test and kernel sample reads the complex, and
+ordinary_classes projects stacked cocycles to ordinary H^2 with one
+split; the whole dense matrices are the oracle for the blockwise ranks.
+A prime whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so
+p > 67) is refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -91,11 +94,13 @@ from .ordinary import (
     delta2_matrix,
     grade_tables,
     graded_blocks,
+    phi_matrices,
     triple_index,
     upper_triangle,
     virasoro_cocycle,
 )
 from .witt import (
+    RowError,
     WittElement,
     _inverse_vector,
     basis_chains,
@@ -109,7 +114,7 @@ from .witt import (
     zero,
 )
 
-class NotACocycleError(ValueError):
+class NotACocycleError(RowError):
     """An operation requiring a restricted 2-cocycle got a non-cocycle."""
 
 
@@ -296,8 +301,8 @@ def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _ind2_table(m: np.ndarray, p: int) -> np.ndarray:
-    """ind2 of the 2-form with dense matrix m (see ind2)."""
-    return _terms_values(_ind2_terms(p), m, p).reshape(p, p)
+    """ind2 of the 2-forms with stacked dense matrices m (..., p, p) (see ind2)."""
+    return _terms_values(_ind2_terms(p), m, p).reshape(m.shape[:-2] + (p, p))
 
 
 def ind2(c: Cochain2Res) -> np.ndarray:
@@ -318,11 +323,15 @@ def delta2_res(c: Cochain2Res) -> Cochain3Res:
     return Cochain3Res(delta2_cl(c.phi), tuple(tuple(row) for row in table.tolist()))
 
 
+def is_cocycle_rows(vs, p: int) -> np.ndarray:
+    """Whether d2 kills each stacked coordinate row (..., c2_dim(p)): d2_cl and ind2 on the rows' dense phi matrices."""
+    m = phi_matrices(c2_rows(vs, p)[..., :-p], p)
+    return ~(_terms_values(_triple_terms(p), m, p).any(axis=-1) | _ind2_table(m, p).any(axis=(-2, -1)))
+
+
 def is_cocycle(c: Cochain2Res) -> bool:
-    """Whether d2(phi, omega) vanishes: d2_cl and ind2 from one dense matrix of phi."""
-    p = c.field.p
-    m = c.phi.to_matrix()
-    return not _terms_values(_triple_terms(p), m, p).any() and not _ind2_table(m, p).any()
+    """Whether d2(phi, omega) vanishes: the one-row call of is_cocycle_rows."""
+    return bool(is_cocycle_rows(c2_to_vector(c), c.field.p))
 
 
 def starstar_correction(
@@ -377,6 +386,14 @@ def c3_dim(p: int) -> int:
 
 def c2_to_vector(c: Cochain2Res) -> np.ndarray:
     return np.concatenate([c.phi.to_vector(), np.array(c.omega_basis, dtype=np.int64)])
+
+
+def c2_rows(vs, p: int) -> np.ndarray:
+    """Stacked coordinate rows (..., c2_dim(p)) reduced mod p; rows of another width, another prime's, are refused."""
+    vs = np.asarray(vs, dtype=np.int64) % p
+    if vs.shape[-1:] != (c2_dim(p),):
+        raise ValueError(f"restricted 2-cochains over GF({p}) have {c2_dim(p)} coordinates, got shape {vs.shape}")
+    return vs
 
 
 def c2_from_vector(field: PrimeField, vec) -> Cochain2Res:
@@ -527,18 +544,21 @@ class CochainComplex:
         self.h_restricted = (1, p - self.rank_d1_res, len(ker2_res) - self.rank_d1_res)
 
     def split_coboundary(self, v, restricted: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, rest) with v = d1 psi + rest; v is a coboundary exactly when rest = 0.
+        """(psi, rest) with v = d1 psi + rest for stacked rows v (..., n); a row is a coboundary exactly when rest = 0.
 
         Columns of d1 have distinct grades and so meet disjoint rows: psi
         takes each coordinate from the first nonzero row of its column, and
         rest, linear in v and zero on those rows, vanishes exactly on im d1.
+        Rows of another width than d1's, another prime's, are refused.
         """
         d1 = self.d1_res if restricted else self.d1
         rows, inverses = self._pivots[restricted]
         p = self.field.p
         v = np.asarray(v, dtype=np.int64) % p
-        psi = (v[rows] * inverses) % p
-        return psi, (v - d1 @ psi) % p
+        if v.shape[-1:] != d1.shape[:1]:
+            raise ValueError(f"d1 over GF({p}) meets rows of {len(d1)} coordinates, got rows of shape {v.shape}")
+        psi = (v[..., rows] * inverses) % p
+        return psi, (v - psi @ d1.T) % p
 
 
 # Largest dense d2_res a prime may allocate; 1 GiB admits p <= 67.
@@ -617,8 +637,8 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
 
     The representatives are the cubic-coefficient cocycle paired with the
     zero basis omega (absent at p = 3) followed by the coordinate cocycles
-    (0, omega_i); they are verified to be cocycles (is_cocycle, on the
-    term tables d2_res is scattered from), independent modulo im d1, and
+    (0, omega_i); they are verified to be cocycles (is_cocycle_rows, on
+    the term tables d2_res is scattered from), independent modulo im d1, and
     to span ker d2 together with im d1, so they represent a basis of H^2
     with no coboundary shift needed.
     """
@@ -629,10 +649,10 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
     if p > 3:
         reps.append(virasoro_cochain(field))
     reps.extend(omega_coordinate(field, i) for i in range(-1, p - 1))
-    if not all(map(is_cocycle, reps)):
+    vectors = np.array([c2_to_vector(r) for r in reps])
+    if not is_cocycle_rows(vectors, p).all():
         raise ArithmeticError("representative candidate is not a cocycle")
-    rests = np.vstack([cx.split_coboundary(c2_to_vector(r))[1] for r in reps])
-    if field.rank(rests) != len(reps) or cx.rank_d1_res + len(reps) != ker_dim:
+    if field.rank(cx.split_coboundary(vectors)[1]) != len(reps) or cx.rank_d1_res + len(reps) != ker_dim:
         raise ArithmeticError("representatives do not complete im d1 to ker d2")
     return RestrictedH2(ker_dim, cx.rank_d1_res, cx.h_restricted[2], tuple(reps))
 
@@ -650,22 +670,33 @@ class OrdinaryClass:
     virasoro_coefficient: int
 
 
-def project_class_to_ordinary(c: Cochain2Res) -> OrdinaryClass:
-    """Class of the phi part in ordinary H^2; input must be a restricted cocycle."""
-    if not is_cocycle(c):
-        raise NotACocycleError("projection is defined on cocycles only")
-    field = c.field
+def ordinary_classes(field: PrimeField, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(is_zero, virasoro_coefficient) of the ordinary classes of stacked phi parts of cocycles (..., C(p,2)).
+
+    Raises ArithmeticError, as project_class_to_ordinary does, if any phi
+    is outside coboundaries + the generator's span.
+    """
     cx = cochain_complex(field)
-    _, rest = cx.split_coboundary(c.phi.to_vector(), restricted=False)
-    if not rest.any():
-        return OrdinaryClass(True, 0)
-    if field.p == 3:
+    p = field.p
+    _, rests = cx.split_coboundary(phis, restricted=False)
+    zero = ~rests.any(axis=-1)
+    if zero.all():
+        return zero, np.zeros(zero.shape, dtype=np.int64)
+    if p == 3:
         raise ArithmeticError("every cocycle phi is a coboundary at p = 3")
     # rest is linear and vanishes exactly on coboundaries, so
     # phi - a * generator is a coboundary exactly when rest = a * rest(generator).
     _, gen_rest = cx.split_coboundary(virasoro_cocycle(field).to_vector(), restricted=False)
     s = np.flatnonzero(gen_rest)[0]  # the generator is not a coboundary
-    coeff = int(rest[s]) * field.inv(int(gen_rest[s])) % field.p
-    if ((rest - coeff * gen_rest) % field.p).any():
+    coeffs = rests[..., s] * field.inv(int(gen_rest[s])) % p
+    if ((rests - coeffs[..., None] * gen_rest) % p).any():
         raise ArithmeticError("cocycle phi is outside coboundaries + generator span")
-    return OrdinaryClass(False, coeff)
+    return zero, coeffs
+
+
+def project_class_to_ordinary(c: Cochain2Res) -> OrdinaryClass:
+    """Class of the phi part in ordinary H^2; input must be a restricted cocycle.  One row of ordinary_classes."""
+    if not is_cocycle(c):
+        raise NotACocycleError("projection is defined on cocycles only")
+    zero, coeff = ordinary_classes(c.field, c.phi.to_vector())
+    return OrdinaryClass(bool(zero), int(coeff))

@@ -17,7 +17,11 @@ the values of its lambda-polynomial at every lambda in GF(p)
 library's correction weights.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts; each check draws in
-bulk (witt.randbelow), the values a loop of randrange calls would draw.
+bulk (witt.randbelow), the values a loop of randrange calls would draw,
+and tests its samples in one call of each stacked kernel.  The loop it
+replaces is its oracle in tests/oracles.py: at the first failing sample
+(witt.first_failure), the check makes that loop's one-row calls, so its
+draws, generator state and detail are the loop's, a raised error too.
 """
 
 from __future__ import annotations
@@ -321,25 +325,31 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     Fold-order independence is the executable form of omega being well
     defined off the basis.  It holds exactly over cocycles (the only
     cochains whose omega the library ever folds), and the suite also
-    confirms it genuinely fails off the kernel.  eval_omega in ascending
-    order, once per (c, g), is the reference; the 50 shuffled folds are one
+    confirms it genuinely fails off the kernel.  The references, omega(g)
+    in ascending order once per (c, g), are one omega_functional_rows call,
+    with the one-row eval_omega on the first; the 50 shuffled folds are one
     stacked witt.fold_blocks call, each fold's terms padded at the end with
     zero terms, which add nothing (witt.padded_fold_terms).  The draws and the
     failure are those of a loop testing each order as it is drawn.
     """
     p = field.p
+    ker = np.array(ker)
 
     def draws():
         while True:  # a (cocycle, element) pair, then its 5 shuffled orders
-            c = res.c2_from_vector(field, witt.randbelow(rng, p, len(ker)) @ np.array(ker) % p)
+            c = witt.randbelow(rng, p, len(ker)) @ ker % p
             g = witt.random_element(field, rng, True)
             yield from ((c, g, witt.shuffled_support(g, rng)) for _ in range(5))
 
     def failing(samples):
-        base = np.repeat([res.eval_omega(c, g) for c, g, _ in samples[::5]], 5)
-        terms = witt.padded_fold_terms([g for _, g, _ in samples], [order for *_, order in samples], p)
-        cocycles = np.array([res.c2_to_vector(c) for c, _, _ in samples])
-        return (witt.fold_blocks(res._fold_functional, terms, p) * cocycles).sum(axis=1) % p != base
+        cocycles, gs, orders = zip(*samples)
+        cocycles = np.array(cocycles)
+        refs = res.omega_functional_rows(np.array([g.coeffs for g in gs[::5]]), p) * cocycles[::5]
+        base = np.repeat(refs.sum(axis=1) % p, 5)
+        folds = witt.fold_blocks(res._fold_functional, witt.padded_fold_terms(gs, orders, p), p)
+        flags = (folds * cocycles).sum(axis=1) % p != base
+        flags[0] |= res.eval_omega(res.c2_from_vector(field, cocycles[0]), gs[0]) != base[0]
+        return flags
 
     # 50 draws end on a pair boundary, so winding back redraws whole pairs from there.
     stream = draws()
@@ -433,33 +443,56 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
 
 
 def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
+    """The extension checks: each calls every kernel once for all its samples, pairs or representatives, and names
+    its first failure with the one-row calls a loop makes on that sample, so its draws and details are the loop's."""
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
     reps = list(res.restricted_h2(field).representatives)
+    vectors = np.array([res.c2_to_vector(c) for c in reps])
 
     def roundtrip():
-        for _ in range(10):
-            vec = witt.randbelow(rng, p, len(cx.ker_d2_res)) @ np.array(cx.ker_d2_res) % p
-            c = res.c2_from_vector(field, vec)
-            e = ext.build_extension(c)
-            back = ext.extract_cocycle(e, ext.canonical_splitting(e))
-            assert back == c, "extraction does not invert construction"
+        ker = np.array(cx.ker_d2_res)
+
+        def failing(vecs):  # each sample's extension is built (a non-cocycle refused), extracted and compared
+            exts = [ext.build_extension(res.c2_from_vector(field, v), check=False) for v in vecs]
+            back = ext.extract_cocycles(exts, [ext.canonical_splitting(e) for e in exts])
+            return ~res.is_cocycle_rows(vecs, p) | (back != vecs).any(axis=1)
+
+        draw = lambda m: witt.randbelow(rng, p, m * len(ker)).reshape(m, -1) @ ker % p  # noqa: E731
+        vecs, k = witt.first_failure(rng, draw, 10, failing)
+        if k is not None:
+            e = ext.build_extension(c := res.c2_from_vector(field, vecs[k]))
+            assert ext.extract_cocycle(e, ext.canonical_splitting(e)) == c, "extraction does not invert construction"
+        assert k is None, "stacked and one-row extractions disagree"
         return "10 kernel samples"
 
     checks.append(_check("extensions.roundtrip", roundtrip))
 
     def splitting_shift():
-        for c in reps[:4]:
-            e = ext.build_extension(c)
-            psi = ordi.Cochain1(field, tuple(witt.randbelow(rng, p, p).tolist()))
-            sigma = [ext.ExtElement(witt.basis_element(field, i), psi.coeff(i)) for i in range(-1, p - 1)]
-            shifted = ext.extract_cocycle(e, sigma)
-            expected = c - res.delta1_res(psi)
-            assert shifted == expected, "shifted extraction != c - d1(psi)"
-            same, _ = ext.cohomologous(shifted, c)
-            assert same, "shifted extraction not cohomologous to the source"
-        return f"{len(reps[:4])} splittings"
+        cs = vectors[:4]
+        built = res.is_cocycle_rows(cs, p)
+        n = int(np.argmin(built)) if not built.all() else len(cs)  # a loop refuses a non-cocycle before its draw
+        exts = [ext.build_extension(c, check=False) for c in reps[:n]]
+
+        def sigma(psi):
+            return [ext.ExtElement(witt.basis_element(field, i), int(a)) for i, a in zip(range(-1, p - 1), psi)]
+
+        def failing(psis):  # each shifted extraction is compared with c - d1(psi), then tested for cohomology
+            shifted = ext.extract_cocycles(exts[: len(psis)], [sigma(psi) for psi in psis])
+            same, _ = ext.cohomologous_rows(field, shifted, cs[: len(psis)])
+            same[0] &= ext.cohomologous(res.c2_from_vector(field, shifted[0]), reps[0])[0]  # the one-row call on the first
+            return ((shifted - cs[: len(psis)] + psis @ cx.d1_res.T) % p).any(axis=1) | ~same
+
+        psis, k = witt.first_failure(rng, lambda m: witt.randbelow(rng, p, m * p).reshape(m, p), n, failing)
+        k = n if k is None and n < len(cs) else k
+        if k is not None:
+            e = ext.build_extension(c := reps[k])
+            shifted, psi = ext.extract_cocycle(e, sigma(psis[k])), ordi.Cochain1(field, tuple(psis[k].tolist()))
+            assert shifted == c - res.delta1_res(psi), "shifted extraction != c - d1(psi)"
+            assert ext.cohomologous(shifted, c)[0], "shifted extraction not cohomologous to the source"
+        assert k is None, "stacked and one-row splittings disagree"
+        return f"{len(cs)} splittings"
 
     checks.append(_check("extensions.splitting_independence", splitting_shift))
 
@@ -490,19 +523,22 @@ def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult
 
     def class_independence():
         if p <= 7:
-            for a in range(len(reps)):
-                for b in range(a + 1, len(reps)):
-                    same, _ = ext.cohomologous(reps[a], reps[b])
-                    assert not same, f"representatives {a} and {b} are cohomologous"
-            return f"all {len(reps) * (len(reps) - 1) // 2} pairs"
-        rests = np.vstack([cx.split_coboundary(res.c2_to_vector(c))[1] for c in reps])
-        assert field.rank(rests) == len(reps), "classes dependent modulo coboundaries"
+            a, b = np.triu_indices(len(reps), 1)  # the pairs in a loop's order; it draws nothing
+            failing = lambda ks: ext.cohomologous_rows(field, vectors[a[ks]], vectors[b[ks]])[0]  # noqa: E731
+            _, k = witt.first_failure(rng, np.arange, len(a), failing)
+            if k is not None:
+                same, _ = ext.cohomologous(reps[a[k]], reps[b[k]])
+                assert not same, f"representatives {a[k]} and {b[k]} are cohomologous"
+            assert k is None, "stacked and one-row cohomology tests disagree"
+            return f"all {len(a)} pairs"
+        assert field.rank(cx.split_coboundary(vectors)[1]) == len(reps), "classes dependent modulo coboundaries"
         return "rank-based"
 
     checks.append(_check("extensions.class_independence", class_independence))
 
     def classification_counts():
-        labels = [ext.classify_extension(c) for c in reps]
+        labels = ext.classify_rows(field, vectors)
+        assert ext.classify_extension(reps[0]) is labels[0], "stacked and one-row classifications disagree"
         levi_only = sum(1 for l in labels if l is ext.Classification.ORDINARY_LEVI_ONLY)
         non_levi = sum(1 for l in labels if l is ext.Classification.NON_LEVI)
         assert not any(l is ext.Classification.SPLIT for l in labels), "a representative is split"

@@ -228,15 +228,31 @@ def shuffled_support(g: WittElement, rng) -> list[int]:
     return order
 
 
+class RowError(ValueError):
+    """A stacked call refused one of its rows; index is the row's position in the stack (0 in a one-row call)."""
+
+    def __init__(self, message: str, index: int = 0) -> None:
+        super().__init__(message)
+        self.index = index
+
+
 def first_failure(rng, draw, count: int, failing) -> tuple[list, int | None]:
     """Draw count samples with draw(count), test them all at once; (samples, first failing index or None).
 
     failing(samples) gives one flag per sample.  A loop testing each sample
     as it is drawn stops drawing after the first failure, at sample j, so
     rng is wound back and draw(j + 1) redraws what that loop drew: every
-    later draw is unchanged.
+    later draw is unchanged.  If failing raises a RowError, the sample it
+    names fails, and the samples before it are tested again.
     """
-    samples, (k,) = first_failures([rng], lambda _, m: draw(m), count, lambda drawn: [failing(drawn[0])])
+
+    def flags(samples):
+        try:
+            return failing(samples)
+        except RowError as err:
+            return [*(flags(samples[: err.index]) if err.index else []), True]
+
+    samples, (k,) = first_failures([rng], lambda _, m: draw(m), count, lambda drawn: [flags(drawn[0])])
     return samples[0], k
 
 
@@ -261,7 +277,8 @@ def first_failures(rngs, draw, count: int, failing) -> tuple[list, list[int | No
     return samples, firsts
 
 
-def _check_same_field(x: WittElement, y: WittElement) -> None:
+def _check_same_field(x, y) -> None:
+    """Refuse two elements or cochains (anything with a field) over different primes."""
     if x.field.p != y.field.p:
         raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
 

@@ -13,7 +13,10 @@ products, the reference for the chains the axiom checks read off their
 recurrences.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
-sample_rows gives the kernels' test inputs.  The constructors and
+sample_rows gives the kernels' test inputs.  The *_by_loop functions
+are verify's extension-layer checks as loops over one sample, one pair or
+one representative at a time, through the one-row calls: each draws,
+stops and fails where the stacked check must.  The constructors and
 definition-level helpers at the end (from_dict, the grade of one pair or
 triple, the zero cochains, d2 from brackets) serve only the tests.
 """
@@ -25,9 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wittcoh import extensions as ext
+from wittcoh import restricted as res
 from wittcoh import witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
+    Cochain1,
     Cochain2Ord,
     Cochain3Ord,
     delta1_cl,
@@ -397,6 +403,90 @@ def kernel_basis_by_pivots(field: PrimeField, m) -> list[np.ndarray]:
         basis.append(v)
     return basis
 
+
+
+# verify's extension-layer checks one sample at a time.  Every library call
+# goes through its module, so a test's monkeypatch reaches these loops and
+# the stacked checks alike.
+
+
+def omega_fold_invariance_by_loop(field: PrimeField, rng, ker) -> str:
+    """verify's restricted.omega_fold_invariance as a loop testing each shuffled order as it is drawn."""
+    p = field.p
+    for _ in range(10):
+        c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+        g = random_element(field, rng, True)
+        base = res.eval_omega(c, g)
+        for _ in range(5):
+            order = g.support()
+            rng.shuffle(order)
+            assert res.eval_omega(c, g, fold_order=order) == base, "fold order changes omega"
+    return "10 cocycles x 5 orders"
+
+
+def restricted_h2_by_loop(field: PrimeField) -> res.RestrictedH2:
+    """restricted.restricted_h2 with one cocycle test and one coboundary split per representative."""
+    p = field.p
+    cx = res.cochain_complex(field)
+    reps = ([res.virasoro_cochain(field)] if p > 3 else []) + [res.omega_coordinate(field, i) for i in range(-1, p - 1)]
+    if not all(map(res.is_cocycle, reps)):
+        raise ArithmeticError("representative candidate is not a cocycle")
+    rests = np.vstack([cx.split_coboundary(res.c2_to_vector(r))[1] for r in reps])
+    if field.rank(rests) != len(reps) or cx.rank_d1_res + len(reps) != len(cx.ker_d2_res):
+        raise ArithmeticError("representatives do not complete im d1 to ker d2")
+    return res.RestrictedH2(len(cx.ker_d2_res), cx.rank_d1_res, cx.h_restricted[2], tuple(reps))
+
+
+def roundtrip_by_loop(field: PrimeField, rng, ker) -> str:
+    """verify's extensions.roundtrip: each kernel sample is drawn, built, extracted and compared in turn."""
+    p = field.p
+    for _ in range(10):
+        c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+        e = ext.build_extension(c)
+        back = ext.extract_cocycle(e, ext.canonical_splitting(e))
+        assert back == c, "extraction does not invert construction"
+    return "10 kernel samples"
+
+
+def splitting_shift_by_loop(field: PrimeField, rng, reps) -> str:
+    """verify's extensions.splitting_independence: per representative, build, draw psi, extract, compare."""
+    p = field.p
+    for c in reps[:4]:
+        e = ext.build_extension(c)
+        psi = Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))
+        sigma = [ext.ExtElement(basis_element(field, i), psi.coeff(i)) for i in range(-1, p - 1)]
+        shifted = ext.extract_cocycle(e, sigma)
+        assert shifted == c - res.delta1_res(psi), "shifted extraction != c - d1(psi)"
+        same, _ = ext.cohomologous(shifted, c)
+        assert same, "shifted extraction not cohomologous to the source"
+    return f"{len(reps[:4])} splittings"
+
+
+def class_independence_by_loop(field: PrimeField, reps) -> str:
+    """verify's extensions.class_independence: every pair at p <= 7, else one rest per representative and a rank."""
+    if field.p <= 7:
+        for a in range(len(reps)):
+            for b in range(a + 1, len(reps)):
+                same, _ = ext.cohomologous(reps[a], reps[b])
+                assert not same, f"representatives {a} and {b} are cohomologous"
+        return f"all {len(reps) * (len(reps) - 1) // 2} pairs"
+    cx = res.cochain_complex(field)
+    rests = np.vstack([cx.split_coboundary(res.c2_to_vector(c))[1] for c in reps])
+    assert field.rank(rests) == len(reps), "classes dependent modulo coboundaries"
+    return "rank-based"
+
+
+def classification_counts_by_loop(field: PrimeField, reps) -> str:
+    """verify's extensions.classification_counts: one classify_extension call per representative."""
+    p = field.p
+    labels = [ext.classify_extension(c) for c in reps]
+    levi_only = sum(1 for label in labels if label is ext.Classification.ORDINARY_LEVI_ONLY)
+    non_levi = sum(1 for label in labels if label is ext.Classification.NON_LEVI)
+    assert not any(label is ext.Classification.SPLIT for label in labels), "a representative is split"
+    assert levi_only == p, f"{levi_only} ordinary-split classes != p"
+    expected_non_levi = 1 if p > 3 else 0
+    assert non_levi == expected_non_levi, f"{non_levi} non-split classes"
+    return ""
 
 
 # Small constructors and cross-check helpers the library itself never calls.

@@ -16,14 +16,17 @@ from wittcoh.extensions import (
     build_extension,
     canonical_splitting,
     classify_extension,
+    classify_rows,
     cohomologous,
+    cohomologous_rows,
     extract_cocycle,
+    extract_cocycles,
     omega_extension,
     verify_restricted_axioms,
     virasoro_extension,
 )
 from wittcoh.gfp import PrimeField
-from wittcoh.ordinary import c2_from_dict, dual_basis
+from wittcoh.ordinary import Cochain1, c2_from_dict, dual_basis
 from wittcoh.restricted import (
     Cochain2Res,
     NotACocycleError,
@@ -773,13 +776,13 @@ def test_extract_names_a_pmap_defect_left_in_w(monkeypatch):
     def shifted(xs, cocycles, p):
         calls.append(xs.shape)
         out = original(xs, cocycles, p).copy()
-        out[3, 0] += 1
+        out[0, 3, 0] += 1
         return out
 
     monkeypatch.setattr(extensions, "pmap_rows", shifted)
     with pytest.raises(NotASplittingError, match="p-map defect left W"):
         extract_cocycle(ext, canonical_splitting(ext))
-    assert calls == [(5, 6)]
+    assert calls == [(1, 5, 6)]
 
 
 def test_axioms_check_names_the_first_failing_extension(monkeypatch):
@@ -817,3 +820,164 @@ def test_axioms_check_names_the_first_failing_extension(monkeypatch):
     assert c is reps[2]
     assert (check.passed, check.detail) == (False, f"axioms fail: {[x.name for x in report.failed()]}")
     assert rng.getstate() == states[3]
+
+
+def extract_one_by_one(exts, sigmas):
+    """extract_cocycle on each extension in turn: the coordinate rows, or the first refusal's message and position."""
+    rows = []
+    for k, (ext, sigma) in enumerate(zip(exts, sigmas)):
+        try:
+            rows.append(c2_to_vector(extract_cocycle(ext, sigma)))
+        except NotASplittingError as err:
+            return str(err), k
+    return np.array(rows)
+
+
+def extract_stacked(exts, sigmas):
+    try:
+        return extract_cocycles(exts, sigmas)
+    except NotASplittingError as err:
+        return str(err), err.index
+
+
+def shifted_splitting(ext, psi):
+    return [ExtElement(basis_element(ext.field, i), psi[i + 1]) for i in range(-1, ext.p - 1)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stacked_extraction_matches_one_at_a_time(p):
+    # W's own coordinate extensions, the Virasoro algebra and a direct
+    # product, under canonical and shifted splittings.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    exts = [omega_extension(field, i) for i in range(-1, p - 1)]
+    exts += [virasoro_extension(field), build_extension(c2res_zero(field))]
+    sigmas = [shifted_splitting(x, [rng.randrange(p) for _ in range(p)]) for x in exts]
+    sigmas[1::2] = [canonical_splitting(x) for x in exts[1::2]]
+    rows = extract_stacked(exts, sigmas)
+    assert (rows == extract_one_by_one(exts, sigmas)).all()
+    assert (rows[1::2] == [c2_to_vector(x.source) for x in exts[1::2]]).all()
+
+
+def defective(kind, field):
+    """An extension and splitting a loop refuses: a moved image, a short splitting, a table off W or a p-map defect."""
+    ext = virasoro_extension(field)
+    sigma = canonical_splitting(ext)
+    if kind == "moved":
+        sigma[2] = ExtElement(e(0, field) + e(2, field), 1)
+    elif kind == "short":
+        sigma = sigma[:-1]
+    elif kind == "bracket":
+        table = ext.bracket_table.copy()
+        table[0, 2, 1] += 1
+        ext = CentralExtension(ext.source, table, ext.pmap_basis)
+    else:  # "pmap": its source is the marked cocycle of corrupt_pmap_of
+        ext = build_extension(PMAP_DEFECT[field.p])
+        sigma = canonical_splitting(ext)
+    return ext, sigma
+
+
+PMAP_DEFECT = {p: 2 * omega_coordinate(PrimeField(p), 1) for p in (5, 7)}
+
+
+@pytest.mark.parametrize("kinds", [
+    ("moved",), ("short",), ("bracket",), ("pmap",),
+    ("ok", "ok", "bracket", "moved", "ok"),
+    ("ok", "short", "pmap"),
+    ("ok", "pmap", "short", "bracket"),
+    ("moved", "short"),
+    ("ok", "ok", "ok", "short"),
+])
+def test_stacked_extraction_refuses_what_a_loop_refuses_first(monkeypatch, kinds):
+    # The p-map defect is a W part left in the p-th powers of the rows of
+    # one source cocycle, by content, so it hits a stacked call and a
+    # one-row call alike.
+    field = F7
+    original = extensions.pmap_rows
+    marked = c2_to_vector(PMAP_DEFECT[7])
+
+    def pmap_rows(xs, cocycles, p):
+        out = original(xs, cocycles, p).copy()
+        hit = np.broadcast_to((cocycles == marked).all(axis=-1), out.shape[:-1])
+        out[..., 0] += hit
+        return out
+
+    monkeypatch.setattr(extensions, "pmap_rows", pmap_rows)
+    rng = random.Random(len(kinds))
+    cases = [defective(kind, field) if kind != "ok" else (virasoro_extension(field), shifted_splitting(
+        virasoro_extension(field), [rng.randrange(7) for _ in range(7)])) for kind in kinds]
+    exts, sigmas = zip(*cases)
+    expected = extract_one_by_one(exts, sigmas)
+    assert isinstance(expected, tuple)
+    assert extract_stacked(list(exts), list(sigmas)) == expected
+
+
+def test_stacked_calls_refuse_mixed_primes():
+    v5, v7 = virasoro_extension(F5), virasoro_extension(F7)
+    for exts, sigmas in [([v5, v7], [canonical_splitting(x) for x in (v5, v7)]), ([v5], [canonical_splitting(v7)])]:
+        with pytest.raises(ValueError, match="same prime"):
+            extract_cocycles(exts, sigmas)
+    rows = [c2_to_vector(virasoro_cochain(F7))]
+    with pytest.raises(ValueError, match="coordinates"):
+        cohomologous_rows(F5, rows, rows)
+    with pytest.raises(ValueError, match="coordinates"):
+        classify_rows(F5, rows)
+
+
+def test_cohomologous_refuses_mixed_primes():
+    with pytest.raises(ValueError, match="different fields"):
+        cohomologous(omega_coordinate(F5, 0), omega_coordinate(F7, 0))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stacked_cohomology_test_matches_one_pair_at_a_time(p):
+    # Representatives against each other and against themselves shifted by
+    # a coboundary; a pair with a non-cocycle is refused at its position.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    reps = restricted_h2(field).representatives
+    shifts = [delta1_res(Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))) for _ in reps]
+    pairs = [(a, b) for a in reps for b in reps] + [(c + d, c) for c, d in zip(reps, shifts)]
+    same, psi = cohomologous_rows(field, *(np.array([c2_to_vector(x[i]) for x in pairs]) for i in (0, 1)))
+    for (a, b), s, w in zip(pairs, same, psi):
+        one_same, witness = cohomologous(a, b)
+        assert s == one_same
+        if s:
+            assert Cochain1(field, tuple(w.tolist())) == witness and delta1_res(witness) == a - b
+    assert same.sum() == len(reps) * 2
+    bad = Cochain2Res(c2_from_dict(field, {(0, 1): 1}), (0,) * p)
+    rows = np.array([c2_to_vector(c) for c in (reps[0], reps[1], bad, reps[2])])
+    with pytest.raises(NotACocycleError) as refused:
+        cohomologous_rows(field, rows, rows[::-1])
+    assert refused.value.index == 1
+
+
+def classify_by_ranks(field, v):
+    """The class of a cocycle row from ranks of d1 with and without it, d1_res built one basis form at a time."""
+    p = field.p
+    d1_res = np.array([c2_to_vector(delta1_res(dual_basis(field, k))) for k in range(-1, p - 1)]).T
+    if field.rank(np.column_stack([d1_res, v])) == field.rank(d1_res):
+        return Classification.SPLIT
+    d1 = d1_res[:-p]
+    if field.rank(np.column_stack([d1, v[:-p]])) == field.rank(d1):
+        return Classification.ORDINARY_LEVI_ONLY
+    return Classification.NON_LEVI
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stacked_classification_matches_ranks_and_one_row_calls(p):
+    # Representatives, their multiples, and both shifted by coboundaries
+    # d1(psi); the coboundaries alone are the split inputs.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    reps = [c2_to_vector(c) for c in restricted_h2(field).representatives]
+    cobs = [c2_to_vector(delta1_res(Cochain1(field, tuple(rng.randrange(p) for _ in range(p))))) for _ in range(4)]
+    rows = np.array(reps + [2 * r for r in reps] + [r + cobs[k % 4] for k, r in enumerate(reps)] + cobs) % p
+    labels = classify_rows(field, rows)
+    assert labels == [classify_extension(c2_from_vector(field, v)) for v in rows]
+    assert labels == [classify_by_ranks(field, v) for v in rows]
+    assert labels[-4:] == [Classification.SPLIT] * 4
+    bad = c2_to_vector(Cochain2Res(c2_from_dict(field, {(0, 1): 1}), (0,) * p))
+    with pytest.raises(NotACocycleError, match="classification") as refused:
+        classify_rows(field, np.array([rows[0], rows[-1], bad, rows[1]]))
+    assert refused.value.index == 2

@@ -407,3 +407,13 @@ def test_cochain_validation():
         c2_from_dict(F5, {(2, 2): 1})
     assert c2_from_dict(F5, {(2, 2): 0}).is_zero()
     assert c2_zero(F5).is_zero()
+
+
+def test_cochain_arithmetic_refuses_mixed_primes():
+    # zip would truncate the longer cochain to the shorter prime's length.
+    for a, b in [(dual_basis(F5, 0), dual_basis(F7, 0)), (virasoro_cocycle(F5), virasoro_cocycle(F7))]:
+        for op in (lambda: a + b, lambda: a - b, lambda: b - a):
+            with pytest.raises(ValueError, match="different fields"):
+                op()
+    with pytest.raises(ValueError, match="different fields"):
+        dual_basis(F5, 0).value(basis_element(F7, 0))

@@ -8,8 +8,10 @@ import pytest
 
 from tests.oracles import (
     c3_zero,
+    delta2_res_matrix_by_loops,
     from_dict,
     omega_by_enumeration,
+    omega_fold_invariance_by_loop,
     rref_by_pivots,
     sample_rows,
     star_sum_naive,
@@ -50,6 +52,7 @@ from wittcoh.restricted import (
     eval_omega,
     ind2,
     is_cocycle,
+    is_cocycle_rows,
     omega_coordinate,
     omega_functional,
     omega_functional_rows,
@@ -200,21 +203,6 @@ def test_omega_extension_requires_cocycle_phi():
     assert len(values) > 1
 
 
-def omega_fold_loop(field, rng, ker):
-    """verify's omega_fold_invariance as a loop testing each shuffled order as it is drawn."""
-    p = field.p
-    for _ in range(10):
-        c = c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
-        g = random_element(field, rng, True)
-        base = eval_omega(c, g)
-        for _ in range(5):
-            order = g.support()
-            rng.shuffle(order)
-            if eval_omega(c, g, fold_order=order) != base:
-                return "fold order changes omega"
-    return "10 cocycles x 5 orders"
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_stacked_fold_order_check_reports_the_non_cocycle(seed):
     # The 50 shuffled folds are one stacked call.  Over multiples of the
@@ -223,18 +211,16 @@ def test_stacked_fold_order_check_reports_the_non_cocycle(seed):
     bad = Cochain2Res(c2_from_dict(F5, {(0, 1): 1}), (0,) * 5)
     for ker, passes in [((c2_to_vector(bad),), False), (cochain_complex(F5).ker_d2_res, True)]:
         rng, reference = random.Random(seed), random.Random(seed)
-        expected = omega_fold_loop(F5, reference, ker)
-        if passes:
-            assert verify._omega_fold_invariance(F5, rng, ker) == expected
-        else:
-            with pytest.raises(AssertionError) as failure:
-                verify._omega_fold_invariance(F5, rng, ker)
-            assert str(failure.value) == expected
-        assert rng.random() == reference.random()
+        stacked = verify._check("", lambda: verify._omega_fold_invariance(F5, rng, ker))
+        loop = verify._check("", lambda: omega_fold_invariance_by_loop(F5, reference, ker))
+        assert stacked == loop and stacked.passed == passes
+        assert rng.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("p", [5, 7])
-def test_omega_fold_check_keeps_ten_one_row_references(p, monkeypatch):
+def test_omega_fold_check_keeps_one_one_row_reference(p, monkeypatch):
+    # The ten ascending references are one omega_functional_rows call; the
+    # one-row eval_omega runs on the first sample only.
     calls = []
 
     def counted(c, g, fold_order=None):
@@ -244,7 +230,7 @@ def test_omega_fold_check_keeps_ten_one_row_references(p, monkeypatch):
     monkeypatch.setattr(restricted, "eval_omega", counted)
     field = PrimeField(p)
     assert verify._omega_fold_invariance(field, random.Random(p), cochain_complex(field).ker_d2_res)
-    assert calls == [None] * 10
+    assert calls == [None]
 
 
 def test_omega_fold_check_stays_within_the_block_bound(monkeypatch):
@@ -326,6 +312,77 @@ def test_delta2_res_zero_on_cocycles(p):
         assert delta2_res(omega_coordinate(field, i)).is_zero()
     assert delta2_res(delta1_res(dual_basis(field, 1))).is_zero()
     assert is_cocycle(virasoro_cochain(field))
+
+
+def cocycle_test_inputs(field, seed):
+    """Random coordinate rows (d2_cl refuses them), kernel samples, and kernel samples with one phi coordinate moved."""
+    p = field.p
+    rng = np.random.default_rng(seed)
+    ker = np.array(cochain_complex(field).ker_d2_res)
+    kernel = rng.integers(0, p, (10, len(ker))) @ ker % p
+    moved = kernel.copy()
+    moved[:, 0] += 1
+    return np.vstack([rng.integers(0, p, (10, c2_dim(p))), kernel, moved % p])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_cocycle_test_matches_the_loop_matrix(p):
+    # ind2 vanishes on W, so here only d2_cl refuses a row.
+    field = PrimeField(p)
+    vs = cocycle_test_inputs(field, p)
+    expected = ~(delta2_res_matrix_by_loops(field) @ vs.T % p).any(axis=0)
+    assert expected.tolist() == [False] * 10 + [True] * 10 + [False] * 10
+    assert is_cocycle_rows(vs, p).tolist() == expected.tolist()
+    assert (is_cocycle_rows(vs.reshape(5, 6, -1), p) == expected.reshape(5, 6)).all()
+    assert [is_cocycle(c2_from_vector(field, v)) for v in vs] == expected.tolist()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cocycle_test_reads_a_corrupted_ind2_table(p, monkeypatch):
+    # With one more term in every beta row, ind2 refuses kernel rows that
+    # d2_cl accepts; the test must read the same table as d2_res's matrix.
+    field = PrimeField(p)
+    vs = cocycle_test_inputs(field, p)  # the kernel of the true d2_res
+    coefficient, first, second = restricted._ind2_terms(p)
+    corrupted = (coefficient + np.array([[1], [0]]), first, second)
+    monkeypatch.setattr(restricted, "_ind2_terms", lambda q: corrupted)
+    d2 = delta2_res_matrix(field) @ vs.T % p
+    n3 = len(wedge_triples(p))
+    only_ind2 = ~d2[:n3].any(axis=0) & d2[n3:].any(axis=0)
+    assert only_ind2.any()
+    assert is_cocycle_rows(vs, p).tolist() == (~d2.any(axis=0)).tolist()
+    assert [is_cocycle(c2_from_vector(field, v)) for v in vs] == (~d2.any(axis=0)).tolist()
+
+
+def test_restricted_arithmetic_and_row_calls_refuse_mixed_primes():
+    # omega_coordinate(F5, 0) - omega_coordinate(F7, 0) once came out as a zero cochain over GF(5).
+    a, b = omega_coordinate(F5, 0), omega_coordinate(F7, 0)
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError, match="different fields"):
+            op()
+    rows = np.array([c2_to_vector(b)])
+    with pytest.raises(ValueError, match="coordinates"):
+        is_cocycle_rows(rows, 5)
+    with pytest.raises(ValueError, match="coordinates"):
+        cochain_complex(F5).split_coboundary(rows)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_stacked_split_and_projection_match_one_row_calls(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    cx = cochain_complex(field)
+    vs = rng.integers(0, p, (6, c2_dim(p)))
+    psi, rest = cx.split_coboundary(vs)
+    for v, x, r in zip(vs, psi, rest):
+        one_psi, one_rest = cx.split_coboundary(v)
+        assert (x == one_psi).all() and (r == one_rest).all()
+    assert ((vs - psi @ cx.d1_res.T - rest) % p == 0).all()
+    reps = restricted_h2(field).representatives
+    zero, coeffs = restricted.ordinary_classes(field, np.array([c.phi.to_vector() for c in reps]))
+    assert [(bool(z), int(k)) for z, k in zip(zero, coeffs)] == [
+        (c.is_zero, c.virasoro_coefficient) for c in map(project_class_to_ordinary, reps)
+    ]
 
 
 def test_delta2_res_nonzero_off_kernel():
