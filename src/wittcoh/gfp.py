@@ -27,12 +27,21 @@ its reduced forms; kernel_basis is its list for one matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # The largest modulus rref reduces exactly: a product of two entries below it fits in int64.
 MAX_MODULUS = math.isqrt(2**63 - 1)
+
+
+def as_int(value, what: str) -> int:
+    """value as an int, numpy integers included (operator.index); ValueError for a float or any other non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def is_prime(n: int) -> bool:
@@ -54,6 +63,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "p", as_int(self.p, "the modulus"))
         if self.p < 3:
             raise ValueError(f"modulus must be at least 3, got {self.p}")
         if not is_prime(self.p):

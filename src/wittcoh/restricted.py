@@ -36,9 +36,11 @@ folding g's basis terms once gives the vector w with
 omega(g) = c2_to_vector(c) @ w for every cochain c.  That fold is a row
 kernel like witt's fold p-th power: omega_functional_rows takes stacked
 coefficient rows (..., p), pads them with zero terms (witt.fold_rows) and
-sends every step (prefix sum, next term) of every row through one stacked
-_correction_weights call; omega_functional is its one-row call, and
-eval_omega the dot product with the cochain.
+sends the real steps (prefix sum, next term), those whose next term is
+nonzero, of every row through one stacked _correction_weights call
+(witt.fold_steps), whose values are scattered back and summed;
+omega_functional is its one-row call, and eval_omega the dot product with
+the cochain.
 
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
@@ -245,8 +247,7 @@ def _fold_functional(terms: np.ndarray, p: int) -> np.ndarray:
     w = np.zeros(terms.shape[:-2] + (c2_dim(p),), dtype=np.int64)
     w[..., -p:] = terms.sum(axis=-2)  # a^p = a in GF(p)
     if terms.shape[-2] > 1:
-        prefixes, nexts = fold_steps(terms, p)
-        q = _correction_weights(prefixes, nexts, p).sum(axis=-3)
+        q = fold_steps(lambda g, h: _correction_weights(g, h, p), terms, p).sum(axis=-3)
         # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
         w[..., :-p] = (q - q.swapaxes(-1, -2))[(...,) + upper_triangle(p)]
     return w % p

@@ -67,40 +67,37 @@ def _antisymmetry_jacobi(field: PrimeField, rng: random.Random) -> str:
     """Antisymmetry and Jacobi of W on every basis triple and on 100 random triples.
 
     The basis triples are one scan of the structure constants
-    (witt._bracket_tensor, through witt.jacobi_scan), and witt.bracket is
-    checked against them on every basis pair, so the element route stays
-    covered.  The random triples are stacked rows bracketed through the same
-    constants, with witt.bracket compared to each [x, y].  The failure
-    reported is the one a loop over the triples meets first, testing
-    antisymmetry of (x, y) before Jacobi on (x, y, z).
+    (witt._bracket_tensor, through witt.jacobi_scan), and the formula route
+    witt.bracket_rows meets them in one call on the p^2 basis pairs (with
+    one one-row witt.bracket) and one on the 100 random pairs.  The failure
+    reported is a loop's first: over basis triples antisymmetry, then Jacobi;
+    basis pairs, row-major; per random triple antisymmetry, Jacobi, bracket.
     """
     p = field.p
     t = witt._bracket_tensor(p) % p
-    basis = [witt.basis_element(field, i) for i in range(-1, p - 1)]
+    eye = np.eye(p, dtype=np.int64)
     anti = np.argwhere(((t + t.transpose(1, 0, 2)) % p).any(axis=2))
     jacobi = witt.jacobi_scan(t, p)
     if anti.size and (jacobi is None or tuple(anti[0]) <= jacobi[:2]):
         raise AssertionError("antisymmetry fails")
-    assert jacobi is None, "Jacobi fails on {!r}, {!r}, {!r}".format(*(basis[i] for i in jacobi))
-    for u, x in enumerate(basis):  # the element bracket against the structure constants
-        for v, y in enumerate(basis):
-            same = witt.bracket(x, y).coeffs == tuple(t[u, v])
-            assert same, f"bracket disagrees with the table on {x!r}, {y!r}"
+    assert jacobi is None, "Jacobi fails on {!r}, {!r}, {!r}".format(*witt.elements(field, eye[list(jacobi)]))
+    wrong = (witt.bracket_rows(eye[:, None], eye, p) != t).any(axis=2)
+    wrong[0, 0] |= witt.bracket(*witt.elements(field, eye[[0, 0]])).coeffs != tuple(t[0, 0])
+    pair = np.argwhere(wrong)[:1].ravel()
+    assert not pair.size, "bracket disagrees with the table on {!r}, {!r}".format(*witt.elements(field, eye[pair]))
 
     drawn = witt.random_rows(rng, p, 300).reshape(100, 3, p)
     xs, ys, zs = drawn.transpose(1, 0, 2)
-
-    def br(a, b):
-        return np.einsum("ks,kt,stm->km", a, b, t) % p
-
+    br = lambda a, b: np.einsum("ks,kt,stm->km", a, b, t) % p  # noqa: E731
     xy = br(xs, ys)
     anti = ((xy + br(ys, xs)) % p).any(axis=1)
     jacobi = ((br(xy, zs) + br(br(ys, zs), xs) + br(br(zs, xs), ys)) % p).any(axis=1)
-    for k, triple in enumerate(drawn):
-        x, y, z = witt.elements(field, triple)
+    wrong = (witt.bracket_rows(xs, ys, p) != xy).any(axis=1)
+    for k in np.flatnonzero(anti | jacobi | wrong)[:1]:
+        x, y, z = witt.elements(field, drawn[k])
         assert not anti[k], "antisymmetry fails"
         assert not jacobi[k], f"Jacobi fails on {x!r}, {y!r}, {z!r}"
-        assert witt.bracket(x, y).coeffs == tuple(xy[k]), f"bracket disagrees with the table on {x!r}, {y!r}"
+        raise AssertionError(f"bracket disagrees with the table on {x!r}, {y!r}")
     return f"{p**3 + len(drawn)} triples"
 
 
@@ -358,7 +355,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     return "10 cocycles x 5 orders"
 
 
-def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
+def _restricted_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH2 | None = None) -> list[CheckResult]:
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
@@ -401,11 +398,11 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     checks.append(_check("restricted.kernel_structure", kernel_structure))
 
     def h2_dimension():
-        h2 = res.restricted_h2(field)
+        found = h2 or res.restricted_h2(field)
         expected = p + 1 if p > 3 else 3
-        assert h2.h2_dim == expected, f"H2 = {h2.h2_dim} != {expected}"
-        assert h2.im_dim == p, f"im d1 = {h2.im_dim} != p"
-        assert len(h2.representatives) == h2.h2_dim, "representative count"
+        assert found.h2_dim == expected, f"H2 = {found.h2_dim} != {expected}"
+        assert found.im_dim == p, f"im d1 = {found.im_dim} != p"
+        assert len(found.representatives) == found.h2_dim, "representative count"
         return ""
 
     checks.append(_check("restricted.h2_dimension", h2_dimension))
@@ -442,13 +439,13 @@ def _restricted_checks(field: PrimeField, rng: random.Random) -> list[CheckResul
     return checks
 
 
-def _extension_checks(field: PrimeField, rng: random.Random) -> list[CheckResult]:
+def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH2 | None = None) -> list[CheckResult]:
     """The extension checks: each calls every kernel once for all its samples, pairs or representatives, and names
     its first failure with the one-row calls a loop makes on that sample, so its draws and details are the loop's."""
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
-    reps = list(res.restricted_h2(field).representatives)
+    reps = list((h2 or res.restricted_h2(field)).representatives)
     vectors = np.array([res.c2_to_vector(c) for c in reps])
 
     def roundtrip():
@@ -587,8 +584,9 @@ def run_prime(p: int, seed: int = 0) -> dict:
     checks: list[CheckResult] = []
     checks.extend(_witt_checks(field, rng, oracle_trials))
     checks.extend(_ordinary_checks(field))
-    checks.extend(_restricted_checks(field, rng))
-    checks.extend(_extension_checks(field, rng))
+    h2 = res.restricted_h2(field)  # once, for both the restricted and the extension checks
+    checks.extend(_restricted_checks(field, rng, h2))
+    checks.extend(_extension_checks(field, rng, h2))
 
     dims = dims_summary(field)
 

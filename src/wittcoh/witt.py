@@ -20,8 +20,9 @@ stacked coefficient arrays (..., p) with a one-row entry point:
 
 * the fold over basis terms driven by that expansion (pth_power_rows,
   pth_power).  Each step joins the prefix sum with the next term; rows are
-  padded with zero terms, which add no summand, so every step of every row
-  goes through one stacked summands_total call;
+  padded with zero terms, which add no summand, so only the real steps,
+  those whose next term is nonzero, go through one stacked summands_total
+  call (fold_steps);
 * (p-1)-fold composition of the underlying derivation with itself, using
   that the p-th power of D = f*d/dx is the derivation sending x to
   D^{p-1}(f) (pth_power_via_derivation_rows, pth_power_via_derivation):
@@ -35,9 +36,10 @@ product at a time, lives in tests/oracles.py.  Every chain
 restricted's ind2 reads with p - 1 factors and verify's
 witt.adjoint_power_on_w with p; dense matrix powers are its test oracle.
 
-bracket is the formula route, a loop over two supports; the stacked
-kernels take their brackets from the structure tensor (_bracket_tensor),
-and verify's witt.antisymmetry_jacobi compares the two.
+bracket_rows is the formula route, index arithmetic on stacked rows with
+bracket its one-row call; the stacked kernels take their brackets from the
+structure tensor (_bracket_tensor), and verify's witt.antisymmetry_jacobi
+compares the two.
 
 Random samples are drawn in bulk with the values and the generator state
 of one rng.randrange call per value: randbelow reads many draws off one
@@ -49,13 +51,14 @@ generator back to where a loop testing them one by one would stop.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, as_int
 
 
 class ProportionalityError(ArithmeticError):
@@ -78,7 +81,11 @@ class WittElement:
         p = self.field.p
         if len(self.coeffs) != p:
             raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
+        try:
+            coeffs = tuple([c % p for c in map(operator.index, self.coeffs)])
+        except TypeError:
+            raise ValueError(f"coefficients must be integers, got {self.coeffs!r}") from None
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def p(self) -> int:
@@ -128,7 +135,7 @@ def basis_element(field: PrimeField, i: int, coefficient: int = 1) -> WittElemen
     if not -1 <= i <= field.p - 2:
         raise ValueError(f"basis index {i} out of range for p={field.p}")
     coeffs = [0] * field.p
-    coeffs[i + 1] = coefficient % field.p
+    coeffs[i + 1] = coefficient
     return WittElement(field, tuple(coeffs))
 
 
@@ -149,8 +156,9 @@ def randbelow(rng, n: int, count: int) -> np.ndarray:
     generator whose class replaces randrange, getrandbits or _randbelow is
     called once per value instead.
     """
-    if not 0 < n < 2**32:
-        raise ValueError(f"randbelow needs 0 < n < 2^32, got {n}")
+    n, count = as_int(n, "the bound"), as_int(count, "the count")
+    if not 0 < n < 2**32 or count < 0:
+        raise ValueError(f"randbelow needs 0 < n < 2^32 and count >= 0, got n = {n}, count = {count}")
     if type(rng) is not random.Random and any(
         getattr(type(rng), name, None) is not getattr(random.Random, name) for name in _DRAW_METHODS
     ):
@@ -293,22 +301,31 @@ def _bracket_tensor(p: int) -> np.ndarray:
     return t
 
 
-def bracket(x: WittElement, y: WittElement) -> WittElement:
-    """Lie bracket, the bilinear extension of [e_i, e_j] = (j - i) e_{i+j}.
+@lru_cache(maxsize=None)
+def _shift_index(p: int) -> np.ndarray:
+    """S[j, m] = (m - j + 1) mod p."""
+    return (np.arange(p)[None, :] - np.arange(p)[:, None] + 1) % p
 
-    A loop over the two supports by the formula, independent of
-    _bracket_tensor, with which verify and the tests compare it.
+
+def bracket_rows(xs, ys, p: int) -> np.ndarray:
+    """[x, y] of stacked coefficient rows (..., p), broadcast against each other, as rows reduced mod p.
+
+    Straight from the formula [e_{s-1}, e_{t-1}] = (t - s) e_{s+t-2}: the
+    coefficient at position m pairs x's position s with y's position
+    t = m - s + 1 mod p, weighted t - s, all in index arithmetic.  It reads
+    neither _bracket_tensor nor _right_bracket_rows, the structure constants
+    that verify and the tests compare it with.  Entries are reduced mod p
+    first, so any integers will do; every sum stays below p^3.
     """
+    t = _shift_index(p)  # t[s, m]
+    right = np.mod(ys, p)[..., t] * ((t - np.arange(p)[:, None]) % p) % p  # [e_{s-1}, y] at position m
+    return (np.mod(xs, p)[..., None, :] @ right)[..., 0, :] % p
+
+
+def bracket(x: WittElement, y: WittElement) -> WittElement:
+    """Lie bracket, the bilinear extension of [e_i, e_j] = (j - i) e_{i+j}: the one-row call of bracket_rows."""
     _check_same_field(x, y)
-    p = x.p
-    sx = [(s, a) for s, a in enumerate(x.coeffs) if a]
-    sy = [(t, b) for t, b in enumerate(y.coeffs) if b]
-    res = [0] * p
-    for s, a in sx:
-        for t, b in sy:
-            m = (s + t - 1) % p
-            res[m] = (res[m] + a * b * (t - s)) % p
-    return WittElement(x.field, tuple(res))
+    return WittElement(x.field, tuple(bracket_rows(np.array(x.coeffs), np.array(y.coeffs), x.p).tolist()))
 
 
 def bracket_chain(first: WittElement, rest) -> WittElement:
@@ -469,38 +486,62 @@ def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
     return [field.inv(i) * WittElement(field, tuple(rows[i - 1].tolist())) for i in range(1, p)]
 
 
-def fold_terms(g: WittElement, order=None) -> np.ndarray:
-    """The basis terms a*e_i of g as coefficient rows, in fold order.
+def _ordered_terms(rows: np.ndarray, lengths: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Fold terms (N, longest, p) of coefficient rows (N, p), padded at the end with zero terms.
 
-    order may be any permutation of g.support(); ascending is the default.
-    Fold step k joins the prefix sum of rows 0..k-1 with row k.
+    positions lists the positions of every row's terms in its fold order,
+    row after row, lengths[k] of them for row k; one scatter puts each term
+    in its row's next slot.
     """
-    support = g.support()
-    order = support if order is None else list(order)
-    if sorted(order) != support:
-        raise ValueError("the fold order must be a permutation of the support")
-    terms = np.zeros((len(order), g.p), dtype=np.int64)
-    for k, i in enumerate(order):
-        terms[k, i + 1] = g.coeff(i)
+    rows_of = np.repeat(np.arange(len(rows)), lengths)
+    slots = np.arange(len(positions)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    terms = np.zeros((len(rows), lengths.max(initial=0), rows.shape[1]), dtype=np.int64)
+    terms[rows_of, slots, positions] = rows[rows_of, positions]
     return terms
 
 
 def padded_fold_terms(gs, orders, p: int) -> np.ndarray:
-    """fold_terms of each element of gs in its order, stacked (N, longest, p), each padded at the end with zero terms.
+    """The basis terms a*e_i of each element of gs in its order, stacked (N, longest, p), padded with zero terms.
 
-    A zero term adds no summand and leaves the prefix sum as it is, so
-    each row folds exactly as over its own terms (see fold_rows).
+    The zero terms pad each row at its end.  An order may be any
+    permutation of the element's support, or None for ascending.  Fold step
+    k joins the prefix sum of terms 0..k-1 with term k; a zero term adds no
+    summand and leaves the prefix sum as it is, so each row folds exactly as
+    over its own terms (see fold_rows).  One scatter (_ordered_terms) puts
+    every term in its slot.
     """
-    terms = [fold_terms(g, order) for g, order in zip(gs, orders)]
-    stacked = np.zeros((len(terms), max(map(len, terms), default=0), p), dtype=np.int64)
-    for row, own in zip(stacked, terms):
-        row[: len(own)] = own
-    return stacked
+    own = [g.support() if order is None else list(order) for g, order in zip(gs, orders)]
+    flat = [i for order in own for i in order]
+    indices = np.fromiter(flat, dtype=np.int64, count=len(flat))  # truncates a non-integer, which tolist then shows
+    rows = np.array([g.coeffs for g in gs], dtype=np.int64).reshape(len(gs), p)
+    lengths = np.array([len(order) for order in own], dtype=np.int64)
+    terms = None
+    if indices.tolist() == flat and ((indices >= -1) & (indices < p - 1)).all():  # integers in -1..p-2
+        terms = _ordered_terms(rows, lengths, indices + 1)
+    # A permutation of the support: as many indices as it holds, and each of its terms placed once.
+    if terms is None or (lengths != np.count_nonzero(rows, axis=1)).any() or (terms.sum(axis=1) != rows).any():
+        raise ValueError("the fold order must be a permutation of the support")
+    return terms
 
 
-def fold_steps(terms: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(prefix sum, next term) of every fold step of stacked terms (..., k, p)."""
-    return np.cumsum(terms[..., :-1, :], axis=-2) % p, terms[..., 1:, :]
+def fold_terms(g: WittElement, order=None) -> np.ndarray:
+    """The basis terms of g as coefficient rows (k, p), in order (ascending by default): padded_fold_terms of one."""
+    return padded_fold_terms([g], [order], g.p)[0]
+
+
+def fold_steps(step, terms: np.ndarray, p: int) -> np.ndarray:
+    """step(prefix sums, next terms) on the real fold steps of stacked terms (..., k, p), in the shape (..., k - 1, ...).
+
+    A real step is one whose next term is nonzero.  A zero term, which pads
+    a row, adds nothing, so the step runs on the real steps alone, stacked
+    (R, p), and its values are scattered back with zeros at the padding.
+    """
+    prefixes, nexts = np.cumsum(terms[..., :-1, :], axis=-2) % p, terms[..., 1:, :] % p
+    real = nexts.any(axis=-1)
+    values = step(prefixes[real], nexts[real])
+    out = np.zeros(real.shape + values.shape[1:], dtype=values.dtype)
+    out[real] = values
+    return out
 
 
 def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
@@ -508,22 +549,14 @@ def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
 
     Each row's basis terms are padded at the end with zero terms to the
     longest row; a zero term adds no summand and leaves the prefix sum as
-    it is, so each row folds exactly as over its own support.  Single-term
-    rows take no fold step and are stacked apart, so they are not padded;
-    zero rows take the value of an empty fold.  Each stack that holds a
-    row goes through fold_blocks.
+    it is, so each row folds exactly as over its own support, and the
+    kernels run only the real steps, whose next term is nonzero
+    (fold_steps).  So single-term and zero rows share the stack at no
+    cost: they take no step.  The stack goes through fold_blocks.
     """
     flat = gs.reshape(-1, p) % p
-    sizes = np.count_nonzero(flat, axis=1)
-    out = kernel(np.zeros((len(flat), 0, p), dtype=np.int64), p)
-    for rows in (np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)):
-        if not rows.size:
-            continue
-        part = flat[rows]
-        r, c = np.nonzero(part)
-        terms = np.zeros((len(rows), sizes[rows].max(), p), dtype=np.int64)
-        terms[r, (np.cumsum(part != 0, axis=1) - 1)[r, c], c] = part[r, c]  # each term in its row's next slot
-        out[rows] = fold_blocks(kernel, terms, p)
+    terms = _ordered_terms(flat, np.count_nonzero(flat, axis=1), np.nonzero(flat)[1])
+    out = fold_blocks(kernel, terms, p)
     return out.reshape(gs.shape[:-1] + out.shape[-1:])
 
 
@@ -535,7 +568,7 @@ def fold_blocks(kernel, terms: np.ndarray, p: int) -> np.ndarray:
     the lambda rows and the step products), measured (tracemalloc, p = 13
     and 23) at 6.5 to 7.7 of them.  An empty stack is one empty block.
     """
-    block = max(1, _SWEEP_BYTES // (8 * 8 * terms.shape[1] * p * p))
+    block = max(1, _SWEEP_BYTES // (8 * 8 * max(terms.shape[1], 1) * p * p))
     return np.concatenate([kernel(terms[lo : lo + block], p) for lo in range(0, max(len(terms), 1), block)])
 
 
@@ -544,9 +577,8 @@ def _fold_power(terms: np.ndarray, p: int) -> np.ndarray:
     power = np.zeros(terms.shape[:-2] + (p,), dtype=np.int64)
     power[..., 1] = terms[..., 1].sum(axis=-1)  # (a e_0)^{[p]} = a^p e_0 = a e_0, other basis powers vanish
     if terms.shape[-2] > 1:
-        prefixes, nexts = fold_steps(terms, p)
-        steps = summands_total(prefixes, right_bracket_matrix(prefixes, p), right_bracket_matrix(nexts, p), p)
-        power += steps.sum(axis=-2)
+        step = lambda g, h: summands_total(g, right_bracket_matrix(g, p), right_bracket_matrix(h, p), p)  # noqa: E731
+        power += fold_steps(step, terms, p).sum(axis=-2)
     return power % p
 
 
@@ -565,12 +597,6 @@ def pth_power(g: WittElement, term_order=None) -> WittElement:
     """
     power = _fold_power(fold_terms(g, term_order), g.p)
     return WittElement(g.field, tuple(power.tolist()))
-
-
-@lru_cache(maxsize=None)
-def _shift_index(p: int) -> np.ndarray:
-    """S[j, m] = (m - j + 1) mod p."""
-    return (np.arange(p)[None, :] - np.arange(p)[:, None] + 1) % p
 
 
 def pth_power_via_derivation_rows(gs: np.ndarray, p: int) -> np.ndarray:

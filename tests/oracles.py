@@ -4,7 +4,10 @@ Everything here enumerates sequences with itertools and evaluates cochains
 by explicit double/triple loops, composes CyclicPoly objects one
 product at a time, or assembles the coboundary matrices one wedge at a
 time, deliberately avoiding the library's stacked numpy kernels and term
-tables, so agreement is meaningful.  The one stacked oracle,
+tables, so agreement is meaningful.  Their brackets are bracket_by_loop,
+the formula as a loop over two supports, which is also the reference for
+witt.bracket_rows (bracket_from_table contracts a given structure tensor
+instead).  The one stacked oracle,
 starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
 sum one by one as right-bracket rows, with no lambda grouping; it is the
 reference for verify's evaluation route up to p = 19.  adjoint_chain_powers
@@ -14,8 +17,8 @@ recurrences.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
 sample_rows gives the kernels' test inputs.  The *_by_loop functions
-are verify's extension-layer checks as loops over one sample, one pair or
-one representative at a time, through the one-row calls: each draws,
+are verify's stacked checks as loops over one sample, one pair or one
+representative at a time, through the one-row calls: each draws,
 stops and fails where the stacked check must.  The constructors and
 definition-level helpers at the end (from_dict, the grade of one pair or
 triple, the zero cochains, d2 from brackets) serve only the tests.
@@ -23,6 +26,7 @@ triple, the zero cochains, d2 from brackets) serve only the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -48,8 +52,6 @@ from wittcoh.restricted import Cochain2Res, c2_dim, c3_dim
 from wittcoh.witt import (
     WittElement,
     basis_element,
-    bracket,
-    bracket_chain,
     normalize_index,
     pth_power_basis,
     random_element,
@@ -131,6 +133,25 @@ def sample_rows(field: PrimeField, rng) -> np.ndarray:
     return np.array([rows[i] for i in order], dtype=np.int64)
 
 
+def bracket_by_loop(x: WittElement, y: WittElement) -> WittElement:
+    """[x, y] by a loop over the two supports, from [e_i, e_j] = (j - i) e_{i+j}: witt.bracket_rows' reference."""
+    if x.field.p != y.field.p:
+        raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
+    p = x.p
+    res = [0] * p
+    for s, a in enumerate(x.coeffs):
+        for t, b in enumerate(y.coeffs):
+            if a and b:
+                m = (s + t - 1) % p
+                res[m] = (res[m] + a * b * (t - s)) % p
+    return WittElement(x.field, tuple(res))
+
+
+def chain_by_loop(first: WittElement, rest) -> WittElement:
+    """The left-nested chain [[..[[first, r1], r2], ..], rk] through bracket_by_loop."""
+    return functools.reduce(bracket_by_loop, rest, first)
+
+
 def _terms(x: WittElement) -> list[tuple[int, int]]:
     """(i, coefficient of e_i) for every i in x's support."""
     return [(i, x.coeff(i)) for i in x.support()]
@@ -144,7 +165,7 @@ def star_sum_naive(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     total = 0
     for choice in itertools.product([g, h], repeat=p - 2):
         seq = [g, h, *choice]
-        chain = bracket_chain(seq[0], seq[1 : p - 1])
+        chain = chain_by_loop(seq[0], seq[1 : p - 1])
         last = seq[p - 1]
         count = sum(1 for s in seq if s is g)
         last_terms = _terms(last)
@@ -168,7 +189,7 @@ def starstar_sum_naive(
     for choice in itertools.product([1, 2], repeat=p - 2):
         labels = [1, 2, *choice]
         hs = [h1 if l == 1 else h2 for l in labels]
-        chain = bracket_chain(hs[0], hs[1 : p - 1])
+        chain = chain_by_loop(hs[0], hs[1 : p - 1])
         last = hs[p - 1]
         count = sum(1 for l in labels if l == 1)
         chain_terms, last_terms = _terms(chain), _terms(last)
@@ -246,6 +267,11 @@ def jacobi_failure_by_loops(t: np.ndarray, p: int) -> tuple[int, int, int] | Non
     return None
 
 
+def bracket_from_table(x: WittElement, y: WittElement, t: np.ndarray) -> WittElement:
+    """[x, y] contracted from structure constants t (W's _bracket_tensor, or a corrupted copy)."""
+    return WittElement(x.field, tuple(int(v) for v in np.einsum("s,t,stm->m", x.coeffs, y.coeffs, t) % x.p))
+
+
 def first_axiom_failure(t: np.ndarray, field: PrimeField) -> str | None:
     """What a loop over W's basis triples reports first for structure constants t, or None.
 
@@ -255,7 +281,7 @@ def first_axiom_failure(t: np.ndarray, field: PrimeField) -> str | None:
     p = field.p
 
     def br(x, y):
-        return WittElement(field, tuple(int(v) for v in np.einsum("s,t,stm->m", x.coeffs, y.coeffs, t) % p))
+        return bracket_from_table(x, y, t)
 
     basis = [basis_element(field, i) for i in range(-1, p - 1)]
     for x, y, z in itertools.product(basis, repeat=3):
@@ -355,7 +381,7 @@ def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
             power = pth_power_basis(field, b)
             for k in power.support():
                 _add_wedge(m, row, power.coeff(k), a, k, p)
-            chain = bracket_chain(basis_element(field, a), [basis_element(field, b)] * (p - 1))
+            chain = chain_by_loop(basis_element(field, a), [basis_element(field, b)] * (p - 1))
             for k in chain.support():
                 _add_wedge(m, row, -chain.coeff(k), k, b, p)
     return m % p
@@ -408,6 +434,28 @@ def kernel_basis_by_pivots(field: PrimeField, m) -> list[np.ndarray]:
 # verify's extension-layer checks one sample at a time.  Every library call
 # goes through its module, so a test's monkeypatch reaches these loops and
 # the stacked checks alike.
+
+
+def antisymmetry_jacobi_by_loop(field: PrimeField, rng) -> str:
+    """verify's witt.antisymmetry_jacobi as loops: the basis triples, then witt.bracket on each basis pair, row-major,
+    then the 100 random triples, drawn first, each tested for antisymmetry, Jacobi and its bracket in turn."""
+    p = field.p
+    t = witt._bracket_tensor(p) % p
+    failure = first_axiom_failure(t, field)
+    assert failure is None, failure
+    basis = [basis_element(field, i) for i in range(-1, p - 1)]
+    for x, y in itertools.product(basis, repeat=2):
+        same = witt.bracket(x, y) == bracket_from_table(x, y, t)
+        assert same, f"bracket disagrees with the table on {x!r}, {y!r}"
+    triples = [tuple(random_element(field, rng) for _ in range(3)) for _ in range(100)]
+    for x, y, z in triples:
+        xy = bracket_from_table(x, y, t)
+        assert (xy + bracket_from_table(y, x, t)).is_zero(), "antisymmetry fails"
+        yz, zx = bracket_from_table(y, z, t), bracket_from_table(z, x, t)
+        jacobi = bracket_from_table(xy, z, t) + bracket_from_table(yz, x, t) + bracket_from_table(zx, y, t)
+        assert jacobi.is_zero(), f"Jacobi fails on {x!r}, {y!r}, {z!r}"
+        assert witt.bracket(x, y) == xy, f"bracket disagrees with the table on {x!r}, {y!r}"
+    return f"{p**3 + len(triples)} triples"
 
 
 def omega_fold_invariance_by_loop(field: PrimeField, rng, ker) -> str:
@@ -522,7 +570,7 @@ def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: Wi
     """(d2 phi)(g ^ h ^ k) straight from the definition, for cross-checks."""
     p = phi.field.p
     return (
-        wedge_eval(phi, bracket(g, h), k)
-        - wedge_eval(phi, bracket(g, k), h)
-        + wedge_eval(phi, bracket(h, k), g)
+        wedge_eval(phi, bracket_by_loop(g, h), k)
+        - wedge_eval(phi, bracket_by_loop(g, k), h)
+        + wedge_eval(phi, bracket_by_loop(h, k), g)
     ) % p

@@ -20,6 +20,15 @@ def test_field_rejects_bad_moduli(bad):
         PrimeField(bad)
 
 
+def test_field_refuses_a_modulus_that_is_not_an_integer():
+    # PrimeField(7.0) used to be accepted, and then basis_element and rank failed deep inside.
+    for bad in (7.0, np.float64(7), 7.5, "7"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PrimeField(bad)
+    field = PrimeField(np.int64(7))
+    assert type(field.p) is int and field == PrimeField(7)
+
+
 def test_inverse_examples():
     assert PrimeField(5).inv(2) == 3
     for p in SMALL_PRIMES:

@@ -904,3 +904,17 @@ def test_omega_functional_fold_order_invariant_on_cocycles(p):
         assert not (ker @ diff % p).any()
         differs = differs or diff.any()
     assert differs
+
+
+def test_run_prime_computes_restricted_h2_once(monkeypatch):
+    # The check restricted.h2_dimension and the extension checks share one result.
+    calls = []
+    original = restricted.restricted_h2
+
+    def counted(field):
+        calls.append(field.p)
+        return original(field)
+
+    monkeypatch.setattr(restricted, "restricted_h2", counted)
+    assert verify.run_prime(7)["all_pass"]
+    assert calls == [7]

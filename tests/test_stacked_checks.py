@@ -1,8 +1,9 @@
-"""verify's stacked extension-layer checks against their loops in tests/oracles.py.
+"""verify's stacked checks against their loops in tests/oracles.py.
 
 Each test breaks the library at one sample with a monkeypatch that goes by
-content (a cocycle, a difference of two cocycles, a folded element), so the
-stacked check and its loop oracle meet the same defect at the same sample.
+content (a bracketed pair, a cocycle, a difference of two cocycles, a folded
+element), so the stacked check and its loop oracle meet the same defect at
+the same sample.
 The check must report what the loop reports, a raised error included, and
 leave the generator where the loop leaves it: a check that does not wind
 its generator back after a failure draws more than the loop.
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 from tests import oracles
-from wittcoh import extensions, restricted, verify
+from wittcoh import extensions, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import Cochain1
 from wittcoh.restricted import CochainComplex, c2_to_vector, cochain_complex, restricted_h2
-from wittcoh.witt import random_element
+from wittcoh.witt import random_element, random_rows
 
 F5, F7 = PrimeField(5), PrimeField(7)
 SEED = 1
@@ -100,6 +101,50 @@ def corrupt_cocycle_test(monkeypatch, phi):
         return (original(m, p) + np.expand_dims(hit, (-2, -1))) % p
 
     monkeypatch.setattr(restricted, "_ind2_table", table)
+
+
+def corrupt_bracket(monkeypatch, x, y, name="bracket_rows"):
+    """witt's bracket_rows (or the one-row bracket) gives [x, y] + e_{-1} for the rows x, y, wherever they meet."""
+    original = getattr(witt, name)
+
+    def rows(xs, ys, p):
+        hit = (np.mod(xs, p) == x).all(axis=-1) & (np.mod(ys, p) == y).all(axis=-1)
+        return (original(xs, ys, p) + np.expand_dims(hit, -1) * np.eye(p, dtype=np.int64)[0]) % p
+
+    def one(a, b):
+        hit = (a.coeffs, b.coeffs) == (tuple(x), tuple(y))
+        return original(a, b) + witt.basis_element(a.field, -1) if hit else original(a, b)
+
+    monkeypatch.setattr(witt, name, rows if name == "bracket_rows" else one)
+
+
+def witt_checks(field, rng):
+    return verify._witt_checks(field, rng, 5)
+
+
+@pytest.mark.parametrize("where, j", [("basis", 0), ("basis", 24), ("basis", 48),
+                                      ("random", 0), ("random", 3), ("random", 99)])
+def test_antisymmetry_jacobi_fails_like_its_loop(monkeypatch, where, j):
+    # The bracket of basis pair j (row-major) or of random triple j's (x, y) is off by e_{-1}.
+    field, name = F7, "witt.antisymmetry_jacobi"
+    if where == "basis":
+        x, y = np.eye(7, dtype=np.int64)[list(divmod(j, 7))]
+    else:
+        x, y, _ = random_rows(random.Random(SEED), 7, 300).reshape(100, 3, 7)[j]
+    corrupt_bracket(monkeypatch, x, y)
+    assert_fails_like_loop(monkeypatch, witt_checks, field, name,
+                           lambda rng: oracles.antisymmetry_jacobi_by_loop(field, rng))
+    _, result, _ = run_check(monkeypatch, witt_checks, field, name)
+    assert result.detail == "bracket disagrees with the table on {!r}, {!r}".format(*witt.elements(field, [x, y]))
+
+
+def test_antisymmetry_jacobi_keeps_one_one_row_bracket(monkeypatch):
+    # The one-row witt.bracket is called on the first basis pair, (e_{-1}, e_{-1}), alone.
+    field = F7
+    e = np.eye(7, dtype=np.int64)
+    corrupt_bracket(monkeypatch, e[0], e[0], name="bracket")
+    assert_fails_like_loop(monkeypatch, witt_checks, field, "witt.antisymmetry_jacobi",
+                           lambda rng: oracles.antisymmetry_jacobi_by_loop(field, rng))
 
 
 def kernel_samples(rng, field, count):

@@ -8,13 +8,14 @@ import pytest
 
 from tests.oracles import (
     CyclicPoly,
+    bracket_by_loop,
     first_axiom_failure,
     from_dict,
     jacobi_failure_by_loops,
     pth_power_by_composition,
     sample_rows,
 )
-from wittcoh import verify, witt
+from wittcoh import restricted, verify, witt
 from wittcoh.extensions import omega_extension, virasoro_extension
 from wittcoh.gfp import PrimeField
 from wittcoh.witt import (
@@ -24,6 +25,7 @@ from wittcoh.witt import (
     basis_element,
     bracket,
     bracket_chain,
+    bracket_rows,
     gamma,
     jacobson_s,
     lambda_rows,
@@ -83,6 +85,73 @@ def test_bracket_reads_no_structure_tensor(p, monkeypatch):
         x, y = (WittElement(field, tuple(rng.randrange(1, p) for _ in range(p))) for _ in range(2))
         expected = np.einsum("s,t,stm->m", x.coeffs, y.coeffs, t) % p
         assert bracket(x, y).coeffs == tuple(expected.tolist())
+
+
+def tensor_brackets(xs, ys, p):
+    """[x, y] of broadcast stacked rows contracted from W's structure constants."""
+    xs, ys = np.broadcast_arrays(np.mod(xs, p), np.mod(ys, p))
+    return np.einsum("...s,...t,stm->...m", xs, ys, witt._bracket_tensor(p)) % p
+
+
+def loop_brackets(xs, ys, field):
+    """[x, y] of broadcast stacked rows, one bracket_by_loop per pair, in the broadcast shape."""
+    xs, ys = np.broadcast_arrays(np.mod(xs, field.p), np.mod(ys, field.p))
+    pairs = zip(witt.elements(field, xs), witt.elements(field, ys))
+    return np.array([bracket_by_loop(x, y).coeffs for x, y in pairs]).reshape(xs.shape)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_bracket_rows_equal_the_loop_and_the_tensor_on_every_basis_pair(p):
+    field = PrimeField(p)
+    eye = np.eye(p, dtype=np.int64)
+    rows = bracket_rows(eye[:, None], eye, p)  # rows[u, v] = [e_{u-1}, e_{v-1}]
+    assert rows.shape == (p, p, p)
+    assert (rows == witt._bracket_tensor(p) % p).all()
+    assert (rows == loop_brackets(eye[:, None], eye, field)).all()
+    for u, v in [(0, 0), (1, 2), (p - 1, 0)]:
+        x, y = witt.elements(field, eye[[u, v]])
+        assert bracket(x, y).coeffs == tuple(rows[u, v]) == bracket_by_loop(x, y).coeffs
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_bracket_rows_on_stacked_and_broadcast_shapes(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for xshape, yshape in [((6,), (6,)), ((2, 3), (3,)), ((4, 1), (1, 5)), ((), (2, 2)), ((), ())]:
+        xs, ys = rng.integers(0, p, xshape + (p,)), rng.integers(0, p, yshape + (p,))
+        rows = bracket_rows(xs, ys, p)
+        assert rows.shape == np.broadcast_shapes(xshape, yshape) + (p,)
+        assert (rows == tensor_brackets(xs, ys, p)).all()
+        assert (rows == loop_brackets(xs, ys, field)).all()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_bracket_rows_reduce_any_integers_first(p):
+    # Entries far outside [0, p), negative ones included, bracket as their residues.
+    field = PrimeField(p)
+    rng = np.random.default_rng(p)
+    xs, ys = rng.integers(-5 * p, 5 * p, (8, p)), rng.integers(-(2**40), 2**40, (8, p))
+    rows = bracket_rows(xs, ys, p)
+    assert rows.min() >= 0 and rows.max() < p
+    assert (rows == bracket_rows(xs % p, ys % p, p)).all()
+    assert (rows == tensor_brackets(xs, ys, p)).all()
+    assert (rows == loop_brackets(xs, ys, field)).all()
+    assert (bracket_rows(xs.tolist(), ys.tolist(), p) == rows).all()  # array-likes too
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_bracket_rows_read_no_structure_constants(p, monkeypatch):
+    field = PrimeField(p)
+    expected = witt._bracket_tensor(p) % p
+
+    def no_constants(q):
+        raise AssertionError("bracket_rows read structure constants")
+
+    monkeypatch.setattr(witt, "_bracket_tensor", no_constants)
+    monkeypatch.setattr(witt, "_right_bracket_rows", no_constants)
+    eye = np.eye(p, dtype=np.int64)
+    assert (bracket_rows(eye[:, None], eye, p) == expected).all()
+    assert bracket(basis_element(field, 1), basis_element(field, 2)).coeffs == tuple(expected[2, 3])
 
 
 def test_bracket_chain_examples():
@@ -347,6 +416,22 @@ def test_element_validation():
     assert from_dict(F5, {3: 6}).coeff(3) == 1
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "1", None])
+def test_elements_refuse_coefficients_that_are_not_integers(bad):
+    # 1.5 used to be kept: its bracket with e_0 read 6*e-1 + 3.0*e0, and the fold truncated it to 1.
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        WittElement(F7, (bad, 0, 0, 0, 0, 0, 2))
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        basis_element(F7, 0, bad)
+
+
+def test_elements_store_numpy_integers_as_int():
+    g = WittElement(F7, tuple(np.arange(-3, 4)))
+    assert g.coeffs == (4, 5, 6, 0, 1, 2, 3) and all(type(c) is int for c in g.coeffs)
+    assert all(type(c) is int for c in basis_element(F7, 2, np.int64(9)).coeffs)
+    assert all(type(c) is int for c in witt.elements(F7, np.eye(7, dtype=np.int64))[3].coeffs)
+
+
 def lambda_rows_by_loops(start, bg, bh, steps, p):
     """The lambda-degree recurrence in plain int64, one degree at a time."""
     rows = [start % p]
@@ -402,6 +487,70 @@ def test_fold_rows_equal_single_element_powers(p, monkeypatch):
     assert (pth_power_rows(rows.reshape(3, -1, p), p).reshape(-1, p) == powers).all()
     monkeypatch.setattr(witt, "_SWEEP_BYTES", 1)
     assert (pth_power_rows(rows, p) == powers).all()
+
+
+def padded_samples(p, seed):
+    """sample_rows' elements (full, two-term, single-term, zero) with every other one in a shuffled order, and their
+    padded terms, with three more zero terms at the end of every row, stacked: rows padded by several terms."""
+    field = PrimeField(p)
+    rng = random.Random(seed)
+    gs = witt.elements(field, sample_rows(field, rng))
+    orders = [witt.shuffled_support(g, rng) if k % 2 else None for k, g in enumerate(gs)]
+    terms = witt.padded_fold_terms(gs, orders, p)
+    padded = np.concatenate([terms, np.zeros((len(gs), 3, p), dtype=np.int64)], axis=1)
+    return gs, orders, padded
+
+
+FOLD_KERNELS = [
+    (witt._fold_power, lambda g, order: pth_power(g, term_order=order).coeffs),
+    (restricted._fold_functional, lambda g, order: tuple(restricted.omega_functional(g, fold_order=order))),
+]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("kernel, one_row", FOLD_KERNELS)
+def test_fold_kernels_on_padded_stacks_equal_one_row_folds(p, kernel, one_row):
+    gs, orders, padded = padded_samples(p, p)
+    sizes = [len(g.support()) for g in gs]
+    assert 0 in sizes and 1 in sizes and padded.shape[1] - min(sizes) > 3
+    expected = [one_row(g, order) for g, order in zip(gs, orders)]
+    assert [tuple(row) for row in witt.fold_blocks(kernel, padded, p).tolist()] == expected
+    assert [tuple(row) for row in kernel(padded.reshape(3, 4, -1, p), p).reshape(len(gs), -1).tolist()] == expected
+    for g, order, own, size in zip(gs, orders, padded, sizes):  # one row (k, p), with and without its padding
+        assert tuple(kernel(own, p).tolist()) == tuple(kernel(own[:size], p).tolist()) == one_row(g, order)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_fold_kernels_step_only_where_the_next_term_is_nonzero(p, monkeypatch):
+    # A padded step adds nothing, so the summand and correction-weight calls
+    # take only the real steps: as many as the terms past each row's first.
+    gs, _, padded = padded_samples(p, p + 1)
+    steps = sum(max(len(g.support()) - 1, 0) for g in gs)
+    seen = []
+    for module, name in [(witt, "summands_total"), (restricted, "_correction_weights")]:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda gv, *rest, f=original: (seen.append(len(gv)), f(gv, *rest))[1])
+    witt._fold_power(padded, p)
+    restricted._fold_functional(padded, p)
+    assert seen == [steps, steps]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[-1, 0], [-1, 0, 2, 2], [-1, 0, 0], [-1, 0, 1], [-1, 0, 2, 1], [-1, 0, 2, 6], [-2, 0, 2], [-1, 0, 2.5]],
+)
+def test_padded_fold_terms_refuse_an_order_that_is_not_a_permutation_of_the_support(order):
+    # g = e_{-1} + 2 e_0 + 3 e_2 over GF(7); each order misses, repeats, adds or mistypes a term.
+    g = from_dict(F7, {-1: 1, 0: 2, 2: 3})
+    for gs, orders in [([g], [order]), ([e(1, F7), g, g], [None, [2, 0, -1], order])]:
+        with pytest.raises(ValueError, match="permutation of the support"):
+            witt.padded_fold_terms(gs, orders, 7)
+    with pytest.raises(ValueError, match="permutation of the support"):
+        witt.fold_terms(g, order)
+    terms = witt.padded_fold_terms([g, zero(F7), g], [[2, -1, 0], None, None], 7)
+    assert terms.shape == (3, 3, 7) and not terms[1].any()
+    assert [np.flatnonzero(row)[0] - 1 for row in terms[0]] == [2, -1, 0]
+    assert (terms[2] == witt.fold_terms(g)).all() and terms[2, :, [0, 1, 3]].tolist() == np.diag([1, 2, 3]).tolist()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -485,6 +634,21 @@ def test_randbelow_equals_a_randrange_loop(n):
     for bad in (0, -3, 2**32):
         with pytest.raises(ValueError, match="randbelow"):
             witt.randbelow(random.Random(0), bad, 1)
+
+
+def test_randbelow_refuses_a_negative_or_non_integer_count():
+    # randbelow(rng, 7, -1) used to give an empty array.
+    rng = random.Random(0)
+    state = rng.getstate()
+    for bad in (-1, -32):
+        with pytest.raises(ValueError, match="count >= 0"):
+            witt.randbelow(rng, 7, bad)
+    for bad_n, bad_count in [(7, 2.5), (7.0, 3)]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            witt.randbelow(rng, bad_n, bad_count)
+    assert rng.getstate() == state  # nothing drawn
+    reference = random.Random(0)
+    assert witt.randbelow(rng, np.int64(7), np.int64(3)).tolist() == [reference.randrange(7) for _ in range(3)]
 
 
 def random_element_loop(field, rng, count):
