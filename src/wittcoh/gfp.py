@@ -8,20 +8,14 @@ The pivot is the first nonzero entry in column order; reduced forms are
 unique, so ranks, echelon forms and kernel bases are reproducible across
 runs.
 
-A stack of several matrices is reduced in lockstep, one column at a time:
-each step picks every matrix's pivot row for that column and clears the
-column from all of them with one broadcast update, so the p grade blocks
-of a coboundary cost the Python overhead of one block, not p.  A single
-matrix is reduced one pivot at a time, each pivot clearing only the rows
-that are nonzero in its column.  Both update only the columns from the
-pivot's on.  Each is the faster one on its own input: the lockstep
-reduces the 19 grade blocks of d2 at p = 19 about 5 times as fast (0.8
-against 4.4 ms) as the one-pivot loop run block by block, and the
-one-pivot loop reduces the dense d2_res at p = 23 about 8 times as fast
-as the lockstep would.
+There is one elimination: the matrices of a stack are reduced in
+lockstep, one column at a time, each step clearing that column from
+every matrix with one broadcast update, so the p grade blocks of a
+coboundary cost the Python overhead of one block, not p.
 tests/oracles.py keeps the plain per-pivot elimination of one matrix as
-their reference.  kernels reads the kernel bases of a whole stack off
-its reduced forms; kernel_basis is its list for one matrix.
+its reference.  kernels reads the kernel bases of a whole stack off its
+reduced forms; kernel_basis is its list for one matrix.  certified_ranks
+proves a stack's ranks off its kernels by products mod p only.
 """
 
 from __future__ import annotations
@@ -85,13 +79,11 @@ class PrimeField:
         p = self.p
         if p > MAX_MODULUS:
             raise OverflowError(f"GF({p}) products overflow int64 (the largest modulus is {MAX_MODULUS})")
-        a = np.array(m, dtype=np.int64)  # the one working copy, reduced in place
-        a %= p
+        a = np.asarray(m, dtype=np.int64)  # read, not written: the elimination makes the one working copy
         if a.ndim < 2:
             raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
         *stack, rows, cols = a.shape
-        a = a.reshape(math.prod(stack), rows, cols)
-        r, pivots = (_rref_one if len(a) == 1 else _rref_lockstep)(a, p)
+        r, pivots = _rref_lockstep(a.reshape(math.prod(stack), rows, cols), p)
         return r.reshape(*stack, rows, cols), pivots.reshape(*stack, cols)
 
     def rank(self, m) -> int:
@@ -113,6 +105,34 @@ class PrimeField:
         vectors = (np.eye(cols, dtype=np.int64) - leading) % self.p
         return np.swapaxes(vectors, -1, -2), ~pivots
 
+    def certified_ranks(self, m, vectors, free) -> np.ndarray:
+        """The rank C - |F| of each B of a stack (n, R, C), proven off its kernels (as kernels gives them) by products.
+
+        Kernel vectors K unit on the free columns F with B . K = 0 prove rank B <= C - |F|.  The rows of B that rref
+        finds independent on B's pivot columns, with unit rows at F, make N; X . N = I proves rank B >= C - |F|.  A
+        bound that fails raises ArithmeticError.
+        """
+        p, (rows, cols) = self.p, np.shape(m)[1:]
+        if cols * (p - 1) ** 2 > 2**63 - 1:
+            raise OverflowError(f"GF({p}) sums of {cols} products overflow int64")
+        m, eye = np.asarray(m) % p, np.eye(cols, dtype=np.int64)
+        if ((vectors - eye) * free[:, :, None] * free[:, None, :]).any():
+            raise ArithmeticError("kernel vectors are not unit on the free columns")
+        if (m @ np.swapaxes(vectors, 1, 2) % p * free[:, None, :]).any():
+            raise ArithmeticError("a kernel vector is not killed")
+        _, chosen = self.rref(np.swapaxes(m * ~free[:, None, :], 1, 2))  # rows of B independent on its pivots
+        nth = np.clip(np.cumsum(~free, axis=1) - 1, 0, rows - 1)  # pivot column c takes the nth chosen row
+        sources = np.take_along_axis(np.argsort(~chosen, axis=1, kind="stable"), nth, axis=1)
+        n = np.where(free[:, :, None], eye, np.take_along_axis(m, sources[:, :, None], axis=1))
+        if ((self.inverses(n) @ n - eye) % p).any():
+            raise ArithmeticError("no invertible minor of full rank")
+        return cols - np.count_nonzero(free, axis=1)
+
+    def inverses(self, m) -> np.ndarray:
+        """The inverse of each matrix of a stack (..., C, C), off one rref of [m | I]; garbage where m is singular."""
+        eye = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape)
+        return self.rref(np.concatenate([m, eye], axis=-1))[0][..., m.shape[-1] :]
+
     def kernel_basis(self, m) -> list[np.ndarray]:
         """Basis of the right kernel {v : m v = 0}, one vector per free column."""
         vectors, free = self.kernels(_one_matrix(m))
@@ -120,36 +140,10 @@ class PrimeField:
 
 
 def _one_matrix(m):
-    """m itself, once it is known to be a 2-D matrix; rref makes the one copy it reduces."""
+    """m itself, once it is known to be a 2-D matrix; rref makes the one working copy."""
     if np.ndim(m) != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={np.ndim(m)}")
     return m
-
-
-def _rref_one(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """rref of a stack (1, R, C) holding one matrix, in place, one pivot at a time."""
-    m = a[0]
-    rows, cols = m.shape
-    pivots = np.zeros((1, cols), dtype=bool)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        active = np.flatnonzero(m[:, c])
-        k = active.searchsorted(r)
-        if k == len(active):
-            continue
-        i = active[k]
-        if i != r:
-            m[[r, i]] = m[[i, r]]  # row i is now zero in c, and row r is set below
-        pivot_row = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
-        rest = m[active, c:]
-        rest -= rest[:, :1] * pivot_row
-        m[active, c:] = rest % p
-        m[r, c:] = pivot_row
-        pivots[0, c] = True
-        r += 1
-    return a, pivots
 
 
 def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,12 +161,11 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     mod p at each step, the rest once at the end: every update changes an
     entry by less than p^2, which for the small primes of the complex
     leaves int64 far from overflow; a large p reduces everything every
-    span steps.  On a single matrix this bookkeeping costs more than the
-    work, so _rref_one reduces it.
+    span steps.  It stops once every row of every matrix is a pivot row.
     """
     count, rows, cols = a.shape
     t = np.zeros((count, cols, rows + 1), dtype=np.int64)
-    t[:, :, :rows] = a.transpose(0, 2, 1)
+    np.remainder(a.transpose(0, 2, 1), p, out=t[:, :, :rows])
     span = max(1, (2**63 - 1) // p**2 - 1)  # updates an entry takes from below p before it may overflow int64
     free = np.ones((count, rows + 1), dtype=bool)
     order = np.full((count, rows + 1), cols)  # the pivot column of each row, cols for none
@@ -192,6 +185,8 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         t[each, c:, row] = pivot_rows
         free[each, row] = False
         order[each, row] = c
+        if not free[:, :rows].any():
+            break
     t %= p
     order = order[:, :rows]
     t = np.take_along_axis(t[:, :, :rows], np.argsort(order, axis=1, kind="stable")[:, None, :], axis=2)

@@ -19,8 +19,7 @@ they are given (out), which is how restricted.delta2_res_matrix places
 d2 in its top-left corner without building it apart.  graded_blocks
 gathers the grade blocks of a matrix into one stack (delta2_block those
 of d2), which restricted.cochain_complex row-reduces once per prime for
-every rank, kernel and cohomology dimension; the whole dense matrices
-serve as the oracle for those blockwise ranks.
+every rank, kernel and cohomology dimension.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -226,14 +225,6 @@ def c2_from_dict(field: PrimeField, terms: dict[tuple[int, int], int]) -> Cochai
         a, b, sign = w
         vals[pos[(a, b)]] = (vals[pos[(a, b)]] + sign * c) % field.p
     return Cochain2Ord(field, tuple(vals))
-
-
-def wedge_eval(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
-    """phi(g ^ h) by bilinear extension."""
-    m = phi.to_matrix()
-    gv = np.array(g.coeffs, dtype=np.int64)
-    hv = np.array(h.coeffs, dtype=np.int64)
-    return int((gv @ m @ hv) % phi.field.p)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ reads omega, so ker d2_res is read off ker d2 through ind2: the phi it
 kills, plus the p omega coordinates.  Every cohomology dimension,
 coboundary test and kernel sample reads the complex, and
 ordinary_classes projects stacked cocycles to ordinary H^2 with one
-split; the whole dense matrices are the oracle for the blockwise ranks.
+split; verify certifies the blockwise ranks off the block kernels.
 A prime whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so
 p > 67) is refused before anything is allocated.
 """
@@ -470,23 +470,19 @@ def _grade_stack(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _graded_kernel(field: PrimeField, blocks: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel basis, as rows, of a grade-preserving matrix with n columns, and the kernel dimension of each block.
+def _embedded_kernel(vectors: np.ndarray, free: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Kernel basis, as rows, of a grade-preserving matrix with n columns, from its grade blocks' kernels.
 
-    blocks (p, R, C) stacks the grade blocks, block k + 1 on the columns
-    cols[k + 1]; field.kernels reads every block's kernel off one rref of
-    the stack.  Columns of other grades meet other rows, so a column is a
-    pivot of the whole matrix exactly when it is one of its block.  The
-    block kernels, embedded and sorted by their free column (the last
-    nonzero entry), are therefore field.kernel_basis of the whole matrix,
-    vector for vector.
+    vectors and free (field.kernels) hold the kernel of block k + 1, on the
+    columns cols[k + 1].  Columns of other grades meet other rows, so a
+    column is a pivot of the whole matrix exactly when it is one of its
+    block: the block kernels, embedded and sorted by their free column (the
+    last nonzero entry), are field.kernel_basis of the whole matrix.
     """
-    vectors, free = field.kernels(blocks)
     block, column = np.nonzero(free)
     basis = np.zeros((len(block), n), dtype=np.int64)
     basis[np.arange(len(block))[:, None], cols[block]] = vectors[block, column]
-    basis = _read_only(basis[np.argsort(cols[block, column])])
-    return basis, np.count_nonzero(free, axis=1)
+    return _read_only(basis[np.argsort(cols[block, column])])
 
 
 def _column_pivots(field: PrimeField, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,8 +504,8 @@ class CochainComplex:
     is therefore read off the zero columns with no row reduction.  In
     degree 2 one lockstep elimination of d2's stacked grade blocks gives
     ker d2, and ker d2_res is the phi in it that ind2 kills (one small
-    rref) plus the p omega unit vectors; the whole dense matrices are
-    only the oracle for them (verify's ordinary.block_full_agreement).
+    rref) plus the p omega unit vectors.  block_kernels keeps the blocks'
+    kernels, off which verify's block_full_agreement certifies the ranks.
     """
 
     def __init__(self, field: PrimeField) -> None:
@@ -526,7 +522,9 @@ class CochainComplex:
         _grade_stack(self.d1_res, graded_blocks(self.d1_res, res_pairs, grades[:, None] + 1))
         self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
         zero1, zero1_res = (self._pivots[r][1] == 0 for r in (False, True))  # zero columns, by grade
-        ker2, dims2 = _graded_kernel(field, _grade_stack(self.d2, delta2_block(self.d2, p, grades)), pairs, n2)
+        blocks = _grade_stack(self.d2, delta2_block(self.d2, p, grades))
+        self.block_kernels = tuple(_read_only(k) for k in field.kernels(blocks))
+        ker2 = _embedded_kernel(*self.block_kernels, pairs, n2)
         # ker d2_res: the phi in ker d2 that ind2 kills, then the omega unit vectors (d2 never reads omega).
         vectors, free = field.kernels(sparse_product(self.d2_res[n3:, :n2], ker2.T, p))
         ker2_res = np.pad(vectors[free] @ ker2 % p, ((0, p), (0, p)))
@@ -538,7 +536,7 @@ class CochainComplex:
         self.ker_d2_res = tuple(_read_only(ker2_res))
         self.graded_kernel_dims = {
             1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)},
-            2: {k: int(d) for k, d in zip(range(-1, p - 1), dims2)},
+            2: {k: int(d) for k, d in zip(range(-1, p - 1), np.count_nonzero(self.block_kernels[1], axis=1))},
         }
         # (H^0, H^1, H^2); d0 vanishes on trivial coefficients.
         self.h_ordinary = (1, p - self.rank_d1, len(ker2) - self.rank_d1)

@@ -14,7 +14,7 @@ reported as skipped at p = 3 rather than passed silently, so no check is
 skipped from p = 5 to 67.  The ** correction sum is checked against
 the values of its lambda-polynomial at every lambda in GF(p)
 (_starstar_by_evaluation), a route that shares no recurrence with the
-library's correction weights.
+library's correction weights.  d2's ranks are proven by certificates.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts; each check draws in
 bulk (witt.randbelow), the values a loop of randrange calls would draw,
@@ -26,6 +26,7 @@ draws, generator state and detail are the loop's, a raised error too.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -230,9 +231,17 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
         checks.append(_skip("ordinary.graded_kernel_dims", "graded kernel pattern needs p > 3"))
 
     def block_full_agreement():
-        # The oracle: the only row reductions of a whole d2.
-        assert field.rank(d2) == cx.rank_d2, "per-grade ranks disagree with the full matrix"
-        assert field.rank(cx.d2_res) == cx.rank_d2_res, "per-grade ranks disagree with the full restricted matrix"
+        # Rank certificates, products mod p only.  The blocks hold every nonzero of d2: its rank is the sum of theirs.
+        blocks = res._grade_stack(d2, ordi.delta2_block(d2, p, np.arange(-1, p - 1)))
+        rank = int(field.certified_ranks(blocks, *cx.block_kernels).sum())
+        assert rank == cx.rank_d2, "per-grade ranks disagree with the full matrix"
+        # d2 is the top-left corner of d2_res, so rank d2_res >= rank d2.  d2_res kills ker d2_res, whose vectors end
+        # at distinct columns, so are independent: rank d2_res <= its columns - dim ker d2_res.
+        ker, d2r = np.array(cx.ker_d2_res), cx.d2_res
+        assert np.array_equal(d2r[: len(d2), : d2.shape[1]], d2), "d2 is not the corner of d2_res"
+        assert len({np.flatnonzero(v)[-1] for v in ker if v.any()}) == len(ker), "dependent kernel vectors"
+        assert not res.sparse_product(d2r, ker.T, p).any(), "d2_res does not kill ker d2_res"
+        assert cx.rank_d2_res == rank == d2r.shape[1] - len(ker), "per-grade ranks disagree with the restricted matrix"
         return ""
 
     checks.append(_check("ordinary.block_full_agreement", block_full_agreement))
@@ -355,7 +364,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     return "10 cocycles x 5 orders"
 
 
-def _restricted_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH2 | None = None) -> list[CheckResult]:
+def _restricted_checks(field: PrimeField, rng: random.Random, h2=None) -> list[CheckResult]:
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
@@ -398,7 +407,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random, h2: res.Restricted
     checks.append(_check("restricted.kernel_structure", kernel_structure))
 
     def h2_dimension():
-        found = h2 or res.restricted_h2(field)
+        found = (h2 or res.restricted_h2)(field)
         expected = p + 1 if p > 3 else 3
         assert found.h2_dim == expected, f"H2 = {found.h2_dim} != {expected}"
         assert found.im_dim == p, f"im d1 = {found.im_dim} != p"
@@ -439,14 +448,16 @@ def _restricted_checks(field: PrimeField, rng: random.Random, h2: res.Restricted
     return checks
 
 
-def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH2 | None = None) -> list[CheckResult]:
+def _extension_checks(field: PrimeField, rng: random.Random, h2=None) -> list[CheckResult]:
     """The extension checks: each calls every kernel once for all its samples, pairs or representatives, and names
     its first failure with the one-row calls a loop makes on that sample, so its draws and details are the loop's."""
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
-    reps = list((h2 or res.restricted_h2(field)).representatives)
-    vectors = np.array([res.c2_to_vector(c) for c in reps])
+
+    def representatives():
+        reps = list((h2 or res.restricted_h2)(field).representatives)
+        return reps, np.array([res.c2_to_vector(c) for c in reps])
 
     def roundtrip():
         ker = np.array(cx.ker_d2_res)
@@ -467,6 +478,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH
     checks.append(_check("extensions.roundtrip", roundtrip))
 
     def splitting_shift():
+        reps, vectors = representatives()
         cs = vectors[:4]
         built = res.is_cocycle_rows(cs, p)
         n = int(np.argmin(built)) if not built.all() else len(cs)  # a loop refuses a non-cocycle before its draw
@@ -494,6 +506,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH
     checks.append(_check("extensions.splitting_independence", splitting_shift))
 
     def axioms_all():
+        reps, _ = representatives()
         extensions = [ext.build_extension(c) for c in reps]
         trials = 5 if p <= 13 else 3
         reports = []
@@ -510,6 +523,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH
     checks.append(_check("extensions.axioms", axioms_all))
 
     def negative_control():
+        reps, _ = representatives()
         e = ext.build_extension(reps[-1]).with_bracket_entry_zeroed(-1, 0)
         report = ext.verify_restricted_axioms(e, trials=2)
         assert not report.all_pass, "corrupted table passed verification"
@@ -519,6 +533,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH
     checks.append(_check("extensions.negative_control", negative_control))
 
     def class_independence():
+        reps, vectors = representatives()
         if p <= 7:
             a, b = np.triu_indices(len(reps), 1)  # the pairs in a loop's order; it draws nothing
             failing = lambda ks: ext.cohomologous_rows(field, vectors[a[ks]], vectors[b[ks]])[0]  # noqa: E731
@@ -534,6 +549,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2: res.RestrictedH
     checks.append(_check("extensions.class_independence", class_independence))
 
     def classification_counts():
+        reps, vectors = representatives()
         labels = ext.classify_rows(field, vectors)
         assert ext.classify_extension(reps[0]) is labels[0], "stacked and one-row classifications disagree"
         levi_only = sum(1 for l in labels if l is ext.Classification.ORDINARY_LEVI_ONLY)
@@ -584,7 +600,7 @@ def run_prime(p: int, seed: int = 0) -> dict:
     checks: list[CheckResult] = []
     checks.extend(_witt_checks(field, rng, oracle_trials))
     checks.extend(_ordinary_checks(field))
-    h2 = res.restricted_h2(field)  # once, for both the restricted and the extension checks
+    h2 = functools.cache(res.restricted_h2)  # once; each check reading it calls it, so a refusal fails those checks
     checks.extend(_restricted_checks(field, rng, h2))
     checks.extend(_extension_checks(field, rng, h2))
 

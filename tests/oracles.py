@@ -16,6 +16,9 @@ products, the reference for the chains the axiom checks read off their
 recurrences.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
+whole_matrix_rank is the whole-matrix rank oracle of verify's rank
+certificates: rref_one reduces one matrix in one working copy, each pivot
+clearing only the rows nonzero in its column.
 sample_rows gives the kernels' test inputs.  The *_by_loop functions
 are verify's stacked checks as loops over one sample, one pair or one
 representative at a time, through the one-row calls: each draws,
@@ -43,7 +46,6 @@ from wittcoh.ordinary import (
     delta1_cl,
     dual_basis,
     pair_position,
-    wedge_eval,
     wedge_normalize,
     wedge_pairs,
     wedge_triples,
@@ -416,6 +418,44 @@ def rref_by_pivots(field: PrimeField, m) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def rref_one(field: PrimeField, m) -> tuple[np.ndarray, np.ndarray]:
+    """rref of one matrix and its pivot columns as a mask, in one working copy, one pivot at a time.
+
+    Each pivot clears only the rows that are nonzero in its column, and
+    only from the pivot's column on, so it stays fast on the sparse dense
+    coboundary matrices.
+    """
+    p = field.p
+    m = np.array(m, dtype=np.int64)  # the one working copy, reduced in place
+    m %= p
+    rows, cols = m.shape
+    pivots = np.zeros(cols, dtype=bool)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        active = np.flatnonzero(m[:, c])
+        k = active.searchsorted(r)
+        if k == len(active):
+            continue
+        i = active[k]
+        if i != r:
+            m[[r, i]] = m[[i, r]]  # row i is now zero in c, and row r is set below
+        pivot_row = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        rest = m[active, c:]
+        rest -= rest[:, :1] * pivot_row
+        m[active, c:] = rest % p
+        m[r, c:] = pivot_row
+        pivots[c] = True
+        r += 1
+    return m, pivots
+
+
+def whole_matrix_rank(field: PrimeField, m) -> int:
+    """The rank of one whole matrix, by rref_one."""
+    return int(np.count_nonzero(rref_one(field, m)[1]))
+
+
 def kernel_basis_by_pivots(field: PrimeField, m) -> list[np.ndarray]:
     """Right kernel basis of one matrix read off rref_by_pivots, one vector per free column."""
     r, pivots = rref_by_pivots(field, m)
@@ -564,6 +604,14 @@ def c3_zero(field: PrimeField) -> Cochain3Ord:
 
 def c2res_zero(field: PrimeField) -> Cochain2Res:
     return Cochain2Res(Cochain2Ord(field, (0,) * (field.p * (field.p - 1) // 2)), (0,) * field.p)
+
+
+def wedge_eval(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
+    """phi(g ^ h) by bilinear extension."""
+    m = phi.to_matrix()
+    gv = np.array(g.coeffs, dtype=np.int64)
+    hv = np.array(h.coeffs, dtype=np.int64)
+    return int((gv @ m @ hv) % phi.field.p)
 
 
 def bracket_delta2_value(phi: Cochain2Ord, g: WittElement, h: WittElement, k: WittElement) -> int:

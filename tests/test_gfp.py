@@ -183,6 +183,13 @@ def test_stacked_kernels_equal_the_oracle_block_by_block(fm):
         assert not rows[~mask].any()
 
 
+@given(stack_and_field())
+def test_certified_ranks_equal_the_oracle_block_by_block(fm):
+    field, stack = fm
+    ranks = field.certified_ranks(stack, *field.kernels(stack))
+    assert ranks.tolist() == [len(rref_by_pivots(field, block)[1]) for block in stack]
+
+
 def test_rref_of_a_large_modulus():
     field = PrimeField(1_000_000_007)
     m = np.random.default_rng(0).integers(0, field.p, (6, 8))

@@ -14,7 +14,10 @@ from tests.oracles import (
     pair_grade,
     rref_by_pivots,
     triple_grade,
+    wedge_eval,
+    whole_matrix_rank,
 )
+from wittcoh import verify
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
@@ -36,7 +39,6 @@ from wittcoh.ordinary import (
     triple_index,
     triple_normalize,
     virasoro_cocycle,
-    wedge_eval,
     wedge_normalize,
     wedge_pairs,
     wedge_triples,
@@ -334,6 +336,47 @@ def test_block_and_full_ranks_agree(p):
     dense = kernel_basis_by_pivots(field, delta2_res_matrix(field))
     assert len(cx.ker_d2_res) == len(dense)
     assert all(np.array_equal(u, v) for u, v in zip(cx.ker_d2_res, dense))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_rank_certificates_equal_the_whole_matrix_ranks(p):
+    # The certificates of block_full_agreement against the whole-matrix rank
+    # oracle, which reduces d2 and d2_res themselves.
+    field = PrimeField(p)
+    cx = cochain_complex(field)
+    blocks = delta2_block(cx.d2, p, np.arange(-1, p - 1))
+    certified = field.certified_ranks(blocks, *cx.block_kernels)
+    assert int(certified.sum()) == whole_matrix_rank(field, cx.d2) == cx.rank_d2
+    assert whole_matrix_rank(field, cx.d2_res) == cx.rank_d2_res
+    check = next(c for c in verify._ordinary_checks(field) if c.name == "ordinary.block_full_agreement")
+    assert (check.passed, check.detail) == (True, "")
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        ("vectors", "kernel vectors are not unit"),
+        ("block", "a kernel vector is not killed"),
+        ("free", "no invertible minor of full rank"),
+    ],
+)
+def test_rank_certificates_refuse_a_corrupted_input(corrupt, message):
+    # A kernel vector off its unit entry, one block entry changed (the kernel no longer killed), and a free column
+    # called a pivot (no invertible minor of that size) each fail one product.
+    field = PrimeField(7)
+    cx = cochain_complex(field)
+    blocks = delta2_block(cx.d2, 7, np.arange(-1, 6))
+    vectors, free = (np.array(a) for a in cx.block_kernels)
+    k, c = np.argwhere(free)[0]
+    if corrupt == "vectors":
+        vectors[k, c, c] = 2
+    elif corrupt == "block":
+        r = np.flatnonzero(blocks[k, :, c])[0]
+        blocks[k, r, c] = (blocks[k, r, c] + 1) % 7
+    else:
+        free[k, c] = False
+    with pytest.raises(ArithmeticError, match=message):
+        field.certified_ranks(blocks, vectors, free)
 
 
 def test_virasoro_cocycle_small_primes():

@@ -18,6 +18,7 @@ from tests.oracles import (
     starstar_exhaustive,
     starstar_sum_naive,
     to_dense_by_loops,
+    whole_matrix_rank,
 )
 from wittcoh import gfp, restricted, verify, witt
 from wittcoh.gfp import PrimeField
@@ -602,14 +603,15 @@ def test_delta2_res_matrix_holds_no_second_matrix(p):
 
 
 def test_rank_of_a_read_only_matrix_copies_it_once():
-    # rref makes the one working copy; copying in rank as well, and reducing
-    # each copy into another, peaked near three times the matrix.
+    # The whole-matrix rank oracle makes one working copy and reduces it in
+    # place; copying twice, or reducing each copy into another, peaked near
+    # three times the matrix.
     field = PrimeField(23)
     m = delta2_res_matrix(field)
     m.setflags(write=False)
     tracemalloc.start()
     try:
-        rank = field.rank(m)
+        rank = whole_matrix_rank(field, m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -663,9 +665,10 @@ def test_restricted_h2_dimensions(p, expected):
     assert len(h2.representatives) == h2.h2_dim
 
 
-def test_run_prime_assembles_and_reduces_the_dense_d2_once(monkeypatch):
-    # Everything in run_prime reads one memoised complex; the one whole-matrix
-    # row reduction of the restricted d2 is the block_full_agreement oracle.
+def test_run_prime_assembles_d2_once_and_reduces_no_whole_matrix(monkeypatch):
+    # Everything in run_prime reads one memoised complex, and block_full_agreement
+    # checks its ranks by certificates: no matrix of d2's or d2_res's shape is
+    # row-reduced, alone or in a stack.
     restricted.cochain_complex.cache_clear()
     shapes = []
     assembled = []
@@ -683,7 +686,7 @@ def test_run_prime_assembles_and_reduces_the_dense_d2_once(monkeypatch):
     monkeypatch.setattr(restricted, "delta2_res_matrix", counting_assemble)
     assert verify.run_prime(7)["all_pass"]
     assert assembled == [7]
-    assert shapes.count((84, 28)) == 1
+    assert shapes and not {shape[-2:] for shape in shapes} & {(35, 21), (84, 28)}
 
 
 @pytest.fixture
@@ -904,6 +907,31 @@ def test_omega_functional_fold_order_invariant_on_cocycles(p):
         assert not (ker @ diff % p).any()
         differs = differs or diff.any()
     assert differs
+
+
+def test_a_refused_restricted_h2_fails_the_checks_that_read_it(monkeypatch):
+    # The refusal lands in the report as the failed detail of every check
+    # that needs the representatives; every other check is as without it.
+    passing = verify.run_prime(5)["checks"]
+
+    def refused(field):
+        raise ArithmeticError("representatives do not complete im d1 to ker d2")
+
+    monkeypatch.setattr(restricted, "restricted_h2", refused)
+    report = verify.run_prime(5)
+    needing = {
+        "restricted.h2_dimension",
+        "extensions.splitting_independence",
+        "extensions.axioms",
+        "extensions.negative_control",
+        "extensions.class_independence",
+        "extensions.classification_counts",
+    }
+    detail = "ArithmeticError: representatives do not complete im d1 to ker d2"
+    assert not report["all_pass"]
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in passing]
+    for check, unpatched in zip(report["checks"], passing):
+        assert check == ({**unpatched, "pass": False, "detail": detail} if check["name"] in needing else unpatched)
 
 
 def test_run_prime_computes_restricted_h2_once(monkeypatch):
