@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import witt
-from .gfp import PrimeField
+from .gfp import PrimeField, as_int, as_int_array
 from .ordinary import Cochain1, upper_triangle
 from .restricted import (
     Cochain2Res,
@@ -105,7 +105,7 @@ class ExtElement:
     central: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "central", self.central % self.witt.field.p)
+        object.__setattr__(self, "central", as_int(self.central, "the central coefficient") % self.witt.field.p)
 
     @property
     def field(self) -> PrimeField:
@@ -163,7 +163,7 @@ class CentralExtension:
         return ExtElement(witt, central)
 
     def from_coeffs(self, vec) -> ExtElement:
-        vec = np.asarray(vec, dtype=np.int64) % self.p
+        vec = as_int_array(vec, "coefficients") % self.p
         return ExtElement(WittElement(self.field, tuple(int(v) for v in vec[: self.p])), int(vec[self.p]))
 
     def basis(self, u: int) -> ExtElement:

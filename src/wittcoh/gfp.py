@@ -38,6 +38,14 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def as_int_array(values, what: str) -> np.ndarray:
+    """values as an int64 array, the array form of as_int: ValueError when its entries are not integers (floats)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be integers, got an array of {a.dtype}")
+    return a.astype(np.int64, copy=False)
+
+
 def is_prime(n: int) -> bool:
     """Primality by trial division."""
     if n < 2:
@@ -161,7 +169,9 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     mod p at each step, the rest once at the end: every update changes an
     entry by less than p^2, which for the small primes of the complex
     leaves int64 far from overflow; a large p reduces everything every
-    span steps.  It stops once every row of every matrix is a pivot row.
+    span steps.  A column zero in every matrix takes no step: each pivot
+    row is zero there, so every update leaves it zero.  It stops once
+    every row of every matrix is a pivot row.
     """
     count, rows, cols = a.shape
     t = np.zeros((count, cols, rows + 1), dtype=np.int64)
@@ -170,8 +180,8 @@ def _rref_lockstep(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     free = np.ones((count, rows + 1), dtype=bool)
     order = np.full((count, rows + 1), cols)  # the pivot column of each row, cols for none
     each = np.arange(count)
-    for c in range(cols):
-        if c and c % span == 0:
+    for step, c in enumerate(np.flatnonzero(t.any(axis=(0, 2))).tolist()):
+        if step and step % span == 0:
             t[:, c:] %= p
         column = t[:, c] % p
         candidates = np.logical_and(column, free)

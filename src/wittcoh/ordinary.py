@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, as_int
 from .witt import WittElement, _check_same_field, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
 
@@ -120,7 +120,7 @@ class Cochain1:
         p = self.field.p
         if len(self.coeffs) != p:
             raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(c % p for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(as_int(c, "a coefficient") % p for c in self.coeffs))
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k + 1]
@@ -152,7 +152,7 @@ def dual_basis(field: PrimeField, k: int, coefficient: int = 1) -> Cochain1:
     if not -1 <= k <= field.p - 2:
         raise ValueError(f"basis index {k} out of range for p={field.p}")
     coeffs = [0] * field.p
-    coeffs[k + 1] = coefficient % field.p
+    coeffs[k + 1] = coefficient
     return Cochain1(field, tuple(coeffs))
 
 
@@ -168,7 +168,7 @@ class Cochain2Ord:
         n = p * (p - 1) // 2
         if len(self.values) != n:
             raise ValueError(f"need {n} coefficients, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(v % p for v in self.values))
+        object.__setattr__(self, "values", tuple(as_int(v, "a coefficient") % p for v in self.values))
 
     def value(self, i: int, j: int) -> int:
         """phi(e_i ^ e_j) for any index order (sign-tracked)."""
@@ -239,7 +239,7 @@ class Cochain3Ord:
         n = p * (p - 1) * (p - 2) // 6
         if len(self.values) != n:
             raise ValueError(f"need {n} coefficients, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(v % p for v in self.values))
+        object.__setattr__(self, "values", tuple(as_int(v, "a coefficient") % p for v in self.values))
 
     def value(self, r: int, s: int, t: int) -> int:
         w = triple_normalize(r, s, t)
@@ -293,7 +293,7 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.ndarray:
     """Every term column on 2-forms with stacked dense matrices m (..., p, p): sum of coefficient * m[first, second]."""
     coefficient, first, second = terms
-    return (coefficient * m[..., first, second]).sum(axis=-2) % p
+    return np.einsum("nk,...nk->...k", coefficient, m[..., first, second]) % p
 
 
 def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -53,6 +53,8 @@ and scatters the ordinary d2 straight into its top-left corner
 (ordinary.delta2_matrix with out) and ind2 into the beta rows below it,
 so no second matrix of d2's size is ever alive.  The tests compare both
 with loop builders and the generic bracket chain (tests/oracles.py).
+Every product with d2 or d2_res evaluates the tables: the complex's ind2
+image of ker d2, and verify's complex identities and kernel check.
 
 cochain_complex(field) is the one owner of the complex's linear algebra:
 it assembles the dense restricted d1, d2 once per prime, and the
@@ -62,13 +64,14 @@ rows and degree 1 (ranks, H^1, graded kernels) is read off the zero
 columns; by the same disjointness split_coboundary splits stacked rows
 with no elimination.  Degree 2 takes one elimination per prime: the p
 grade blocks of d2, zero rows padding those with fewer rows (p = 3), are
-stacked and reduced by one lockstep PrimeField.rref, and the gather
-checks that they hold every nonzero entry of d2.  d2(phi, omega) never
-reads omega, so ker d2_res is read off ker d2 through ind2: the phi it
-kills, plus the p omega coordinates.  Every cohomology dimension,
-coboundary test and kernel sample reads the complex, and
-ordinary_classes projects stacked cocycles to ordinary H^2 with one
-split; verify certifies the blockwise ranks off the block kernels.
+stacked and reduced by one lockstep PrimeField.rref.  The complex does
+not check the grading: a matrix that leaks builds, and verify's report
+names the leak.  d2(phi, omega) never reads omega, so ker d2_res is read
+off ker d2 through ind2's term table: the phi it kills, plus the p omega
+coordinates.  Every cohomology dimension, coboundary test and kernel
+sample reads the complex, and ordinary_classes projects stacked cocycles
+to ordinary H^2 with one split; verify certifies the blockwise ranks off
+the block kernels.
 A prime whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so
 p > 67) is refused before anything is allocated.
 """
@@ -80,7 +83,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField
+from .gfp import PrimeField, as_int, as_int_array
 from .ordinary import (
     Cochain1,
     Cochain2Ord,
@@ -95,7 +98,6 @@ from .ordinary import (
     delta2_cl,
     delta2_matrix,
     grade_tables,
-    graded_blocks,
     phi_matrices,
     triple_index,
     upper_triangle,
@@ -131,7 +133,7 @@ class Cochain2Res:
         p = self.phi.field.p
         if len(self.omega_basis) != p:
             raise ValueError(f"need {p} omega values, got {len(self.omega_basis)}")
-        object.__setattr__(self, "omega_basis", tuple(v % p for v in self.omega_basis))
+        object.__setattr__(self, "omega_basis", tuple(as_int(v, "an omega value") % p for v in self.omega_basis))
 
     @property
     def field(self) -> PrimeField:
@@ -171,9 +173,8 @@ class Cochain3Res:
         p = self.alpha.field.p
         if len(self.beta_basis) != p or any(len(row) != p for row in self.beta_basis):
             raise ValueError(f"beta table must be {p} x {p}")
-        object.__setattr__(
-            self, "beta_basis", tuple(tuple(v % p for v in row) for row in self.beta_basis)
-        )
+        beta = tuple(tuple(as_int(v, "a beta value") % p for v in row) for row in self.beta_basis)
+        object.__setattr__(self, "beta_basis", beta)
 
     @property
     def field(self) -> PrimeField:
@@ -390,38 +391,21 @@ def c2_to_vector(c: Cochain2Res) -> np.ndarray:
 
 
 def c2_rows(vs, p: int) -> np.ndarray:
-    """Stacked coordinate rows (..., c2_dim(p)) reduced mod p; rows of another width, another prime's, are refused."""
-    vs = np.asarray(vs, dtype=np.int64) % p
+    """Stacked coordinate rows (..., c2_dim(p)) reduced mod p; rows of another width, another prime's, or of entries
+    that are not integers are refused."""
+    vs = as_int_array(vs, "coordinates") % p
     if vs.shape[-1:] != (c2_dim(p),):
         raise ValueError(f"restricted 2-cochains over GF({p}) have {c2_dim(p)} coordinates, got shape {vs.shape}")
     return vs
 
 
 def c2_from_vector(field: PrimeField, vec) -> Cochain2Res:
-    vec = np.asarray(vec, dtype=np.int64) % field.p
+    vec = as_int_array(vec, "coordinates") % field.p
     n = field.p * (field.p - 1) // 2
     if vec.shape != (n + field.p,):
         raise ValueError(f"expected a vector of length {n + field.p}")
     phi = Cochain2Ord(field, tuple(int(v) for v in vec[:n]))
     return Cochain2Res(phi, tuple(int(v) for v in vec[n:]))
-
-
-def sparse_product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) % p over the nonzero entries of a only.
-
-    Each entry times its row of b is added into its row of the product,
-    one slot at a time: slot k holds the k-th nonzero of every row, so the
-    rows of a slot are distinct.  The coboundary matrices hold at most
-    three nonzeros per row, so this is O(nnz(a) * b's columns); the dense
-    int64 product, which numpy runs without BLAS, is the test oracle.
-    """
-    r, c = np.nonzero(a)  # row-major, so each row's entries are consecutive
-    slot = np.arange(len(r)) - np.searchsorted(r, r)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(slot.max(initial=-1) + 1):
-        rows, cols = r[slot == k], c[slot == k]
-        out[rows] += a[rows, cols, None] * b[cols]
-    return out % p
 
 
 def delta1_res_matrix(field: PrimeField) -> np.ndarray:
@@ -459,17 +443,6 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _grade_stack(m: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """blocks, the grade blocks of m as a stack (see ordinary.graded_blocks), once m is checked to preserve the grading.
-
-    The blocks are disjoint, so they hold every nonzero entry of m exactly
-    when no entry leaks out of its column's grade.
-    """
-    if np.count_nonzero(blocks) != np.count_nonzero(m):
-        raise ArithmeticError("a coboundary matrix does not preserve the grading")
-    return blocks
-
-
 def _embedded_kernel(vectors: np.ndarray, free: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Kernel basis, as rows, of a grade-preserving matrix with n columns, from its grade blocks' kernels.
 
@@ -498,13 +471,15 @@ class CochainComplex:
     arrays, each assembled once; the ordinary ones are the top-left corners
     of the restricted ones.  Every coboundary preserves the grade: the index
     sum of a pair or triple, i for e^i and for omega_i, and a for the beta
-    row (a, b).  The column e^k of d1_res (and of d1) is its only column of
-    grade k, so distinct columns meet disjoint rows: the nonzero columns are
+    row (a, b); verify's report checks that they do, not the complex.  The
+    column e^k of d1_res (and of d1) is its only column of grade k, so
+    distinct columns meet disjoint rows: the nonzero columns are
     independent and a zero column spans the kernel of its grade.  Degree 1
     is therefore read off the zero columns with no row reduction.  In
     degree 2 one lockstep elimination of d2's stacked grade blocks gives
-    ker d2, and ker d2_res is the phi in it that ind2 kills (one small
-    rref) plus the p omega unit vectors.  block_kernels keeps the blocks'
+    ker d2, and ker d2_res is the phi in it that ind2's term table kills
+    (one small rref) plus the p omega unit vectors; the beta rows of the
+    assembled d2_res are not read.  block_kernels keeps the blocks'
     kernels, off which verify's block_full_agreement certifies the ranks.
     """
 
@@ -516,17 +491,14 @@ class CochainComplex:
         self.d2_res = _read_only(delta2_res_matrix(field))
         self.d1 = self.d1_res[:n2]
         self.d2 = self.d2_res[:n3, :n2]
-        grades = np.arange(-1, p - 1)  # of e^i and of omega_i
         pairs, _ = grade_tables(p)
-        res_pairs = np.hstack([pairs, n2 + grades[:, None] + 1])  # d1_res block k + 1: grade-k pairs, omega_k
-        _grade_stack(self.d1_res, graded_blocks(self.d1_res, res_pairs, grades[:, None] + 1))
         self._pivots = {False: _column_pivots(field, self.d1), True: _column_pivots(field, self.d1_res)}
         zero1, zero1_res = (self._pivots[r][1] == 0 for r in (False, True))  # zero columns, by grade
-        blocks = _grade_stack(self.d2, delta2_block(self.d2, p, grades))
+        blocks = delta2_block(self.d2, p, np.arange(-1, p - 1))
         self.block_kernels = tuple(_read_only(k) for k in field.kernels(blocks))
         ker2 = _embedded_kernel(*self.block_kernels, pairs, n2)
         # ker d2_res: the phi in ker d2 that ind2 kills, then the omega unit vectors (d2 never reads omega).
-        vectors, free = field.kernels(sparse_product(self.d2_res[n3:, :n2], ker2.T, p))
+        vectors, free = field.kernels(_terms_values(_ind2_terms(p), phi_matrices(ker2, p), p).T)
         ker2_res = np.pad(vectors[free] @ ker2 % p, ((0, p), (0, p)))
         ker2_res[-p:, -p:] = np.eye(p, dtype=np.int64)
         self.rank_d1 = p - int(zero1.sum())

@@ -15,6 +15,11 @@ skipped from p = 5 to 67.  The ** correction sum is checked against
 the values of its lambda-polynomial at every lambda in GF(p)
 (_starstar_by_evaluation), a route that shares no recurrence with the
 library's correction weights.  d2's ranks are proven by certificates.
+Every product with a coboundary evaluates its term table: the complex
+identities apply d2's tables to d1's columns, and the certificates' upper
+bound for d2_res applies them to ker d2_res.  The dense d2 and d2_res are
+read whole only to check the grading, the blocks' completeness and the
+zero induced block; a leak lands in the report, not in an error.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts; each check draws in
 bulk (witt.randbelow), the values a loop of randrange calls would draw,
@@ -185,18 +190,22 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     d1, d2 = cx.d1, cx.d2
 
     def complex_identity():
-        assert not res.sparse_product(d2, d1, p).any(), "d2 . d1 != 0"
+        # d2_cl's term table on the dense matrices of d1's columns, the 2-forms d1(e^k).
+        assert not ordi._terms_values(ordi._triple_terms(p), ordi.phi_matrices(d1.T, p), p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("ordinary.complex_identity", complex_identity))
 
     def grading_preserved():
-        # A nonzero entry leaks out of its column's grade when its row has another grade.
-        pairs, triples = ordi._pair_grades(p), ordi._triple_grades(p)
-        r, c = np.nonzero(d2)
-        d2_leaks = set(pairs[c[triples[r] != pairs[c]]].tolist())
-        r, c = np.nonzero(d1)  # column k + 1 of d1 is e^k, of grade k
-        d1_leaks = set((c[pairs[r] != c - 1] - 1).tolist())
+        # A nonzero entry leaks out of its column's grade when its row has another grade.  The restricted matrices
+        # hold the ordinary ones: omega_i and e^i have grade i, and the beta row (a, b) grade a.
+        grades = np.arange(-1, p - 1)
+        c2 = np.concatenate([ordi._pair_grades(p), grades])  # d1_res's rows, d2_res's columns
+        c3 = np.concatenate([ordi._triple_grades(p), np.repeat(grades, p)])  # d2_res's rows
+        r, c = np.nonzero(cx.d2_res)
+        d2_leaks = set(c2[c[c3[r] != c2[c]]].tolist())
+        r, c = np.nonzero(cx.d1_res)
+        d1_leaks = set(grades[c[c2[r] != grades[c]]].tolist())
         for k in range(-1, p - 1):
             assert k not in d2_leaks, f"d2 leaks out of grade {k}"
             assert k not in d1_leaks, f"d1 leaks out of grade {k}"
@@ -231,16 +240,21 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
         checks.append(_skip("ordinary.graded_kernel_dims", "graded kernel pattern needs p > 3"))
 
     def block_full_agreement():
-        # Rank certificates, products mod p only.  The blocks hold every nonzero of d2: its rank is the sum of theirs.
-        blocks = res._grade_stack(d2, ordi.delta2_block(d2, p, np.arange(-1, p - 1)))
+        # Rank certificates, products mod p only.  d2 is the corner of d2_res's alpha rows (a view of it).  When its
+        # grade blocks hold every nonzero of those rows, none leaking out of its grade and none in an omega column
+        # (d2 never reads omega), d2's rank is the sum of theirs.
+        ker, d2r = np.array(cx.ker_d2_res), cx.d2_res
+        corner = d2r[: len(d2), : d2.shape[1]]
+        assert d2.__array_interface__ == corner.__array_interface__, "d2 is not the corner of d2_res"
+        blocks = ordi.delta2_block(d2, p, np.arange(-1, p - 1))
+        assert np.count_nonzero(blocks) == np.count_nonzero(d2r[: len(d2)]), "d2's grade blocks miss a nonzero entry"
         rank = int(field.certified_ranks(blocks, *cx.block_kernels).sum())
         assert rank == cx.rank_d2, "per-grade ranks disagree with the full matrix"
-        # d2 is the top-left corner of d2_res, so rank d2_res >= rank d2.  d2_res kills ker d2_res, whose vectors end
-        # at distinct columns, so are independent: rank d2_res <= its columns - dim ker d2_res.
-        ker, d2r = np.array(cx.ker_d2_res), cx.d2_res
-        assert np.array_equal(d2r[: len(d2), : d2.shape[1]], d2), "d2 is not the corner of d2_res"
+        # So rank d2_res >= rank d2.  d2_res kills ker d2_res, whose vectors end at distinct columns, so are
+        # independent: rank d2_res <= its columns - dim ker d2_res.  Their phi parts come from d2's blocks, and the
+        # term tables d2_res is scattered from kill them.
         assert len({np.flatnonzero(v)[-1] for v in ker if v.any()}) == len(ker), "dependent kernel vectors"
-        assert not res.sparse_product(d2r, ker.T, p).any(), "d2_res does not kill ker d2_res"
+        assert res.is_cocycle_rows(ker, p).all(), "d2_res does not kill ker d2_res"
         assert cx.rank_d2_res == rank == d2r.shape[1] - len(ker), "per-grade ranks disagree with the restricted matrix"
         return ""
 
@@ -378,7 +392,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random, h2=None) -> list[C
     checks.append(_check("restricted.dims_closed_form", dims_closed_form))
 
     def complex_identity():
-        assert not res.sparse_product(d2r, d1r, p).any(), "d2 . d1 != 0"
+        assert res.is_cocycle_rows(d1r.T, p).all(), "d2 . d1 != 0"  # the coboundaries, d1's columns, are cocycles
         return ""
 
     checks.append(_check("restricted.complex_identity", complex_identity))

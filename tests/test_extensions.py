@@ -981,3 +981,14 @@ def test_stacked_classification_matches_ranks_and_one_row_calls(p):
     with pytest.raises(NotACocycleError, match="classification") as refused:
         classify_rows(field, np.array([rows[0], rows[-1], bad, rows[1]]))
     assert refused.value.index == 2
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "1", None])
+def test_extension_elements_refuse_coefficients_that_are_not_integers(bad):
+    # ExtElement used to keep a float central part, and from_coeffs truncated its row.
+    with pytest.raises(ValueError, match="must be an integer"):
+        ExtElement(zero(F5), bad)
+    with pytest.raises(ValueError, match="must be integers"):
+        omega_extension(F5, 0).from_coeffs(np.array([0, 0, 0, 0, 0, bad]))
+    kept = omega_extension(F5, 0).from_coeffs(np.arange(6, dtype=np.int32))
+    assert kept == ExtElement(from_dict(F5, {0: 1, 1: 2, 2: 3, 3: 4}), 0)

@@ -190,6 +190,33 @@ def test_certified_ranks_equal_the_oracle_block_by_block(fm):
     assert ranks.tolist() == [len(rref_by_pivots(field, block)[1]) for block in stack]
 
 
+@st.composite
+def stack_with_zero_columns(draw):
+    """A stack of random blocks, some ending in zero rows, with planted columns zero in every block.
+
+    The large moduli reduce the stack every 8 elimination steps and at every step; the largest prime rref takes
+    overflows int64 in two updates unless it is reduced.
+    """
+    p = draw(st.sampled_from([3, 7, 31, 1_000_000_007, 3_037_000_493]))
+    count = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.integers(min_value=1, max_value=12))
+    cols = draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    stack = rng.integers(0, p, (count, rows, cols))
+    stack[:, :, draw(st.lists(st.integers(min_value=0, max_value=cols - 1), max_size=cols))] = 0
+    stack[:, rows - draw(st.integers(min_value=0, max_value=rows)) :] *= rng.integers(0, 2, (count, 1, 1))
+    return PrimeField(p), stack
+
+
+@given(stack_with_zero_columns())
+def test_rref_skips_the_zero_columns_of_a_stack(fm):
+    field, stack = fm
+    r, pivots = field.rref(stack)
+    for block, reduced, mask in zip(stack, r, pivots):
+        expected, expected_pivots = rref_by_pivots(field, block)
+        assert (reduced == expected).all() and np.flatnonzero(mask).tolist() == expected_pivots
+
+
 def test_rref_of_a_large_modulus():
     field = PrimeField(1_000_000_007)
     m = np.random.default_rng(0).integers(0, field.p, (6, 8))
@@ -203,6 +230,14 @@ def test_rref_of_a_large_modulus():
     r, pivots = field.rref(stack)
     for block, reduced, mask in zip(stack, r, pivots):
         expected, expected_pivots = rref_by_pivots(field, block)
+        assert (reduced == expected).all() and np.flatnonzero(mask).tolist() == expected_pivots
+    # The largest prime rref takes reduces at every step; its planted zero columns take none.
+    top = PrimeField(3_037_000_493)
+    stack = np.random.default_rng(2).integers(0, top.p, (2, 6, 12))
+    stack[:, :, [0, 4, 5, 11]] = 0
+    r, pivots = top.rref(stack)
+    for block, reduced, mask in zip(stack, r, pivots):
+        expected, expected_pivots = rref_by_pivots(top, block)
         assert (reduced == expected).all() and np.flatnonzero(mask).tolist() == expected_pivots
     big = PrimeField(3_037_000_507)
     assert big.p > MAX_MODULUS

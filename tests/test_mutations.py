@@ -1,17 +1,29 @@
-"""Negative controls: each mutation corrupts one kernel of the complex, and the set of checks it fails is pinned.
+"""Negative controls: each mutation corrupts one kernel, and the set of checks it fails is pinned.
 
 A route that shares a bug with its oracle passes vacuously; each row of
 the table names the checks that catch its mutation at p = 7 and 13.  The
-mutations cover both halves of the rank certificates: d2's grade blocks,
-their kernels and the inverse X of the lower bound, and ker d2_res.
-ordinary.block_full_agreement, the rank certificates, must be in every
-set.  A check that stops failing under its mutation is a regression.
+rows cover the kernels behind the report's routes: the lambda recurrence,
+the fold and its steps, the correction weights, the derivation route, the
+basis chains, the extensions' basis-pair sweep and p-map, W's bracket
+rows; the complex's rank certificates (d2's grade blocks, their kernels,
+the inverse X of the lower bound, ker d2_res); and the coboundaries, as
+d2's term table and as the assembled d2_res and d1_res.  A kernel's patch
+adds 1 mod p to the first nonzero entry of every output (bumped) in every
+module that imports it by name, and the cached tables built from its
+output are rebuilt around each row.  A check that stops failing under its
+mutation is a regression.
+
+A corruption shared by both sides of one comparison cannot be caught by
+that comparison: witt.pth_power_fold_order folds both orders through
+_fold_power, for one.  So the table pins which checks catch each kernel,
+and test_every_check_fails_under_some_mutation that every check but the
+few on UNREACHED catches at least one.
 """
 
 import numpy as np
 import pytest
 
-from wittcoh import gfp, restricted, verify
+from wittcoh import extensions, gfp, ordinary, restricted, verify, witt
 
 # The downstream failures of a complex whose ordinary degree-2 kernel is wrong.
 WRONG_KERNEL = {
@@ -30,8 +42,8 @@ WRONG_KERNEL = {
 
 
 def corrupted_block_entry(monkeypatch):
-    # The complex reduces d2's grade blocks with one nonzero entry changed (to another nonzero, so the
-    # grading check still counts every entry); verify gathers the blocks from d2 itself.
+    # The complex reduces d2's grade blocks with one nonzero entry changed to another nonzero; verify gathers
+    # the blocks from d2 itself.
     block = restricted.delta2_block
 
     def corrupted(d2, p, k):
@@ -92,6 +104,154 @@ def corrupted_restricted_kernel_vector(monkeypatch):
     monkeypatch.setattr(restricted.CochainComplex, "__init__", corrupted)
 
 
+def bumped(out, p, mask=True):
+    """A copy of out with 1 added mod p to its first nonzero entry inside mask: a change that matters."""
+    out = np.array(out)
+    found = np.argwhere((out % p != 0) & mask)
+    if len(found):
+        out[tuple(found[0])] = (out[tuple(found[0])] + 1) % p
+    return out
+
+
+def corrupt_kernel(monkeypatch, owners, name, corrupt):
+    """Replace the kernel `name` of owners[0] in every module of owners by corrupt(its output, *its arguments)."""
+    kernel = getattr(owners[0], name)
+
+    def corrupted(*args):
+        return corrupt(kernel(*args), *args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, corrupted)
+
+
+def corrupted_lambda_rows(monkeypatch):
+    corrupt_kernel(monkeypatch, (witt, restricted), "lambda_rows", lambda rows, *args: bumped(rows, args[-1]))
+
+
+def corrupted_fold_power(monkeypatch):
+    corrupt_kernel(monkeypatch, (witt,), "_fold_power", lambda power, terms, p: bumped(power, p))
+
+
+def corrupted_fold_steps(monkeypatch):
+    # Correction weights (values of a (p, p) matrix per step) meet antisymmetric forms only, so off their diagonal.
+    def values(out, step, terms, p):
+        return bumped(out, p, ~np.eye(p, dtype=bool) if out.ndim > terms.ndim else True)
+
+    corrupt_kernel(monkeypatch, (witt, restricted), "fold_steps", values)
+
+
+def corrupted_correction_weights(monkeypatch):
+    # Off the diagonal: every form the weights meet is antisymmetric, so a diagonal entry changes no sum.
+    def off_diagonal(q, g, h, p):
+        return bumped(q, p, ~np.eye(p, dtype=bool))
+
+    corrupt_kernel(monkeypatch, (restricted,), "_correction_weights", off_diagonal)
+
+
+def corrupted_derivation_rows(monkeypatch):
+    corrupt_kernel(monkeypatch, (witt, extensions), "pth_power_via_derivation_rows", lambda q, gs, p: bumped(q, p))
+
+
+def corrupted_basis_chains(monkeypatch):
+    # The coefficient c of the first chain c * e_m that is not zero; ind2's term table is built from the chains.
+    def coefficient(chains, p, steps):
+        return bumped(chains[0], p), chains[1]
+
+    corrupt_kernel(monkeypatch, (witt, restricted), "basis_chains", coefficient)
+
+
+def corrupted_basis_pair_sums(monkeypatch):
+    def summands(sweep, tables, p):
+        return bumped(sweep[0], p), sweep[1]
+
+    corrupt_kernel(monkeypatch, (extensions,), "_basis_pair_sweep", summands)
+
+
+def corrupted_pmap_rows(monkeypatch):
+    corrupt_kernel(monkeypatch, (extensions,), "pmap_rows", lambda powers, xs, cocycles, p: bumped(powers, p))
+
+
+def corrupted_bracket_rows(monkeypatch):
+    corrupt_kernel(monkeypatch, (witt,), "bracket_rows", lambda brackets, xs, ys, p: bumped(brackets, p))
+
+
+def corrupted_triple_terms(monkeypatch):
+    # The coefficient of the first term of the first triple: d2_cl, the assembled d2 and is_cocycle_rows all change.
+    def coefficient(terms, p):
+        return (bumped(terms[0], p),) + terms[1:]
+
+    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", coefficient)
+
+
+def assembled_d2_res_with(monkeypatch, position):
+    """Patch the assembled d2_res to add 1 mod p at (row, column) = position(p)."""
+
+    def entry(m, field):
+        row, column = position(field.p)
+        m[row, column] = (m[row, column] + 1) % field.p
+        return m
+
+    corrupt_kernel(monkeypatch, (restricted,), "delta2_res_matrix", entry)
+
+
+def corrupted_d2_entry_in_block(monkeypatch):
+    # The first triple of grade 0 and the pair (-1, 1), where the grade-0 kernel vectors of d2 are nonzero: the
+    # block kills a smaller kernel.  Every vector it kills is still killed by the term table (no unit vector of a
+    # block's rows lies in its image, at p = 7 and 13), so the certificates hold and the dimensions fail.
+    assembled_d2_res_with(
+        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], ordinary.pair_position(p)[(-1, 1)])
+    )
+
+
+def planted_beta_entry(monkeypatch):
+    # The beta row (-1, -1), of grade -1, in the column of the first pair of grade -1: inside its grade.
+    assembled_d2_res_with(
+        monkeypatch, lambda p: (len(ordinary.wedge_triples(p)), ordinary.graded_pair_positions(p, -1)[0])
+    )
+
+
+def planted_omega_column_entry(monkeypatch):
+    # The first triple of grade 0, in the column of omega_0, of grade 0: d2 never reads omega.
+    assembled_d2_res_with(
+        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], len(ordinary.wedge_pairs(p)) + 1)
+    )
+
+
+def planted_grading_leak(monkeypatch):
+    # The first triple of grade 0, in the column of the first pair of grade -1: the complex builds on d2's blocks,
+    # which miss the entry, and the report names it.
+    assembled_d2_res_with(
+        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], ordinary.graded_pair_positions(p, -1)[0])
+    )
+
+
+def zeroed_d1_column(monkeypatch):
+    # The column of e^1 in d1_res: d1 is no longer injective, and H^1 and H^2 move.
+    def zeroed(m, field):
+        m[:, 2] = 0
+        return m
+
+    corrupt_kernel(monkeypatch, (restricted,), "delta1_res_matrix", zeroed)
+
+
+# The checks that read W's p-th powers, through the fold or the derivation route.
+FOLD = {
+    "witt.pth_power_oracle",
+    "witt.adjoint_power_on_w",
+    "witt.pth_power_homogeneity_gamma",
+    "witt.pth_power_fold_order",
+    "restricted.star_consistency",
+}
+# The extension checks that build on a wrong complex.
+WRONG_EXTENSIONS = {
+    "extensions.splitting_independence",
+    "extensions.axioms",
+    "extensions.negative_control",
+    "extensions.class_independence",
+    "extensions.classification_counts",
+}
+
+
 TABLE = [
     (corrupted_block_entry, WRONG_KERNEL),
     (dropped_kernel_vector, WRONG_KERNEL),
@@ -101,14 +261,83 @@ TABLE = [
         corrupted_restricted_kernel_vector,
         {"ordinary.block_full_agreement", "restricted.omega_fold_invariance", "extensions.roundtrip"},
     ),
+    (
+        corrupted_lambda_rows,
+        FOLD | {"restricted.omega_fold_invariance", "restricted.starstar_enumeration", "extensions.axioms"},
+    ),
+    (corrupted_fold_power, FOLD),
+    (corrupted_fold_steps, FOLD | {"restricted.omega_fold_invariance"}),
+    (
+        corrupted_correction_weights,
+        {"restricted.star_consistency", "restricted.omega_fold_invariance", "restricted.starstar_enumeration"},
+    ),
+    (
+        corrupted_derivation_rows,
+        {"witt.pth_power_oracle", "extensions.roundtrip", "extensions.splitting_independence", "extensions.axioms"},
+    ),
+    (
+        corrupted_basis_chains,
+        WRONG_EXTENSIONS
+        | {
+            "witt.adjoint_power_on_w",
+            "ordinary.block_full_agreement",
+            "restricted.complex_identity",
+            "restricted.beta_block_zero",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
+    (corrupted_basis_pair_sums, {"extensions.axioms"}),
+    (corrupted_pmap_rows, {"extensions.roundtrip", "extensions.splitting_independence", "extensions.axioms"}),
+    (corrupted_bracket_rows, {"witt.antisymmetry_jacobi"}),
+    (
+        corrupted_triple_terms,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.complex_identity",
+            "ordinary.graded_kernel_dims",
+            "ordinary.cohomology_dims",
+            "ordinary.explicit_cocycles",
+            "restricted.complex_identity",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
+    (corrupted_d2_entry_in_block, WRONG_KERNEL - {"ordinary.block_full_agreement"}),
+    (planted_beta_entry, {"restricted.beta_block_zero"}),
+    (planted_omega_column_entry, {"ordinary.block_full_agreement"}),
+    (planted_grading_leak, {"ordinary.grading_preserved", "ordinary.block_full_agreement"}),
+    (
+        zeroed_d1_column,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.graded_kernel_dims",
+            "ordinary.cohomology_dims",
+            "restricted.delta1_injective",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
 ]
+
+# The checks no mutation fails, each with the reason none reaches it.
+UNREACHED = {
+    "ordinary.graded_dims": "counts each grade's pairs and triples against closed forms; it runs no kernel",
+    "restricted.dims_closed_form": "compares c2_dim and c3_dim with closed forms; it runs no kernel",
+}
 
 
 @pytest.fixture
 def fresh_complex():
-    restricted.cochain_complex.cache_clear()
+    # The complex and the term tables are cached from the kernels' outputs, so each row rebuilds them.
+    caches = (restricted.cochain_complex, restricted._ind2_terms, ordinary._triple_terms)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    restricted.cochain_complex.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("p", [7, 13])
@@ -118,3 +347,11 @@ def test_mutation_fails_its_pinned_checks(monkeypatch, fresh_complex, mutate, fa
     report = verify.run_prime(p)
     assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
     assert not report["all_pass"]
+
+
+def test_every_check_fails_under_some_mutation(fresh_complex):
+    report = verify.run_prime(7)
+    assert report["all_pass"]
+    names = {c["name"] for c in report["checks"]}
+    caught = set().union(*(failing for _, failing in TABLE))
+    assert caught | set(UNREACHED) == names and not caught & set(UNREACHED)

@@ -22,6 +22,7 @@ from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
     Cochain2Ord,
+    Cochain3Ord,
     _pair_grades,
     _terms_matrix,
     _triple_grades,
@@ -49,7 +50,6 @@ from wittcoh.restricted import (
     delta2_res_matrix,
     graded_component_kernel_dim,
     ordinary_cohomology_dims,
-    sparse_product,
 )
 from wittcoh.witt import basis_element, normalize_index, random_element
 
@@ -140,27 +140,6 @@ def test_complex_property(p):
     assert not prod.any()
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_sparse_complex_identity_matches_the_dense_product(p):
-    # verify's complex_identity checks multiply over d2's nonzeros only
-    # (restricted.sparse_product); the dense int64 product is the oracle,
-    # and a corrupted entry must be flagged by both routes alike.
-    cx = cochain_complex(PrimeField(p))
-    for d2, d1 in ((cx.d2, cx.d1), (cx.d2_res, cx.d1_res)):
-        assert np.count_nonzero(d2, axis=1).max() <= 3
-        assert np.array_equal(sparse_product(d2, d1, p), (d2 @ d1) % p)
-        corrupted = d2.copy()
-        c = np.flatnonzero(d1.any(axis=1))[0]  # a column of d2 that meets a nonzero row of d1
-        corrupted[0, c] = (corrupted[0, c] + 1) % p  # adds that row of d1 to row 0 of the product
-        product = sparse_product(corrupted, d1, p)
-        assert product.any() and np.array_equal(product, (corrupted @ d1) % p)
-    rng = np.random.default_rng(p)
-    a = rng.integers(-p, p, (40, 30)) * (rng.random((40, 30)) < 0.2)  # any count of nonzeros per row, signed
-    b = rng.integers(0, p, (30, 7))
-    assert np.array_equal(sparse_product(a, b, p), (a @ b) % p)
-    assert not sparse_product(np.zeros((4, 3), dtype=np.int64), b[:3], p).any()
-
-
 @pytest.mark.parametrize("p", [5, 7, 11])
 def test_matrices_match_functions(p):
     field = PrimeField(p)
@@ -245,29 +224,35 @@ def test_grading_preserved(p):
 
 
 def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
-    # verify's grading check reads the cached grade arrays; on matrices with
-    # planted leaks it must name what a per-grade loop meets first: the
-    # lowest leaking grade k, and within k a d2 leak before a d1 leak.
+    # verify's grading check reads the cached grade arrays; on the restricted
+    # matrices with planted leaks, omega and beta rows included, it must name
+    # what a per-grade loop meets first: the lowest leaking grade k, and
+    # within k a d2 leak before a d1 leak.  omega_i has grade i, and the beta
+    # row (a, b) grade a.
     from types import SimpleNamespace
 
     from wittcoh import verify
 
     p = 7
     field = PrimeField(p)
+    indices = range(-1, p - 1)
     pairs, triples = wedge_pairs(p), wedge_triples(p)
+    c2_grades = [pair_grade(p, pair) for pair in pairs] + list(indices)
+    c3_grades = [triple_grade(p, triple) for triple in triples] + [a for a in indices for _ in indices]
 
     def loop_detail(d1, d2):
-        for k in range(-1, p - 1):
-            rows = [r for r in range(len(triples)) if triple_grade(p, triples[r]) != k]
-            if d2[np.ix_(rows, graded_pair_positions(p, k))].any():
+        for k in indices:
+            rows = [r for r, grade in enumerate(c3_grades) if grade != k]
+            if d2[np.ix_(rows, [c for c, grade in enumerate(c2_grades) if grade == k])].any():
                 return f"d2 leaks out of grade {k}"
-            rows = [r for r in range(len(pairs)) if pair_grade(p, pairs[r]) != k]
+            rows = [r for r, grade in enumerate(c2_grades) if grade != k]
             if d1[rows, k + 1].any():
                 return f"d1 leaks out of grade {k}"
         return ""
 
     def check_detail(d1, d2):
-        monkeypatch.setattr(verify.res, "cochain_complex", lambda f: SimpleNamespace(d1=d1, d2=d2))
+        cx = SimpleNamespace(d1_res=d1, d2_res=d2, d1=d1[: len(pairs)], d2=d2[: len(triples), : len(pairs)])
+        monkeypatch.setattr(verify.res, "cochain_complex", lambda f: cx)
         result = next(c for c in verify._ordinary_checks(field) if c.name == "ordinary.grading_preserved")
         assert result.passed == (not result.detail)
         return result.detail
@@ -275,22 +260,22 @@ def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
     rng = random.Random(3)
     details = set()
     for _ in range(30):
-        d1, d2 = delta1_matrix(field), delta2_matrix(field)
+        d1, d2 = delta1_res_matrix(field), delta2_res_matrix(field)
         for _ in range(rng.randrange(3)):
-            r, c = rng.randrange(len(triples)), rng.randrange(len(pairs))
-            d2[r, c] = 0 if triple_grade(p, triples[r]) == pair_grade(p, pairs[c]) else 1
+            r, c = rng.randrange(len(c3_grades)), rng.randrange(len(c2_grades))
+            d2[r, c] = 0 if c3_grades[r] == c2_grades[c] else 1
         for _ in range(rng.randrange(3)):
-            r, c = rng.randrange(len(pairs)), rng.randrange(p)
-            d1[r, c] = 0 if pair_grade(p, pairs[r]) == c - 1 else 1
+            r, c = rng.randrange(len(c2_grades)), rng.randrange(p)
+            d1[r, c] = 0 if c2_grades[r] == c - 1 else 1
         expected = loop_detail(d1, d2)
         assert check_detail(d1, d2) == expected
         details.add(expected.split(" ")[0])
     assert details == {"", "d1", "d2"}
 
-    # Both leak out of grade 2: d2 is named.
-    d1, d2 = delta1_matrix(field), delta2_matrix(field)
-    d2[graded_triple_positions(p, 0)[0], graded_pair_positions(p, 2)[0]] = 1
-    d1[graded_pair_positions(p, 0)[0], 3] = 1
+    # Both leak out of grade 2: d2 is named.  The beta row (0, 5) and the omega_0 row have grade 0.
+    d1, d2 = delta1_res_matrix(field), delta2_res_matrix(field)
+    d2[len(triples) + p + 6, graded_pair_positions(p, 2)[0]] = 1
+    d1[len(pairs) + 1, 3] = 1
     assert check_detail(d1, d2) == loop_detail(d1, d2) == "d2 leaks out of grade 2"
 
 
@@ -460,3 +445,19 @@ def test_cochain_arithmetic_refuses_mixed_primes():
                 op()
     with pytest.raises(ValueError, match="different fields"):
         dual_basis(F5, 0).value(basis_element(F7, 0))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "1", None])
+def test_cochains_refuse_coefficients_that_are_not_integers(bad):
+    # Cochain2Ord used to keep 1.5, and its to_vector then gave 1; Cochain1 and dual_basis kept floats too.
+    cases = (
+        lambda: Cochain1(F7, (bad,) + (0,) * 6),
+        lambda: dual_basis(F7, 0, bad),
+        lambda: Cochain2Ord(F7, (0,) * 20 + (bad,)),
+        lambda: Cochain3Ord(F5, (bad,) + (0,) * 9),
+    )
+    for case in cases:
+        with pytest.raises(ValueError, match="must be an integer"):
+            case()
+    kept = Cochain2Ord(F5, tuple(np.arange(10)))
+    assert kept == Cochain2Ord(F5, tuple(range(10))) and all(type(v) is int for v in kept.values)

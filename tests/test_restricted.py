@@ -42,6 +42,7 @@ from wittcoh.restricted import (
     NotACocycleError,
     c2_dim,
     c2_from_vector,
+    c2_rows,
     c2_to_vector,
     c3_dim,
     cochain_complex,
@@ -736,26 +737,34 @@ def _plant_a_leak(monkeypatch, matrix, row):
     return leaky
 
 
-def _assert_the_leak_is_refused_or_reported(field, matrix, leaky, row):
-    # A leak in d1_res or in d2 is refused by the grading check.  No
-    # computation reads the grading of d2_res's beta rows: ind2 is evaluated
-    # on ker d2, so the restricted rank stays exact, and the report's
-    # beta-block check names the planted entry.
-    n3 = len(wedge_triples(field.p))
-    if matrix == "delta1_res_matrix" or row % c3_dim(field.p) < n3:
-        with pytest.raises(ArithmeticError, match="grading"):
-            restricted.CochainComplex(field)
+def _assert_the_report_names_the_leak(field, matrix, leaky, row):
+    # The complex builds on a leaky matrix, and the report fails: the grading
+    # check names the grade of column 0, -1.  A leak into d2 also leaves its
+    # grade blocks short of an entry.  ind2 is read off its term table, so a
+    # leak into a beta row leaves the restricted rank that of the clean
+    # matrix, and the report's beta-block check names the planted entry.
+    p = field.p
+    n3 = len(wedge_triples(p))
+    report = verify.run_prime(p)
+    failed = {c["name"]: c["detail"] for c in report["checks"] if not c["pass"]}
+    assert not report["all_pass"]
+    if matrix == "delta1_res_matrix":
+        assert failed["ordinary.grading_preserved"] == "d1 leaks out of grade -1"
         return
-    planted = leaky(field)
-    assert restricted.CochainComplex(field).rank_d2_res == len(rref_by_pivots(field, planted)[1])
-    assert planted[n3:].any()
-    beta = next(c for c in verify._restricted_checks(field, random.Random(0)) if c.name == "restricted.beta_block_zero")
-    assert (beta.passed, beta.detail) == (False, "induced degree-3 block is nonzero")
+    assert failed["ordinary.grading_preserved"] == "d2 leaks out of grade -1"
+    if row % c3_dim(p) < n3:
+        assert failed["ordinary.block_full_agreement"] == "d2's grade blocks miss a nonzero entry"
+        return
+    clean = leaky(field)
+    clean[row, 0] = 0
+    assert restricted.CochainComplex(field).rank_d2_res == len(rref_by_pivots(field, clean)[1])
+    assert failed["restricted.beta_block_zero"] == "induced degree-3 block is nonzero"
 
 
 @pytest.mark.parametrize("matrix", ["delta1_res_matrix", "delta2_res_matrix"])
 @pytest.mark.parametrize("part", ["ordinary", "restricted"])
 def test_complex_refuses_a_grading_leak(monkeypatch, fresh_complex, matrix, part):
+    # The complex builds on a leaky matrix, and its report refuses the leak.
     # Column 0 (e^-1 in d1_res, the pair (-1, 0) in d2_res) has grade -1; the
     # planted entry sits in a row of grade 0.
     p = 7
@@ -766,17 +775,18 @@ def test_complex_refuses_a_grading_leak(monkeypatch, fresh_complex, matrix, part
     else:
         row = n2 + 1 if degree_one else n3 + p  # the row of omega_0; the beta row (0, -1)
     leaky = _plant_a_leak(monkeypatch, matrix, row)
-    _assert_the_leak_is_refused_or_reported(PrimeField(p), matrix, leaky, row)
+    _assert_the_report_names_the_leak(PrimeField(p), matrix, leaky, row)
 
 
 @pytest.mark.parametrize("row", [0, -1])
 def test_complex_refuses_a_grading_leak_at_3(monkeypatch, fresh_complex, row):
     # At p = 3 only grade 0 has a triple, so the other blocks of d2 end in a
-    # zero padding row; the padding must not count the leak as inside a block.
+    # zero padding row; the padding must not count the leak as inside a block,
+    # and the report must refuse it.
     # Row 0 is the triple (-1, 0, 1) of grade 0, row -1 the beta row (1, 1) of
     # grade 1; column 0 is the pair (-1, 0) of grade -1.
     leaky = _plant_a_leak(monkeypatch, "delta2_res_matrix", row)
-    _assert_the_leak_is_refused_or_reported(PrimeField(3), "delta2_res_matrix", leaky, row)
+    _assert_the_report_names_the_leak(PrimeField(3), "delta2_res_matrix", leaky, row)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -946,3 +956,26 @@ def test_run_prime_computes_restricted_h2_once(monkeypatch):
     monkeypatch.setattr(restricted, "restricted_h2", counted)
     assert verify.run_prime(7)["all_pass"]
     assert calls == [7]
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "1", None])
+def test_restricted_coordinates_refuse_entries_that_are_not_integers(bad):
+    # Cochain2Res used to keep floats, and c2_from_vector and c2_rows truncated them.
+    for case in (
+        lambda: Cochain2Res(c2_zero(F5), (0, bad, 0, 0, 0)),
+        lambda: Cochain3Res(Cochain3Ord(F5, (0,) * 10), ((0,) * 5,) * 4 + ((0, 0, bad, 0, 0),)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            case()
+    vec = np.array([0] * (c2_dim(5) - 1) + [bad])
+    for case in (
+        lambda: c2_from_vector(F5, vec),
+        lambda: c2_rows(vec, 5),
+        lambda: c2_rows([vec, vec], 5),
+        lambda: is_cocycle_rows(vec, 5),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            case()
+    ints = np.arange(c2_dim(5), dtype=np.uint8)
+    assert c2_from_vector(F5, ints) == c2_from_vector(F5, ints.tolist())
+    assert (c2_rows(ints, 5) == ints % 5).all() and c2_rows(np.zeros((0, c2_dim(5))), 5).dtype == np.int64
