@@ -7,10 +7,10 @@ Subcommands
 
 Exit status: 0 all checks passed, 1 some check failed, 2 invalid input
 (including an --output path that cannot be written, and a prime of any
-subcommand whose dense d2 matrix would exceed the memory limit, p > 67:
-one size rule for all three, checked on every integer before its
-primality and before any work, so a --primes range ends at once at its
-first integer above 67).
+subcommand whose dense d2 matrix, one byte per entry, would exceed the
+memory limit, p > 103: one size rule for all three, checked on every
+integer before its primality and before any work, so a --primes range
+ends at once at its first integer above 104).
 Every flag has an environment-variable fallback named WITTCOH_<FLAG>
 (e.g. WITTCOH_SEED); command-line values win, also over the environment
 value of a conflicting flag (--prime against WITTCOH_PRIMES and --primes

@@ -35,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import witt
 from .gfp import PrimeField, as_int
 from .witt import WittElement, _check_same_field, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
@@ -291,9 +292,20 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.ndarray:
-    """Every term column on 2-forms with stacked dense matrices m (..., p, p): sum of coefficient * m[first, second]."""
+    """Every term column on 2-forms with stacked dense matrices m (..., p, p): sum of coefficient * m[first, second].
+
+    The matrices are evaluated in blocks whose gathered terms stay within
+    witt._SWEEP_BYTES, so only the values, not every term, are held whole.
+    """
     coefficient, first, second = terms
-    return np.einsum("nk,...nk->...k", coefficient, m[..., first, second]) % p
+    flat = m.reshape(-1, p, p)
+    values = np.empty((len(flat), coefficient.shape[1]), dtype=np.int64)
+    block = max(1, witt._SWEEP_BYTES // (8 * coefficient.size))
+    for start in range(0, len(flat), block):
+        rows = slice(start, start + block)
+        np.einsum("nk,bnk->bk", coefficient, flat[rows, first, second], out=values[rows])
+    values %= p
+    return values.reshape(m.shape[:-2] + values.shape[-1:])
 
 
 def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:

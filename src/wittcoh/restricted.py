@@ -72,8 +72,11 @@ coordinates.  Every cohomology dimension, coboundary test and kernel
 sample reads the complex, and ordinary_classes projects stacked cocycles
 to ordinary H^2 with one split; verify certifies the blockwise ranks off
 the block kernels.
-A prime whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so
-p > 67) is refused before anything is allocated.
+The complex stores d2_res in one byte per entry (d2_res_dtype, the
+narrowest dtype that holds p - 1), and every reader of it either only
+looks for nonzeros or widens to int64 before it multiplies.  A prime
+whose dense d2_res would exceed DENSE_D2_BYTES (1 GiB, so p > 103) is
+refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -417,18 +420,21 @@ def delta1_res_matrix(field: PrimeField) -> np.ndarray:
     return m
 
 
-def delta2_res_matrix(field: PrimeField) -> np.ndarray:
+def delta2_res_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of d2 on coordinates: C(p,3) + p^2 rows, C(p,2) + p columns.
 
     The alpha rows are the ordinary d2 matrix on the phi columns; the beta
     rows, scattered from _ind2_terms, hold ind2 of each phi coordinate
     vector (omega columns contribute nothing to either block).  The matrix
     is allocated once and both tables are scattered straight into their
-    corners, so no other matrix of its size is ever alive.
+    corners, so no other matrix of its size is ever alive.  Without out it
+    is int64, so products with it cannot wrap; out, when given, must be
+    zero and of a dtype that holds p - 1 (CochainComplex passes one of
+    d2_res_dtype); the matrix is scattered into it and returned.
     """
     p = field.p
     n3 = triple_index(p).shape[1]
-    m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64)
+    m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64) if out is None else out
     delta2_matrix(field, out=m[:n3, :-p])
     _terms_matrix(_ind2_terms(p), p, out=m[n3:, :-p])
     return m
@@ -469,14 +475,15 @@ class CochainComplex:
 
     d1, d2 (ordinary) and d1_res, d2_res (restricted) are dense read-only
     arrays, each assembled once; the ordinary ones are the top-left corners
-    of the restricted ones.  Every coboundary preserves the grade: the index
-    sum of a pair or triple, i for e^i and for omega_i, and a for the beta
-    row (a, b); verify's report checks that they do, not the complex.  The
-    column e^k of d1_res (and of d1) is its only column of grade k, so
-    distinct columns meet disjoint rows: the nonzero columns are
-    independent and a zero column spans the kernel of its grade.  Degree 1
-    is therefore read off the zero columns with no row reduction.  In
-    degree 2 one lockstep elimination of d2's stacked grade blocks gives
+    of the restricted ones.  d1 and d1_res are int64; d2 and d2_res hold
+    one d2_res_dtype (uint8) per entry.  Every coboundary preserves the
+    grade: the index sum of a pair or triple, i for e^i and for omega_i,
+    and a for the beta row (a, b); verify's report checks that they do, not
+    the complex.  The column e^k of d1_res (and of d1) is its only column
+    of grade k, so distinct columns meet disjoint rows: the nonzero columns
+    are independent and a zero column spans the kernel of its grade.
+    Degree 1 is therefore read off the zero columns with no row reduction.
+    In degree 2 one lockstep elimination of d2's stacked grade blocks gives
     ker d2, and ker d2_res is the phi in it that ind2's term table kills
     (one small rref) plus the p omega unit vectors; the beta rows of the
     assembled d2_res are not read.  block_kernels keeps the blocks'
@@ -488,7 +495,7 @@ class CochainComplex:
         n2, n3 = len(upper_triangle(p)[0]), triple_index(p).shape[1]
         self.field = field
         self.d1_res = _read_only(delta1_res_matrix(field))
-        self.d2_res = _read_only(delta2_res_matrix(field))
+        self.d2_res = _read_only(delta2_res_matrix(field, np.zeros((c3_dim(p), c2_dim(p)), dtype=d2_res_dtype(p))))
         self.d1 = self.d1_res[:n2]
         self.d2 = self.d2_res[:n3, :n2]
         pairs, _ = grade_tables(p)
@@ -532,19 +539,24 @@ class CochainComplex:
         return psi, (v - psi @ d1.T) % p
 
 
-# Largest dense d2_res a prime may allocate; 1 GiB admits p <= 67.
+# Largest dense d2_res a prime may allocate; at one byte per entry 1 GiB admits p <= 103 (n <= 104).
 DENSE_D2_BYTES = 1 << 30
 
 
+def d2_res_dtype(n: int) -> np.dtype:
+    """The narrowest dtype that holds every residue below n, in which the complex stores d2_res: uint8 up to 256."""
+    return np.min_scalar_type(n - 1)
+
+
 def check_dense_d2_size(n: int) -> None:
-    """Raise ValueError when the dense int64 d2_res of n would exceed DENSE_D2_BYTES.
+    """Raise ValueError when the dense d2_res of n, one d2_res_dtype(n) per entry, would exceed DENSE_D2_BYTES.
 
     The command line applies this rule before primality, to any integer n,
     so the message does not call n a prime.  The size is rounded up to
     hundredths of a GiB in integers, exact at any n, so a size over the
     limit never reads as the limit.
     """
-    size = 8 * c3_dim(n) * c2_dim(n)
+    size = d2_res_dtype(n).itemsize * c3_dim(n) * c2_dim(n)
     if size > DENSE_D2_BYTES:
         hundredths = -(-100 * size // 2**30)
         raise ValueError(

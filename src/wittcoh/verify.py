@@ -7,11 +7,11 @@ dimensions with explicit representatives, vanishing of the induced
 degree-3 block, and the full axiom verification of all p + 1 central
 extensions, plus negative controls.
 
-Every check runs at every supported prime (odd, at most 67: above that
-the dense d2 matrices would exceed 1 GiB, and run_prime refuses the prime
-before any work), except the few whose statement needs p > 3; those are
-reported as skipped at p = 3 rather than passed silently, so no check is
-skipped from p = 5 to 67.  The ** correction sum is checked against
+Every check runs at every supported prime (odd, at most 103: above that
+the dense d2_res, one byte per entry, would exceed 1 GiB, and run_prime
+refuses the prime before any work), except the few whose statement needs
+p > 3; those are reported as skipped at p = 3 rather than passed silently,
+so none is skipped from p = 5 to 103.  The ** correction sum is checked against
 the values of its lambda-polynomial at every lambda in GF(p)
 (_starstar_by_evaluation), a route that shares no recurrence with the
 library's correction weights.  d2's ranks are proven by certificates.

@@ -230,8 +230,8 @@ def test_verify_pool_capped_by_primes_and_cpus(capsys, monkeypatch):
 
 
 def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
-    # The dense d2 at p = 101 would take about 6.8 GiB; the refusal comes
-    # before anything is assembled or verified.
+    # The dense d2 at p = 107 would take about 1.13 GiB at one byte per
+    # entry; the refusal comes before anything is assembled or verified.
     from wittcoh import cli, restricted, verify
 
     def never(*args):
@@ -240,17 +240,17 @@ def test_verify_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
     monkeypatch.setattr(restricted, "CochainComplex", never)
     monkeypatch.setattr(restricted, "delta2_res_matrix", never)
     monkeypatch.setattr(cli, "_run_prime_args", never)
-    assert main(["verify", "--prime", "101"]) == 2
+    assert main(["verify", "--prime", "107"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: 101 is too large: its dense d2 matrix would need 6.79 GiB, over the 1 GiB limit\n"
-    assert main(["verify", "--primes", "61..101"]) == 2
-    with pytest.raises(ValueError, match="^101 is too large"):
-        verify.run_prime(101)
+    assert err == "error: 107 is too large: its dense d2 matrix would need 1.13 GiB, over the 1 GiB limit\n"
+    assert main(["verify", "--primes", "61..107"]) == 2
+    with pytest.raises(ValueError, match="^107 is too large"):
+        verify.run_prime(107)
 
 
 def test_verify_refuses_a_wide_range_at_its_first_refused_prime(capsys, monkeypatch):
     # The size rule comes first for every integer of the range, so primality
-    # is tested only up to 68: 69 is the first integer the rule refuses.
+    # is tested only up to 104: 105 is the first integer the rule refuses.
     from wittcoh import cli
 
     calls = []
@@ -263,17 +263,17 @@ def test_verify_refuses_a_wide_range_at_its_first_refused_prime(capsys, monkeypa
         return is_prime(n)
 
     monkeypatch.setattr(cli, "is_prime", counting_is_prime)
-    assert main(["verify", "--primes", "3..101"]) == 2
+    assert main(["verify", "--primes", "3..107"]) == 2
     expected = capsys.readouterr().err
-    assert expected == "error: 69 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
+    assert expected == "error: 105 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
     calls.clear()
     assert main(["verify", "--primes", "3..10000000000"]) == 2
     assert capsys.readouterr().err == expected
-    assert max(calls) == 68
+    assert max(calls) == 104
 
 
 def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch):
-    # The extension command follows verify's size rule: p = 101 is refused
+    # The extension command follows verify's size rule: p = 107 is refused
     # before its (p + 1)^4 Jacobi tensor or anything else is built.
     from wittcoh import cli, extensions
 
@@ -283,10 +283,10 @@ def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch
     monkeypatch.setattr(cli, "build_extension", never)
     monkeypatch.setattr(extensions, "build_extension", never)
     monkeypatch.setattr(extensions, "_jacobi_scan", never)
-    assert main(["extension", "--prime", "101"]) == 2
+    assert main(["extension", "--prime", "107"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: 101 is too large: its dense d2 matrix would need 6.79 GiB, over the 1 GiB limit\n"
-    assert main(["extension", "--prime", "101", "--which", "0", "--format", "csv"]) == 2
+    assert err == "error: 107 is too large: its dense d2 matrix would need 1.13 GiB, over the 1 GiB limit\n"
+    assert main(["extension", "--prime", "107", "--which", "0", "--format", "csv"]) == 2
 
 
 def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkeypatch):
@@ -312,7 +312,7 @@ def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkey
 
 def test_size_rule_refuses_a_range_before_testing_primality(capsys, monkeypatch):
     # Trial division of 10^18 + 3 would not end within minutes; the range ends
-    # at its first integer, which the size rule refuses.  A range above 67
+    # at its first integer, which the size rule refuses.  A range above 104
     # with no prime in it gets the size message too.
     from wittcoh import cli
 
@@ -323,22 +323,23 @@ def test_size_rule_refuses_a_range_before_testing_primality(capsys, monkeypatch)
     n = 10**18 + 3
     assert main(["verify", "--primes", f"{n}..{n}"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {n} is too large: its dense d2 matrix would need ")
-    assert main(["verify", "--primes", "100..100"]) == 2
-    assert capsys.readouterr().err == "error: 100 is too large: its dense d2 matrix would need 6.47 GiB, over the 1 GiB limit\n"
+    assert main(["verify", "--primes", "106..106"]) == 2
+    assert capsys.readouterr().err == "error: 106 is too large: its dense d2 matrix would need 1.08 GiB, over the 1 GiB limit\n"
 
 
 def test_size_message_names_no_composite_prime_and_rounds_up(capsys):
-    # 69 is composite and its dense d2 needs 1.028 GiB: the message neither
-    # calls it p nor rounds the size down to the limit.  68 is under the
-    # limit, so it gets the primality message.
+    # 105 is composite and its dense d2 needs 1.029 GiB at one byte per
+    # entry: the message neither calls it p nor rounds the size down to the
+    # limit.  104 is under the limit, at 0.99 GiB, so it gets the primality
+    # message.
     from wittcoh.restricted import check_dense_d2_size
 
-    assert main(["verify", "--prime", "69"]) == 2
-    assert capsys.readouterr().err == "error: 69 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
-    assert main(["verify", "--prime", "68"]) == 2
-    assert capsys.readouterr().err == "error: 68 is not prime (need an odd prime >= 3)\n"
-    check_dense_d2_size(67)
-    for n in range(69, 200):
+    assert main(["verify", "--prime", "105"]) == 2
+    assert capsys.readouterr().err == "error: 105 is too large: its dense d2 matrix would need 1.03 GiB, over the 1 GiB limit\n"
+    assert main(["verify", "--prime", "104"]) == 2
+    assert capsys.readouterr().err == "error: 104 is not prime (need an odd prime >= 3)\n"
+    check_dense_d2_size(104)
+    for n in range(105, 200):
         with pytest.raises(ValueError) as refused:
             check_dense_d2_size(n)
         size = float(str(refused.value).split("would need ")[1].split(" GiB")[0])

@@ -186,7 +186,7 @@ def corrupted_triple_terms(monkeypatch):
 def assembled_d2_res_with(monkeypatch, position):
     """Patch the assembled d2_res to add 1 mod p at (row, column) = position(p)."""
 
-    def entry(m, field):
+    def entry(m, field, *out):
         row, column = position(field.p)
         m[row, column] = (m[row, column] + 1) % field.p
         return m

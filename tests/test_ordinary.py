@@ -1,6 +1,7 @@
 """Ordinary cochains, coboundaries, grading and degree-2 cohomology."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from tests.oracles import (
     wedge_eval,
     whole_matrix_rank,
 )
-from wittcoh import verify
+from wittcoh import verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
@@ -27,6 +28,7 @@ from wittcoh.ordinary import (
     _terms_matrix,
     _triple_grades,
     _terms_values,
+    _triple_terms,
     c2_from_dict,
     c2_zero,
     delta1_cl,
@@ -37,6 +39,7 @@ from wittcoh.ordinary import (
     dual_basis,
     graded_pair_positions,
     graded_triple_positions,
+    phi_matrices,
     triple_index,
     triple_normalize,
     virasoro_cocycle,
@@ -209,6 +212,26 @@ def test_terms_matrix_applies_like_terms_values(p):
         for _ in range(3):
             phi = Cochain2Ord(field, tuple(rng.integers(0, p, size=len(wedge_pairs(p))).tolist()))
             assert (m @ phi.to_vector() % p == _terms_values(terms, phi.to_matrix(), p)).all()
+
+
+@pytest.mark.parametrize("p", [13, 31])
+def test_terms_values_gathers_in_blocks_within_the_sweep_bound(monkeypatch, p):
+    # Patched to seven matrices' terms per block, the 100 stacked matrices run
+    # 15 blocks, the last one short, and give the values of one whole gather.
+    # The whole gather, three int64 terms per triple of every matrix, is three
+    # times the values; the blocks hold one block's terms besides them.
+    terms = _triple_terms(p)
+    m = phi_matrices(np.random.default_rng(p).integers(0, p, size=(2, 50, len(wedge_pairs(p)))), p)
+    expected = np.einsum("nk,...nk->...k", terms[0], m[..., terms[1], terms[2]]) % p
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 7 * 8 * terms[0].size)
+    tracemalloc.start()
+    try:
+        values = _terms_values(terms, m, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == expected.shape and (values == expected).all()
+    assert peak <= witt._SWEEP_BYTES + 1.1 * values.nbytes
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

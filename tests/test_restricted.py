@@ -679,9 +679,9 @@ def test_run_prime_assembles_d2_once_and_reduces_no_whole_matrix(monkeypatch):
         shapes.append(np.shape(m))
         return rref(self, m)
 
-    def counting_assemble(field):
+    def counting_assemble(field, *out):
         assembled.append(field.p)
-        return assemble(field)
+        return assemble(field, *out)
 
     monkeypatch.setattr(gfp.PrimeField, "rref", counting_rref)
     monkeypatch.setattr(restricted, "delta2_res_matrix", counting_assemble)
@@ -697,6 +697,16 @@ def fresh_complex():
     restricted.cochain_complex.cache_clear()
     yield
     restricted.cochain_complex.cache_clear()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_complex_stores_d2_res_in_one_byte_per_entry(fresh_complex, p):
+    # Every entry is a residue below p, so one byte holds d2_res exactly.  The
+    # builder without out stays int64, so products with it cannot wrap.
+    field = PrimeField(p)
+    d2_res, dense = cochain_complex(field).d2_res, delta2_res_matrix(field)
+    assert d2_res.dtype == np.uint8 and not d2_res.flags.writeable
+    assert dense.dtype == np.int64 and np.array_equal(d2_res, dense)
 
 
 @pytest.mark.parametrize("p,k,corner_only", [(5, 2, False), (7, -1, False), (7, 0, False), (7, 0, True)])
@@ -728,8 +738,8 @@ def _plant_a_leak(monkeypatch, matrix, row):
     """Patch the named matrix builder to plant a 1 at (row, 0); returns the patched builder."""
     assemble = getattr(restricted, matrix)
 
-    def leaky(field):
-        m = assemble(field)
+    def leaky(field, *out):
+        m = assemble(field, *out)
         m[row, 0] = 1
         return m
 
