@@ -261,6 +261,8 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
     extension a loop over them would refuse is refused with that loop's
     message, and NotASplittingError.index is its position.
     """
+    if not exts:
+        raise ValueError("need at least one extension")
     p = exts[0].p
     primes = {e.p for e in exts} | {s.field.p for sigma in sigmas for s in sigma}
     if len(sigmas) != len(exts) or primes != {p}:
@@ -397,6 +399,8 @@ def verify_restricted_axioms_stacked(
     where such a loop stops drawing, so later axioms draw the same elements
     too (witt.first_failures).
     """
+    if not exts:
+        raise ValueError("need at least one extension")
     p = exts[0].p
     n = p + 1
     if any(e.p != p for e in exts) or len(seeds) != len(exts):

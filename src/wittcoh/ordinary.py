@@ -10,16 +10,18 @@ gives the (i + 1, j + 1) of every pair and triple_index the (r, s, t) of
 every triple, in the order of the tuple builders wedge_pairs and
 wedge_triples, and the grade arrays are read off them.  Each coboundary
 into 2-form coordinates is written once, as a table of terms
-coefficient * phi(e_a ^ e_b) (_triple_terms for d2): _terms_values
-evaluates a table on phi's dense matrix, and _terms_matrix scatters it
-into the dense coboundary matrix, writing each entry once and reading
-none.  d1's matrix is scattered straight from the pairs, each of which
-meets one column.  Both matrix builders can scatter into a zero array
-they are given (out), which is how restricted.delta2_res_matrix places
-d2 in its top-left corner without building it apart.  graded_blocks
-gathers the grade blocks of a matrix into one stack (delta2_block those
-of d2), which restricted.cochain_complex row-reduces once per prime for
-every rank, kernel and cohomology dimension.
+coefficient * phi(e_a ^ e_b) (_triple_terms for d2), each holding the
+coordinate it reads and its signed coefficient (_coordinate_terms):
+_terms_values evaluates a table on stacked coordinate rows, and
+_terms_matrix scatters it into the dense coboundary matrix, writing each
+entry once and reading none.  d1's matrix is scattered straight from the
+pairs, each of which meets one column.  Both matrix builders can
+scatter into a zero array they are given (out), which is how
+restricted.delta2_res_matrix places d2 in its top-left corner without
+building it apart.  graded_blocks gathers the grade blocks of a matrix
+into one stack (delta2_block those of d2), which
+restricted.cochain_complex row-reduces once per prime for every rank,
+kernel and cohomology dimension.
 
 Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
@@ -39,6 +41,11 @@ from . import witt
 from .gfp import PrimeField, as_int
 from .witt import WittElement, _check_same_field, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 @lru_cache(maxsize=None)
@@ -183,8 +190,11 @@ class Cochain2Ord:
         return np.array(self.values, dtype=np.int64)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j): the one-row call of phi_matrices."""
-        return phi_matrices(self.to_vector(), self.field.p)
+        """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j), the bilinear form of phi."""
+        p = self.field.p
+        m = np.zeros((p, p), dtype=np.int64)
+        m[upper_triangle(p)] = self.values  # wedge_pairs is the upper triangle, row by row
+        return (m - m.T) % p
 
     def is_zero(self) -> bool:
         return not any(self.values)
@@ -199,14 +209,6 @@ class Cochain2Ord:
 
     def __rmul__(self, scalar: int) -> "Cochain2Ord":
         return Cochain2Ord(self.field, tuple(scalar * a for a in self.values))
-
-
-def phi_matrices(phis: np.ndarray, p: int) -> np.ndarray:
-    """Dense antisymmetric matrices (..., p, p) of stacked 2-form coordinate rows (..., C(p,2))."""
-    m = np.zeros(phis.shape[:-1] + (p, p), dtype=np.int64)
-    u, v = upper_triangle(p)
-    m[..., u, v] = phis  # wedge_pairs is the upper triangle, row by row
-    return (m - m.swapaxes(-1, -2)) % p
 
 
 def c2_zero(field: PrimeField) -> Cochain2Ord:
@@ -274,67 +276,71 @@ def delta1_cl(psi: Cochain1) -> Cochain2Ord:
     return Cochain2Ord(field, tuple(vals))
 
 
-@lru_cache(maxsize=None)
-def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three terms of (d2 phi)(e_r ^ e_s ^ e_t) for every canonical triple, as (3, C(p,3)) arrays.
+def _coordinate_terms(coefficient, first, second, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (coefficient, column) of terms coefficient * phi(e_a ^ e_b), a, b at matrix positions (first, second).
 
-    Term n is coefficient[n] * phi(e_a ^ e_b) with a, b at matrix positions
-    (first[n], second[n]): (s - r, [r+s], t), (-(t - r), [r+t], s) and
-    (t - s, [s+t], r), the index sums normalized.
+    phi(e_a ^ e_b) is the coordinate column of the pair (min, max) times +1
+    above the diagonal, -1 below it and 0 on it.
     """
-    r, s, t = triple_index(p)
-    coefficient = np.stack([s - r, r - t, t - s])
-    first = (np.stack([r + s, r + t, s + t]) + 1) % p  # position of normalize_index(a + b)
-    second = np.stack([t, s, r]) + 1
-    for a in (coefficient, first, second):
-        a.flags.writeable = False
-    return coefficient, first, second
-
-
-def _terms_values(terms: tuple[np.ndarray, ...], m: np.ndarray, p: int) -> np.ndarray:
-    """Every term column on 2-forms with stacked dense matrices m (..., p, p): sum of coefficient * m[first, second].
-
-    The matrices are evaluated in blocks whose gathered terms stay within
-    witt._SWEEP_BYTES, so only the values, not every term, are held whole.
-    """
-    coefficient, first, second = terms
-    flat = m.reshape(-1, p, p)
-    values = np.empty((len(flat), coefficient.shape[1]), dtype=np.int64)
-    block = max(1, witt._SWEEP_BYTES // (8 * coefficient.size))
-    for start in range(0, len(flat), block):
-        rows = slice(start, start + block)
-        np.einsum("nk,bnk->bk", coefficient, flat[rows, first, second], out=values[rows])
-    values %= p
-    return values.reshape(m.shape[:-2] + values.shape[-1:])
-
-
-def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of phi -> _terms_values(terms, phi.to_matrix(), p) on phi's wedge_pairs coordinates.
-
-    Position (x, y) of phi's matrix holds the coordinate of the pair
-    (min, max) of upper_triangle times +1 above the diagonal, -1 below it
-    and 0 on it, so each term adds coefficient times that sign to that
-    column of its row.  Terms of one row that meet one column are summed
-    apart from the matrix, and every term then assigns its column's total:
-    the matrix is only written, never read, so each of its pages faults
-    once.  out, when given, must be zero; the matrix is scattered into it
-    and nothing else is written.
-    """
-    coefficient, first, second = terms
     u, v = upper_triangle(p)
     column = np.zeros((p, p), dtype=np.int64)
     column[u, v] = column[v, u] = np.arange(len(u))
-    m = np.zeros((coefficient.shape[1], len(u)), dtype=np.int64) if out is None else out
-    columns, values = column[first, second], coefficient * np.sign(second - first)
-    totals = ((columns[:, None] == columns) * values).sum(axis=1)  # over the row's terms in the same column
-    m[np.arange(coefficient.shape[1]), columns] = totals % p  # every other entry is zero
+    return _read_only(coefficient * np.sign(second - first)), _read_only(column[first, second])
+
+
+@lru_cache(maxsize=None)
+def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The three terms of (d2 phi)(e_r ^ e_s ^ e_t) for every canonical triple, as (3, C(p,3)) _coordinate_terms.
+
+    Term n is coefficient[n] * phi(e_a ^ e_b): (s - r, [r+s], t),
+    (-(t - r), [r+t], s) and (t - s, [s+t], r), the index sums normalized.
+    """
+    r, s, t = triple_index(p)
+    first = (np.stack([r + s, r + t, s + t]) + 1) % p  # position of normalize_index(a + b)
+    return _coordinate_terms(np.stack([s - r, r - t, t - s]), first, np.stack([t, s, r]) + 1, p)
+
+
+def _term_blocks(terms: tuple[np.ndarray, ...], n: int) -> list[slice]:
+    """Blocks of n stacked coordinate rows whose gathered terms each stay within witt._SWEEP_BYTES."""
+    block = max(1, witt._SWEEP_BYTES // (8 * terms[0].size))
+    return [slice(start, start + block) for start in range(0, n, block)]
+
+
+def _terms_values(terms: tuple[np.ndarray, ...], phis: np.ndarray, p: int) -> np.ndarray:
+    """Every term column on stacked 2-form coordinate rows phis (..., C(p,2)): sum of coefficient * phis[column].
+
+    The rows are evaluated in _term_blocks, so only the values, not every
+    term, are held whole.
+    """
+    coefficient, column = terms
+    flat = phis.reshape(-1, phis.shape[-1])
+    values = np.empty((len(flat), coefficient.shape[1]), dtype=np.int64)
+    for rows in _term_blocks(terms, len(flat)):
+        np.einsum("nk,bnk->bk", coefficient, flat[rows][:, column], out=values[rows])
+    values %= p
+    return values.reshape(phis.shape[:-1] + values.shape[-1:])
+
+
+def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of phis -> _terms_values(terms, phis, p) on wedge_pairs coordinates.
+
+    Each term adds its coefficient to its column of its row.  Terms of one
+    row that meet one column are summed apart from the matrix, and every
+    term then assigns its column's total: the matrix is only written, never
+    read, so each of its pages faults once.  out, when given, must be zero;
+    the matrix is scattered into it and nothing else is written.
+    """
+    coefficient, column = terms
+    m = np.zeros((coefficient.shape[1], p * (p - 1) // 2), dtype=np.int64) if out is None else out
+    totals = ((column[:, None] == column) * coefficient).sum(axis=1)  # over the row's terms in the same column
+    m[np.arange(coefficient.shape[1]), column] = totals % p  # every other entry is zero
     return m
 
 
 def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
     """(d2 phi)(e_r ^ e_s ^ e_t) by the alternating three-term expansion."""
     p = phi.field.p
-    return Cochain3Ord(phi.field, tuple(_terms_values(_triple_terms(p), phi.to_matrix(), p).tolist()))
+    return Cochain3Ord(phi.field, tuple(_terms_values(_triple_terms(p), phi.to_vector(), p).tolist()))
 
 
 def delta1_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarray:

@@ -45,9 +45,10 @@ the cochain.
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
 [e_a, e_b, ..., e_b] (witt.basis_chains) and the p-th power e_b^{[p]} of
-every beta row (_ind2_terms).  d2_cl, ind2 and is_cocycle_rows evaluate
-the tables on dense matrices of phi, is_cocycle_rows on those of stacked
-coordinate rows (is_cocycle is its one-row call), and delta2_res_matrix
+every beta row (_ind2_terms), each term a coordinate of phi and its
+signed coefficient.  d2_cl, ind2 and is_cocycle_rows evaluate the tables
+on phi's coordinates, is_cocycle_rows on stacked coordinate rows, block
+by block to flags (is_cocycle is its one-row call), and delta2_res_matrix
 scatters them into its alpha and beta rows: it allocates the matrix once
 and scatters the ordinary d2 straight into its top-left corner
 (ordinary.delta2_matrix with out) and ind2 into the beta rows below it,
@@ -91,6 +92,9 @@ from .ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
+    _coordinate_terms,
+    _read_only,
+    _term_blocks,
     _terms_matrix,
     _terms_values,
     _triple_terms,
@@ -101,7 +105,6 @@ from .ordinary import (
     delta2_cl,
     delta2_matrix,
     grade_tables,
-    phi_matrices,
     triple_index,
     upper_triangle,
     virasoro_cocycle,
@@ -290,8 +293,8 @@ def delta1_res(psi: Cochain1) -> Cochain2Res:
 
 
 @lru_cache(maxsize=None)
-def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two terms of ind2 on every beta row (a, b) as (2, p^2) arrays like _triple_terms.
+def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two terms of ind2 on every beta row (a, b) as (2, p^2) ordinary._coordinate_terms, like _triple_terms.
 
     Row (a, b) is term column (a + 1) * p + b + 1.  [e_a, e_b, ..., e_b]
     with p-1 factors of e_b stays a multiple c * e_m of one basis vector
@@ -301,13 +304,12 @@ def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     a, b = np.divmod(np.arange(p * p), p)  # positions a + 1, b + 1
     c, m = (x.ravel() for x in basis_chains(p, p - 1))
-    terms = np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)])
-    return tuple(_read_only(t) for t in terms)
+    return _coordinate_terms(np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)]), p)
 
 
-def _ind2_table(m: np.ndarray, p: int) -> np.ndarray:
-    """ind2 of the 2-forms with stacked dense matrices m (..., p, p) (see ind2)."""
-    return _terms_values(_ind2_terms(p), m, p).reshape(m.shape[:-2] + (p, p))
+def _ind2_table(phis: np.ndarray, p: int) -> np.ndarray:
+    """ind2 of stacked 2-form coordinate rows phis (..., C(p,2)) (see ind2)."""
+    return _terms_values(_ind2_terms(p), phis, p).reshape(phis.shape[:-1] + (p, p))
 
 
 def ind2(c: Cochain2Res) -> np.ndarray:
@@ -319,7 +321,7 @@ def ind2(c: Cochain2Res) -> np.ndarray:
     W the table vanishes identically; CochainComplex still evaluates it on
     ker d2 to read the restricted kernel, rather than assume it is zero.
     """
-    return _ind2_table(c.phi.to_matrix(), c.field.p)
+    return _ind2_table(c.phi.to_vector(), c.field.p)
 
 
 def delta2_res(c: Cochain2Res) -> Cochain3Res:
@@ -329,9 +331,18 @@ def delta2_res(c: Cochain2Res) -> Cochain3Res:
 
 
 def is_cocycle_rows(vs, p: int) -> np.ndarray:
-    """Whether d2 kills each stacked coordinate row (..., c2_dim(p)): d2_cl and ind2 on the rows' dense phi matrices."""
-    m = phi_matrices(c2_rows(vs, p)[..., :-p], p)
-    return ~(_terms_values(_triple_terms(p), m, p).any(axis=-1) | _ind2_table(m, p).any(axis=(-2, -1)))
+    """Whether d2 kills each stacked coordinate row (..., c2_dim(p)): d2_cl and ind2 on the rows' phi coordinates.
+
+    The rows are tested in d2_cl's _term_blocks, each reduced to flags
+    before the next, so no array of every row's d2_cl values is held.
+    """
+    vs = c2_rows(vs, p)
+    phis = vs[..., :-p].reshape(-1, c2_dim(p) - p)
+    killed = np.empty(len(phis), dtype=bool)
+    for rows in _term_blocks(_triple_terms(p), len(phis)):
+        d2 = _terms_values(_triple_terms(p), phis[rows], p).any(axis=-1)
+        killed[rows] = ~(d2 | _ind2_table(phis[rows], p).any(axis=(-2, -1)))
+    return killed.reshape(vs.shape[:-1])
 
 
 def is_cocycle(c: Cochain2Res) -> bool:
@@ -444,11 +455,6 @@ def delta2_res_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.nd
 # The cochain complex of one prime, grade by grade
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 def _embedded_kernel(vectors: np.ndarray, free: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
     """Kernel basis, as rows, of a grade-preserving matrix with n columns, from its grade blocks' kernels.
 
@@ -505,7 +511,7 @@ class CochainComplex:
         self.block_kernels = tuple(_read_only(k) for k in field.kernels(blocks))
         ker2 = _embedded_kernel(*self.block_kernels, pairs, n2)
         # ker d2_res: the phi in ker d2 that ind2 kills, then the omega unit vectors (d2 never reads omega).
-        vectors, free = field.kernels(_terms_values(_ind2_terms(p), phi_matrices(ker2, p), p).T)
+        vectors, free = field.kernels(_terms_values(_ind2_terms(p), ker2, p).T)
         ker2_res = np.pad(vectors[free] @ ker2 % p, ((0, p), (0, p)))
         ker2_res[-p:, -p:] = np.eye(p, dtype=np.int64)
         self.rank_d1 = p - int(zero1.sum())

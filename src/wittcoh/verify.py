@@ -190,8 +190,8 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     d1, d2 = cx.d1, cx.d2
 
     def complex_identity():
-        # d2_cl's term table on the dense matrices of d1's columns, the 2-forms d1(e^k).
-        assert not ordi._terms_values(ordi._triple_terms(p), ordi.phi_matrices(d1.T, p), p).any(), "d2 . d1 != 0"
+        # d2_cl's term table on d1's columns, the coordinates of the 2-forms d1(e^k).
+        assert not ordi._terms_values(ordi._triple_terms(p), d1.T, p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("ordinary.complex_identity", complex_identity))

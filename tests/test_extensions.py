@@ -766,6 +766,16 @@ def test_stacked_axioms_refuse_mixed_primes():
         extensions.verify_restricted_axioms_stacked([virasoro_extension(F5)], 2, [0, 1])
 
 
+def test_stacked_axioms_refuse_an_empty_stack():
+    with pytest.raises(ValueError, match="at least one extension"):
+        extensions.verify_restricted_axioms_stacked([], 3, [])
+
+
+def test_extract_cocycles_refuses_an_empty_stack():
+    with pytest.raises(ValueError, match="at least one extension"):
+        extract_cocycles([], [])
+
+
 def test_extract_names_a_pmap_defect_left_in_w(monkeypatch):
     # The p defects come from one stacked p-map call; a W part left in any
     # of them is refused.

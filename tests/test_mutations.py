@@ -7,11 +7,11 @@ the fold and its steps, the correction weights, the derivation route, the
 basis chains, the extensions' basis-pair sweep and p-map, W's bracket
 rows; the complex's rank certificates (d2's grade blocks, their kernels,
 the inverse X of the lower bound, ker d2_res); and the coboundaries, as
-d2's term table and as the assembled d2_res and d1_res.  A kernel's patch
-adds 1 mod p to the first nonzero entry of every output (bumped) in every
-module that imports it by name, and the cached tables built from its
-output are rebuilt around each row.  A check that stops failing under its
-mutation is a regression.
+d2's and ind2's term tables and as the assembled d2_res and d1_res.  A
+kernel's patch adds 1 mod p to the first nonzero entry of every output
+(bumped) in every module that imports it by name, and the cached tables
+built from its output are rebuilt around each row.  A check that stops
+failing under its mutation is a regression.
 
 A corruption shared by both sides of one comparison cannot be caught by
 that comparison: witt.pth_power_fold_order folds both orders through
@@ -175,12 +175,20 @@ def corrupted_bracket_rows(monkeypatch):
     corrupt_kernel(monkeypatch, (witt,), "bracket_rows", lambda brackets, xs, ys, p: bumped(brackets, p))
 
 
-def corrupted_triple_terms(monkeypatch):
-    # The coefficient of the first term of the first triple: d2_cl, the assembled d2 and is_cocycle_rows all change.
-    def coefficient(terms, p):
-        return (bumped(terms[0], p),) + terms[1:]
+def bumped_coefficient(terms, p):
+    """A term table (coefficient, column) with its first nonzero signed coefficient bumped, not a column it reads."""
+    return (bumped(terms[0], p),) + terms[1:]
 
-    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", coefficient)
+
+def corrupted_triple_terms(monkeypatch):
+    # The first term of the first triple: d2_cl, the assembled d2 and is_cocycle_rows all change.
+    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", bumped_coefficient)
+
+
+def corrupted_ind2_terms(monkeypatch):
+    # The first term of the beta row (-1, 0), which the second term cancelled: ind2, the beta rows of d2_res and
+    # is_cocycle_rows all change.
+    corrupt_kernel(monkeypatch, (restricted,), "_ind2_terms", bumped_coefficient)
 
 
 def assembled_d2_res_with(monkeypatch, position):
@@ -300,6 +308,18 @@ TABLE = [
             "ordinary.cohomology_dims",
             "ordinary.explicit_cocycles",
             "restricted.complex_identity",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
+    (
+        corrupted_ind2_terms,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.block_full_agreement",
+            "restricted.complex_identity",
+            "restricted.beta_block_zero",
             "restricted.kernel_structure",
             "restricted.h2_dimension",
             "report.dims_closed_forms",

@@ -39,7 +39,6 @@ from wittcoh.ordinary import (
     dual_basis,
     graded_pair_positions,
     graded_triple_positions,
-    phi_matrices,
     triple_index,
     triple_normalize,
     virasoro_cocycle,
@@ -48,6 +47,7 @@ from wittcoh.ordinary import (
     wedge_triples,
 )
 from wittcoh.restricted import (
+    _ind2_terms,
     cochain_complex,
     delta1_res_matrix,
     delta2_res_matrix,
@@ -198,35 +198,46 @@ def test_matrix_builders_scatter_into_out_alone(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_terms_matrix_applies_like_terms_values(p):
-    # Random tables: repeated positions within a column, diagonal positions
-    # and coefficients of either sign, which the d2 and ind2 tables of W
-    # only partly reach.
+    # Random tables: repeated columns within a row, zero coefficients and
+    # coefficients of either sign, which the d2 and ind2 tables of W only
+    # partly reach.
     rng = np.random.default_rng(p)
-    field = PrimeField(p)
+    n2 = len(wedge_pairs(p))
     for k, n in ((1, 1), (2, 9), (3, 40)):
-        coefficient = rng.integers(-p, p + 1, size=(k, n))
-        first, second = rng.integers(0, p, size=(2, k, n))
-        terms = coefficient, first, second
+        terms = rng.integers(-p, p + 1, size=(k, n)), rng.integers(0, n2, size=(k, n))
         m = _terms_matrix(terms, p)
-        assert m.shape == (n, len(wedge_pairs(p)))
-        for _ in range(3):
-            phi = Cochain2Ord(field, tuple(rng.integers(0, p, size=len(wedge_pairs(p))).tolist()))
-            assert (m @ phi.to_vector() % p == _terms_values(terms, phi.to_matrix(), p)).all()
+        assert m.shape == (n, n2)
+        phis = rng.integers(0, p, size=(3, n2))
+        assert (phis @ m.T % p == _terms_values(terms, phis, p)).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_term_tables_on_coordinates_apply_like_the_loop_matrices(p):
+    # d2_cl's and ind2's tables on coordinate rows (the unit rows, which read
+    # off every column, and random rows) against the loop-built d2 and the
+    # beta rows of the loop-built d2_res on their phi columns.
+    field = PrimeField(p)
+    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    phis = np.vstack([np.eye(n2, dtype=np.int64), np.random.default_rng(p).integers(0, p, size=(5, n2))])
+    d2_res = delta2_res_matrix_by_loops(field)
+    assert (d2_res[:n3, :n2] == delta2_matrix_by_loops(field)).all()
+    assert (_terms_values(_triple_terms(p), phis, p) == phis @ d2_res[:n3, :n2].T % p).all()
+    assert (_terms_values(_ind2_terms(p), phis, p) == phis @ d2_res[n3:, :n2].T % p).all()
 
 
 @pytest.mark.parametrize("p", [13, 31])
 def test_terms_values_gathers_in_blocks_within_the_sweep_bound(monkeypatch, p):
-    # Patched to seven matrices' terms per block, the 100 stacked matrices run
-    # 15 blocks, the last one short, and give the values of one whole gather.
-    # The whole gather, three int64 terms per triple of every matrix, is three
-    # times the values; the blocks hold one block's terms besides them.
+    # Patched to seven rows' terms per block, the 100 stacked coordinate rows
+    # run 15 blocks, the last one short, and give the values of one whole
+    # gather.  The whole gather, three int64 terms per triple of every row, is
+    # three times the values; the blocks hold one block's terms besides them.
     terms = _triple_terms(p)
-    m = phi_matrices(np.random.default_rng(p).integers(0, p, size=(2, 50, len(wedge_pairs(p)))), p)
-    expected = np.einsum("nk,...nk->...k", terms[0], m[..., terms[1], terms[2]]) % p
+    phis = np.random.default_rng(p).integers(0, p, size=(2, 50, len(wedge_pairs(p))))
+    expected = np.einsum("nk,...nk->...k", terms[0], phis[..., terms[1]]) % p
     monkeypatch.setattr(witt, "_SWEEP_BYTES", 7 * 8 * terms[0].size)
     tracemalloc.start()
     try:
-        values = _terms_values(terms, m, p)
+        values = _terms_values(terms, phis, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

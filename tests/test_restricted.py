@@ -20,7 +20,7 @@ from tests.oracles import (
     to_dense_by_loops,
     whole_matrix_rank,
 )
-from wittcoh import gfp, restricted, verify, witt
+from wittcoh import gfp, ordinary, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
@@ -339,14 +339,38 @@ def test_cocycle_test_matches_the_loop_matrix(p):
     assert [is_cocycle(c2_from_vector(field, v)) for v in vs] == expected.tolist()
 
 
+def test_cocycle_test_keeps_flags_not_values(monkeypatch):
+    # Patched to seven rows' terms per block, the 100 rows run 15 blocks of
+    # d2_cl's term table, each reduced to flags before the next.  The peak
+    # holds one block's terms and values (a third of its terms) and a copy of
+    # the rows, well below half of the (100, C(p,3)) values of every row.
+    p = 31
+    field = PrimeField(p)
+    ker = np.array(cochain_complex(field).ker_d2_res)
+    rng = np.random.default_rng(p)
+    vs = np.vstack([rng.integers(0, p, (50, len(ker))) @ ker % p, rng.integers(0, p, (50, c2_dim(p)))])
+    expected = is_cocycle_rows(vs, p)
+    assert expected.tolist() == [True] * 50 + [False] * 50
+    terms = ordinary._triple_terms(p)
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 7 * 8 * terms[0].size)
+    tracemalloc.start()
+    try:
+        flags = is_cocycle_rows(vs, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (flags == expected).all()
+    assert peak <= 1.5 * witt._SWEEP_BYTES + 1.1 * vs.nbytes < 8 * len(vs) * terms[0].shape[1] / 2
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_cocycle_test_reads_a_corrupted_ind2_table(p, monkeypatch):
     # With one more term in every beta row, ind2 refuses kernel rows that
     # d2_cl accepts; the test must read the same table as d2_res's matrix.
     field = PrimeField(p)
     vs = cocycle_test_inputs(field, p)  # the kernel of the true d2_res
-    coefficient, first, second = restricted._ind2_terms(p)
-    corrupted = (coefficient + np.array([[1], [0]]), first, second)
+    coefficient, column = restricted._ind2_terms(p)
+    corrupted = (coefficient + np.array([[1], [0]]), column)
     monkeypatch.setattr(restricted, "_ind2_terms", lambda q: corrupted)
     d2 = delta2_res_matrix(field) @ vs.T % p
     n3 = len(wedge_triples(p))

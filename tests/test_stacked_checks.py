@@ -94,11 +94,11 @@ def corrupt_split(monkeypatch, target, rest):
 def corrupt_cocycle_test(monkeypatch, phi):
     """ind2 of the 2-form phi (a cochain) is nonzero: the cocycle test refuses every cochain with that phi."""
     original = restricted._ind2_table
-    target = phi.to_matrix()
+    target = phi.to_vector()
 
-    def table(m, p):
-        hit = (m == target).all(axis=(-2, -1))
-        return (original(m, p) + np.expand_dims(hit, (-2, -1))) % p
+    def table(phis, p):
+        hit = (phis == target).all(axis=-1)
+        return (original(phis, p) + np.expand_dims(hit, (-2, -1))) % p
 
     monkeypatch.setattr(restricted, "_ind2_table", table)
 
