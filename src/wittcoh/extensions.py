@@ -334,20 +334,20 @@ def _basis_pair_sweep(tables: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarra
     weighted rows are the summands, and its lambda^0 row, row u of
     R(b_v)^(p-1) (R the right-bracket matrix), times R(b_v) is row u of
     R(b_v)^p.  Blocks are sized for four arrays of their lambda rows
-    (tables, block, n, p, n) within _SWEEP_BYTES, each freed before the
-    next.  A block holds about 3.05; sizing for three passes the bound and
-    is no faster (tracemalloc, two tables: 49.4 against 66.7 MiB at p = 37;
-    49.9 MiB in 7.7 s against 71.3 MiB in 8.1 s at p = 53).
+    (tables, block, n, p, n) within _SWEEP_BYTES (witt.sweep_blocks), each
+    freed before the next.  A block holds about 3.05; sizing for three
+    passes the bound and is no faster (tracemalloc, two tables: 49.4
+    against 66.7 MiB at p = 37; 49.9 MiB in 7.7 s against 71.3 MiB in
+    8.1 s at p = 53).
     """
     n = tables.shape[1]
     right = tables.transpose(0, 2, 1, 3)  # right[d, u]: (v @ right[d, u]) is [v, b_u]
     eye = np.eye(n, dtype=np.int64)
     summands, chains = np.empty(tables.shape, dtype=np.int64), np.empty(tables.shape, dtype=np.int64)
-    block = max(1, witt._SWEEP_BYTES // (4 * 8 * len(tables) * n * p * n))
-    for lo in range(0, n, block):
-        rows = witt.lambda_rows(eye[lo : lo + block, None], right[:, lo : lo + block, None], right[:, None], p - 1, p)
-        summands[:, lo : lo + block] = witt.summands_from_rows(rows, p)
-        chains[:, :, lo : lo + block] = rows[..., 0, :].swapaxes(1, 2) @ right % p
+    for us in witt.sweep_blocks(n, 4 * 8 * len(tables) * n * p * n):
+        rows = witt.lambda_rows(eye[us, None], right[:, us, None], right[:, None], p - 1, p)
+        summands[:, us] = witt.summands_from_rows(rows, p)
+        chains[:, :, us] = rows[..., 0, :].swapaxes(1, 2) @ right % p
         del rows
     return summands, chains
 

@@ -12,7 +12,8 @@ wedge_triples, and the grade arrays are read off them.  Each coboundary
 into 2-form coordinates is written once, as a table of terms
 coefficient * phi(e_a ^ e_b) (_triple_terms for d2), each holding the
 coordinate it reads and its signed coefficient (_coordinate_terms):
-_terms_values evaluates a table on stacked coordinate rows, and
+_terms_values evaluates a table on stacked coordinate rows (_terms_nonzero
+only whether its values vanish, block by block), and
 _terms_matrix scatters it into the dense coboundary matrix, writing each
 entry once and reading none.  d1's matrix is scattered straight from the
 pairs, each of which meets one column.  Both matrix builders can
@@ -300,25 +301,35 @@ def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _coordinate_terms(np.stack([s - r, r - t, t - s]), first, np.stack([t, s, r]) + 1, p)
 
 
-def _term_blocks(terms: tuple[np.ndarray, ...], n: int) -> list[slice]:
-    """Blocks of n stacked coordinate rows whose gathered terms each stay within witt._SWEEP_BYTES."""
-    block = max(1, witt._SWEEP_BYTES // (8 * terms[0].size))
-    return [slice(start, start + block) for start in range(0, n, block)]
-
-
 def _terms_values(terms: tuple[np.ndarray, ...], phis: np.ndarray, p: int) -> np.ndarray:
     """Every term column on stacked 2-form coordinate rows phis (..., C(p,2)): sum of coefficient * phis[column].
 
-    The rows are evaluated in _term_blocks, so only the values, not every
-    term, are held whole.
+    The rows are evaluated in blocks whose gathered terms, 8 bytes each,
+    stay within witt._SWEEP_BYTES (witt.sweep_blocks), so only the values,
+    not every term, are held whole.
     """
     coefficient, column = terms
     flat = phis.reshape(-1, phis.shape[-1])
     values = np.empty((len(flat), coefficient.shape[1]), dtype=np.int64)
-    for rows in _term_blocks(terms, len(flat)):
+    for rows in witt.sweep_blocks(len(flat), 8 * coefficient.size):
         np.einsum("nk,bnk->bk", coefficient, flat[rows][:, column], out=values[rows])
     values %= p
     return values.reshape(phis.shape[:-1] + values.shape[-1:])
+
+
+def _terms_nonzero(tables, phis: np.ndarray, p: int) -> np.ndarray:
+    """Whether any table's values are nonzero on each stacked 2-form coordinate row phis (..., C(p,2)), as flags.
+
+    The rows are tested in blocks whose gathered terms of the largest table
+    stay within witt._SWEEP_BYTES, and each table's values are reduced to
+    flags before the next, so no array of every row's values is held.
+    """
+    flat = phis.reshape(-1, phis.shape[-1])
+    nonzero = np.zeros(len(flat), dtype=bool)
+    for rows in witt.sweep_blocks(len(flat), 8 * max(coefficient.size for coefficient, _ in tables)):
+        for terms in tables:
+            nonzero[rows] |= _terms_values(terms, flat[rows], p).any(axis=-1)
+    return nonzero.reshape(phis.shape[:-1])
 
 
 def _terms_matrix(terms: tuple[np.ndarray, ...], p: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -34,13 +34,12 @@ serves every phi.
 omega(g) is linear in the coordinates (phi, omega's basis values), so
 folding g's basis terms once gives the vector w with
 omega(g) = c2_to_vector(c) @ w for every cochain c.  That fold is a row
-kernel like witt's fold p-th power: omega_functional_rows takes stacked
-coefficient rows (..., p), pads them with zero terms (witt.fold_rows) and
-sends the real steps (prefix sum, next term), those whose next term is
-nonzero, of every row through one stacked _correction_weights call
-(witt.fold_steps), whose values are scattered back and summed;
-omega_functional is its one-row call, and eval_omega the dot product with
-the cochain.
+kernel like witt's fold p-th power, and the same fold (witt.fold):
+omega_functional_rows takes stacked coefficient rows (..., p), optionally
+each with its own fold order, runs _correction_weights on the real steps
+(prefix sum, next term) of every row in blocks, and sums each row's
+values; omega_functional is its one-row call, and eval_omega the dot
+product with the cochain.
 
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
@@ -94,8 +93,8 @@ from .ordinary import (
     Cochain3Ord,
     _coordinate_terms,
     _read_only,
-    _term_blocks,
     _terms_matrix,
+    _terms_nonzero,
     _terms_values,
     _triple_terms,
     c2_zero,
@@ -115,9 +114,7 @@ from .witt import (
     _inverse_vector,
     basis_chains,
     basis_element,
-    fold_rows,
-    fold_steps,
-    fold_terms,
+    fold,
     lambda_rows,
     pth_power_basis,
     right_bracket_matrix,
@@ -249,20 +246,25 @@ def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     return _correction_sum(phi.to_matrix(), g, h)
 
 
-def _fold_functional(terms: np.ndarray, p: int) -> np.ndarray:
-    """omega functionals of the sums of stacked fold terms (..., k, p)."""
-    w = np.zeros(terms.shape[:-2] + (c2_dim(p),), dtype=np.int64)
-    w[..., -p:] = terms.sum(axis=-2)  # a^p = a in GF(p)
-    if terms.shape[-2] > 1:
-        q = fold_steps(lambda g, h: _correction_weights(g, h, p), terms, p).sum(axis=-3)
-        # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row.
-        w[..., :-p] = (q - q.swapaxes(-1, -2))[(...,) + upper_triangle(p)]
-    return w % p
+def omega_functional_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
+    """omega functionals (see omega_functional) of stacked coefficient rows (..., p), as rows, each folded in its order.
 
+    The omega coordinates are the rows themselves (a^p = a in GF(p)), and
+    the phi coordinates the correction weights of every fold step
+    (witt.fold), each step's read on the wedge_pairs coordinates before the
+    steps are summed, so no (p, p) array per row is held.
+    """
+    u, v = upper_triangle(p)
 
-def omega_functional_rows(gs: np.ndarray, p: int) -> np.ndarray:
-    """omega functionals (see omega_functional) of stacked coefficient rows (..., p), as rows."""
-    return fold_rows(_fold_functional, gs, p)
+    def step(g, h):  # phi(e_i ^ e_j) = M[i, j] = -M[j, i]; wedge_pairs is the upper triangle, row by row
+        q = _correction_weights(g, h, p)
+        return q[:, u, v] - q[:, v, u]
+
+    w = np.empty(np.shape(gs)[:-1] + (c2_dim(p),), dtype=np.int64)
+    w[..., :-p] = fold(step, gs, p, orders)
+    w[..., -p:] = gs
+    w %= p
+    return w
 
 
 def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
@@ -273,11 +275,11 @@ def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
         omega(v + a*e_i) = omega(v) + a^p omega(e_i) + star_correction(phi, v, a*e_i),
     is done once for all cochains: the omega coordinates collect the a^p,
     and the phi coordinates the correction weights of every step; this is
-    the one-row call of the fold kernel.  fold_order may permute the
+    the one-row call of omega_functional_rows.  fold_order may permute the
     support; over cocycles the value is fold-order invariant (exercised by
     tests), ascending order is the default.
     """
-    return _fold_functional(fold_terms(g, fold_order), g.p)
+    return omega_functional_rows(np.array(g.coeffs), g.p, None if fold_order is None else [fold_order])
 
 
 def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
@@ -307,11 +309,6 @@ def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
     return _coordinate_terms(np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)]), p)
 
 
-def _ind2_table(phis: np.ndarray, p: int) -> np.ndarray:
-    """ind2 of stacked 2-form coordinate rows phis (..., C(p,2)) (see ind2)."""
-    return _terms_values(_ind2_terms(p), phis, p).reshape(phis.shape[:-1] + (p, p))
-
-
 def ind2(c: Cochain2Res) -> np.ndarray:
     """The p x p table phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b), read off _ind2_terms.
 
@@ -321,7 +318,8 @@ def ind2(c: Cochain2Res) -> np.ndarray:
     W the table vanishes identically; CochainComplex still evaluates it on
     ker d2 to read the restricted kernel, rather than assume it is zero.
     """
-    return _ind2_table(c.phi.to_vector(), c.field.p)
+    p = c.field.p
+    return _terms_values(_ind2_terms(p), c.phi.to_vector(), p).reshape(p, p)
 
 
 def delta2_res(c: Cochain2Res) -> Cochain3Res:
@@ -333,16 +331,11 @@ def delta2_res(c: Cochain2Res) -> Cochain3Res:
 def is_cocycle_rows(vs, p: int) -> np.ndarray:
     """Whether d2 kills each stacked coordinate row (..., c2_dim(p)): d2_cl and ind2 on the rows' phi coordinates.
 
-    The rows are tested in d2_cl's _term_blocks, each reduced to flags
-    before the next, so no array of every row's d2_cl values is held.
+    ordinary._terms_nonzero tests the rows block by block, each reduced to
+    flags before the next, so no array of every row's d2_cl values is held.
     """
     vs = c2_rows(vs, p)
-    phis = vs[..., :-p].reshape(-1, c2_dim(p) - p)
-    killed = np.empty(len(phis), dtype=bool)
-    for rows in _term_blocks(_triple_terms(p), len(phis)):
-        d2 = _terms_values(_triple_terms(p), phis[rows], p).any(axis=-1)
-        killed[rows] = ~(d2 | _ind2_table(phis[rows], p).any(axis=(-2, -1)))
-    return killed.reshape(vs.shape[:-1])
+    return ~_terms_nonzero((_triple_terms(p), _ind2_terms(p)), vs[..., :-p], p)
 
 
 def is_cocycle(c: Cochain2Res) -> bool:

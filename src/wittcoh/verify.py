@@ -169,8 +169,9 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
 
         def failing(samples):  # shuffled then ascending folds, stacked; the one-row fold on the first sample
             gs, orders = zip(*samples)
-            terms = witt.padded_fold_terms(gs + gs, orders + (None,) * len(gs), p)
-            shuffled, ascending = witt.fold_blocks(witt._fold_power, terms, p).reshape(2, len(gs), p)
+            orders += tuple(g.support() for g in gs)  # the second copy folds in ascending order
+            powers = witt.pth_power_rows(np.array([g.coeffs for g in gs + gs]), p, orders)
+            shuffled, ascending = powers.reshape(2, -1, p)
             flags = (shuffled != ascending).any(axis=1)
             flags[0] |= witt.pth_power(gs[0], term_order=orders[0]).coeffs != tuple(shuffled[0])
             return flags
@@ -191,7 +192,7 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
 
     def complex_identity():
         # d2_cl's term table on d1's columns, the coordinates of the 2-forms d1(e^k).
-        assert not ordi._terms_values(ordi._triple_terms(p), d1.T, p).any(), "d2 . d1 != 0"
+        assert not ordi._terms_nonzero([ordi._triple_terms(p)], d1.T, p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("ordinary.complex_identity", complex_identity))
@@ -347,10 +348,9 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     cochains whose omega the library ever folds), and the suite also
     confirms it genuinely fails off the kernel.  The references, omega(g)
     in ascending order once per (c, g), are one omega_functional_rows call,
-    with the one-row eval_omega on the first; the 50 shuffled folds are one
-    stacked witt.fold_blocks call, each fold's terms padded at the end with
-    zero terms, which add nothing (witt.padded_fold_terms).  The draws and the
-    failure are those of a loop testing each order as it is drawn.
+    with the one-row eval_omega on the first; the 50 shuffled folds are
+    another, given their orders.  The draws and the failure are those of a
+    loop testing each order as it is drawn.
     """
     p = field.p
     ker = np.array(ker)
@@ -363,10 +363,10 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
 
     def failing(samples):
         cocycles, gs, orders = zip(*samples)
-        cocycles = np.array(cocycles)
-        refs = res.omega_functional_rows(np.array([g.coeffs for g in gs[::5]]), p) * cocycles[::5]
+        cocycles, rows = np.array(cocycles), np.array([g.coeffs for g in gs])
+        refs = res.omega_functional_rows(rows[::5], p) * cocycles[::5]
         base = np.repeat(refs.sum(axis=1) % p, 5)
-        folds = witt.fold_blocks(res._fold_functional, witt.padded_fold_terms(gs, orders, p), p)
+        folds = res.omega_functional_rows(rows, p, orders)
         flags = (folds * cocycles).sum(axis=1) % p != base
         flags[0] |= res.eval_omega(res.c2_from_vector(field, cocycles[0]), gs[0]) != base[0]
         return flags

@@ -19,10 +19,10 @@ Two independent p-th power algorithms are provided, each a row kernel on
 stacked coefficient arrays (..., p) with a one-row entry point:
 
 * the fold over basis terms driven by that expansion (pth_power_rows,
-  pth_power).  Each step joins the prefix sum with the next term; rows are
-  padded with zero terms, which add no summand, so only the real steps,
-  those whose next term is nonzero, go through one stacked summands_total
-  call (fold_steps);
+  pth_power), each row in ascending or its own order.  Each step joins the
+  prefix sum with the next term, and one fold (fold) builds the steps of
+  every row straight from the rows, runs summands_total on them in blocks
+  and sums each row's; restricted's omega functionals take the same fold;
 * (p-1)-fold composition of the underlying derivation with itself, using
   that the p-th power of D = f*d/dx is the derivation sending x to
   D^{p-1}(f) (pth_power_via_derivation_rows, pth_power_via_derivation):
@@ -361,12 +361,23 @@ def pth_power_basis(field: PrimeField, i: int) -> WittElement:
 # float64 holds every integer below this exactly.
 _EXACT_FLOAT = 2**53
 
-# Memory bound on one block of every blocked scan: all the arrays of a fold
-# kernel's block (fold_blocks, behind every stacked fold: fold_rows and
-# verify's shuffled folds), the lambda rows of the extension axioms'
-# basis-pair sweep, the Jacobi sums of jacobi_scan, and the chain rows of
-# the exhaustive ** oracle in tests/oracles.py.
+# Memory bound on one block of every blocked scan (sweep_blocks): the real
+# steps of a fold (behind both p-maps), the lambda rows of the extension
+# axioms' basis-pair sweep, the Jacobi sums of jacobi_scan, the gathered
+# terms of ordinary's term tables, and the chain rows of the exhaustive **
+# oracle in tests/oracles.py.
 _SWEEP_BYTES = 64 << 20
+
+
+def sweep_blocks(n: int, item_bytes: int) -> list[slice]:
+    """range(n) as the fewest slices of at most _SWEEP_BYTES // item_bytes items (one at least), sized evenly.
+
+    Even slices take as many calls as full ones and hold fewer items at
+    once.  None is empty, except the one slice of n = 0.
+    """
+    count = -(-n // max(1, _SWEEP_BYTES // item_bytes)) or 1
+    size = -(-n // count)
+    return [slice(k * size, (k + 1) * size) for k in range(count)]
 
 
 @lru_cache(maxsize=None)
@@ -388,24 +399,24 @@ def jacobi_scan(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
     and the Jacobi sum is [[b_u, b_v], b_w] + [[b_v, b_w], b_u] + [[b_w, b_u], b_v].
     For a block of u the three terms are products of the tensor with a slice
     of itself, in float64, which is exact: every entry of the sum stays below
-    3 n (p - 1)^2 < 2^53.  Blocks of u keep the four (block, n, n, n) arrays
-    alive at once within _SWEEP_BYTES, so the whole n^4 tensor is never held.
+    3 n (p - 1)^2 < 2^53.  Blocks of u (sweep_blocks) keep the four
+    (block, n, n, n) arrays alive at once within _SWEEP_BYTES, so the whole
+    n^4 tensor is never held.
     """
     n = t.shape[0]
     tf = (t % p).astype(np.float64)
     by_first = tf.reshape(n * n, n)  # [(x, y), s]
     by_last = tf.reshape(n, n * n)  # [s, (y, m)]
-    block = max(1, _SWEEP_BYTES // (32 * n**3))
-    for lo in range(0, n, block):
-        part = tf[:, lo : lo + block]  # t[:, u, :] for u in the block
+    for us in sweep_blocks(n, 32 * n**3):
+        part = tf[:, us]  # t[:, u, :] for u in the block
         k = part.shape[1]
-        total = (tf[lo : lo + block].reshape(k * n, n) @ by_last).reshape(k, n, n, n)  # [[b_u, b_v], b_w]
+        total = (tf[us].reshape(k * n, n) @ by_last).reshape(k, n, n, n)  # [[b_u, b_v], b_w]
         total += (by_first @ part.reshape(n, k * n)).reshape(n, n, k, n).transpose(2, 0, 1, 3)  # [[b_v, b_w], b_u]
         total += (part.reshape(n * k, n) @ by_last).reshape(n, k, n, n).transpose(1, 2, 0, 3)  # [[b_w, b_u], b_v]
         bad = np.argwhere((total.astype(np.int64) % p).any(axis=3))
         if bad.size:
             u, v, w = (int(i) for i in bad[0])
-            return lo + u, v, w
+            return us.start + u, v, w
     return None
 
 
@@ -486,116 +497,89 @@ def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
     return [field.inv(i) * WittElement(field, tuple(rows[i - 1].tolist())) for i in range(1, p)]
 
 
-def _ordered_terms(rows: np.ndarray, lengths: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Fold terms (N, longest, p) of coefficient rows (N, p), padded at the end with zero terms.
+def _ordered_positions(flat: np.ndarray, orders, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, positions) of the terms of coefficient rows flat (N, p), row after row, each row's in its order.
 
-    positions lists the positions of every row's terms in its fold order,
-    row after row, lengths[k] of them for row k; one scatter puts each term
-    in its row's next slot.
+    orders holds one list of basis indices per row, which must be a
+    permutation of the row's support.
     """
-    rows_of = np.repeat(np.arange(len(rows)), lengths)
-    slots = np.arange(len(positions)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    terms = np.zeros((len(rows), lengths.max(initial=0), rows.shape[1]), dtype=np.int64)
-    terms[rows_of, slots, positions] = rows[rows_of, positions]
-    return terms
+    listed = [i for order in orders for i in order]
+    indices = np.fromiter(listed, dtype=np.int64, count=len(listed))  # truncates a non-integer, which tolist then shows
+    lengths = np.array([len(order) for order in orders], dtype=np.int64)
+    if len(lengths) == len(flat) and indices.tolist() == listed and ((indices >= -1) & (indices < p - 1)).all():
+        rows, positions = np.repeat(np.arange(len(flat)), lengths), indices + 1
+        met = np.zeros(flat.shape, dtype=bool)
+        met[rows, positions] = True
+        # Every term met, and no more indices than terms in all: each order a permutation of its row's support.
+        if (met == (flat != 0)).all() and len(rows) == np.count_nonzero(flat):
+            return rows, positions
+    raise ValueError("the fold order must be a permutation of the support")
 
 
-def padded_fold_terms(gs, orders, p: int) -> np.ndarray:
-    """The basis terms a*e_i of each element of gs in its order, stacked (N, longest, p), padded with zero terms.
+def fold(step, gs, p: int, orders=None) -> np.ndarray:
+    """Each row's sum of step(prefix sums, next terms) over the fold steps of stacked coefficient rows gs (..., p).
 
-    The zero terms pad each row at its end.  An order may be any
-    permutation of the element's support, or None for ascending.  Fold step
-    k joins the prefix sum of terms 0..k-1 with term k; a zero term adds no
-    summand and leaves the prefix sum as it is, so each row folds exactly as
-    over its own terms (see fold_rows).  One scatter (_ordered_terms) puts
-    every term in its slot.
+    A row folds over its basis terms a*e_i in its order, ascending or given
+    in orders (one permutation of its support per row of gs, row-major):
+    step k joins the sum of terms 0..k-1 with term k, so a row of k terms
+    takes k - 1 steps and single-term and zero rows take none.  The steps
+    of all rows, each row's in a run, go to step in blocks (sweep_blocks),
+    a block's (prefix sum, next term) pairs built from the rows as it runs;
+    reduceat sums a block's values per row, and a row whose steps straddle
+    two blocks collects from both.
+
+    Blocks are sized for nine (p, p) float64 arrays per step.  A block holds
+    up to eight at once (the int64 and float64 bracket matrices of both step
+    factors, the lambda rows and the step products), measured (tracemalloc,
+    20 shuffled rows at p = 67, more below) at 7.1 to 7.8 for the p-th power
+    and 5.9 to 6.1 for the correction weights at p = 13 to 67, W's cached
+    structure tensors (16 p^3 bytes) included.  Those take more of a block
+    as p grows; with room for a ninth array a block stays within
+    _SWEEP_BYTES up to p = 89.
     """
-    own = [g.support() if order is None else list(order) for g, order in zip(gs, orders)]
-    flat = [i for order in own for i in order]
-    indices = np.fromiter(flat, dtype=np.int64, count=len(flat))  # truncates a non-integer, which tolist then shows
-    rows = np.array([g.coeffs for g in gs], dtype=np.int64).reshape(len(gs), p)
-    lengths = np.array([len(order) for order in own], dtype=np.int64)
-    terms = None
-    if indices.tolist() == flat and ((indices >= -1) & (indices < p - 1)).all():  # integers in -1..p-2
-        terms = _ordered_terms(rows, lengths, indices + 1)
-    # A permutation of the support: as many indices as it holds, and each of its terms placed once.
-    if terms is None or (lengths != np.count_nonzero(rows, axis=1)).any() or (terms.sum(axis=1) != rows).any():
-        raise ValueError("the fold order must be a permutation of the support")
-    return terms
+    flat = np.reshape(gs, (-1, p)) % p
+    rows, positions = np.nonzero(flat) if orders is None else _ordered_positions(flat, orders, p)
+    slots = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each term's place in its row's order
+    rank = np.full(flat.shape, p)
+    rank[rows, positions] = slots
+    real = slots > 0  # a row's first term starts its sum and takes no step
+    rows, positions, slots = rows[real], positions[real], slots[real]
+    sums = None
+    for block in sweep_blocks(len(rows), 9 * 8 * p * p):
+        own, at = rows[block], positions[block]
+        prefixes = np.where(rank[own] < slots[block, None], flat[own], 0)  # the terms before the step's own
+        nexts = np.zeros_like(prefixes)
+        nexts[np.arange(len(own)), at] = flat[own, at]
+        starts = np.flatnonzero(np.diff(own, prepend=-1))
+        part = np.add.reduceat(step(prefixes, nexts), starts)  # the block's values die here
+        if sums is None:
+            sums = np.zeros((len(flat),) + part.shape[1:], dtype=part.dtype)
+        sums[own[starts]] += part
+    return sums.reshape(np.shape(gs)[:-1] + sums.shape[1:])
 
 
-def fold_terms(g: WittElement, order=None) -> np.ndarray:
-    """The basis terms of g as coefficient rows (k, p), in order (ascending by default): padded_fold_terms of one."""
-    return padded_fold_terms([g], [order], g.p)[0]
+def pth_power_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
+    """Fold p-th powers of stacked coefficient rows (..., p), as rows, each folded in its order (see fold).
 
-
-def fold_steps(step, terms: np.ndarray, p: int) -> np.ndarray:
-    """step(prefix sums, next terms) on the real fold steps of stacked terms (..., k, p), in the shape (..., k - 1, ...).
-
-    A real step is one whose next term is nonzero.  A zero term, which pads
-    a row, adds nothing, so the step runs on the real steps alone, stacked
-    (R, p), and its values are scattered back with zeros at the padding.
+    (a e_0)^{[p]} = a^p e_0 = a e_0 and the other basis powers vanish, so a
+    row's power is its e_0 term plus the summands of every fold step.
     """
-    prefixes, nexts = np.cumsum(terms[..., :-1, :], axis=-2) % p, terms[..., 1:, :] % p
-    real = nexts.any(axis=-1)
-    values = step(prefixes[real], nexts[real])
-    out = np.zeros(real.shape + values.shape[1:], dtype=values.dtype)
-    out[real] = values
-    return out
-
-
-def fold_rows(kernel, gs: np.ndarray, p: int) -> np.ndarray:
-    """kernel(terms, p) on the fold terms of stacked rows gs (..., p), in ascending basis order.
-
-    Each row's basis terms are padded at the end with zero terms to the
-    longest row; a zero term adds no summand and leaves the prefix sum as
-    it is, so each row folds exactly as over its own support, and the
-    kernels run only the real steps, whose next term is nonzero
-    (fold_steps).  So single-term and zero rows share the stack at no
-    cost: they take no step.  The stack goes through fold_blocks.
-    """
-    flat = gs.reshape(-1, p) % p
-    terms = _ordered_terms(flat, np.count_nonzero(flat, axis=1), np.nonzero(flat)[1])
-    out = fold_blocks(kernel, terms, p)
-    return out.reshape(gs.shape[:-1] + out.shape[-1:])
-
-
-def fold_blocks(kernel, terms: np.ndarray, p: int) -> np.ndarray:
-    """kernel(terms, p) on stacked fold terms (N, width, p), in blocks of rows that stay within _SWEEP_BYTES.
-
-    A kernel holds up to eight arrays the size of a block's stacked bracket
-    matrices at once (the int64 and float64 matrices of both step factors,
-    the lambda rows and the step products), measured (tracemalloc, p = 13
-    and 23) at 6.5 to 7.7 of them.  An empty stack is one empty block.
-    """
-    block = max(1, _SWEEP_BYTES // (8 * 8 * max(terms.shape[1], 1) * p * p))
-    return np.concatenate([kernel(terms[lo : lo + block], p) for lo in range(0, max(len(terms), 1), block)])
-
-
-def _fold_power(terms: np.ndarray, p: int) -> np.ndarray:
-    """p-th powers of the sums of stacked fold terms (..., k, p): basis powers plus every step's summands."""
-    power = np.zeros(terms.shape[:-2] + (p,), dtype=np.int64)
-    power[..., 1] = terms[..., 1].sum(axis=-1)  # (a e_0)^{[p]} = a^p e_0 = a e_0, other basis powers vanish
-    if terms.shape[-2] > 1:
-        step = lambda g, h: summands_total(g, right_bracket_matrix(g, p), right_bracket_matrix(h, p), p)  # noqa: E731
-        power += fold_steps(step, terms, p).sum(axis=-2)
-    return power % p
-
-
-def pth_power_rows(gs: np.ndarray, p: int) -> np.ndarray:
-    """Fold p-th powers of stacked coefficient rows (..., p), as rows."""
-    return fold_rows(_fold_power, gs, p)
+    step = lambda g, h: summands_total(g, right_bracket_matrix(g, p), right_bracket_matrix(h, p), p)  # noqa: E731
+    power = fold(step, gs, p, orders)
+    power[..., 1] += gs[..., 1]
+    power %= p
+    return power
 
 
 def pth_power(g: WittElement, term_order=None) -> WittElement:
     """p-th power by folding the summand expansion over g's basis terms.
 
     Each fold step applies the sum axiom to (prefix sum, next term); this is
-    the one-row call of the fold kernel.  term_order may be any permutation
+    the one-row call of pth_power_rows.  term_order may be any permutation
     of g.support(); the result does not depend on it (checked by tests),
     ascending order is the default.
     """
-    power = _fold_power(fold_terms(g, term_order), g.p)
+    power = pth_power_rows(np.array(g.coeffs), g.p, None if term_order is None else [term_order])
     return WittElement(g.field, tuple(power.tolist()))
 
 

@@ -120,6 +120,19 @@ def pth_power_by_composition(g: WittElement) -> WittElement:
     return from_cyclic_poly(q)
 
 
+def fold_by_loop(step, g: WittElement, order=None):
+    """witt.fold of one element as a loop over its terms in order: step on (the sum of the terms so far, the next term),
+    one pair at a time, summed; 0 when the element has fewer than two terms."""
+    total, prefix = 0, np.zeros(g.p, dtype=np.int64)
+    for i in g.support() if order is None else order:
+        term = np.zeros(g.p, dtype=np.int64)
+        term[i + 1] = g.coeff(i)
+        if prefix.any():
+            total = total + step(prefix[None], term[None])[0]
+        prefix = prefix + term
+    return total
+
+
 def sample_rows(field: PrimeField, rng) -> np.ndarray:
     """Stacked coefficient rows of W: random, sparse (two terms), single-term and zero, 12 in all."""
     p = field.p

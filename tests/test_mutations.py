@@ -15,7 +15,7 @@ failing under its mutation is a regression.
 
 A corruption shared by both sides of one comparison cannot be caught by
 that comparison: witt.pth_power_fold_order folds both orders through
-_fold_power, for one.  So the table pins which checks catch each kernel,
+pth_power_rows, for one.  So the table pins which checks catch each kernel,
 and test_every_check_fails_under_some_mutation that every check but the
 few on UNREACHED catches at least one.
 """
@@ -129,15 +129,18 @@ def corrupted_lambda_rows(monkeypatch):
 
 
 def corrupted_fold_power(monkeypatch):
-    corrupt_kernel(monkeypatch, (witt,), "_fold_power", lambda power, terms, p: bumped(power, p))
+    corrupt_kernel(monkeypatch, (witt,), "pth_power_rows", lambda power, gs, p, *orders: bumped(power, p))
 
 
 def corrupted_fold_steps(monkeypatch):
-    # Correction weights (values of a (p, p) matrix per step) meet antisymmetric forms only, so off their diagonal.
-    def values(out, step, terms, p):
-        return bumped(out, p, ~np.eye(p, dtype=bool) if out.ndim > terms.ndim else True)
+    # The step values of every block of the one fold, before they are summed per row.
+    fold = witt.fold
 
-    corrupt_kernel(monkeypatch, (witt, restricted), "fold_steps", values)
+    def corrupted(step, gs, p, *orders):
+        return fold(lambda g, h: bumped(step(g, h), p), gs, p, *orders)
+
+    for owner in (witt, restricted):
+        monkeypatch.setattr(owner, "fold", corrupted)
 
 
 def corrupted_correction_weights(monkeypatch):

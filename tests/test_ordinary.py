@@ -26,6 +26,7 @@ from wittcoh.ordinary import (
     Cochain3Ord,
     _pair_grades,
     _terms_matrix,
+    _terms_nonzero,
     _triple_grades,
     _terms_values,
     _triple_terms,
@@ -243,6 +244,26 @@ def test_terms_values_gathers_in_blocks_within_the_sweep_bound(monkeypatch, p):
         tracemalloc.stop()
     assert values.shape == expected.shape and (values == expected).all()
     assert peak <= witt._SWEEP_BYTES + 1.1 * values.nbytes
+
+
+@pytest.mark.parametrize("p", [5, 13])
+def test_terms_nonzero_in_small_blocks_equals_any_of_the_whole_values(monkeypatch, p):
+    # The coboundaries d1(e^k), which d2 kills, random rows and zero rows,
+    # with leading axes, against d2's table and ind2's with one more term in
+    # every row (the true one vanishes on W): patched to three rows per block
+    # of the larger table, the flags are .any() of each table's whole values.
+    coefficient, column = _ind2_terms(p)
+    tables = (_triple_terms(p), (coefficient + np.array([[1], [0]]), column))
+    n2 = len(wedge_pairs(p))
+    rng = np.random.default_rng(p)
+    phis = np.vstack([delta1_matrix(PrimeField(p)).T, rng.integers(0, p, (p, n2)), np.zeros((2, n2), dtype=np.int64)])
+    phis = phis.reshape(2, -1, n2)
+    wants = [_terms_values(terms, phis, p).any(axis=-1) for terms in tables]
+    assert all(want.any() and not want.all() for want in wants) and (wants[0] != wants[1]).any()
+    monkeypatch.setattr(witt, "_SWEEP_BYTES", 3 * 8 * max(terms[0].size for terms in tables))
+    for terms, want in zip(tables, wants):
+        assert (_terms_nonzero([terms], phis, p) == want).all()
+    assert (_terms_nonzero(tables, phis, p) == (wants[0] | wants[1])).all()
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

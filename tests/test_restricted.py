@@ -236,8 +236,9 @@ def test_omega_fold_check_keeps_one_one_row_reference(p, monkeypatch):
 
 
 def test_omega_fold_check_stays_within_the_block_bound(monkeypatch):
-    # The 50 shuffled folds go through witt.fold_blocks, one fold per block
-    # here; a single stacked call of all 50 peaks near 40 times this bound.
+    # The 50 shuffled folds go through witt.fold in blocks of real steps, at
+    # most eleven per block here; one block of all their steps peaks near 30
+    # times this bound.
     p = 13
     field = PrimeField(p)
     ker = cochain_complex(field).ker_d2_res
@@ -248,7 +249,7 @@ def test_omega_fold_check_stays_within_the_block_bound(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= witt._SWEEP_BYTES + 8 * 50 * (p * p + 6 * c2_dim(p))  # and the 50 folds' terms and (50, c2_dim) arrays
+    assert peak <= witt._SWEEP_BYTES + 8 * 50 * (p * p + 6 * c2_dim(p))  # and the folds' steps and (50, c2_dim) arrays
 
 
 def test_delta1_res_examples():

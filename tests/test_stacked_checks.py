@@ -92,15 +92,15 @@ def corrupt_split(monkeypatch, target, rest):
 
 
 def corrupt_cocycle_test(monkeypatch, phi):
-    """ind2 of the 2-form phi (a cochain) is nonzero: the cocycle test refuses every cochain with that phi."""
-    original = restricted._ind2_table
+    """The term tables of d2 are nonzero on the 2-form phi (a cochain): the cocycle test refuses every cochain with
+    that phi."""
+    original = restricted._terms_nonzero
     target = phi.to_vector()
 
-    def table(phis, p):
-        hit = (phis == target).all(axis=-1)
-        return (original(phis, p) + np.expand_dims(hit, (-2, -1))) % p
+    def nonzero(tables, phis, p):
+        return original(tables, phis, p) | (phis == target).all(axis=-1)
 
-    monkeypatch.setattr(restricted, "_ind2_table", table)
+    monkeypatch.setattr(restricted, "_terms_nonzero", nonzero)
 
 
 def corrupt_bracket(monkeypatch, x, y, name="bracket_rows"):
@@ -265,20 +265,18 @@ def test_omega_fold_fails_like_its_loop(monkeypatch, j):
     field, seed = F7, 4
     ker = cochain_complex(field).ker_d2_res
     c, g = fold_samples(random.Random(seed), field, ker, j + 1)[j]
-    lowest = np.zeros(field.p, dtype=np.int64)  # g's first term in ascending order
-    lowest[g.support()[0] + 1] = g.coeff(g.support()[0])
     coordinate = np.flatnonzero(c)[0]
-    original = restricted._fold_functional
+    original = restricted.omega_functional_rows
 
-    def fold(terms, p):
-        out = original(terms, p)
-        if terms.shape[-2] == 0:
-            return out
-        hit = (terms.sum(axis=-2) % p == g.coeffs).all(axis=-1) & (terms[..., 0, :] != lowest).any(axis=-1)
-        out[..., coordinate] = (out[..., coordinate] + hit) % p
+    def functionals(gs, p, orders=None):
+        out = original(gs, p, orders)
+        rows = out.reshape(-1, out.shape[-1])
+        for k, row in enumerate(np.reshape(gs, (-1, p)) % p):
+            if orders is not None and (row == g.coeffs).all() and orders[k][0] != g.support()[0]:
+                rows[k, coordinate] = (rows[k, coordinate] + 1) % p
         return out
 
-    monkeypatch.setattr(restricted, "_fold_functional", fold)
+    monkeypatch.setattr(restricted, "omega_functional_rows", functionals)
     rng, reference = random.Random(seed), random.Random(seed)
     result = verify._check("", lambda: verify._omega_fold_invariance(field, rng, ker))
     expected = verify._check("", lambda: oracles.omega_fold_invariance_by_loop(field, reference, ker))

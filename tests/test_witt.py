@@ -10,6 +10,7 @@ from tests.oracles import (
     CyclicPoly,
     bracket_by_loop,
     first_axiom_failure,
+    fold_by_loop,
     from_dict,
     jacobi_failure_by_loops,
     pth_power_by_composition,
@@ -489,49 +490,65 @@ def test_fold_rows_equal_single_element_powers(p, monkeypatch):
     assert (pth_power_rows(rows, p) == powers).all()
 
 
-def padded_samples(p, seed):
-    """sample_rows' elements (full, two-term, single-term, zero) with every other one in a shuffled order, and their
-    padded terms, with three more zero terms at the end of every row, stacked: rows padded by several terms."""
+def shuffled_samples(p, seed):
+    """sample_rows' rows (full, two-term, single-term, zero), their elements, and an order for each: every other one
+    shuffled, the rest ascending."""
     field = PrimeField(p)
     rng = random.Random(seed)
-    gs = witt.elements(field, sample_rows(field, rng))
-    orders = [witt.shuffled_support(g, rng) if k % 2 else None for k, g in enumerate(gs)]
-    terms = witt.padded_fold_terms(gs, orders, p)
-    padded = np.concatenate([terms, np.zeros((len(gs), 3, p), dtype=np.int64)], axis=1)
-    return gs, orders, padded
+    rows = sample_rows(field, rng)
+    gs = witt.elements(field, rows)
+    return rows, gs, [witt.shuffled_support(g, rng) if k % 2 else g.support() for k, g in enumerate(gs)]
 
 
-FOLD_KERNELS = [
-    (witt._fold_power, lambda g, order: pth_power(g, term_order=order).coeffs),
-    (restricted._fold_functional, lambda g, order: tuple(restricted.omega_functional(g, fold_order=order))),
+P_MAPS = [
+    (pth_power_rows, lambda g, order: pth_power(g, term_order=order).coeffs),
+    (restricted.omega_functional_rows, lambda g, order: tuple(restricted.omega_functional(g, fold_order=order))),
 ]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
-@pytest.mark.parametrize("kernel, one_row", FOLD_KERNELS)
-def test_fold_kernels_on_padded_stacks_equal_one_row_folds(p, kernel, one_row):
-    gs, orders, padded = padded_samples(p, p)
-    sizes = [len(g.support()) for g in gs]
-    assert 0 in sizes and 1 in sizes and padded.shape[1] - min(sizes) > 3
+@pytest.mark.parametrize("p_map, one_row", P_MAPS)
+def test_stacked_folds_equal_one_row_folds(p, p_map, one_row):
+    rows, gs, orders = shuffled_samples(p, p)
+    sizes = {len(g.support()) for g in gs}
+    assert {0, 1, 2} <= sizes and max(sizes) > 2
     expected = [one_row(g, order) for g, order in zip(gs, orders)]
-    assert [tuple(row) for row in witt.fold_blocks(kernel, padded, p).tolist()] == expected
-    assert [tuple(row) for row in kernel(padded.reshape(3, 4, -1, p), p).reshape(len(gs), -1).tolist()] == expected
-    for g, order, own, size in zip(gs, orders, padded, sizes):  # one row (k, p), with and without its padding
-        assert tuple(kernel(own, p).tolist()) == tuple(kernel(own[:size], p).tolist()) == one_row(g, order)
+    assert [tuple(row) for row in p_map(rows, p, orders).tolist()] == expected
+    # Leading axes stack like a flat batch, the orders given row-major, and the default order is ascending.
+    assert [tuple(row) for row in p_map(rows.reshape(3, 4, p), p, orders).reshape(len(gs), -1).tolist()] == expected
+    assert [tuple(row) for row in p_map(rows, p).tolist()] == [one_row(g, None) for g in gs]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_fold_sums_each_row_like_a_loop_over_its_steps(p, monkeypatch):
+    # Whole, one step per block, and in blocks of four steps, where a row's steps straddle two blocks, the fold
+    # sums the step values of every row as a loop over (prefix sum, next term) does.
+    rows, gs, orders = shuffled_samples(p, p + 2)
+    weights = lambda g, h: restricted._correction_weights(g, h, p)  # noqa: E731
+    expected = [fold_by_loop(weights, g, order) for g, order in zip(gs, orders)]
+    steps = np.array([max(len(order) - 1, 0) for order in orders])
+    for size in (witt._SWEEP_BYTES, 1, 4 * 9 * 8 * p * p):
+        monkeypatch.setattr(witt, "_SWEEP_BYTES", size)
+        blocks = []
+        sums = witt.fold(lambda g, h: (blocks.append(len(g)), weights(g, h))[1], rows, p, orders)
+        assert all((row == want).all() for row, want in zip(sums, expected))
+        assert sum(blocks) == steps.sum()
+    ends = steps.cumsum()  # a row's steps run from ends - steps to ends
+    assert blocks[0] == 4 and any(((ends - steps < cut) & (cut < ends)).any() for cut in np.cumsum(blocks))
 
 
 @pytest.mark.parametrize("p", [3, 7])
 def test_fold_kernels_step_only_where_the_next_term_is_nonzero(p, monkeypatch):
-    # A padded step adds nothing, so the summand and correction-weight calls
-    # take only the real steps: as many as the terms past each row's first.
-    gs, _, padded = padded_samples(p, p + 1)
+    # A row of k terms takes k - 1 steps and single-term and zero rows none,
+    # so the summand and correction-weight calls take only those steps.
+    rows, gs, orders = shuffled_samples(p, p + 1)
     steps = sum(max(len(g.support()) - 1, 0) for g in gs)
     seen = []
     for module, name in [(witt, "summands_total"), (restricted, "_correction_weights")]:
         original = getattr(module, name)
         monkeypatch.setattr(module, name, lambda gv, *rest, f=original: (seen.append(len(gv)), f(gv, *rest))[1])
-    witt._fold_power(padded, p)
-    restricted._fold_functional(padded, p)
+    pth_power_rows(rows, p, orders)
+    restricted.omega_functional_rows(rows, p, orders)
     assert seen == [steps, steps]
 
 
@@ -539,18 +556,20 @@ def test_fold_kernels_step_only_where_the_next_term_is_nonzero(p, monkeypatch):
     "order",
     [[-1, 0], [-1, 0, 2, 2], [-1, 0, 0], [-1, 0, 1], [-1, 0, 2, 1], [-1, 0, 2, 6], [-2, 0, 2], [-1, 0, 2.5]],
 )
-def test_padded_fold_terms_refuse_an_order_that_is_not_a_permutation_of_the_support(order):
+def test_folds_refuse_an_order_that_is_not_a_permutation_of_the_support(order):
     # g = e_{-1} + 2 e_0 + 3 e_2 over GF(7); each order misses, repeats, adds or mistypes a term.
     g = from_dict(F7, {-1: 1, 0: 2, 2: 3})
-    for gs, orders in [([g], [order]), ([e(1, F7), g, g], [None, [2, 0, -1], order])]:
+    rows = np.array([e(1, F7).coeffs, g.coeffs, g.coeffs])
+    for p_map, one_row in P_MAPS:
+        for stack, orders in [(rows[1], [order]), (rows, [[1], [2, 0, -1], order]), (rows, [[1], [2, 0, -1]])]:
+            with pytest.raises(ValueError, match="permutation of the support"):
+                p_map(stack, 7, orders)
         with pytest.raises(ValueError, match="permutation of the support"):
-            witt.padded_fold_terms(gs, orders, 7)
-    with pytest.raises(ValueError, match="permutation of the support"):
-        witt.fold_terms(g, order)
-    terms = witt.padded_fold_terms([g, zero(F7), g], [[2, -1, 0], None, None], 7)
-    assert terms.shape == (3, 3, 7) and not terms[1].any()
-    assert [np.flatnonzero(row)[0] - 1 for row in terms[0]] == [2, -1, 0]
-    assert (terms[2] == witt.fold_terms(g)).all() and terms[2, :, [0, 1, 3]].tolist() == np.diag([1, 2, 3]).tolist()
+            one_row(g, order)
+        # A zero row takes an empty order, and each row folds in its own.
+        valid = p_map(np.array([g.coeffs, zero(F7).coeffs, g.coeffs]), 7, [[2, -1, 0], [], g.support()])
+        expected = [one_row(g, [2, -1, 0]), one_row(zero(F7), None), one_row(g, None)]
+        assert [tuple(row) for row in valid.tolist()] == expected
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
