@@ -36,10 +36,11 @@ product at a time, lives in tests/oracles.py.  Every chain
 restricted's ind2 reads with p - 1 factors and verify's
 witt.adjoint_power_on_w with p; dense matrix powers are its test oracle.
 
-bracket_rows is the formula route, index arithmetic on stacked rows with
-bracket its one-row call; the stacked kernels take their brackets from the
-structure tensor (_bracket_tensor), and verify's witt.antisymmetry_jacobi
-compares the two.
+Every bracket takes the formula route: right_bracket_matrix builds stacked
+right-bracket matrices by index arithmetic, and bracket_rows (with bracket
+its one-row call) and the stacked kernels multiply by them.  The structure
+tensor (_bracket_tensor) is built apart from them, the independent side
+that verify's witt.antisymmetry_jacobi compares bracket_rows with.
 
 Random samples are drawn in bulk with the values and the generator state
 of one rng.randrange call per value: randbelow reads many draws off one
@@ -293,12 +294,11 @@ def _check_same_field(x, y) -> None:
 
 @lru_cache(maxsize=None)
 def _bracket_tensor(p: int) -> np.ndarray:
-    """T[s, t, m] with [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}."""
-    t = np.zeros((p, p, p), dtype=np.int64)
-    for s in range(p):
-        for u in range(p):
-            t[s, u, (s + u - 1) % p] = (u - s) % p
-    return t
+    """T[s, t, m] with [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}, scattered over the index pairs (s, t)."""
+    s, t = np.indices((p, p))
+    tensor = np.zeros((p, p, p), dtype=np.int64)
+    tensor[s, t, (s + t - 1) % p] = (t - s) % p
+    return tensor
 
 
 @lru_cache(maxsize=None)
@@ -307,19 +307,28 @@ def _shift_index(p: int) -> np.ndarray:
     return (np.arange(p)[None, :] - np.arange(p)[:, None] + 1) % p
 
 
+def right_bracket_matrix(v, p: int) -> np.ndarray:
+    """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W; v may be stacked (..., p), any integers.
+
+    Straight from [e_{s-1}, e_{t-1}] = (t - s) e_{s+t-2}: row s is [e_{s-1}, v],
+    whose position m reads v's position t = m - s + 1 mod p weighted t - s, off
+    a table of residue products, all in index arithmetic with no structure
+    constants.  v is reduced mod p first, and B is C-contiguous, the layout
+    lambda_rows' stacked products take at full speed.
+    """
+    t = _shift_index(p)  # t[s, m]
+    at = np.take(np.mod(v, p), t, axis=-1)  # v's entry at position t[s, m]
+    at += (t - np.arange(p)[:, None]) % p * p  # its weight t - s picks the table's row
+    return np.take(np.arange(p)[:, None] * np.arange(p) % p, at)
+
+
 def bracket_rows(xs, ys, p: int) -> np.ndarray:
     """[x, y] of stacked coefficient rows (..., p), broadcast against each other, as rows reduced mod p.
 
-    Straight from the formula [e_{s-1}, e_{t-1}] = (t - s) e_{s+t-2}: the
-    coefficient at position m pairs x's position s with y's position
-    t = m - s + 1 mod p, weighted t - s, all in index arithmetic.  It reads
-    neither _bracket_tensor nor _right_bracket_rows, the structure constants
-    that verify and the tests compare it with.  Entries are reduced mod p
-    first, so any integers will do; every sum stays below p^3.
+    x's row times y's right_bracket_matrix, so any integers will do and no
+    structure constants are read; every sum stays below p^3.
     """
-    t = _shift_index(p)  # t[s, m]
-    right = np.mod(ys, p)[..., t] * ((t - np.arange(p)[:, None]) % p) % p  # [e_{s-1}, y] at position m
-    return (np.mod(xs, p)[..., None, :] @ right)[..., 0, :] % p
+    return (np.mod(xs, p)[..., None, :] @ right_bracket_matrix(ys, p))[..., 0, :] % p
 
 
 def bracket(x: WittElement, y: WittElement) -> WittElement:
@@ -378,17 +387,6 @@ def sweep_blocks(n: int, item_bytes: int) -> list[slice]:
     count = -(-n // max(1, _SWEEP_BYTES // item_bytes)) or 1
     size = -(-n // count)
     return [slice(k * size, (k + 1) * size) for k in range(count)]
-
-
-@lru_cache(maxsize=None)
-def _right_bracket_rows(p: int) -> np.ndarray:
-    """R with row t the flattened right-bracket matrix of e_{t-1}, in float64 (see lambda_rows)."""
-    return np.ascontiguousarray(_bracket_tensor(p).transpose(1, 0, 2)).reshape(p, p * p).astype(np.float64)
-
-
-def right_bracket_matrix(v: np.ndarray, p: int) -> np.ndarray:
-    """Matrix B with (x @ B) = [x, v] on coefficient row vectors of W; v may be stacked (..., p)."""
-    return (v @ _right_bracket_rows(p)).astype(np.int64).reshape(v.shape[:-1] + (p, p)) % p
 
 
 def jacobi_scan(t: np.ndarray, p: int) -> tuple[int, int, int] | None:
@@ -531,11 +529,10 @@ def fold(step, gs, p: int, orders=None) -> np.ndarray:
     Blocks are sized for nine (p, p) float64 arrays per step.  A block holds
     up to eight at once (the int64 and float64 bracket matrices of both step
     factors, the lambda rows and the step products), measured (tracemalloc,
-    20 shuffled rows at p = 67, more below) at 7.1 to 7.8 for the p-th power
-    and 5.9 to 6.1 for the correction weights at p = 13 to 67, W's cached
-    structure tensors (16 p^3 bytes) included.  Those take more of a block
-    as p grows; with room for a ninth array a block stays within
-    _SWEEP_BYTES up to p = 89.
+    20 shuffled rows) at 7.05 to 7.21 for the p-th power and 5.87 to 6.24
+    for the correction weights at p = 13, 31, 67 and 103.  Nothing is cached
+    beside them, so the spare array keeps a fold within _SWEEP_BYTES at
+    every prime up to the cap: 48.5 MiB at p = 103.
     """
     flat = np.reshape(gs, (-1, p)) % p
     rows, positions = np.nonzero(flat) if orders is None else _ordered_positions(flat, orders, p)

@@ -7,8 +7,9 @@ time, deliberately avoiding the library's stacked numpy kernels and term
 tables, so agreement is meaningful.  Their brackets are bracket_by_loop,
 the formula as a loop over two supports, which is also the reference for
 witt.bracket_rows (bracket_from_table contracts a given structure tensor
-instead).  The one stacked oracle,
-starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
+instead); bracket_tensor_by_loop fills W's structure constants one basis
+pair at a time, the reference for witt._bracket_tensor.  The one stacked
+oracle, starstar_exhaustive, sums the 2^(p-3) label chains of the ** correction
 sum one by one as right-bracket rows, with no lambda grouping; it is the
 reference for verify's evaluation route up to p = 19.  adjoint_chain_powers
 raises every basis right-bracket matrix to the p-th power by dense
@@ -146,6 +147,15 @@ def sample_rows(field: PrimeField, rng) -> np.ndarray:
     order = list(range(len(rows)))
     rng.shuffle(order)  # zero and sparse rows between full ones
     return np.array([rows[i] for i in order], dtype=np.int64)
+
+
+def bracket_tensor_by_loop(p: int) -> np.ndarray:
+    """W's structure constants T[s, t, m], [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}, one basis pair at a time."""
+    t = np.zeros((p, p, p), dtype=np.int64)
+    for s in range(p):
+        for u in range(p):
+            t[s, u, (s + u - 1) % p] = (u - s) % p
+    return t
 
 
 def bracket_by_loop(x: WittElement, y: WittElement) -> WittElement:

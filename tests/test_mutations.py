@@ -5,13 +5,13 @@ the table names the checks that catch its mutation at p = 7 and 13.  The
 rows cover the kernels behind the report's routes: the lambda recurrence,
 the fold and its steps, the correction weights, the derivation route, the
 basis chains, the extensions' basis-pair sweep and p-map, W's bracket
-rows; the complex's rank certificates (d2's grade blocks, their kernels,
-the inverse X of the lower bound, ker d2_res); and the coboundaries, as
-d2's and ind2's term tables and as the assembled d2_res and d1_res.  A
-kernel's patch adds 1 mod p to the first nonzero entry of every output
-(bumped) in every module that imports it by name, and the cached tables
-built from its output are rebuilt around each row.  A check that stops
-failing under its mutation is a regression.
+rows and right-bracket matrices; the complex's rank certificates (d2's
+grade blocks, their kernels, the inverse X of the lower bound, ker
+d2_res); and the coboundaries, as d2's and ind2's term tables and as the
+assembled d2_res and d1_res.  A kernel's patch adds 1 mod p to the first
+nonzero entry of every output (bumped) in every module that imports it
+by name, and the cached tables built from its output are rebuilt around
+each row.  A check that stops failing under its mutation is a regression.
 
 A corruption shared by both sides of one comparison cannot be caught by
 that comparison: witt.pth_power_fold_order folds both orders through
@@ -178,6 +178,16 @@ def corrupted_bracket_rows(monkeypatch):
     corrupt_kernel(monkeypatch, (witt,), "bracket_rows", lambda brackets, xs, ys, p: bumped(brackets, p))
 
 
+def corrupted_right_bracket_matrix(monkeypatch):
+    # The index route behind bracket_rows, the fold's steps and the correction weights; W's structure constants
+    # (witt._bracket_tensor) do not read it.  Every matrix of a stack is bumped, as a loop of one-row calls would
+    # be: with only a stack's first, the one changed fold step leaves witt.pth_power_oracle's powers whole at p = 13.
+    def each_bumped(matrices, v, p):
+        return np.array([bumped(m, p) for m in np.reshape(matrices, (-1, p, p))]).reshape(np.shape(matrices))
+
+    corrupt_kernel(monkeypatch, (witt, restricted), "right_bracket_matrix", each_bumped)
+
+
 def bumped_coefficient(terms, p):
     """A term table (coefficient, column) with its first nonzero signed coefficient bumped, not a column it reads."""
     return (bumped(terms[0], p),) + terms[1:]
@@ -302,6 +312,16 @@ TABLE = [
     (corrupted_basis_pair_sums, {"extensions.axioms"}),
     (corrupted_pmap_rows, {"extensions.roundtrip", "extensions.splitting_independence", "extensions.axioms"}),
     (corrupted_bracket_rows, {"witt.antisymmetry_jacobi"}),
+    (
+        corrupted_right_bracket_matrix,
+        FOLD
+        | {
+            "witt.antisymmetry_jacobi",
+            "restricted.omega_fold_invariance",
+            "restricted.starstar_enumeration",
+            "extensions.axioms",
+        },
+    ),
     (
         corrupted_triple_terms,
         WRONG_EXTENSIONS

@@ -9,6 +9,7 @@ import pytest
 from tests.oracles import (
     CyclicPoly,
     bracket_by_loop,
+    bracket_tensor_by_loop,
     first_axiom_failure,
     fold_by_loop,
     from_dict,
@@ -128,7 +129,8 @@ def test_bracket_rows_on_stacked_and_broadcast_shapes(p):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_bracket_rows_reduce_any_integers_first(p):
-    # Entries far outside [0, p), negative ones included, bracket as their residues.
+    # Entries far outside [0, p), negative ones included, bracket as their residues; so do right-bracket matrices,
+    # also of entries past 2^53, which a float64 product would round, and near 2^63, which its cast would overflow.
     field = PrimeField(p)
     rng = np.random.default_rng(p)
     xs, ys = rng.integers(-5 * p, 5 * p, (8, p)), rng.integers(-(2**40), 2**40, (8, p))
@@ -138,21 +140,36 @@ def test_bracket_rows_reduce_any_integers_first(p):
     assert (rows == tensor_brackets(xs, ys, p)).all()
     assert (rows == loop_brackets(xs, ys, field)).all()
     assert (bracket_rows(xs.tolist(), ys.tolist(), p) == rows).all()  # array-likes too
+    vs = np.vstack([ys, np.resize([2**40, -(2**40), 2**54 + 1, 2**62], (4, p))])  # every big entry in every row
+    matrices = right_bracket_matrix(vs, p)
+    assert matrices.shape == (12, p, p) and matrices.min() >= 0 and matrices.max() < p
+    assert (matrices == right_bracket_matrix(vs % p, p)).all()
+    assert (matrices == np.einsum("kt,stm->ksm", vs % p, witt._bracket_tensor(p)) % p).all()
+    assert (right_bracket_matrix(vs[-1].tolist(), p) == matrices[-1]).all()
 
 
 @pytest.mark.parametrize("p", [5, 11])
 def test_bracket_rows_read_no_structure_constants(p, monkeypatch):
+    # Nor do right-bracket matrices, or the fold, which takes its steps' brackets from them.
     field = PrimeField(p)
     expected = witt._bracket_tensor(p) % p
+    gs = sample_rows(field, random.Random(p))
+    powers = pth_power_via_derivation_rows(gs, p)
 
     def no_constants(q):
-        raise AssertionError("bracket_rows read structure constants")
+        raise AssertionError("the formula route read structure constants")
 
     monkeypatch.setattr(witt, "_bracket_tensor", no_constants)
-    monkeypatch.setattr(witt, "_right_bracket_rows", no_constants)
     eye = np.eye(p, dtype=np.int64)
     assert (bracket_rows(eye[:, None], eye, p) == expected).all()
     assert bracket(basis_element(field, 1), basis_element(field, 2)).coeffs == tuple(expected[2, 3])
+    assert (right_bracket_matrix(eye, p) == expected.transpose(1, 0, 2)).all()  # row s of B(e_v) is [e_s, e_v]
+    assert (pth_power_rows(gs, p) == powers).all()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_bracket_tensor_equals_the_loop_over_basis_pairs(p):
+    assert (witt._bracket_tensor(p) == bracket_tensor_by_loop(p)).all()
 
 
 def test_bracket_chain_examples():
