@@ -26,7 +26,6 @@ from .ordinary import (
     delta1_cl,
     delta2_cl,
     virasoro_cocycle,
-    wedge_normalize,
 )
 from .restricted import (
     Cochain2Res,
@@ -54,7 +53,6 @@ from .witt import (
     WittElement,
     basis_element,
     bracket,
-    bracket_chain,
     gamma,
     jacobson_s,
     normalize_index,

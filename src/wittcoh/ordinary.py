@@ -5,10 +5,15 @@ for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
 ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
 by the index sum mod p and both coboundaries preserve the grading.
 
-The index tables are numpy arrays built once per prime: upper_triangle
-gives the (i + 1, j + 1) of every pair and triple_index the (r, s, t) of
-every triple, in the order of the tuple builders wedge_pairs and
-wedge_triples, and the grade arrays are read off them.  Each coboundary
+The bases have one index, numpy tables built once per prime:
+upper_triangle gives the (i + 1, j + 1) of every pair and triple_index the
+(r, s, t) of every triple, both lexicographic (wedge_pairs is the tuple
+view of upper_triangle); pair_coordinates holds the coordinate of every
+ordered pair, triple_coordinate counts a sorted triple's column, and the
+grade tables (grade_tables, each row the coordinates of one grade) are
+read off them.  Every reader of a coordinate, the per-element value methods
+included, reads these tables.  Their oracle, tuple builders and position
+dicts made by loops, is in tests/oracles.py.  Each coboundary
 into 2-form coordinates is written once, as a table of terms
 coefficient * phi(e_a ^ e_b) (_triple_terms for d2), each holding the
 coordinate it reads and its signed coefficient (_coordinate_terms):
@@ -35,12 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from . import witt
 from .gfp import PrimeField, as_int
-from .witt import WittElement, _check_same_field, normalize_index
+from .witt import WittElement, _check_index, _check_same_field, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
 
 
@@ -50,40 +56,35 @@ def _read_only(m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def wedge_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    """Canonical pairs (i, j), -1 <= i < j <= p-2, lexicographic."""
-    return tuple((i, j) for i in range(-1, p - 1) for j in range(i + 1, p - 1))
-
-
-@lru_cache(maxsize=None)
-def pair_position(p: int) -> dict[tuple[int, int], int]:
-    return {pair: n for n, pair in enumerate(wedge_pairs(p))}
-
-
-@lru_cache(maxsize=None)
 def upper_triangle(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(p, 1) as read-only arrays: the (u, v) = (i + 1, j + 1) of wedge_pairs(p), in order."""
+    """np.triu_indices(p, 1) as read-only arrays: the (i + 1, j + 1) of every canonical pair, lexicographic."""
     u, v = np.triu_indices(p, 1)
     u.flags.writeable = v.flags.writeable = False
     return u, v
 
 
 @lru_cache(maxsize=None)
-def wedge_triples(p: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (r, s, t)
-        for r in range(-1, p - 1)
-        for s in range(r + 1, p - 1)
-        for t in range(s + 1, p - 1)
-    )
+def wedge_pairs(p: int) -> tuple[tuple[int, int], ...]:
+    """Canonical pairs (i, j), -1 <= i < j <= p-2, lexicographic: the tuple view of upper_triangle."""
+    u, v = upper_triangle(p)
+    return tuple(zip((u - 1).tolist(), (v - 1).tolist()))
+
+
+@lru_cache(maxsize=None)
+def pair_coordinates(p: int) -> np.ndarray:
+    """Read-only (p, p) table: the coordinate of the pair {i, j} at [i + 1, j + 1] and [j + 1, i + 1], 0 on the diagonal."""
+    u, v = upper_triangle(p)
+    column = np.zeros((p, p), dtype=np.int64)
+    column[u, v] = column[v, u] = np.arange(len(u))
+    return _read_only(column)
 
 
 @lru_cache(maxsize=None)
 def triple_index(p: int) -> np.ndarray:
-    """Read-only (3, C(p,3)) array of the (r, s, t) of wedge_triples(p), in order.
+    """Read-only (3, C(p,3)) array of the (r, s, t) of every canonical triple, lexicographic.
 
     np.nonzero walks the positions r + 1 < s + 1 < t + 1 in C order, which
-    is the lexicographic order of wedge_triples.
+    is the lexicographic order of the triples.
     """
     i = np.arange(p)
     index = np.stack(np.nonzero((i[:, None, None] < i[:, None]) & (i[:, None] < i))) - 1
@@ -91,31 +92,10 @@ def triple_index(p: int) -> np.ndarray:
     return index
 
 
-@lru_cache(maxsize=None)
-def triple_position(p: int) -> dict[tuple[int, int, int], int]:
-    return {trip: n for n, trip in enumerate(wedge_triples(p))}
-
-
-def wedge_normalize(i: int, j: int) -> tuple[int, int, int] | None:
-    """Canonical form of e_i ^ e_j: (min, max, sign), or None when i = j."""
-    if i == j:
-        return None
-    return (i, j, 1) if i < j else (j, i, -1)
-
-
-def triple_normalize(r: int, s: int, t: int) -> tuple[tuple[int, int, int], int] | None:
-    """Canonical form of e_r ^ e_s ^ e_t with the permutation sign, None if repeated."""
-    if r == s or s == t or r == t:
-        return None
-    sign = 1
-    a, b, c = r, s, t
-    if a > b:
-        a, b, sign = b, a, -sign
-    if b > c:
-        b, c, sign = c, b, -sign
-    if a > b:
-        a, b, sign = b, a, -sign
-    return (a, b, c), sign
+def triple_coordinate(p: int, r: int, s: int, t: int) -> int:
+    """The column of the canonical triple r < s < t in triple_index(p): the triples before it, counted by r, s, t."""
+    a, b = r + 1, s + 1
+    return comb(p, 3) - comb(p - a, 3) + comb(p - a - 1, 2) - comb(p - b, 2) + t - s - 1
 
 
 @dataclass(frozen=True)
@@ -132,6 +112,7 @@ class Cochain1:
         object.__setattr__(self, "coeffs", tuple(as_int(c, "a coefficient") % p for c in self.coeffs))
 
     def coeff(self, k: int) -> int:
+        _check_index(k, self.field.p)
         return self.coeffs[k + 1]
 
     def value(self, g: WittElement) -> int:
@@ -158,8 +139,7 @@ class Cochain1:
 
 def dual_basis(field: PrimeField, k: int, coefficient: int = 1) -> Cochain1:
     """coefficient * e^k."""
-    if not -1 <= k <= field.p - 2:
-        raise ValueError(f"basis index {k} out of range for p={field.p}")
+    _check_index(k, field.p)
     coeffs = [0] * field.p
     coeffs[k + 1] = coefficient
     return Cochain1(field, tuple(coeffs))
@@ -181,11 +161,13 @@ class Cochain2Ord:
 
     def value(self, i: int, j: int) -> int:
         """phi(e_i ^ e_j) for any index order (sign-tracked)."""
-        w = wedge_normalize(i, j)
-        if w is None:
+        p = self.field.p
+        _check_index(i, p)
+        _check_index(j, p)
+        if i == j:
             return 0
-        a, b, sign = w
-        return (sign * self.values[pair_position(self.field.p)[(a, b)]]) % self.field.p
+        v = self.values[pair_coordinates(p)[i + 1, j + 1]]
+        return v if i < j else -v % p
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int64)
@@ -194,7 +176,7 @@ class Cochain2Ord:
         """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j), the bilinear form of phi."""
         p = self.field.p
         m = np.zeros((p, p), dtype=np.int64)
-        m[upper_triangle(p)] = self.values  # wedge_pairs is the upper triangle, row by row
+        m[upper_triangle(p)] = self.values
         return (m - m.T) % p
 
     def is_zero(self) -> bool:
@@ -218,22 +200,24 @@ def c2_zero(field: PrimeField) -> Cochain2Ord:
 
 def c2_from_dict(field: PrimeField, terms: dict[tuple[int, int], int]) -> Cochain2Ord:
     """2-cochain from a {(i, j): coefficient} mapping; pairs may be unordered."""
-    vals = [0] * (field.p * (field.p - 1) // 2)
-    pos = pair_position(field.p)
+    p = field.p
+    vals = [0] * (p * (p - 1) // 2)
+    column = pair_coordinates(p)
     for (i, j), c in terms.items():
-        w = wedge_normalize(i, j)
-        if w is None:
-            if c % field.p:
+        _check_index(i, p)
+        _check_index(j, p)
+        if i == j:
+            if c % p:
                 raise ValueError(f"nonzero coefficient on degenerate pair ({i}, {j})")
             continue
-        a, b, sign = w
-        vals[pos[(a, b)]] = (vals[pos[(a, b)]] + sign * c) % field.p
+        n = column[i + 1, j + 1]
+        vals[n] = (vals[n] + (c if i < j else -c)) % p
     return Cochain2Ord(field, tuple(vals))
 
 
 @dataclass(frozen=True)
 class Cochain3Ord:
-    """Skew 3-form on W; values aligned with wedge_triples(p)."""
+    """Skew 3-form on W; values aligned with the columns of triple_index(p)."""
 
     field: PrimeField
     values: tuple[int, ...]
@@ -246,11 +230,15 @@ class Cochain3Ord:
         object.__setattr__(self, "values", tuple(as_int(v, "a coefficient") % p for v in self.values))
 
     def value(self, r: int, s: int, t: int) -> int:
-        w = triple_normalize(r, s, t)
-        if w is None:
+        """alpha(e_r ^ e_s ^ e_t) for any index order: the sign of (s - r)(t - r)(t - s) is the permutation's."""
+        p = self.field.p
+        for i in (r, s, t):
+            _check_index(i, p)
+        order = (s - r) * (t - r) * (t - s)
+        if not order:
             return 0
-        trip, sign = w
-        return (sign * self.values[triple_position(self.field.p)[trip]]) % self.field.p
+        v = self.values[triple_coordinate(p, *sorted((r, s, t)))]
+        return v if order > 0 else -v % p
 
     def to_vector(self) -> np.ndarray:
         return np.array(self.values, dtype=np.int64)
@@ -283,10 +271,7 @@ def _coordinate_terms(coefficient, first, second, p: int) -> tuple[np.ndarray, n
     phi(e_a ^ e_b) is the coordinate column of the pair (min, max) times +1
     above the diagonal, -1 below it and 0 on it.
     """
-    u, v = upper_triangle(p)
-    column = np.zeros((p, p), dtype=np.int64)
-    column[u, v] = column[v, u] = np.arange(len(u))
-    return _read_only(coefficient * np.sign(second - first)), _read_only(column[first, second])
+    return _read_only(coefficient * np.sign(second - first)), _read_only(pair_coordinates(p)[first, second])
 
 
 @lru_cache(maxsize=None)
@@ -387,18 +372,10 @@ def _pair_grades(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _triple_grades(p: int) -> np.ndarray:
-    """Read-only grade of every canonical triple, in wedge_triples order."""
+    """Read-only grade of every canonical triple, in triple_index order."""
     grades = (triple_index(p).sum(axis=0) + 1) % p - 1
     grades.flags.writeable = False
     return grades
-
-
-def graded_pair_positions(p: int, k: int) -> list[int]:
-    return np.flatnonzero(_pair_grades(p) == k).tolist()
-
-
-def graded_triple_positions(p: int, k: int) -> list[int]:
-    return np.flatnonzero(_triple_grades(p) == k).tolist()
 
 
 def grade_table(grades: np.ndarray, p: int) -> np.ndarray:

@@ -111,6 +111,7 @@ from .ordinary import (
 from .witt import (
     RowError,
     WittElement,
+    _check_index,
     _inverse_vector,
     basis_chains,
     basis_element,
@@ -144,6 +145,7 @@ class Cochain2Res:
 
     def omega_value(self, i: int) -> int:
         """omega(e_i)."""
+        _check_index(i, self.field.p)
         return self.omega_basis[i + 1]
 
     def __add__(self, other: "Cochain2Res") -> "Cochain2Res":
@@ -185,6 +187,8 @@ class Cochain3Res:
 
     def beta_value(self, i: int, j: int) -> int:
         """beta(e_i, e_j)."""
+        _check_index(i, self.field.p)
+        _check_index(j, self.field.p)
         return self.beta_basis[i + 1][j + 1]
 
     def is_zero(self) -> bool:

@@ -217,9 +217,10 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
     if p > 3:
 
         def graded_dims():
+            pairs, triples = (np.count_nonzero(table >= 0, axis=1) for table in ordi.grade_tables(p))
             for k in range(-1, p - 1):
-                assert len(ordi.graded_pair_positions(p, k)) == (p - 1) // 2, f"pairs at grade {k}"
-                assert len(ordi.graded_triple_positions(p, k)) == (p - 1) * (p - 2) // 6, f"triples at grade {k}"
+                assert pairs[k + 1] == (p - 1) // 2, f"pairs at grade {k}"
+                assert triples[k + 1] == (p - 1) * (p - 2) // 6, f"triples at grade {k}"
             return ""
 
         checks.append(_check("ordinary.graded_dims", graded_dims))
@@ -284,14 +285,15 @@ def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
             # Every grade-zero kernel vector obeys the three-term recursion
             # n*a(n+2) = (n+3)*a(n+1) + (2n+3)*a(-1,1) on its coefficients.
             block = ordi.delta2_block(d2, p, 0)
-            pairs0 = [ordi.wedge_pairs(p)[n] for n in ordi.graded_pair_positions(p, 0)]
-            index = {pair: n for n, pair in enumerate(pairs0)}
+            column = ordi.pair_coordinates(p)
             for v in field.kernel_basis(block):
-                # a(n) is the coefficient on the canonical pair (n, p-n) for
-                # n >= 2; the constant term reads the canonical (-1, 1) slot.
+                phi = np.zeros(len(ordi.upper_triangle(p)[0]), dtype=np.int64)
+                phi[ordi.grade_tables(p)[0][1]] = v  # the block's columns are the grade-0 pairs
+                # a(n) is the coefficient on the pair (n, p-n) for n >= 2;
+                # the constant term reads the pair (-1, 1).
                 def a(n):
-                    return int(v[index[(n, witt.normalize_index(p - n, p))]])
-                low = int(v[index[(-1, 1)]])
+                    return int(phi[column[n + 1, witt.normalize_index(p - n, p) + 1]])
+                low = int(phi[column[0, 2]])
                 for n in range(1, (p - 5) // 2 + 1):
                     lhs = (n * a(n + 2)) % p
                     rhs = ((n + 3) * a(n + 1) + (2 * n + 3) * low) % p

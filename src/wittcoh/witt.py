@@ -71,6 +71,12 @@ def normalize_index(m: int, p: int) -> int:
     return (m + 1) % p - 1
 
 
+def _check_index(i: int, p: int) -> None:
+    """Refuse a basis index outside the window {-1, ..., p-2} with ValueError naming it."""
+    if not -1 <= i <= p - 2:
+        raise ValueError(f"basis index {i} out of range for p={p}")
+
+
 @dataclass(frozen=True)
 class WittElement:
     """Element of W as a coefficient vector; coeffs[i + 1] multiplies e_i."""
@@ -94,8 +100,7 @@ class WittElement:
 
     def coeff(self, i: int) -> int:
         """Coefficient of e_i, for i in {-1, ..., p-2}."""
-        if not -1 <= i <= self.p - 2:
-            raise ValueError(f"basis index {i} out of range for p={self.p}")
+        _check_index(i, self.p)
         return self.coeffs[i + 1]
 
     def support(self) -> list[int]:
@@ -133,8 +138,7 @@ def zero(field: PrimeField) -> WittElement:
 
 def basis_element(field: PrimeField, i: int, coefficient: int = 1) -> WittElement:
     """coefficient * e_i."""
-    if not -1 <= i <= field.p - 2:
-        raise ValueError(f"basis index {i} out of range for p={field.p}")
+    _check_index(i, field.p)
     coeffs = [0] * field.p
     coeffs[i + 1] = coefficient
     return WittElement(field, tuple(coeffs))
@@ -337,17 +341,6 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
     return WittElement(x.field, tuple(bracket_rows(np.array(x.coeffs), np.array(y.coeffs), x.p).tolist()))
 
 
-def bracket_chain(first: WittElement, rest) -> WittElement:
-    """Left-nested iterated bracket [[..[[g1, g2], g3], ..], gj]."""
-    rest = list(rest)
-    if not rest:
-        raise ValueError("bracket chain needs at least two factors")
-    acc = first
-    for g in rest:
-        acc = bracket(acc, g)
-    return acc
-
-
 def basis_chains(p: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Every chain [e_a, e_b, ..., e_b] with `steps` factors e_b, as c * e_m: (c, m), (p, p) arrays over [a + 1, b + 1].
 
@@ -362,8 +355,7 @@ def basis_chains(p: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pth_power_basis(field: PrimeField, i: int) -> WittElement:
     """e_i^{[p]}: e_0 for i = 0 and zero otherwise."""
-    if not -1 <= i <= field.p - 2:
-        raise ValueError(f"basis index {i} out of range for p={field.p}")
+    _check_index(i, field.p)
     return basis_element(field, 0) if i == 0 else zero(field)
 
 

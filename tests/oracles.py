@@ -20,6 +20,14 @@ matrix, with none of gfp's stacking or row and column selection.
 whole_matrix_rank is the whole-matrix rank oracle of verify's rank
 certificates: rref_one reduces one matrix in one working copy, each pivot
 clearing only the rows nonzero in its column.
+The wedge bases have an index of their own here, tuple builders and
+position dicts made by loops (pair_position, wedge_triples,
+triple_position, graded_pair_positions, graded_triple_positions) with the
+sign rules wedge_normalize and triple_normalize: it is the oracle of
+ordinary's numpy index tables and of the value methods that read them,
+and the loop matrix builders locate their entries through it, reading
+none of those tables.  bracket_chain is the left-nested chain through the
+library's one-row bracket.
 sample_rows gives the kernels' test inputs.  The *_by_loop functions
 are verify's stacked checks as loops over one sample, one pair or one
 representative at a time, through the one-row calls: each draws,
@@ -46,10 +54,6 @@ from wittcoh.ordinary import (
     Cochain3Ord,
     delta1_cl,
     dual_basis,
-    pair_position,
-    wedge_normalize,
-    wedge_pairs,
-    wedge_triples,
 )
 from wittcoh.restricted import Cochain2Res, c2_dim, c3_dim
 from wittcoh.witt import (
@@ -175,6 +179,14 @@ def bracket_by_loop(x: WittElement, y: WittElement) -> WittElement:
 def chain_by_loop(first: WittElement, rest) -> WittElement:
     """The left-nested chain [[..[[first, r1], r2], ..], rk] through bracket_by_loop."""
     return functools.reduce(bracket_by_loop, rest, first)
+
+
+def bracket_chain(first: WittElement, rest) -> WittElement:
+    """The left-nested chain [[..[[g1, g2], g3], ..], gj] through the library's one-row witt.bracket."""
+    rest = list(rest)
+    if not rest:
+        raise ValueError("bracket chain needs at least two factors")
+    return functools.reduce(witt.bracket, rest, first)
 
 
 def _terms(x: WittElement) -> list[tuple[int, int]]:
@@ -364,8 +376,67 @@ def omega_by_enumeration(c: Cochain2Res, g: WittElement) -> int:
     ) % p
 
 
+# The wedge bases indexed by loops: ordinary's numpy tables (upper_triangle, pair_coordinates, triple_index,
+# triple_coordinate and the rows of grade_tables) must agree with these tuple builders and position dicts.
+
+
+@functools.lru_cache(maxsize=None)
+def pair_position(p: int) -> dict[tuple[int, int], int]:
+    """Coordinate of every canonical pair (i, j), -1 <= i < j <= p-2, numbered lexicographically."""
+    pairs = ((i, j) for i in range(-1, p - 1) for j in range(i + 1, p - 1))
+    return {pair: n for n, pair in enumerate(pairs)}
+
+
+@functools.lru_cache(maxsize=None)
+def wedge_triples(p: int) -> tuple[tuple[int, int, int], ...]:
+    """Canonical triples (r, s, t), -1 <= r < s < t <= p-2, lexicographic."""
+    return tuple(
+        (r, s, t)
+        for r in range(-1, p - 1)
+        for s in range(r + 1, p - 1)
+        for t in range(s + 1, p - 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def triple_position(p: int) -> dict[tuple[int, int, int], int]:
+    return {trip: n for n, trip in enumerate(wedge_triples(p))}
+
+
+def graded_pair_positions(p: int, k: int) -> list[int]:
+    """The coordinates of the pairs of grade k, ascending."""
+    return [n for pair, n in pair_position(p).items() if pair_grade(p, pair) == k]
+
+
+def graded_triple_positions(p: int, k: int) -> list[int]:
+    """The coordinates of the triples of grade k, ascending."""
+    return [n for trip, n in triple_position(p).items() if triple_grade(p, trip) == k]
+
+
+def wedge_normalize(i: int, j: int) -> tuple[int, int, int] | None:
+    """Canonical form of e_i ^ e_j: (min, max, sign), or None when i = j."""
+    if i == j:
+        return None
+    return (i, j, 1) if i < j else (j, i, -1)
+
+
+def triple_normalize(r: int, s: int, t: int) -> tuple[tuple[int, int, int], int] | None:
+    """Canonical form of e_r ^ e_s ^ e_t with the permutation sign, None if repeated."""
+    if r == s or s == t or r == t:
+        return None
+    sign = 1
+    a, b, c = r, s, t
+    if a > b:
+        a, b, sign = b, a, -sign
+    if b > c:
+        b, c, sign = c, b, -sign
+    if a > b:
+        a, b, sign = b, a, -sign
+    return (a, b, c), sign
+
+
 def _add_wedge(m: np.ndarray, row: int, coefficient: int, i: int, j: int, p: int) -> None:
-    """m[row] gains coefficient * phi(e_i ^ e_j) on phi's wedge_pairs coordinates."""
+    """m[row] gains coefficient * phi(e_i ^ e_j) on phi's pair coordinates."""
     w = wedge_normalize(i, j)
     if w is not None:
         a, b, sign = w
@@ -375,7 +446,7 @@ def _add_wedge(m: np.ndarray, row: int, coefficient: int, i: int, j: int, p: int
 def delta1_matrix_by_loops(field: PrimeField) -> np.ndarray:
     """d1's matrix column by column: column k + 1 is the coordinate vector of delta1_cl(e^k)."""
     p = field.p
-    m = np.zeros((len(wedge_pairs(p)), p), dtype=np.int64)
+    m = np.zeros((len(pair_position(p)), p), dtype=np.int64)
     for col in range(p):
         m[:, col] = delta1_cl(dual_basis(field, col - 1)).to_vector()
     return m
@@ -384,7 +455,7 @@ def delta1_matrix_by_loops(field: PrimeField) -> np.ndarray:
 def delta2_matrix_by_loops(field: PrimeField) -> np.ndarray:
     """d2's matrix row by row: the three terms phi([e_r, e_s] ^ e_t) - ... of every canonical triple."""
     p = field.p
-    m = np.zeros((len(wedge_triples(p)), len(wedge_pairs(p))), dtype=np.int64)
+    m = np.zeros((len(wedge_triples(p)), len(pair_position(p))), dtype=np.int64)
     for row, (r, s, t) in enumerate(wedge_triples(p)):
         for coef, a, b in ((s - r, r + s, t), (-(t - r), r + t, s), (t - s, s + t, r)):
             _add_wedge(m, row, coef, normalize_index(a, p), b, p)
@@ -397,7 +468,7 @@ def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
     Row (a, b) is phi(e_a ^ e_b^{[p]}) - phi([e_a, e_b, ..., e_b] ^ e_b).
     """
     p = field.p
-    n2, n3 = len(wedge_pairs(p)), len(wedge_triples(p))
+    n2, n3 = len(pair_position(p)), len(wedge_triples(p))
     m = np.zeros((c3_dim(p), c2_dim(p)), dtype=np.int64)
     m[:n3, :n2] = delta2_matrix_by_loops(field)
     for a in range(-1, p - 1):

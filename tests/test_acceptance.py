@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from tests.oracles import from_dict, omega_by_enumeration
+from tests.oracles import from_dict, graded_pair_positions, omega_by_enumeration, wedge_triples
 from wittcoh.extensions import (
     Classification,
     classify_extension,
@@ -29,10 +29,8 @@ from wittcoh.ordinary import (
     delta2_cl,
     delta2_matrix,
     dual_basis,
-    graded_pair_positions,
     virasoro_cocycle,
     wedge_pairs,
-    wedge_triples,
 )
 from wittcoh.restricted import (
     c2_dim,

@@ -23,6 +23,7 @@ few on UNREACHED catches at least one.
 import numpy as np
 import pytest
 
+from tests import oracles
 from wittcoh import extensions, gfp, ordinary, restricted, verify, witt
 
 # The downstream failures of a complex whose ordinary degree-2 kernel is wrong.
@@ -220,21 +221,21 @@ def corrupted_d2_entry_in_block(monkeypatch):
     # block kills a smaller kernel.  Every vector it kills is still killed by the term table (no unit vector of a
     # block's rows lies in its image, at p = 7 and 13), so the certificates hold and the dimensions fail.
     assembled_d2_res_with(
-        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], ordinary.pair_position(p)[(-1, 1)])
+        monkeypatch, lambda p: (oracles.graded_triple_positions(p, 0)[0], oracles.pair_position(p)[(-1, 1)])
     )
 
 
 def planted_beta_entry(monkeypatch):
     # The beta row (-1, -1), of grade -1, in the column of the first pair of grade -1: inside its grade.
     assembled_d2_res_with(
-        monkeypatch, lambda p: (len(ordinary.wedge_triples(p)), ordinary.graded_pair_positions(p, -1)[0])
+        monkeypatch, lambda p: (len(oracles.wedge_triples(p)), oracles.graded_pair_positions(p, -1)[0])
     )
 
 
 def planted_omega_column_entry(monkeypatch):
     # The first triple of grade 0, in the column of omega_0, of grade 0: d2 never reads omega.
     assembled_d2_res_with(
-        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], len(ordinary.wedge_pairs(p)) + 1)
+        monkeypatch, lambda p: (oracles.graded_triple_positions(p, 0)[0], len(ordinary.wedge_pairs(p)) + 1)
     )
 
 
@@ -242,7 +243,7 @@ def planted_grading_leak(monkeypatch):
     # The first triple of grade 0, in the column of the first pair of grade -1: the complex builds on d2's blocks,
     # which miss the entry, and the report names it.
     assembled_d2_res_with(
-        monkeypatch, lambda p: (ordinary.graded_triple_positions(p, 0)[0], ordinary.graded_pair_positions(p, -1)[0])
+        monkeypatch, lambda p: (oracles.graded_triple_positions(p, 0)[0], oracles.graded_pair_positions(p, -1)[0])
     )
 
 

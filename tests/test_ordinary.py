@@ -1,5 +1,6 @@
 """Ordinary cochains, coboundaries, grading and degree-2 cohomology."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -11,11 +12,18 @@ from tests.oracles import (
     delta1_matrix_by_loops,
     delta2_matrix_by_loops,
     delta2_res_matrix_by_loops,
+    graded_pair_positions,
+    graded_triple_positions,
     kernel_basis_by_pivots,
     pair_grade,
+    pair_position,
     rref_by_pivots,
     triple_grade,
+    triple_normalize,
+    triple_position,
     wedge_eval,
+    wedge_normalize,
+    wedge_triples,
     whole_matrix_rank,
 )
 from wittcoh import verify, witt
@@ -38,16 +46,17 @@ from wittcoh.ordinary import (
     delta2_cl,
     delta2_matrix,
     dual_basis,
-    graded_pair_positions,
-    graded_triple_positions,
+    grade_tables,
+    pair_coordinates,
+    triple_coordinate,
     triple_index,
-    triple_normalize,
+    upper_triangle,
     virasoro_cocycle,
-    wedge_normalize,
     wedge_pairs,
-    wedge_triples,
 )
 from wittcoh.restricted import (
+    Cochain2Res,
+    Cochain3Res,
     _ind2_terms,
     cochain_complex,
     delta1_res_matrix,
@@ -169,15 +178,75 @@ def test_matrix_builders_match_loop_oracles(p):
         assert m.shape == expected.shape and (m == expected).all()
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 13, 23])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 23, 31])
 def test_index_tables_match_the_tuple_builders(p):
+    # ordinary's one index, its numpy tables, against the oracle's tuple builders and position dicts.
+    pairs, triples = pair_position(p), triple_position(p)
+    u, v = upper_triangle(p)
+    assert wedge_pairs(p) == tuple(zip((u - 1).tolist(), (v - 1).tolist())) == tuple(pairs)
     index = triple_index(p)
-    assert index.shape == (3, len(wedge_triples(p)))
-    assert [tuple(t) for t in index.T.tolist()] == list(wedge_triples(p))
-    assert _triple_grades(p).tolist() == [triple_grade(p, t) for t in wedge_triples(p)]
-    assert _pair_grades(p).tolist() == [pair_grade(p, pair) for pair in wedge_pairs(p)]
-    for table in (index, _triple_grades(p), _pair_grades(p)):
+    assert index.shape == (3, len(triples))
+    assert [tuple(t) for t in index.T.tolist()] == list(triples)
+    column = pair_coordinates(p)
+    assert column.shape == (p, p)
+    for i in range(-1, p - 1):
+        for j in range(-1, p - 1):
+            w = wedge_normalize(i, j)
+            assert column[i + 1, j + 1] == (0 if w is None else pairs[w[:2]])
+    assert [triple_coordinate(p, *t) for t in triples] == list(range(len(triples)))
+    assert _triple_grades(p).tolist() == [triple_grade(p, t) for t in triples]
+    assert _pair_grades(p).tolist() == [pair_grade(p, pair) for pair in pairs]
+    for k in range(-1, p - 1):
+        for table, oracle in zip(grade_tables(p), (graded_pair_positions, graded_triple_positions)):
+            row = table[k + 1]
+            assert row[row >= 0].tolist() == oracle(p, k)
+    for table in (u, v, column, index, _triple_grades(p), _pair_grades(p), *grade_tables(p)):
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_value_methods_read_the_coordinates_the_oracle_index_names(p):
+    field, rng = PrimeField(p), random.Random(p)
+    pairs, triples = pair_position(p), triple_position(p)
+    phi = Cochain2Ord(field, tuple(rng.randrange(p) for _ in pairs))
+    alpha = Cochain3Ord(field, tuple(rng.randrange(p) for _ in triples))
+    window = range(-1, p - 1)
+    for i, j in itertools.product(window, repeat=2):
+        w = wedge_normalize(i, j)
+        assert phi.value(i, j) == (0 if w is None else w[2] * phi.values[pairs[w[:2]]] % p)
+    for r, s, t in itertools.product(window, repeat=3):
+        w = triple_normalize(r, s, t)
+        assert alpha.value(r, s, t) == (0 if w is None else w[1] * alpha.values[triples[w[0]]] % p)
+    # Every pair once in reversed order, and a zero coefficient on each degenerate pair.
+    terms = {(j, i): rng.randrange(p) for i, j in pairs} | {(i, i): 0 for i in window}
+    expected = [0] * len(pairs)
+    for (j, i), c in terms.items():
+        if i != j:
+            expected[pairs[(i, j)]] = -c % p
+    assert c2_from_dict(field, terms).values == tuple(expected)
+
+
+@pytest.mark.parametrize("index", [-2, 6, 7])
+def test_out_of_window_basis_indices_raise_value_error(index):
+    # -2, p - 1 and p at p = 7: a tuple or array lookup would wrap the first two onto real coordinates.
+    phi = virasoro_cocycle(F7)
+    alpha = delta2_cl(c2_from_dict(F7, {(0, 1): 1}))
+    c2, c3 = Cochain2Res(phi, (0,) * 7), Cochain3Res(alpha, ((0,) * 7,) * 7)
+    calls = [
+        lambda: phi.value(index, 0),
+        lambda: phi.value(1, index),
+        lambda: alpha.value(index, 1, 2),
+        lambda: alpha.value(1, 2, index),
+        lambda: c2_from_dict(F7, {(index, 1): 1}),
+        lambda: c2_from_dict(F7, {(1, index): 0}),
+        lambda: dual_basis(F7, 0).coeff(index),
+        lambda: c2.omega_value(index),
+        lambda: c3.beta_value(index, 0),
+        lambda: c3.beta_value(0, index),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^basis index {index} out of range for p=7$"):
+            call()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -336,9 +405,10 @@ def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_graded_dimensions(p):
+    pairs, triples = grade_tables(p)
     for k in range(-1, p - 1):
-        assert len(graded_pair_positions(p, k)) == (p - 1) // 2
-        assert len(graded_triple_positions(p, k)) == (p - 1) * (p - 2) // 6
+        assert np.count_nonzero(pairs[k + 1] >= 0) == (p - 1) // 2
+        assert np.count_nonzero(triples[k + 1] >= 0) == (p - 1) * (p - 2) // 6
 
 
 def test_graded_kernel_examples():

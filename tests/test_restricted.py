@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from tests.oracles import (
+    bracket_chain,
     c3_zero,
     delta2_res_matrix_by_loops,
     from_dict,
+    graded_pair_positions,
+    graded_triple_positions,
     omega_by_enumeration,
     omega_fold_invariance_by_loop,
     rref_by_pivots,
@@ -18,6 +21,7 @@ from tests.oracles import (
     starstar_exhaustive,
     starstar_sum_naive,
     to_dense_by_loops,
+    wedge_triples,
     whole_matrix_rank,
 )
 from wittcoh import gfp, ordinary, restricted, verify, witt
@@ -31,10 +35,7 @@ from wittcoh.ordinary import (
     delta2_cl,
     delta2_matrix,
     dual_basis,
-    graded_pair_positions,
-    graded_triple_positions,
     wedge_pairs,
-    wedge_triples,
 )
 from wittcoh.restricted import (
     Cochain2Res,
@@ -278,8 +279,6 @@ def test_ind2_vanishes(p):
 def test_ind2_matches_generic_bracket_chain(p):
     # Reimplement the table through the generic left-nested bracket chain
     # on WittElements; the production scalar recurrence must agree.
-    from wittcoh.witt import bracket_chain
-
     field = PrimeField(p)
     rng = random.Random(6)
     for _ in range(5):

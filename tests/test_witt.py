@@ -9,6 +9,7 @@ import pytest
 from tests.oracles import (
     CyclicPoly,
     bracket_by_loop,
+    bracket_chain,
     bracket_tensor_by_loop,
     first_axiom_failure,
     fold_by_loop,
@@ -26,7 +27,6 @@ from wittcoh.witt import (
     basis_chains,
     basis_element,
     bracket,
-    bracket_chain,
     bracket_rows,
     gamma,
     jacobson_s,
