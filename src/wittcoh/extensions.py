@@ -51,6 +51,9 @@ ordinary H^2 (classify_extension is one row).  Each refuses what a loop
 over its rows would refuse first, with that loop's message; the error's
 index (witt.RowError) names the row, so a caller testing samples in bulk
 knows where the loop would have stopped.
+
+CheckResult is the package's one verdict of a named check: the axiom
+reports hold one per axiom, and verify's reports one per check.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import witt
-from .gfp import PrimeField, as_int, as_int_array
+from .gfp import PrimeField, as_int, as_int_array, check_same_field
 from .ordinary import Cochain1, upper_triangle
 from .restricted import (
     Cochain2Res,
@@ -82,7 +85,6 @@ from .restricted import (
 from .witt import (
     RowError,
     WittElement,
-    _check_same_field,
     basis_element,
     first_failures,
     pth_power,  # unused here; perfbench/selftest.py checks that its tracer wraps this imported name
@@ -303,21 +305,27 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
+class CheckResult:
+    """The verdict of one named check: passed, or skipped with passed True; detail says what was found or why."""
+
     name: str
     passed: bool
+    skipped: bool = False
     detail: str = ""
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "pass": self.passed, "skipped": self.skipped, "detail": self.detail}
 
 
 @dataclass(frozen=True)
 class AxiomReport:
-    checks: tuple[AxiomCheck, ...]
+    checks: tuple[CheckResult, ...]
 
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failed(self) -> list[AxiomCheck]:
+    def failed(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
 
@@ -412,11 +420,11 @@ def verify_restricted_axioms_stacked(
     tables = np.stack([exts[k].bracket_table for k in np.unique(table_of, return_index=True)[1]])
     pmaps = np.stack([e.pmap_basis for e in exts])
     cocycles = np.stack([c2_to_vector(e.source) for e in exts])
-    checks: list[list[AxiomCheck]] = [[] for _ in exts]
+    checks: list[list[CheckResult]] = [[] for _ in exts]
 
     def add(name: str, passed, details) -> None:
         for found, ok, detail in zip(checks, passed, details):
-            found.append(AxiomCheck(name, bool(ok), detail))
+            found.append(CheckResult(name, bool(ok), detail=detail))
 
     # Entries are reduced and p is odd, so 2 [b_u, b_u] = 0 forces [b_u, b_u] = 0.
     anti = ((tables + tables.transpose(0, 2, 1, 3)) % p).any(axis=(1, 2, 3))
@@ -510,7 +518,7 @@ def verify_restricted_axioms_stacked(
 
 def cohomologous(a: Cochain2Res, b: Cochain2Res) -> tuple[bool, Cochain1 | None]:
     """Whether a - b is a restricted coboundary; the witness psi has d1(psi) = a - b.  One pair of cohomologous_rows."""
-    _check_same_field(a, b)
+    check_same_field(a, b)
     (same,), (psi,) = cohomologous_rows(a.field, [c2_to_vector(a)], [c2_to_vector(b)])
     return (True, Cochain1(a.field, tuple(psi.tolist()))) if same else (False, None)
 

@@ -16,6 +16,11 @@ tests/oracles.py keeps the plain per-pivot elimination of one matrix as
 its reference.  kernels reads the kernel bases of a whole stack off its
 reduced forms; kernel_basis is its list for one matrix.  certified_ranks
 proves a stack's ranks off its kernels by products mod p only.
+
+Coordinates is the one base of the package's vectors of GF(p)
+coordinates, W's elements and the ordinary cochains: it validates and
+reduces their entries, and owns is_zero, to_vector, their arithmetic and
+the refusal of another prime's vector (check_same_field).
 """
 
 from __future__ import annotations
@@ -145,6 +150,71 @@ class PrimeField:
         """Basis of the right kernel {v : m v = 0}, one vector per free column."""
         vectors, free = self.kernels(_one_matrix(m))
         return list(vectors[free])
+
+
+def check_same_field(x, y) -> None:
+    """Refuse two elements or cochains (anything with a field) over different primes."""
+    if x.field.p != y.field.p:
+        raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
+
+
+@dataclass(frozen=True)
+class Coordinates:
+    """Base of the frozen vectors of GF(p) coordinates: a field, then C(p, degree) coordinates.
+
+    A subclass is a frozen dataclass declaring one field, the coordinate
+    tuple.  Its entries must be integers, numpy integers included, and are
+    stored reduced mod p as ints.  Another length, a non-integer entry (the
+    message is the class's not_integer, given the entries and the first
+    entry refused) and arithmetic with another prime's vector raise
+    ValueError.
+    """
+
+    field: PrimeField
+    degree = 1
+    not_integer = "a coefficient must be an integer, got {entry!r}"
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._name = next(iter(cls.__annotations__))  # the coordinate tuple, the one field a subclass declares
+
+    def __post_init__(self) -> None:
+        p, entries = self.field.p, getattr(self, self._name)
+        n = math.comb(p, self.degree)
+        if len(entries) != n:
+            raise ValueError(f"need {n} coefficients, got {len(entries)}")
+        try:
+            reduced = tuple([c % p for c in map(operator.index, entries)])
+        except TypeError:
+            for entry in entries:
+                try:
+                    operator.index(entry)
+                except TypeError:
+                    raise ValueError(self.not_integer.format(entries=entries, entry=entry)) from None
+        object.__setattr__(self, self._name, reduced)
+
+    def _coordinates(self) -> tuple[int, ...]:
+        return getattr(self, self._name)
+
+    def to_vector(self) -> np.ndarray:
+        return np.array(self._coordinates(), dtype=np.int64)
+
+    def is_zero(self) -> bool:
+        return not any(self._coordinates())
+
+    def __add__(self, other):
+        check_same_field(self, other)
+        return type(self)(self.field, tuple(a + b for a, b in zip(self._coordinates(), other._coordinates())))
+
+    def __sub__(self, other):
+        check_same_field(self, other)
+        return type(self)(self.field, tuple(a - b for a, b in zip(self._coordinates(), other._coordinates())))
+
+    def __neg__(self):
+        return type(self)(self.field, tuple(-a for a in self._coordinates()))
+
+    def __rmul__(self, scalar: int):
+        return type(self)(self.field, tuple(scalar * a for a in self._coordinates()))
 
 
 def _one_matrix(m):

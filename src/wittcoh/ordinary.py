@@ -4,6 +4,8 @@ Degrees 0..3 only.  Cochains are stored on canonical wedge bases: e^{i,j}
 for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
 ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
 by the index sum mod p and both coboundaries preserve the grading.
+Cochain1, Cochain2Ord and Cochain3Ord are gfp.Coordinates of degree 1, 2
+and 3, so their validation and arithmetic are the base's.
 
 The bases have one index, numpy tables built once per prime:
 upper_triangle gives the (i + 1, j + 1) of every pair and triple_index the
@@ -45,8 +47,8 @@ from math import comb
 import numpy as np
 
 from . import witt
-from .gfp import PrimeField, as_int
-from .witt import WittElement, _check_index, _check_same_field, normalize_index
+from .gfp import Coordinates, PrimeField, check_same_field
+from .witt import WittElement, _check_index, normalize_index
 from .witt import bracket  # noqa: F401 - unused here; perfbench/selftest.py checks that its tracer wraps this name
 
 
@@ -99,42 +101,18 @@ def triple_coordinate(p: int, r: int, s: int, t: int) -> int:
 
 
 @dataclass(frozen=True)
-class Cochain1:
+class Cochain1(Coordinates):
     """Linear form on W; coeffs[k + 1] is the coefficient of e^k."""
 
-    field: PrimeField
     coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        if len(self.coeffs) != p:
-            raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(as_int(c, "a coefficient") % p for c in self.coeffs))
 
     def coeff(self, k: int) -> int:
         _check_index(k, self.field.p)
         return self.coeffs[k + 1]
 
     def value(self, g: WittElement) -> int:
-        _check_same_field(self, g)
+        check_same_field(self, g)
         return sum(a * b for a, b in zip(self.coeffs, g.coeffs)) % self.field.p
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "Cochain1") -> "Cochain1":
-        _check_same_field(self, other)
-        return Cochain1(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cochain1") -> "Cochain1":
-        _check_same_field(self, other)
-        return Cochain1(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Cochain1":
-        return Cochain1(self.field, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, scalar: int) -> "Cochain1":
-        return Cochain1(self.field, tuple(scalar * a for a in self.coeffs))
 
 
 def dual_basis(field: PrimeField, k: int, coefficient: int = 1) -> Cochain1:
@@ -146,18 +124,11 @@ def dual_basis(field: PrimeField, k: int, coefficient: int = 1) -> Cochain1:
 
 
 @dataclass(frozen=True)
-class Cochain2Ord:
+class Cochain2Ord(Coordinates):
     """Skew 2-form on W; values aligned with wedge_pairs(p)."""
 
-    field: PrimeField
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        n = p * (p - 1) // 2
-        if len(self.values) != n:
-            raise ValueError(f"need {n} coefficients, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(as_int(v, "a coefficient") % p for v in self.values))
+    degree = 2
 
     def value(self, i: int, j: int) -> int:
         """phi(e_i ^ e_j) for any index order (sign-tracked)."""
@@ -169,29 +140,12 @@ class Cochain2Ord:
         v = self.values[pair_coordinates(p)[i + 1, j + 1]]
         return v if i < j else -v % p
 
-    def to_vector(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
-
     def to_matrix(self) -> np.ndarray:
         """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j), the bilinear form of phi."""
         p = self.field.p
         m = np.zeros((p, p), dtype=np.int64)
         m[upper_triangle(p)] = self.values
         return (m - m.T) % p
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __add__(self, other: "Cochain2Ord") -> "Cochain2Ord":
-        _check_same_field(self, other)
-        return Cochain2Ord(self.field, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "Cochain2Ord") -> "Cochain2Ord":
-        _check_same_field(self, other)
-        return Cochain2Ord(self.field, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def __rmul__(self, scalar: int) -> "Cochain2Ord":
-        return Cochain2Ord(self.field, tuple(scalar * a for a in self.values))
 
 
 def c2_zero(field: PrimeField) -> Cochain2Ord:
@@ -216,18 +170,11 @@ def c2_from_dict(field: PrimeField, terms: dict[tuple[int, int], int]) -> Cochai
 
 
 @dataclass(frozen=True)
-class Cochain3Ord:
+class Cochain3Ord(Coordinates):
     """Skew 3-form on W; values aligned with the columns of triple_index(p)."""
 
-    field: PrimeField
     values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        n = p * (p - 1) * (p - 2) // 6
-        if len(self.values) != n:
-            raise ValueError(f"need {n} coefficients, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(as_int(v, "a coefficient") % p for v in self.values))
+    degree = 3
 
     def value(self, r: int, s: int, t: int) -> int:
         """alpha(e_r ^ e_s ^ e_t) for any index order: the sign of (s - r)(t - r)(t - s) is the permutation's."""
@@ -240,9 +187,6 @@ class Cochain3Ord:
         v = self.values[triple_coordinate(p, *sorted((r, s, t)))]
         return v if order > 0 else -v % p
 
-    def to_vector(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int64)
-
     def to_dense(self) -> np.ndarray:
         """Dense antisymmetric tensor D[r+1, s+1, t+1] = alpha(e_r ^ e_s ^ e_t), each value at six signed positions."""
         p = self.field.p
@@ -252,9 +196,6 @@ class Cochain3Ord:
         d[a, b, c] = d[b, c, a] = d[c, a, b] = v
         d[a, c, b] = d[b, a, c] = d[c, b, a] = -v % p
         return d
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
 
 
 def delta1_cl(psi: Cochain1) -> Cochain2Ord:

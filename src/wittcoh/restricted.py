@@ -197,8 +197,7 @@ class Cochain3Res:
 
 def omega_coordinate(field: PrimeField, i: int) -> Cochain2Res:
     """The cocycle (0, omega_i): omega_i picks the e_i coordinate to the p-th power."""
-    if not -1 <= i <= field.p - 2:
-        raise ValueError(f"basis index {i} out of range for p={field.p}")
+    _check_index(i, field.p)
     vals = [0] * field.p
     vals[i + 1] = 1
     return Cochain2Res(c2_zero(field), tuple(vals))

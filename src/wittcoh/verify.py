@@ -5,7 +5,7 @@ bracket axioms, agreement of the two p-th power algorithms, cochain
 dimension counts, graded kernel dimensions, the degree-2 cohomology
 dimensions with explicit representatives, vanishing of the induced
 degree-3 block, and the full axiom verification of all p + 1 central
-extensions, plus negative controls.
+extensions, plus negative controls, each an extensions.CheckResult.
 
 Every check runs at every supported prime (odd, at most 103: above that
 the dense d2_res, one byte per entry, would exceed 1 GiB, and run_prime
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,29 +43,18 @@ from . import witt
 from .gfp import PrimeField, is_prime
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    skipped: bool = False
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "pass": self.passed, "skipped": self.skipped, "detail": self.detail}
-
-
-def _check(name: str, fn) -> CheckResult:
+def _check(name: str, fn) -> ext.CheckResult:
     try:
         detail = fn()
-        return CheckResult(name, True, detail=detail or "")
+        return ext.CheckResult(name, True, detail=detail or "")
     except AssertionError as e:
-        return CheckResult(name, False, detail=str(e) or "assertion failed")
+        return ext.CheckResult(name, False, detail=str(e) or "assertion failed")
     except Exception as e:  # noqa: BLE001 - any failure must land in the report
-        return CheckResult(name, False, detail=f"{type(e).__name__}: {e}")
+        return ext.CheckResult(name, False, detail=f"{type(e).__name__}: {e}")
 
 
-def _skip(name: str, why: str) -> CheckResult:
-    return CheckResult(name, True, skipped=True, detail=f"skipped: {why}")
+def _skip(name: str, why: str) -> ext.CheckResult:
+    return ext.CheckResult(name, True, skipped=True, detail=f"skipped: {why}")
 
 
 def _antisymmetry_jacobi(field: PrimeField, rng: random.Random) -> str:
@@ -107,7 +95,7 @@ def _antisymmetry_jacobi(field: PrimeField, rng: random.Random) -> str:
     return f"{p**3 + len(drawn)} triples"
 
 
-def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> list[CheckResult]:
+def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> list[ext.CheckResult]:
     p = field.p
     checks = [_check("witt.antisymmetry_jacobi", lambda: _antisymmetry_jacobi(field, rng))]
 
@@ -184,7 +172,7 @@ def _witt_checks(field: PrimeField, rng: random.Random, oracle_trials: int) -> l
     return checks
 
 
-def _ordinary_checks(field: PrimeField) -> list[CheckResult]:
+def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
@@ -380,7 +368,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
     return "10 cocycles x 5 orders"
 
 
-def _restricted_checks(field: PrimeField, rng: random.Random, h2=None) -> list[CheckResult]:
+def _restricted_checks(field: PrimeField, rng: random.Random, h2=None) -> list[ext.CheckResult]:
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
@@ -464,7 +452,7 @@ def _restricted_checks(field: PrimeField, rng: random.Random, h2=None) -> list[C
     return checks
 
 
-def _extension_checks(field: PrimeField, rng: random.Random, h2=None) -> list[CheckResult]:
+def _extension_checks(field: PrimeField, rng: random.Random, h2=None) -> list[ext.CheckResult]:
     """The extension checks: each calls every kernel once for all its samples, pairs or representatives, and names
     its first failure with the one-row calls a loop makes on that sample, so its draws and details are the loop's."""
     p = field.p
@@ -613,7 +601,7 @@ def run_prime(p: int, seed: int = 0) -> dict:
     field = PrimeField(p)
     rng = random.Random(f"{seed}:{p}")
     oracle_trials = 100 if p <= 13 else 5
-    checks: list[CheckResult] = []
+    checks: list[ext.CheckResult] = []
     checks.extend(_witt_checks(field, rng, oracle_trials))
     checks.extend(_ordinary_checks(field))
     h2 = functools.cache(res.restricted_h2)  # once; each check reading it calls it, so a refusal fails those checks

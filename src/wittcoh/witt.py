@@ -2,7 +2,8 @@
 
 W = Der(A) for A = GF(p)[x]/(x^p - 1) has basis e_{-1}, ..., e_{p-2} with
 e_i = x^{i+1} d/dx and bracket [e_i, e_j] = (j - i) e_{i+j}, the index sum
-taken mod p and normalized back into the window {-1, ..., p-2}.
+taken mod p and normalized back into the window {-1, ..., p-2}.  Its
+elements (WittElement) are gfp.Coordinates, p coefficients.
 
 W carries a restricted structure: e_0^{[p]} = e_0, e_i^{[p]} = 0 for
 i != 0, and the p-th power of a general element is determined from the
@@ -44,22 +45,22 @@ that verify's witt.antisymmetry_jacobi compares bracket_rows with.
 
 Random samples are drawn in bulk with the values and the generator state
 of one rng.randrange call per value: randbelow reads many draws off one
-getrandbits call, and random_rows and random_records are the stacked
-forms of random_element and of samples drawn part by part.  first_failure
-and first_failures test a batch of samples at once and wind the
-generator back to where a loop testing them one by one would stop.
+getrandbits call, and random_records is the stacked form of samples drawn
+part by part (a part that must be nonzero redrawn while zero), with
+random_rows, the stacked form of random_element, its one-part call.
+first_failure and first_failures test a batch of samples at once and wind
+the generator back to where a loop testing them one by one would stop.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField, as_int
+from .gfp import Coordinates, PrimeField, as_int, check_same_field
 
 
 class ProportionalityError(ArithmeticError):
@@ -78,21 +79,11 @@ def _check_index(i: int, p: int) -> None:
 
 
 @dataclass(frozen=True)
-class WittElement:
+class WittElement(Coordinates):
     """Element of W as a coefficient vector; coeffs[i + 1] multiplies e_i."""
 
-    field: PrimeField
     coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.field.p
-        if len(self.coeffs) != p:
-            raise ValueError(f"need {p} coefficients, got {len(self.coeffs)}")
-        try:
-            coeffs = tuple([c % p for c in map(operator.index, self.coeffs)])
-        except TypeError:
-            raise ValueError(f"coefficients must be integers, got {self.coeffs!r}") from None
-        object.__setattr__(self, "coeffs", coeffs)
+    not_integer = "coefficients must be integers, got {entries!r}"
 
     @property
     def p(self) -> int:
@@ -106,23 +97,6 @@ class WittElement:
     def support(self) -> list[int]:
         """Basis indices with nonzero coefficient, ascending."""
         return [t - 1 for t, c in enumerate(self.coeffs) if c]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __add__(self, other: "WittElement") -> "WittElement":
-        _check_same_field(self, other)
-        return WittElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "WittElement") -> "WittElement":
-        _check_same_field(self, other)
-        return WittElement(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "WittElement":
-        return WittElement(self.field, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, scalar: int) -> "WittElement":
-        return WittElement(self.field, tuple(scalar * a for a in self.coeffs))
 
     def __repr__(self) -> str:
         terms = []
@@ -186,19 +160,14 @@ def randbelow(rng, n: int, count: int) -> np.ndarray:
 def random_rows(rng, p: int, count: int, nonzero: bool = False, width: int | None = None) -> np.ndarray:
     """count rows (count, width) of draws below p, width p by default, each drawn as random_element draws one.
 
-    With nonzero, a zero row is dropped and redrawn, as random_element
-    redraws it: the shortfall is drawn again until count rows are kept.
+    The one-part call of random_records: with nonzero, a zero row is
+    redrawn at once, as random_element redraws it.
     """
-    width = p if width is None else width
-    rows = randbelow(rng, p, count * width).reshape(count, width)
-    while nonzero and not rows.any(axis=1).all():
-        rows = rows[rows.any(axis=1)]
-        rows = np.concatenate([rows, randbelow(rng, p, (count - len(rows)) * width).reshape(-1, width)])
-    return rows
+    return random_records(rng, p, count, [(p if width is None else width, nonzero)])[0]
 
 
 def random_records(rng, p: int, count: int, parts) -> list[np.ndarray]:
-    """count records of parts (width, nonzero) drawn in turn, each as random_rows draws one row; an array per part.
+    """count records of parts (width, nonzero) drawn in turn, each part width draws below p; an array per part.
 
     The whole batch is drawn in one call.  A part that must be nonzero and
     came out zero (rare: about p^-width) is redrawn at once by a loop over
@@ -290,12 +259,6 @@ def first_failures(rngs, draw, count: int, failing) -> tuple[list, list[int | No
     return samples, firsts
 
 
-def _check_same_field(x, y) -> None:
-    """Refuse two elements or cochains (anything with a field) over different primes."""
-    if x.field.p != y.field.p:
-        raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
-
-
 @lru_cache(maxsize=None)
 def _bracket_tensor(p: int) -> np.ndarray:
     """T[s, t, m] with [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}, scattered over the index pairs (s, t)."""
@@ -337,7 +300,7 @@ def bracket_rows(xs, ys, p: int) -> np.ndarray:
 
 def bracket(x: WittElement, y: WittElement) -> WittElement:
     """Lie bracket, the bilinear extension of [e_i, e_j] = (j - i) e_{i+j}: the one-row call of bracket_rows."""
-    _check_same_field(x, y)
+    check_same_field(x, y)
     return WittElement(x.field, tuple(bracket_rows(np.array(x.coeffs), np.array(y.coeffs), x.p).tolist()))
 
 
@@ -479,7 +442,7 @@ def jacobson_s(g: WittElement, h: WittElement) -> list[WittElement]:
     [g, lambda*g + h, ..., lambda*g + h] with p-1 applications, one call of
     the lambda_rows kernel.
     """
-    _check_same_field(g, h)
+    check_same_field(g, h)
     field, p = g.field, g.p
     gv = np.array(g.coeffs, dtype=np.int64)
     hv = np.array(h.coeffs, dtype=np.int64)

@@ -14,7 +14,8 @@ sum one by one as right-bracket rows, with no lambda grouping; it is the
 reference for verify's evaluation route up to p = 19.  adjoint_chain_powers
 raises every basis right-bracket matrix to the p-th power by dense
 products, the reference for the chains the axiom checks read off their
-recurrences.  rref_by_pivots
+recurrences.  is_graded_table tests, one basis pair at a time, the shape
+that graded basis scans of an extension's table may rest on.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
 whole_matrix_rank is the whole-matrix rank oracle of verify's rank
@@ -340,6 +341,22 @@ def adjoint_chain_powers(t: np.ndarray, p: int) -> np.ndarray:
     for _ in range(p - 1):
         chains = chains @ right % p
     return chains
+
+
+def is_graded_table(table: np.ndarray, p: int) -> bool:
+    """Whether an extension's bracket table (p + 1, p + 1, p + 1) is graded, by a loop over the basis pairs.
+
+    The W part of [b_s, b_t] for W's positions s, t < p must be one multiple
+    of the basis vector of grade (s - 1) + (t - 1), at position
+    (s + t - 1) mod p; its central part is free.  c's row and column
+    (position p) must be zero.
+    """
+    for s in range(p + 1):
+        for t in range(p + 1):
+            allowed = {(s + t - 1) % p, p} if s < p and t < p else set()
+            if any(table[s, t, m] % p for m in range(p + 1) if m not in allowed):
+                return False
+    return True
 
 
 def to_dense_by_loops(alpha: Cochain3Ord) -> np.ndarray:

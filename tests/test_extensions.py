@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.oracles import adjoint_chain_powers, c2res_zero, from_dict, sample_rows
-from wittcoh import extensions, witt
+from tests.oracles import adjoint_chain_powers, c2res_zero, from_dict, is_graded_table, sample_rows
+from wittcoh import extensions, verify, witt
 from wittcoh.extensions import (
     CentralExtension,
     Classification,
@@ -465,6 +465,34 @@ def test_a_table_differing_only_in_the_central_row_or_column_gets_its_own_verdic
         assert stacked == [verify_restricted_axioms(x, 3, s) for x, s in zip(exts, [1, 2])]
         assert [r.all_pass for r in stacked] == [x is clean for x in exts]
     assert ("central_element", False) in [(c.name, c.passed) for c in verify_restricted_axioms(dirty, 3, 2).checks]
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 31])
+def test_every_table_run_prime_builds_is_graded(p, monkeypatch):
+    # W + Kc, the Virasoro extension and the negative control (W + Kc with [e_-1, e_0] zeroed) are all graded.
+    field, built = PrimeField(p), {}
+    init = CentralExtension.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.setdefault(self.bracket_table.tobytes(), self.bracket_table)
+
+    monkeypatch.setattr(CentralExtension, "__init__", recorded)
+    assert verify.run_prime(p)["all_pass"]
+    monkeypatch.undo()
+    split = omega_extension(field, 0)
+    expected = [split, virasoro_extension(field), split.with_bracket_entry_zeroed(-1, 0)]
+    assert {e.bracket_table.tobytes() for e in expected} <= built.keys()
+    assert all(is_graded_table(t, p) for t in built.values())
+
+
+def test_tables_corrupted_off_the_grading_are_not_graded():
+    clean = virasoro_extension(F5)
+    assert is_graded_table(clean.bracket_table, 5)
+    assert not any(is_graded_table(_central_corrupted(clean, part).bracket_table, 5) for part in ("row", "column"))
+    table = clean.bracket_table.copy()
+    table[1, 2, 0] = 1  # [e_0, e_1] gains e_-1, off grade 1
+    assert not is_graded_table(table, 5)
 
 
 def corrupt_pmap_rows(monkeypatch, rows_by_call):

@@ -1,11 +1,16 @@
-"""Exact linear algebra over GF(p)."""
+"""Exact linear algebra over GF(p), and the base of its coordinate vectors."""
+
+import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tests.oracles import kernel_basis_by_pivots, rref_by_pivots
-from wittcoh.gfp import MAX_MODULUS, PrimeField, is_prime
+from wittcoh.gfp import MAX_MODULUS, Coordinates, PrimeField, is_prime
+from wittcoh.ordinary import Cochain1, Cochain2Ord, Cochain3Ord
+from wittcoh.witt import WittElement
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 
@@ -27,6 +32,41 @@ def test_field_refuses_a_modulus_that_is_not_an_integer():
             PrimeField(bad)
     field = PrimeField(np.int64(7))
     assert type(field.p) is int and field == PrimeField(7)
+
+
+@pytest.mark.parametrize(
+    "cls, length, refusal",
+    [
+        (WittElement, 7, "coefficients must be integers"),
+        (Cochain1, 7, "a coefficient must be an integer"),
+        (Cochain2Ord, 21, "a coefficient must be an integer"),
+        (Cochain3Ord, 35, "a coefficient must be an integer"),
+    ],
+)
+def test_coordinate_vectors_share_one_base(cls, length, refusal):
+    # The C(p, degree) coordinates over GF(7): validation, reduction and arithmetic live in Coordinates.
+    f7, rng = PrimeField(7), np.random.default_rng(length)
+    assert issubclass(cls, Coordinates) and not {"__post_init__", "is_zero", "to_vector", "__add__"} & set(vars(cls))
+    for n in (length - 1, length + 1):
+        with pytest.raises(ValueError, match=f"^need {length} coefficients, got {n}$"):
+            cls(f7, (0,) * n)
+    for bad in (1.5, 2.0, np.float64(3.0), "1", None):
+        with pytest.raises(ValueError, match=refusal):
+            cls(f7, (0,) * (length - 1) + (bad,))
+    a, b = rng.integers(-20, 20, size=(2, length))
+    x, y = cls(f7, tuple(a)), cls(f7, tuple(np.int64(v) for v in b))
+    field_names = [f.name for f in dataclasses.fields(cls)]
+    assert field_names[0] == "field" and all(type(v) is int for v in getattr(y, field_names[1]))
+    assert x.to_vector().tolist() == (a % 7).tolist() and x.to_vector().dtype == np.int64
+    for got, want in [(x + y, a + b), (x - y, a - b), (-x, -a), (3 * x, 3 * a), (np.int64(-2) * x, -2 * a)]:
+        assert type(got) is cls and got == cls(f7, tuple(want % 7)) and got.to_vector().tolist() == (want % 7).tolist()
+    assert (x - x).is_zero() and not cls(f7, (0,) * (length - 1) + (1,)).is_zero() and cls(f7, (7,) * length).is_zero()
+    other = cls(PrimeField(5), (0,) * math.comb(5, cls.degree))
+    for op in (lambda: x + other, lambda: other - x):
+        with pytest.raises(ValueError, match="different fields"):
+            op()
+    same = cls(f7, tuple((a + 7).tolist()))
+    assert same == x and hash(same) == hash(x) and len({x, same}) == 1
 
 
 def test_inverse_examples():

@@ -714,6 +714,23 @@ def test_random_rows_redraws_zero_rows_as_random_element():
     assert witt.random_rows(random.Random(seed), 3, count, width=5).shape == (count, 5)
 
 
+def test_random_rows_is_the_one_part_call_of_random_records():
+    # Both give the rows and the final generator state of a random_element loop, zero-row redraws included.
+    field, count = PrimeField(3), 30
+    first_rows = {s: witt.randbelow(random.Random(s), 3, 3 * count).reshape(count, 3) for s in range(60)}
+    redrawn = [s for s, rows in first_rows.items() if not rows.any(axis=1).all()]  # a first row is zero
+    assert len(redrawn) >= 5
+    for seed in redrawn[:5]:
+        reference = random.Random(seed)
+        rows = random_element_loop(field, reference, count)
+        for draw in (
+            lambda rng: witt.random_rows(rng, 3, count, nonzero=True),
+            lambda rng: witt.random_records(rng, 3, count, [(3, True)])[0],
+        ):
+            rng = random.Random(seed)
+            assert draw(rng).tolist() == rows and rng.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize("parts", [[(3, True), (1, False)], [(3, False), (3, True), (3, True)], [(1, True), (2, True)]])
 def test_random_records_fall_back_to_the_record_loop(parts):
     # A part that must be nonzero and came out zero is redrawn before the
