@@ -14,8 +14,10 @@ recovers a cocycle through the defect
 and changing the splitting shifts the cocycle by a coboundary, so only the
 cohomology class matters.
 
-The extension stores explicit structure-constant and p-map tables over the
-basis e_{-1}, ..., e_{p-2}, c.  The bracket table is W's structure tensor
+An element g + a*c (ExtElement) is a gfp.CoordinatePair, its coordinate
+row g's p coefficients, then a.  The extension stores explicit
+structure-constant and p-map tables over the basis e_{-1}, ..., e_{p-2},
+c.  The bracket table is W's structure tensor
 (witt._bracket_tensor) with one central column, phi's dense matrix
 (phi.to_matrix()); the p-map table holds e_0^{[p]} = e_0 and the
 values omega(e_i) in the central column.  All bracket arithmetic inside E
@@ -65,15 +67,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import witt
-from .gfp import PrimeField, as_int, as_int_array, check_same_field
+from .gfp import CoordinatePair, PrimeField, check_same_field
 from .ordinary import Cochain1, upper_triangle
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
     c2_dim,
-    c2_from_vector,
     c2_rows,
-    c2_to_vector,
     cochain_complex,
     is_cocycle,
     is_cocycle_rows,
@@ -100,34 +100,14 @@ class NotASplittingError(RowError):
 
 
 @dataclass(frozen=True)
-class ExtElement:
-    """Element g + a*c of the extension."""
+class ExtElement(CoordinatePair):
+    """Element g + a*c of the extension; its coordinate row is g's p coefficients, then a."""
 
     witt: WittElement
     central: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "central", as_int(self.central, "the central coefficient") % self.witt.field.p)
-
-    @property
-    def field(self) -> PrimeField:
-        return self.witt.field
-
-    def is_zero(self) -> bool:
-        return self.witt.is_zero() and self.central == 0
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.witt + other.witt, self.central + other.central)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return ExtElement(self.witt - other.witt, self.central - other.central)
-
-    def __rmul__(self, scalar: int) -> "ExtElement":
-        return ExtElement(scalar * self.witt, scalar * self.central)
-
-    def coeffs(self) -> np.ndarray:
-        """Coefficient vector over the extension basis (e_{-1}, ..., e_{p-2}, c)."""
-        return np.array(list(self.witt.coeffs) + [self.central], dtype=np.int64)
+    head_type = WittElement
+    tail_axes = 0
+    wrong_shape = not_integer = "the central coefficient must be an integer, got {tail!r}"
 
     def __repr__(self) -> str:
         parts = []
@@ -165,27 +145,24 @@ class CentralExtension:
         return ExtElement(witt, central)
 
     def from_coeffs(self, vec) -> ExtElement:
-        vec = as_int_array(vec, "coefficients") % self.p
-        return ExtElement(WittElement(self.field, tuple(int(v) for v in vec[: self.p])), int(vec[self.p]))
+        return ExtElement.from_vector(self.field, vec)
 
     def basis(self, u: int) -> ExtElement:
         """Basis element by table position: 0..p-1 are e_{-1}..e_{p-2}, p is c."""
-        vec = np.zeros(self.p + 1, dtype=np.int64)
-        vec[u] = 1
-        return self.from_coeffs(vec)
+        return self.from_coeffs(np.eye(self.p + 1, dtype=np.int64)[u])
 
     def bracket(self, x: ExtElement, y: ExtElement) -> ExtElement:
         """Table-driven bracket."""
-        res = np.einsum("u,v,uvw->w", x.coeffs(), y.coeffs(), self.bracket_table) % self.p
+        res = np.einsum("u,v,uvw->w", x.to_vector(), y.to_vector(), self.bracket_table) % self.p
         return self.from_coeffs(res)
 
     def pth_power(self, x: ExtElement) -> ExtElement:
         """(g + a*c)^{[p]} = g^{[p]} + omega(g) c, the central part of x dropping out: the one-row call of pth_power_rows."""
-        return self.from_coeffs(self.pth_power_rows(x.coeffs()))
+        return self.from_coeffs(self.pth_power_rows(x.to_vector()))
 
     def pth_power_rows(self, xs: np.ndarray) -> np.ndarray:
         """p-th powers of stacked coefficient rows (..., p + 1) of E, as rows: pmap_rows against this source cocycle."""
-        return pmap_rows(xs, c2_to_vector(self.source), self.p)
+        return pmap_rows(xs, self.source.to_vector(), self.p)
 
     def with_bracket_entry_zeroed(self, i: int, j: int) -> "CentralExtension":
         """Copy with [e_i, e_j] (and its antisymmetric mirror) forced to zero.
@@ -249,7 +226,7 @@ def canonical_splitting(ext: CentralExtension) -> list[ExtElement]:
 
 def extract_cocycle(ext: CentralExtension, sigma: list[ExtElement]) -> Cochain2Res:
     """Cocycle of the extension under the splitting sigma (given on the basis): the one-row call of extract_cocycles."""
-    return c2_from_vector(ext.field, extract_cocycles([ext], [sigma])[0])
+    return Cochain2Res.from_vector(ext.field, extract_cocycles([ext], [sigma])[0])
 
 
 def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]]) -> np.ndarray:
@@ -271,7 +248,7 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
         raise ValueError("need one splitting per extension, all over the same prime")
     sizes = [len(sigma) for sigma in sigmas]
     short = next((k for k, size in enumerate(sizes) if size != p), len(sigmas))  # a loop stops at the first wrong count
-    images = np.array([[s.coeffs() for s in sigma] for sigma in sigmas[:short]], dtype=np.int64)
+    images = np.array([[s.to_vector() for s in sigma] for sigma in sigmas[:short]], dtype=np.int64)
     images = images.reshape(short, p, p + 1)
     moved = (images[..., :p] != np.eye(p, dtype=np.int64)).any(axis=-1)
 
@@ -287,7 +264,7 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
     # W parts pass, sigma(e_i) = e_i + a_i c, and c drops out of a p-th power: the basis rows' powers serve all.
     targets = np.zeros_like(images)
     targets[:, 1] = images[:, 1]
-    cocycles = np.array([c2_to_vector(e.source) for e in exts[:short]], dtype=np.int64).reshape(short, 1, c2_dim(p))
+    cocycles = np.array([e.source.to_vector() for e in exts[:short]], dtype=np.int64).reshape(short, 1, c2_dim(p))
     powers = (pmap_rows(np.eye(p, p + 1, dtype=np.int64)[None], cocycles, p) - targets) % p
     bad = np.stack([moved.any(axis=-1), defects[..., :p].any(axis=(1, 2)), powers[..., :p].any(axis=(1, 2))], axis=1)
     refused = np.flatnonzero(bad.any(axis=1))
@@ -419,7 +396,7 @@ def verify_restricted_axioms_stacked(
     table_of = np.array([distinct.setdefault(e.bracket_table.tobytes(), len(distinct)) for e in exts])
     tables = np.stack([exts[k].bracket_table for k in np.unique(table_of, return_index=True)[1]])
     pmaps = np.stack([e.pmap_basis for e in exts])
-    cocycles = np.stack([c2_to_vector(e.source) for e in exts])
+    cocycles = np.stack([e.source.to_vector() for e in exts])
     checks: list[list[CheckResult]] = [[] for _ in exts]
 
     def add(name: str, passed, details) -> None:
@@ -519,7 +496,7 @@ def verify_restricted_axioms_stacked(
 def cohomologous(a: Cochain2Res, b: Cochain2Res) -> tuple[bool, Cochain1 | None]:
     """Whether a - b is a restricted coboundary; the witness psi has d1(psi) = a - b.  One pair of cohomologous_rows."""
     check_same_field(a, b)
-    (same,), (psi,) = cohomologous_rows(a.field, [c2_to_vector(a)], [c2_to_vector(b)])
+    (same,), (psi,) = cohomologous_rows(a.field, [a.to_vector()], [b.to_vector()])
     return (True, Cochain1(a.field, tuple(psi.tolist()))) if same else (False, None)
 
 
@@ -550,7 +527,7 @@ def classify_extension(c: Cochain2Res) -> Classification:
     an ordinary coboundary (then the extension splits as an ordinary Lie
     algebra but not as a restricted one) or not (no Levi complement either
     way).  The one-row call of classify_rows."""
-    return classify_rows(c.field, [c2_to_vector(c)])[0]
+    return classify_rows(c.field, [c.to_vector()])[0]
 
 
 def classify_rows(field: PrimeField, vs) -> list[Classification]:

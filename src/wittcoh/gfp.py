@@ -17,10 +17,15 @@ its reference.  kernels reads the kernel bases of a whole stack off its
 reduced forms; kernel_basis is its list for one matrix.  certified_ranks
 proves a stack's ranks off its kernels by products mod p only.
 
-Coordinates is the one base of the package's vectors of GF(p)
-coordinates, W's elements and the ordinary cochains: it validates and
-reduces their entries, and owns is_zero, to_vector, their arithmetic and
-the refusal of another prime's vector (check_same_field).
+Every value of the package is a row of GF(p) coordinates, held by one
+of two bases.  Coordinates holds W's elements and the ordinary cochains,
+C(p, degree) coordinates; CoordinatePair holds the restricted cochains
+and the extensions' elements, a head of Coordinates and a tail of p^k
+GF(p) values, its row the head's then the tail's.  Each base validates
+and reduces its values, and owns to_vector and from_vector, which
+refuses a row of another width; is_zero, the arithmetic and the refusal
+of another prime's value (check_same_field) are one copy for both, on
+those rows.
 """
 
 from __future__ import annotations
@@ -158,8 +163,52 @@ def check_same_field(x, y) -> None:
         raise ValueError(f"elements live over different fields (p={x.field.p} vs p={y.field.p})")
 
 
+def _reduced(values, p: int, not_integer: str, **given) -> list[int]:
+    """values as ints reduced mod p, numpy integers included; a non-integer raises ValueError(not_integer), formatted
+    with given and the first value refused as entry."""
+    try:
+        return [c % p for c in map(operator.index, values)]
+    except TypeError:
+        entry = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(not_integer.format(entry=entry, **given)) from None
+
+
+def _row(field: PrimeField, row, width: int) -> np.ndarray:
+    """row as an int64 vector reduced mod p; ValueError for another width or entries that are not integers."""
+    row = as_int_array(row, "coordinates") % field.p
+    if row.shape != (width,):
+        raise ValueError(f"expected a vector of length {width}")
+    return row
+
+
+class _RowArithmetic:
+    """is_zero and the arithmetic of a value that converts to and from its GF(p) coordinate row (to_vector and the
+    classmethod from_vector); a sum or difference with another prime's value is refused (check_same_field)."""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = tuple(cls.__annotations__)  # the fields a subclass declares: its coordinates, or head and tail
+
+    def is_zero(self) -> bool:
+        return not self.to_vector().any()
+
+    def __add__(self, other):
+        check_same_field(self, other)
+        return self.from_vector(self.field, self.to_vector() + other.to_vector())
+
+    def __sub__(self, other):
+        check_same_field(self, other)
+        return self.from_vector(self.field, self.to_vector() - other.to_vector())
+
+    def __neg__(self):
+        return self.from_vector(self.field, -self.to_vector())
+
+    def __rmul__(self, scalar: int):
+        return self.from_vector(self.field, as_int(scalar, "a scalar") % self.field.p * self.to_vector())
+
+
 @dataclass(frozen=True)
-class Coordinates:
+class Coordinates(_RowArithmetic):
     """Base of the frozen vectors of GF(p) coordinates: a field, then C(p, degree) coordinates.
 
     A subclass is a frozen dataclass declaring one field, the coordinate
@@ -174,47 +223,65 @@ class Coordinates:
     degree = 1
     not_integer = "a coefficient must be an integer, got {entry!r}"
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._name = next(iter(cls.__annotations__))  # the coordinate tuple, the one field a subclass declares
-
     def __post_init__(self) -> None:
-        p, entries = self.field.p, getattr(self, self._name)
+        p, entries = self.field.p, getattr(self, self._names[0])
         n = math.comb(p, self.degree)
         if len(entries) != n:
             raise ValueError(f"need {n} coefficients, got {len(entries)}")
-        try:
-            reduced = tuple([c % p for c in map(operator.index, entries)])
-        except TypeError:
-            for entry in entries:
-                try:
-                    operator.index(entry)
-                except TypeError:
-                    raise ValueError(self.not_integer.format(entries=entries, entry=entry)) from None
-        object.__setattr__(self, self._name, reduced)
-
-    def _coordinates(self) -> tuple[int, ...]:
-        return getattr(self, self._name)
+        object.__setattr__(self, self._names[0], tuple(_reduced(entries, p, self.not_integer, entries=entries)))
 
     def to_vector(self) -> np.ndarray:
-        return np.array(self._coordinates(), dtype=np.int64)
+        return np.array(getattr(self, self._names[0]), dtype=np.int64)
 
-    def is_zero(self) -> bool:
-        return not any(self._coordinates())
+    @classmethod
+    def from_vector(cls, field: PrimeField, row):
+        """The vector of a row of C(p, degree) coordinates."""
+        return cls(field, tuple(_row(field, row, math.comb(field.p, cls.degree)).tolist()))
 
-    def __add__(self, other):
-        check_same_field(self, other)
-        return type(self)(self.field, tuple(a + b for a, b in zip(self._coordinates(), other._coordinates())))
 
-    def __sub__(self, other):
-        check_same_field(self, other)
-        return type(self)(self.field, tuple(a - b for a, b in zip(self._coordinates(), other._coordinates())))
+class CoordinatePair(_RowArithmetic):
+    """Base of the frozen pairs (head, tail): Coordinates of the class head_type, then p^tail_axes GF(p) values.
 
-    def __neg__(self):
-        return type(self)(self.field, tuple(-a for a in self._coordinates()))
+    A subclass is a frozen dataclass declaring the two fields.  The tail,
+    a p x ... x p table of tail_axes axes (one value for none), is stored
+    reduced mod p as nested tuples of ints (an int).  A head of another
+    class, a tail of another shape (the class's wrong_shape, given p and
+    the tail) or with a non-integer value (its not_integer, given the tail
+    and the value refused) raise ValueError.
+    """
 
-    def __rmul__(self, scalar: int):
-        return type(self)(self.field, tuple(scalar * a for a in self._coordinates()))
+    head_type = Coordinates
+    tail_axes = 1
+
+    def __post_init__(self) -> None:
+        (head_name, head), (tail_name, tail) = ((name, getattr(self, name)) for name in self._names)
+        if not isinstance(head, self.head_type):
+            raise ValueError(f"{head_name} must be a {self.head_type.__name__}, got {type(head).__name__}")
+        p, values = head.field.p, np.array(tail, dtype=object)
+        if values.shape != (p,) * self.tail_axes:
+            raise ValueError(self.wrong_shape.format(p=p, tail=tail))
+        values.flat = _reduced(values.ravel().tolist(), p, self.not_integer, tail=tail)
+        object.__setattr__(self, tail_name, _tuples(values.tolist()))
+
+    @property
+    def field(self) -> PrimeField:
+        return getattr(self, self._names[0]).field
+
+    def to_vector(self) -> np.ndarray:
+        head, tail = (getattr(self, name) for name in self._names)
+        return np.concatenate([head.to_vector(), np.ravel(tail)])
+
+    @classmethod
+    def from_vector(cls, field: PrimeField, row):
+        """The pair of a row of the head's coordinates, then the tail's p^tail_axes values."""
+        n = math.comb(field.p, cls.head_type.degree)
+        row = _row(field, row, n + field.p**cls.tail_axes)
+        return cls(cls.head_type.from_vector(field, row[:n]), row[n:].reshape((field.p,) * cls.tail_axes))
+
+
+def _tuples(x):
+    """Nested lists as nested tuples."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
 def _one_matrix(m):

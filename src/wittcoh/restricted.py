@@ -17,7 +17,10 @@ phi plus the p basis values of omega, giving dim C^2 = p(p+1)/2.
 Restricted 3-cochains (alpha, beta) work the same way with beta linear in
 the first slot, p-semilinear in the second, and a correction sum tying
 beta to alpha; coordinates are the C(p,3) coefficients of alpha plus the
-p^2 values beta(e_i, e_j), giving dim C^3 = p(p+1)(p+2)/6.
+p^2 values beta(e_i, e_j), giving dim C^3 = p(p+1)(p+2)/6.  Cochain2Res
+and Cochain3Res are gfp.CoordinatePair values: phi's coordinates then
+omega's p values, alpha's then beta's table row by row, so to_vector and
+from_vector are their coordinate rows.
 
 The coboundaries are d1(psi) = (d1_cl(psi), psi o [p]) and
 d2(phi, omega) = (d2_cl(phi), ind2(phi, omega)) with
@@ -33,7 +36,7 @@ serves every phi.
 
 omega(g) is linear in the coordinates (phi, omega's basis values), so
 folding g's basis terms once gives the vector w with
-omega(g) = c2_to_vector(c) @ w for every cochain c.  That fold is a row
+omega(g) = c.to_vector() @ w for every cochain c.  That fold is a row
 kernel like witt's fold p-th power, and the same fold (witt.fold):
 omega_functional_rows takes stacked coefficient rows (..., p), optionally
 each with its own fold order, runs _correction_weights on the real steps
@@ -86,7 +89,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import PrimeField, as_int, as_int_array
+from .gfp import CoordinatePair, PrimeField, as_int_array
 from .ordinary import (
     Cochain1,
     Cochain2Ord,
@@ -127,63 +130,31 @@ class NotACocycleError(RowError):
 
 
 @dataclass(frozen=True)
-class Cochain2Res:
+class Cochain2Res(CoordinatePair):
     """Restricted 2-cochain (phi, omega) in coordinates: phi plus omega's basis values."""
 
     phi: Cochain2Ord
     omega_basis: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        p = self.phi.field.p
-        if len(self.omega_basis) != p:
-            raise ValueError(f"need {p} omega values, got {len(self.omega_basis)}")
-        object.__setattr__(self, "omega_basis", tuple(as_int(v, "an omega value") % p for v in self.omega_basis))
-
-    @property
-    def field(self) -> PrimeField:
-        return self.phi.field
+    head_type = Cochain2Ord
+    wrong_shape = "need {p} omega values, got {tail!r}"
+    not_integer = "an omega value must be an integer, got {entry!r}"
 
     def omega_value(self, i: int) -> int:
         """omega(e_i)."""
         _check_index(i, self.field.p)
         return self.omega_basis[i + 1]
 
-    def __add__(self, other: "Cochain2Res") -> "Cochain2Res":
-        return Cochain2Res(
-            self.phi + other.phi,
-            tuple(a + b for a, b in zip(self.omega_basis, other.omega_basis)),
-        )
-
-    def __sub__(self, other: "Cochain2Res") -> "Cochain2Res":
-        return Cochain2Res(
-            self.phi - other.phi,
-            tuple(a - b for a, b in zip(self.omega_basis, other.omega_basis)),
-        )
-
-    def __rmul__(self, scalar: int) -> "Cochain2Res":
-        return Cochain2Res(scalar * self.phi, tuple(scalar * a for a in self.omega_basis))
-
-    def is_zero(self) -> bool:
-        return self.phi.is_zero() and not any(self.omega_basis)
-
 
 @dataclass(frozen=True)
-class Cochain3Res:
+class Cochain3Res(CoordinatePair):
     """Restricted 3-cochain (alpha, beta): alpha plus the p x p table beta(e_i, e_j)."""
 
     alpha: Cochain3Ord
     beta_basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        p = self.alpha.field.p
-        if len(self.beta_basis) != p or any(len(row) != p for row in self.beta_basis):
-            raise ValueError(f"beta table must be {p} x {p}")
-        beta = tuple(tuple(as_int(v, "a beta value") % p for v in row) for row in self.beta_basis)
-        object.__setattr__(self, "beta_basis", beta)
-
-    @property
-    def field(self) -> PrimeField:
-        return self.alpha.field
+    head_type = Cochain3Ord
+    tail_axes = 2
+    wrong_shape = "beta table must be {p} x {p}"
+    not_integer = "a beta value must be an integer, got {entry!r}"
 
     def beta_value(self, i: int, j: int) -> int:
         """beta(e_i, e_j)."""
@@ -191,16 +162,11 @@ class Cochain3Res:
         _check_index(j, self.field.p)
         return self.beta_basis[i + 1][j + 1]
 
-    def is_zero(self) -> bool:
-        return self.alpha.is_zero() and not any(any(row) for row in self.beta_basis)
-
 
 def omega_coordinate(field: PrimeField, i: int) -> Cochain2Res:
     """The cocycle (0, omega_i): omega_i picks the e_i coordinate to the p-th power."""
     _check_index(i, field.p)
-    vals = [0] * field.p
-    vals[i + 1] = 1
-    return Cochain2Res(c2_zero(field), tuple(vals))
+    return Cochain2Res(c2_zero(field), np.eye(field.p, dtype=np.int64)[i + 1])
 
 
 def virasoro_cochain(field: PrimeField) -> Cochain2Res:
@@ -271,7 +237,7 @@ def omega_functional_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
 
 
 def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
-    """The vector w with eval_omega(c, g) = c2_to_vector(c) @ w mod p for every c.
+    """The vector w with eval_omega(c, g) = c.to_vector() @ w mod p for every c.
 
     omega(g) is linear in (phi, omega's basis values), so the fold of g's
     basis terms through the compatibility condition,
@@ -287,7 +253,7 @@ def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
 
 def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
     """omega(g): c's coordinates against g's omega_functional."""
-    return int(c2_to_vector(c) @ omega_functional(g, fold_order) % c.field.p)
+    return int(c.to_vector() @ omega_functional(g, fold_order) % c.field.p)
 
 
 def delta1_res(psi: Cochain1) -> Cochain2Res:
@@ -327,8 +293,7 @@ def ind2(c: Cochain2Res) -> np.ndarray:
 
 def delta2_res(c: Cochain2Res) -> Cochain3Res:
     """d2(phi, omega) = (d2_cl(phi), ind2(phi, omega))."""
-    table = ind2(c)
-    return Cochain3Res(delta2_cl(c.phi), tuple(tuple(row) for row in table.tolist()))
+    return Cochain3Res(delta2_cl(c.phi), ind2(c))
 
 
 def is_cocycle_rows(vs, p: int) -> np.ndarray:
@@ -343,7 +308,7 @@ def is_cocycle_rows(vs, p: int) -> np.ndarray:
 
 def is_cocycle(c: Cochain2Res) -> bool:
     """Whether d2(phi, omega) vanishes: the one-row call of is_cocycle_rows."""
-    return bool(is_cocycle_rows(c2_to_vector(c), c.field.p))
+    return bool(is_cocycle_rows(c.to_vector(), c.field.p))
 
 
 def starstar_correction(
@@ -396,10 +361,6 @@ def c3_dim(p: int) -> int:
     return p * (p - 1) * (p - 2) // 6 + p * p
 
 
-def c2_to_vector(c: Cochain2Res) -> np.ndarray:
-    return np.concatenate([c.phi.to_vector(), np.array(c.omega_basis, dtype=np.int64)])
-
-
 def c2_rows(vs, p: int) -> np.ndarray:
     """Stacked coordinate rows (..., c2_dim(p)) reduced mod p; rows of another width, another prime's, or of entries
     that are not integers are refused."""
@@ -407,15 +368,6 @@ def c2_rows(vs, p: int) -> np.ndarray:
     if vs.shape[-1:] != (c2_dim(p),):
         raise ValueError(f"restricted 2-cochains over GF({p}) have {c2_dim(p)} coordinates, got shape {vs.shape}")
     return vs
-
-
-def c2_from_vector(field: PrimeField, vec) -> Cochain2Res:
-    vec = as_int_array(vec, "coordinates") % field.p
-    n = field.p * (field.p - 1) // 2
-    if vec.shape != (n + field.p,):
-        raise ValueError(f"expected a vector of length {n + field.p}")
-    phi = Cochain2Ord(field, tuple(int(v) for v in vec[:n]))
-    return Cochain2Res(phi, tuple(int(v) for v in vec[n:]))
 
 
 def delta1_res_matrix(field: PrimeField) -> np.ndarray:
@@ -634,7 +586,7 @@ def restricted_h2(field: PrimeField) -> RestrictedH2:
     if p > 3:
         reps.append(virasoro_cochain(field))
     reps.extend(omega_coordinate(field, i) for i in range(-1, p - 1))
-    vectors = np.array([c2_to_vector(r) for r in reps])
+    vectors = np.array([r.to_vector() for r in reps])
     if not is_cocycle_rows(vectors, p).all():
         raise ArithmeticError("representative candidate is not a cocycle")
     if field.rank(cx.split_coboundary(vectors)[1]) != len(reps) or cx.rank_d1_res + len(reps) != ker_dim:

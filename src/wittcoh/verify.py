@@ -358,7 +358,7 @@ def _omega_fold_invariance(field: PrimeField, rng: random.Random, ker: tuple[np.
         base = np.repeat(refs.sum(axis=1) % p, 5)
         folds = res.omega_functional_rows(rows, p, orders)
         flags = (folds * cocycles).sum(axis=1) % p != base
-        flags[0] |= res.eval_omega(res.c2_from_vector(field, cocycles[0]), gs[0]) != base[0]
+        flags[0] |= res.eval_omega(res.Cochain2Res.from_vector(field, cocycles[0]), gs[0]) != base[0]
         return flags
 
     # 50 draws end on a pair boundary, so winding back redraws whole pairs from there.
@@ -461,20 +461,20 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2=None) -> list[ex
 
     def representatives():
         reps = list((h2 or res.restricted_h2)(field).representatives)
-        return reps, np.array([res.c2_to_vector(c) for c in reps])
+        return reps, np.array([c.to_vector() for c in reps])
 
     def roundtrip():
         ker = np.array(cx.ker_d2_res)
 
         def failing(vecs):  # each sample's extension is built (a non-cocycle refused), extracted and compared
-            exts = [ext.build_extension(res.c2_from_vector(field, v), check=False) for v in vecs]
+            exts = [ext.build_extension(res.Cochain2Res.from_vector(field, v), check=False) for v in vecs]
             back = ext.extract_cocycles(exts, [ext.canonical_splitting(e) for e in exts])
             return ~res.is_cocycle_rows(vecs, p) | (back != vecs).any(axis=1)
 
         draw = lambda m: witt.randbelow(rng, p, m * len(ker)).reshape(m, -1) @ ker % p  # noqa: E731
         vecs, k = witt.first_failure(rng, draw, 10, failing)
         if k is not None:
-            e = ext.build_extension(c := res.c2_from_vector(field, vecs[k]))
+            e = ext.build_extension(c := res.Cochain2Res.from_vector(field, vecs[k]))
             assert ext.extract_cocycle(e, ext.canonical_splitting(e)) == c, "extraction does not invert construction"
         assert k is None, "stacked and one-row extractions disagree"
         return "10 kernel samples"
@@ -494,7 +494,7 @@ def _extension_checks(field: PrimeField, rng: random.Random, h2=None) -> list[ex
         def failing(psis):  # each shifted extraction is compared with c - d1(psi), then tested for cohomology
             shifted = ext.extract_cocycles(exts[: len(psis)], [sigma(psi) for psi in psis])
             same, _ = ext.cohomologous_rows(field, shifted, cs[: len(psis)])
-            same[0] &= ext.cohomologous(res.c2_from_vector(field, shifted[0]), reps[0])[0]  # the one-row call on the first
+            same[0] &= ext.cohomologous(res.Cochain2Res.from_vector(field, shifted[0]), reps[0])[0]  # the one-row call
             return ((shifted - cs[: len(psis)] + psis @ cx.d1_res.T) % p).any(axis=1) | ~same
 
         psis, k = witt.first_failure(rng, lambda m: witt.randbelow(rng, p, m * p).reshape(m, p), n, failing)

@@ -613,7 +613,7 @@ def omega_fold_invariance_by_loop(field: PrimeField, rng, ker) -> str:
     """verify's restricted.omega_fold_invariance as a loop testing each shuffled order as it is drawn."""
     p = field.p
     for _ in range(10):
-        c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+        c = res.Cochain2Res.from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
         g = random_element(field, rng, True)
         base = res.eval_omega(c, g)
         for _ in range(5):
@@ -630,7 +630,7 @@ def restricted_h2_by_loop(field: PrimeField) -> res.RestrictedH2:
     reps = ([res.virasoro_cochain(field)] if p > 3 else []) + [res.omega_coordinate(field, i) for i in range(-1, p - 1)]
     if not all(map(res.is_cocycle, reps)):
         raise ArithmeticError("representative candidate is not a cocycle")
-    rests = np.vstack([cx.split_coboundary(res.c2_to_vector(r))[1] for r in reps])
+    rests = np.vstack([cx.split_coboundary(r.to_vector())[1] for r in reps])
     if field.rank(rests) != len(reps) or cx.rank_d1_res + len(reps) != len(cx.ker_d2_res):
         raise ArithmeticError("representatives do not complete im d1 to ker d2")
     return res.RestrictedH2(len(cx.ker_d2_res), cx.rank_d1_res, cx.h_restricted[2], tuple(reps))
@@ -640,7 +640,7 @@ def roundtrip_by_loop(field: PrimeField, rng, ker) -> str:
     """verify's extensions.roundtrip: each kernel sample is drawn, built, extracted and compared in turn."""
     p = field.p
     for _ in range(10):
-        c = res.c2_from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
+        c = res.Cochain2Res.from_vector(field, sum(rng.randrange(p) * v for v in ker) % p)
         e = ext.build_extension(c)
         back = ext.extract_cocycle(e, ext.canonical_splitting(e))
         assert back == c, "extraction does not invert construction"
@@ -670,7 +670,7 @@ def class_independence_by_loop(field: PrimeField, reps) -> str:
                 assert not same, f"representatives {a} and {b} are cohomologous"
         return f"all {len(reps) * (len(reps) - 1) // 2} pairs"
     cx = res.cochain_complex(field)
-    rests = np.vstack([cx.split_coboundary(res.c2_to_vector(c))[1] for c in reps])
+    rests = np.vstack([cx.split_coboundary(c.to_vector())[1] for c in reps])
     assert field.rank(rests) == len(reps), "classes dependent modulo coboundaries"
     return "rank-based"
 

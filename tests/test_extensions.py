@@ -26,12 +26,11 @@ from wittcoh.extensions import (
     virasoro_extension,
 )
 from wittcoh.gfp import PrimeField
-from wittcoh.ordinary import Cochain1, c2_from_dict, dual_basis
+from wittcoh.ordinary import Cochain1, Cochain3Ord, c2_from_dict, c2_zero, dual_basis
 from wittcoh.restricted import (
     Cochain2Res,
+    Cochain3Res,
     NotACocycleError,
-    c2_from_vector,
-    c2_to_vector,
     cochain_complex,
     delta1_res,
     delta2_res_matrix,
@@ -42,6 +41,7 @@ from wittcoh.restricted import (
     virasoro_cochain,
 )
 from wittcoh.witt import (
+    WittElement,
     basis_element,
     normalize_index,
     pth_power_via_derivation,
@@ -59,7 +59,7 @@ def e(i, field=F5):
 
 def random_cocycle(field, rng, ker):
     vec = sum(rng.randrange(field.p) * v for v in ker) % field.p
-    return c2_from_vector(field, vec)
+    return Cochain2Res.from_vector(field, vec)
 
 
 def test_omega_extension_pmap_table():
@@ -403,7 +403,7 @@ def test_pmap_rows_power_shared_rows_against_each_cocycle():
     # extension at once, as each extension's own p-map powers them.
     rng = random.Random(4)
     exts = [build_extension(c) for c in restricted_h2(F7).representatives]
-    cocycles = np.stack([c2_to_vector(x.source) for x in exts])
+    cocycles = np.stack([x.source.to_vector() for x in exts])
     xs = np.array([[rng.randrange(7) for _ in range(8)] for _ in range(12)])
     powers = extensions.pmap_rows(xs, cocycles[:, None], 7)
     assert powers.shape == (len(exts), len(xs), 8)
@@ -424,7 +424,7 @@ def test_pmap_rows_contract_the_whole_omega_functional(p):
     sources = list(restricted_h2(field).representatives)
     sources[1:1] = [random_cocycle(field, rng, ker)]
     sources.append(random_cocycle(field, rng, ker))
-    cocycles = np.stack([c2_to_vector(c) for c in sources])
+    cocycles = np.stack([c.to_vector() for c in sources])
     with_phi = [not c.phi.is_zero() for c in sources]
     assert any(with_phi) and not all(with_phi)
 
@@ -865,7 +865,7 @@ def extract_one_by_one(exts, sigmas):
     rows = []
     for k, (ext, sigma) in enumerate(zip(exts, sigmas)):
         try:
-            rows.append(c2_to_vector(extract_cocycle(ext, sigma)))
+            rows.append(extract_cocycle(ext, sigma).to_vector())
         except NotASplittingError as err:
             return str(err), k
     return np.array(rows)
@@ -894,7 +894,7 @@ def test_stacked_extraction_matches_one_at_a_time(p):
     sigmas[1::2] = [canonical_splitting(x) for x in exts[1::2]]
     rows = extract_stacked(exts, sigmas)
     assert (rows == extract_one_by_one(exts, sigmas)).all()
-    assert (rows[1::2] == [c2_to_vector(x.source) for x in exts[1::2]]).all()
+    assert (rows[1::2] == [x.source.to_vector() for x in exts[1::2]]).all()
 
 
 def defective(kind, field):
@@ -932,7 +932,7 @@ def test_stacked_extraction_refuses_what_a_loop_refuses_first(monkeypatch, kinds
     # one-row call alike.
     field = F7
     original = extensions.pmap_rows
-    marked = c2_to_vector(PMAP_DEFECT[7])
+    marked = PMAP_DEFECT[7].to_vector()
 
     def pmap_rows(xs, cocycles, p):
         out = original(xs, cocycles, p).copy()
@@ -955,7 +955,7 @@ def test_stacked_calls_refuse_mixed_primes():
     for exts, sigmas in [([v5, v7], [canonical_splitting(x) for x in (v5, v7)]), ([v5], [canonical_splitting(v7)])]:
         with pytest.raises(ValueError, match="same prime"):
             extract_cocycles(exts, sigmas)
-    rows = [c2_to_vector(virasoro_cochain(F7))]
+    rows = [virasoro_cochain(F7).to_vector()]
     with pytest.raises(ValueError, match="coordinates"):
         cohomologous_rows(F5, rows, rows)
     with pytest.raises(ValueError, match="coordinates"):
@@ -976,7 +976,7 @@ def test_stacked_cohomology_test_matches_one_pair_at_a_time(p):
     reps = restricted_h2(field).representatives
     shifts = [delta1_res(Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))) for _ in reps]
     pairs = [(a, b) for a in reps for b in reps] + [(c + d, c) for c, d in zip(reps, shifts)]
-    same, psi = cohomologous_rows(field, *(np.array([c2_to_vector(x[i]) for x in pairs]) for i in (0, 1)))
+    same, psi = cohomologous_rows(field, *(np.array([x[i].to_vector() for x in pairs]) for i in (0, 1)))
     for (a, b), s, w in zip(pairs, same, psi):
         one_same, witness = cohomologous(a, b)
         assert s == one_same
@@ -984,7 +984,7 @@ def test_stacked_cohomology_test_matches_one_pair_at_a_time(p):
             assert Cochain1(field, tuple(w.tolist())) == witness and delta1_res(witness) == a - b
     assert same.sum() == len(reps) * 2
     bad = Cochain2Res(c2_from_dict(field, {(0, 1): 1}), (0,) * p)
-    rows = np.array([c2_to_vector(c) for c in (reps[0], reps[1], bad, reps[2])])
+    rows = np.array([c.to_vector() for c in (reps[0], reps[1], bad, reps[2])])
     with pytest.raises(NotACocycleError) as refused:
         cohomologous_rows(field, rows, rows[::-1])
     assert refused.value.index == 1
@@ -993,7 +993,7 @@ def test_stacked_cohomology_test_matches_one_pair_at_a_time(p):
 def classify_by_ranks(field, v):
     """The class of a cocycle row from ranks of d1 with and without it, d1_res built one basis form at a time."""
     p = field.p
-    d1_res = np.array([c2_to_vector(delta1_res(dual_basis(field, k))) for k in range(-1, p - 1)]).T
+    d1_res = np.array([delta1_res(dual_basis(field, k)).to_vector() for k in range(-1, p - 1)]).T
     if field.rank(np.column_stack([d1_res, v])) == field.rank(d1_res):
         return Classification.SPLIT
     d1 = d1_res[:-p]
@@ -1008,14 +1008,14 @@ def test_stacked_classification_matches_ranks_and_one_row_calls(p):
     # d1(psi); the coboundaries alone are the split inputs.
     field = PrimeField(p)
     rng = random.Random(p)
-    reps = [c2_to_vector(c) for c in restricted_h2(field).representatives]
-    cobs = [c2_to_vector(delta1_res(Cochain1(field, tuple(rng.randrange(p) for _ in range(p))))) for _ in range(4)]
+    reps = [c.to_vector() for c in restricted_h2(field).representatives]
+    cobs = [delta1_res(Cochain1(field, tuple(rng.randrange(p) for _ in range(p)))).to_vector() for _ in range(4)]
     rows = np.array(reps + [2 * r for r in reps] + [r + cobs[k % 4] for k, r in enumerate(reps)] + cobs) % p
     labels = classify_rows(field, rows)
-    assert labels == [classify_extension(c2_from_vector(field, v)) for v in rows]
+    assert labels == [classify_extension(Cochain2Res.from_vector(field, v)) for v in rows]
     assert labels == [classify_by_ranks(field, v) for v in rows]
     assert labels[-4:] == [Classification.SPLIT] * 4
-    bad = c2_to_vector(Cochain2Res(c2_from_dict(field, {(0, 1): 1}), (0,) * p))
+    bad = Cochain2Res(c2_from_dict(field, {(0, 1): 1}), (0,) * p).to_vector()
     with pytest.raises(NotACocycleError, match="classification") as refused:
         classify_rows(field, np.array([rows[0], rows[-1], bad, rows[1]]))
     assert refused.value.index == 2
@@ -1030,3 +1030,26 @@ def test_extension_elements_refuse_coefficients_that_are_not_integers(bad):
         omega_extension(F5, 0).from_coeffs(np.array([0, 0, 0, 0, 0, bad]))
     kept = omega_extension(F5, 0).from_coeffs(np.arange(6, dtype=np.int32))
     assert kept == ExtElement(from_dict(F5, {0: 1, 1: 2, 2: 3, 3: 4}), 0)
+
+
+def test_extension_rows_of_another_width_are_refused():
+    # At p = 5 from_coeffs used to drop the seventh entry of a row, and to fail with a bare IndexError on five.
+    ext = omega_extension(F5, 0)
+    for n in (5, 7):
+        for build in (ext.from_coeffs, lambda row: ExtElement.from_vector(F5, row)):
+            with pytest.raises(ValueError, match="^expected a vector of length 6$"):
+                build(np.arange(n))
+
+
+def test_malformed_composite_values_are_refused_when_built():
+    # The first used to build a cochain of 10 coordinates where c2_dim(5) is 15, the second failed later with
+    # AttributeError, and the last two raised TypeError from len().
+    cases = [
+        (lambda: Cochain2Res(WittElement(F5, (0,) * 5), (0,) * 5), "^phi must be a Cochain2Ord, got WittElement$"),
+        (lambda: ExtElement(c2_zero(F5), 1), "^witt must be a WittElement, got Cochain2Ord$"),
+        (lambda: Cochain3Res(Cochain3Ord(F5, (0,) * 10), (1, 2, 3, 4, 5)), "^beta table must be 5 x 5$"),
+        (lambda: Cochain2Res(c2_zero(F5), 5), "^need 5 omega values, got 5$"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=message):
+            build()

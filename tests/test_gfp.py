@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tests.oracles import kernel_basis_by_pivots, rref_by_pivots
-from wittcoh.gfp import MAX_MODULUS, Coordinates, PrimeField, is_prime
+from wittcoh.extensions import ExtElement
+from wittcoh.gfp import MAX_MODULUS, CoordinatePair, Coordinates, PrimeField, is_prime
 from wittcoh.ordinary import Cochain1, Cochain2Ord, Cochain3Ord
+from wittcoh.restricted import Cochain2Res, Cochain3Res
 from wittcoh.witt import WittElement
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
@@ -66,6 +68,54 @@ def test_coordinate_vectors_share_one_base(cls, length, refusal):
         with pytest.raises(ValueError, match="different fields"):
             op()
     same = cls(f7, tuple((a + 7).tolist()))
+    assert same == x and hash(same) == hash(x) and len({x, same}) == 1
+
+
+@pytest.mark.parametrize(
+    "cls, shape, wrong_shape, refusal",
+    [
+        (Cochain2Res, (7,), "need 7 omega values", "an omega value must be an integer"),
+        (Cochain3Res, (7, 7), "beta table must be 7 x 7", "a beta value must be an integer"),
+        (ExtElement, (), "the central coefficient must be an integer", "the central coefficient must be an integer"),
+    ],
+)
+def test_composite_values_share_one_base(cls, shape, wrong_shape, refusal):
+    # A head of Coordinates, then a tail of 7^len(shape) values over GF(7): validation, reduction, the coordinate
+    # row and arithmetic live in CoordinatePair.
+    f7, rng = PrimeField(7), np.random.default_rng(len(shape))
+    assert issubclass(cls, CoordinatePair) and not {"__post_init__", "is_zero", "to_vector", "__add__"} & set(vars(cls))
+    n = math.comb(7, cls.head_type.degree)
+    width, head = n + 7 ** len(shape), cls.head_type(f7, (0,) * n)
+    for other in {(), (6,), (8,), (7, 7), (7, 6), (6, 7)} - {shape}:
+        with pytest.raises(ValueError, match=wrong_shape):
+            cls(head, np.zeros(other, dtype=np.int64).tolist())
+    for bad in (1.5, 2.0, np.float64(3.0), "1", None):
+        tail = np.zeros(shape, dtype=object)
+        tail[(-1,) * len(shape)] = bad
+        with pytest.raises(ValueError, match=refusal):
+            cls(head, tail.tolist())
+    with pytest.raises(ValueError, match=f"must be a {cls.head_type.__name__}, got Cochain1"):
+        cls(Cochain1(f7, (0,) * 7), np.zeros(shape, dtype=np.int64).tolist())
+    a, b = rng.integers(-20, 20, size=(2, width))
+    x = cls(cls.head_type(f7, tuple(a[:n].tolist())), a[n:].reshape(shape).tolist())
+    y = cls(cls.head_type(f7, tuple(b[:n])), b[n:].reshape(shape))  # numpy integers, a numpy table
+    tail = getattr(y, [f.name for f in dataclasses.fields(cls)][1])
+    assert type(tail) is (tuple if shape else int) and all(type(v) is int for v in np.array(tail, dtype=object).flat)
+    assert x.to_vector().tolist() == (a % 7).tolist() and x.to_vector().dtype == np.int64
+    for got, want in [(x + y, a + b), (x - y, a - b), (-x, -a), (3 * x, 3 * a), (np.int64(-2) * x, -2 * a)]:
+        assert type(got) is cls and got == cls.from_vector(f7, want) and got.to_vector().tolist() == (want % 7).tolist()
+    assert cls.from_vector(f7, x.to_vector()) == x and cls.from_vector(f7, x.to_vector().tolist()) == x
+    for m in (width - 1, width + 1):
+        with pytest.raises(ValueError, match=f"^expected a vector of length {width}$"):
+            cls.from_vector(f7, np.zeros(m, dtype=np.int64))
+    units = np.eye(width, dtype=np.int64)[[0, n, -1]]
+    assert (x - x).is_zero() and cls.from_vector(f7, [7] * width).is_zero()
+    assert not any(cls.from_vector(f7, unit).is_zero() for unit in units)
+    other = cls.from_vector(PrimeField(5), np.zeros(math.comb(5, cls.head_type.degree) + 5 ** len(shape), dtype=int))
+    for op in (lambda: x + other, lambda: other - x):
+        with pytest.raises(ValueError, match="different fields"):
+            op()
+    same = cls.from_vector(f7, a + 7)
     assert same == x and hash(same) == hash(x) and len({x, same}) == 1
 
 

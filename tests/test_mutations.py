@@ -5,7 +5,8 @@ the table names the checks that catch its mutation at p = 7 and 13.  The
 rows cover the kernels behind the report's routes: the lambda recurrence,
 the fold and its steps, the correction weights, the derivation route, the
 basis chains, the extensions' basis-pair sweep and p-map, W's bracket
-rows and right-bracket matrices; the complex's rank certificates (d2's
+rows and right-bracket matrices, the composite values read off rows
+(gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
 grade blocks, their kernels, the inverse X of the lower bound, ker
 d2_res); and the coboundaries, as d2's and ind2's term tables and as the
 assembled d2_res and d1_res.  A kernel's patch adds 1 mod p to the first
@@ -256,6 +257,17 @@ def zeroed_d1_column(monkeypatch):
     corrupt_kernel(monkeypatch, (restricted,), "delta1_res_matrix", zeroed)
 
 
+def corrupted_composite_rows(monkeypatch):
+    # The restricted cochains and extension elements read off coordinate rows: verify's one-row calls build the
+    # cochains they compare from stacked rows.
+    from_vector = gfp.CoordinatePair.from_vector.__func__
+
+    def corrupted(cls, field, row):
+        return from_vector(cls, field, bumped(row, field.p))
+
+    monkeypatch.setattr(gfp.CoordinatePair, "from_vector", classmethod(corrupted))
+
+
 # The checks that read W's p-th powers, through the fold or the derivation route.
 FOLD = {
     "witt.pth_power_oracle",
@@ -312,6 +324,10 @@ TABLE = [
     ),
     (corrupted_basis_pair_sums, {"extensions.axioms"}),
     (corrupted_pmap_rows, {"extensions.roundtrip", "extensions.splitting_independence", "extensions.axioms"}),
+    (
+        corrupted_composite_rows,
+        {"restricted.omega_fold_invariance", "extensions.roundtrip", "extensions.splitting_independence"},
+    ),
     (corrupted_bracket_rows, {"witt.antisymmetry_jacobi"}),
     (
         corrupted_right_bracket_matrix,

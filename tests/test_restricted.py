@@ -42,9 +42,7 @@ from wittcoh.restricted import (
     Cochain3Res,
     NotACocycleError,
     c2_dim,
-    c2_from_vector,
     c2_rows,
-    c2_to_vector,
     c3_dim,
     cochain_complex,
     delta1_res,
@@ -81,7 +79,7 @@ def random_phi(field, rng):
 
 def random_kernel_cochain(field, rng, ker):
     vec = sum(rng.randrange(field.p) * v for v in ker) % field.p
-    return c2_from_vector(field, vec)
+    return Cochain2Res.from_vector(field, vec)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -212,7 +210,7 @@ def test_stacked_fold_order_check_reports_the_non_cocycle(seed):
     # pinned non-cocycle above they must see a mismatch, stopping the
     # draws where the loop stops them; over the kernel, none.
     bad = Cochain2Res(c2_from_dict(F5, {(0, 1): 1}), (0,) * 5)
-    for ker, passes in [((c2_to_vector(bad),), False), (cochain_complex(F5).ker_d2_res, True)]:
+    for ker, passes in [((bad.to_vector(),), False), (cochain_complex(F5).ker_d2_res, True)]:
         rng, reference = random.Random(seed), random.Random(seed)
         stacked = verify._check("", lambda: verify._omega_fold_invariance(F5, rng, ker))
         loop = verify._check("", lambda: omega_fold_invariance_by_loop(F5, reference, ker))
@@ -336,7 +334,7 @@ def test_cocycle_test_matches_the_loop_matrix(p):
     assert expected.tolist() == [False] * 10 + [True] * 10 + [False] * 10
     assert is_cocycle_rows(vs, p).tolist() == expected.tolist()
     assert (is_cocycle_rows(vs.reshape(5, 6, -1), p) == expected.reshape(5, 6)).all()
-    assert [is_cocycle(c2_from_vector(field, v)) for v in vs] == expected.tolist()
+    assert [is_cocycle(Cochain2Res.from_vector(field, v)) for v in vs] == expected.tolist()
 
 
 def test_cocycle_test_keeps_flags_not_values(monkeypatch):
@@ -377,7 +375,7 @@ def test_cocycle_test_reads_a_corrupted_ind2_table(p, monkeypatch):
     only_ind2 = ~d2[:n3].any(axis=0) & d2[n3:].any(axis=0)
     assert only_ind2.any()
     assert is_cocycle_rows(vs, p).tolist() == (~d2.any(axis=0)).tolist()
-    assert [is_cocycle(c2_from_vector(field, v)) for v in vs] == (~d2.any(axis=0)).tolist()
+    assert [is_cocycle(Cochain2Res.from_vector(field, v)) for v in vs] == (~d2.any(axis=0)).tolist()
 
 
 def test_restricted_arithmetic_and_row_calls_refuse_mixed_primes():
@@ -386,7 +384,7 @@ def test_restricted_arithmetic_and_row_calls_refuse_mixed_primes():
     for op in (lambda: a + b, lambda: a - b):
         with pytest.raises(ValueError, match="different fields"):
             op()
-    rows = np.array([c2_to_vector(b)])
+    rows = np.array([b.to_vector()])
     with pytest.raises(ValueError, match="coordinates"):
         is_cocycle_rows(rows, 5)
     with pytest.raises(ValueError, match="coordinates"):
@@ -607,7 +605,7 @@ def test_matrix_columns_match_coboundary(p):
     for k in range(c2_dim(p)):
         vec = np.zeros(c2_dim(p), dtype=np.int64)
         vec[k] = 1
-        c = c2_from_vector(field, vec)
+        c = Cochain2Res.from_vector(field, vec)
         d = delta2_res(c)
         col = np.concatenate([d.alpha.to_vector(), np.array(d.beta_basis).ravel()])
         assert (col == m[:, k]).all()
@@ -658,7 +656,7 @@ def test_beta_rows_are_wired_to_the_ind2_terms(monkeypatch, fresh_complex, p):
     for k in range(c2_dim(p)):
         vec = np.zeros(c2_dim(p), dtype=np.int64)
         vec[k] = 1
-        assert (ind2(c2_from_vector(field, vec)).ravel() == beta[:, k]).all()
+        assert (ind2(Cochain2Res.from_vector(field, vec)).ravel() == beta[:, k]).all()
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
@@ -862,7 +860,7 @@ def test_representatives_are_independent_mod_coboundaries(p):
     field = PrimeField(p)
     h2 = restricted_h2(field)
     d1 = delta1_res_matrix(field)
-    stacked = np.vstack([d1.T] + [c2_to_vector(c) for c in h2.representatives])
+    stacked = np.vstack([d1.T] + [c.to_vector() for c in h2.representatives])
     assert field.rank(stacked) == p + len(h2.representatives)
 
 
@@ -873,7 +871,7 @@ def test_generic_quotient_extraction_matches_named_representatives(p):
     field = PrimeField(p)
     ker = field.kernel_basis(delta2_res_matrix(field))
     h2 = restricted_h2(field)
-    spanning = np.vstack([delta1_res_matrix(field).T] + [c2_to_vector(c) for c in h2.representatives])
+    spanning = np.vstack([delta1_res_matrix(field).T] + [c.to_vector() for c in h2.representatives])
     assert field.rank(spanning) == len(ker) == field.rank(np.vstack([spanning] + ker))
 
 
@@ -924,13 +922,13 @@ def test_omega_functional_matches_enumeration_off_the_kernel(p, samples):
     field = PrimeField(p)
     rng = random.Random(7)
     for _ in range(samples):
-        c = c2_from_vector(field, [rng.randrange(p) for _ in range(c2_dim(p))])
+        c = Cochain2Res.from_vector(field, [rng.randrange(p) for _ in range(c2_dim(p))])
         assert not is_cocycle(c)
         g = random_element(field, rng, True)
         order = g.support()
         rng.shuffle(order)
         expected = omega_left_fold_naive(c, g, order)
-        assert int(c2_to_vector(c) @ omega_functional(g, fold_order=order) % p) == expected
+        assert int(c.to_vector() @ omega_functional(g, fold_order=order) % p) == expected
         assert eval_omega(c, g, fold_order=order) == expected
 
 
@@ -1003,7 +1001,7 @@ def test_restricted_coordinates_refuse_entries_that_are_not_integers(bad):
             case()
     vec = np.array([0] * (c2_dim(5) - 1) + [bad])
     for case in (
-        lambda: c2_from_vector(F5, vec),
+        lambda: Cochain2Res.from_vector(F5, vec),
         lambda: c2_rows(vec, 5),
         lambda: c2_rows([vec, vec], 5),
         lambda: is_cocycle_rows(vec, 5),
@@ -1011,5 +1009,5 @@ def test_restricted_coordinates_refuse_entries_that_are_not_integers(bad):
         with pytest.raises(ValueError, match="must be integers"):
             case()
     ints = np.arange(c2_dim(5), dtype=np.uint8)
-    assert c2_from_vector(F5, ints) == c2_from_vector(F5, ints.tolist())
+    assert Cochain2Res.from_vector(F5, ints) == Cochain2Res.from_vector(F5, ints.tolist())
     assert (c2_rows(ints, 5) == ints % 5).all() and c2_rows(np.zeros((0, c2_dim(5))), 5).dtype == np.int64

@@ -19,7 +19,7 @@ from tests import oracles
 from wittcoh import extensions, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import Cochain1
-from wittcoh.restricted import CochainComplex, c2_to_vector, cochain_complex, restricted_h2
+from wittcoh.restricted import CochainComplex, cochain_complex, restricted_h2
 from wittcoh.witt import random_element, random_rows
 
 F5, F7 = PrimeField(5), PrimeField(7)
@@ -68,7 +68,7 @@ def corrupt_extension(monkeypatch, target, kind):
 
     def build(c, check=True):
         e = original(c, check)
-        if not (c2_to_vector(c) == target).all():
+        if not (c.to_vector() == target).all():
             return e
         table = e.bracket_table.copy()
         table[0, 1, -1 if kind == "central" else 0] += 1
@@ -184,11 +184,11 @@ def test_splitting_shift_fails_like_its_loop(monkeypatch, kind, j):
         replay.setstate(before)
         p = field.p
         psi = [Cochain1(field, tuple(replay.randrange(p) for _ in range(p))) for _ in range(j + 1)][j]
-        corrupt_split(monkeypatch, -c2_to_vector(restricted.delta1_res(psi)) % p, 1)
+        corrupt_split(monkeypatch, -restricted.delta1_res(psi).to_vector() % p, 1)
     elif kind == "cocycle":
         corrupt_cocycle_test(monkeypatch, reps[j].phi)
     else:
-        corrupt_extension(monkeypatch, c2_to_vector(reps[j]), kind)
+        corrupt_extension(monkeypatch, reps[j].to_vector(), kind)
     assert_fails_like_loop(monkeypatch, verify._extension_checks, field, name,
                            lambda rng: oracles.splitting_shift_by_loop(field, rng, reps))
 
@@ -199,7 +199,7 @@ def test_class_independence_fails_like_its_loop(monkeypatch, field, j):
     # class is made a coboundary, which drops the rank.
     name = "extensions.class_independence"
     reps = frozen_representatives(monkeypatch, field)
-    vectors = [c2_to_vector(c) for c in reps]
+    vectors = [c.to_vector() for c in reps]
     if field.p <= 7:
         a, b = list(itertools.combinations(range(len(reps)), 2))[j]
         corrupt_split(monkeypatch, (vectors[a] - vectors[b]) % field.p, 0)
@@ -222,7 +222,7 @@ def test_classification_fails_like_its_loop(monkeypatch, kind, j):
     field, name = F7, "extensions.classification_counts"
     reps = frozen_representatives(monkeypatch, field)
     if kind == "split":
-        corrupt_split(monkeypatch, c2_to_vector(reps[j]), 0)
+        corrupt_split(monkeypatch, reps[j].to_vector(), 0)
     elif kind == "levi":
         corrupt_split(monkeypatch, reps[j].phi.to_vector(), 0)
     else:
@@ -240,7 +240,7 @@ def test_restricted_h2_matches_its_loop(monkeypatch, kind, j):
     if kind == "cocycle":
         corrupt_cocycle_test(monkeypatch, reps[j].phi)
     elif kind == "split":
-        corrupt_split(monkeypatch, c2_to_vector(reps[j]), 0)
+        corrupt_split(monkeypatch, reps[j].to_vector(), 0)
     stacked = verify._check("", lambda: restricted_h2(field))
     loop = verify._check("", lambda: oracles.restricted_h2_by_loop(field))
     assert stacked == loop and stacked.passed == (kind is None)  # a passing detail is the RestrictedH2 itself
