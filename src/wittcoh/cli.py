@@ -84,7 +84,7 @@ def _refusal(n: int) -> str | None:
 
 def _prime_refusal(n: int | None) -> str | None:
     """Why --prime n is refused, or None: the size rule comes before
-    primality, whose trial division grows with n."""
+    primality, so any n above the cap gets the size message."""
     if n is None:
         return "--prime is required"
     return _refusal(n) or (None if n >= 3 and is_prime(n) else f"{n} is not prime (need an odd prime >= 3)")

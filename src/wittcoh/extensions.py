@@ -67,13 +67,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import witt
-from .gfp import CoordinatePair, PrimeField, check_same_field
+from .gfp import CoordinatePair, PrimeField, as_int_array, check_same_field
 from .ordinary import Cochain1, upper_triangle
 from .restricted import (
     Cochain2Res,
     NotACocycleError,
     c2_dim,
-    c2_rows,
     cochain_complex,
     is_cocycle,
     is_cocycle_rows,
@@ -191,6 +190,7 @@ def pmap_rows(xs: np.ndarray, cocycles: np.ndarray, p: int) -> np.ndarray:
     phi != 0.  Rows of many extensions thus share one call: the W parts
     are broadcast, and the contraction builds no (..., c2_dim(p)) product.
     """
+    xs, cocycles = as_int_array(xs, p + 1), as_int_array(cocycles, c2_dim(p))
     ws = xs[..., :p]
     phis, omegas = cocycles[..., :-p], cocycles[..., -p:]
     central = np.array(np.einsum("...c,...c->...", ws, omegas))  # an array also for one row
@@ -508,7 +508,7 @@ def cohomologous_rows(field: PrimeField, a, b) -> tuple[np.ndarray, np.ndarray]:
     (NotACocycleError.index).
     """
     p = field.p
-    a, b = c2_rows(a, p), c2_rows(b, p)
+    a, b = as_int_array(a, c2_dim(p)) % p, as_int_array(b, c2_dim(p)) % p
     bad = ~(is_cocycle_rows(a, p) & is_cocycle_rows(b, p))
     if bad.any():
         raise NotACocycleError("cohomology comparison is defined on cocycles only", int(np.argmax(bad)))
@@ -539,7 +539,7 @@ def classify_rows(field: PrimeField, vs) -> list[Classification]:
     the error raised is the one that loop meets first.
     """
     p = field.p
-    vs = c2_rows(vs, p)
+    vs = as_int_array(vs, c2_dim(p)) % p
     bad = ~is_cocycle_rows(vs, p)
     n = int(np.argmax(bad)) if bad.any() else len(vs)
     split = ~cochain_complex(field).split_coboundary(vs[:n])[1].any(axis=-1)

@@ -17,6 +17,13 @@ its reference.  kernels reads the kernel bases of a whole stack off its
 reduced forms; kernel_basis is its list for one matrix.  certified_ranks
 proves a stack's ranks off its kernels by products mod p only.
 
+Every GF(p) array a caller hands the package goes through one
+conversion, as_int_array: an int64 array, the input itself when it
+already is one, so rref still makes the one working copy.  Entries that
+are not integers (floats) and rows of another width are refused, each
+with one ValueError message, never truncated; each reader reduces mod p
+itself.  is_prime is deterministic Miller-Rabin.
+
 Every value of the package is a row of GF(p) coordinates, held by one
 of two bases.  Coordinates holds W's elements and the ordinary cochains,
 C(p, degree) coordinates; CoordinatePair holds the restricted cochains
@@ -24,8 +31,8 @@ and the extensions' elements, a head of Coordinates and a tail of p^k
 GF(p) values, its row the head's then the tail's.  Each base validates
 and reduces its values, and owns to_vector and from_vector, which
 refuses a row of another width; is_zero, the arithmetic and the refusal
-of another prime's value (check_same_field) are one copy for both, on
-those rows.
+of a value of another class or another prime's (check_same_field) are
+one copy for both, on those rows.
 """
 
 from __future__ import annotations
@@ -48,23 +55,53 @@ def as_int(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def as_int_array(values, what: str) -> np.ndarray:
-    """values as an int64 array, the array form of as_int: ValueError when its entries are not integers (floats)."""
-    a = np.asarray(values)
+def as_int_array(values, width: int | None = None) -> np.ndarray:
+    """values as an int64 array, not copied when they already are one: the one conversion of the GF(p) arrays a
+    caller passes, which the package reduces mod p itself.
+
+    ValueError for entries that are not integers (floats), and for rows
+    whose length is not width (the last axis), or, with no width, that of
+    the first row.
+    """
+    try:
+        a = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        a, first = None, values
+        while len(first) and isinstance(first[0], (list, tuple, np.ndarray)):
+            first = first[0]
+        width = len(first) if width is None else width
+    if a is None or width is not None and a.shape[-1:] != (width,):
+        raise ValueError(f"expected a vector of length {width}")
     if a.size and a.dtype.kind not in "biu":
-        raise ValueError(f"{what} must be integers, got an array of {a.dtype}")
+        raise ValueError(f"coordinates must be integers, got an array of {a.dtype}")
     return a.astype(np.int64, copy=False)
 
 
 def is_prime(n: int) -> bool:
-    """Primality by trial division."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Primality by Miller-Rabin with the first 13 primes as bases, in time polynomial in the digits of n.
+
+    The bases are proven exact below 3.317 * 10^24 (Sorenson and Webster),
+    and n from there on raises ValueError.  tests/oracles.py keeps trial
+    division as its oracle.
+    """
+    bound, bases = 3_317_044_064_679_887_385_961_981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n >= bound:
+        raise ValueError(f"{n} is too large to test for primality (the bound is {bound})")
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -88,16 +125,12 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
-    def matrix(self, rows) -> np.ndarray:
-        """Reduce a 2-D array-like into a canonical GF(p) matrix."""
-        return _one_matrix(np.array(rows, dtype=np.int64)) % self.p
-
     def rref(self, m) -> tuple[np.ndarray, np.ndarray]:
         """Reduced row echelon forms of a stack (..., R, C) and their pivot columns as a mask (..., C)."""
         p = self.p
         if p > MAX_MODULUS:
             raise OverflowError(f"GF({p}) products overflow int64 (the largest modulus is {MAX_MODULUS})")
-        a = np.asarray(m, dtype=np.int64)  # read, not written: the elimination makes the one working copy
+        a = as_int_array(m)  # read, not written: the elimination makes the one working copy
         if a.ndim < 2:
             raise ValueError(f"expected a stack of matrices, got ndim={a.ndim}")
         *stack, rows, cols = a.shape
@@ -130,10 +163,11 @@ class PrimeField:
         finds independent on B's pivot columns, with unit rows at F, make N; X . N = I proves rank B >= C - |F|.  A
         bound that fails raises ArithmeticError.
         """
-        p, (rows, cols) = self.p, np.shape(m)[1:]
+        p, m = self.p, as_int_array(m) % self.p
+        rows, cols = m.shape[1:]
         if cols * (p - 1) ** 2 > 2**63 - 1:
             raise OverflowError(f"GF({p}) sums of {cols} products overflow int64")
-        m, eye = np.asarray(m) % p, np.eye(cols, dtype=np.int64)
+        vectors, eye = as_int_array(vectors, cols), np.eye(cols, dtype=np.int64)
         if ((vectors - eye) * free[:, :, None] * free[:, None, :]).any():
             raise ArithmeticError("kernel vectors are not unit on the free columns")
         if (m @ np.swapaxes(vectors, 1, 2) % p * free[:, None, :]).any():
@@ -148,6 +182,7 @@ class PrimeField:
 
     def inverses(self, m) -> np.ndarray:
         """The inverse of each matrix of a stack (..., C, C), off one rref of [m | I]; garbage where m is singular."""
+        m = as_int_array(m)
         eye = np.broadcast_to(np.eye(m.shape[-1], dtype=np.int64), m.shape)
         return self.rref(np.concatenate([m, eye], axis=-1))[0][..., m.shape[-1] :]
 
@@ -173,17 +208,9 @@ def _reduced(values, p: int, not_integer: str, **given) -> list[int]:
         raise ValueError(not_integer.format(entry=entry, **given)) from None
 
 
-def _row(field: PrimeField, row, width: int) -> np.ndarray:
-    """row as an int64 vector reduced mod p; ValueError for another width or entries that are not integers."""
-    row = as_int_array(row, "coordinates") % field.p
-    if row.shape != (width,):
-        raise ValueError(f"expected a vector of length {width}")
-    return row
-
-
 class _RowArithmetic:
     """is_zero and the arithmetic of a value that converts to and from its GF(p) coordinate row (to_vector and the
-    classmethod from_vector); a sum or difference with another prime's value is refused (check_same_field)."""
+    classmethod from_vector); a sum or difference with a value of another class or another prime's is refused."""
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -192,13 +219,18 @@ class _RowArithmetic:
     def is_zero(self) -> bool:
         return not self.to_vector().any()
 
-    def __add__(self, other):
+    def _operand(self, other) -> np.ndarray:
+        """other's row, once other is a value of this class over this prime."""
+        if type(other) is not type(self):
+            raise ValueError(f"cannot combine a {type(self).__name__} with a {type(other).__name__}")
         check_same_field(self, other)
-        return self.from_vector(self.field, self.to_vector() + other.to_vector())
+        return other.to_vector()
+
+    def __add__(self, other):
+        return self.from_vector(self.field, self.to_vector() + self._operand(other))
 
     def __sub__(self, other):
-        check_same_field(self, other)
-        return self.from_vector(self.field, self.to_vector() - other.to_vector())
+        return self.from_vector(self.field, self.to_vector() - self._operand(other))
 
     def __neg__(self):
         return self.from_vector(self.field, -self.to_vector())
@@ -236,7 +268,7 @@ class Coordinates(_RowArithmetic):
     @classmethod
     def from_vector(cls, field: PrimeField, row):
         """The vector of a row of C(p, degree) coordinates."""
-        return cls(field, tuple(_row(field, row, math.comb(field.p, cls.degree)).tolist()))
+        return cls(field, tuple((as_int_array(row, math.comb(field.p, cls.degree)) % field.p).tolist()))
 
 
 class CoordinatePair(_RowArithmetic):
@@ -275,8 +307,8 @@ class CoordinatePair(_RowArithmetic):
     def from_vector(cls, field: PrimeField, row):
         """The pair of a row of the head's coordinates, then the tail's p^tail_axes values."""
         n = math.comb(field.p, cls.head_type.degree)
-        row = _row(field, row, n + field.p**cls.tail_axes)
-        return cls(cls.head_type.from_vector(field, row[:n]), row[n:].reshape((field.p,) * cls.tail_axes))
+        row = as_int_array(row, n + field.p**cls.tail_axes)
+        return cls(cls.head_type.from_vector(field, row[..., :n]), row[..., n:].reshape((field.p,) * cls.tail_axes))
 
 
 def _tuples(x):
@@ -284,10 +316,11 @@ def _tuples(x):
     return tuple(map(_tuples, x)) if isinstance(x, list) else x
 
 
-def _one_matrix(m):
-    """m itself, once it is known to be a 2-D matrix; rref makes the one working copy."""
-    if np.ndim(m) != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={np.ndim(m)}")
+def _one_matrix(m) -> np.ndarray:
+    """m as_int_array, once it is known to be a 2-D matrix; rref makes the one working copy."""
+    m = as_int_array(m)
+    if m.ndim != 2:
+        raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
 
 

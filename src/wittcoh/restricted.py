@@ -229,7 +229,8 @@ def omega_functional_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
         q = _correction_weights(g, h, p)
         return q[:, u, v] - q[:, v, u]
 
-    w = np.empty(np.shape(gs)[:-1] + (c2_dim(p),), dtype=np.int64)
+    gs = as_int_array(gs, p)
+    w = np.empty(gs.shape[:-1] + (c2_dim(p),), dtype=np.int64)
     w[..., :-p] = fold(step, gs, p, orders)
     w[..., -p:] = gs
     w %= p
@@ -302,7 +303,7 @@ def is_cocycle_rows(vs, p: int) -> np.ndarray:
     ordinary._terms_nonzero tests the rows block by block, each reduced to
     flags before the next, so no array of every row's d2_cl values is held.
     """
-    vs = c2_rows(vs, p)
+    vs = as_int_array(vs, c2_dim(p)) % p
     return ~_terms_nonzero((_triple_terms(p), _ind2_terms(p)), vs[..., :-p], p)
 
 
@@ -359,15 +360,6 @@ def c2_dim(p: int) -> int:
 def c3_dim(p: int) -> int:
     """Coordinate dimension of restricted 3-cochains: C(p,3) + p^2."""
     return p * (p - 1) * (p - 2) // 6 + p * p
-
-
-def c2_rows(vs, p: int) -> np.ndarray:
-    """Stacked coordinate rows (..., c2_dim(p)) reduced mod p; rows of another width, another prime's, or of entries
-    that are not integers are refused."""
-    vs = as_int_array(vs, "coordinates") % p
-    if vs.shape[-1:] != (c2_dim(p),):
-        raise ValueError(f"restricted 2-cochains over GF({p}) have {c2_dim(p)} coordinates, got shape {vs.shape}")
-    return vs
 
 
 def delta1_res_matrix(field: PrimeField) -> np.ndarray:
@@ -486,9 +478,7 @@ class CochainComplex:
         d1 = self.d1_res if restricted else self.d1
         rows, inverses = self._pivots[restricted]
         p = self.field.p
-        v = np.asarray(v, dtype=np.int64) % p
-        if v.shape[-1:] != d1.shape[:1]:
-            raise ValueError(f"d1 over GF({p}) meets rows of {len(d1)} coordinates, got rows of shape {v.shape}")
+        v = as_int_array(v, len(d1)) % p
         psi = (v[..., rows] * inverses) % p
         return psi, (v - psi @ d1.T) % p
 

@@ -595,7 +595,7 @@ def dims_summary(field: PrimeField) -> dict:
 
 def run_prime(p: int, seed: int = 0) -> dict:
     """The full verification report for one prime as a JSON-ready dict."""
-    res.check_dense_d2_size(p)  # before primality, whose trial division grows with p, and before any work
+    res.check_dense_d2_size(p)  # before primality and any work, so a p above the cap gets the size message
     if not is_prime(p) or p < 3:
         raise ValueError(f"{p} is not an odd prime")
     field = PrimeField(p)

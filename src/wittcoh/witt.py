@@ -60,7 +60,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import Coordinates, PrimeField, as_int, check_same_field
+from .gfp import Coordinates, PrimeField, as_int, as_int_array, check_same_field
 
 
 class ProportionalityError(ArithmeticError):
@@ -284,7 +284,7 @@ def right_bracket_matrix(v, p: int) -> np.ndarray:
     lambda_rows' stacked products take at full speed.
     """
     t = _shift_index(p)  # t[s, m]
-    at = np.take(np.mod(v, p), t, axis=-1)  # v's entry at position t[s, m]
+    at = np.take(as_int_array(v, p) % p, t, axis=-1)  # v's entry at position t[s, m]
     at += (t - np.arange(p)[:, None]) % p * p  # its weight t - s picks the table's row
     return np.take(np.arange(p)[:, None] * np.arange(p) % p, at)
 
@@ -295,7 +295,7 @@ def bracket_rows(xs, ys, p: int) -> np.ndarray:
     x's row times y's right_bracket_matrix, so any integers will do and no
     structure constants are read; every sum stays below p^3.
     """
-    return (np.mod(xs, p)[..., None, :] @ right_bracket_matrix(ys, p))[..., 0, :] % p
+    return (as_int_array(xs, p)[..., None, :] % p @ right_bracket_matrix(ys, p))[..., 0, :] % p
 
 
 def bracket(x: WittElement, y: WittElement) -> WittElement:
@@ -397,10 +397,11 @@ def lambda_rows(start: np.ndarray, bg: np.ndarray, bh: np.ndarray, steps: int, p
     run in float64, which takes the BLAS path and is exact on integers
     below 2^53; one step multiplies the largest entry by at most
     2 n (p - 1), so the rows are reduced mod p only before they could
-    leave that range.  That bound needs every entry of start, bg and bh in
-    [0, p), as every caller passes them; an entry outside raises
-    ValueError instead of being reduced here again.
+    leave that range.  That bound needs every entry of start, bg and bh an
+    integer in [0, p), as every caller passes them; an entry outside or a
+    float raises ValueError instead of being reduced here again.
     """
+    start, bg, bh = (as_int_array(a) for a in (start, bg, bh))
     lead = np.broadcast_shapes(start.shape[:-1], bg.shape[:-2], bh.shape[:-2])
     n = start.shape[-1]
     growth = 2 * n * (p - 1)
@@ -489,7 +490,7 @@ def fold(step, gs, p: int, orders=None) -> np.ndarray:
     beside them, so the spare array keeps a fold within _SWEEP_BYTES at
     every prime up to the cap: 48.5 MiB at p = 103.
     """
-    flat = np.reshape(gs, (-1, p)) % p
+    flat = as_int_array(gs, p).reshape(-1, p) % p
     rows, positions = np.nonzero(flat) if orders is None else _ordered_positions(flat, orders, p)
     slots = np.arange(len(rows)) - np.searchsorted(rows, rows)  # each term's place in its row's order
     rank = np.full(flat.shape, p)
@@ -516,6 +517,7 @@ def pth_power_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
     (a e_0)^{[p]} = a^p e_0 = a e_0 and the other basis powers vanish, so a
     row's power is its e_0 term plus the summands of every fold step.
     """
+    gs = as_int_array(gs, p)
     step = lambda g, h: summands_total(g, right_bracket_matrix(g, p), right_bracket_matrix(h, p), p)  # noqa: E731
     power = fold(step, gs, p, orders)
     power[..., 1] += gs[..., 1]
@@ -544,7 +546,7 @@ def pth_power_via_derivation_rows(gs: np.ndarray, p: int) -> np.ndarray:
     product with f is a cyclic convolution.  g^{[p]} sends x to D^{p-1}(f),
     so it is f @ M^{p-1}, taken as p - 1 stacked vector-matrix products.
     """
-    gs = gs % p
+    gs = as_int_array(gs, p) % p
     step = np.arange(p)[:, None] * gs[..., _shift_index(p)] % p
     q = gs
     for _ in range(p - 1):

@@ -14,7 +14,8 @@ sum one by one as right-bracket rows, with no lambda grouping; it is the
 reference for verify's evaluation route up to p = 19.  adjoint_chain_powers
 raises every basis right-bracket matrix to the p-th power by dense
 products, the reference for the chains the axiom checks read off their
-recurrences.  is_graded_table tests, one basis pair at a time, the shape
+recurrences.  is_prime_by_trial_division is the oracle of gfp.is_prime.
+is_graded_table tests, one basis pair at a time, the shape
 that graded basis scans of an extension's table may rest on.  rref_by_pivots
 row-reduces one matrix a pivot at a time, each pivot updating the whole
 matrix, with none of gfp's stacking or row and column selection.
@@ -48,7 +49,7 @@ import numpy as np
 from wittcoh import extensions as ext
 from wittcoh import restricted as res
 from wittcoh import witt
-from wittcoh.gfp import PrimeField
+from wittcoh.gfp import PrimeField, as_int_array
 from wittcoh.ordinary import (
     Cochain1,
     Cochain2Ord,
@@ -500,6 +501,18 @@ def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
     return m % p
 
 
+def is_prime_by_trial_division(n: int) -> bool:
+    """Primality by trial division up to the square root of n: the oracle of gfp.is_prime's Miller-Rabin."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def rref_by_pivots(field: PrimeField, m) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of one matrix and its pivot columns, one pivot at a time.
 
@@ -507,7 +520,7 @@ def rref_by_pivots(field: PrimeField, m) -> tuple[np.ndarray, list[int]]:
     swaps the first row with a nonzero entry in its column into place and
     clears that column from the whole matrix.
     """
-    a = field.matrix(m)
+    a = as_int_array(m) % field.p
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0

@@ -290,8 +290,8 @@ def test_extension_refuses_prime_whose_dense_d2_is_too_large(capsys, monkeypatch
 
 
 def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkeypatch):
-    # Trial division up to the square root of 10^18 + 3 would take minutes,
-    # and 10^70 + 1 needs a size beyond float range in its message.  Every
+    # 10^18 + 3 is prime but far above the cap, 10^70 + 1 is past the bound
+    # of is_prime and needs a size beyond float range in its message.  Every
     # subcommand, and run_prime, applies the one size rule first.
     from wittcoh import cli, verify
 
@@ -311,9 +311,9 @@ def test_size_rule_refuses_a_large_prime_before_testing_primality(capsys, monkey
 
 
 def test_size_rule_refuses_a_range_before_testing_primality(capsys, monkeypatch):
-    # Trial division of 10^18 + 3 would not end within minutes; the range ends
-    # at its first integer, which the size rule refuses.  A range above 104
-    # with no prime in it gets the size message too.
+    # A range of huge integers ends at its first integer, which the size rule
+    # refuses before any primality test.  A range above 104 with no prime in
+    # it gets the size message too.
     from wittcoh import cli
 
     def never(n):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from tests.oracles import kernel_basis_by_pivots, rref_by_pivots
+from tests.oracles import is_prime_by_trial_division, kernel_basis_by_pivots, rref_by_pivots
 from wittcoh.extensions import ExtElement
-from wittcoh.gfp import MAX_MODULUS, CoordinatePair, Coordinates, PrimeField, is_prime
+from wittcoh.gfp import MAX_MODULUS, CoordinatePair, Coordinates, PrimeField, as_int_array, is_prime
 from wittcoh.ordinary import Cochain1, Cochain2Ord, Cochain3Ord
 from wittcoh.restricted import Cochain2Res, Cochain3Res
 from wittcoh.witt import WittElement
@@ -18,7 +18,22 @@ SMALL_PRIMES = [3, 5, 7, 11, 13]
 
 
 def test_primality_by_trial_division():
+    # is_prime is Miller-Rabin on the first 13 prime bases; trial division is its oracle.  561, 1105 and 41041 are
+    # Carmichael numbers, and 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7.
     assert [n for n in range(2, 32) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    for n in [*range(-2, 10**5), 561, 1105, 41041, 3215031751]:
+        assert is_prime(n) == is_prime_by_trial_division(n), n
+
+
+def test_primality_of_huge_moduli_is_quick_and_bounded():
+    # Trial division grows as the square root of n (1.1 s at 10^14); Miller-Rabin is exact below 3.317 * 10^24.
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3) and not is_prime(10**18 + 1) and not is_prime((2**31 - 1) ** 2)
+    assert PrimeField(2**61 - 1).p == 2**61 - 1
+    bound = 3_317_044_064_679_887_385_961_981  # the least strong pseudoprime to all 13 bases
+    assert not is_prime(bound - 2)
+    for n in (bound, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"^{n} is too large to test for primality"):
+            PrimeField(n)
 
 
 @pytest.mark.parametrize("bad", [1, 2, 4, 9, 15, 21])
@@ -64,9 +79,11 @@ def test_coordinate_vectors_share_one_base(cls, length, refusal):
         assert type(got) is cls and got == cls(f7, tuple(want % 7)) and got.to_vector().tolist() == (want % 7).tolist()
     assert (x - x).is_zero() and not cls(f7, (0,) * (length - 1) + (1,)).is_zero() and cls(f7, (7,) * length).is_zero()
     other = cls(PrimeField(5), (0,) * math.comb(5, cls.degree))
-    for op in (lambda: x + other, lambda: other - x):
-        with pytest.raises(ValueError, match="different fields"):
-            op()
+    stranger = Cochain1(f7, (0,) * 7) if cls is WittElement else WittElement(f7, (0,) * 7)  # another class
+    for operand, refusal in [(other, "different fields"), (stranger, "^cannot combine a ")]:
+        for op in (lambda: x + operand, lambda: operand - x):
+            with pytest.raises(ValueError, match=refusal):
+                op()
     same = cls(f7, tuple((a + 7).tolist()))
     assert same == x and hash(same) == hash(x) and len({x, same}) == 1
 
@@ -112,9 +129,11 @@ def test_composite_values_share_one_base(cls, shape, wrong_shape, refusal):
     assert (x - x).is_zero() and cls.from_vector(f7, [7] * width).is_zero()
     assert not any(cls.from_vector(f7, unit).is_zero() for unit in units)
     other = cls.from_vector(PrimeField(5), np.zeros(math.comb(5, cls.head_type.degree) + 5 ** len(shape), dtype=int))
-    for op in (lambda: x + other, lambda: other - x):
-        with pytest.raises(ValueError, match="different fields"):
-            op()
+    stranger = ExtElement.from_vector(f7, [0] * 8) if cls is not ExtElement else Cochain2Res.from_vector(f7, [0] * 28)
+    for operand, refusal in [(other, "different fields"), (stranger, "^cannot combine a ")]:
+        for op in (lambda: x + operand, lambda: operand - x):
+            with pytest.raises(ValueError, match=refusal):
+                op()
     same = cls.from_vector(f7, a + 7)
     assert same == x and hash(same) == hash(x) and len({x, same}) == 1
 
@@ -156,7 +175,7 @@ def test_rank_examples():
 
 def test_kernel_examples():
     f = PrimeField(5)
-    m = f.matrix([[1, 2], [2, 4]])
+    m = as_int_array([[1, 2], [2, 4]])
     basis = f.kernel_basis(m)
     assert len(basis) == 1
     v = basis[0]
@@ -333,3 +352,59 @@ def test_rref_of_a_large_modulus():
     assert big.p > MAX_MODULUS
     with pytest.raises(OverflowError):
         big.rank(m)
+
+
+def test_the_conversion_copies_no_int64_array():
+    # rref makes the one working copy of its input; the conversion in front of every reader adds none.
+    x = np.arange(12, dtype=np.int64).reshape(3, 4)
+    assert as_int_array(x) is x and as_int_array(x, 4) is x and np.shares_memory(as_int_array(x[:, ::2], 2), x)
+    assert as_int_array(np.arange(4, dtype=np.uint8), 4).dtype == np.int64 and as_int_array([]).dtype == np.int64
+
+
+def _readers():
+    """A param (width, call, fixed) per reader of caller arrays: call takes rows of that width, as the reader's matrix
+    or its stacked rows; fixed says whether the reader takes rows of that one width only."""
+    from wittcoh import extensions, restricted, witt
+
+    f5, eye, cx = PrimeField(5), np.eye(2, dtype=np.int64), restricted.cochain_complex(PrimeField(5))
+    matrices = {
+        "rref": f5.rref,
+        "rank": f5.rank,
+        "kernels": f5.kernels,
+        "kernel_basis": f5.kernel_basis,
+        "inverses": f5.inverses,
+        "certified_ranks": lambda m: f5.certified_ranks([m], eye[None], np.ones((1, 2), dtype=bool)),
+        "lambda_rows": lambda start: witt.lambda_rows(start, eye, eye, 2, 5),
+    }
+    rows = [
+        ("split_coboundary", 15, cx.split_coboundary),
+        ("split_coboundary ordinary", 10, lambda vs: cx.split_coboundary(vs, False)),
+        ("ordinary_classes", 10, lambda vs: restricted.ordinary_classes(f5, vs)),
+        ("is_cocycle_rows", 15, lambda vs: restricted.is_cocycle_rows(vs, 5)),
+        ("cohomologous_rows", 15, lambda vs: extensions.cohomologous_rows(f5, vs, vs)),
+        ("classify_rows", 15, lambda vs: extensions.classify_rows(f5, vs)),
+        ("fold", 5, lambda gs: witt.fold(lambda g, h: g, gs, 5)),
+        ("pth_power_rows", 5, lambda gs: witt.pth_power_rows(gs, 5)),
+        ("omega_functional_rows", 5, lambda gs: restricted.omega_functional_rows(gs, 5)),
+        ("pth_power_via_derivation_rows", 5, lambda gs: witt.pth_power_via_derivation_rows(gs, 5)),
+        ("bracket_rows", 5, lambda gs: witt.bracket_rows(gs, gs, 5)),
+        ("pmap_rows", 6, lambda xs: extensions.pmap_rows(xs, np.zeros(15, dtype=np.int64), 5)),
+        ("pmap_rows cocycles", 15, lambda cs: extensions.pmap_rows(np.zeros(6, dtype=np.int64), cs, 5)),
+    ]
+    return [pytest.param(2, call, False, id=name) for name, call in matrices.items()] + [
+        pytest.param(width, call, True, id=name) for name, width, call in rows
+    ]
+
+
+@pytest.mark.parametrize("width, call, fixed", _readers())
+def test_every_reader_refuses_floats_and_short_rows_one_way(width, call, fixed):
+    # Floats used to be truncated or carried through (rank([[1.5, 2], [3, 4.7]]) was 2), and a short row met three
+    # messages or numpy's own errors.  as_int_array is the one conversion; it refuses each fault with one message.
+    call([[0] * width, [0] * width])
+    with pytest.raises(ValueError, match="^coordinates must be integers, got an array of float64$"):
+        call([[0] * width, [0] * (width - 1) + [1.5]])
+    with pytest.raises(ValueError, match=f"^expected a vector of length {width}$"):
+        call([[0] * width, [0] * (width - 1)])  # the second row one coordinate short
+    if fixed:
+        with pytest.raises(ValueError, match=f"^expected a vector of length {width}$"):
+            call(np.zeros((2, width - 1), dtype=np.int64))  # every row one short
