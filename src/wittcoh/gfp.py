@@ -20,9 +20,10 @@ proves a stack's ranks off its kernels by products mod p only.
 Every GF(p) array a caller hands the package goes through one
 conversion, as_int_array: an int64 array, the input itself when it
 already is one, so rref still makes the one working copy.  Entries that
-are not integers (floats) and rows of another width are refused, each
-with one ValueError message, never truncated; each reader reduces mod p
-itself.  is_prime is deterministic Miller-Rabin.
+are not integers (floats), integers that do not fit int64 and rows of
+another width are refused, each with one ValueError message, never
+truncated or wrapped; each reader reduces mod p itself.  is_prime is
+deterministic Miller-Rabin.
 
 Every value of the package is a row of GF(p) coordinates, held by one
 of two bases.  Coordinates holds W's elements and the ordinary cochains,
@@ -59,9 +60,10 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
     """values as an int64 array, not copied when they already are one: the one conversion of the GF(p) arrays a
     caller passes, which the package reduces mod p itself.
 
-    ValueError for entries that are not integers (floats), and for rows
-    whose length is not width (the last axis), or, with no width, that of
-    the first row.
+    ValueError for entries that are not integers (floats), for integers
+    that do not fit int64 (numpy holds them as uint64, or widens a list of
+    them to float64 or object), and for rows whose length is not width (the
+    last axis), or, with no width, that of the first row.
     """
     try:
         a = np.asarray(values)
@@ -72,6 +74,11 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
         width = len(first) if width is None else width
     if a is None or width is not None and a.shape[-1:] != (width,):
         raise ValueError(f"expected a vector of length {width}")
+    if a.dtype.kind in "fO" or a.dtype == np.uint64 and a.size and a.max() >= 2**63:
+        entries = np.asarray(values, dtype=object).flat  # the caller's integers, exact
+        big = [x for x in entries if isinstance(x, (int, np.integer)) and not -(2**63) <= x < 2**63]
+        if big:
+            raise ValueError(f"coordinates must be integers that fit int64, got {big[0]}")
     if a.size and a.dtype.kind not in "biu":
         raise ValueError(f"coordinates must be integers, got an array of {a.dtype}")
     return a.astype(np.int64, copy=False)

@@ -2,8 +2,11 @@
 
 Degrees 0..3 only.  Cochains are stored on canonical wedge bases: e^{i,j}
 for -1 <= i < j <= p-2 and e^{r,s,t} for -1 <= r < s < t <= p-2, ordered
-ascending in the index window (so -1 < 0 < 1 < ...).  Everything is graded
-by the index sum mod p and both coboundaries preserve the grading.
+ascending in the index window (so -1 < 0 < 1 < ...).  The grading is
+stated once, in coordinate_grades: the grade of every coordinate of the
+restricted cochains of degrees 1-3, whose prefixes are the ordinary
+coordinates' grades.  Both coboundaries preserve it; verify's report
+checks that d2's and ind2's term tables and d1 do.
 Cochain1, Cochain2Ord and Cochain3Ord are gfp.Coordinates of degree 1, 2
 and 3, so their validation and arithmetic are the base's.
 
@@ -13,10 +16,10 @@ upper_triangle gives the (i + 1, j + 1) of every pair and triple_index the
 view of upper_triangle); pair_coordinates holds the coordinate of every
 ordered pair, triple_coordinate counts a sorted triple's column, and the
 grade tables (grade_tables, each row the coordinates of one grade) are
-read off them.  Every reader of a coordinate, the per-element value methods
-included, reads these tables.  Their oracle, tuple builders and position
-dicts made by loops, is in tests/oracles.py.  Each coboundary
-into 2-form coordinates is written once, as a table of terms
+read off coordinate_grades.  Every reader of a coordinate, the
+per-element value methods included, reads these tables.  Their oracle,
+tuple builders and position dicts made by loops, is in tests/oracles.py.
+Each coboundary into 2-form coordinates is written once, as a table of terms
 coefficient * phi(e_a ^ e_b) (_triple_terms for d2), each holding the
 coordinate it reads and its signed coefficient (_coordinate_terms):
 _terms_values evaluates a table on stacked coordinate rows (_terms_nonzero
@@ -303,20 +306,20 @@ def delta2_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarra
 
 
 @lru_cache(maxsize=None)
-def _pair_grades(p: int) -> np.ndarray:
-    """Read-only grade of every canonical pair, in wedge_pairs order: i + j = (u - 1) + (v - 1)."""
-    u, v = upper_triangle(p)
-    grades = (u + v - 1) % p - 1
-    grades.flags.writeable = False
-    return grades
+def coordinate_grades(p: int, degree: int) -> np.ndarray:
+    """Read-only grade of every coordinate of the restricted cochains of degree 1, 2 or 3, in coordinate order.
 
-
-@lru_cache(maxsize=None)
-def _triple_grades(p: int) -> np.ndarray:
-    """Read-only grade of every canonical triple, in triple_index order."""
-    grades = (triple_index(p).sum(axis=0) + 1) % p - 1
-    grades.flags.writeable = False
-    return grades
+    W is graded by index sum, [e_i, e_j] = (j - i) e_{i+j}: a wedge of
+    basis duals (e^i, a pair, a triple) has its index sum mod p as its
+    grade, and a value of the restricted tail (omega_i in degree 2, the
+    beta row (a, b) in degree 3) the grade of its first index.  Grades lie
+    in [-1, p - 2].  The ordinary coordinates are the first C(p, degree),
+    so the ordinary grades are a prefix; every reader of a grade reads
+    this vector.
+    """
+    wedges = {1: np.arange(-1, p - 1)[None], 2: np.stack(upper_triangle(p)) - 1, 3: triple_index(p)}[degree]
+    tail = np.repeat(np.arange(-1, p - 1), p ** (degree - 2) if degree > 1 else 0)
+    return _read_only((np.concatenate([wedges.sum(axis=0), tail]) + 1) % p - 1)
 
 
 def grade_table(grades: np.ndarray, p: int) -> np.ndarray:
@@ -334,8 +337,8 @@ def grade_table(grades: np.ndarray, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def grade_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grade_table of the canonical pairs and of the canonical triples."""
-    tables = grade_table(_pair_grades(p), p), grade_table(_triple_grades(p), p)
+    """Read-only grade_table of the canonical pairs and triples, read off the ordinary prefixes of coordinate_grades."""
+    tables = tuple(grade_table(coordinate_grades(p, d)[: comb(p, d)], p) for d in (2, 3))
     for table in tables:
         table.flags.writeable = False
     return tables

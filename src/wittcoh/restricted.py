@@ -101,6 +101,7 @@ from .ordinary import (
     _terms_values,
     _triple_terms,
     c2_zero,
+    coordinate_grades,
     delta1_cl,
     delta1_matrix,
     delta2_block,
@@ -423,12 +424,13 @@ class CochainComplex:
     arrays, each assembled once; the ordinary ones are the top-left corners
     of the restricted ones.  d1 and d1_res are int64; d2 and d2_res hold
     one d2_res_dtype (uint8) per entry.  Every coboundary preserves the
-    grade: the index sum of a pair or triple, i for e^i and for omega_i,
-    and a for the beta row (a, b); verify's report checks that they do, not
-    the complex.  The column e^k of d1_res (and of d1) is its only column
-    of grade k, so distinct columns meet disjoint rows: the nonzero columns
-    are independent and a zero column spans the kernel of its grade.
-    Degree 1 is therefore read off the zero columns with no row reduction.
+    grade of each coordinate, ordinary.coordinate_grades, off which the
+    complex reads d1's column grades and d2's grade blocks (grade_tables);
+    verify's report checks that they do, not the complex.  The column e^k
+    of d1_res (and of d1) is its only column of its grade, k, so distinct
+    columns meet disjoint rows: the nonzero columns are independent and a
+    zero column spans the kernel of its grade.  Degree 1 is therefore read
+    off the zero columns with no row reduction.
     In degree 2 one lockstep elimination of d2's stacked grade blocks gives
     ker d2, and ker d2_res is the phi in it that ind2's term table kills
     (one small rref) plus the p omega unit vectors; the beta rows of the
@@ -460,7 +462,7 @@ class CochainComplex:
         self.rank_d2_res = n2 + p - len(ker2_res)
         self.ker_d2_res = tuple(_read_only(ker2_res))
         self.graded_kernel_dims = {
-            1: {k: int(z) for k, z in zip(range(-1, p - 1), zero1)},
+            1: {k: int(z) for k, z in zip(coordinate_grades(p, 1).tolist(), zero1)},
             2: {k: int(d) for k, d in zip(range(-1, p - 1), np.count_nonzero(self.block_kernels[1], axis=1))},
         }
         # (H^0, H^1, H^2); d0 vanishes on trivial coefficients.

@@ -17,9 +17,12 @@ the values of its lambda-polynomial at every lambda in GF(p)
 library's correction weights.  d2's ranks are proven by certificates.
 Every product with a coboundary evaluates its term table: the complex
 identities apply d2's tables to d1's columns, and the certificates' upper
-bound for d2_res applies them to ker d2_res.  The dense d2 and d2_res are
-read whole only to check the grading, the blocks' completeness and the
-zero induced block; a leak lands in the report, not in an error.
+bound for d2_res applies them to ker d2_res.  The grading is checked
+against ordinary.coordinate_grades on those term tables and on d1_res,
+in O(p^3).  The dense d2 and d2_res are read whole only to check the
+blocks' completeness and the zero induced block, which name an entry
+planted in the assembled matrix; a leak lands in the report, not in an
+error.
 Randomized checks draw from a generator seeded per prime, so reports are
 byte-identical across runs and across worker counts; each check draws in
 bulk (witt.randbelow), the values a loop of randrange calls would draw,
@@ -176,25 +179,26 @@ def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
     p = field.p
     checks = []
     cx = res.cochain_complex(field)
-    d1, d2 = cx.d1, cx.d2
 
     def complex_identity():
         # d2_cl's term table on d1's columns, the coordinates of the 2-forms d1(e^k).
-        assert not ordi._terms_nonzero([ordi._triple_terms(p)], d1.T, p).any(), "d2 . d1 != 0"
+        assert not ordi._terms_nonzero([ordi._triple_terms(p)], cx.d1.T, p).any(), "d2 . d1 != 0"
         return ""
 
     checks.append(_check("ordinary.complex_identity", complex_identity))
 
     def grading_preserved():
-        # A nonzero entry leaks out of its column's grade when its row has another grade.  The restricted matrices
-        # hold the ordinary ones: omega_i and e^i have grade i, and the beta row (a, b) grade a.
-        grades = np.arange(-1, p - 1)
-        c2 = np.concatenate([ordi._pair_grades(p), grades])  # d1_res's rows, d2_res's columns
-        c3 = np.concatenate([ordi._triple_grades(p), np.repeat(grades, p)])  # d2_res's rows
-        r, c = np.nonzero(cx.d2_res)
-        d2_leaks = set(c2[c[c3[r] != c2[c]]].tolist())
+        # A term or entry leaks out of its column's grade when its row has another grade.  d2_res is scattered from
+        # the term tables, d2's then ind2's, so its entries are their live terms, those with a coefficient nonzero
+        # mod p; the zero ones, such as a pair's diagonal reading column 0, are not read.  An entry planted in the
+        # assembled d2_res is left to block_full_agreement (alpha rows) and beta_block_zero (beta rows).
+        c1, c2, c3 = (ordi.coordinate_grades(p, degree) for degree in (1, 2, 3))
+        n3 = ordi.triple_index(p).shape[1]
+        d2_leaks = set()
+        for (coefficient, column), grades in ((ordi._triple_terms(p), c3[:n3]), (res._ind2_terms(p), c3[n3:])):
+            d2_leaks.update(c2[column[(coefficient % p != 0) & (c2[column] != grades)]].tolist())
         r, c = np.nonzero(cx.d1_res)
-        d1_leaks = set(grades[c[c2[r] != grades[c]]].tolist())
+        d1_leaks = set(c1[c[c2[r] != c1[c]]].tolist())
         for k in range(-1, p - 1):
             assert k not in d2_leaks, f"d2 leaks out of grade {k}"
             assert k not in d1_leaks, f"d1 leaks out of grade {k}"
@@ -233,7 +237,7 @@ def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
         # Rank certificates, products mod p only.  d2 is the corner of d2_res's alpha rows (a view of it).  When its
         # grade blocks hold every nonzero of those rows, none leaking out of its grade and none in an omega column
         # (d2 never reads omega), d2's rank is the sum of theirs.
-        ker, d2r = np.array(cx.ker_d2_res), cx.d2_res
+        ker, d2, d2r = np.array(cx.ker_d2_res), cx.d2, cx.d2_res
         corner = d2r[: len(d2), : d2.shape[1]]
         assert d2.__array_interface__ == corner.__array_interface__, "d2 is not the corner of d2_res"
         blocks = ordi.delta2_block(d2, p, np.arange(-1, p - 1))
@@ -272,7 +276,7 @@ def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
             assert scaled == ordi.delta1_cl(ordi.dual_basis(field, 0)), "-2n cochain != d1(e^0)"
             # Every grade-zero kernel vector obeys the three-term recursion
             # n*a(n+2) = (n+3)*a(n+1) + (2n+3)*a(-1,1) on its coefficients.
-            block = ordi.delta2_block(d2, p, 0)
+            block = ordi.delta2_block(cx.d2, p, 0)
             column = ordi.pair_coordinates(p)
             for v in field.kernel_basis(block):
                 phi = np.zeros(len(ordi.upper_triangle(p)[0]), dtype=np.int64)

@@ -408,3 +408,35 @@ def test_every_reader_refuses_floats_and_short_rows_one_way(width, call, fixed):
     if fixed:
         with pytest.raises(ValueError, match=f"^expected a vector of length {width}$"):
             call(np.zeros((2, width - 1), dtype=np.int64))  # every row one short
+
+
+@pytest.mark.parametrize("width, call, fixed", _readers())
+def test_every_reader_refuses_integers_outside_int64_one_way(width, call, fixed):
+    # A uint64 entry from 2^63 up used to wrap, and a list of integers outside int64, which numpy widens to float64
+    # or object, was refused as not integers.  Each is refused as an integer that does not fit int64.
+    def rows(first):
+        return [[first] + [0] * (width - 1), [0] * width]
+
+    for big in (2**64 - 1, 2**63, -(2**63) - 1, 2**100):
+        with pytest.raises(ValueError, match=f"^coordinates must be integers that fit int64, got {big}$"):
+            call(rows(big))
+    with pytest.raises(ValueError, match=f"^coordinates must be integers that fit int64, got {2**64 - 1}$"):
+        call(np.array(rows(2**64 - 1), dtype=np.uint64))
+
+
+def test_values_refuse_integers_outside_int64():
+    # At p = 5 the uint64 row (2^64 - 1, 0, 0, 0, 0) read as 4*e-1 and the rank of [[2^64 - 1]] as 1, where
+    # 2^64 - 1 = 0 mod 5.  The constructors take Python integers of any size and reduce them exactly.
+    from wittcoh.witt import WittElement
+
+    f5, big = PrimeField(5), 2**64 - 1
+    message = f"^coordinates must be integers that fit int64, got {big}$"
+    for row in ([big, 0, 0, 0, 0], np.array([big, 0, 0, 0, 0], dtype=np.uint64)):
+        with pytest.raises(ValueError, match=message):
+            WittElement.from_vector(f5, row)
+    with pytest.raises(ValueError, match=message):
+        f5.rank(np.array([[big]], dtype=np.uint64))
+    assert WittElement(f5, (big, 0, 0, 0, 0)).is_zero() and WittElement(f5, (big + 1, 0, 0, 0, 0)).coeffs[0] == 1
+    # The ends of int64 still convert.
+    assert as_int_array(np.array([2**63 - 1], dtype=np.uint64)).tolist() == [2**63 - 1]
+    assert as_int_array([-(2**63), 2**63 - 1]).tolist() == [-(2**63), 2**63 - 1]

@@ -12,7 +12,9 @@ d2_res); and the coboundaries, as d2's and ind2's term tables and as the
 assembled d2_res and d1_res.  A kernel's patch adds 1 mod p to the first
 nonzero entry of every output (bumped) in every module that imports it
 by name, and the cached tables built from its output are rebuilt around
-each row.  A check that stops failing under its mutation is a regression.
+each row.  The term tables are also moved off the grading, their first
+live term reading a pair of the next grade (moved_off_its_grade).  A
+check that stops failing under its mutation is a regression.
 
 A corruption shared by both sides of one comparison cannot be caught by
 that comparison: witt.pth_power_fold_order folds both orders through
@@ -206,6 +208,26 @@ def corrupted_ind2_terms(monkeypatch):
     corrupt_kernel(monkeypatch, (restricted,), "_ind2_terms", bumped_coefficient)
 
 
+def moved_off_its_grade(terms, p):
+    """A term table (coefficient, column) with its first live term moved to the first pair column of the next grade."""
+    coefficient, column = terms[0], np.array(terms[1])
+    t, n = np.argwhere(coefficient % p != 0)[0]
+    grade = oracles.pair_grade(p, ordinary.wedge_pairs(p)[column[t, n]])
+    column[t, n] = oracles.graded_pair_positions(p, witt.normalize_index(grade + 1, p))[0]
+    return coefficient, column
+
+
+def misgraded_triple_terms(monkeypatch):
+    # The first term of the first triple reads a pair of another grade: d2_cl and the assembled d2 leak.
+    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", moved_off_its_grade)
+
+
+def misgraded_ind2_terms(monkeypatch):
+    # The first live term of ind2, on the beta row (-1, 0), which the second term cancelled, reads a pair of another
+    # grade: ind2 and the beta rows of d2_res leak.
+    corrupt_kernel(monkeypatch, (restricted,), "_ind2_terms", moved_off_its_grade)
+
+
 def assembled_d2_res_with(monkeypatch, position):
     """Patch the assembled d2_res to add 1 mod p at (row, column) = position(p)."""
 
@@ -242,7 +264,8 @@ def planted_omega_column_entry(monkeypatch):
 
 def planted_grading_leak(monkeypatch):
     # The first triple of grade 0, in the column of the first pair of grade -1: the complex builds on d2's blocks,
-    # which miss the entry, and the report names it.
+    # which miss the entry, and the completeness count names it.  The grading check reads the term tables, which
+    # the patch of the assembled matrix leaves whole.
     assembled_d2_res_with(
         monkeypatch, lambda p: (oracles.graded_triple_positions(p, 0)[0], oracles.graded_pair_positions(p, -1)[0])
     )
@@ -368,7 +391,37 @@ TABLE = [
     (corrupted_d2_entry_in_block, WRONG_KERNEL - {"ordinary.block_full_agreement"}),
     (planted_beta_entry, {"restricted.beta_block_zero"}),
     (planted_omega_column_entry, {"ordinary.block_full_agreement"}),
-    (planted_grading_leak, {"ordinary.grading_preserved", "ordinary.block_full_agreement"}),
+    (planted_grading_leak, {"ordinary.block_full_agreement"}),
+    (
+        misgraded_triple_terms,
+        WRONG_EXTENSIONS
+        | {
+            "extensions.roundtrip",
+            "ordinary.complex_identity",
+            "ordinary.grading_preserved",
+            "ordinary.block_full_agreement",
+            "ordinary.graded_kernel_dims",
+            "ordinary.cohomology_dims",
+            "ordinary.explicit_cocycles",
+            "restricted.complex_identity",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
+    (
+        misgraded_ind2_terms,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.grading_preserved",
+            "ordinary.block_full_agreement",
+            "restricted.complex_identity",
+            "restricted.beta_block_zero",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
     (
         zeroed_d1_column,
         WRONG_EXTENSIONS

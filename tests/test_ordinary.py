@@ -32,14 +32,13 @@ from wittcoh.ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
-    _pair_grades,
     _terms_matrix,
     _terms_nonzero,
-    _triple_grades,
     _terms_values,
     _triple_terms,
     c2_from_dict,
     c2_zero,
+    coordinate_grades,
     delta1_cl,
     delta1_matrix,
     delta2_block,
@@ -194,14 +193,29 @@ def test_index_tables_match_the_tuple_builders(p):
             w = wedge_normalize(i, j)
             assert column[i + 1, j + 1] == (0 if w is None else pairs[w[:2]])
     assert [triple_coordinate(p, *t) for t in triples] == list(range(len(triples)))
-    assert _triple_grades(p).tolist() == [triple_grade(p, t) for t in triples]
-    assert _pair_grades(p).tolist() == [pair_grade(p, pair) for pair in pairs]
     for k in range(-1, p - 1):
         for table, oracle in zip(grade_tables(p), (graded_pair_positions, graded_triple_positions)):
             row = table[k + 1]
             assert row[row >= 0].tolist() == oracle(p, k)
-    for table in (u, v, column, index, _triple_grades(p), _pair_grades(p), *grade_tables(p)):
+    for table in (u, v, column, index, *grade_tables(p)):
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_coordinate_grades_match_the_oracle(p):
+    # The one grade vector per restricted coordinate space: e^i and omega_i have grade i, a pair or triple its
+    # index sum mod p, and the beta row (a, b) grade a; the ordinary coordinates come first.
+    indices = list(range(-1, p - 1))
+    pairs, triples = wedge_pairs(p), wedge_triples(p)
+    expected = {
+        1: indices,
+        2: [pair_grade(p, pair) for pair in pairs] + indices,
+        3: [triple_grade(p, triple) for triple in triples] + [a for a in indices for _ in indices],
+    }
+    for degree, grades in expected.items():
+        vector = coordinate_grades(p, degree)
+        assert vector.dtype == np.int64 and vector.tolist() == grades
+        assert not vector.flags.writeable and coordinate_grades(p, degree) is vector
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13])
@@ -348,11 +362,10 @@ def test_grading_preserved(p):
 
 
 def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
-    # verify's grading check reads the cached grade arrays; on the restricted
-    # matrices with planted leaks, omega and beta rows included, it must name
-    # what a per-grade loop meets first: the lowest leaking grade k, and
-    # within k a d2 leak before a d1 leak.  omega_i has grade i, and the beta
-    # row (a, b) grade a.
+    # verify's grading check reads the term tables d2_res is scattered from and d1_res; with leaks planted in d2's
+    # and ind2's tables and in d1_res, omega rows included, it must name what a per-grade loop meets first: the
+    # lowest leaking grade k, and within k a d2 leak before a d1 leak.  Only a live term (a coefficient nonzero
+    # mod p) is an entry of d2_res, so the planted terms include dead ones, coefficient p, off their grade.
     from types import SimpleNamespace
 
     from wittcoh import verify
@@ -362,45 +375,76 @@ def test_grading_check_names_the_first_leak_like_a_loop(monkeypatch):
     indices = range(-1, p - 1)
     pairs, triples = wedge_pairs(p), wedge_triples(p)
     c2_grades = [pair_grade(p, pair) for pair in pairs] + list(indices)
-    c3_grades = [triple_grade(p, triple) for triple in triples] + [a for a in indices for _ in indices]
+    row_grades = ([triple_grade(p, triple) for triple in triples], [a for a in indices for _ in indices])
 
-    def loop_detail(d1, d2):
+    def loop_detail(tables, d1):
         for k in indices:
-            rows = [r for r, grade in enumerate(c3_grades) if grade != k]
-            if d2[np.ix_(rows, [c for c, grade in enumerate(c2_grades) if grade == k])].any():
-                return f"d2 leaks out of grade {k}"
+            for (coefficient, column), grades in zip(tables, row_grades):
+                for t in range(len(coefficient)):
+                    for n, grade in enumerate(grades):
+                        if coefficient[t][n] % p and c2_grades[column[t][n]] == k and grade != k:
+                            return f"d2 leaks out of grade {k}"
             rows = [r for r, grade in enumerate(c2_grades) if grade != k]
             if d1[rows, k + 1].any():
                 return f"d1 leaks out of grade {k}"
         return ""
 
-    def check_detail(d1, d2):
-        cx = SimpleNamespace(d1_res=d1, d2_res=d2, d1=d1[: len(pairs)], d2=d2[: len(triples), : len(pairs)])
-        monkeypatch.setattr(verify.res, "cochain_complex", lambda f: cx)
+    def check_detail(tables, d1):
+        monkeypatch.setattr(verify.ordi, "_triple_terms", lambda p: tables[0])
+        monkeypatch.setattr(verify.res, "_ind2_terms", lambda p: tables[1])
+        monkeypatch.setattr(verify.res, "cochain_complex", lambda f: SimpleNamespace(d1_res=d1, d1=d1[: len(pairs)]))
         result = next(c for c in verify._ordinary_checks(field) if c.name == "ordinary.grading_preserved")
         assert result.passed == (not result.detail)
         return result.detail
 
+    def clean():
+        return [np.array(x) for x in _triple_terms(p)], [np.array(x) for x in _ind2_terms(p)], delta1_res_matrix(field)
+
     rng = random.Random(3)
     details = set()
-    for _ in range(30):
-        d1, d2 = delta1_res_matrix(field), delta2_res_matrix(field)
+    for _ in range(40):
+        triple_terms, ind2_terms, d1 = clean()
         for _ in range(rng.randrange(3)):
-            r, c = rng.randrange(len(c3_grades)), rng.randrange(len(c2_grades))
-            d2[r, c] = 0 if c3_grades[r] == c2_grades[c] else 1
+            coefficient, column = rng.choice((triple_terms, ind2_terms))
+            t, n = rng.randrange(len(coefficient)), rng.randrange(coefficient.shape[1])
+            coefficient[t, n], column[t, n] = rng.choice((1, p)), rng.randrange(len(pairs))
         for _ in range(rng.randrange(3)):
             r, c = rng.randrange(len(c2_grades)), rng.randrange(p)
             d1[r, c] = 0 if c2_grades[r] == c - 1 else 1
-        expected = loop_detail(d1, d2)
-        assert check_detail(d1, d2) == expected
+        tables = (triple_terms, ind2_terms)
+        expected = loop_detail(tables, d1)
+        assert check_detail(tables, d1) == expected
         details.add(expected.split(" ")[0])
     assert details == {"", "d1", "d2"}
 
     # Both leak out of grade 2: d2 is named.  The beta row (0, 5) and the omega_0 row have grade 0.
-    d1, d2 = delta1_res_matrix(field), delta2_res_matrix(field)
-    d2[len(triples) + p + 6, graded_pair_positions(p, 2)[0]] = 1
+    triple_terms, (coefficient, column), d1 = clean()
+    coefficient[0, p + 6], column[0, p + 6] = 1, graded_pair_positions(p, 2)[0]
     d1[len(pairs) + 1, 3] = 1
-    assert check_detail(d1, d2) == loop_detail(d1, d2) == "d2 leaks out of grade 2"
+    tables = (triple_terms, (coefficient, column))
+    assert check_detail(tables, d1) == loop_detail(tables, d1) == "d2 leaks out of grade 2"
+    # A dead term off its grade is not a leak.
+    coefficient[0, p + 6] = p
+    assert check_detail(tables, d1) == loop_detail(tables, d1) == "d1 leaks out of grade 2"
+
+
+def test_grading_check_reads_no_dense_d2(monkeypatch):
+    # The grading check reads the term tables d2 and d2_res are scattered from, and d1_res, never the dense d2 or
+    # d2_res: a scan of d2_res is O(p^5).
+    from wittcoh import verify
+
+    cx = cochain_complex(F7)
+
+    class WithoutDenseD2:
+        def __getattr__(self, name):
+            if name in ("d2", "d2_res"):
+                raise AssertionError(f"reads cx.{name}")
+            return getattr(cx, name)
+
+    monkeypatch.setattr(verify.res, "cochain_complex", lambda field: WithoutDenseD2())
+    checks = {c.name: c for c in verify._ordinary_checks(F7)}
+    assert checks["ordinary.grading_preserved"].passed and not checks["ordinary.grading_preserved"].detail
+    assert checks["ordinary.block_full_agreement"].detail == "reads cx.d2"
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
