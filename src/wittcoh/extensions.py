@@ -19,11 +19,12 @@ row g's p coefficients, then a.  The extension stores explicit
 structure-constant and p-map tables over the basis e_{-1}, ..., e_{p-2},
 c.  The bracket table is W's structure tensor
 (witt._bracket_tensor) with one central column, phi's dense matrix
-(phi.to_matrix()); the p-map table holds e_0^{[p]} = e_0 and the
-values omega(e_i) in the central column.  All bracket arithmetic inside E
-goes through the tables (never back through the source cocycle), so the axiom
-verifier genuinely exercises the built object, and a corrupted table is
-caught by the Jacobi scan.  The p-th power of a general element g + a*c
+(phi.to_matrix()); the p-map table holds W's basis powers
+(witt.basis_powers) and the values omega(e_i) in the central column.
+All bracket arithmetic inside E goes through the tables (never back
+through the source cocycle), so the axiom verifier genuinely exercises
+the built object, and a corrupted table is caught by the Jacobi scan.
+The p-th power of a general element g + a*c
 needs g^{[p]}, taken by the derivation route, and omega(g) off the basis,
 which is the source cocycle's coordinates against g's omega functional;
 that the result satisfies the p-th power sum axiom inside E is then a
@@ -122,13 +123,15 @@ class CentralExtension:
 
     Basis positions 0..p-1 hold e_{-1}..e_{p-2}, position p holds c.
     bracket_table[u, v, w] is the coefficient of basis w in [b_u, b_v];
-    pmap_basis[u] is the coefficient vector of b_u^{[p]}.
+    pmap_basis[u] is the coefficient vector of b_u^{[p]}.  Both tables are
+    read through gfp.as_int_array, rows of width p + 1, and reduced mod p.
     """
 
-    def __init__(self, source: Cochain2Res, bracket_table: np.ndarray, pmap_basis: np.ndarray):
+    def __init__(self, source: Cochain2Res, bracket_table, pmap_basis):
         self.source = source
         self.field = source.field
         n = self.field.p + 1
+        bracket_table, pmap_basis = as_int_array(bracket_table, n), as_int_array(pmap_basis, n)
         if bracket_table.shape != (n, n, n) or pmap_basis.shape != (n, n):
             raise ValueError("table shapes do not match the extension dimension")
         self.bracket_table = bracket_table % self.field.p
@@ -214,7 +217,7 @@ def build_extension(c: Cochain2Res, check: bool = True) -> CentralExtension:
     table[:p, :p, :p] = witt._bracket_tensor(p)  # W's structure constants
     table[:p, :p, p] = c.phi.to_matrix()  # the central column phi(e_i, e_j)
     pmap = np.zeros((n, n), dtype=np.int64)
-    pmap[1, 1] = 1  # e_0^{[p]} = e_0
+    pmap[:p, :p] = witt.basis_powers(p)
     pmap[:p, p] = c.omega_basis
     return CentralExtension(c, table, pmap)
 
@@ -260,10 +263,9 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
     brackets = (images[:, None] @ left).astype(np.int64) % p
     u, v = upper_triangle(p)
     defects = (brackets[:, u, v] - (v - u)[:, None] * images[:, (u + v - 1) % p]) % p
-    # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}); e_0^{[p]} = e_0, the rest vanish.  Where the
+    # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}), sigma(e_i^{[p]}) read off witt.basis_powers.  Where the
     # W parts pass, sigma(e_i) = e_i + a_i c, and c drops out of a p-th power: the basis rows' powers serve all.
-    targets = np.zeros_like(images)
-    targets[:, 1] = images[:, 1]
+    targets = witt.basis_powers(p) @ images
     cocycles = np.array([e.source.to_vector() for e in exts[:short]], dtype=np.int64).reshape(short, 1, c2_dim(p))
     powers = (pmap_rows(np.eye(p, p + 1, dtype=np.int64)[None], cocycles, p) - targets) % p
     bad = np.stack([moved.any(axis=-1), defects[..., :p].any(axis=(1, 2)), powers[..., :p].any(axis=(1, 2))], axis=1)

@@ -60,10 +60,11 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
     """values as an int64 array, not copied when they already are one: the one conversion of the GF(p) arrays a
     caller passes, which the package reduces mod p itself.
 
-    ValueError for entries that are not integers (floats), for integers
-    that do not fit int64 (numpy holds them as uint64, or widens a list of
-    them to float64 or object), and for rows whose length is not width (the
-    last axis), or, with no width, that of the first row.
+    An object array is read when every entry is an integer that fits
+    int64.  ValueError for entries that are not integers (floats), for
+    integers that do not fit int64 (numpy holds them as uint64, or widens a
+    list of them to float64 or object), and for rows whose length is not
+    width (the last axis), or, with no width, that of the first row.
     """
     try:
         a = np.asarray(values)
@@ -75,10 +76,13 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
     if a is None or width is not None and a.shape[-1:] != (width,):
         raise ValueError(f"expected a vector of length {width}")
     if a.dtype.kind in "fO" or a.dtype == np.uint64 and a.size and a.max() >= 2**63:
-        entries = np.asarray(values, dtype=object).flat  # the caller's integers, exact
-        big = [x for x in entries if isinstance(x, (int, np.integer)) and not -(2**63) <= x < 2**63]
+        entries = np.asarray(values, dtype=object).ravel()  # the caller's integers, exact
+        integers = [x for x in entries if isinstance(x, (int, np.integer))]
+        big = [x for x in integers if not -(2**63) <= x < 2**63]
         if big:
             raise ValueError(f"coordinates must be integers that fit int64, got {big[0]}")
+        if a.dtype.kind == "O" and len(integers) == entries.size:
+            a = a.astype(np.int64)
     if a.size and a.dtype.kind not in "biu":
         raise ValueError(f"coordinates must be integers, got an array of {a.dtype}")
     return a.astype(np.int64, copy=False)

@@ -46,9 +46,9 @@ product with the cochain.
 
 d2_cl and ind2 are each one cached term table: the three terms of every
 triple for d2_cl (ordinary._triple_terms), and for ind2 the basis chain
-[e_a, e_b, ..., e_b] (witt.basis_chains) and the p-th power e_b^{[p]} of
-every beta row (_ind2_terms), each term a coordinate of phi and its
-signed coefficient.  d2_cl, ind2 and is_cocycle_rows evaluate the tables
+[e_a, e_b, ..., e_b] (witt.basis_chains) and the p-th power e_b^{[p]}
+(witt.basis_powers) of every beta row (_ind2_terms), each term a
+coordinate of phi and its signed coefficient.  d2_cl, ind2 and is_cocycle_rows evaluate the tables
 on phi's coordinates, is_cocycle_rows on stacked coordinate rows, block
 by block to flags (is_cocycle is its one-row call), and delta2_res_matrix
 scatters them into its alpha and beta rows: it allocates the matrix once
@@ -119,9 +119,9 @@ from .witt import (
     _inverse_vector,
     basis_chains,
     basis_element,
+    basis_powers,
     fold,
     lambda_rows,
-    pth_power_basis,
     right_bracket_matrix,
     zero,
 )
@@ -259,10 +259,8 @@ def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
 
 
 def delta1_res(psi: Cochain1) -> Cochain2Res:
-    """d1(psi) = (d1_cl(psi), psi o [p]); the omega part is psi(e_0) at index 0."""
-    field = psi.field
-    omega = tuple(psi.value(pth_power_basis(field, i)) for i in range(-1, field.p - 1))
-    return Cochain2Res(delta1_cl(psi), omega)
+    """d1(psi) = (d1_cl(psi), psi o [p]); the omega part psi(e_i^{[p]}) is psi against the rows of basis_powers."""
+    return Cochain2Res(delta1_cl(psi), basis_powers(psi.field.p) @ psi.to_vector())
 
 
 @lru_cache(maxsize=None)
@@ -272,12 +270,13 @@ def _ind2_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
     Row (a, b) is term column (a + 1) * p + b + 1.  [e_a, e_b, ..., e_b]
     with p-1 factors of e_b stays a multiple c * e_m of one basis vector
     (witt.basis_chains), so the first term is -c * phi(e_m ^ e_b); the
-    second is phi(e_a ^ e_b^{[p]}), which is phi(e_a ^ e_0) when b = 0 and
-    0 otherwise.
+    second is phi(e_a ^ e_b^{[p]}), e_b^{[p]} a multiple (zero for a zero row)
+    of the basis vector of its row's first nonzero entry in witt.basis_powers.
     """
     a, b = np.divmod(np.arange(p * p), p)  # positions a + 1, b + 1
     c, m = (x.ravel() for x in basis_chains(p, p - 1))
-    return _coordinate_terms(np.stack([-c, b == 1]), np.stack([m, a]), np.stack([b, np.ones_like(b)]), p)
+    k = np.argmax(basis_powers(p) != 0, axis=1)[b]
+    return _coordinate_terms(np.stack([-c, basis_powers(p)[b, k]]), np.stack([m, a]), np.stack([b, k]), p)
 
 
 def ind2(c: Cochain2Res) -> np.ndarray:
@@ -368,7 +367,7 @@ def delta1_res_matrix(field: PrimeField) -> np.ndarray:
     p = field.p
     m = np.zeros((c2_dim(p), p), dtype=np.int64)
     delta1_matrix(field, out=m[:-p])
-    m[-p + 1, 1] = 1  # omega row of e_0, column of e^0: e^0(e_0^{[p]}) = 1
+    m[-p:] = basis_powers(p)  # the omega rows: e^k(e_i^{[p]})
     return m
 
 

@@ -5,9 +5,9 @@ e_i = x^{i+1} d/dx and bracket [e_i, e_j] = (j - i) e_{i+j}, the index sum
 taken mod p and normalized back into the window {-1, ..., p-2}.  Its
 elements (WittElement) are gfp.Coordinates, p coefficients.
 
-W carries a restricted structure: e_0^{[p]} = e_0, e_i^{[p]} = 0 for
-i != 0, and the p-th power of a general element is determined from the
-basis values by the summand expansion
+W carries a restricted structure, its basis powers one table (basis_powers:
+e_0^{[p]} = e_0, e_i^{[p]} = 0 for i != 0), and the p-th power of a general
+element is determined from the basis values by the summand expansion
 
     (g + h)^{[p]} = g^{[p]} + h^{[p]} + sum_{i=1}^{p-1} s_i(g, h),
 
@@ -316,10 +316,19 @@ def basis_chains(p: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return c, m
 
 
+@lru_cache(maxsize=None)
+def basis_powers(p: int) -> np.ndarray:
+    """Read-only (p, p) table whose row i + 1 is e_i^{[p]}: e_0^{[p]} = e_0, and every other e_i^{[p]} vanishes."""
+    powers = np.zeros((p, p), dtype=np.int64)
+    powers[1, 1] = 1
+    powers.setflags(write=False)
+    return powers
+
+
 def pth_power_basis(field: PrimeField, i: int) -> WittElement:
-    """e_i^{[p]}: e_0 for i = 0 and zero otherwise."""
+    """e_i^{[p]}: row i + 1 of basis_powers."""
     _check_index(i, field.p)
-    return basis_element(field, 0) if i == 0 else zero(field)
+    return WittElement.from_vector(field, basis_powers(field.p)[i + 1])
 
 
 # float64 holds every integer below this exactly.
@@ -514,13 +523,13 @@ def fold(step, gs, p: int, orders=None) -> np.ndarray:
 def pth_power_rows(gs: np.ndarray, p: int, orders=None) -> np.ndarray:
     """Fold p-th powers of stacked coefficient rows (..., p), as rows, each folded in its order (see fold).
 
-    (a e_0)^{[p]} = a^p e_0 = a e_0 and the other basis powers vanish, so a
-    row's power is its e_0 term plus the summands of every fold step.
+    (a e_i)^{[p]} = a^p e_i^{[p]} = a e_i^{[p]}, so a row's power is its terms'
+    basis powers (basis_powers) plus the summands of every fold step.
     """
     gs = as_int_array(gs, p)
     step = lambda g, h: summands_total(g, right_bracket_matrix(g, p), right_bracket_matrix(h, p), p)  # noqa: E731
     power = fold(step, gs, p, orders)
-    power[..., 1] += gs[..., 1]
+    power += gs % p @ basis_powers(p)
     power %= p
     return power
 

@@ -62,7 +62,6 @@ from wittcoh.witt import (
     WittElement,
     basis_element,
     normalize_index,
-    pth_power_basis,
     random_element,
 )
 
@@ -492,9 +491,8 @@ def delta2_res_matrix_by_loops(field: PrimeField) -> np.ndarray:
     for a in range(-1, p - 1):
         for b in range(-1, p - 1):
             row = n3 + (a + 1) * p + (b + 1)
-            power = pth_power_basis(field, b)
-            for k in power.support():
-                _add_wedge(m, row, power.coeff(k), a, k, p)
+            if b == 0:  # e_0^{[p]} = e_0, and every other e_b^{[p]} vanishes
+                _add_wedge(m, row, 1, a, 0, p)
             chain = chain_by_loop(basis_element(field, a), [basis_element(field, b)] * (p - 1))
             for k in chain.support():
                 _add_wedge(m, row, -chain.coeff(k), k, b, p)

@@ -424,6 +424,58 @@ def test_every_reader_refuses_integers_outside_int64_one_way(width, call, fixed)
         call(np.array(rows(2**64 - 1), dtype=np.uint64))
 
 
+def _outcome(call, rows):
+    """What call gives on rows: its result, arrays as nested lists, or the type and message of what it raises."""
+
+    def plain(x):
+        return [plain(v) for v in x] if isinstance(x, (tuple, list)) else np.asarray(x).tolist()
+
+    try:
+        return plain(call(rows))
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("width, call, fixed", _readers())
+def test_every_reader_reads_an_object_array_of_integers(width, call, fixed):
+    # An object array of integers that fit int64 was refused as "an array of object", though the values' constructors
+    # take the same integers.  Each reader now reads it as the int64 array, whatever it then gives or raises; a float
+    # among the integers, or an integer from 2^63 up, is still refused.
+    rows = [[0] * width, [0] * (width - 1) + [np.int64(2)]]
+    assert _outcome(call, np.array(rows, dtype=object)) == _outcome(call, np.array(rows, dtype=np.int64))
+    with pytest.raises(ValueError, match="^coordinates must be integers, got an array of object$"):
+        call(np.array([[0] * width, [0] * (width - 1) + [1.5]], dtype=object))
+    with pytest.raises(ValueError, match=f"^coordinates must be integers that fit int64, got {2**63}$"):
+        call(np.array([[0] * width, [0] * (width - 1) + [2**63]], dtype=object))
+
+
+def test_values_read_object_arrays_of_integers():
+    # At p = 5 the object row (1, 2, 3, 4, 0) was refused, though the constructor reads it as e-1 + 2*e0 + 3*e1 + 4*e2.
+    f5 = PrimeField(5)
+    assert WittElement.from_vector(f5, np.array([1, 2, 3, 4, 0], dtype=object)) == WittElement(f5, (1, 2, 3, 4, 0))
+    row = np.arange(15)
+    assert Cochain2Res.from_vector(f5, row.astype(object)) == Cochain2Res.from_vector(f5, row)
+
+
+def test_extension_tables_take_the_one_conversion():
+    # CentralExtension reduced its tables with a bare % p: a table of floats was kept as float64 and failed only deep
+    # inside the axiom check, a float p-map was kept as float, and nested lists raised AttributeError.
+    from wittcoh.extensions import CentralExtension, omega_extension
+
+    ext = omega_extension(PrimeField(5), 0)
+    table, pmap = ext.bracket_table, ext.pmap_basis
+    for bad in ((table + 0.5, pmap), (table, pmap.astype(np.float64))):
+        with pytest.raises(ValueError, match="^coordinates must be integers, got an array of float64$"):
+            CentralExtension(ext.source, *bad)
+    listed = CentralExtension(ext.source, table.tolist(), pmap.tolist())
+    for got, want in ((listed.bracket_table, table), (listed.pmap_basis, pmap)):
+        assert got.dtype == np.int64 and (got == want).all() and not got.flags.writeable
+    with pytest.raises(ValueError, match="^expected a vector of length 6$"):
+        CentralExtension(ext.source, table[..., :5], pmap)
+    with pytest.raises(ValueError, match="^table shapes do not match the extension dimension$"):
+        CentralExtension(ext.source, table[:, :5], pmap)
+
+
 def test_values_refuse_integers_outside_int64():
     # At p = 5 the uint64 row (2^64 - 1, 0, 0, 0, 0) read as 4*e-1 and the rank of [[2^64 - 1]] as 1, where
     # 2^64 - 1 = 0 mod 5.  The constructors take Python integers of any size and reduce them exactly.

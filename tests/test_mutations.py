@@ -4,9 +4,9 @@ A route that shares a bug with its oracle passes vacuously; each row of
 the table names the checks that catch its mutation at p = 7 and 13.  The
 rows cover the kernels behind the report's routes: the lambda recurrence,
 the fold and its steps, the correction weights, the derivation route, the
-basis chains, the extensions' basis-pair sweep and p-map, W's bracket
-rows and right-bracket matrices, the composite values read off rows
-(gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
+basis chains, W's basis powers, the extensions' basis-pair sweep and
+p-map, W's bracket rows and right-bracket matrices, the composite values
+read off rows (gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
 grade blocks, their kernels, the inverse X of the lower bound, ker
 d2_res); and the coboundaries, as d2's and ind2's term tables and as the
 assembled d2_res and d1_res.  A kernel's patch adds 1 mod p to the first
@@ -165,6 +165,12 @@ def corrupted_basis_chains(monkeypatch):
         return bumped(chains[0], p), chains[1]
 
     corrupt_kernel(monkeypatch, (witt, restricted), "basis_chains", coefficient)
+
+
+def corrupted_basis_powers(monkeypatch):
+    # W's restricted structure on the basis, e_0^{[p]} = 2 e_0: the fold, the extension tables, the splitting
+    # defects, d1_res and ind2's term table read the table; the derivation route does not.
+    corrupt_kernel(monkeypatch, (witt, restricted), "basis_powers", lambda powers, p: bumped(powers, p))
 
 
 def corrupted_basis_pair_sums(monkeypatch):
@@ -337,6 +343,22 @@ TABLE = [
         WRONG_EXTENSIONS
         | {
             "witt.adjoint_power_on_w",
+            "ordinary.block_full_agreement",
+            "restricted.complex_identity",
+            "restricted.beta_block_zero",
+            "restricted.kernel_structure",
+            "restricted.h2_dimension",
+            "report.dims_closed_forms",
+        },
+    ),
+    (
+        corrupted_basis_powers,
+        WRONG_EXTENSIONS
+        | {
+            "extensions.roundtrip",
+            "witt.pth_power_oracle",
+            "witt.adjoint_power_on_w",
+            "witt.pth_power_homogeneity_gamma",
             "ordinary.block_full_agreement",
             "restricted.complex_identity",
             "restricted.beta_block_zero",

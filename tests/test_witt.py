@@ -204,6 +204,19 @@ def test_pth_power_basis():
         pth_power_basis(F5, 4)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_basis_powers_match_the_derivation_route(p):
+    # The one table of W's restricted structure, against the basis powers of the route that never reads it:
+    # D^p of every basis derivation.  The table is shared by every reader, so it must refuse writes.
+    powers = witt.basis_powers(p)
+    assert powers.dtype == np.int64 and powers.shape == (p, p)
+    assert (powers == pth_power_via_derivation_rows(np.eye(p, dtype=np.int64), p)).all()
+    assert not powers.flags.writeable
+    with pytest.raises(ValueError):
+        powers[1, 1] = 2
+    assert witt.basis_powers(p) is powers
+
+
 def test_jacobson_s_worked_example():
     s = jacobson_s(e(0), e(1))
     assert len(s) == 4
