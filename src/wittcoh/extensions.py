@@ -172,6 +172,8 @@ class CentralExtension:
         Negative control for the axiom verifier; the result is not a Lie
         algebra whenever the original entry was nonzero.
         """
+        witt._check_index(i, self.p)
+        witt._check_index(j, self.p)
         table = self.bracket_table.copy()
         table[i + 1, j + 1, :] = 0
         table[j + 1, i + 1, :] = 0
@@ -256,13 +258,14 @@ def extract_cocycles(exts: list[CentralExtension], sigmas: list[list[ExtElement]
     moved = (images[..., :p] != np.eye(p, dtype=np.int64)).any(axis=-1)
 
     # Every bracket defect [sigma(e_i), sigma(e_j)] - (j - i) sigma(e_{i+j}) at once, by table positions
-    # u = i + 1 < v = j + 1 (the order of wedge_pairs).  Both products run in float64, which is exact
-    # (as in witt.jacobi_scan): every entry stays below n^2 (p - 1)^3 < 2^53.
+    # u = i + 1 < v = j + 1 (the order of wedge_pairs), j - i and e_{i+j} read off witt.basis_brackets.  Both
+    # products run in float64, which is exact (as in witt.jacobi_scan): every entry stays below n^2 (p - 1)^3 < 2^53.
     tables = np.array([e.bracket_table for e in exts[:short]], dtype=np.float64).reshape(short, p + 1, (p + 1) ** 2)
     left = (images @ tables).reshape(short, p, p + 1, p + 1)  # left[k, u, v] = [sigma(e_{u-1}), b_v]
     brackets = (images[:, None] @ left).astype(np.int64) % p
     u, v = upper_triangle(p)
-    defects = (brackets[:, u, v] - (v - u)[:, None] * images[:, (u + v - 1) % p]) % p
+    coefficient, target = witt.basis_brackets(p)
+    defects = (brackets[:, u, v] - coefficient[u, v, None] * images[:, target[u, v]]) % p
     # Every p-map defect sigma(e_i)^{[p]} - sigma(e_i^{[p]}), sigma(e_i^{[p]}) read off witt.basis_powers.  Where the
     # W parts pass, sigma(e_i) = e_i + a_i c, and c drops out of a p-th power: the basis rows' powers serve all.
     targets = witt.basis_powers(p) @ images

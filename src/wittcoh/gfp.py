@@ -64,7 +64,9 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
     int64.  ValueError for entries that are not integers (floats), for
     integers that do not fit int64 (numpy holds them as uint64, or widens a
     list of them to float64 or object), and for rows whose length is not
-    width (the last axis), or, with no width, that of the first row.
+    width (the last axis), or, with no width, that of the first row.  An
+    array of a float dtype holds no integers, so it is refused by its dtype
+    alone; the caller's entries are scanned only when numpy widened them.
     """
     try:
         a = np.asarray(values)
@@ -75,7 +77,8 @@ def as_int_array(values, width: int | None = None) -> np.ndarray:
         width = len(first) if width is None else width
     if a is None or width is not None and a.shape[-1:] != (width,):
         raise ValueError(f"expected a vector of length {width}")
-    if a.dtype.kind in "fO" or a.dtype == np.uint64 and a.size and a.max() >= 2**63:
+    widened = a.dtype.kind == "O" or a.dtype.kind == "f" and not isinstance(values, np.ndarray)
+    if widened or a.dtype == np.uint64 and a.size and a.max() >= 2**63:
         entries = np.asarray(values, dtype=object).ravel()  # the caller's integers, exact
         integers = [x for x in entries if isinstance(x, (int, np.integer))]
         big = [x for x in integers if not -(2**63) <= x < 2**63]

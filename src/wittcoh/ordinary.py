@@ -26,8 +26,8 @@ _terms_values evaluates a table on stacked coordinate rows (_terms_nonzero
 only whether its values vanish, block by block), and
 _terms_matrix scatters it into the dense coboundary matrix, writing each
 entry once and reading none.  d1's matrix is scattered straight from the
-pairs, each of which meets one column.  Both matrix builders can
-scatter into a zero array they are given (out), which is how
+pairs, each of which meets one column, its bracket's target.  Both matrix
+builders can scatter into a zero array they are given (out), which is how
 restricted.delta2_res_matrix places d2 in its top-left corner without
 building it apart.  graded_blocks gathers the grade blocks of a matrix
 into one stack (delta2_block those of d2), which
@@ -38,7 +38,10 @@ Sign conventions are fixed once and used throughout:
     (d1 psi)(g ^ h)     =  psi([g, h])
     (d2 phi)(g ^ h ^ k) =  phi([g,h] ^ k) - phi([g,k] ^ h) + phi([h,k] ^ g)
 so that d1(e^k) = sum of (j - i) e^{i,j} over canonical pairs with
-i + j = k mod p.
+i + j = k mod p.  Both read the brackets of basis pairs off
+witt.basis_brackets, d1 at every canonical pair and d2 at the pairs
+(r, s), (r, t) and (s, t) of every triple, with signs +, -, +; delta1_cl
+is the one-row read of d1's matrix.
 """
 
 from __future__ import annotations
@@ -202,11 +205,8 @@ class Cochain3Ord(Coordinates):
 
 
 def delta1_cl(psi: Cochain1) -> Cochain2Ord:
-    """(d1 psi)(e_i ^ e_j) = psi([e_i, e_j]) = (j - i) psi(e_{i+j})."""
-    field = psi.field
-    p = field.p
-    vals = [((j - i) * psi.coeff(normalize_index(i + j, p))) % p for i, j in wedge_pairs(p)]
-    return Cochain2Ord(field, tuple(vals))
+    """(d1 psi)(e_i ^ e_j) = psi([e_i, e_j]): the one-row read of delta1_matrix."""
+    return Cochain2Ord.from_vector(psi.field, delta1_matrix(psi.field) @ psi.to_vector())
 
 
 def _coordinate_terms(coefficient, first, second, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -222,12 +222,13 @@ def _coordinate_terms(coefficient, first, second, p: int) -> tuple[np.ndarray, n
 def _triple_terms(p: int) -> tuple[np.ndarray, np.ndarray]:
     """The three terms of (d2 phi)(e_r ^ e_s ^ e_t) for every canonical triple, as (3, C(p,3)) _coordinate_terms.
 
-    Term n is coefficient[n] * phi(e_a ^ e_b): (s - r, [r+s], t),
-    (-(t - r), [r+t], s) and (t - s, [s+t], r), the index sums normalized.
+    Term n is coefficient[n] * phi(e_a ^ e_b) with e_a = [e_r, e_s], -[e_r, e_t]
+    and [e_s, e_t] read off witt.basis_brackets, and e_b = e_t, e_s and e_r.
     """
-    r, s, t = triple_index(p)
-    first = (np.stack([r + s, r + t, s + t]) + 1) % p  # position of normalize_index(a + b)
-    return _coordinate_terms(np.stack([s - r, r - t, t - s]), first, np.stack([t, s, r]) + 1, p)
+    coefficient, target = witt.basis_brackets(p)
+    r, s, t = triple_index(p) + 1  # positions
+    pairs = np.stack([r, r, s]), np.stack([s, t, t])
+    return _coordinate_terms([[1], [-1], [1]] * coefficient[pairs], target[pairs], np.stack([t, s, r]), p)
 
 
 def _terms_values(terms: tuple[np.ndarray, ...], phis: np.ndarray, p: int) -> np.ndarray:
@@ -286,13 +287,14 @@ def delta2_cl(phi: Cochain2Ord) -> Cochain3Ord:
 def delta1_matrix(field: PrimeField, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix of d1 on coordinates: C(p,2) rows, p columns (column k+1 is d1(e^k)).
 
-    Row (i, j) meets only the column of e^{i+j}, with entry j - i.  out,
-    when given, must be zero; the matrix is scattered into it.
+    Row (i, j) meets only the column of e^{i+j}, with entry j - i (witt.basis_brackets).
+    out, when given, must be zero; the matrix is scattered into it.
     """
     p = field.p
     u, v = upper_triangle(p)  # (i + 1, j + 1)
+    coefficient, target = witt.basis_brackets(p)
     m = np.zeros((len(u), p), dtype=np.int64) if out is None else out
-    m[np.arange(len(u)), (u + v - 1) % p] = v - u
+    m[np.arange(len(u)), target[u, v]] = coefficient[u, v]
     return m
 
 

@@ -27,6 +27,9 @@ d2(phi, omega) = (d2_cl(phi), ind2(phi, omega)) with
 
     ind2(phi, omega)(g, h) = phi(g ^ h^{[p]}) - phi([g, h, ..., h] ^ h).
 
+delta1_res is the one-row read of delta1_res_matrix: ordinary d1 on top,
+and witt.basis_powers as the omega rows below it.
+
 A correction sum has 2^{p-2} sequences, but each is weighted only by its
 count of g factors, so the chains grouped by that count are the
 lambda-coefficients of [[g, h], lambda*g + h, ..., lambda*g + h] with
@@ -102,7 +105,6 @@ from .ordinary import (
     _triple_terms,
     c2_zero,
     coordinate_grades,
-    delta1_cl,
     delta1_matrix,
     delta2_block,
     delta2_cl,
@@ -259,8 +261,8 @@ def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
 
 
 def delta1_res(psi: Cochain1) -> Cochain2Res:
-    """d1(psi) = (d1_cl(psi), psi o [p]); the omega part psi(e_i^{[p]}) is psi against the rows of basis_powers."""
-    return Cochain2Res(delta1_cl(psi), basis_powers(psi.field.p) @ psi.to_vector())
+    """d1(psi) = (d1_cl(psi), psi o [p]): the one-row read of delta1_res_matrix."""
+    return Cochain2Res.from_vector(psi.field, delta1_res_matrix(psi.field) @ psi.to_vector())
 
 
 @lru_cache(maxsize=None)

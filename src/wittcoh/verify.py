@@ -274,11 +274,11 @@ def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
                 {(n, witt.normalize_index(p - n, p)): -2 * n for n in range(1, (p - 1) // 2 + 1)},
             )
             assert scaled == ordi.delta1_cl(ordi.dual_basis(field, 0)), "-2n cochain != d1(e^0)"
-            # Every grade-zero kernel vector obeys the three-term recursion
-            # n*a(n+2) = (n+3)*a(n+1) + (2n+3)*a(-1,1) on its coefficients.
-            block = ordi.delta2_block(cx.d2, p, 0)
+            # Every grade-zero kernel vector (the complex's block kernels, grade 0 at index 1 of the stack) obeys
+            # the three-term recursion n*a(n+2) = (n+3)*a(n+1) + (2n+3)*a(-1,1) on its coefficients.
+            vectors, free = cx.block_kernels
             column = ordi.pair_coordinates(p)
-            for v in field.kernel_basis(block):
+            for v in vectors[1][free[1]]:
                 phi = np.zeros(len(ordi.upper_triangle(p)[0]), dtype=np.int64)
                 phi[ordi.grade_tables(p)[0][1]] = v  # the block's columns are the grade-0 pairs
                 # a(n) is the coefficient on the pair (n, p-n) for n >= 2;

@@ -2,8 +2,12 @@
 
 W = Der(A) for A = GF(p)[x]/(x^p - 1) has basis e_{-1}, ..., e_{p-2} with
 e_i = x^{i+1} d/dx and bracket [e_i, e_j] = (j - i) e_{i+j}, the index sum
-taken mod p and normalized back into the window {-1, ..., p-2}.  Its
-elements (WittElement) are gfp.Coordinates, p coefficients.
+taken mod p and normalized back into the window {-1, ..., p-2}.  That
+bracket on the basis is one table (basis_brackets: the coefficient and the
+target position of every basis pair), which the structure tensor, the
+basis chains, ordinary's d1 and d2 term table and the extensions'
+splitting defects read.  Its elements (WittElement) are gfp.Coordinates,
+p coefficients.
 
 W carries a restricted structure, its basis powers one table (basis_powers:
 e_0^{[p]} = e_0, e_i^{[p]} = 0 for i != 0), and the p-th power of a general
@@ -33,15 +37,17 @@ Agreement of the two routes is a strong consistency check, made by
 verify's witt.pth_power_oracle and exercised heavily by the test suite.
 The derivation kernel's own oracle, composition of cyclic polynomials one
 product at a time, lives in tests/oracles.py.  Every chain
-[e_a, e_b, ..., e_b] is one scalar recurrence (basis_chains), which
-restricted's ind2 reads with p - 1 factors and verify's
-witt.adjoint_power_on_w with p; dense matrix powers are its test oracle.
+[e_a, e_b, ..., e_b] is one scalar recurrence on basis_brackets
+(basis_chains), which restricted's ind2 reads with p - 1 factors and
+verify's witt.adjoint_power_on_w with p; dense matrix powers are its test
+oracle.
 
 Every bracket takes the formula route: right_bracket_matrix builds stacked
 right-bracket matrices by index arithmetic, and bracket_rows (with bracket
 its one-row call) and the stacked kernels multiply by them.  The structure
-tensor (_bracket_tensor) is built apart from them, the independent side
-that verify's witt.antisymmetry_jacobi compares bracket_rows with.
+tensor (_bracket_tensor, basis_brackets scattered) is built apart from
+them, the independent side that verify's witt.antisymmetry_jacobi
+compares bracket_rows with.
 
 Random samples are drawn in bulk with the values and the generator state
 of one rng.randrange call per value: randbelow reads many draws off one
@@ -260,11 +266,25 @@ def first_failures(rngs, draw, count: int, failing) -> tuple[list, list[int | No
 
 
 @lru_cache(maxsize=None)
+def basis_brackets(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """W's bracket on the basis, read-only (coefficient, target), (p, p) over positions [u, v] = [i + 1, j + 1].
+
+    [e_i, e_j] = (j - i) e_{i+j} is coefficient[u, v] = (v - u) mod p times
+    the basis vector at position target[u, v] = (u + v - 1) mod p.
+    """
+    u, v = np.indices((p, p))
+    coefficient, target = (v - u) % p, (u + v - 1) % p
+    coefficient.flags.writeable = target.flags.writeable = False
+    return coefficient, target
+
+
+@lru_cache(maxsize=None)
 def _bracket_tensor(p: int) -> np.ndarray:
-    """T[s, t, m] with [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}, scattered over the index pairs (s, t)."""
+    """T[s, t, m] with [e_{s-1}, e_{t-1}] = sum_m T[s, t, m] e_{m-1}: basis_brackets scattered over the pairs (s, t)."""
+    coefficient, target = basis_brackets(p)
     s, t = np.indices((p, p))
     tensor = np.zeros((p, p, p), dtype=np.int64)
-    tensor[s, t, (s + t - 1) % p] = (t - s) % p
+    tensor[s, t, target] = coefficient
     return tensor
 
 
@@ -307,12 +327,13 @@ def bracket(x: WittElement, y: WittElement) -> WittElement:
 def basis_chains(p: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Every chain [e_a, e_b, ..., e_b] with `steps` factors e_b, as c * e_m: (c, m), (p, p) arrays over [a + 1, b + 1].
 
-    m is a position, like a + 1 and b + 1; [c e_m, e_b] = c (b - m) e_{m+b} keeps one basis vector.
+    m is a position, like a + 1 and b + 1; [c e_m, e_b] keeps one basis vector, read off basis_brackets.
     """
+    coefficient, target = basis_brackets(p)
     a, b = np.indices((p, p))
     c, m = np.ones_like(a), a
     for _ in range(steps):
-        c, m = c * (b - m) % p, (m + b - 1) % p
+        c, m = c * coefficient[m, b] % p, target[m, b]
     return c, m
 
 

@@ -54,8 +54,6 @@ from wittcoh.ordinary import (
     Cochain1,
     Cochain2Ord,
     Cochain3Ord,
-    delta1_cl,
-    dual_basis,
 )
 from wittcoh.restricted import Cochain2Res, c2_dim, c3_dim
 from wittcoh.witt import (
@@ -461,12 +459,12 @@ def _add_wedge(m: np.ndarray, row: int, coefficient: int, i: int, j: int, p: int
 
 
 def delta1_matrix_by_loops(field: PrimeField) -> np.ndarray:
-    """d1's matrix column by column: column k + 1 is the coordinate vector of delta1_cl(e^k)."""
+    """d1's matrix pair by pair: (d1 psi)(e_i ^ e_j) = (j - i) psi(e_{i+j}), so row (i, j) holds j - i at e^{i+j}."""
     p = field.p
     m = np.zeros((len(pair_position(p)), p), dtype=np.int64)
-    for col in range(p):
-        m[:, col] = delta1_cl(dual_basis(field, col - 1)).to_vector()
-    return m
+    for (i, j), row in pair_position(p).items():
+        m[row, normalize_index(i + j, p) + 1] = j - i
+    return m % p
 
 
 def delta2_matrix_by_loops(field: PrimeField) -> np.ndarray:

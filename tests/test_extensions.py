@@ -271,6 +271,15 @@ def test_corrupted_bracket_fails_jacobi():
     assert any(c.name == "jacobi" and not c.passed for c in report.checks)
 
 
+@pytest.mark.parametrize("i, j, bad", [(4, 0, 4), (-2, 0, -2), (-1, 4, 4), (5, 0, 5)])
+def test_zeroing_a_bracket_entry_refuses_an_index_outside_the_window(i, j, bad):
+    # Positions i + 1 and j + 1 of the table used to be written unchecked: (4, 0), (-2, 0) and (-1, 4) reach c's row
+    # and column, which are zero, so the table was left unchanged and the negative control built was vacuous; (5, 0)
+    # raised a bare IndexError.
+    with pytest.raises(ValueError, match=f"^basis index {bad} out of range for p=5$"):
+        omega_extension(F5, 0).with_bracket_entry_zeroed(i, j)
+
+
 def test_extension_of_non_cocycle_fails_jacobi():
     # Forcing construction past the cocycle check yields a bracket table
     # that is not a Lie algebra; the Jacobi scan must catch it.

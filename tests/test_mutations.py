@@ -4,17 +4,20 @@ A route that shares a bug with its oracle passes vacuously; each row of
 the table names the checks that catch its mutation at p = 7 and 13.  The
 rows cover the kernels behind the report's routes: the lambda recurrence,
 the fold and its steps, the correction weights, the derivation route, the
-basis chains, W's basis powers, the extensions' basis-pair sweep and
-p-map, W's bracket rows and right-bracket matrices, the composite values
-read off rows (gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
+basis chains, W's bracket on the basis and its basis powers, the
+extensions' basis-pair sweep and p-map, W's bracket rows and
+right-bracket matrices, the composite values read off rows
+(gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
 grade blocks, their kernels, the inverse X of the lower bound, ker
 d2_res); and the coboundaries, as d2's and ind2's term tables and as the
 assembled d2_res and d1_res.  A kernel's patch adds 1 mod p to the first
-nonzero entry of every output (bumped) in every module that imports it
-by name, and the cached tables built from its output are rebuilt around
-each row.  The term tables are also moved off the grading, their first
-live term reading a pair of the next grade (moved_off_its_grade).  A
-check that stops failing under its mutation is a regression.
+nonzero entry of every output (bumped) in every loaded wittcoh module
+that holds it by name (replace_kernel finds them, so a new import of a
+kernel is patched too), and the cached tables built from its output are
+rebuilt around each row.  The term tables are also moved off the
+grading, their first live term reading a pair of the next grade
+(moved_off_its_grade).  A check that stops failing under its mutation is
+a regression.
 
 A corruption shared by both sides of one comparison cannot be caught by
 that comparison: witt.pth_power_fold_order folds both orders through
@@ -22,6 +25,8 @@ pth_power_rows, for one.  So the table pins which checks catch each kernel,
 and test_every_check_fails_under_some_mutation that every check but the
 few on UNREACHED catches at least one.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -117,23 +122,27 @@ def bumped(out, p, mask=True):
     return out
 
 
-def corrupt_kernel(monkeypatch, owners, name, corrupt):
-    """Replace the kernel `name` of owners[0] in every module of owners by corrupt(its output, *its arguments)."""
-    kernel = getattr(owners[0], name)
+def replace_kernel(monkeypatch, kernel, replacement):
+    """Put replacement in place of kernel in every loaded wittcoh module that holds it by name; refuse one none holds."""
+    modules = [module for name, module in sorted(sys.modules.items()) if name.split(".")[0] == "wittcoh"]
+    found = [(module, name) for module in modules for name, value in list(vars(module).items()) if value is kernel]
+    if not found:
+        raise LookupError(f"no wittcoh module holds {kernel!r}")
+    for module, name in found:
+        monkeypatch.setattr(module, name, replacement)
 
-    def corrupted(*args):
-        return corrupt(kernel(*args), *args)
 
-    for owner in owners:
-        monkeypatch.setattr(owner, name, corrupted)
+def corrupt_kernel(monkeypatch, kernel, corrupt):
+    """Replace kernel, in every module that holds it, by corrupt(its output, *its arguments)."""
+    replace_kernel(monkeypatch, kernel, lambda *args: corrupt(kernel(*args), *args))
 
 
 def corrupted_lambda_rows(monkeypatch):
-    corrupt_kernel(monkeypatch, (witt, restricted), "lambda_rows", lambda rows, *args: bumped(rows, args[-1]))
+    corrupt_kernel(monkeypatch, witt.lambda_rows, lambda rows, *args: bumped(rows, args[-1]))
 
 
 def corrupted_fold_power(monkeypatch):
-    corrupt_kernel(monkeypatch, (witt,), "pth_power_rows", lambda power, gs, p, *orders: bumped(power, p))
+    corrupt_kernel(monkeypatch, witt.pth_power_rows, lambda power, gs, p, *orders: bumped(power, p))
 
 
 def corrupted_fold_steps(monkeypatch):
@@ -143,8 +152,7 @@ def corrupted_fold_steps(monkeypatch):
     def corrupted(step, gs, p, *orders):
         return fold(lambda g, h: bumped(step(g, h), p), gs, p, *orders)
 
-    for owner in (witt, restricted):
-        monkeypatch.setattr(owner, "fold", corrupted)
+    replace_kernel(monkeypatch, fold, corrupted)
 
 
 def corrupted_correction_weights(monkeypatch):
@@ -152,11 +160,11 @@ def corrupted_correction_weights(monkeypatch):
     def off_diagonal(q, g, h, p):
         return bumped(q, p, ~np.eye(p, dtype=bool))
 
-    corrupt_kernel(monkeypatch, (restricted,), "_correction_weights", off_diagonal)
+    corrupt_kernel(monkeypatch, restricted._correction_weights, off_diagonal)
 
 
 def corrupted_derivation_rows(monkeypatch):
-    corrupt_kernel(monkeypatch, (witt, extensions), "pth_power_via_derivation_rows", lambda q, gs, p: bumped(q, p))
+    corrupt_kernel(monkeypatch, witt.pth_power_via_derivation_rows, lambda q, gs, p: bumped(q, p))
 
 
 def corrupted_basis_chains(monkeypatch):
@@ -164,28 +172,34 @@ def corrupted_basis_chains(monkeypatch):
     def coefficient(chains, p, steps):
         return bumped(chains[0], p), chains[1]
 
-    corrupt_kernel(monkeypatch, (witt, restricted), "basis_chains", coefficient)
+    corrupt_kernel(monkeypatch, witt.basis_chains, coefficient)
 
 
 def corrupted_basis_powers(monkeypatch):
     # W's restricted structure on the basis, e_0^{[p]} = 2 e_0: the fold, the extension tables, the splitting
     # defects, d1_res and ind2's term table read the table; the derivation route does not.
-    corrupt_kernel(monkeypatch, (witt, restricted), "basis_powers", lambda powers, p: bumped(powers, p))
+    corrupt_kernel(monkeypatch, witt.basis_powers, lambda powers, p: bumped(powers, p))
+
+
+def corrupted_basis_brackets(monkeypatch):
+    # W's bracket on the basis, [e_{-1}, e_0] = 2 e_{-1}: the structure tensor, the basis chains, d1, d2's term table
+    # and the splitting defects read the table; the formula route (right_bracket_matrix) and the grading do not.
+    corrupt_kernel(monkeypatch, witt.basis_brackets, lambda table, p: (bumped(table[0], p), table[1]))
 
 
 def corrupted_basis_pair_sums(monkeypatch):
     def summands(sweep, tables, p):
         return bumped(sweep[0], p), sweep[1]
 
-    corrupt_kernel(monkeypatch, (extensions,), "_basis_pair_sweep", summands)
+    corrupt_kernel(monkeypatch, extensions._basis_pair_sweep, summands)
 
 
 def corrupted_pmap_rows(monkeypatch):
-    corrupt_kernel(monkeypatch, (extensions,), "pmap_rows", lambda powers, xs, cocycles, p: bumped(powers, p))
+    corrupt_kernel(monkeypatch, extensions.pmap_rows, lambda powers, xs, cocycles, p: bumped(powers, p))
 
 
 def corrupted_bracket_rows(monkeypatch):
-    corrupt_kernel(monkeypatch, (witt,), "bracket_rows", lambda brackets, xs, ys, p: bumped(brackets, p))
+    corrupt_kernel(monkeypatch, witt.bracket_rows, lambda brackets, xs, ys, p: bumped(brackets, p))
 
 
 def corrupted_right_bracket_matrix(monkeypatch):
@@ -195,7 +209,7 @@ def corrupted_right_bracket_matrix(monkeypatch):
     def each_bumped(matrices, v, p):
         return np.array([bumped(m, p) for m in np.reshape(matrices, (-1, p, p))]).reshape(np.shape(matrices))
 
-    corrupt_kernel(monkeypatch, (witt, restricted), "right_bracket_matrix", each_bumped)
+    corrupt_kernel(monkeypatch, witt.right_bracket_matrix, each_bumped)
 
 
 def bumped_coefficient(terms, p):
@@ -205,13 +219,13 @@ def bumped_coefficient(terms, p):
 
 def corrupted_triple_terms(monkeypatch):
     # The first term of the first triple: d2_cl, the assembled d2 and is_cocycle_rows all change.
-    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", bumped_coefficient)
+    corrupt_kernel(monkeypatch, ordinary._triple_terms, bumped_coefficient)
 
 
 def corrupted_ind2_terms(monkeypatch):
     # The first term of the beta row (-1, 0), which the second term cancelled: ind2, the beta rows of d2_res and
     # is_cocycle_rows all change.
-    corrupt_kernel(monkeypatch, (restricted,), "_ind2_terms", bumped_coefficient)
+    corrupt_kernel(monkeypatch, restricted._ind2_terms, bumped_coefficient)
 
 
 def moved_off_its_grade(terms, p):
@@ -225,13 +239,13 @@ def moved_off_its_grade(terms, p):
 
 def misgraded_triple_terms(monkeypatch):
     # The first term of the first triple reads a pair of another grade: d2_cl and the assembled d2 leak.
-    corrupt_kernel(monkeypatch, (ordinary, restricted), "_triple_terms", moved_off_its_grade)
+    corrupt_kernel(monkeypatch, ordinary._triple_terms, moved_off_its_grade)
 
 
 def misgraded_ind2_terms(monkeypatch):
     # The first live term of ind2, on the beta row (-1, 0), which the second term cancelled, reads a pair of another
     # grade: ind2 and the beta rows of d2_res leak.
-    corrupt_kernel(monkeypatch, (restricted,), "_ind2_terms", moved_off_its_grade)
+    corrupt_kernel(monkeypatch, restricted._ind2_terms, moved_off_its_grade)
 
 
 def assembled_d2_res_with(monkeypatch, position):
@@ -242,7 +256,7 @@ def assembled_d2_res_with(monkeypatch, position):
         m[row, column] = (m[row, column] + 1) % field.p
         return m
 
-    corrupt_kernel(monkeypatch, (restricted,), "delta2_res_matrix", entry)
+    corrupt_kernel(monkeypatch, restricted.delta2_res_matrix, entry)
 
 
 def corrupted_d2_entry_in_block(monkeypatch):
@@ -283,7 +297,7 @@ def zeroed_d1_column(monkeypatch):
         m[:, 2] = 0
         return m
 
-    corrupt_kernel(monkeypatch, (restricted,), "delta1_res_matrix", zeroed)
+    corrupt_kernel(monkeypatch, restricted.delta1_res_matrix, zeroed)
 
 
 def corrupted_composite_rows(monkeypatch):
@@ -365,6 +379,23 @@ TABLE = [
             "restricted.kernel_structure",
             "restricted.h2_dimension",
             "report.dims_closed_forms",
+        },
+    ),
+    (
+        corrupted_basis_brackets,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.cohomology_dims",
+            "ordinary.complex_identity",
+            "ordinary.explicit_cocycles",
+            "ordinary.graded_kernel_dims",
+            "report.dims_closed_forms",
+            "restricted.complex_identity",
+            "restricted.h2_dimension",
+            "restricted.kernel_structure",
+            "restricted.star_consistency",
+            "witt.adjoint_power_on_w",
+            "witt.antisymmetry_jacobi",
         },
     ),
     (corrupted_basis_pair_sums, {"extensions.axioms"}),
@@ -466,8 +497,9 @@ UNREACHED = {
 
 @pytest.fixture
 def fresh_complex():
-    # The complex and the term tables are cached from the kernels' outputs, so each row rebuilds them.
-    caches = (restricted.cochain_complex, restricted._ind2_terms, ordinary._triple_terms)
+    # The complex, the term tables and W's structure tensor are cached from the kernels' outputs, so each row
+    # rebuilds them, and a corrupted one does not outlive its row.
+    caches = (restricted.cochain_complex, restricted._ind2_terms, ordinary._triple_terms, witt._bracket_tensor)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -482,6 +514,12 @@ def test_mutation_fails_its_pinned_checks(monkeypatch, fresh_complex, mutate, fa
     report = verify.run_prime(p)
     assert {c["name"] for c in report["checks"] if not c["pass"]} == failing
     assert not report["all_pass"]
+
+
+def test_corrupt_kernel_refuses_a_kernel_no_module_holds(monkeypatch):
+    # A kernel found nowhere would patch nothing, and its row would pass or fail for another reason.
+    with pytest.raises(LookupError, match="no wittcoh module holds"):
+        corrupt_kernel(monkeypatch, lambda *args: None, lambda out, *args: out)
 
 
 def test_every_check_fails_under_some_mutation(fresh_complex):

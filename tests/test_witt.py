@@ -172,6 +172,28 @@ def test_bracket_tensor_equals_the_loop_over_basis_pairs(p):
     assert (witt._bracket_tensor(p) == bracket_tensor_by_loop(p)).all()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_basis_brackets_match_the_loop_and_the_formula_route(p):
+    # The one table of W's bracket on the basis, against two routes that never read it: scattered, it is the loop
+    # over basis pairs; and row u of right_bracket_matrix(e_{v-1}), [e_{u-1}, e_{v-1}] by index arithmetic, is
+    # coefficient[u, v] at target[u, v] and zero elsewhere.  The table is shared by every reader, so it must refuse
+    # writes.
+    coefficient, target = witt.basis_brackets(p)
+    u, v = np.indices((p, p))
+    assert coefficient.dtype == target.dtype == np.int64 and coefficient.shape == target.shape == (p, p)
+    tensor = np.zeros((p, p, p), dtype=np.int64)
+    tensor[u, v, target] = coefficient
+    assert (tensor == bracket_tensor_by_loop(p)).all()
+    rows = np.zeros((p, p, p), dtype=np.int64)  # rows[v, u] is row u of the right-bracket matrix of e_{v-1}
+    rows[v, u, target] = coefficient
+    assert (right_bracket_matrix(np.eye(p, dtype=np.int64), p) == rows).all()
+    for table in (coefficient, target):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 1] = 2
+    assert witt.basis_brackets(p)[0] is coefficient and witt.basis_brackets(p)[1] is target
+
+
 def test_bracket_chain_examples():
     # [[e0, e1], e0] = [e1, e0] = -e1
     assert bracket_chain(e(0), [e(1), e(0)]) == from_dict(F5, {1: 4})
