@@ -150,16 +150,21 @@ class CentralExtension:
         return ExtElement.from_vector(self.field, vec)
 
     def basis(self, u: int) -> ExtElement:
-        """Basis element by table position: 0..p-1 are e_{-1}..e_{p-2}, p is c."""
+        """Basis element by table position: 0..p-1 are e_{-1}..e_{p-2}, p is c; any other position raises ValueError."""
+        if not 0 <= u <= self.p:
+            raise ValueError(f"basis position {u} out of range for p={self.p}")
         return self.from_coeffs(np.eye(self.p + 1, dtype=np.int64)[u])
 
     def bracket(self, x: ExtElement, y: ExtElement) -> ExtElement:
         """Table-driven bracket."""
+        check_same_field(self, x)
+        check_same_field(self, y)
         res = np.einsum("u,v,uvw->w", x.to_vector(), y.to_vector(), self.bracket_table) % self.p
         return self.from_coeffs(res)
 
     def pth_power(self, x: ExtElement) -> ExtElement:
         """(g + a*c)^{[p]} = g^{[p]} + omega(g) c, the central part of x dropping out: the one-row call of pth_power_rows."""
+        check_same_field(self, x)
         return self.from_coeffs(self.pth_power_rows(x.to_vector()))
 
     def pth_power_rows(self, xs: np.ndarray) -> np.ndarray:

@@ -13,15 +13,17 @@ and 3, so their validation and arithmetic are the base's.
 The bases have one index, numpy tables built once per prime:
 upper_triangle gives the (i + 1, j + 1) of every pair and triple_index the
 (r, s, t) of every triple, both lexicographic (wedge_pairs is the tuple
-view of upper_triangle); pair_coordinates holds the coordinate of every
-ordered pair, triple_coordinate counts a sorted triple's column, and the
-grade tables (grade_tables, each row the coordinates of one grade) are
-read off coordinate_grades.  Every reader of a coordinate, the
-per-element value methods included, reads these tables.  Their oracle,
-tuple builders and position dicts made by loops, is in tests/oracles.py.
+view of upper_triangle); wedge_signs holds, for degrees 2 and 3, the
+coordinate of the sorted wedge and the sign of the sorting permutation at
+every ordered pair or triple of basis positions, and the grade tables
+(grade_tables, each row the coordinates of one grade) are read off
+coordinate_grades.  Every reader of a coordinate, the per-element value
+methods included, reads these tables.  Their oracle, tuple builders and
+position dicts made by loops, is in tests/oracles.py.
 Each coboundary into 2-form coordinates is written once, as a table of terms
 coefficient * phi(e_a ^ e_b) (_triple_terms for d2), each holding the
-coordinate it reads and its signed coefficient (_coordinate_terms):
+coordinate it reads and its coefficient signed by wedge_signs
+(_coordinate_terms):
 _terms_values evaluates a table on stacked coordinate rows (_terms_nonzero
 only whether its values vanish, block by block), and
 _terms_matrix scatters it into the dense coboundary matrix, writing each
@@ -34,7 +36,11 @@ into one stack (delta2_block those of d2), which
 restricted.cochain_complex row-reduces once per prime for every rank,
 kernel and cohomology dimension.
 
-Sign conventions are fixed once and used throughout:
+Sign conventions are fixed once and used throughout.  A form's orientation,
+phi(e_j ^ e_i) = -phi(e_i ^ e_j) and alpha's value at an ordered triple the
+permutation's sign times its sorted triple's, is stated once, in
+wedge_signs; the value methods, to_matrix, to_dense, c2_from_dict and the
+term tables gather from it.  The coboundaries are
     (d1 psi)(g ^ h)     =  psi([g, h])
     (d2 phi)(g ^ h ^ k) =  phi([g,h] ^ k) - phi([g,k] ^ h) + phi([h,k] ^ g)
 so that d1(e^k) = sum of (j - i) e^{i,j} over canonical pairs with
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -79,15 +86,6 @@ def wedge_pairs(p: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def pair_coordinates(p: int) -> np.ndarray:
-    """Read-only (p, p) table: the coordinate of the pair {i, j} at [i + 1, j + 1] and [j + 1, i + 1], 0 on the diagonal."""
-    u, v = upper_triangle(p)
-    column = np.zeros((p, p), dtype=np.int64)
-    column[u, v] = column[v, u] = np.arange(len(u))
-    return _read_only(column)
-
-
-@lru_cache(maxsize=None)
 def triple_index(p: int) -> np.ndarray:
     """Read-only (3, C(p,3)) array of the (r, s, t) of every canonical triple, lexicographic.
 
@@ -100,10 +98,25 @@ def triple_index(p: int) -> np.ndarray:
     return index
 
 
-def triple_coordinate(p: int, r: int, s: int, t: int) -> int:
-    """The column of the canonical triple r < s < t in triple_index(p): the triples before it, counted by r, s, t."""
-    a, b = r + 1, s + 1
-    return comb(p, 3) - comb(p - a, 3) + comb(p - a - 1, 2) - comb(p - b, 2) + t - s - 1
+@lru_cache(maxsize=None)
+def wedge_signs(p: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (column, sign) over ordered basis positions (p,) * degree, degree 2 or 3: the one orientation rule.
+
+    column is the coordinate of the sorted wedge (in upper_triangle or
+    triple_index order) and sign, int8, the parity of the sorting
+    permutation, 0 where an index repeats (column 0 there), so a form's
+    value at e_i ^ e_j (^ e_k) is sign * values[column] at the positions
+    (i + 1, j + 1(, k + 1)).  Each canonical wedge is scattered under each
+    permutation of its positions.
+    """
+    wedges = np.stack(upper_triangle(p)) if degree == 2 else triple_index(p) + 1
+    column = np.zeros((p,) * degree, dtype=np.int64)
+    sign = np.zeros((p,) * degree, dtype=np.int8)
+    for order in permutations(range(degree)):
+        at = tuple(wedges[list(order)])
+        column[at] = np.arange(wedges.shape[1])
+        sign[at] = (-1) ** sum(a > b for a, b in combinations(order, 2))
+    return _read_only(column), _read_only(sign)
 
 
 @dataclass(frozen=True)
@@ -137,21 +150,17 @@ class Cochain2Ord(Coordinates):
     degree = 2
 
     def value(self, i: int, j: int) -> int:
-        """phi(e_i ^ e_j) for any index order (sign-tracked)."""
+        """phi(e_i ^ e_j) for any index order, read off wedge_signs."""
         p = self.field.p
         _check_index(i, p)
         _check_index(j, p)
-        if i == j:
-            return 0
-        v = self.values[pair_coordinates(p)[i + 1, j + 1]]
-        return v if i < j else -v % p
+        column, sign = wedge_signs(p, 2)
+        return int(sign[i + 1, j + 1]) * self.values[column[i + 1, j + 1]] % p
 
     def to_matrix(self) -> np.ndarray:
-        """Dense antisymmetric matrix M with M[i+1, j+1] = phi(e_i ^ e_j), the bilinear form of phi."""
-        p = self.field.p
-        m = np.zeros((p, p), dtype=np.int64)
-        m[upper_triangle(p)] = self.values
-        return (m - m.T) % p
+        """Dense antisymmetric matrix M[i+1, j+1] = phi(e_i ^ e_j), phi's bilinear form: a wedge_signs gather."""
+        column, sign = wedge_signs(self.field.p, 2)
+        return sign * self.to_vector()[column] % self.field.p
 
 
 def c2_zero(field: PrimeField) -> Cochain2Ord:
@@ -162,16 +171,14 @@ def c2_from_dict(field: PrimeField, terms: dict[tuple[int, int], int]) -> Cochai
     """2-cochain from a {(i, j): coefficient} mapping; pairs may be unordered."""
     p = field.p
     vals = [0] * (p * (p - 1) // 2)
-    column = pair_coordinates(p)
+    column, sign = wedge_signs(p, 2)
     for (i, j), c in terms.items():
         _check_index(i, p)
         _check_index(j, p)
-        if i == j:
-            if c % p:
-                raise ValueError(f"nonzero coefficient on degenerate pair ({i}, {j})")
-            continue
+        if i == j and c % p:
+            raise ValueError(f"nonzero coefficient on degenerate pair ({i}, {j})")
         n = column[i + 1, j + 1]
-        vals[n] = (vals[n] + (c if i < j else -c)) % p
+        vals[n] = (vals[n] + int(sign[i + 1, j + 1]) * c) % p
     return Cochain2Ord(field, tuple(vals))
 
 
@@ -183,25 +190,24 @@ class Cochain3Ord(Coordinates):
     degree = 3
 
     def value(self, r: int, s: int, t: int) -> int:
-        """alpha(e_r ^ e_s ^ e_t) for any index order: the sign of (s - r)(t - r)(t - s) is the permutation's."""
+        """alpha(e_r ^ e_s ^ e_t) for any index order, read off wedge_signs."""
         p = self.field.p
         for i in (r, s, t):
             _check_index(i, p)
-        order = (s - r) * (t - r) * (t - s)
-        if not order:
-            return 0
-        v = self.values[triple_coordinate(p, *sorted((r, s, t)))]
-        return v if order > 0 else -v % p
+        column, sign = wedge_signs(p, 3)
+        at = r + 1, s + 1, t + 1
+        return int(sign[at]) * self.values[column[at]] % p
 
     def to_dense(self) -> np.ndarray:
-        """Dense antisymmetric tensor D[r+1, s+1, t+1] = alpha(e_r ^ e_s ^ e_t), each value at six signed positions."""
-        p = self.field.p
-        a, b, c = triple_index(p) + 1
-        v = self.to_vector()
-        d = np.zeros((p, p, p), dtype=np.int64)
-        d[a, b, c] = d[b, c, a] = d[c, a, b] = v
-        d[a, c, b] = d[b, a, c] = d[c, b, a] = -v % p
-        return d
+        """Dense antisymmetric tensor D[r+1, s+1, t+1] = alpha(e_r ^ e_s ^ e_t): the gather sign * values[column].
+
+        column and sign are wedge_signs(p, 3).  Its one reader in the
+        package is restricted.starstar_correction; verify's ** check
+        scatters its own tensor from triple_index, so the two sides of that
+        comparison share no orientation.
+        """
+        column, sign = wedge_signs(self.field.p, 3)
+        return sign * self.to_vector()[column] % self.field.p
 
 
 def delta1_cl(psi: Cochain1) -> Cochain2Ord:
@@ -212,10 +218,11 @@ def delta1_cl(psi: Cochain1) -> Cochain2Ord:
 def _coordinate_terms(coefficient, first, second, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (coefficient, column) of terms coefficient * phi(e_a ^ e_b), a, b at matrix positions (first, second).
 
-    phi(e_a ^ e_b) is the coordinate column of the pair (min, max) times +1
-    above the diagonal, -1 below it and 0 on it.
+    phi(e_a ^ e_b) is read off wedge_signs: its sign times the coordinate
+    of the pair (min, max), the sign 0 on the diagonal.
     """
-    return _read_only(coefficient * np.sign(second - first)), _read_only(pair_coordinates(p)[first, second])
+    column, sign = wedge_signs(p, 2)
+    return _read_only(coefficient * sign[first, second]), _read_only(column[first, second])
 
 
 @lru_cache(maxsize=None)

@@ -92,7 +92,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import CoordinatePair, PrimeField, as_int_array
+from .gfp import CoordinatePair, PrimeField, as_int_array, check_same_field
 from .ordinary import (
     Cochain1,
     Cochain2Ord,
@@ -211,8 +211,8 @@ def star_correction(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     {g, h} of (1/#(g)) phi([g_1, ..., g_{p-1}] ^ g_p), #(g) counting among
     all p factors.
     """
-    if g.field.p != h.field.p or g.field.p != phi.field.p:
-        raise ValueError("mismatched fields")
+    check_same_field(phi, g)
+    check_same_field(phi, h)
     if phi.is_zero() or g.is_zero() or h.is_zero():
         return 0
     return _correction_sum(phi.to_matrix(), g, h)
@@ -257,6 +257,7 @@ def omega_functional(g: WittElement, fold_order=None) -> np.ndarray:
 
 def eval_omega(c: Cochain2Res, g: WittElement, fold_order=None) -> int:
     """omega(g): c's coordinates against g's omega_functional."""
+    check_same_field(c, g)
     return int(c.to_vector() @ omega_functional(g, fold_order) % c.field.p)
 
 
@@ -323,6 +324,8 @@ def starstar_correction(
     (1/#{i : l_i = 1}) alpha(g ^ [h_{l_1}, ..., h_{l_{p-1}}] ^ h_{l_p}).
     """
     p = alpha.field.p
+    for x in (g, h1, h2):
+        check_same_field(alpha, x)
     if alpha.is_zero() or g.is_zero() or h1.is_zero() or h2.is_zero():
         return 0
     gv = np.array(g.coeffs, dtype=np.int64)
@@ -332,6 +335,8 @@ def starstar_correction(
 
 def eval_beta(c: Cochain3Res, g: WittElement, h: WittElement) -> int:
     """beta(g, h): linear in g, folded over h's basis terms with the correction sum."""
+    check_same_field(c, g)
+    check_same_field(c, h)
     field = c.field
     p = field.p
 

@@ -14,7 +14,9 @@ p > 3; those are reported as skipped at p = 3 rather than passed silently,
 so none is skipped from p = 5 to 103.  The ** correction sum is checked against
 the values of its lambda-polynomial at every lambda in GF(p)
 (_starstar_by_evaluation), a route that shares no recurrence with the
-library's correction weights.  d2's ranks are proven by certificates.
+library's correction weights and scatters its own dense 3-form, so shares
+no orientation with Cochain3Ord.to_dense either.  d2's ranks are proven
+by certificates.
 Every product with a coboundary evaluates its term table: the complex
 identities apply d2's tables to d1's columns, and the certificates' upper
 bound for d2_res applies them to ker d2_res.  The grading is checked
@@ -277,15 +279,16 @@ def _ordinary_checks(field: PrimeField) -> list[ext.CheckResult]:
             # Every grade-zero kernel vector (the complex's block kernels, grade 0 at index 1 of the stack) obeys
             # the three-term recursion n*a(n+2) = (n+3)*a(n+1) + (2n+3)*a(-1,1) on its coefficients.
             vectors, free = cx.block_kernels
-            column = ordi.pair_coordinates(p)
+            column, sign = ordi.wedge_signs(p, 2)
             for v in vectors[1][free[1]]:
                 phi = np.zeros(len(ordi.upper_triangle(p)[0]), dtype=np.int64)
                 phi[ordi.grade_tables(p)[0][1]] = v  # the block's columns are the grade-0 pairs
+                form = sign * phi[column]  # form[i + 1, j + 1] = phi(e_i ^ e_j)
                 # a(n) is the coefficient on the pair (n, p-n) for n >= 2;
                 # the constant term reads the pair (-1, 1).
                 def a(n):
-                    return int(phi[column[n + 1, witt.normalize_index(p - n, p) + 1]])
-                low = int(phi[column[0, 2]])
+                    return int(form[n + 1, witt.normalize_index(p - n, p) + 1])
+                low = int(form[0, 2])
                 for n in range(1, (p - 5) // 2 + 1):
                     lhs = (n * a(n + 2)) % p
                     rhs = ((n + 3) * a(n + 1) + (2 * n + 3) * low) % p
@@ -313,12 +316,20 @@ def _starstar_by_evaluation(
     no lambda recurrence (witt.lambda_rows).  With the last factor, a chain
     in R_k has k + 2 1-labels for l_p = 1 and k + 1 for l_p = 2; its weight
     is the inverse of that count against t[i, j] = alpha(g ^ e_i ^ e_j).
-    Shared with the library: right_bracket_matrix, _inverse_vector and the
-    contraction t.  Every int64 intermediate stays below p^3.
+    t contracts alpha's dense tensor, scattered here from triple_index at
+    the six signed permutations of each triple's positions, not read off
+    Cochain3Ord.to_dense (ordinary.wedge_signs): the two sides of the check
+    share no orientation.  Shared with the library: right_bracket_matrix
+    and _inverse_vector.  Every int64 intermediate stays below p^3.
     """
     p = alpha.field.p
     gv, h1v, h2v = (np.array(x.coeffs, dtype=np.int64) for x in (g, h1, h2))
-    t = np.einsum("m,mij->ij", gv, alpha.to_dense()) % p
+    i, j, k = ordi.triple_index(p) + 1
+    v = alpha.to_vector()
+    dense = np.zeros((p, p, p), dtype=np.int64)
+    dense[i, j, k] = dense[j, k, i] = dense[k, i, j] = v
+    dense[i, k, j] = dense[j, i, k] = dense[k, j, i] = -v % p
+    t = np.einsum("m,mij->ij", gv, dense) % p
     lams = np.arange(p)
     b = witt.right_bracket_matrix((lams[:, None] * h1v + h2v) % p, p)  # b[lambda]: [., lambda*h1 + h2]
     values = np.broadcast_to(h1v @ b[0] % p, (p, p))  # row lambda: P(lambda), grown from [h1, h2]

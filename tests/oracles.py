@@ -26,9 +26,11 @@ The wedge bases have an index of their own here, tuple builders and
 position dicts made by loops (pair_position, wedge_triples,
 triple_position, graded_pair_positions, graded_triple_positions) with the
 sign rules wedge_normalize and triple_normalize: it is the oracle of
-ordinary's numpy index tables and of the value methods that read them,
-and the loop matrix builders locate their entries through it, reading
-none of those tables.  bracket_chain is the left-nested chain through the
+ordinary's numpy index tables (ordinary.wedge_signs, the orientation, among
+them) and of the value methods that read them.  The loop matrix builders
+locate their entries through it, and the sum oracles read forms through
+it (pair_value, triple_value, to_dense_by_loops), none of them reading
+those tables.  bracket_chain is the left-nested chain through the
 library's one-row bracket.
 sample_rows gives the kernels' test inputs.  The *_by_loop functions
 are verify's stacked checks as loops over one sample, one pair or one
@@ -197,7 +199,7 @@ def star_sum_naive(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     """Literal sequence sum over the 2^{p-2} choices, no sharing."""
     p = phi.field.p
     field = phi.field
-    values = [[phi.value(i, j) for j in range(-1, p - 1)] for i in range(-1, p - 1)]
+    values = [[pair_value(phi, i, j) for j in range(-1, p - 1)] for i in range(-1, p - 1)]
     total = 0
     for choice in itertools.product([g, h], repeat=p - 2):
         seq = [g, h, *choice]
@@ -219,7 +221,7 @@ def starstar_sum_naive(
     p = alpha.field.p
     field = alpha.field
     index = range(-1, p - 1)
-    values = [[[alpha.value(m, i, j) for j in index] for i in index] for m in index]
+    values = [[[triple_value(alpha, m, i, j) for j in index] for i in index] for m in index]
     g_terms = _terms(g)
     total = 0
     for choice in itertools.product([1, 2], repeat=p - 2):
@@ -247,7 +249,8 @@ def starstar_exhaustive(alpha: Cochain3Ord, g: WittElement, h1: WittElement, h2:
     [h1, h2, h_{l_3}, ..., h_{l_{p-1}}] are stacked rows, grown by one
     right-bracket product per label at each free position, and each row's
     count of 1-labels rides along.  The last factor contracts against
-    t[i, j] = alpha(g ^ e_i ^ e_j), weighted 1/(count + 1) for l_p = 1 and
+    t[i, j] = alpha(g ^ e_i ^ e_j), alpha's dense tensor scattered one triple
+    at a time (to_dense_by_loops), weighted 1/(count + 1) for l_p = 1 and
     1/count for l_p = 2.  The first free labels are enumerated in an outer
     loop so that the rows of one block stay within witt._SWEEP_BYTES.  The
     products run in float64, exact below 2^53: one product multiplies the
@@ -256,7 +259,7 @@ def starstar_exhaustive(alpha: Cochain3Ord, g: WittElement, h1: WittElement, h2:
     """
     p = alpha.field.p
     gv, h1v, h2v = (np.array(x.coeffs, dtype=np.int64) for x in (g, h1, h2))
-    t = np.einsum("m,mij->ij", gv, alpha.to_dense()) % p
+    t = np.einsum("m,mij->ij", gv, to_dense_by_loops(alpha)) % p
     ends = (t @ np.stack([h1v, h2v], axis=1) % p).astype(np.float64)  # column l - 1: the contraction with h_l
     b = witt.right_bracket_matrix(np.stack([h1v, h2v]), p).astype(np.float64)
     inv = witt._inverse_vector(p)
@@ -391,8 +394,8 @@ def omega_by_enumeration(c: Cochain2Res, g: WittElement) -> int:
     ) % p
 
 
-# The wedge bases indexed by loops: ordinary's numpy tables (upper_triangle, pair_coordinates, triple_index,
-# triple_coordinate and the rows of grade_tables) must agree with these tuple builders and position dicts.
+# The wedge bases indexed by loops: ordinary's numpy tables (upper_triangle, triple_index, wedge_signs and the rows
+# of grade_tables) must agree with these tuple builders and position dicts.
 
 
 @functools.lru_cache(maxsize=None)
@@ -448,6 +451,18 @@ def triple_normalize(r: int, s: int, t: int) -> tuple[tuple[int, int, int], int]
     if a > b:
         a, b, sign = b, a, -sign
     return (a, b, c), sign
+
+
+def pair_value(phi: Cochain2Ord, i: int, j: int) -> int:
+    """phi(e_i ^ e_j) for any index order, through wedge_normalize and pair_position."""
+    w = wedge_normalize(i, j)
+    return 0 if w is None else w[2] * phi.values[pair_position(phi.field.p)[w[:2]]] % phi.field.p
+
+
+def triple_value(alpha: Cochain3Ord, r: int, s: int, t: int) -> int:
+    """alpha(e_r ^ e_s ^ e_t) for any index order, through triple_normalize and triple_position."""
+    w = triple_normalize(r, s, t)
+    return 0 if w is None else w[1] * alpha.values[triple_position(alpha.field.p)[w[0]]] % alpha.field.p
 
 
 def _add_wedge(m: np.ndarray, row: int, coefficient: int, i: int, j: int, p: int) -> None:
@@ -728,7 +743,8 @@ def c2res_zero(field: PrimeField) -> Cochain2Res:
 
 def wedge_eval(phi: Cochain2Ord, g: WittElement, h: WittElement) -> int:
     """phi(g ^ h) by bilinear extension."""
-    m = phi.to_matrix()
+    index = range(-1, phi.field.p - 1)
+    m = np.array([[pair_value(phi, i, j) for j in index] for i in index], dtype=np.int64)
     gv = np.array(g.coeffs, dtype=np.int64)
     hv = np.array(h.coeffs, dtype=np.int64)
     return int((gv @ m @ hv) % phi.field.p)

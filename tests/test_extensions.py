@@ -280,6 +280,15 @@ def test_zeroing_a_bracket_entry_refuses_an_index_outside_the_window(i, j, bad):
         omega_extension(F5, 0).with_bracket_entry_zeroed(i, j)
 
 
+@pytest.mark.parametrize("u", [-1, -8, 8, 9])
+def test_extension_basis_refuses_a_position_outside_the_window(u):
+    # np.eye(p + 1)[u] used to be read unchecked: -1 wrapped round to c, and 8 raised a bare IndexError.
+    ext = omega_extension(F7, 0)
+    assert ext.basis(7).to_vector().tolist() == [0] * 7 + [1]
+    with pytest.raises(ValueError, match=f"^basis position {u} out of range for p=7$"):
+        ext.basis(u)
+
+
 def test_extension_of_non_cocycle_fails_jacobi():
     # Forcing construction past the cocycle check yields a bracket table
     # that is not a Lie algebra; the Jacobi scan must catch it.

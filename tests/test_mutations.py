@@ -5,6 +5,7 @@ the table names the checks that catch its mutation at p = 7 and 13.  The
 rows cover the kernels behind the report's routes: the lambda recurrence,
 the fold and its steps, the correction weights, the derivation route, the
 basis chains, W's bracket on the basis and its basis powers, the
+orientation of 2-forms and 3-forms (ordinary.wedge_signs), the
 extensions' basis-pair sweep and p-map, W's bracket rows and
 right-bracket matrices, the composite values read off rows
 (gfp.CoordinatePair.from_vector); the complex's rank certificates (d2's
@@ -185,6 +186,27 @@ def corrupted_basis_brackets(monkeypatch):
     # W's bracket on the basis, [e_{-1}, e_0] = 2 e_{-1}: the structure tensor, the basis chains, d1, d2's term table
     # and the splitting defects read the table; the formula route (right_bracket_matrix) and the grading do not.
     corrupt_kernel(monkeypatch, witt.basis_brackets, lambda table, p: (bumped(table[0], p), table[1]))
+
+
+def misoriented_pairs(monkeypatch):
+    # 2-forms read as symmetric, the positions below the diagonal of wedge_signs(p, 2) taking +1: the value methods,
+    # to_matrix, c2_from_dict and d2's and ind2's term tables read the table.
+    def symmetric(table, p, degree):
+        column, sign = table
+        return (column, np.where(np.tri(p, k=-1, dtype=bool), 1, sign).astype(np.int8)) if degree == 2 else table
+
+    corrupt_kernel(monkeypatch, ordinary.wedge_signs, symmetric)
+
+
+def misoriented_triples(monkeypatch):
+    # The orientation class s < r < t of wedge_signs(p, 3) negated: Cochain3Ord.to_dense, the library's side of the
+    # ** check, reads it; the check's evaluation route scatters its own dense tensor.
+    def negated(table, p, degree):
+        column, sign = table
+        r, s, t = np.ogrid[:p, :p, :p]
+        return (column, np.where((s < r) & (r < t), -sign, sign).astype(np.int8)) if degree == 3 else table
+
+    corrupt_kernel(monkeypatch, ordinary.wedge_signs, negated)
 
 
 def corrupted_basis_pair_sums(monkeypatch):
@@ -398,6 +420,22 @@ TABLE = [
             "witt.antisymmetry_jacobi",
         },
     ),
+    (
+        misoriented_pairs,
+        WRONG_EXTENSIONS
+        | {
+            "ordinary.cohomology_dims",
+            "ordinary.complex_identity",
+            "ordinary.explicit_cocycles",
+            "ordinary.graded_kernel_dims",
+            "report.dims_closed_forms",
+            "restricted.complex_identity",
+            "restricted.h2_dimension",
+            "restricted.kernel_structure",
+            "restricted.star_consistency",
+        },
+    ),
+    (misoriented_triples, {"restricted.starstar_enumeration"}),
     (corrupted_basis_pair_sums, {"extensions.axioms"}),
     (corrupted_pmap_rows, {"extensions.roundtrip", "extensions.splitting_independence", "extensions.axioms"}),
     (

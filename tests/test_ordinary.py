@@ -46,12 +46,11 @@ from wittcoh.ordinary import (
     delta2_matrix,
     dual_basis,
     grade_tables,
-    pair_coordinates,
-    triple_coordinate,
     triple_index,
     upper_triangle,
     virasoro_cocycle,
     wedge_pairs,
+    wedge_signs,
 )
 from wittcoh.restricted import (
     Cochain2Res,
@@ -186,19 +185,42 @@ def test_index_tables_match_the_tuple_builders(p):
     index = triple_index(p)
     assert index.shape == (3, len(triples))
     assert [tuple(t) for t in index.T.tolist()] == list(triples)
-    column = pair_coordinates(p)
+    column = wedge_signs(p, 2)[0]
     assert column.shape == (p, p)
     for i in range(-1, p - 1):
         for j in range(-1, p - 1):
             w = wedge_normalize(i, j)
             assert column[i + 1, j + 1] == (0 if w is None else pairs[w[:2]])
-    assert [triple_coordinate(p, *t) for t in triples] == list(range(len(triples)))
+    assert [wedge_signs(p, 3)[0][r + 1, s + 1, t + 1] for r, s, t in triples] == list(range(len(triples)))
     for k in range(-1, p - 1):
         for table, oracle in zip(grade_tables(p), (graded_pair_positions, graded_triple_positions)):
             row = table[k + 1]
             assert row[row >= 0].tolist() == oracle(p, k)
     for table in (u, v, column, index, *grade_tables(p)):
         assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_wedge_signs_match_the_position_dicts_and_the_inversion_count(p):
+    # The one orientation table against two routes of its own: the oracle's position dicts for the column, and the
+    # parity of the positions' order, its inversions counted in a loop, for the sign.
+    for degree, position in ((2, pair_position(p)), (3, triple_position(p))):
+        column, sign = wedge_signs(p, degree)
+        assert column.shape == sign.shape == (p,) * degree and sign.dtype == np.int8
+        for at in itertools.product(range(p), repeat=degree):
+            if len(set(at)) < degree:
+                assert (column[at], sign[at]) == (0, 0), at
+                continue
+            inversions = 0
+            for x in range(degree):
+                for y in range(x + 1, degree):
+                    inversions += at[x] > at[y]
+            assert column[at] == position[tuple(sorted(a - 1 for a in at))], at
+            assert sign[at] == (-1) ** inversions, at
+        assert wedge_signs(p, degree) is wedge_signs(p, degree)
+        for table in (column, sign):
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * degree] = 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])

@@ -24,7 +24,7 @@ from tests.oracles import (
     wedge_triples,
     whole_matrix_rank,
 )
-from wittcoh import gfp, ordinary, restricted, verify, witt
+from wittcoh import extensions, gfp, ordinary, restricted, verify, witt
 from wittcoh.gfp import PrimeField
 from wittcoh.ordinary import (
     Cochain1,
@@ -377,6 +377,25 @@ def test_cocycle_test_reads_a_corrupted_ind2_table(p, monkeypatch):
     assert [is_cocycle(Cochain2Res.from_vector(field, v)) for v in vs] == (~d2.any(axis=0)).tolist()
 
 
+MIXED_PRIME_CALLS = {
+    # A GF(7) cochain or extension against GF(5) elements e_0 and e_1.  Before the field check, eval_beta returned 1,
+    # starstar_correction took its zero-alpha shortcut to 0, eval_omega and the extension's bracket raised numpy
+    # broadcasting errors, pth_power asked for a vector of length 8, and star_correction raised its own message.
+    "eval_beta": lambda g, h: eval_beta(Cochain3Res(c3_zero(F7), ((1,) * 7,) * 7), g, h),
+    "starstar_correction": lambda g, h: restricted.starstar_correction(c3_zero(F7), g, h, h),
+    "eval_omega": lambda g, h: eval_omega(omega_coordinate(F7, 0), g),
+    "bracket": lambda g, h: extensions.omega_extension(F7, 0).bracket(*(extensions.ExtElement(x, 0) for x in (g, h))),
+    "pth_power": lambda g, h: extensions.omega_extension(F7, 0).pth_power(extensions.ExtElement(g, 0)),
+    "star_correction": lambda g, h: restricted.star_correction(c2_from_dict(F7, {(0, 1): 1}), g, h),
+}
+
+
+@pytest.mark.parametrize("call", MIXED_PRIME_CALLS.values(), ids=MIXED_PRIME_CALLS)
+def test_operands_over_another_prime_are_refused_one_way(call):
+    with pytest.raises(ValueError, match="^elements live over different fields"):
+        call(witt.basis_element(F5, 0), witt.basis_element(F5, 1))
+
+
 def test_restricted_arithmetic_and_row_calls_refuse_mixed_primes():
     # omega_coordinate(F5, 0) - omega_coordinate(F7, 0) once came out as a zero cochain over GF(5).
     a, b = omega_coordinate(F5, 0), omega_coordinate(F7, 0)
@@ -498,10 +517,12 @@ def test_starstar_exhaustive_stays_within_its_block_bound(p, monkeypatch):
 
 
 def test_starstar_exhaustive_is_a_route_of_its_own(monkeypatch):
-    """Neither the exhaustive oracle nor verify's evaluation route touches the correction weights.
+    """Neither the exhaustive oracle nor verify's evaluation route touches the correction weights or the orientation.
 
-    Both share with the library's ** sum only witt.right_bracket_matrix,
-    witt._inverse_vector and the contraction t[i, j] = alpha(g ^ e_i ^ e_j).
+    Both share with the library's ** sum only witt.right_bracket_matrix and
+    witt._inverse_vector; each scatters alpha's dense tensor, which the
+    contraction t[i, j] = alpha(g ^ e_i ^ e_j) reads, itself, so neither
+    reads Cochain3Ord.to_dense or ordinary.wedge_signs.
     The evaluation route also rests on the identity that the lambda^k
     coefficient of [h1, h2, lambda*h1 + h2, ...] collects the chains with k
     free 1-labels; the exhaustive oracle, which sums every chain on its own,
@@ -509,13 +530,15 @@ def test_starstar_exhaustive_is_a_route_of_its_own(monkeypatch):
     """
 
     def unused(*args):
-        raise AssertionError("the route uses the correction weights")
+        raise AssertionError("the route uses a library kernel of the ** sum")
 
     for module, name in [
         (witt, "lambda_rows"),
         (restricted, "_correction_weights"),
         (restricted, "_correction_sum"),
         (restricted, "starstar_correction"),
+        (ordinary, "wedge_signs"),
+        (ordinary.Cochain3Ord, "to_dense"),
     ]:
         monkeypatch.setattr(module, name, unused)
     sample = random_starstar_samples(F7, random.Random(0), 1)[0]
